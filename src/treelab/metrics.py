@@ -18,9 +18,10 @@ sentence equally and runs in constant memory.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import sub
 from typing import Iterable, Sequence
 
-from .treebank import Sentence
+from .treebank import Sentence, is_permutation
 
 
 class AlignmentError(ValueError):
@@ -34,7 +35,7 @@ class AlignedPermutation:
     pi: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        if sorted(self.pi) != list(range(len(self.pi))):
+        if not is_permutation(self.pi):
             raise ValueError("pi must be a permutation of 0..n-1")
 
     @property
@@ -91,32 +92,25 @@ def align_by_surface(original: Sequence[str], modified: Sequence[str]) -> Aligne
 
 
 def inversion_count(perm: AlignedPermutation) -> int:
-    """Number of pairs i < j with pi[i] > pi[j], by merge sort."""
-    values = list(perm.pi)
-    _, inversions = _sort_count(values)
+    """Number of pairs i < j with pi[i] > pi[j], by a Fenwick tree over values.
+
+    Each value adds the count of earlier values above it: the earlier ones
+    minus those at or below it, which the tree's prefix sum gives.
+    """
+    n = perm.n
+    counts = [0] * (n + 1)  # Fenwick tree: counts[i] covers values i - (i & -i) .. i - 1
+    inversions = 0
+    for seen, value in enumerate(perm.pi):
+        inversions += seen
+        i = value + 1
+        while i:
+            inversions -= counts[i]
+            i &= i - 1
+        i = value + 1
+        while i <= n:
+            counts[i] += 1
+            i += i & -i
     return inversions
-
-
-def _sort_count(values: list[int]) -> tuple[list[int], int]:
-    if len(values) <= 1:
-        return values, 0
-    mid = len(values) // 2
-    left, inv_l = _sort_count(values[:mid])
-    right, inv_r = _sort_count(values[mid:])
-    merged: list[int] = []
-    inversions = inv_l + inv_r
-    i = j = 0
-    while i < len(left) and j < len(right):
-        if left[i] <= right[j]:
-            merged.append(left[i])
-            i += 1
-        else:
-            merged.append(right[j])
-            j += 1
-            inversions += len(left) - i
-    merged.extend(left[i:])
-    merged.extend(right[j:])
-    return merged, inversions
 
 
 def inversion_ratio(perm: AlignedPermutation) -> float:
@@ -132,7 +126,7 @@ def word_move_distance(perm: AlignedPermutation) -> float:
     n = perm.n
     if n == 0:
         raise ValueError("empty permutation")
-    return sum(abs(p - i) for i, p in enumerate(perm.pi)) / (n * n)
+    return sum(map(abs, map(sub, perm.pi, range(n)))) / (n * n)
 
 
 @dataclass(frozen=True)

@@ -28,7 +28,6 @@ import dataclasses
 import functools
 import hashlib
 import json
-import re
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -54,7 +53,15 @@ from .transform import (
     remove_composition,
     word_shuffle,
 )
-from .treebank import Sentence, TreeNode, TreeParseError, parse_ptb, serialize, yield_sentence
+from .treebank import (
+    _NON_TREE_LINE,
+    Sentence,
+    TreeNode,
+    TreeParseError,
+    parse_ptb,
+    serialize,
+    yield_sentence,
+)
 from .version import TOOL_NAME, TOOL_VERSION
 
 
@@ -184,11 +191,6 @@ class PipelineConfig:
             raise UsageError(f"workers must be >= 1, got {self.workers}")
 
 
-# Lines with no symbol content: blank lines and empty-bracket placeholders
-# such as "(())" that some exporters leave behind for unparsed sentences.
-_NON_TREE = re.compile(r"^[\s()]*$")
-
-
 @dataclass(frozen=True)
 class LineOutcome:
     index: int
@@ -209,7 +211,7 @@ def _transform_line(
     index, label, lineno, text = item
     if not text.strip():
         return LineOutcome(index, "blank")
-    if _NON_TREE.match(text):
+    if _NON_TREE_LINE.match(text):
         return LineOutcome(index, "placeholder", f"{label}:{lineno}: no tree on line")
     try:
         tree = parse_ptb(text)
@@ -390,7 +392,7 @@ def _line_tokens(line: str, label: str, lineno: int) -> list[str]:
     bracket tokens are stored escaped — so the dispatch is unambiguous.
     """
     stripped = line.strip()
-    if _NON_TREE.match(stripped):
+    if _NON_TREE_LINE.match(stripped):
         return []
     if stripped.startswith("("):
         try:

@@ -29,7 +29,7 @@ from typing import Iterable, Mapping, Sequence
 
 from .rng import Rng, SeedScheme
 from .transform import BUILTIN_RULES, ReorderRule, inverse_rule
-from .treebank import TreeNode, escape_symbol, internal, leaf, yield_sentence
+from .treebank import TreeNode, escape_symbol, internal, leaf, rebuild, yield_sentence
 
 DEPTH_DECAY = 0.5
 MAX_DEPTH = 12
@@ -406,14 +406,12 @@ def translate_tree(grammar: SynthGrammar, tree: TreeNode, source: str, target: s
     # Tree tokens are stored in escaped form; key the table accordingly.
     mapping = {escape_symbol(w): t for w, t in lexicon_map(grammar, source, target).items()}
 
-    def walk(node: TreeNode) -> TreeNode:
-        if node.token is not None:
-            if node.token not in mapping:
-                raise SynthError(f"word {node.token!r} not in the {source} lexicon")
-            return leaf(node.label, mapping[node.token], origin=node.origin)
-        return TreeNode(node.label, tuple(walk(c) for c in node.children))
+    def translate(node: TreeNode) -> TreeNode:
+        if node.token not in mapping:
+            raise SynthError(f"word {node.token!r} not in the {source} lexicon")
+        return leaf(node.label, mapping[node.token], origin=node.origin)
 
-    return walk(tree)
+    return rebuild(tree, lambda node, kids: TreeNode(node.label, tuple(kids)), leaf=translate)
 
 
 def delta_rules(grammar: SynthGrammar, source: str, target: str) -> tuple[ReorderRule, ...]:

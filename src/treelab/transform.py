@@ -22,10 +22,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from .rng import Rng, SeedScheme
-from .treebank import Sentence, TreeNode, ensure_origins
+from .treebank import Sentence, TreeNode, ensure_origins, rebuild, with_children
+
+_new = tuple.__new__
 
 
 @dataclass(frozen=True)
@@ -117,21 +119,12 @@ def apply_reorder(tree: TreeNode, rule: ReorderRule | Iterable[ReorderRule]) -> 
     unchanged (and untouched subtrees are shared, not copied). A sequence
     of rules is applied as successive whole-tree passes, in order.
     """
-    tree = ensure_origins(tree)
-    for one in (rule,) if isinstance(rule, ReorderRule) else rule:
-        tree = _reorder(tree, one)
+    rules = (rule,) if isinstance(rule, ReorderRule) else tuple(rule)
+    if not rules:
+        return ensure_origins(tree)
+    for one in rules:
+        tree = rebuild(tree, lambda node, kids: with_children(node, kids[::-1] if one.matches(node) else kids))
     return tree
-
-
-def _reorder(node: TreeNode, rule: ReorderRule) -> TreeNode:
-    if node.is_leaf:
-        return node
-    kids = tuple(_reorder(c, rule) for c in node.children)
-    if rule.matches(node):
-        kids = (kids[1], kids[0])
-    if kids == node.children:
-        return node
-    return TreeNode(node.label, kids)
 
 
 def constituent_shuffle(
@@ -149,17 +142,14 @@ def constituent_shuffle(
     ``include_root=False`` leaves the root's children in place, for callers
     who treat top-level order as fixed.
     """
-    rng = _resolve_rng(seed, rng)
-    return _shuffle_node(ensure_origins(tree), rng, skip=not include_root)
+    shuffle = _resolve_rng(seed, rng).shuffle
 
+    def combine(node: TreeNode, kids: list[TreeNode]) -> TreeNode:
+        if len(kids) >= 2 and (include_root or node is not tree):
+            shuffle(kids)
+        return _new(TreeNode, (node.label, tuple(kids), None, None))
 
-def _shuffle_node(node: TreeNode, rng: Rng, skip: bool = False) -> TreeNode:
-    if node.is_leaf:
-        return node
-    kids = [_shuffle_node(c, rng) for c in node.children]
-    if len(kids) >= 2 and not skip:
-        rng.shuffle(kids)
-    return TreeNode(node.label, tuple(kids))
+    return rebuild(tree, combine)
 
 
 def word_shuffle(
@@ -197,22 +187,25 @@ class AblationSpec:
 
 def intermediate_node_count(tree: TreeNode) -> int:
     """Number of non-root nodes with more than one child."""
-    return sum(1 for _, node in _intermediate_paths(tree))
+    return len(_intermediate_ranks(tree))
 
 
-def _intermediate_paths(tree: TreeNode) -> list[tuple[tuple[int, ...], TreeNode]]:
-    # Pre-order; the root (path ()) is excluded by construction.
-    found: list[tuple[tuple[int, ...], TreeNode]] = []
-    stack = [((i,), c) for i, c in reversed(list(enumerate(tree.children)))]
+def _intermediate_ranks(tree: TreeNode) -> list[int]:
+    """Pre-order rank of each intermediate node (a position, not a node
+    object, which may occur twice), listed in post-order."""
+    ranks: list[int] = []
+    found = 0
+    stack: list = list(reversed(tree.children))  # the root is no candidate
     while stack:
-        path, node = stack.pop()
-        if len(node.children) > 1:
-            found.append((path, node))
-        stack.extend(
-            (path + (i,), c) for i, c in reversed(list(enumerate(node.children)))
-        )
-    # stack order above yields pre-order left-to-right
-    return found
+        item = stack.pop()
+        if type(item) is int:  # popped after the candidate's whole subtree
+            ranks.append(item)
+        elif item.children:
+            if len(item.children) > 1:
+                stack.append(found)
+                found += 1
+            stack.extend(reversed(item.children))
+    return ranks
 
 
 def remove_composition(
@@ -225,43 +218,41 @@ def remove_composition(
     """Remove ``round(alpha * K)`` of the K intermediate nodes.
 
     Selection is uniform without replacement and decided against the
-    original tree's intermediate-node set before any splice is applied, so
-    the removal count is exact even though splicing changes child counts.
-    Each removed node's children take its place in its parent's child
-    list, preserving order; with ``shuffle_after`` the spliced tree is then
-    constituent-shuffled on the same stream. ``round`` is half-up, giving
-    zero variance at alpha 0 and 1.
+    original tree's intermediate-node set, in pre-order, before any splice
+    is applied, so the removal count is exact even though splicing changes
+    child counts. Each removed node's children take its place in its
+    parent's child list, preserving order; with ``shuffle_after`` the
+    spliced tree is then constituent-shuffled on the same stream, in the
+    same walk. ``round`` is half-up, giving zero variance at alpha 0 and 1.
     """
-    tree = ensure_origins(tree)
     if rng is None:
         rng = SeedScheme(spec.seed, sentence_index).stream()
-
-    candidates = _intermediate_paths(tree)
-    k = len(candidates)
+    ranks = _intermediate_ranks(tree)
+    k = len(ranks)
     n_remove = math.floor(spec.alpha * k + 0.5)
-    if n_remove > 0:  # implies the root has children
+    removed = [False] * k  # in post-order, the order ``combine`` meets them
+    if n_remove > 0:
         order = list(range(k))
         rng.shuffle(order)
-        selected = {candidates[i][0] for i in order[:n_remove]}
-        kids: tuple[TreeNode, ...] = ()
-        for i, child in enumerate(tree.children):
-            kids += _splice(child, (i,), selected)
-        tree = TreeNode(tree.label, kids)
-    if spec.shuffle_after:
-        tree = constituent_shuffle(tree, rng=rng)
-    return tree
+        selected = set(order[:n_remove])
+        removed = [rank in selected for rank in ranks]
+    verdicts = iter(removed)
+    shuffle = rng.shuffle if spec.shuffle_after else None
 
+    def combine(node: TreeNode, values: list) -> TreeNode | tuple[TreeNode, ...]:
+        kids: list[TreeNode] = []
+        for value in values:
+            if type(value) is tuple:  # a removed child's children
+                kids.extend(value)
+            else:
+                kids.append(value)
+        if node is not tree and len(node.children) > 1 and next(verdicts):
+            return tuple(kids)
+        if shuffle is not None and len(kids) >= 2:
+            shuffle(kids)
+        return _new(TreeNode, (node.label, tuple(kids), None, None))
 
-def _splice(node: TreeNode, path: tuple[int, ...], selected: set[tuple[int, ...]]) -> tuple[TreeNode, ...]:
-    """Rebuild a subtree, returning what should sit in the parent's child list."""
-    if node.is_leaf:
-        return (node,)
-    kids: tuple[TreeNode, ...] = ()
-    for i, child in enumerate(node.children):
-        kids += _splice(child, path + (i,), selected)
-    if path in selected:
-        return kids
-    return (TreeNode(node.label, kids),)
+    return rebuild(tree, combine)
 
 
 def _resolve_rng(seed: SeedScheme | None, rng: Rng | None) -> Rng:

@@ -1,11 +1,14 @@
 """Bracketed constituent trees: parsing, serialization, traversal.
 
-A tree is represented by its root :class:`TreeNode`. Nodes are frozen;
-transformations build new trees and share untouched subtrees, so trees are
-safe to hand to concurrent workers. Leaves carry the surface token and,
-once assigned, the token's position in the original sentence
+A tree is represented by its root :class:`TreeNode`. Nodes are immutable
+tuples; transformations build new trees and share untouched subtrees, so
+trees are safe to hand to concurrent workers. Leaves carry the surface
+token and, once assigned, the token's position in the original sentence
 (``origin``), which rides along through every transformation and makes
-order metrics well-defined even when surface forms repeat.
+order metrics well-defined even when surface forms repeat. Equality and
+hashing ignore ``origin``. Nothing here recurses, so trees may be nested to
+any depth. Code that knows a node's fields are valid may skip the checks
+of ``TreeNode(...)`` with ``tuple.__new__(TreeNode, (label, kids, token, origin))``.
 
 File convention: UTF-8, one bracketed tree per line. Lines that contain
 only brackets and whitespace (e.g. ``(())``) are treated as empty
@@ -21,11 +24,15 @@ treebank file) is preserved verbatim.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
-from typing import Iterable, Iterator
+from collections import namedtuple
+from dataclasses import dataclass
+from operator import is_
+from typing import Callable, Iterable, Iterator, Sequence, TypeVar
 
-_RESERVED = "()"
-_ESCAPES = {"(": "-LRB-", ")": "-RRB-"}
+_SPACE = re.compile(r"\s")  # exactly the characters for which str.isspace() holds
+_MIXED = "tree mixes leaves with and without origin indices"
+_new = tuple.__new__
+V = TypeVar("V")
 
 
 class TreeParseError(ValueError):
@@ -38,41 +45,46 @@ class TreeParseError(ValueError):
 
 def escape_symbol(text: str) -> str:
     """Escape raw parentheses/whitespace so the symbol is serializable."""
-    if not any(c in _RESERVED or c.isspace() for c in text):
-        return text
-    out = []
-    for c in text:
-        if c in _ESCAPES:
-            out.append(_ESCAPES[c])
-        elif c.isspace():
-            out.append("-SPC-")
-        else:
-            out.append(c)
-    return "".join(out)
+    return _SPACE.sub("-SPC-", text.replace("(", "-LRB-").replace(")", "-RRB-"))
 
 
-@dataclass(frozen=True)
-class TreeNode:
+class TreeNode(namedtuple("TreeNode", "label children token origin")):
     """One node: a leaf iff ``token`` is set, in which case it has no children.
 
     ``origin`` (leaves only) is excluded from equality and hashing: two trees
     are structurally equal when labels, tokens, and child order agree.
     """
 
-    label: str
-    children: tuple["TreeNode", ...] = ()
-    token: str | None = None
-    origin: int | None = field(default=None, compare=False)
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not self.label:
+    def __new__(cls, label: str, children: tuple["TreeNode", ...] = (), token: str | None = None,
+                origin: int | None = None) -> "TreeNode":
+        if not label:
             raise ValueError("empty node label")
-        if (self.token is None) == (len(self.children) == 0):
+        if (token is None) == (not children):
             raise ValueError("node must have either a token or children, not both")
+        return _new(cls, (label, children, token, origin))
 
     @property
     def is_leaf(self) -> bool:
         return self.token is not None
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, TreeNode):
+            return False  # not NotImplemented: tuple's reflected == would compare fields
+        pairs = [(self, other)]
+        while pairs:
+            a, b = pairs.pop()
+            if a is not b:
+                if a.label != b.label or a.token != b.token or len(a.children) != len(b.children):
+                    return False
+                pairs.extend(zip(a.children, b.children))
+        return True
+
+    __ne__ = object.__ne__  # negates __eq__; tuple's own would compare origins
+
+    def __hash__(self) -> int:
+        return hash(serialize(self))
 
 
 def leaf(label: str, token: str, origin: int | None = None) -> TreeNode:
@@ -94,6 +106,17 @@ def internal(label: str, children: Iterable[TreeNode]) -> TreeNode:
     return TreeNode(lab, kids)
 
 
+def is_permutation(values: Sequence[int]) -> bool:
+    """Whether ``values`` holds each of 0..n-1 exactly once (O(n), seen-array)."""
+    n = len(values)
+    seen = bytearray(n)
+    for v in values:
+        if not 0 <= v < n or seen[v]:
+            return False
+        seen[v] = 1
+    return True
+
+
 @dataclass(frozen=True)
 class Sentence:
     """Ordered tokens with their positions in the original sentence.
@@ -106,8 +129,7 @@ class Sentence:
     tokens: tuple[tuple[str, int], ...]
 
     def __post_init__(self) -> None:
-        origins = sorted(o for _, o in self.tokens)
-        if origins != list(range(len(self.tokens))):
+        if not is_permutation([o for _, o in self.tokens]):
             raise ValueError("origin indices must be a permutation of 0..n-1")
 
     def __len__(self) -> int:
@@ -127,93 +149,139 @@ class Sentence:
         return cls(tuple((s, i) for i, s in enumerate(surfaces)))
 
 
+_WS = re.compile(r"\s*")
 _ATOM = re.compile(r"[^\s()]+")
+# "(" and a label; for a leaf also its token and ")"; then any whitespace.
+_OPEN = re.compile(r"\(\s*([^\s()]+)(?:\s+([^\s()]+)\s*\))?\s*")
 
 
 def parse_ptb(text: str) -> TreeNode:
     """Parse a single bracketed tree ``(LABEL child ...)`` / ``(TAG token)``.
 
     Leaf origins are assigned 0..n-1 in textual order. Raises
-    :class:`TreeParseError` with a byte offset on malformed input.
+    :class:`TreeParseError` with a byte offset on malformed input. One
+    regex match per leaf, opening and closing bracket; open internal nodes
+    wait on an explicit stack.
     """
-    counter = [0]
-    pos = _skip_ws(text, 0)
-    if pos >= len(text):
+    n = len(text)
+    pos = _WS.match(text).end()
+    if pos == n:
         raise TreeParseError("empty input", _byte_offset(text, pos))
-    node, pos = _parse_node(text, pos, counter)
-    pos = _skip_ws(text, pos)
-    if pos < len(text):
-        raise TreeParseError("trailing content after tree", _byte_offset(text, pos))
-    return node
+    if text[pos] != "(":
+        raise TreeParseError(f"expected '(', found {text[pos]!r}", _byte_offset(text, pos))
+    stack: list[tuple[str, list[TreeNode]]] = []  # open internal nodes
+    leaves = 0
+    while True:
+        m = _OPEN.match(text, pos)
+        if m is None:
+            pos = _WS.match(text, pos + 1).end()
+            what = "end of input" if pos == n else repr(text[pos])
+            raise TreeParseError(f"expected node label, found {what}", _byte_offset(text, pos))
+        label, token = m.groups()
+        pos = m.end()
+        if token is None:
+            if pos < n and text[pos] == "(":
+                stack.append((label, []))
+                continue
+            raise _bad_leaf(text, pos)
+        node = _new(TreeNode, (label, (), token, leaves))
+        leaves += 1
+        while stack:
+            stack[-1][1].append(node)
+            if pos == n:
+                raise TreeParseError("unbalanced brackets: unexpected end of input", _byte_offset(text, pos))
+            if text[pos] == "(":
+                break
+            if text[pos] != ")":
+                raise TreeParseError(f"expected ')' , found {text[pos]!r}", _byte_offset(text, pos))
+            label, kids = stack.pop()
+            node = _new(TreeNode, (label, tuple(kids), None, None))
+            pos = _WS.match(text, pos + 1).end()
+        else:
+            if pos < n:
+                raise TreeParseError("trailing content after tree", _byte_offset(text, pos))
+            return node
+
+
+def _bad_leaf(text: str, pos: int) -> TreeParseError:
+    """The error for a label ending at ``pos`` that is followed neither by a
+    child nor by ``token)``."""
+    m = _ATOM.match(text, pos)
+    end = _WS.match(text, m.end()).end() if m else pos
+    if end == len(text):
+        message = "unbalanced brackets: unexpected end of input"
+    elif m is None:
+        message = f"expected token or child, found {text[end]!r}"
+    elif text[end] == "(":
+        message = "leaf cannot have children"
+    else:
+        message = f"expected ')' after token, found {text[end]!r}"
+    return TreeParseError(message, _byte_offset(text, end))
 
 
 def _byte_offset(text: str, pos: int) -> int:
     return len(text[:pos].encode("utf-8"))
 
 
-def _skip_ws(text: str, pos: int) -> int:
-    while pos < len(text) and text[pos].isspace():
-        pos += 1
-    return pos
+def rebuild(tree: TreeNode, combine: Callable[[TreeNode, list[V]], V],
+            leaf: Callable[[TreeNode], V] | None = None) -> V:
+    """Fold ``tree`` bottom-up: post-order, children in their original order.
+
+    Each internal node becomes ``combine(node, values)``, ``values`` being a
+    fresh list of what its children became, and each leaf ``leaf(node)``. A
+    node object that occurs twice is visited twice. Without ``leaf``, leaves
+    keep their origins, or get 0..n-1 in order if none has one; a tree that
+    mixes the two raises ``ValueError``.
+    """
+    order = []  # root, then each subtree right to left: reversed, it is post-order
+    stack = [tree]
+    while stack:
+        node = stack.pop()
+        order.append(node)
+        stack.extend(node.children)
+    values: list = []
+    carried = leaves = 0
+    for node in reversed(order):
+        kids = node.children
+        if kids:
+            k = len(kids)
+            values[-k:] = (combine(node, values[-k:]),)
+        elif leaf is not None:
+            values.append(leaf(node))
+        else:
+            if node.origin is not None:
+                carried += 1
+            else:
+                node = _new(TreeNode, (node.label, (), node.token, leaves))
+            leaves += 1
+            if carried and carried != leaves:
+                raise ValueError(_MIXED)
+            values.append(node)
+    return values[0]
 
 
-def _parse_node(text: str, pos: int, counter: list[int]) -> tuple[TreeNode, int]:
-    if text[pos] != "(":
-        raise TreeParseError(f"expected '(', found {text[pos]!r}", _byte_offset(text, pos))
-    pos = _skip_ws(text, pos + 1)
-    m = _ATOM.match(text, pos)
-    if m is None:
-        what = "end of input" if pos >= len(text) else repr(text[pos])
-        raise TreeParseError(f"expected node label, found {what}", _byte_offset(text, pos))
-    label = m.group()
-    pos = _skip_ws(text, m.end())
-    if pos >= len(text):
-        raise TreeParseError("unbalanced brackets: unexpected end of input", _byte_offset(text, pos))
-
-    if text[pos] == "(":
-        children = []
-        while pos < len(text) and text[pos] == "(":
-            child, pos = _parse_node(text, pos, counter)
-            children.append(child)
-            pos = _skip_ws(text, pos)
-        if pos >= len(text):
-            raise TreeParseError("unbalanced brackets: unexpected end of input", _byte_offset(text, pos))
-        if text[pos] != ")":
-            raise TreeParseError(f"expected ')' , found {text[pos]!r}", _byte_offset(text, pos))
-        return TreeNode(label, tuple(children)), pos + 1
-
-    m = _ATOM.match(text, pos)
-    if m is None:
-        raise TreeParseError(f"expected token or child, found {text[pos]!r}", _byte_offset(text, pos))
-    token = m.group()
-    pos = _skip_ws(text, m.end())
-    if pos >= len(text):
-        raise TreeParseError("unbalanced brackets: unexpected end of input", _byte_offset(text, pos))
-    if text[pos] == "(":
-        raise TreeParseError("leaf cannot have children", _byte_offset(text, pos))
-    if text[pos] != ")":
-        raise TreeParseError(f"expected ')' after token, found {text[pos]!r}", _byte_offset(text, pos))
-    node = TreeNode(label, (), token, counter[0])
-    counter[0] += 1
-    return node, pos + 1
+def with_children(node: TreeNode, kids: Sequence[TreeNode]) -> TreeNode:
+    """``node`` itself when ``kids`` are its own children, else a copy with ``kids``."""
+    if len(kids) == len(node.children) and all(map(is_, kids, node.children)):
+        return node
+    return _new(TreeNode, (node.label, tuple(kids), None, None))
 
 
 def serialize(tree: TreeNode) -> str:
     """Canonical single-space form; ``parse_ptb(serialize(t))`` equals ``t``."""
-    parts: list[str] = []
-    _write(tree, parts)
-    return "".join(parts)
-
-
-def _write(node: TreeNode, parts: list[str]) -> None:
-    if node.is_leaf:
-        parts.append(f"({node.label} {node.token})")
-        return
-    parts.append(f"({node.label}")
-    for child in node.children:
-        parts.append(" ")
-        _write(child, parts)
-    parts.append(")")
+    parts = []
+    stack: list = [tree]
+    while stack:
+        node = stack.pop()
+        if node is None:  # the end of an internal node
+            parts.append(")")
+        elif node.token is None:
+            parts.append(" (" + node.label)
+            stack.append(None)
+            stack.extend(node.children[::-1])
+        else:
+            parts.append(f" ({node.label} {node.token})")
+    return "".join(parts)[1:]  # every node's text starts with a space
 
 
 def iter_nodes(tree: TreeNode) -> Iterator[TreeNode]:
@@ -226,9 +294,7 @@ def iter_nodes(tree: TreeNode) -> Iterator[TreeNode]:
 
 
 def iter_leaves(tree: TreeNode) -> Iterator[TreeNode]:
-    for node in iter_nodes(tree):
-        if node.is_leaf:
-            yield node
+    return (node for node in iter_nodes(tree) if node.is_leaf)
 
 
 def ensure_origins(tree: TreeNode) -> TreeNode:
@@ -239,34 +305,31 @@ def ensure_origins(tree: TreeNode) -> TreeNode:
     Mixed trees are rejected: they indicate leaves from different
     provenances were combined.
     """
-    leaves = list(iter_leaves(tree))
-    have = [n for n in leaves if n.origin is not None]
-    if len(have) == len(leaves):
-        return tree
-    if have:
-        raise ValueError("tree mixes leaves with and without origin indices")
-    counter = [0]
-
-    def rebuild(node: TreeNode) -> TreeNode:
-        if node.is_leaf:
-            out = TreeNode(node.label, (), node.token, counter[0])
-            counter[0] += 1
-            return out
-        return TreeNode(node.label, tuple(rebuild(c) for c in node.children))
-
-    return rebuild(tree)
+    return rebuild(tree, with_children)
 
 
 def yield_sentence(tree: TreeNode) -> Sentence:
     """Left-to-right leaf sequence with carried (or freshly assigned) origins."""
-    leaves = list(iter_leaves(tree))
-    if all(n.origin is None for n in leaves):
-        return Sentence(tuple((n.token, i) for i, n in enumerate(leaves)))  # type: ignore[misc]
-    if any(n.origin is None for n in leaves):
-        raise ValueError("tree mixes leaves with and without origin indices")
-    return Sentence(tuple((n.token, n.origin) for n in leaves))  # type: ignore[misc]
+    tokens = []
+    missing = 0
+    stack = [tree]
+    while stack:
+        node = stack.pop()
+        if node.token is None:
+            stack.extend(reversed(node.children))
+        else:
+            if node.origin is None:
+                missing += 1
+            tokens.append((node.token, node.origin))
+    if missing:
+        if missing < len(tokens):
+            raise ValueError(_MIXED)
+        tokens = [(token, i) for i, (token, _) in enumerate(tokens)]
+    return Sentence(tuple(tokens))
 
 
+# Lines with no symbol content: blank lines and empty-bracket placeholders
+# such as "(())" that some exporters leave behind for unparsed sentences.
 _NON_TREE_LINE = re.compile(r"^[\s()]*$")
 
 
