@@ -2,9 +2,11 @@
 
 Subcommands: ``transform``, ``stats``, ``bpe learn``, ``bpe apply``,
 ``mask``, ``retrieval``, ``synth generate``. Every subcommand accepts
-``--seed``, ``--workers``, and ``--config FILE``. Option values resolve
-in a fixed precedence: explicit flag, then environment (``TREELAB_SEED``,
-``TREELAB_WORKERS``), then the config file, then the built-in default.
+``--config FILE``, and every one but ``stats`` (which draws no random
+numbers and runs in one process) also ``--seed`` and ``--workers``. Option
+values resolve in a fixed precedence: explicit flag, then environment
+(``TREELAB_SEED``, ``TREELAB_WORKERS``), then the config file, then the
+built-in default.
 
 A config file holds ``key = value`` lines (``#`` comments allowed); keys
 mirror the long option names of the subcommand being run. Input and
@@ -18,24 +20,22 @@ trees without ``--skip-bad``, alignment failures), 2 on usage errors.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import os
 import sys
-from typing import IO, Iterable, Iterator, Sequence
+from typing import IO, Sequence
 
-from .metrics import AlignmentError
 from .pipeline import (
     PipelineConfig,
     PipelineError,
     UsageError,
+    read_lines,
     run_stats,
     run_transform,
     write_provenance,
 )
-from .retrieval import RetrievalError, read_embeddings, top1_retrieval
+from .retrieval import read_embeddings, top1_retrieval
 from .subword import (
-    BpeError,
     MaskingConfig,
     bpe_apply,
     bpe_learn,
@@ -44,8 +44,7 @@ from .subword import (
     read_ids_file,
     save_model,
 )
-from .synthlang import SynthError, demo_grammar, generate_corpus, load_grammar, write_corpus
-from .treebank import TreeParseError
+from .synthlang import demo_grammar, generate_corpus, load_grammar, write_corpus
 from .version import TOOL_VERSION
 
 SEED_ENV = "TREELAB_SEED"
@@ -58,7 +57,7 @@ _BOOL_WORDS = {
 
 _CONFIG_KEYS = {
     "transform": frozenset({"seed", "workers", "chain", "emit", "skip-bad", "stats", "report", "rules"}),
-    "stats": frozenset({"seed", "workers", "report"}),
+    "stats": frozenset({"report"}),
     "bpe learn": frozenset({"seed", "workers", "vocab-size", "language"}),
     "bpe apply": frozenset({"seed", "workers"}),
     "mask": frozenset({"seed", "workers", "rate", "vocab-size"}),
@@ -144,7 +143,12 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"%(prog)s {TOOL_VERSION}")
     sub = parser.add_subparsers(dest="command", required=True, metavar="COMMAND")
 
-    common = argparse.ArgumentParser(add_help=False)
+    config_only = argparse.ArgumentParser(add_help=False)
+    config_only.add_argument(
+        "--config", metavar="FILE", default=None,
+        help="'key = value' defaults file; explicit flags win",
+    )
+    common = argparse.ArgumentParser(add_help=False, parents=[config_only])
     common.add_argument(
         "--seed", type=int, default=None,
         help=f"global random seed (env {SEED_ENV}; default 0)",
@@ -152,10 +156,6 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument(
         "--workers", type=int, default=None,
         help=f"worker processes (env {WORKERS_ENV}; default 1)",
-    )
-    common.add_argument(
-        "--config", metavar="FILE", default=None,
-        help="'key = value' defaults file; explicit flags win",
     )
 
     p = sub.add_parser(
@@ -186,7 +186,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rules", default=None, help="file of extra reorder rules")
 
     p = sub.add_parser(
-        "stats", parents=[common],
+        "stats", parents=[config_only],
         help="compare two line-aligned corpora (token lines or treebanks)",
     )
     p.add_argument("original", help="original corpus")
@@ -242,16 +242,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _iter_lines(paths: Sequence[str]) -> Iterator[str]:
-    for path in paths:
-        try:
-            with open(path, encoding="utf-8") as fh:
-                for line in fh:
-                    yield line.rstrip("\n")
-        except OSError as exc:
-            raise PipelineError(f"cannot read {path}: {exc}") from exc
-
-
 def _cmd_transform(args: argparse.Namespace, stdout: IO[str], stderr: IO[str]) -> int:
     config = _load_config(args, "transform")
     seed, workers = _seed_and_workers(args, config)
@@ -276,7 +266,6 @@ def _cmd_transform(args: argparse.Namespace, stdout: IO[str], stderr: IO[str]) -
 
 def _cmd_stats(args: argparse.Namespace, stdout: IO[str], stderr: IO[str]) -> int:
     config = _load_config(args, "stats")
-    _seed_and_workers(args, config)  # accepted for uniformity; stats is deterministic
     report = _resolve(args.report, config=config, key="report")
     return run_stats(args.original, args.modified, report=report, stdout=stdout, stderr=stderr)
 
@@ -288,7 +277,7 @@ def _cmd_bpe_learn(args: argparse.Namespace, stdout: IO[str], stderr: IO[str]) -
         args.vocab_size, config=config, key="vocab-size", default=32000, kind=int
     )
     language = _resolve(args.language, config=config, key="language", default="und")
-    model = bpe_learn(_iter_lines(args.inputs), vocab_size, language)
+    model = bpe_learn((text for _, _, text in read_lines(args.inputs)), vocab_size, language)
     save_model(model, args.output)
     write_provenance(
         args.output,
@@ -310,10 +299,11 @@ def _cmd_bpe_apply(args: argparse.Namespace, stdout: IO[str], stderr: IO[str]) -
     config = _load_config(args, "bpe apply")
     seed, workers = _seed_and_workers(args, config)
     model = load_model(args.model)
+    numbered = read_lines(args.inputs)  # opens the inputs before the output
     lines = 0
     with open(args.output, "w", encoding="utf-8") as fh:
-        for line in _iter_lines(args.inputs):
-            fh.write(" ".join(str(i) for i in bpe_apply(model, line)))
+        for _, _, text in numbered:
+            fh.write(" ".join(str(i) for i in bpe_apply(model, text)))
             fh.write("\n")
             lines += 1
     write_provenance(
@@ -472,16 +462,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=stderr)
         return 2
-    except (
-        PipelineError,
-        AlignmentError,
-        BpeError,
-        RetrievalError,
-        SynthError,
-        TreeParseError,
-        OSError,
-        ValueError,
-    ) as exc:
+    except (PipelineError, OSError, ValueError) as exc:  # every domain error is a ValueError
         print(f"error: {exc}", file=stderr)
         return 1
 

@@ -140,8 +140,9 @@ class CorpusStats:
 
 @dataclass
 class StatsAccumulator:
-    """Streaming per-sentence aggregation; merges associatively, so shards
-    computed in parallel can be combined in any order."""
+    """Streaming per-sentence aggregation. Float sums depend on the order of
+    addition, so ``merge`` of shards can differ in the last bits from adding
+    every sentence in order, which is what the corpus driver does."""
 
     sum_ir: float = 0.0
     sum_wmd: float = 0.0
@@ -150,11 +151,15 @@ class StatsAccumulator:
     short: int = 0
 
     def add(self, perm: AlignedPermutation) -> None:
-        self.sum_ir += inversion_ratio(perm)
-        self.sum_wmd += word_move_distance(perm)
+        self.add_row(inversion_ratio(perm), word_move_distance(perm), perm.n)
+
+    def add_row(self, ir: float, wmd: float, n: int) -> None:
+        """One sentence's inversion ratio, word-move distance and length."""
+        self.sum_ir += ir
+        self.sum_wmd += wmd
         self.sentences += 1
-        self.tokens += perm.n
-        if perm.n < 2:
+        self.tokens += n
+        if n < 2:
             self.short += 1
 
     def merge(self, other: "StatsAccumulator") -> None:

@@ -11,9 +11,15 @@ tree in input order:
 
 Every sentence gets its own deterministic random stream keyed by the
 global seed and its 0-based position in the concatenated inputs; steps
-consume that one stream in chain order. Workers therefore cannot perturb
-results: the pool only changes where lines are processed, never which
-draws they see, and output is written strictly in input order.
+consume that one stream in chain order.
+
+The corpus driver streams the numbered lines of the inputs in chunks of
+``CHUNK_LINES``, and one function transforms a chunk. It runs in the driver
+when ``workers`` is 1 or the input has fewer than two lines, else in a pool
+with at most ``CHUNKS_PER_WORKER`` chunks per worker in flight. Results are
+taken in input order: each chunk's blocks are written and its per-sentence
+stats added one by one, so bytes and float sums do not depend on the worker
+count, and memory depends on the chunk size, not on the corpus size.
 
 Each written artifact gets a ``<path>.provenance.json`` sidecar recording
 the tool version, the effective configuration, the seed, and SHA-256
@@ -29,18 +35,21 @@ import functools
 import hashlib
 import json
 import sys
+from collections import Counter, deque
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import ExitStack
 from dataclasses import dataclass
-from itertools import zip_longest
-from typing import IO, Iterable, Iterator, Mapping, Sequence, Union
+from itertools import chain, islice, zip_longest
+from typing import IO, Iterator, Mapping, Sequence, Union
 
 from .metrics import (
-    AlignedPermutation,
     AlignmentError,
     StatsAccumulator,
     align_by_surface,
     alignment,
     format_stats_table,
+    inversion_ratio,
+    word_move_distance,
 )
 from .rng import SeedScheme
 from .transform import (
@@ -63,6 +72,9 @@ from .treebank import (
     yield_sentence,
 )
 from .version import TOOL_NAME, TOOL_VERSION
+
+CHUNK_LINES = 256  # lines per unit of work: one worker call, one block write
+CHUNKS_PER_WORKER = 2  # chunks queued or running per pool worker
 
 
 class PipelineError(Exception):
@@ -191,68 +203,88 @@ class PipelineConfig:
             raise UsageError(f"workers must be >= 1, got {self.workers}")
 
 
-@dataclass(frozen=True)
-class LineOutcome:
-    index: int
-    status: str  # ok | blank | placeholder | error
-    message: str = ""
-    sentence: str | None = None
-    tree: str | None = None
-    pi: tuple[int, ...] | None = None
+def read_lines(paths: Sequence[str]) -> Iterator[tuple[str, int, str]]:
+    """``(path, lineno, text)`` over the concatenated UTF-8 files, newlines stripped.
+
+    Every file is opened before this returns, so a missing input fails
+    before the caller creates any output. A file that cannot be opened or
+    read, or is not UTF-8, raises :class:`PipelineError` naming it.
+    """
+    lines = _numbered_lines(paths)
+    next(lines)  # open every file now; closing the iterator closes them
+    return lines
 
 
-def _transform_line(
-    item: tuple[int, str, int, str],
-    *,
-    steps: tuple[ChainStep, ...],
-    global_seed: int,
-    want_stats: bool,
-) -> LineOutcome:
-    index, label, lineno, text = item
-    if not text.strip():
-        return LineOutcome(index, "blank")
-    if _NON_TREE_LINE.match(text):
-        return LineOutcome(index, "placeholder", f"{label}:{lineno}: no tree on line")
-    try:
-        tree = parse_ptb(text)
-    except TreeParseError as exc:
-        return LineOutcome(index, "error", f"{label}:{lineno}: {exc}")
-    original = yield_sentence(tree)
-    out_tree, sentence = apply_chain(tree, steps, SeedScheme(global_seed, index).stream())
-    pi = alignment(original, sentence).pi if want_stats else None
-    return LineOutcome(
-        index,
-        "ok",
-        sentence=sentence.text(),
-        tree=serialize(out_tree) if out_tree is not None else None,
-        pi=pi,
-    )
-
-
-def _read_input_lines(paths: Sequence[str]) -> list[tuple[int, str, int, str]]:
-    """Concatenate inputs; the global index is the per-sentence seed key."""
-    items: list[tuple[int, str, int, str]] = []
-    index = 0
-    for path in paths:
+def _numbered_lines(paths: Sequence[str]) -> Iterator:
+    with ExitStack() as stack:
         try:
-            with open(path, encoding="utf-8") as fh:
-                for lineno, line in enumerate(fh, start=1):
-                    items.append((index, path, lineno, line.rstrip("\n")))
-                    index += 1
+            handles = [stack.enter_context(open(path, encoding="utf-8")) for path in paths]
         except OSError as exc:
-            raise PipelineError(f"cannot read {path}: {exc}") from exc
-    return items
+            raise PipelineError(f"cannot read {exc.filename}: {exc}") from exc
+        yield None  # where read_lines stops: every file is open
+        for path, fh in zip(paths, handles):
+            try:
+                for lineno, line in enumerate(fh, start=1):
+                    yield path, lineno, line.rstrip("\n")
+            except (OSError, UnicodeDecodeError) as exc:
+                raise PipelineError(f"cannot read {path}: {exc}") from exc
 
 
-def _map_outcomes(
-    worker, items: Sequence[tuple[int, str, int, str]], workers: int
-) -> Iterator[LineOutcome]:
-    if workers <= 1 or len(items) < 2:
-        yield from map(worker, items)
+def _run_chunk(chunk: list[tuple[int, tuple[str, int, str]]], steps: tuple[ChainStep, ...],
+               config: PipelineConfig) -> tuple[str, str, list, Counter, list[str]]:
+    """Transform a chunk of ``(global index, (path, lineno, text))`` lines.
+
+    Returns, in input order, the chunk's block of sentence lines and of
+    tree lines (each empty unless ``config.emit`` asks for it), one
+    ``(IR, WMD, tokens)`` row per emitted sentence if ``config.stats``, its
+    counts and its malformed-line messages.
+    """
+    sentences, trees, rows, errors = [], [], [], []
+    counts = Counter(total=len(chunk))
+    for index, (path, lineno, text) in chunk:
+        if not text.strip():
+            counts["blank"] += 1
+            continue
+        if _NON_TREE_LINE.match(text):
+            counts["placeholder"] += 1
+            continue
+        try:
+            tree = parse_ptb(text)
+        except TreeParseError as exc:
+            counts["bad"] += 1
+            errors.append(f"{path}:{lineno}: {exc}")
+            continue
+        rng = SeedScheme(config.global_seed, index).stream()
+        out_tree, sentence = apply_chain(tree, steps, rng)
+        counts["emitted"] += 1
+        if config.emit != "trees":
+            sentences.append(sentence.text() + "\n")
+        if config.emit != "sentences":
+            trees.append(serialize(out_tree) + "\n")
+        if config.stats:
+            perm = alignment(yield_sentence(tree), sentence)  # trees are immutable
+            rows.append((inversion_ratio(perm), word_move_distance(perm), perm.n))
+    return "".join(sentences), "".join(trees), rows, counts, errors
+
+
+def _map_chunks(work, lines: Iterator, workers: int) -> Iterator:
+    """``work`` over ``lines`` cut into chunks of ``CHUNK_LINES``, results in
+    input order; in a pool when ``workers`` > 1 and there are at least two
+    lines, with at most ``CHUNKS_PER_WORKER`` chunks per worker in flight."""
+    chunks = iter(lambda: list(islice(lines, CHUNK_LINES)), [])
+    first = next(chunks, [])
+    chunks = chain([first], chunks)
+    if workers == 1 or len(first) < 2:  # CHUNK_LINES >= 2, so this means < 2 lines
+        yield from map(work, chunks)
         return
-    chunk = max(1, len(items) // (workers * 8))
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        yield from pool.map(worker, items, chunksize=chunk)
+        pending: deque = deque()
+        for chunk in chunks:
+            if len(pending) == workers * CHUNKS_PER_WORKER:
+                yield pending.popleft().result()
+            pending.append(pool.submit(work, chunk))
+        while pending:
+            yield pending.popleft().result()
 
 
 def sha256_file(path: str) -> str:
@@ -312,49 +344,30 @@ def run_transform(
     if config.emit == "both" and not config.tree_output:
         raise UsageError("--emit both needs a separate tree output path")
 
-    items = _read_input_lines(config.inputs)
-    worker = functools.partial(
-        _transform_line,
-        steps=steps,
-        global_seed=config.global_seed,
-        want_stats=config.stats,
-    )
-
-    sentence_path = config.output if config.emit in ("sentences", "both") else None
-    tree_path = (
-        config.tree_output
-        if config.emit == "both"
-        else config.output if config.emit == "trees" else None
-    )
+    sentence_path = config.output if config.emit != "trees" else None
+    tree_path = {"trees": config.output, "both": config.tree_output}.get(config.emit)
+    lines = enumerate(read_lines(config.inputs))  # opens the inputs before any output
+    work = functools.partial(_run_chunk, steps=steps, config=config)
 
     acc = StatsAccumulator()
     errors: list[str] = []
-    counts = {"total": len(items), "emitted": 0, "blank": 0, "placeholder": 0, "bad": 0}
-    sentence_fh = open(sentence_path, "w", encoding="utf-8") if sentence_path else None
-    tree_fh = open(tree_path, "w", encoding="utf-8") if tree_path else None
-    try:
-        for outcome in _map_outcomes(worker, items, config.workers):
-            if outcome.status == "blank":
-                counts["blank"] += 1
-            elif outcome.status == "placeholder":
-                counts["placeholder"] += 1
-            elif outcome.status == "error":
-                counts["bad"] += 1
-                if not config.skip_bad:
-                    errors.append(outcome.message)
-            else:
-                counts["emitted"] += 1
-                if sentence_fh is not None:
-                    sentence_fh.write(outcome.sentence + "\n")
-                if tree_fh is not None:
-                    tree_fh.write(outcome.tree + "\n")
-                if outcome.pi is not None:
-                    acc.add(AlignedPermutation(outcome.pi))
-    finally:
-        if sentence_fh is not None:
-            sentence_fh.close()
-        if tree_fh is not None:
-            tree_fh.close()
+    counts = Counter(total=0, emitted=0, blank=0, placeholder=0, bad=0)  # sidecar key order
+    with ExitStack() as stack:
+        sentence_fh, tree_fh = (
+            stack.enter_context(open(path, "w", encoding="utf-8")) if path else None
+            for path in (sentence_path, tree_path)
+        )
+        results = _map_chunks(work, lines, config.workers)
+        for sentence_block, tree_block, rows, chunk_counts, chunk_errors in results:
+            if sentence_fh is not None:
+                sentence_fh.write(sentence_block)
+            if tree_fh is not None:
+                tree_fh.write(tree_block)
+            for row in rows:
+                acc.add_row(*row)
+            counts.update(chunk_counts)
+            if not config.skip_bad:
+                errors.extend(chunk_errors)
 
     config_dict = dataclasses.asdict(config)
     for path in filter(None, (sentence_path, tree_path)):
@@ -413,29 +426,24 @@ def run_stats(
     """Compare two line-aligned corpora (token lines or treebank lines)."""
     acc = StatsAccumulator()
     errors: list[str] = []
-    try:
-        with open(original_path, encoding="utf-8") as fh_a, open(
-            modified_path, encoding="utf-8"
-        ) as fh_b:
-            for lineno, (line_a, line_b) in enumerate(zip_longest(fh_a, fh_b), start=1):
-                if line_a is None or line_b is None:
-                    short = original_path if line_a is None else modified_path
-                    errors.append(f"line {lineno}: {short} has fewer lines")
-                    break
-                try:
-                    tokens_a = _line_tokens(line_a, original_path, lineno)
-                    tokens_b = _line_tokens(line_b, modified_path, lineno)
-                except AlignmentError as exc:
-                    errors.append(str(exc))
-                    continue
-                if not tokens_a and not tokens_b:
-                    continue
-                try:
-                    acc.add(align_by_surface(tokens_a, tokens_b))
-                except AlignmentError as exc:
-                    errors.append(f"line {lineno}: {exc}")
-    except OSError as exc:
-        raise PipelineError(f"cannot read input: {exc}") from exc
+    for line_a, line_b in zip_longest(read_lines([original_path]), read_lines([modified_path])):
+        if line_a is None or line_b is None:
+            short = original_path if line_a is None else modified_path
+            errors.append(f"line {(line_a or line_b)[1]}: {short} has fewer lines")
+            break
+        (_, lineno, text_a), (_, _, text_b) = line_a, line_b
+        try:
+            tokens_a = _line_tokens(text_a, original_path, lineno)
+            tokens_b = _line_tokens(text_b, modified_path, lineno)
+        except AlignmentError as exc:
+            errors.append(str(exc))
+            continue
+        if not tokens_a and not tokens_b:
+            continue
+        try:
+            acc.add(align_by_surface(tokens_a, tokens_b))
+        except AlignmentError as exc:
+            errors.append(f"line {lineno}: {exc}")
 
     stats = acc.finalize()
     print(format_stats_table([(modified_path, stats)]), file=stdout)

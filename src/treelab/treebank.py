@@ -86,6 +86,10 @@ class TreeNode(namedtuple("TreeNode", "label children token origin")):
     def __hash__(self) -> int:
         return hash(serialize(self))
 
+    def __repr__(self) -> str:
+        origins = tuple(node.origin for node in iter_leaves(self))
+        return f"TreeNode({serialize(self)!r}, origins={origins})"
+
 
 def leaf(label: str, token: str, origin: int | None = None) -> TreeNode:
     """Build a leaf from raw text, escaping reserved characters."""

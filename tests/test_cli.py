@@ -379,6 +379,19 @@ class TestStatsCommand:
         assert code == 1
         assert "has fewer lines" in err
 
+    @pytest.mark.parametrize("flag", ["--seed", "--workers"])
+    def test_takes_no_seed_or_workers(self, run, tmp_path, flag):
+        path = tmp_path / "tokens.txt"
+        path.write_text("a b\n")
+        with pytest.raises(SystemExit) as exit_info:
+            run("stats", str(path), str(path), flag, "1")
+        assert exit_info.value.code == 2
+        config = tmp_path / "run.conf"
+        config.write_text(f"{flag[2:]} = 1\n")
+        code, _, err = run("stats", str(path), str(path), "--config", str(config))
+        assert code == 2
+        assert f"unknown key {flag[2:]!r}" in err
+
 
 class TestSubwordCommands:
     @pytest.fixture()

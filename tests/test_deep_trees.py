@@ -1,8 +1,8 @@
 """Trees nested far deeper than Python's recursion limit.
 
 Every tree walk must run on an explicit stack: parsing, each chain step,
-yield, serialization, equality, hashing, translation, and the CLI around
-them.
+yield, serialization, equality, hashing, repr, translation, and the CLI
+around them.
 """
 
 from __future__ import annotations
@@ -59,6 +59,11 @@ def test_equality_and_hash(text, tree):
     assert again == tree and not again != tree
     assert hash(again) == hash(tree)
     assert parse_ptb(text.replace("bird", "stone")) != tree
+
+
+def test_repr(text, tree):
+    assert repr(parse_ptb("(S (NN a) (VB b))")) == "TreeNode('(S (NN a) (VB b))', origins=(0, 1))"
+    assert repr(tree) == f"TreeNode({text!r}, origins={tuple(range(DEPTH + 1))})"
 
 
 def test_reorder(tree):
