@@ -30,11 +30,11 @@ from .pipeline import (
     PipelineError,
     UsageError,
     read_lines,
+    replace_on_success,
     run_stats,
     run_transform,
     write_provenance,
 )
-from .retrieval import read_embeddings, top1_retrieval
 from .subword import (
     MaskingConfig,
     bpe_apply,
@@ -301,7 +301,7 @@ def _cmd_bpe_apply(args: argparse.Namespace, stdout: IO[str], stderr: IO[str]) -
     model = load_model(args.model)
     numbered = read_lines(args.inputs)  # opens the inputs before the output
     lines = 0
-    with open(args.output, "w", encoding="utf-8") as fh:
+    with replace_on_success(args.output) as fh:
         for _, _, text in numbered:
             fh.write(" ".join(str(i) for i in bpe_apply(model, text)))
             fh.write("\n")
@@ -366,6 +366,8 @@ def _cmd_mask(args: argparse.Namespace, stdout: IO[str], stderr: IO[str]) -> int
 
 
 def _cmd_retrieval(args: argparse.Namespace, stdout: IO[str], stderr: IO[str]) -> int:
+    from .retrieval import read_embeddings, top1_retrieval  # numpy loads for this command only
+
     config = _load_config(args, "retrieval")
     seed, workers = _seed_and_workers(args, config)
     source, _ = read_embeddings(args.source)

@@ -19,7 +19,10 @@ when ``workers`` is 1 or the input has fewer than two lines, else in a pool
 with at most ``CHUNKS_PER_WORKER`` chunks per worker in flight. Results are
 taken in input order: each chunk's blocks are written and its per-sentence
 stats added one by one, so bytes and float sums do not depend on the worker
-count, and memory depends on the chunk size, not on the corpus size.
+count, and memory depends on the chunk size, not on the corpus size. The
+outputs are written to temporary files that replace them only once the
+input has been read to its end, so an unreadable input leaves any earlier
+output in place.
 
 Each written artifact gets a ``<path>.provenance.json`` sidecar recording
 the tool version, the effective configuration, the seed, and SHA-256
@@ -34,10 +37,12 @@ import dataclasses
 import functools
 import hashlib
 import json
+import os
 import sys
+import tempfile
 from collections import Counter, deque
 from concurrent.futures import ProcessPoolExecutor
-from contextlib import ExitStack
+from contextlib import ExitStack, contextmanager
 from dataclasses import dataclass
 from itertools import chain, islice, zip_longest
 from typing import IO, Iterator, Mapping, Sequence, Union
@@ -230,6 +235,35 @@ def _numbered_lines(paths: Sequence[str]) -> Iterator:
                 raise PipelineError(f"cannot read {path}: {exc}") from exc
 
 
+@contextmanager
+def replace_on_success(path: str) -> Iterator[IO[str]]:
+    """A text file that becomes ``path`` only if the ``with`` block succeeds.
+
+    It is written as a temporary file in the directory of the file ``path``
+    names (through any symlinks) and renamed over that file on exit, so an
+    error part-way leaves an existing file as it was and no temporary file
+    behind. A device or pipe is written directly: it keeps no earlier output.
+    """
+    target = os.path.realpath(path)
+    if os.path.exists(target) and not os.path.isfile(target):
+        with open(path, "w", encoding="utf-8") as fh:
+            yield fh
+        return
+    fd, tmp = tempfile.mkstemp(
+        prefix=f".{os.path.basename(target)}.", suffix=".tmp", dir=os.path.dirname(target)
+    )
+    try:
+        with open(fd, "w", encoding="utf-8") as fh:
+            umask = os.umask(0)
+            os.umask(umask)
+            os.fchmod(fd, 0o666 & ~umask)  # the mode open() gives a new file
+            yield fh
+        os.replace(tmp, target)
+    except BaseException:
+        os.unlink(tmp)
+        raise
+
+
 def _run_chunk(chunk: list[tuple[int, tuple[str, int, str]]], steps: tuple[ChainStep, ...],
                config: PipelineConfig) -> tuple[str, str, list, Counter, list[str]]:
     """Transform a chunk of ``(global index, (path, lineno, text))`` lines.
@@ -354,7 +388,7 @@ def run_transform(
     counts = Counter(total=0, emitted=0, blank=0, placeholder=0, bad=0)  # sidecar key order
     with ExitStack() as stack:
         sentence_fh, tree_fh = (
-            stack.enter_context(open(path, "w", encoding="utf-8")) if path else None
+            stack.enter_context(replace_on_success(path)) if path else None
             for path in (sentence_path, tree_path)
         )
         results = _map_chunks(work, lines, config.workers)

@@ -7,6 +7,15 @@ cosine nearest neighbor. Top-1 accuracy is the fraction of queries whose
 nearest target row has the query's own index; ties go to the lowest index,
 so a tie is a miss unless the lowest tied index is the aligned one.
 
+Similarities are float64 and computed for ``BLOCK_ROWS`` queries at a
+time, so memory is O(block x N), not O(N^2). The rows are split into
+near-equal blocks (``np.array_split``), so no block has a single row unless
+N is 1: a one-row product takes another BLAS path, whose sums can differ
+from the full product's in the last bit. Each block's rows are exactly the
+rows the full matrix would have, so the nearest index, the best-minus-second
+gap and the mean gap over all queries are the same bits as with the full
+matrix.
+
 Binary layouts (both little-endian; see docs/embedding-format.md):
 
 ``EMBTOK01`` token file: 8-byte magic, uint32 header (N, max_tokens, dim,
@@ -27,6 +36,7 @@ import numpy as np
 
 TOKEN_MAGIC = b"EMBTOK01"
 POOLED_MAGIC = b"EMBPOOL1"
+BLOCK_ROWS = 256  # query rows per similarity block in top1_retrieval
 
 
 class RetrievalError(ValueError):
@@ -108,12 +118,12 @@ def pool_matrix(embeddings: EmbeddingMatrix) -> np.ndarray:
     return np.stack(rows)
 
 
-def _normalize_rows(matrix: np.ndarray, name: str) -> np.ndarray:
+def _row_norms(matrix: np.ndarray, name: str) -> np.ndarray:
     norms = np.linalg.norm(matrix, axis=1)
     bad = np.flatnonzero(norms == 0.0)
     if bad.size:
         raise RetrievalError(f"zero-norm vector at row {bad[0]} of {name}")
-    return matrix / norms[:, None]
+    return norms[:, None]
 
 
 def top1_retrieval(source: np.ndarray, target: np.ndarray) -> RetrievalResult:
@@ -133,15 +143,20 @@ def top1_retrieval(source: np.ndarray, target: np.ndarray) -> RetrievalResult:
         raise RetrievalError(
             f"source shape {source.shape} does not match target shape {target.shape}"
         )
-    sims = _normalize_rows(source, "source") @ _normalize_rows(target, "target").T
-    nearest = sims.argmax(axis=1)  # argmax takes the lowest index on ties
     n = source.shape[0]
+    source_norms = _row_norms(source, "source")
+    target_t = (target / _row_norms(target, "target")).T
+    blocks = -(-n // BLOCK_ROWS)
+    nearest, gaps = [], []
+    for rows, norms in zip(np.array_split(source, blocks), np.array_split(source_norms, blocks)):
+        sims = (rows / norms) @ target_t
+        nearest.append(sims.argmax(axis=1))  # argmax takes the lowest index on ties
+        if n >= 2:
+            top2 = np.partition(sims, -2, axis=1)[:, -2:]
+            gaps.append(top2[:, 1] - top2[:, 0])
+    nearest = np.concatenate(nearest)
     accuracy = float(np.mean(nearest == np.arange(n)))
-    if n < 2:
-        margin = 0.0
-    else:
-        top2 = np.partition(sims, -2, axis=1)[:, -2:]
-        margin = float(np.mean(top2[:, 1] - top2[:, 0]))
+    margin = float(np.mean(np.concatenate(gaps))) if gaps else 0.0
     return RetrievalResult(accuracy, tuple(int(i) for i in nearest), margin)
 
 

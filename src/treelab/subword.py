@@ -10,6 +10,14 @@ open, and both are needed for reproducibility:
 * the end-of-word marker ``</w>`` is a boundary symbol: it terminates each
   word in the output id stream but never participates in a merge.
 
+The learner keeps the pair counts and, for each pair, the set of words that
+contain it, so a merge visits only those words and applies count deltas;
+the next pair comes from a heap of ``(-count, pair)`` entries, each live
+while its count is current (Sennrich, Haddow & Birch 2016). ``bpe_apply``
+segments each distinct word once per model: the model keeps the merge ranks
+and each word's ids in a memo that takes no part in equality, ``repr`` or
+the saved file, and grows with the number of distinct words encoded.
+
 Vocabularies are never shared across languages; a model records the
 language tag it was trained on. Ids are dense and 0-based with the five
 special tokens first (pad, unk, cls, sep, mask), then the end-of-word
@@ -26,8 +34,9 @@ elsewhere.
 
 from __future__ import annotations
 
+import heapq
 import math
-from collections import Counter
+from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
@@ -52,6 +61,15 @@ class BpeModel:
     language: str = "und"
     end_of_word: str = END_OF_WORD
     special_tokens: tuple[str, ...] = SPECIAL_TOKENS
+    # bpe_apply's memo: the merge ranks, and each word's ids (end-of-word
+    # included). Left out of equality and repr; never saved.
+    _ranks: dict[tuple[str, str], int] = field(init=False, compare=False, repr=False)
+    _segments: dict[str, tuple[int, ...]] = field(
+        default_factory=dict, init=False, compare=False, repr=False
+    )
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "_ranks", {pair: i for i, pair in enumerate(self.merges)})
 
     @property
     def eow_id(self) -> int:
@@ -90,39 +108,48 @@ def bpe_learn(corpus: Iterable[str], vocab_size: int, language: str = "und") -> 
             f"({len(SPECIAL_TOKENS)} specials + end-of-word + {len(alphabet)} characters)"
         )
 
-    words: list[list] = [[list(w), f] for w, f in sorted(word_freq.items())]
+    words = [list(w) for w in word_freq]
+    freqs = list(word_freq.values())
     pair_counts: Counter[tuple[str, str]] = Counter()
-    for syms, freq in words:
+    where: defaultdict[tuple[str, str], set[int]] = defaultdict(set)  # may hold stale indices
+    for i, (syms, freq) in enumerate(zip(words, freqs)):
         for pair in zip(syms, syms[1:]):
             pair_counts[pair] += freq
+            where[pair].add(i)
+    # (-count, pair) orders as the rule does: highest count, then smallest
+    # pair. An entry is live while its count is the pair's current count;
+    # pairs seen once are left out, as they can never be merged.
+    heap = [(-c, p) for p, c in pair_counts.items() if c >= 2]
+    heapq.heapify(heap)
 
     vocab = _build_vocab(alphabet, ())
     merges: list[tuple[str, str]] = []
-    while len(vocab) < vocab_size and pair_counts:
-        best_count = max(pair_counts.values())
-        if best_count < 2:
-            break
-        best = min(p for p, c in pair_counts.items() if c == best_count)
+    while len(vocab) < vocab_size and heap:
+        count, best = heapq.heappop(heap)
+        if pair_counts[best] != -count:
+            continue
         merges.append(best)
         vocab.setdefault(best[0] + best[1], len(vocab))
-        for entry in words:
-            syms, freq = entry
-            if not _has_pair(syms, best):
-                continue
-            for pair in zip(syms, syms[1:]):
-                pair_counts[pair] -= freq
+        delta: Counter[tuple[str, str]] = Counter()
+        for i in where.pop(best):
+            syms = words[i]
             fused = _fuse(syms, best)
+            if len(fused) == len(syms):
+                continue  # an earlier merge took the pair out of this word
+            freq = freqs[i]
+            for pair in zip(syms, syms[1:]):
+                delta[pair] -= freq
             for pair in zip(fused, fused[1:]):
-                pair_counts[pair] += freq
-            entry[0] = fused
-        pair_counts = +pair_counts  # drop zero entries
+                delta[pair] += freq
+                where[pair].add(i)
+            words[i] = fused
+        for pair, change in delta.items():
+            if change:
+                pair_counts[pair] += change
+                if pair_counts[pair] >= 2:
+                    heapq.heappush(heap, (-pair_counts[pair], pair))
 
     return BpeModel(tuple(merges), vocab, language)
-
-
-def _has_pair(syms: Sequence[str], pair: tuple[str, str]) -> bool:
-    a, b = pair
-    return any(syms[i] == a and syms[i + 1] == b for i in range(len(syms) - 1))
 
 
 def _fuse(syms: Sequence[str], pair: tuple[str, str]) -> list[str]:
@@ -140,7 +167,7 @@ def _fuse(syms: Sequence[str], pair: tuple[str, str]) -> list[str]:
     return out
 
 
-def _segment_word(model: BpeModel, word: str, ranks: dict[tuple[str, str], int]) -> list[str]:
+def _segment_word(word: str, ranks: dict[tuple[str, str], int]) -> list[str]:
     syms = list(word)
     while len(syms) > 1:
         best_rank = None
@@ -158,14 +185,19 @@ def _segment_word(model: BpeModel, word: str, ranks: dict[tuple[str, str], int])
 def bpe_apply(model: BpeModel, text: str) -> list[int]:
     """Encode whitespace-split text; every word ends with the end-of-word id.
 
-    Residual symbols outside the vocabulary map to the unk id.
+    Residual symbols outside the vocabulary map to the unk id. Each distinct
+    word is segmented once per model and then read from the model's memo.
     """
-    ranks = {pair: i for i, pair in enumerate(model.merges)}
+    segments = model._segments
     ids: list[int] = []
     for word in text.split():
-        for sym in _segment_word(model, word, ranks):
-            ids.append(model.vocab.get(sym, UNK_ID))
-        ids.append(model.eow_id)
+        word_ids = segments.get(word)
+        if word_ids is None:
+            symbols = _segment_word(word, model._ranks)
+            word_ids = segments[word] = (
+                *(model.vocab.get(sym, UNK_ID) for sym in symbols), model.eow_id
+            )
+        ids.extend(word_ids)
     return ids
 
 
@@ -207,8 +239,11 @@ def save_model(model: BpeModel, path: str) -> None:
 
 
 def load_model(path: str) -> BpeModel:
-    with open(path, encoding="utf-8") as fh:
-        lines = [line.rstrip("\n") for line in fh]
+    try:
+        with open(path, encoding="utf-8") as fh:
+            lines = [line.rstrip("\n") for line in fh]
+    except (OSError, UnicodeDecodeError) as exc:
+        raise BpeError(f"cannot read {path}: {exc}") from exc
     try:
         if lines[0] != "bpe-model v1":
             raise BpeError(f"unsupported model header: {lines[0]!r}")
@@ -301,5 +336,8 @@ def write_ids_file(path: str, sequences: Iterable[Sequence[int]]) -> None:
 
 
 def read_ids_file(path: str) -> list[list[int]]:
-    with open(path, encoding="utf-8") as fh:
-        return [[int(tok) for tok in line.split()] for line in fh]
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return [[int(tok) for tok in line.split()] for line in fh]
+    except (OSError, ValueError) as exc:  # ValueError: not UTF-8, or not an integer
+        raise BpeError(f"cannot read {path}: {exc}") from exc

@@ -513,8 +513,12 @@ def parse_grammar(text: str, origin: str = "<string>") -> SynthGrammar:
 
 
 def load_grammar(path: str) -> SynthGrammar:
-    with open(path, encoding="utf-8") as fh:
-        return parse_grammar(fh.read(), origin=path)
+    try:
+        with open(path, encoding="utf-8") as fh:
+            text = fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise SynthError(f"cannot read {path}: {exc}") from exc
+    return parse_grammar(text, origin=path)
 
 
 #: Two-language demo: same derivation process, opposite settings of all

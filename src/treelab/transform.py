@@ -107,8 +107,12 @@ def load_rules(lines: Iterable[str]) -> list[ReorderRule]:
 
 
 def load_rules_file(path: str) -> list[ReorderRule]:
-    with open(path, encoding="utf-8") as fh:
-        return load_rules(fh)
+    try:
+        with open(path, encoding="utf-8") as fh:
+            lines = fh.readlines()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ValueError(f"cannot read {path}: {exc}") from exc
+    return load_rules(lines)
 
 
 def apply_reorder(tree: TreeNode, rule: ReorderRule | Iterable[ReorderRule]) -> TreeNode:

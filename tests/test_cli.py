@@ -1,10 +1,15 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import treelab
 from treelab.cli import SEED_ENV, WORKERS_ENV, main
 from treelab.pipeline import (
     ChainError,
@@ -544,6 +549,37 @@ class TestSynthCommand:
         code, _, err = run("synth", "generate", "-o", str(tmp_path / "x"), "--grammar", str(grammar))
         assert code == 1
         assert "broken.grammar:2" in err
+
+
+@pytest.mark.parametrize("reader", ["ids", "model", "rules", "grammar"])
+def test_non_utf8_side_inputs_name_the_file(run, tmp_path, reader):
+    bad = tmp_path / "latin1.txt"
+    bad.write_bytes(b"caf\xe9\n")
+    ids = tmp_path / "good.ids"
+    ids.write_text("7 8 9\n")
+    trees = tmp_path / "good.trees"
+    trees.write_text(NESTED + "\n")
+    out = str(tmp_path / "o")
+    argv = {
+        "ids": ["mask", str(bad), "-o", out, "--vocab-size", "40"],
+        "model": ["mask", str(ids), "-o", out, "--model", str(bad)],
+        "rules": ["transform", str(trees), "-o", out, "--chain", "reorder:83A", "--rules", str(bad)],
+        "grammar": ["synth", "generate", "-o", out, "--grammar", str(bad)],
+    }[reader]
+    code, _, err = run(*argv)
+    assert code == 1
+    assert err == f"error: cannot read {bad}: 'utf-8' codec can't decode byte 0xe9 in position 3: invalid continuation byte\n"
+
+
+def test_importing_the_cli_leaves_numpy_unloaded():
+    # Only the retrieval command needs numpy; every other command skips its import time.
+    src = str(Path(treelab.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    probe = "import sys, treelab.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'numpy'))"
+    result = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+    )
+    assert result.stdout == "[]\n"
 
 
 class TestTopLevel:

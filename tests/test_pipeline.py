@@ -3,6 +3,9 @@
 from __future__ import annotations
 
 import json
+import os
+import stat
+import threading
 
 import pytest
 
@@ -273,3 +276,72 @@ def test_non_utf8_input_names_the_file(tmp_path, capsys, command):
     assert code == 1
     assert err.startswith(f"error: cannot read {bad}: 'utf-8' codec can't decode byte 0xe9")
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["transform", "transform --workers 2", "bpe apply"])
+def test_late_input_error_leaves_existing_output_untouched(tmp_path, capsys, command):
+    """Several chunks of good lines, then a byte that is not UTF-8: the old
+    output stays as it was, and no sidecar or temporary file is left."""
+    good = "".join(TREES[i % len(TREES)] + "\n" for i in range(3000))
+    late = tmp_path / "late.trees"
+    late.write_bytes(good.encode("utf-8") + "(S (NN caf\xe9))\n".encode("latin-1"))
+    model = tmp_path / "m.bpe"
+    (tmp_path / "good.trees").write_text(good, encoding="utf-8")
+    assert main(["bpe", "learn", str(tmp_path / "good.trees"), "-o", str(model), "--vocab-size", "60"]) == 0
+    outputs = tmp_path / "outputs"
+    outputs.mkdir()
+    out = outputs / "out.txt"
+    out.write_text("earlier output\n", encoding="utf-8")
+    extra = ["--chain", CHAIN] if command.startswith("transform") else ["--model", str(model)]
+    capsys.readouterr()
+    code = main([*command.split(), str(late), "-o", str(out), *extra])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith(f"error: cannot read {late}: 'utf-8' codec can't decode byte 0xe9")
+    assert "Traceback" not in err
+    assert out.read_text(encoding="utf-8") == "earlier output\n"
+    assert os.listdir(outputs) == ["out.txt"]
+
+
+def test_malformed_lines_still_replace_output_and_write_sidecar(tmp_path, capsys):
+    src = tmp_path / "in.trees"
+    src.write_text(TREES[0] + "\n" + MALFORMED + "\n", encoding="utf-8")
+    outputs = tmp_path / "outputs"
+    outputs.mkdir()
+    out = outputs / "out.txt"
+    out.write_text("earlier output\n", encoding="utf-8")
+    code = main(["transform", str(src), "-o", str(out), "--chain", "reorder:83A"])
+    assert code == 1
+    assert f"{src}:2:" in capsys.readouterr().err
+    assert out.read_text(encoding="utf-8") == "the cat a small bird saw\n"
+    assert sorted(os.listdir(outputs)) == ["out.txt", "out.txt.provenance.json"]
+    assert oct(out.stat().st_mode & 0o777) == oct(0o666 & ~current_umask())
+
+
+def current_umask() -> int:
+    umask = os.umask(0)
+    os.umask(umask)
+    return umask
+
+
+def test_replace_on_success_writes_through_symlinks_and_pipes(tmp_path):
+    real = tmp_path / "real.txt"
+    real.write_text("earlier output\n", encoding="utf-8")
+    link = tmp_path / "link.txt"
+    link.symlink_to(real)
+    with pipeline.replace_on_success(str(link)) as fh:
+        fh.write("new output\n")
+    assert link.is_symlink()
+    assert real.read_text(encoding="utf-8") == "new output\n"
+
+    fifo = tmp_path / "pipe"
+    os.mkfifo(fifo)
+    received: list[str] = []
+    reader = threading.Thread(target=lambda: received.append(fifo.read_text()), daemon=True)
+    reader.start()
+    with pipeline.replace_on_success(str(fifo)) as fh:
+        fh.write("through the pipe\n")
+    reader.join(timeout=10)
+    assert received == ["through the pipe\n"]
+    assert stat.S_ISFIFO(fifo.stat().st_mode)
+    assert sorted(os.listdir(tmp_path)) == ["link.txt", "pipe", "real.txt"]

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from treelab.retrieval import (
+    BLOCK_ROWS,
     POOLED_MAGIC,
     TOKEN_MAGIC,
     EmbeddingMatrix,
@@ -131,6 +132,62 @@ class TestTop1:
             top1_retrieval(np.ones((2, 3)), np.ones((3, 3)))
         with pytest.raises(RetrievalError, match="2-D"):
             top1_retrieval(np.ones(3), np.ones(3))
+
+
+def dense_top1(source: np.ndarray, target: np.ndarray) -> tuple[tuple[int, ...], float, float]:
+    """The whole similarity matrix at once: ``(nearest, accuracy, margin)``."""
+    sims = (source / np.linalg.norm(source, axis=1)[:, None]) @ (
+        target / np.linalg.norm(target, axis=1)[:, None]
+    ).T
+    nearest = sims.argmax(axis=1)
+    accuracy = float(np.mean(nearest == np.arange(len(sims))))
+    if len(sims) < 2:
+        return tuple(int(i) for i in nearest), accuracy, 0.0
+    top2 = np.partition(sims, -2, axis=1)[:, -2:]
+    return tuple(int(i) for i in nearest), accuracy, float(np.mean(top2[:, 1] - top2[:, 0]))
+
+
+def block_starts(n: int) -> list[int]:
+    """First row of each similarity block after the first."""
+    sizes = [len(b) for b in np.array_split(np.arange(n), -(-n // BLOCK_ROWS))]
+    return list(np.cumsum(sizes)[:-1])
+
+
+class TestBlocks:
+    """Row blocks give exactly the dense matrix's nearest rows, accuracy and margin."""
+
+    @pytest.mark.parametrize(
+        "n", [1, 2, BLOCK_ROWS - 1, BLOCK_ROWS, BLOCK_ROWS + 1, 2 * BLOCK_ROWS + 1]
+    )
+    def test_matches_dense_reference(self, n):
+        rng = np.random.default_rng(n)
+        source = rng.normal(size=(n, 24))
+        target = source + rng.normal(size=(n, 24))
+        target[::7] = rng.normal(size=target[::7].shape)  # some misses
+        result = top1_retrieval(source, target)
+        nearest, accuracy, margin = dense_top1(source, target)
+        assert result.per_query_nearest == nearest
+        assert result.top1_accuracy == accuracy
+        assert result.margin == margin
+
+    @pytest.mark.parametrize("n", [BLOCK_ROWS + 1, 2 * BLOCK_ROWS + 1])
+    def test_exact_tie_across_a_block_boundary(self, n):
+        rng = np.random.default_rng(5)
+        target = rng.normal(size=(n, 24))
+        source = target.copy()
+        for start in block_starts(n):
+            # Targets start-1 and start are the same vector, and so are the
+            # last query of one block and the first query of the next.
+            target[start] = target[start - 1]
+            source[start] = source[start - 1] = target[start - 1]
+        result = top1_retrieval(source, target)
+        nearest, accuracy, margin = dense_top1(source, target)
+        assert result.per_query_nearest == nearest
+        assert result.top1_accuracy == accuracy
+        assert result.margin == margin
+        for start in block_starts(n):
+            assert nearest[start - 1] == nearest[start] == start - 1  # lowest tied index
+        assert accuracy == (n - len(block_starts(n))) / n
 
 
 class TestValidation:

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import collections
+import re
 
 import hypothesis.strategies as st
 import pytest
@@ -166,6 +167,53 @@ class TestApplyDecode:
         for line in corpus:
             assert bpe_decode(model, bpe_apply(model, line)) == " ".join(line.split())
 
+    @given(
+        st.sampled_from(["ab", "abcde"]).flatmap(
+            lambda letters: st.tuples(
+                st.lists(
+                    st.lists(st.text(letters, min_size=1, max_size=6), min_size=1, max_size=8)
+                    .map(" ".join),
+                    min_size=1,
+                    max_size=6,
+                ),
+                st.lists(
+                    st.lists(st.text(letters + "x", min_size=1, max_size=8), min_size=1, max_size=6),
+                    min_size=1,
+                    max_size=4,
+                ),
+            )
+        ),
+        st.integers(0, 12),
+    )
+    @settings(max_examples=80)
+    def test_memo_equals_cold_segmentation(self, corpus_and_texts, headroom):
+        # Repeated words (across and within lines), the unknown character x,
+        # and runs like "aaaa" or "abab" where one merge ties at several
+        # positions: a word read from the memo encodes as it does on its own
+        # through a fresh model.
+        corpus, texts = corpus_and_texts
+        alphabet = {c for line in corpus for c in line.replace(" ", "")}
+        model = bpe_learn(corpus, len(SPECIAL_TOKENS) + 1 + len(alphabet) + headroom)
+        for words in [*texts, *texts]:
+            text = " ".join(words + words[:2])
+            cold = [
+                i for word in text.split()
+                for i in bpe_apply(BpeModel(model.merges, dict(model.vocab)), word)
+            ]
+            assert bpe_apply(model, text) == cold
+
+    def test_memo_is_invisible(self, tmp_path):
+        model = bpe_learn(["the cat sat on the mat"], vocab_size=40, language="toy")
+        fresh = BpeModel(model.merges, dict(model.vocab), model.language)
+        before = repr(model)
+        save_model(model, str(tmp_path / "cold.bpe"))
+        bpe_apply(model, "the cat sat on the hat")
+        assert model._segments  # the memo is in use
+        assert model == fresh
+        assert repr(model) == before == repr(fresh)
+        save_model(model, str(tmp_path / "warm.bpe"))
+        assert (tmp_path / "warm.bpe").read_bytes() == (tmp_path / "cold.bpe").read_bytes()
+
     def test_decode_rejects_unknown_id(self, model):
         with pytest.raises(BpeError, match="not in vocabulary"):
             bpe_decode(model, [len(model.vocab)])
@@ -284,6 +332,13 @@ class TestMasking:
     def test_vocab_must_exceed_specials(self):
         with pytest.raises(ValueError, match="exceed"):
             mask_tokens([6], MaskingConfig(), vocab_size=5)
+
+
+def test_ids_file_errors_name_the_file(tmp_path):
+    path = tmp_path / "ids.txt"
+    path.write_text("1 2\n3 x\n")
+    with pytest.raises(BpeError, match=re.escape(f"cannot read {path}: invalid literal")):
+        read_ids_file(str(path))
 
 
 def test_ids_file_round_trip(tmp_path):
