@@ -39,12 +39,12 @@ from .subword import (
     MaskingConfig,
     bpe_apply,
     bpe_learn,
+    iter_ids_file,
     load_model,
     mask_tokens,
-    read_ids_file,
     save_model,
 )
-from .synthlang import demo_grammar, generate_corpus, load_grammar, write_corpus
+from .synthlang import corpus_pairs, demo_grammar, load_grammar, write_pairs
 from .version import TOOL_VERSION
 
 SEED_ENV = "TREELAB_SEED"
@@ -334,15 +334,14 @@ def _cmd_mask(args: argparse.Namespace, stdout: IO[str], stderr: IO[str]) -> int
     masking = MaskingConfig(mask_rate=rate, seed=seed)
     labels_path = args.labels_output or args.output + ".labels"
 
-    sequences = read_ids_file(args.input)
-    tokens = 0
-    with open(args.output, "w", encoding="utf-8") as fh_ids, open(
-        labels_path, "w", encoding="utf-8"
-    ) as fh_labels:
-        for index, seq in enumerate(sequences):
-            masked, labels = mask_tokens(seq, masking, vocab_size, sentence_index=index)
+    sequences = iter_ids_file(args.input)  # opens the input before the outputs
+    sentences = tokens = 0
+    with replace_on_success(args.output) as fh_ids, replace_on_success(labels_path) as fh_labels:
+        for seq in sequences:
+            masked, labels = mask_tokens(seq, masking, vocab_size, sentence_index=sentences)
             fh_ids.write(" ".join(str(i) for i in masked) + "\n")
             fh_labels.write(" ".join(str(i) for i in labels) + "\n")
+            sentences += 1
             tokens += len(seq)
     provenance_config = {
         "input": args.input,
@@ -359,9 +358,9 @@ def _cmd_mask(args: argparse.Namespace, stdout: IO[str], stderr: IO[str]) -> int
             seed=seed,
             workers=workers,
             inputs=inputs,
-            counts={"sentences": len(sequences), "tokens": tokens},
+            counts={"sentences": sentences, "tokens": tokens},
         )
-    print(f"masked {len(sequences)} sentence(s), {tokens} token(s)", file=stdout)
+    print(f"masked {sentences} sentence(s), {tokens} token(s)", file=stdout)
     return 0
 
 
@@ -411,13 +410,14 @@ def _cmd_synth_generate(args: argparse.Namespace, stdout: IO[str], stderr: IO[st
     count = _resolve(args.count, config=config, key="count", default=100, kind=int)
     grammar_path = _resolve(args.grammar, config=config, key="grammar")
     grammar = load_grammar(grammar_path) if grammar_path else demo_grammar()
-    languages = tuple(args.languages) if args.languages else None
-    corpus = generate_corpus(grammar, count, seed, languages)
-    lang_a, lang_b = corpus.languages
+    # Checks the count and the languages before any output is opened.
+    (lang_a, lang_b), pairs = corpus_pairs(
+        grammar, count, seed, tuple(args.languages) if args.languages else None
+    )
     path_a = f"{args.prefix}.{lang_a}.trees"
     path_b = f"{args.prefix}.{lang_b}.trees"
     path_align = f"{args.prefix}.align"
-    write_corpus(corpus, path_a, path_b, path_align)
+    write_pairs(pairs, path_a, path_b, path_align)
     provenance_inputs = [grammar_path] if grammar_path else []
     for path in (path_a, path_b, path_align):
         write_provenance(

@@ -26,9 +26,10 @@ output in place.
 
 Each written artifact gets a ``<path>.provenance.json`` sidecar recording
 the tool version, the effective configuration, the seed, and SHA-256
-digests of inputs and output. Sidecars contain no timestamps, so a rerun
-with the same inputs and seed reproduces them byte for byte (except for
-the recorded worker count, which is part of the configuration).
+digests of inputs and output (null for a pipe or device). Sidecars
+contain no timestamps, so a rerun with the same inputs and seed
+reproduces them byte for byte (except for the recorded worker count,
+which is part of the configuration).
 """
 
 from __future__ import annotations
@@ -44,7 +45,7 @@ from collections import Counter, deque
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import ExitStack, contextmanager
 from dataclasses import dataclass
-from itertools import chain, islice, zip_longest
+from itertools import chain, groupby, islice, zip_longest
 from typing import IO, Iterator, Mapping, Sequence, Union
 
 from .metrics import (
@@ -166,20 +167,23 @@ def apply_chain(
     """Run one tree through the chain, consuming one random stream.
 
     Returns the transformed tree (None once word_shuffle has destroyed
-    the structure) and the resulting sentence.
+    the structure) and the resulting sentence. Each run of consecutive
+    reorder steps is applied in one walk.
     """
-    for step in steps:
-        if isinstance(step, ReorderStep):
-            tree = apply_reorder(tree, step.rule)
-        elif isinstance(step, ConstituentShuffleStep):
-            tree = constituent_shuffle(tree, rng=rng, include_root=step.include_root)
-        elif isinstance(step, AblateStep):
-            spec = AblationSpec(step.alpha, shuffle_after=step.shuffle_after)
-            tree = remove_composition(tree, spec, rng=rng)
-        elif isinstance(step, WordShuffleStep):
-            return None, word_shuffle(yield_sentence(tree), rng=rng)
-        else:  # pragma: no cover - parse_chain constructs only the above
-            raise TypeError(f"unknown chain step {step!r}")
+    for kind, run in groupby(steps, type):
+        if kind is ReorderStep:
+            tree = apply_reorder(tree, [step.rule for step in run])
+            continue
+        for step in run:
+            if isinstance(step, ConstituentShuffleStep):
+                tree = constituent_shuffle(tree, rng=rng, include_root=step.include_root)
+            elif isinstance(step, AblateStep):
+                spec = AblationSpec(step.alpha, shuffle_after=step.shuffle_after)
+                tree = remove_composition(tree, spec, rng=rng)
+            elif isinstance(step, WordShuffleStep):
+                return None, word_shuffle(yield_sentence(tree), rng=rng)
+            else:  # pragma: no cover - parse_chain constructs only the above
+                raise TypeError(f"unknown chain step {step!r}")
     return tree, yield_sentence(tree)
 
 
@@ -321,7 +325,11 @@ def _map_chunks(work, lines: Iterator, workers: int) -> Iterator:
             yield pending.popleft().result()
 
 
-def sha256_file(path: str) -> str:
+def sha256_file(path: str) -> str | None:
+    """The file's SHA-256, or None if it is not a regular file: a pipe or a
+    device cannot be read back, and reading a pipe would block."""
+    if not os.path.isfile(path):
+        return None
     digest = hashlib.sha256()
     with open(path, "rb") as fh:
         for block in iter(lambda: fh.read(1 << 20), b""):
@@ -342,7 +350,8 @@ def write_provenance(
     """Write ``<output>.provenance.json`` and return its path.
 
     Deliberately timestamp-free: identical runs must produce identical
-    sidecars, so audits can diff them directly.
+    sidecars, so audits can diff them directly. A path that is not a
+    regular file, such as a pipe, records ``"sha256": null``.
     """
     document = {
         "tool": TOOL_NAME,

@@ -38,7 +38,7 @@ import heapq
 import math
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import IO, Iterable, Iterator, Sequence
 
 from .rng import Rng, SeedScheme
 
@@ -335,9 +335,28 @@ def write_ids_file(path: str, sequences: Iterable[Sequence[int]]) -> None:
             fh.write("\n")
 
 
-def read_ids_file(path: str) -> list[list[int]]:
+def iter_ids_file(path: str) -> Iterator[list[int]]:
+    """Each line's ids, read as the iterator is consumed.
+
+    The file is opened now, so a missing file fails before the caller
+    creates any output. A file that cannot be read, is not UTF-8 or holds a
+    non-integer raises ``cannot read PATH: ...``.
+    """
     try:
-        with open(path, encoding="utf-8") as fh:
-            return [[int(tok) for tok in line.split()] for line in fh]
-    except (OSError, ValueError) as exc:  # ValueError: not UTF-8, or not an integer
+        fh = open(path, encoding="utf-8")
+    except OSError as exc:
         raise BpeError(f"cannot read {path}: {exc}") from exc
+    return _ids_lines(path, fh)
+
+
+def _ids_lines(path: str, fh: IO[str]) -> Iterator[list[int]]:
+    with fh:
+        try:
+            for line in fh:
+                yield [int(tok) for tok in line.split()]
+        except (OSError, ValueError) as exc:  # ValueError: not UTF-8, or not an integer
+            raise BpeError(f"cannot read {path}: {exc}") from exc
+
+
+def read_ids_file(path: str) -> list[list[int]]:
+    return list(iter_ids_file(path))

@@ -19,17 +19,28 @@ cross-check, not as a dependency.
 Recursive productions are damped geometrically with depth and a hard
 depth cap bounds every derivation; sampling retries a bounded number of
 times if the cap strands a nonterminal with no all-preterminal expansion.
+
+Everything sampling needs that depends only on the grammar is worked out
+once, when the grammar is built, into a private sampling plan: each
+symbol's options and their weights at every depth, the options left at
+the depth cap, and the escaped labels and lexicons. A pair then costs only
+its own draws and nodes. Corpora are sampled lazily, one pair per seed
+stream, and written pair by pair, so memory does not grow with the corpus.
 """
 
 from __future__ import annotations
 
 import itertools
+from contextlib import ExitStack
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping
 
+from .pipeline import replace_on_success
 from .rng import Rng, SeedScheme
 from .transform import BUILTIN_RULES, ReorderRule, inverse_rule
-from .treebank import TreeNode, escape_symbol, internal, leaf, rebuild, yield_sentence
+from .treebank import TreeNode, escape_symbol, leaf, rebuild, serialize
+
+_new = tuple.__new__
 
 DEPTH_DECAY = 0.5
 MAX_DEPTH = 12
@@ -110,9 +121,13 @@ class SynthGrammar:
     lexicons: Mapping[str, Mapping[str, tuple[str, ...]]]
     profiles: Mapping[str, OrderProfile]
     start: str = "S"
+    # What sampling and linearization read, built once from the fields
+    # above. Left out of equality and repr.
+    _plan: "_Plan" = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         _validate_grammar(self)
+        object.__setattr__(self, "_plan", _Plan(self))
 
     @property
     def languages(self) -> tuple[str, ...]:
@@ -126,9 +141,6 @@ class SynthGrammar:
     def preterminals(self) -> frozenset[str]:
         first = next(iter(self.lexicons.values()))
         return frozenset(first)
-
-    def productions_for(self, symbol: str) -> tuple[Production, ...]:
-        return tuple(p for p in self.productions if p.lhs == symbol)
 
     def recursive_productions(self) -> frozenset[Production]:
         """Productions that can re-derive their own left-hand side."""
@@ -207,71 +219,113 @@ def _validate_grammar(grammar: SynthGrammar) -> None:
                     )
 
 
+class _Plan:
+    """What sampling and linearization read from a grammar, worked out once.
+
+    For each nonterminal: ``options``, the right-hand sides of its
+    productions in grammar order; ``weights[symbol][depth]``, their weights
+    below the depth cap (``weight * DEPTH_DECAY**depth`` for a production in
+    ``recursive``, else ``weight``) for each depth below ``MAX_DEPTH``; and
+    ``closed``, the all-preterminal options with their undamped weights, the
+    only ones left at the cap. ``arity`` gives each preterminal's number of
+    concepts, ``labels`` every symbol escaped, and ``words[language]`` that
+    language's lexicon escaped.
+    """
+
+    __slots__ = (
+        "productions", "recursive", "options", "weights", "closed", "arity", "labels", "words"
+    )
+
+    def __init__(self, grammar: SynthGrammar) -> None:
+        first_lexicon = next(iter(grammar.lexicons.values()))
+        self.arity = {pre: len(words) for pre, words in first_lexicon.items()}
+        self.recursive = grammar.recursive_productions()
+        self.productions: dict[str, list[Production]] = {}
+        for p in grammar.productions:
+            self.productions.setdefault(p.lhs, []).append(p)
+        self.options = {lhs: tuple(p.rhs for p in ps) for lhs, ps in self.productions.items()}
+        self.weights = {
+            lhs: tuple(self.damped(lhs, depth) for depth in range(MAX_DEPTH))
+            for lhs in self.productions
+        }
+        closed = {
+            lhs: [p for p in ps if all(s in self.arity for s in p.rhs)]
+            for lhs, ps in self.productions.items()
+        }
+        self.closed = {
+            lhs: (tuple(p.rhs for p in ps), [p.weight for p in ps]) for lhs, ps in closed.items()
+        }
+        self.labels = {sym: escape_symbol(sym) for sym in (*self.productions, *self.arity)}
+        if not all(self.labels.values()):
+            raise SynthError("grammar symbols must be non-empty")
+        self.words = {
+            lang: {pre: tuple(escape_symbol(w) for w in words) for pre, words in lex.items()}
+            for lang, lex in grammar.lexicons.items()
+        }
+        for lang, lex in self.words.items():
+            for pre, words in lex.items():
+                if not all(words):
+                    raise SynthError(f"language {lang}: preterminal {pre} has an empty word")
+
+    def damped(self, symbol: str, depth: int) -> list[float]:
+        """The weights of ``symbol``'s options at ``depth``, below the cap."""
+        return [
+            p.weight * DEPTH_DECAY**depth if p in self.recursive else p.weight
+            for p in self.productions[symbol]
+        ]
+
+
+#: Side A, side B, and ``(position_in_a, position_in_b)`` per derivation leaf.
+Pair = tuple[TreeNode, TreeNode, tuple[tuple[int, int], ...]]
+
+
 @dataclass(frozen=True)
 class ParallelCorpus:
     """Aligned tree pairs for two languages drawn from one grammar."""
 
-    pairs: tuple[tuple[TreeNode, TreeNode, tuple[tuple[int, int], ...]], ...]
+    pairs: tuple[Pair, ...]
     seed: int
     languages: tuple[str, str]
 
 
 def _sample_derivation(grammar: SynthGrammar, rng: Rng, max_depth: int) -> DerivationNode:
-    preterminals = grammar.preterminals
-    arity = {pre: len(words) for pre, words in next(iter(grammar.lexicons.values())).items()}
-    recursive = grammar.recursive_productions()
+    """Pre-order: one weighted draw per nonterminal, one concept draw per
+    preterminal, children in right-hand-side order."""
+    plan = grammar._plan
+    arity, options, weights, closed = plan.arity, plan.options, plan.weights, plan.closed
 
     def expand(symbol: str, depth: int) -> DerivationNode:
-        if symbol in preterminals:
-            return DerivationNode(symbol, concept=rng.randbelow(arity[symbol]))
-        options = grammar.productions_for(symbol)
+        n = arity.get(symbol)
+        if n is not None:
+            return DerivationNode(symbol, (), rng.randbelow(n))
         if depth >= max_depth:
-            options = tuple(
-                p for p in options if all(s in preterminals for s in p.rhs)
-            )
-            if not options:
+            choices, chances = closed[symbol]
+            if not choices:
                 raise _DepthExceeded
-            weights = [p.weight for p in options]
         else:
-            weights = [
-                p.weight * DEPTH_DECAY**depth if p in recursive else p.weight for p in options
-            ]
-        chosen = options[rng.weighted_index(weights)]
-        return DerivationNode(symbol, tuple(expand(s, depth + 1) for s in chosen.rhs))
+            choices, table = options[symbol], weights[symbol]
+            chances = table[depth] if depth < len(table) else plan.damped(symbol, depth)
+        rhs = choices[rng.weighted_index(chances)]
+        return DerivationNode(symbol, tuple([expand(s, depth + 1) for s in rhs]))
 
     return expand(grammar.start, 0)
 
 
-def _apply_profile(
-    parent: str, children: list[TreeNode], profile: OrderProfile
-) -> list[TreeNode]:
-    """Swap a canonical two-child constituent when the profile departs
-    from the canonical value. Mirrors the built-in reorder patterns."""
-    if len(children) != 2:
-        return children
-    first, second = children
-    if (
-        parent == "VP"
-        and profile.verb_object == "OV"
-        and first.label.startswith("VB")
-        and second.label == "NP"
-    ):
-        return [second, first]
-    if (
-        parent == "PP"
-        and profile.adposition == "Post"
-        and first.label == "IN"
-        and second.label == "NP"
-    ):
-        return [second, first]
-    if (
-        parent == "NP"
-        and profile.adjective_noun == "NA"
-        and first.label.startswith("JJ")
-        and second.label.startswith("NN")
-    ):
-        return [second, first]
-    return children
+def _swaps(parent: str, first: str, second: str, profile: OrderProfile) -> bool:
+    """Whether ``profile`` swaps the canonical two-child constituent
+    ``parent -> first second``. Mirrors the built-in reorder patterns."""
+    if parent == "VP":
+        return profile.verb_object == "OV" and first.startswith("VB") and second == "NP"
+    if parent == "PP":
+        return profile.adposition == "Post" and first == "IN" and second == "NP"
+    if parent == "NP":
+        return profile.adjective_noun == "NA" and first.startswith("JJ") and second.startswith("NN")
+    return False
+
+
+def _check_language(grammar: SynthGrammar, language: str) -> None:
+    if language not in grammar.lexicons:
+        raise SynthError(f"unknown language {language!r}; grammar has {list(grammar.languages)}")
 
 
 def linearize(grammar: SynthGrammar, derivation: DerivationNode, language: str) -> TreeNode:
@@ -280,26 +334,56 @@ def linearize(grammar: SynthGrammar, derivation: DerivationNode, language: str) 
     Leaf origins number derivation leaves in canonical pre-order, so the
     same origin on two sides of a pair marks the same concept occurrence.
     """
-    if language not in grammar.lexicons:
-        raise SynthError(f"unknown language {language!r}; grammar has {list(grammar.languages)}")
-    lexicon = grammar.lexicons[language]
+    _check_language(grammar, language)
+    labels, words = grammar._plan.labels, grammar._plan.words[language]
     profile = grammar.profiles[language]
     counter = itertools.count()
 
     def build(node: DerivationNode) -> TreeNode:
         if node.concept is not None:
-            word = lexicon[node.symbol][node.concept]
-            return leaf(node.symbol, word, origin=next(counter))
+            word = words[node.symbol][node.concept]
+            return _new(TreeNode, (labels[node.symbol], (), word, next(counter)))
         kids = [build(c) for c in node.children]
-        kids = _apply_profile(node.symbol, kids, profile)
-        return internal(node.symbol, kids)
+        if not kids:
+            raise SynthError(f"derivation node {node.symbol} has neither children nor a concept")
+        if len(kids) == 2:
+            first, second = node.children
+            if _swaps(node.symbol, first.symbol, second.symbol, profile):
+                kids.reverse()
+        return _new(TreeNode, (labels[node.symbol], tuple(kids), None, None))
 
-    return build(derivation)
+    try:
+        return build(derivation)
+    except KeyError as exc:
+        raise SynthError(f"derivation symbol {exc.args[0]!r} is not in the grammar") from None
 
 
-def _leaf_positions(tree: TreeNode) -> dict[int, int]:
-    sentence = yield_sentence(tree)
-    return {origin: idx for idx, (_, origin) in enumerate(sentence.tokens)}
+def _leaf_positions(tree: TreeNode) -> list[int]:
+    """Each leaf's position in the yield, indexed by its origin (0..n-1)."""
+    order = []
+    stack = [tree]
+    while stack:
+        node = stack.pop()
+        if node.token is None:
+            stack.extend(node.children[::-1])
+        else:
+            order.append(node.origin)
+    positions = [0] * len(order)
+    for position, origin in enumerate(order):
+        positions[origin] = position
+    return positions
+
+
+def _pair_languages(grammar: SynthGrammar, languages: tuple[str, str] | None) -> tuple[str, str]:
+    """The two languages to emit: as given (each must exist), else the grammar's first two."""
+    if languages is None:
+        if len(grammar.languages) < 2:
+            raise SynthError("grammar defines fewer than two languages")
+        return grammar.languages[0], grammar.languages[1]
+    lang_a, lang_b = languages
+    _check_language(grammar, lang_a)
+    _check_language(grammar, lang_b)
+    return lang_a, lang_b
 
 
 def sample_pair(
@@ -310,19 +394,16 @@ def sample_pair(
     languages: tuple[str, str] | None = None,
     max_depth: int = MAX_DEPTH,
     max_retries: int = MAX_RETRIES,
-) -> tuple[TreeNode, TreeNode, tuple[tuple[int, int], ...]]:
+) -> Pair:
     """Sample one derivation and linearize it for two languages.
 
     The alignment lists ``(position_in_a, position_in_b)`` for every
-    derivation leaf, in canonical pre-order.
+    derivation leaf, in canonical pre-order. A retry continues on the same
+    stream.
     """
     if rng is None:
         rng = (seed or SeedScheme(0)).stream()
-    if languages is None:
-        if len(grammar.languages) < 2:
-            raise SynthError("grammar defines fewer than two languages")
-        languages = (grammar.languages[0], grammar.languages[1])
-    lang_a, lang_b = languages
+    lang_a, lang_b = _pair_languages(grammar, languages)
 
     for _ in range(max_retries):
         try:
@@ -337,9 +418,25 @@ def sample_pair(
 
     tree_a = linearize(grammar, derivation, lang_a)
     tree_b = linearize(grammar, derivation, lang_b)
-    pos_a, pos_b = _leaf_positions(tree_a), _leaf_positions(tree_b)
-    alignment = tuple((pos_a[k], pos_b[k]) for k in range(len(pos_a)))
+    alignment = tuple(zip(_leaf_positions(tree_a), _leaf_positions(tree_b)))
     return tree_a, tree_b, alignment
+
+
+def corpus_pairs(
+    grammar: SynthGrammar,
+    n: int,
+    seed: int,
+    languages: tuple[str, str] | None = None,
+) -> tuple[tuple[str, str], Iterator[Pair]]:
+    """The two languages and an iterator over n pairs, pair i drawn from
+    stream ``(seed, i)`` as it is consumed. ``n`` and the languages are
+    checked now, before any pair is drawn."""
+    if n < 1:
+        raise SynthError(f"sentence count must be >= 1, got {n}")
+    languages = _pair_languages(grammar, languages)
+    return languages, (
+        sample_pair(grammar, SeedScheme(seed, i), languages=languages) for i in range(n)
+    )
 
 
 def generate_corpus(
@@ -349,16 +446,8 @@ def generate_corpus(
     languages: tuple[str, str] | None = None,
 ) -> ParallelCorpus:
     """n independent pairs, one seed stream per sentence index."""
-    if n < 1:
-        raise SynthError(f"sentence count must be >= 1, got {n}")
-    if languages is None:
-        if len(grammar.languages) < 2:
-            raise SynthError("grammar defines fewer than two languages")
-        languages = (grammar.languages[0], grammar.languages[1])
-    pairs = tuple(
-        sample_pair(grammar, SeedScheme(seed, i), languages=languages) for i in range(n)
-    )
-    return ParallelCorpus(pairs, seed, languages)
+    languages, pairs = corpus_pairs(grammar, n, seed, languages)
+    return ParallelCorpus(tuple(pairs), seed, languages)
 
 
 def format_alignment(alignment: Iterable[tuple[int, int]]) -> str:
@@ -376,16 +465,23 @@ def parse_alignment(line: str) -> tuple[tuple[int, int], ...]:
     return tuple(pairs)
 
 
+def write_pairs(pairs: Iterable[Pair], path_a: str, path_b: str, path_align: str) -> None:
+    """Write each pair as it comes: a treebank line to each side's file and
+    an alignment line. The files replace their paths only once every pair
+    is written, so an error part-way leaves no partial output."""
+    with ExitStack() as stack:
+        fh_a, fh_b, fh_align = (
+            stack.enter_context(replace_on_success(path)) for path in (path_a, path_b, path_align)
+        )
+        for tree_a, tree_b, alignment in pairs:
+            fh_a.write(serialize(tree_a) + "\n")
+            fh_b.write(serialize(tree_b) + "\n")
+            fh_align.write(format_alignment(alignment) + "\n")
+
+
 def write_corpus(corpus: ParallelCorpus, path_a: str, path_b: str, path_align: str) -> None:
     """Both sides as treebank files plus one alignment line per pair."""
-    from .treebank import write_treebank
-
-    write_treebank(path_a, (a for a, _, _ in corpus.pairs))
-    write_treebank(path_b, (b for _, b, _ in corpus.pairs))
-    with open(path_align, "w", encoding="utf-8") as fh:
-        for _, _, alignment in corpus.pairs:
-            fh.write(format_alignment(alignment))
-            fh.write("\n")
+    write_pairs(corpus.pairs, path_a, path_b, path_align)
 
 
 def lexicon_map(grammar: SynthGrammar, source: str, target: str) -> dict[str, str]:

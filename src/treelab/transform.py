@@ -22,10 +22,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Iterable
+from typing import Iterable, Sequence
 
 from .rng import Rng, SeedScheme
-from .treebank import Sentence, TreeNode, ensure_origins, rebuild, with_children
+from .treebank import Sentence, TreeNode, rebuild, with_children
 
 _new = tuple.__new__
 
@@ -60,11 +60,15 @@ class ReorderRule:
         return label == pattern
 
     def matches(self, node: TreeNode) -> bool:
+        return self._matches_children(node.label, node.children)
+
+    def _matches_children(self, label: str, children: Sequence[TreeNode]) -> bool:
+        """Whether a node labelled ``label`` with ``children`` matches."""
         return (
-            node.label == self.parent_label
-            and len(node.children) == 2
-            and self._matches(node.children[0].label, self.first_child)
-            and self._matches(node.children[1].label, self.second_child)
+            label == self.parent_label
+            and len(children) == 2
+            and self._matches(children[0].label, self.first_child)
+            and self._matches(children[1].label, self.second_child)
         )
 
 
@@ -116,19 +120,25 @@ def load_rules_file(path: str) -> list[ReorderRule]:
 
 
 def apply_reorder(tree: TreeNode, rule: ReorderRule | Iterable[ReorderRule]) -> TreeNode:
-    """Swap matching two-child nodes everywhere in the tree.
+    """Swap matching two-child nodes everywhere in the tree, in one walk.
 
-    Matching is against labels, which a swap never changes, so the result
-    does not depend on traversal order. Non-matching trees pass through
-    unchanged (and untouched subtrees are shared, not copied). A sequence
-    of rules is applied as successive whole-tree passes, in order.
+    At each node the rules are tried in order, each against the node's
+    children in their current order, so a node that one rule swaps is
+    seen swapped by the next. This gives what whole-tree passes, one per
+    rule, would give: a node's match depends only on its own label and its
+    children's labels, which swaps below it never change. Non-matching
+    trees pass through unchanged (and untouched subtrees are shared, not
+    copied).
     """
     rules = (rule,) if isinstance(rule, ReorderRule) else tuple(rule)
-    if not rules:
-        return ensure_origins(tree)
-    for one in rules:
-        tree = rebuild(tree, lambda node, kids: with_children(node, kids[::-1] if one.matches(node) else kids))
-    return tree
+
+    def combine(node: TreeNode, kids: list[TreeNode]) -> TreeNode:
+        for one in rules:
+            if one._matches_children(node.label, kids):
+                kids.reverse()
+        return with_children(node, kids)
+
+    return rebuild(tree, combine)
 
 
 def constituent_shuffle(

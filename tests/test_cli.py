@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import subprocess
@@ -549,6 +550,46 @@ class TestSynthCommand:
         code, _, err = run("synth", "generate", "-o", str(tmp_path / "x"), "--grammar", str(grammar))
         assert code == 1
         assert "broken.grammar:2" in err
+
+    def test_demo_outputs_are_pinned(self, run, tmp_path):
+        code, _, _ = run("synth", "generate", "-o", str(tmp_path / "demo"), "-n", "500", "--seed", "3")
+        assert code == 0
+        digests = {
+            name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+            for name in ("demo.alpha.trees", "demo.beta.trees", "demo.align")
+        }
+        assert digests == {
+            "demo.alpha.trees": "e5581f71eb53763cc71c91fa14d3cd879126e76895b58c391e347f188486390c",
+            "demo.beta.trees": "427178afadfd383ccc3799dc2bab071d52efb1b279e91a971cf4c7f98e5ae7fa",
+            "demo.align": "e156622b7a813cfe72fa4095d28b7ff84764d2e7ed68f5535c25802cb27996d5",
+        }
+
+    @pytest.mark.parametrize(
+        "extra, message",
+        [
+            (["-n", "0"], "sentence count must be >= 1, got 0"),
+            (["--languages", "alpha", "gamma"], "unknown language 'gamma'; grammar has ['alpha', 'beta']"),
+            (["--grammar", "UNCLOSEABLE"], "no derivation closed within depth 12 after 20 attempts"),
+        ],
+    )
+    def test_errors_leave_no_output(self, run, tmp_path, extra, message):
+        grammar = tmp_path / "loop.grammar"
+        grammar.write_text("language alpha\nlanguage beta\nrule S -> X\nrule X -> X NN\nlex alpha NN n\nlex beta NN m\n")
+        outputs = tmp_path / "outputs"
+        outputs.mkdir()
+        kept = outputs / "demo.alpha.trees"
+        kept.write_text("earlier output\n")
+        argv = [str(grammar) if arg == "UNCLOSEABLE" else arg for arg in extra]
+        code, _, err = run("synth", "generate", "-o", str(outputs / "demo"), *argv)
+        assert (code, err) == (1, f"error: {message}\n")
+        assert os.listdir(outputs) == ["demo.alpha.trees"]
+        assert kept.read_text() == "earlier output\n"
+
+    @pytest.mark.parametrize("extra", [["-n", "0"], ["--languages", "alpha", "gamma"]])
+    def test_count_and_languages_are_checked_before_any_output_opens(self, run, tmp_path, extra):
+        code, _, err = run("synth", "generate", "-o", str(tmp_path / "missing" / "demo"), *extra)
+        assert code == 1
+        assert "No such file" not in err
 
 
 @pytest.mark.parametrize("reader", ["ids", "model", "rules", "grammar"])

@@ -5,7 +5,10 @@ from __future__ import annotations
 import json
 import os
 import stat
+import subprocess
+import sys
 import threading
+from pathlib import Path
 
 import pytest
 
@@ -345,3 +348,50 @@ def test_replace_on_success_writes_through_symlinks_and_pipes(tmp_path):
     assert received == ["through the pipe\n"]
     assert stat.S_ISFIFO(fifo.stat().st_mode)
     assert sorted(os.listdir(tmp_path)) == ["link.txt", "pipe", "real.txt"]
+
+
+@pytest.mark.parametrize("command", ["bpe apply", "synth generate"])
+def test_pipe_output_gets_no_digest_and_does_not_hang(tmp_path, command):
+    """Reading a pipe back to hash it would block for ever: the sidecar
+    records no digest for it, and the command exits."""
+    text = tmp_path / "in.txt"
+    text.write_text("the cat saw a bird\nthe bird saw a cat\n", encoding="utf-8")
+    model = tmp_path / "m.bpe"
+    assert main(["bpe", "learn", str(text), "-o", str(model), "--vocab-size", "40"]) == 0
+    fifo = tmp_path / ("out.ids" if command == "bpe apply" else "demo.align")
+    os.mkfifo(fifo)
+    argv = {
+        "bpe apply": ["bpe", "apply", str(text), "-o", str(fifo), "--model", str(model)],
+        "synth generate": ["synth", "generate", "-o", str(tmp_path / "demo"), "-n", "3"],
+    }[command]
+    received: list[str] = []
+    reader = threading.Thread(target=lambda: received.append(fifo.read_text()), daemon=True)
+    reader.start()
+    src = str(Path(pipeline.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    result = subprocess.run(
+        [sys.executable, "-m", "treelab.cli", *argv], env=env, capture_output=True, text=True, timeout=60
+    )
+    reader.join(timeout=10)
+    assert not reader.is_alive()
+    assert result.returncode == 0, result.stderr
+    assert len(received[0].splitlines()) in (2, 3)  # lines of text, or pairs
+    sidecar = json.loads((tmp_path / f"{fifo.name}.provenance.json").read_text(encoding="utf-8"))
+    assert sidecar["output"] == {"path": str(fifo), "sha256": None}
+    assert stat.S_ISFIFO(fifo.stat().st_mode)
+
+
+def test_mask_late_bad_id_keeps_existing_outputs(tmp_path, capsys):
+    ids = tmp_path / "in.ids"
+    ids.write_text("7 8 9\n" * 3000 + "7 x 9\n", encoding="utf-8")
+    outputs = tmp_path / "outputs"
+    outputs.mkdir()
+    out, labels = outputs / "m.ids", outputs / "m.ids.labels"
+    out.write_text("earlier output\n", encoding="utf-8")
+    labels.write_text("earlier labels\n", encoding="utf-8")
+    code = main(["mask", str(ids), "-o", str(out), "--vocab-size", "40"])
+    assert code == 1
+    assert capsys.readouterr().err == f"error: cannot read {ids}: invalid literal for int() with base 10: 'x'\n"
+    assert out.read_text(encoding="utf-8") == "earlier output\n"
+    assert labels.read_text(encoding="utf-8") == "earlier labels\n"
+    assert sorted(os.listdir(outputs)) == ["m.ids", "m.ids.labels"]

@@ -21,6 +21,7 @@ from treelab.subword import (
     bpe_apply,
     bpe_decode,
     bpe_learn,
+    iter_ids_file,
     load_model,
     mask_tokens,
     read_ids_file,
@@ -339,6 +340,18 @@ def test_ids_file_errors_name_the_file(tmp_path):
     path.write_text("1 2\n3 x\n")
     with pytest.raises(BpeError, match=re.escape(f"cannot read {path}: invalid literal")):
         read_ids_file(str(path))
+
+
+def test_ids_file_is_read_as_it_is_consumed(tmp_path):
+    path = tmp_path / "ids.txt"
+    path.write_text("1 2\n3\n4 x\n")
+    lines = iter_ids_file(str(path))
+    assert next(lines) == [1, 2]
+    assert next(lines) == [3]
+    with pytest.raises(BpeError, match=re.escape(f"cannot read {path}: invalid literal")):
+        next(lines)
+    with pytest.raises(BpeError, match=re.escape(f"cannot read {tmp_path / 'missing'}: [Errno 2]")):
+        iter_ids_file(str(tmp_path / "missing"))
 
 
 def test_ids_file_round_trip(tmp_path):

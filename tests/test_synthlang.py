@@ -1,14 +1,19 @@
 from __future__ import annotations
 
 import collections
+import dataclasses
+import itertools
+import re
 
 import pytest
 
-from treelab.rng import SeedScheme
+from treelab.rng import Rng, SeedScheme
 from treelab.synthlang import (
     BUILTIN_RULES,
     DEMO_GRAMMAR_TEXT,
+    DEPTH_DECAY,
     MAX_DEPTH,
+    MAX_RETRIES,
     DerivationNode,
     OrderProfile,
     Production,
@@ -27,7 +32,7 @@ from treelab.synthlang import (
     write_corpus,
 )
 from treelab.transform import apply_reorder, inverse_rule
-from treelab.treebank import read_treebank, serialize, yield_sentence
+from treelab.treebank import internal, leaf, read_treebank, serialize, yield_sentence
 
 
 def surfaces(tree):
@@ -393,3 +398,222 @@ class TestAlignmentFormat:
         assert [serialize(t) for t in side_b] == [serialize(b) for _, b, _ in corpus.pairs]
         lines = (tmp_path / "align.txt").read_text().splitlines()
         assert [parse_alignment(l) for l in lines] == [al for _, _, al in corpus.pairs]
+
+
+# ---------------------------------------------------------------------------
+# The sampling plan against the algorithm it replaced
+
+
+def reference_pair(grammar, rng, languages, max_depth=MAX_DEPTH, max_retries=MAX_RETRIES):
+    """``sample_pair`` as written before the plan: the recursion fixpoint,
+    the production scan and the weight list per node, ``leaf``/``internal``
+    escaping, and leaf positions read from a ``Sentence``."""
+    preterminals = grammar.preterminals
+    arity = {pre: len(words) for pre, words in next(iter(grammar.lexicons.values())).items()}
+
+    def derive():
+        recursive = grammar.recursive_productions()
+
+        def expand(symbol, depth):
+            if symbol in preterminals:
+                return DerivationNode(symbol, concept=rng.randbelow(arity[symbol]))
+            options = tuple(p for p in grammar.productions if p.lhs == symbol)
+            if depth >= max_depth:
+                options = tuple(p for p in options if all(s in preterminals for s in p.rhs))
+                if not options:
+                    raise DepthCap
+                weights = [p.weight for p in options]
+            else:
+                weights = [
+                    p.weight * DEPTH_DECAY**depth if p in recursive else p.weight for p in options
+                ]
+            chosen = options[rng.weighted_index(weights)]
+            return DerivationNode(symbol, tuple(expand(s, depth + 1) for s in chosen.rhs))
+
+        return expand(grammar.start, 0)
+
+    def swap(parent, kids, profile):
+        if len(kids) != 2:
+            return kids
+        first, second = kids
+        if (
+            (parent == "VP" and profile.verb_object == "OV"
+             and first.label.startswith("VB") and second.label == "NP")
+            or (parent == "PP" and profile.adposition == "Post"
+                and first.label == "IN" and second.label == "NP")
+            or (parent == "NP" and profile.adjective_noun == "NA"
+                and first.label.startswith("JJ") and second.label.startswith("NN"))
+        ):
+            return [second, first]
+        return kids
+
+    def lin(derivation, language):
+        lexicon, profile, counter = grammar.lexicons[language], grammar.profiles[language], itertools.count()
+
+        def build(node):
+            if node.concept is not None:
+                return leaf(node.symbol, lexicon[node.symbol][node.concept], origin=next(counter))
+            return internal(node.symbol, swap(node.symbol, [build(c) for c in node.children], profile))
+
+        return build(derivation)
+
+    for _ in range(max_retries):
+        try:
+            derivation = derive()
+            break
+        except DepthCap:
+            continue
+    else:
+        raise SynthError(f"no derivation closed within depth {max_depth} after {max_retries} attempts")
+    tree_a, tree_b = lin(derivation, languages[0]), lin(derivation, languages[1])
+    pos_a, pos_b = (
+        {origin: idx for idx, (_, origin) in enumerate(yield_sentence(t).tokens)} for t in (tree_a, tree_b)
+    )
+    return tree_a, tree_b, tuple((pos_a[k], pos_b[k]) for k in range(len(pos_a)))
+
+
+class DepthCap(Exception):
+    pass
+
+
+class CountingRng(Rng):
+    __slots__ = ("draws",)
+
+    def __init__(self, seed):
+        super().__init__(seed)
+        self.draws = 0
+
+    def next_u64(self):
+        self.draws += 1
+        return Rng.next_u64(self)
+
+
+# Deep recursion through two nonterminals, escaped words and labels, and a
+# cycle (A -> B NN, B -> A NN) whose B has no all-preterminal option, so the
+# depth cap forces retries.
+RECURSIVE_GRAMMAR = """\
+language a
+language b 83A=OV 85A=Post 87A=NA
+language c 87A=NA
+rule S -> NP VP : 2
+rule S -> A : 1
+rule NP -> NP PP : 3
+rule NP -> JJ NN : 1
+rule NP -> NN
+rule PP -> IN NP
+rule VP -> VB NP : 2
+rule VP -> VP(x) : 1
+rule VP(x) -> VB
+rule A -> B NN : 4
+rule A -> NN : 1
+rule B -> A NN : 2.5
+lex a NN cat (dog) a-b x:y
+lex a JJ big
+lex a IN on under
+lex a VB see
+lex b NN neko inu ab xy
+lex b JJ ookii
+lex b IN ue shita
+lex b VB miru
+lex c NN c1 c2 c3 c4
+lex c JJ c5
+lex c IN c6 c7
+lex c VB c8
+"""
+
+
+# A recursive rule so heavy that derivations run past MAX_DEPTH, where the
+# damped weights are no longer precomputed.
+DEEP_GRAMMAR = """\
+language a
+language b 87A=NA
+rule S -> X
+rule X -> X NP : 1000000
+rule X -> NP
+rule NP -> JJ NN
+rule NP -> NN
+lex a NN n1 n2
+lex a JJ j
+lex b NN m1 m2
+lex b JJ k
+"""
+
+
+def spaced_grammar() -> SynthGrammar:
+    """Words with whitespace, which only a grammar built in code can hold."""
+    return SynthGrammar(
+        (Production("S", ("NP", "VP")), Production("NP", ("JJ", "NN")), Production("NP", ("NN",)),
+         Production("VP", ("VB", "NP"), 2.0), Production("VP", ("VB",))),
+        {"a": {"NN": ("big cat", "dog\tday"), "JJ": ("red",), "VB": ("runs away",)},
+         "b": {"NN": ("n1", "n2"), "JJ": ("j 1",), "VB": ("v",)}},
+        {"a": OrderProfile(), "b": OrderProfile("OV", "Post", "NA")},
+    )
+
+
+class TestSamplingPlan:
+    @pytest.mark.parametrize(
+        "grammar, languages",
+        [
+            (demo_grammar, ("alpha", "beta")),
+            (lambda: parse_grammar(RECURSIVE_GRAMMAR), ("a", "b")),
+            (lambda: parse_grammar(RECURSIVE_GRAMMAR), ("c", "a")),
+            (spaced_grammar, ("b", "a")),
+            (lambda: parse_grammar(DEEP_GRAMMAR), ("a", "b")),
+        ],
+    )
+    @pytest.mark.parametrize("max_depth", [0, 2, 3, 6, MAX_DEPTH, MAX_DEPTH + 5])
+    def test_pairs_and_draws_equal_the_reference(self, grammar, languages, max_depth):
+        # The plan is built once, for the whole loop.
+        g = grammar()
+        for i in range(60):
+            ours, theirs = CountingRng(1000 + i), CountingRng(1000 + i)
+            try:
+                expected = reference_pair(g, theirs, languages, max_depth, max_retries=4)
+            except SynthError as exc:
+                with pytest.raises(SynthError, match=re.escape(str(exc))):
+                    sample_pair(g, rng=ours, languages=languages, max_depth=max_depth, max_retries=4)
+            else:
+                a, b, alignment = sample_pair(g, rng=ours, languages=languages, max_depth=max_depth,
+                                              max_retries=4)
+                assert (repr(a), repr(b), alignment) == tuple(map(repr, expected[:2])) + (expected[2],)
+            assert ours.draws == theirs.draws
+            assert ours.next_u64() == theirs.next_u64()
+
+    def test_the_comparison_meets_retries_and_failures(self):
+        # At cap 2 the recursive grammar's seeds above close at once, close
+        # only after a retry, or run out of retries.
+        g = parse_grammar(RECURSIVE_GRAMMAR)
+        closed = collections.Counter()
+        for i in range(60):
+            for retries in (1, 4):
+                try:
+                    reference_pair(g, Rng(1000 + i), ("a", "b"), 2, retries)
+                    closed[retries] += 1
+                except SynthError:
+                    pass
+        assert 0 < closed[1] < closed[4] < 60
+
+    def test_plan_leaves_equality_and_repr_alone(self):
+        g, h = demo_grammar(), demo_grammar()
+        assert g == h and g._plan is not h._plan
+        assert g != parse_grammar(DEMO_GRAMMAR_TEXT.replace("rule VP -> VB : 1", "rule VP -> VB : 2"))
+        fields = ", ".join(f"{f.name}={getattr(g, f.name)!r}" for f in dataclasses.fields(g) if f.repr)
+        assert repr(g) == f"SynthGrammar({fields})"
+        assert "_plan" not in repr(g)
+        assert [f.name for f in dataclasses.fields(g) if f.compare] == [
+            "productions", "lexicons", "profiles", "start"
+        ]
+
+    def test_empty_word_rejected_when_the_grammar_is_built(self):
+        with pytest.raises(SynthError, match="preterminal NN has an empty word"):
+            SynthGrammar(
+                (Production("S", ("NN",)),),
+                {"a": {"NN": ("x", "")}, "b": {"NN": ("y", "z")}},
+                {"a": OrderProfile(), "b": OrderProfile()},
+            )
+
+    def test_linearize_rejects_symbols_outside_the_grammar(self):
+        with pytest.raises(SynthError, match="derivation symbol 'ZZ' is not in the grammar"):
+            linearize(demo_grammar(), DerivationNode("S", (DerivationNode("ZZ", concept=0),)), "alpha")
+        with pytest.raises(SynthError, match="neither children nor a concept"):
+            linearize(demo_grammar(), DerivationNode("S"), "alpha")

@@ -1,11 +1,13 @@
 from __future__ import annotations
 
 import collections
+import os
 
 import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
+from treelab.pipeline import ReorderStep, apply_chain
 from treelab.rng import Rng, SeedScheme
 from treelab.transform import (
     BUILTIN_RULES,
@@ -31,6 +33,7 @@ from treelab.treebank import (
 from conftest import tree_nodes
 
 NESTED = "(S (NP (PRP I)) (VP (VBD read) (NP (CD two) (NNS papers))))"
+FIXTURE = os.path.join(os.path.dirname(__file__), "fixtures", "english_like.trees")
 
 
 def unordered_fingerprint(node: TreeNode):
@@ -128,6 +131,57 @@ class TestApplyReorder:
         )
         result = apply_reorder(tree, BUILTIN_RULES["83A"])
         assert yield_sentence(result).text() == "x try y works"
+
+
+# Built-ins, their inverses, and two more pairs that share a parent label
+# with each other and with 87A (NP) or 85A (PP).
+RULE_POOL = {
+    **BUILTIN_RULES,
+    **{f"{name}-inv": inverse_rule(rule) for name, rule in BUILTIN_RULES.items()},
+    "NPD": ReorderRule("NPD", "NP", "DT", "NN", frozenset({"NN"})),
+    "NPD-inv": ReorderRule("NPD-inv", "NP", "NN", "DT", frozenset({"NN"})),
+    "PPX": ReorderRule("PPX", "PP", "IN", "S"),
+}
+
+
+def one_pass_per_rule(tree: TreeNode, rules) -> TreeNode:
+    for rule in rules:
+        tree = apply_reorder(tree, rule)
+    return tree
+
+
+class TestReorderInOneWalk:
+    @given(tree_nodes(), st.lists(st.sampled_from(sorted(RULE_POOL)), max_size=5))
+    def test_equals_one_pass_per_rule(self, tree, names):
+        rules = [RULE_POOL[name] for name in names]
+        assert repr(apply_reorder(tree, rules)) == repr(one_pass_per_rule(ensure_origins(tree), rules))
+
+    @pytest.mark.parametrize(
+        "names",
+        [["83A", "83A"], ["87A", "87A-inv"], ["87A-inv", "87A"], ["87A", "NPD", "87A-inv", "NPD-inv"],
+         ["85A", "PPX", "85A-inv"], ["83A", "85A", "87A"]],
+    )
+    def test_chain_bytes_equal_separate_calls(self, names):
+        rules = [RULE_POOL[name] for name in names]
+        steps = tuple(ReorderStep(rule) for rule in rules)
+        with open(FIXTURE, encoding="utf-8") as fh:
+            trees = [parse_ptb(line) for line in fh if line.strip()]
+        for tree in trees:
+            out, sentence = apply_chain(tree, steps, rng=None)
+            expected = one_pass_per_rule(tree, rules)
+            assert serialize(out) == serialize(expected)
+            assert sentence == yield_sentence(expected)
+
+    def test_a_node_swapped_and_swapped_back_is_shared(self):
+        tree = parse_ptb("(S (NP (JJ red) (NN cat)) (VP (VB see) (NP (NN dog))))")
+        assert apply_reorder(tree, [RULE_POOL["87A"], RULE_POOL["87A-inv"]]) is tree
+        once = apply_reorder(tree, [RULE_POOL["83A"], RULE_POOL["87A"], RULE_POOL["87A-inv"]])
+        assert once.children[0] is tree.children[0]
+        assert once.children[1].children == tree.children[1].children[::-1]
+
+    def test_no_rules_assigns_origins(self):
+        tree = TreeNode("S", (TreeNode("NN", token="a"), TreeNode("NN", token="b")))
+        assert yield_sentence(apply_reorder(tree, [])).origins() == (0, 1)
 
 
 class TestConstituentShuffle:
