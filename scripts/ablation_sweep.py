@@ -18,6 +18,7 @@ import argparse
 import sys
 
 from treelab.metrics import StatsAccumulator, alignment, format_stats_table
+from treelab.rng import SeedScheme
 from treelab.synthlang import demo_grammar, generate_corpus
 from treelab.transform import AblationSpec, intermediate_node_count, remove_composition
 from treelab.treebank import read_treebank, yield_sentence
@@ -54,11 +55,11 @@ def main(argv=None) -> int:
     rows = []
     kept = []
     for alpha in alphas:
-        spec = AblationSpec(alpha, shuffle_after=args.shuffle, seed=args.seed)
+        spec = AblationSpec(alpha, shuffle_after=args.shuffle)
         acc = StatsAccumulator()
         remaining = 0
         for index, tree in enumerate(trees):
-            stripped = remove_composition(tree, spec, sentence_index=index)
+            stripped = remove_composition(tree, spec, SeedScheme(args.seed, index).stream())
             remaining += intermediate_node_count(stripped)
             acc.add(alignment(yield_sentence(tree), yield_sentence(stripped)))
         rows.append((f"alpha={alpha:g}", acc.finalize()))

@@ -53,7 +53,7 @@ def main(argv=None) -> int:
             (f"reorder:{feature}", lambda t, i, r=rule: apply_reorder(t, r))
             for feature, rule in BUILTIN_RULES.items()
         ),
-        ("constituent_shuffle", lambda t, i: constituent_shuffle(t, SeedScheme(args.seed, i))),
+        ("constituent_shuffle", lambda t, i: constituent_shuffle(t, SeedScheme(args.seed, i).stream())),
     ]
     rows = []
     for label, transform in transforms:
@@ -66,7 +66,7 @@ def main(argv=None) -> int:
     acc = StatsAccumulator()
     for index, tree in enumerate(trees):
         original = yield_sentence(tree)
-        acc.add(alignment(original, word_shuffle(original, SeedScheme(args.seed, index))))
+        acc.add(alignment(original, word_shuffle(original, SeedScheme(args.seed, index).stream())))
     rows.append(("word_shuffle", acc.finalize()))
 
     print(format_stats_table(rows))

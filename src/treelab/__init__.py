@@ -10,9 +10,10 @@ The toolkit groups into five layers:
 * ``synthlang`` / ``pipeline`` / ``cli`` — paired artificial languages,
   corpus runs, and the ``treelab`` command.
 
-Everything randomized takes either a :class:`~treelab.rng.SeedScheme`
-(global seed + sentence index) or an explicit stream, and is bit-stable
-across platforms and worker counts.
+Every tree and synth operation that draws random numbers takes a required
+``rng``: the stream that :class:`~treelab.rng.SeedScheme` (global seed +
+sentence index) names, ``SeedScheme(seed, index).stream()``. Output is
+bit-stable across platforms and worker counts.
 """
 
 from .metrics import (

@@ -20,19 +20,21 @@ trees without ``--skip-bad``, alignment failures), 2 on usage errors.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 from typing import IO, Sequence
 
 from .pipeline import (
+    SIDECAR_SUFFIX,
     PipelineConfig,
     PipelineError,
     UsageError,
+    check_paths_distinct,
     read_lines,
     replace_on_success,
     run_stats,
     run_transform,
+    write_json,
     write_provenance,
 )
 from .subword import (
@@ -333,6 +335,10 @@ def _cmd_mask(args: argparse.Namespace, stdout: IO[str], stderr: IO[str]) -> int
     rate = _resolve(args.rate, config=config, key="rate", default=0.15, kind=float)
     masking = MaskingConfig(mask_rate=rate, seed=seed)
     labels_path = args.labels_output or args.output + ".labels"
+    check_paths_distinct(
+        [args.output, labels_path, args.output + SIDECAR_SUFFIX, labels_path + SIDECAR_SUFFIX],
+        [args.input, args.model],
+    )
 
     sequences = iter_ids_file(args.input)  # opens the input before the outputs
     sentences = tokens = 0
@@ -379,20 +385,17 @@ def _cmd_retrieval(args: argparse.Namespace, stdout: IO[str], stderr: IO[str]) -
     )
     report = _resolve(args.report, config=config, key="report")
     if report:
-        with open(report, "w", encoding="utf-8") as fh:
-            json.dump(
-                {
-                    "source": args.source,
-                    "target": args.target,
-                    "queries": source.shape[0],
-                    "top1_accuracy": result.top1_accuracy,
-                    "margin": result.margin,
-                    "per_query_nearest": list(result.per_query_nearest),
-                },
-                fh,
-                indent=2,
-            )
-            fh.write("\n")
+        write_json(
+            report,
+            {
+                "source": args.source,
+                "target": args.target,
+                "queries": source.shape[0],
+                "top1_accuracy": result.top1_accuracy,
+                "margin": result.margin,
+                "per_query_nearest": list(result.per_query_nearest),
+            },
+        )
         write_provenance(
             report,
             command="retrieval",

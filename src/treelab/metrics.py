@@ -141,8 +141,7 @@ class CorpusStats:
 @dataclass
 class StatsAccumulator:
     """Streaming per-sentence aggregation. Float sums depend on the order of
-    addition, so ``merge`` of shards can differ in the last bits from adding
-    every sentence in order, which is what the corpus driver does."""
+    addition, so ``run_transform`` adds every sentence in input order."""
 
     sum_ir: float = 0.0
     sum_wmd: float = 0.0
@@ -161,13 +160,6 @@ class StatsAccumulator:
         self.tokens += n
         if n < 2:
             self.short += 1
-
-    def merge(self, other: "StatsAccumulator") -> None:
-        self.sum_ir += other.sum_ir
-        self.sum_wmd += other.sum_wmd
-        self.sentences += other.sentences
-        self.tokens += other.tokens
-        self.short += other.short
 
     def finalize(self) -> CorpusStats:
         n = self.sentences

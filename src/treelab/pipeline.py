@@ -46,7 +46,7 @@ from concurrent.futures import ProcessPoolExecutor
 from contextlib import ExitStack, contextmanager
 from dataclasses import dataclass
 from itertools import chain, groupby, islice, zip_longest
-from typing import IO, Iterator, Mapping, Sequence, Union
+from typing import IO, Iterable, Iterator, Mapping, Sequence, Union
 
 from .metrics import (
     AlignmentError,
@@ -57,7 +57,7 @@ from .metrics import (
     inversion_ratio,
     word_move_distance,
 )
-from .rng import SeedScheme
+from .rng import Rng, SeedScheme
 from .transform import (
     BUILTIN_RULES,
     AblationSpec,
@@ -81,6 +81,7 @@ from .version import TOOL_NAME, TOOL_VERSION
 
 CHUNK_LINES = 256  # lines per unit of work: one worker call, one block write
 CHUNKS_PER_WORKER = 2  # chunks queued or running per pool worker
+SIDECAR_SUFFIX = ".provenance.json"
 
 
 class PipelineError(Exception):
@@ -110,13 +111,9 @@ class WordShuffleStep:
     pass
 
 
-@dataclass(frozen=True)
-class AblateStep:
-    alpha: float
-    shuffle_after: bool = False
+AblateStep = AblationSpec  # ``ablate:ALPHA[:shuffle]`` is its spec; the name stays for importers
 
-
-ChainStep = Union[ReorderStep, ConstituentShuffleStep, WordShuffleStep, AblateStep]
+ChainStep = Union[ReorderStep, ConstituentShuffleStep, WordShuffleStep, AblationSpec]
 
 
 def parse_chain(
@@ -150,7 +147,7 @@ def parse_chain(
                 raise ChainError(f"bad ablate step {token!r}: {alpha_text!r} is not a number") from None
             if not 0.0 <= alpha <= 1.0:
                 raise ChainError(f"ablate fraction must be in [0, 1], got {alpha}")
-            steps.append(AblateStep(alpha, shuffle_after=bool(suffix)))
+            steps.append(AblationSpec(alpha, shuffle_after=bool(suffix)))
         else:
             raise ChainError(
                 f"unknown chain step {token!r}; expected reorder:FEATURE, "
@@ -162,7 +159,7 @@ def parse_chain(
 
 
 def apply_chain(
-    tree: TreeNode, steps: Sequence[ChainStep], rng
+    tree: TreeNode, steps: Sequence[ChainStep], rng: Rng
 ) -> tuple[TreeNode | None, Sentence]:
     """Run one tree through the chain, consuming one random stream.
 
@@ -176,12 +173,11 @@ def apply_chain(
             continue
         for step in run:
             if isinstance(step, ConstituentShuffleStep):
-                tree = constituent_shuffle(tree, rng=rng, include_root=step.include_root)
-            elif isinstance(step, AblateStep):
-                spec = AblationSpec(step.alpha, shuffle_after=step.shuffle_after)
-                tree = remove_composition(tree, spec, rng=rng)
+                tree = constituent_shuffle(tree, rng, include_root=step.include_root)
+            elif isinstance(step, AblationSpec):
+                tree = remove_composition(tree, step, rng)
             elif isinstance(step, WordShuffleStep):
-                return None, word_shuffle(yield_sentence(tree), rng=rng)
+                return None, word_shuffle(yield_sentence(tree), rng)
             else:  # pragma: no cover - parse_chain constructs only the above
                 raise TypeError(f"unknown chain step {step!r}")
     return tree, yield_sentence(tree)
@@ -253,9 +249,12 @@ def replace_on_success(path: str) -> Iterator[IO[str]]:
         with open(path, "w", encoding="utf-8") as fh:
             yield fh
         return
-    fd, tmp = tempfile.mkstemp(
-        prefix=f".{os.path.basename(target)}.", suffix=".tmp", dir=os.path.dirname(target)
-    )
+    try:
+        fd, tmp = tempfile.mkstemp(
+            prefix=f".{os.path.basename(target)}.", suffix=".tmp", dir=os.path.dirname(target)
+        )
+    except OSError as exc:  # it would name the temporary file, not ``path``
+        raise PipelineError(f"cannot write {path}: {exc.strerror}") from exc
     try:
         with open(fd, "w", encoding="utf-8") as fh:
             umask = os.umask(0)
@@ -364,11 +363,31 @@ def write_provenance(
         "output": {"path": output_path, "sha256": sha256_file(output_path)},
         "counts": dict(counts or {}),
     }
-    sidecar = output_path + ".provenance.json"
-    with open(sidecar, "w", encoding="utf-8") as fh:
+    sidecar = output_path + SIDECAR_SUFFIX
+    write_json(sidecar, document)
+    return sidecar
+
+
+def write_json(path: str, document: Mapping[str, object]) -> None:
+    """``document`` as indented JSON and a newline, through :func:`replace_on_success`."""
+    with replace_on_success(path) as fh:
         json.dump(document, fh, indent=2)
         fh.write("\n")
-    return sidecar
+
+
+def check_paths_distinct(outputs: Iterable[str | None], inputs: Iterable[str | None]) -> None:
+    """Raise :class:`UsageError` if two outputs, or an output and an input,
+    are one file (compared by ``os.path.realpath``); empty entries are not
+    paths. Callers check before they open any output."""
+    read = {os.path.realpath(path): path for path in inputs if path}
+    written: dict[str, str] = {}
+    for path in filter(None, outputs):
+        real = os.path.realpath(path)
+        if real in read:
+            raise UsageError(f"output {path} is also the input {read[real]}")
+        if real in written:
+            raise UsageError(f"outputs {written[real]} and {path} are the same file")
+        written[real] = path
 
 
 def run_transform(
@@ -389,6 +408,12 @@ def run_transform(
 
     sentence_path = config.output if config.emit != "trees" else None
     tree_path = {"trees": config.output, "both": config.tree_output}.get(config.emit)
+    outputs = [path for path in (sentence_path, tree_path) if path]
+    check_paths_distinct(
+        [*outputs, *(path + SIDECAR_SUFFIX for path in outputs),
+         config.report if config.stats else None],
+        [*config.inputs, config.rules_file],
+    )
     lines = enumerate(read_lines(config.inputs))  # opens the inputs before any output
     work = functools.partial(_run_chunk, steps=steps, config=config)
 
@@ -413,7 +438,7 @@ def run_transform(
                 errors.extend(chunk_errors)
 
     config_dict = dataclasses.asdict(config)
-    for path in filter(None, (sentence_path, tree_path)):
+    for path in outputs:
         write_provenance(
             path,
             command="transform",
@@ -428,9 +453,7 @@ def run_transform(
         stats = acc.finalize()
         print(format_stats_table([(config.chain, stats)]), file=stdout)
         if config.report:
-            with open(config.report, "w", encoding="utf-8") as fh:
-                json.dump({"chain": config.chain, **dataclasses.asdict(stats)}, fh, indent=2)
-                fh.write("\n")
+            write_json(config.report, {"chain": config.chain, **dataclasses.asdict(stats)})
 
     if counts["placeholder"]:
         print(f"skipped {counts['placeholder']} line(s) with no tree", file=stderr)
@@ -491,14 +514,10 @@ def run_stats(
     stats = acc.finalize()
     print(format_stats_table([(modified_path, stats)]), file=stdout)
     if report:
-        with open(report, "w", encoding="utf-8") as fh:
-            json.dump(
-                {"original": original_path, "modified": modified_path,
-                 **dataclasses.asdict(stats)},
-                fh,
-                indent=2,
-            )
-            fh.write("\n")
+        write_json(
+            report,
+            {"original": original_path, "modified": modified_path, **dataclasses.asdict(stats)},
+        )
     for message in errors:
         print(message, file=stderr)
     return 1 if errors else 0

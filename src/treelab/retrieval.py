@@ -171,12 +171,20 @@ def write_token_embeddings(path: str, embeddings: EmbeddingMatrix) -> None:
             fh.write(np.asarray(sent.vectors, dtype="<f4").tobytes())
 
 
-def read_token_embeddings(path: str) -> EmbeddingMatrix:
+def _read_file(path: str, magic: bytes, kind: str, header: str) -> tuple[bytes, tuple]:
+    """The file's bytes and its header fields, after the magic is checked."""
     with open(path, "rb") as fh:
         data = fh.read()
-    if data[:8] != TOKEN_MAGIC:
-        raise RetrievalError(f"{path}: not a token embedding file (bad magic {data[:8]!r})")
-    n, max_tokens, dim, layer = struct.unpack_from("<4I", data, 8)
+    if data[:8] != magic:
+        raise RetrievalError(f"{path}: not a {kind} embedding file (bad magic {data[:8]!r})")
+    try:
+        return data, struct.unpack_from(header, data, 8)
+    except struct.error:
+        raise RetrievalError(f"{path}: truncated header ({len(data)} bytes)") from None
+
+
+def read_token_embeddings(path: str) -> EmbeddingMatrix:
+    data, (n, max_tokens, dim, layer) = _read_file(path, TOKEN_MAGIC, "token", "<4I")
     pos = 8 + 16
     sentences = []
     for i in range(n):
@@ -217,11 +225,7 @@ def write_pooled_embeddings(path: str, matrix: np.ndarray, layer: int = 0) -> No
 
 def read_pooled_embeddings(path: str) -> tuple[np.ndarray, int]:
     """Returns ``(matrix, layer)``."""
-    with open(path, "rb") as fh:
-        data = fh.read()
-    if data[:8] != POOLED_MAGIC:
-        raise RetrievalError(f"{path}: not a pooled embedding file (bad magic {data[:8]!r})")
-    n, dim, layer = struct.unpack_from("<3I", data, 8)
+    data, (n, dim, layer) = _read_file(path, POOLED_MAGIC, "pooled", "<3I")
     expected = 8 + 12 + 4 * n * dim
     if len(data) < expected:
         raise RetrievalError(f"{path}: truncated ({len(data)} bytes, expected {expected})")

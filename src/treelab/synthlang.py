@@ -388,9 +388,8 @@ def _pair_languages(grammar: SynthGrammar, languages: tuple[str, str] | None) ->
 
 def sample_pair(
     grammar: SynthGrammar,
-    seed: SeedScheme | None = None,
+    rng: Rng,
     *,
-    rng: Rng | None = None,
     languages: tuple[str, str] | None = None,
     max_depth: int = MAX_DEPTH,
     max_retries: int = MAX_RETRIES,
@@ -401,8 +400,6 @@ def sample_pair(
     derivation leaf, in canonical pre-order. A retry continues on the same
     stream.
     """
-    if rng is None:
-        rng = (seed or SeedScheme(0)).stream()
     lang_a, lang_b = _pair_languages(grammar, languages)
 
     for _ in range(max_retries):
@@ -435,7 +432,7 @@ def corpus_pairs(
         raise SynthError(f"sentence count must be >= 1, got {n}")
     languages = _pair_languages(grammar, languages)
     return languages, (
-        sample_pair(grammar, SeedScheme(seed, i), languages=languages) for i in range(n)
+        sample_pair(grammar, SeedScheme(seed, i).stream(), languages=languages) for i in range(n)
     )
 
 

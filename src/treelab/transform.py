@@ -13,9 +13,9 @@ Four families of modification, all pure functions over immutable trees:
   weakening the grouping structure by a controllable ratio.
 
 Every operation preserves the multiset of ``(surface, origin)`` leaf
-pairs. Randomized operations draw from the per-sentence
-:class:`~treelab.rng.SeedScheme` stream, so results are reproducible and
-independent of scheduling.
+pairs. Randomized operations take a required ``rng``, the sentence's
+stream (``SeedScheme(seed, index).stream()``), so results are reproducible
+and independent of scheduling.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ import math
 from dataclasses import dataclass, replace
 from typing import Iterable, Sequence
 
-from .rng import Rng, SeedScheme
+from .rng import Rng
 from .treebank import Sentence, TreeNode, rebuild, with_children
 
 _new = tuple.__new__
@@ -141,13 +141,7 @@ def apply_reorder(tree: TreeNode, rule: ReorderRule | Iterable[ReorderRule]) -> 
     return rebuild(tree, combine)
 
 
-def constituent_shuffle(
-    tree: TreeNode,
-    seed: SeedScheme | None = None,
-    *,
-    rng: Rng | None = None,
-    include_root: bool = True,
-) -> TreeNode:
+def constituent_shuffle(tree: TreeNode, rng: Rng, *, include_root: bool = True) -> TreeNode:
     """Permute the children of every internal node with >=2 children.
 
     Permutations are independent uniform draws from the per-sentence
@@ -156,7 +150,7 @@ def constituent_shuffle(
     ``include_root=False`` leaves the root's children in place, for callers
     who treat top-level order as fixed.
     """
-    shuffle = _resolve_rng(seed, rng).shuffle
+    shuffle = rng.shuffle
 
     def combine(node: TreeNode, kids: list[TreeNode]) -> TreeNode:
         if len(kids) >= 2 and (include_root or node is not tree):
@@ -166,16 +160,10 @@ def constituent_shuffle(
     return rebuild(tree, combine)
 
 
-def word_shuffle(
-    sentence: Sentence,
-    seed: SeedScheme | None = None,
-    *,
-    rng: Rng | None = None,
-) -> Sentence:
+def word_shuffle(sentence: Sentence, rng: Rng) -> Sentence:
     """Uniform random permutation of the tokens; origins follow their tokens."""
     if len(sentence) == 0:
         raise ValueError("cannot shuffle an empty sentence")
-    rng = _resolve_rng(seed, rng)
     tokens = list(sentence.tokens)
     rng.shuffle(tokens)
     return Sentence(tuple(tokens))
@@ -192,7 +180,6 @@ class AblationSpec:
 
     alpha: float
     shuffle_after: bool = False
-    seed: int = 0
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.alpha <= 1.0:
@@ -222,13 +209,7 @@ def _intermediate_ranks(tree: TreeNode) -> list[int]:
     return ranks
 
 
-def remove_composition(
-    tree: TreeNode,
-    spec: AblationSpec,
-    sentence_index: int = 0,
-    *,
-    rng: Rng | None = None,
-) -> TreeNode:
+def remove_composition(tree: TreeNode, spec: AblationSpec, rng: Rng) -> TreeNode:
     """Remove ``round(alpha * K)`` of the K intermediate nodes.
 
     Selection is uniform without replacement and decided against the
@@ -239,8 +220,6 @@ def remove_composition(
     spliced tree is then constituent-shuffled on the same stream, in the
     same walk. ``round`` is half-up, giving zero variance at alpha 0 and 1.
     """
-    if rng is None:
-        rng = SeedScheme(spec.seed, sentence_index).stream()
     ranks = _intermediate_ranks(tree)
     k = len(ranks)
     n_remove = math.floor(spec.alpha * k + 0.5)
@@ -268,10 +247,3 @@ def remove_composition(
 
     return rebuild(tree, combine)
 
-
-def _resolve_rng(seed: SeedScheme | None, rng: Rng | None) -> Rng:
-    if rng is not None:
-        return rng
-    if seed is None:
-        raise ValueError("pass either a SeedScheme or an Rng")
-    return seed.stream()

@@ -337,31 +337,13 @@ def yield_sentence(tree: TreeNode) -> Sentence:
 _NON_TREE_LINE = re.compile(r"^[\s()]*$")
 
 
-class TreebankReader:
-    """Iterate ``(line_number, tree)`` over one-tree-per-line text.
-
-    ``skipped`` counts placeholder lines (empty or bracket-only) that were
-    passed over. Line numbers are 1-based. Parse errors propagate; callers
-    that want to tolerate them should catch :class:`TreeParseError`.
-    """
-
-    def __init__(self, lines: Iterable[str]) -> None:
-        self._lines = lines
-        self.skipped = 0
-
-    def __iter__(self) -> Iterator[tuple[int, TreeNode]]:
-        for lineno, line in enumerate(self._lines, start=1):
-            if _NON_TREE_LINE.match(line):
-                if line.strip():
-                    self.skipped += 1
-                continue
-            yield lineno, parse_ptb(line)
-
-
 def read_treebank(path: str) -> list[TreeNode]:
-    """Read all trees from a file, silently skipping placeholder lines."""
+    """Read all trees from a file, skipping blank and placeholder lines.
+
+    A malformed line raises :class:`TreeParseError`.
+    """
     with open(path, encoding="utf-8") as fh:
-        return [tree for _, tree in TreebankReader(fh)]
+        return [parse_ptb(line) for line in fh if not _NON_TREE_LINE.match(line)]
 
 
 def write_treebank(path: str, trees: Iterable[TreeNode]) -> None:

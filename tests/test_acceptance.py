@@ -139,7 +139,7 @@ def test_criterion_3_shuffle_statistics(long_sentences):
             original = yield_sentence(tree)
             shuffled = word_shuffle(original, rng=SeedScheme(9, index).stream())
             word_total += inversion_ratio(alignment(original, shuffled))
-            permuted = constituent_shuffle(tree, SeedScheme(10, index))
+            permuted = constituent_shuffle(tree, SeedScheme(10, index).stream())
             constituent_total += inversion_ratio(alignment(original, yield_sentence(permuted)))
         n = len(long_sentences)
         assert abs(word_total / n - 0.50) <= 0.02
@@ -163,7 +163,7 @@ def test_criterion_4_local_reorders_are_small():
             feature: mean_ir(lambda t, i, r=rule: apply_reorder(t, r))
             for feature, rule in BUILTIN_RULES.items()
         }
-        shuffle = mean_ir(lambda t, i: constituent_shuffle(t, SeedScheme(0, i)))
+        shuffle = mean_ir(lambda t, i: constituent_shuffle(t, SeedScheme(0, i).stream()))
         for value in local.values():
             assert value < 0.10
             assert value < shuffle
@@ -174,9 +174,9 @@ def test_criterion_5_ablation_degeneracy(synth_trees):
         identity_spec = AblationSpec(0.0)
         full_spec = AblationSpec(1.0)
         for index, tree in enumerate(synth_trees):
-            kept = remove_composition(tree, identity_spec, sentence_index=index)
+            kept = remove_composition(tree, identity_spec, SeedScheme(0, index).stream())
             assert fingerprint(kept) == fingerprint(tree)
-            stripped = remove_composition(tree, full_spec, sentence_index=index)
+            stripped = remove_composition(tree, full_spec, SeedScheme(0, index).stream())
             assert intermediate_node_count(stripped) == 0
             assert leaf_multiset(yield_sentence(stripped)) == leaf_multiset(yield_sentence(tree))
 
@@ -186,14 +186,14 @@ def test_criterion_5_ablation_degeneracy(synth_trees):
         # shuffling the token sequence directly.
         tree = parse_ptb("(S (NP (JJ red) (NN paper)) (VP (VB see) (NP (NN tree))))")
         sentence = yield_sentence(tree)
-        spec = AblationSpec(1.0, shuffle_after=True, seed=3)
+        spec = AblationSpec(1.0, shuffle_after=True)
         trials = 24_000
         orders: dict[str, collections.Counter] = {
             "ablate": collections.Counter(),
             "shuffle": collections.Counter(),
         }
         for i in range(trials):
-            flattened = remove_composition(tree, spec, sentence_index=i)
+            flattened = remove_composition(tree, spec, SeedScheme(3, i).stream())
             orders["ablate"][yield_sentence(flattened).surfaces()] += 1
             shuffled = word_shuffle(sentence, rng=SeedScheme(4, i).stream())
             orders["shuffle"][shuffled.surfaces()] += 1
@@ -236,8 +236,8 @@ def test_criterion_7_multiset_preservation():
             reference = leaf_multiset(yield_sentence(tree))
             outputs = [
                 *(apply_reorder(tree, rule) for rule in BUILTIN_RULES.values()),
-                constituent_shuffle(tree, SeedScheme(1, index)),
-                remove_composition(tree, spec, sentence_index=index),
+                constituent_shuffle(tree, SeedScheme(1, index).stream()),
+                remove_composition(tree, spec, SeedScheme(0, index).stream()),
             ]
             for out in outputs:
                 assert leaf_multiset(yield_sentence(out)) == reference

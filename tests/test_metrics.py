@@ -141,13 +141,10 @@ class TestAccumulator:
         whole = StatsAccumulator()
         for p in perms:
             whole.add(p)
-        left, right = StatsAccumulator(), StatsAccumulator()
-        for p in perms[:2]:
-            left.add(p)
-        for p in perms[2:]:
-            right.add(p)
-        left.merge(right)
-        assert left == whole
+        rows = StatsAccumulator()
+        for p in perms:
+            rows.add_row(inversion_ratio(p), word_move_distance(p), p.n)
+        assert rows == whole
         stats = whole.finalize()
         assert stats.sentence_count == 4
         assert stats.token_count == 8

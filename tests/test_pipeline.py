@@ -395,3 +395,73 @@ def test_mask_late_bad_id_keeps_existing_outputs(tmp_path, capsys):
     assert out.read_text(encoding="utf-8") == "earlier output\n"
     assert labels.read_text(encoding="utf-8") == "earlier labels\n"
     assert sorted(os.listdir(outputs)) == ["m.ids", "m.ids.labels"]
+
+
+def snapshot(directory: Path) -> dict[str, bytes | str]:
+    """Every file's bytes, a symlink's target, a directory's entries."""
+    return {
+        path.name: os.readlink(path) if path.is_symlink()
+        else sorted(os.listdir(path)) if path.is_dir() else path.read_bytes()
+        for path in directory.iterdir()
+    }
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        "transform in.trees -o in.trees --chain reorder:83A",
+        "transform in.trees -o ./sub/../in.trees --chain reorder:83A",
+        "transform in.trees -o link.trees --chain reorder:83A",
+        "transform in.trees other.trees -o other.trees --chain reorder:83A",
+        "transform in.trees -o in.trees --emit trees --chain reorder:83A",
+        "transform in.trees -o same.out --tree-output same.out --emit both --chain reorder:83A",
+        "transform in.trees -o out.txt --tree-output in.trees --emit both --chain reorder:83A",
+        "transform in.trees -o out.txt --tree-output out.txt.provenance.json --emit both --chain reorder:83A",
+        "transform in.trees -o out.txt --stats --report in.trees --chain reorder:83A",
+        "transform in.trees -o out.txt --stats --report out.txt --chain reorder:83A",
+        "transform in.trees -o out.txt --stats --report out.txt.provenance.json --chain reorder:83A",
+        "transform in.trees -o rules.txt --rules rules.txt --chain reorder:83A",
+        "mask in.ids -o in.ids --vocab-size 40",
+        "mask in.ids -o m.ids --labels-output m.ids --vocab-size 40",
+        "mask in.ids -o m.ids --labels-output in.ids --vocab-size 40",
+        "mask in.ids -o m.ids --labels-output m.ids.provenance.json --vocab-size 40",
+        "mask in.ids -o m.bpe --model m.bpe",
+        "mask in.ids -o m.ids --labels-output m.bpe --model m.bpe",
+    ],
+)
+def test_outputs_that_alias_each_other_or_an_input_are_refused(tmp_path, monkeypatch, capsys, argv):
+    """Paths are compared after ``realpath``; nothing is written or replaced."""
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "sub").mkdir()
+    (tmp_path / "in.trees").write_text(TREES[0] + "\n", encoding="utf-8")
+    (tmp_path / "other.trees").write_text(TREES[1] + "\n", encoding="utf-8")
+    (tmp_path / "link.trees").symlink_to("in.trees")
+    (tmp_path / "rules.txt").write_text("83B VP VB NP prefix:VB\n", encoding="utf-8")
+    (tmp_path / "in.ids").write_text("7 8 9\n", encoding="utf-8")
+    (tmp_path / "words.txt").write_text("the cat sat\n", encoding="utf-8")
+    assert main(["bpe", "learn", "words.txt", "-o", "m.bpe", "--vocab-size", "40"]) == 0
+    for name in ("same.out", "out.txt", "out.txt.provenance.json", "m.ids", "m.ids.provenance.json"):
+        (tmp_path / name).write_text(f"earlier {name}\n", encoding="utf-8")
+    before = snapshot(tmp_path)
+    capsys.readouterr()
+    code = main(argv.split())
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert "are the same file" in err or "is also the input" in err, err
+    assert snapshot(tmp_path) == before
+
+
+@pytest.mark.parametrize("command", ["transform", "bpe apply"])
+def test_output_in_a_missing_directory_names_the_output(tmp_path, capsys, command):
+    text = tmp_path / "in.trees"
+    text.write_text(TREES[0] + "\n", encoding="utf-8")
+    model = tmp_path / "m.bpe"
+    assert main(["bpe", "learn", str(text), "-o", str(model), "--vocab-size", "40"]) == 0
+    out = tmp_path / "missing" / "o.txt"
+    extra = ["--chain", CHAIN] if command == "transform" else ["--model", str(model)]
+    capsys.readouterr()
+    code = main([*command.split(), str(text), "-o", str(out), *extra])
+    assert code == 1
+    assert capsys.readouterr().err == f"error: cannot write {out}: No such file or directory\n"
+    assert sorted(os.listdir(tmp_path)) == ["in.trees", "m.bpe", "m.bpe.provenance.json"]

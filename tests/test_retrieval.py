@@ -3,6 +3,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from treelab.cli import main
 from treelab.retrieval import (
     BLOCK_ROWS,
     POOLED_MAGIC,
@@ -286,3 +287,26 @@ class TestFiles:
         write_pooled_embeddings(str(path), np.zeros((0, 5), dtype=np.float32))
         loaded, _ = read_pooled_embeddings(str(path))
         assert loaded.shape == (0, 5)
+
+
+@pytest.mark.parametrize("kind", ["token", "pooled"])
+def test_every_prefix_is_an_error_naming_the_file(tmp_path, capsys, kind):
+    matrix = EmbeddingMatrix(
+        (sent([[1.0, 2.0], [3.0, 4.0]], [False, True]), sent([[0.5, -1.0]], [False])), dim=2
+    )
+    whole = tmp_path / "whole.bin"
+    if kind == "token":
+        write_token_embeddings(str(whole), matrix)
+    else:
+        write_pooled_embeddings(str(whole), pool_matrix(matrix))
+    target = tmp_path / "target.bin"
+    write_pooled_embeddings(str(target), pool_matrix(matrix))
+    data = whole.read_bytes()
+    source = tmp_path / "source.bin"
+    for cut in range(len(data)):
+        source.write_bytes(data[:cut])
+        code = main(["retrieval", "--source", str(source), "--target", str(target)])
+        err = capsys.readouterr().err
+        assert code == 1, cut
+        assert err.startswith("error: ") and str(source) in err, (cut, err)
+        assert "Traceback" not in err

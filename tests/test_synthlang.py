@@ -219,7 +219,7 @@ class TestLinearize:
         )
         g = parse_grammar(text)
         for i in range(30):
-            a, b, alignment = sample_pair(g, SeedScheme(3, i))
+            a, b, alignment = sample_pair(g, SeedScheme(3, i).stream())
             assert serialize(a) == serialize(b)
             assert origins(a) == origins(b)
             assert alignment == tuple((k, k) for k in range(len(alignment)))
@@ -233,7 +233,7 @@ class TestPairedSampling:
     def test_alignment_is_a_position_bijection(self):
         g = demo_grammar()
         for i in range(50):
-            a, b, alignment = sample_pair(g, SeedScheme(17, i))
+            a, b, alignment = sample_pair(g, SeedScheme(17, i).stream())
             n = len(alignment)
             assert len(surfaces(a)) == len(surfaces(b)) == n
             assert sorted(i for i, _ in alignment) == list(range(n))
@@ -243,14 +243,14 @@ class TestPairedSampling:
         g = demo_grammar()
         mapping = lexicon_map(g, "alpha", "beta")
         for i in range(50):
-            a, b, alignment = sample_pair(g, SeedScheme(29, i))
+            a, b, alignment = sample_pair(g, SeedScheme(29, i).stream())
             surf_a, surf_b = surfaces(a), surfaces(b)
             for pos_a, pos_b in alignment:
                 assert mapping[surf_a[pos_a]] == surf_b[pos_b]
 
     def test_same_origin_marks_same_concept(self):
         g = demo_grammar()
-        a, b, _ = sample_pair(g, SeedScheme(8, 0))
+        a, b, _ = sample_pair(g, SeedScheme(8, 0).stream())
         mapping = lexicon_map(g, "alpha", "beta")
         word_at_a = {origin: tok for tok, origin in yield_sentence(a).tokens}
         word_at_b = {origin: tok for tok, origin in yield_sentence(b).tokens}
@@ -261,10 +261,10 @@ class TestPairedSampling:
     def test_depth_cap_is_respected(self):
         g = demo_grammar()
         for i in range(50):
-            a, _, _ = sample_pair(g, SeedScheme(31, i), max_depth=6)
+            a, _, _ = sample_pair(g, SeedScheme(31, i).stream(), max_depth=6)
             assert tree_depth(a) <= 7
         for i in range(20):
-            a, _, _ = sample_pair(g, SeedScheme(32, i))
+            a, _, _ = sample_pair(g, SeedScheme(32, i).stream())
             assert tree_depth(a) <= MAX_DEPTH + 1
 
     def test_uncloseable_grammar_raises_after_retries(self):
@@ -275,7 +275,7 @@ class TestPairedSampling:
         )
         g = parse_grammar(text)
         with pytest.raises(SynthError, match="no derivation closed within depth 3 after 5"):
-            sample_pair(g, SeedScheme(0), max_depth=3, max_retries=5)
+            sample_pair(g, SeedScheme(0).stream(), max_depth=3, max_retries=5)
 
     def test_corpus_determinism_and_per_index_streams(self):
         g = demo_grammar()
@@ -287,7 +287,7 @@ class TestPairedSampling:
         ]
         assert render(first) == render(second)
         assert render(first) != render(other)
-        lone = sample_pair(g, SeedScheme(77, 4))
+        lone = sample_pair(g, SeedScheme(77, 4).stream())
         assert render(first)[4] == (serialize(lone[0]), serialize(lone[1]), lone[2])
 
     def test_corpus_size_validated(self):
@@ -315,7 +315,7 @@ class TestDeltaOracle:
         rules = delta_rules(g, "a", "b")
         assert rules == (BUILTIN_RULES["83A"],)
         for i in range(60):
-            a, b, _ = sample_pair(g, SeedScheme(13, i))
+            a, b, _ = sample_pair(g, SeedScheme(13, i).stream())
             carried = apply_reorder(a, rules)
             assert serialize(carried) == serialize(b)
             assert origins(carried) == origins(b)
@@ -353,7 +353,7 @@ class TestTranslation:
 
     def test_translate_preserves_structure_and_origins(self):
         g = demo_grammar()
-        a, _, _ = sample_pair(g, SeedScheme(2, 1))
+        a, _, _ = sample_pair(g, SeedScheme(2, 1).stream())
         translated = translate_tree(g, a, "alpha", "beta")
         assert origins(translated) == origins(a)
         assert [n.label for n in translated.children] == [n.label for n in a.children]

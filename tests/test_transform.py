@@ -187,35 +187,35 @@ class TestReorderInOneWalk:
 class TestConstituentShuffle:
     def test_deterministic(self):
         tree = parse_ptb(NESTED)
-        a = constituent_shuffle(tree, SeedScheme(11, 4))
-        b = constituent_shuffle(tree, SeedScheme(11, 4))
+        a = constituent_shuffle(tree, SeedScheme(11, 4).stream())
+        b = constituent_shuffle(tree, SeedScheme(11, 4).stream())
         assert a == b
 
     def test_seed_changes_result(self):
         tree = parse_ptb("(S (A (X x) (Y y) (Z z)) (B (P p) (Q q) (R r)) (C (NN c)))")
-        results = {serialize(constituent_shuffle(tree, SeedScheme(0, i))) for i in range(24)}
+        results = {serialize(constituent_shuffle(tree, SeedScheme(0, i).stream())) for i in range(24)}
         assert len(results) > 1
 
     @given(tree_nodes(), st.integers(0, 2**32))
     def test_preserves_unordered_shape(self, tree, seed):
-        shuffled = constituent_shuffle(tree, SeedScheme(seed))
+        shuffled = constituent_shuffle(tree, SeedScheme(seed).stream())
         assert unordered_fingerprint(shuffled) == unordered_fingerprint(tree)
         assert token_multiset(shuffled) == token_multiset(tree)
 
     def test_unary_chain_fixed_point(self):
         tree = parse_ptb("(S (X (Y (NN deep))))")
-        assert constituent_shuffle(tree, SeedScheme(3)) == tree
+        assert constituent_shuffle(tree, SeedScheme(3).stream()) == tree
 
     def test_include_root_false_keeps_root_order(self):
         tree = parse_ptb("(S (A (NN a)) (B (NN b)) (C (NN c)) (D (NN d)))")
         for i in range(40):
-            out = constituent_shuffle(tree, SeedScheme(1, i), include_root=False)
+            out = constituent_shuffle(tree, SeedScheme(1, i).stream(), include_root=False)
             assert [c.label for c in out.children] == ["A", "B", "C", "D"]
 
     def test_include_root_default_moves_root_children(self):
         tree = parse_ptb("(S (A (NN a)) (B (NN b)) (C (NN c)) (D (NN d)))")
         orders = {
-            tuple(c.label for c in constituent_shuffle(tree, SeedScheme(1, i)).children)
+            tuple(c.label for c in constituent_shuffle(tree, SeedScheme(1, i).stream()).children)
             for i in range(40)
         }
         assert len(orders) > 1
@@ -223,7 +223,7 @@ class TestConstituentShuffle:
     def test_three_leaf_orders_all_reachable(self):
         tree = parse_ptb("(S (A a) (B b) (C c))")
         seen = collections.Counter(
-            yield_sentence(constituent_shuffle(tree, SeedScheme(2, i))).surfaces()
+            yield_sentence(constituent_shuffle(tree, SeedScheme(2, i).stream())).surfaces()
             for i in range(1200)
         )
         assert len(seen) == 6
@@ -234,8 +234,8 @@ class TestConstituentShuffle:
 class TestWordShuffle:
     def test_deterministic_and_matches_stream(self):
         sentence = yield_sentence(parse_ptb(NESTED))
-        out = word_shuffle(sentence, SeedScheme(9, 2))
-        again = word_shuffle(sentence, SeedScheme(9, 2))
+        out = word_shuffle(sentence, SeedScheme(9, 2).stream())
+        again = word_shuffle(sentence, SeedScheme(9, 2).stream())
         assert out == again
         # Consumes exactly one Fisher-Yates pass of the named stream.
         tokens = list(sentence.tokens)
@@ -244,27 +244,27 @@ class TestWordShuffle:
 
     def test_preserves_token_multiset(self):
         sentence = yield_sentence(parse_ptb(NESTED))
-        out = word_shuffle(sentence, SeedScheme(0))
+        out = word_shuffle(sentence, SeedScheme(0).stream())
         assert collections.Counter(out.tokens) == collections.Counter(sentence.tokens)
 
     def test_rejects_empty(self):
         from treelab.treebank import Sentence
 
         with pytest.raises(ValueError):
-            word_shuffle(Sentence(()), SeedScheme(0))
+            word_shuffle(Sentence(()), SeedScheme(0).stream())
 
     def test_single_token_fixed(self):
         sentence = yield_sentence(parse_ptb("(S (UH oh))"))
-        assert word_shuffle(sentence, SeedScheme(5)) == sentence
+        assert word_shuffle(sentence, SeedScheme(5).stream()) == sentence
 
 
 class TestRemoveComposition:
     def test_alpha_zero_is_identity(self):
         tree = parse_ptb(NESTED)
-        assert remove_composition(tree, AblationSpec(0.0)) == tree
+        assert remove_composition(tree, AblationSpec(0.0), SeedScheme(0, 0).stream()) == tree
 
     def test_alpha_one_flattens_example(self):
-        result = remove_composition(parse_ptb(NESTED), AblationSpec(1.0))
+        result = remove_composition(parse_ptb(NESTED), AblationSpec(1.0), SeedScheme(0, 0).stream())
         assert serialize(result) == "(S (NP (PRP I)) (VBD read) (CD two) (NNS papers))"
 
     def test_intermediate_node_count(self):
@@ -278,33 +278,35 @@ class TestRemoveComposition:
         # Three candidates at alpha 0.5 -> remove 2 (1.5 rounds up).
         tree = parse_ptb("(S (A (X x) (Y y)) (B (P p) (Q q)) (C (M m) (N n)))")
         assert intermediate_node_count(tree) == 3
-        result = remove_composition(tree, AblationSpec(0.5, seed=4))
+        result = remove_composition(tree, AblationSpec(0.5), SeedScheme(4, 0).stream())
         assert intermediate_node_count(result) == 1
 
     def test_nested_selection_spliced_in_place(self):
         tree = parse_ptb("(S (X (Y (NN a) (NN b)) (NN c)) (NN d))")
-        result = remove_composition(tree, AblationSpec(1.0))
+        result = remove_composition(tree, AblationSpec(1.0), SeedScheme(0, 0).stream())
         assert serialize(result) == "(S (NN a) (NN b) (NN c) (NN d))"
 
     def test_position_preserved_on_splice(self):
         tree = parse_ptb("(S (A a) (X (B b) (C c)) (D d))")
-        result = remove_composition(tree, AblationSpec(1.0))
+        result = remove_composition(tree, AblationSpec(1.0), SeedScheme(0, 0).stream())
         assert serialize(result) == "(S (A a) (B b) (C c) (D d))"
 
     @given(tree_nodes(), st.floats(0, 1), st.integers(0, 2**32))
     def test_preserves_yield_order_and_tokens(self, tree, alpha, seed):
-        result = remove_composition(tree, AblationSpec(alpha, seed=seed))
+        result = remove_composition(tree, AblationSpec(alpha), SeedScheme(seed, 0).stream())
         assert yield_sentence(result).tokens == yield_sentence(ensure_origins(tree)).tokens
 
     def test_deterministic(self):
         tree = parse_ptb("(S (A (X x) (Y y)) (B (P p) (Q q)) (C (M m) (N n)))")
-        spec = AblationSpec(0.5, seed=77)
-        assert remove_composition(tree, spec, 3) == remove_composition(tree, spec, 3)
+        spec = AblationSpec(0.5)
+        assert remove_composition(tree, spec, SeedScheme(77, 3).stream()) == remove_composition(
+            tree, spec, SeedScheme(77, 3).stream()
+        )
 
     def test_shuffle_after_composes_with_stream(self):
         tree = parse_ptb(NESTED)
-        spec = AblationSpec(0.5, shuffle_after=True, seed=6)
-        combined = remove_composition(tree, spec, 1)
+        spec = AblationSpec(0.5, shuffle_after=True)
+        combined = remove_composition(tree, spec, SeedScheme(6, 1).stream())
         rng = SeedScheme(6, 1).stream()
         manual = remove_composition(tree, AblationSpec(0.5), rng=rng)
         manual = constituent_shuffle(manual, rng=rng)

@@ -5,7 +5,6 @@ from hypothesis import given
 
 from treelab.treebank import (
     Sentence,
-    TreebankReader,
     TreeNode,
     TreeParseError,
     ensure_origins,
@@ -186,16 +185,16 @@ class TestSentence:
 
 
 class TestReader:
-    def test_skips_placeholders_and_counts(self):
-        lines = ["(S (NN x))", "", "(())", "  ", "( ( ) )", "(S (NN y))"]
-        reader = TreebankReader(lines)
-        seen = list(reader)
-        assert [lineno for lineno, _ in seen] == [1, 6]
-        assert reader.skipped == 2  # "(())" and "( ( ) )"; blanks are silent
+    def test_skips_placeholders(self, tmp_path):
+        path = tmp_path / "corpus.trees"
+        path.write_text("(S (NN x))\n\n(())\n  \n( ( ) )\n(S (NN y))\n")
+        assert read_treebank(str(path)) == [parse_ptb("(S (NN x))"), parse_ptb("(S (NN y))")]
 
-    def test_propagates_parse_errors(self):
+    def test_propagates_parse_errors(self, tmp_path):
+        path = tmp_path / "corpus.trees"
+        path.write_text("(S (NN x))\n(S (NN\n")
         with pytest.raises(TreeParseError):
-            list(TreebankReader(["(S (NN x))", "(S (NN"]))
+            read_treebank(str(path))
 
     def test_file_round_trip(self, tmp_path):
         trees = [parse_ptb(NESTED), parse_ptb("(S (UH hi))")]
