@@ -164,6 +164,7 @@ def build_parser() -> argparse.ArgumentParser:
         "transform", parents=[common],
         help="apply a transformation chain to treebank files",
     )
+    p.set_defaults(run=_cmd_transform)
     p.add_argument("inputs", nargs="+", metavar="TREEBANK", help="input treebank file(s)")
     p.add_argument("-o", "--output", required=True, help="output corpus path")
     p.add_argument(
@@ -180,7 +181,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--stats", action="store_true", default=None,
         help="report inversion ratio and word-move distance vs. the input",
     )
-    p.add_argument("--report", default=None, help="also write the stats report as JSON")
+    p.add_argument("--report", default=None, help="also write the stats as JSON (needs --stats)")
     p.add_argument(
         "--skip-bad", action="store_true", default=None,
         help="count and drop malformed lines instead of failing",
@@ -191,6 +192,7 @@ def build_parser() -> argparse.ArgumentParser:
         "stats", parents=[config_only],
         help="compare two line-aligned corpora (token lines or treebanks)",
     )
+    p.set_defaults(run=_cmd_stats)
     p.add_argument("original", help="original corpus")
     p.add_argument("modified", help="modified corpus")
     p.add_argument("--report", default=None, help="also write the report as JSON")
@@ -198,6 +200,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("bpe", help="learn or apply subword vocabularies")
     bpe_sub = p.add_subparsers(dest="bpe_command", required=True, metavar="ACTION")
     p = bpe_sub.add_parser("learn", parents=[common], help="learn merges from text")
+    p.set_defaults(run=_cmd_bpe_learn)
     p.add_argument("inputs", nargs="+", metavar="TEXT", help="training text file(s)")
     p.add_argument("-o", "--output", required=True, help="model file to write")
     p.add_argument(
@@ -205,6 +208,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--language", default=None, help="language tag recorded in the model")
     p = bpe_sub.add_parser("apply", parents=[common], help="encode text to subword ids")
+    p.set_defaults(run=_cmd_bpe_apply)
     p.add_argument("inputs", nargs="+", metavar="TEXT", help="text file(s) to encode")
     p.add_argument("-o", "--output", required=True, help="ids file to write")
     p.add_argument("--model", required=True, help="model file from 'bpe learn'")
@@ -213,6 +217,7 @@ def build_parser() -> argparse.ArgumentParser:
         "mask", parents=[common],
         help="make masked-token training pairs from an ids file",
     )
+    p.set_defaults(run=_cmd_mask)
     p.add_argument("input", metavar="IDS", help="ids file from 'bpe apply'")
     p.add_argument("-o", "--output", required=True, help="masked ids file to write")
     p.add_argument("--labels-output", default=None, help="labels path (default OUTPUT.labels)")
@@ -224,6 +229,7 @@ def build_parser() -> argparse.ArgumentParser:
         "retrieval", parents=[common],
         help="cosine top-1 accuracy between aligned embedding files",
     )
+    p.set_defaults(run=_cmd_retrieval)
     p.add_argument("--source", required=True, help="source embedding file")
     p.add_argument("--target", required=True, help="target embedding file")
     p.add_argument("--report", default=None, help="also write the result as JSON")
@@ -233,6 +239,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = synth_sub.add_parser(
         "generate", parents=[common], help="sample an aligned two-language corpus"
     )
+    p.set_defaults(run=_cmd_synth_generate)
     p.add_argument("-o", "--prefix", required=True, help="output path prefix")
     p.add_argument("-n", "--count", type=int, default=None, help="sentence pairs (default 100)")
     p.add_argument("--grammar", default=None, help="grammar file (default: built-in demo)")
@@ -279,6 +286,7 @@ def _cmd_bpe_learn(args: argparse.Namespace, stdout: IO[str], stderr: IO[str]) -
         args.vocab_size, config=config, key="vocab-size", default=32000, kind=int
     )
     language = _resolve(args.language, config=config, key="language", default="und")
+    check_paths_distinct([args.output, args.output + SIDECAR_SUFFIX], args.inputs)
     model = bpe_learn((text for _, _, text in read_lines(args.inputs)), vocab_size, language)
     save_model(model, args.output)
     write_provenance(
@@ -300,6 +308,7 @@ def _cmd_bpe_learn(args: argparse.Namespace, stdout: IO[str], stderr: IO[str]) -
 def _cmd_bpe_apply(args: argparse.Namespace, stdout: IO[str], stderr: IO[str]) -> int:
     config = _load_config(args, "bpe apply")
     seed, workers = _seed_and_workers(args, config)
+    check_paths_distinct([args.output, args.output + SIDECAR_SUFFIX], [*args.inputs, args.model])
     model = load_model(args.model)
     numbered = read_lines(args.inputs)  # opens the inputs before the output
     lines = 0
@@ -375,6 +384,8 @@ def _cmd_retrieval(args: argparse.Namespace, stdout: IO[str], stderr: IO[str]) -
 
     config = _load_config(args, "retrieval")
     seed, workers = _seed_and_workers(args, config)
+    report = _resolve(args.report, config=config, key="report")
+    check_paths_distinct([report, report and report + SIDECAR_SUFFIX], [args.source, args.target])
     source, _ = read_embeddings(args.source)
     target, _ = read_embeddings(args.target)
     result = top1_retrieval(source, target)
@@ -383,7 +394,6 @@ def _cmd_retrieval(args: argparse.Namespace, stdout: IO[str], stderr: IO[str]) -
         f"margin {result.margin:.4f}",
         file=stdout,
     )
-    report = _resolve(args.report, config=config, key="report")
     if report:
         write_json(
             report,
@@ -420,9 +430,11 @@ def _cmd_synth_generate(args: argparse.Namespace, stdout: IO[str], stderr: IO[st
     path_a = f"{args.prefix}.{lang_a}.trees"
     path_b = f"{args.prefix}.{lang_b}.trees"
     path_align = f"{args.prefix}.align"
+    outputs = (path_a, path_b, path_align)
+    check_paths_distinct([*outputs, *(path + SIDECAR_SUFFIX for path in outputs)], [grammar_path])
     write_pairs(pairs, path_a, path_b, path_align)
     provenance_inputs = [grammar_path] if grammar_path else []
-    for path in (path_a, path_b, path_align):
+    for path in outputs:
         write_provenance(
             path,
             command="synth generate",
@@ -440,30 +452,12 @@ def _cmd_synth_generate(args: argparse.Namespace, stdout: IO[str], stderr: IO[st
     return 0
 
 
-def _dispatch(args: argparse.Namespace, stdout: IO[str], stderr: IO[str]) -> int:
-    if args.command == "transform":
-        return _cmd_transform(args, stdout, stderr)
-    if args.command == "stats":
-        return _cmd_stats(args, stdout, stderr)
-    if args.command == "bpe":
-        if args.bpe_command == "learn":
-            return _cmd_bpe_learn(args, stdout, stderr)
-        return _cmd_bpe_apply(args, stdout, stderr)
-    if args.command == "mask":
-        return _cmd_mask(args, stdout, stderr)
-    if args.command == "retrieval":
-        return _cmd_retrieval(args, stdout, stderr)
-    if args.command == "synth":
-        return _cmd_synth_generate(args, stdout, stderr)
-    raise UsageError(f"unknown command {args.command!r}")  # pragma: no cover
-
-
 def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     stdout, stderr = sys.stdout, sys.stderr
     try:
-        return _dispatch(args, stdout, stderr)
+        return args.run(args, stdout, stderr)
     except UsageError as exc:
         print(f"error: {exc}", file=stderr)
         return 2

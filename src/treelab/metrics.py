@@ -19,13 +19,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from operator import sub
-from typing import Iterable, Sequence
+from typing import Iterable, Sequence, Sized
 
-from .treebank import Sentence, is_permutation
-
-
-class AlignmentError(ValueError):
-    """Original and modified sentences do not contain the same tokens."""
+from .treebank import AlignmentError, Sentence, is_permutation
 
 
 @dataclass(frozen=True)
@@ -43,29 +39,44 @@ class AlignedPermutation:
         return len(self.pi)
 
 
+def _check_lengths(original: Sized, modified: Sized) -> None:
+    if len(original) != len(modified):
+        raise AlignmentError(
+            f"length mismatch: original has {len(original)} tokens, modified has {len(modified)}"
+        )
+
+
 def alignment(original: Sentence, modified: Sentence) -> AlignedPermutation:
     """Map each origin index to its position in the modified sentence.
 
     Requires the same multiset of ``(surface, origin)`` pairs on both
     sides; the first mismatching token is named in the error.
     """
-    if len(original) != len(modified):
-        raise AlignmentError(
-            f"length mismatch: original has {len(original)} tokens, "
-            f"modified has {len(modified)}"
-        )
-    orig_pairs = set(original.tokens)
-    mod_pairs = set(modified.tokens)
+    _check_lengths(original, modified)
+    mod_pairs = set(modified.tokens)  # n distinct pairs on each side: one inclusion suffices
     for surface, origin in original.tokens:
         if (surface, origin) not in mod_pairs:
             raise AlignmentError(f"token {surface!r} (origin {origin}) missing from modified sentence")
-    for surface, origin in modified.tokens:
-        if (surface, origin) not in orig_pairs:
-            raise AlignmentError(f"token {surface!r} (origin {origin}) missing from original sentence")
     pos = [0] * len(modified)
     for position, (_, origin) in enumerate(modified.tokens):
         pos[origin] = position
     return AlignedPermutation(tuple(pos))
+
+
+def align_by_origin(original: Sequence[str], modified: Sentence) -> AlignedPermutation:
+    """:func:`alignment` to the surfaces of origins 0..n-1, as parsed: ``modified``'s
+    origins are checked, so one pass checks surfaces; on a mismatch ``alignment`` raises."""
+    pi = [0] * len(original)
+    if len(modified) == len(pi):
+        for position, (surface, origin) in enumerate(modified.tokens):
+            if original[origin] != surface:
+                break
+            pi[origin] = position
+        else:
+            perm = object.__new__(AlignedPermutation)  # pi inverts a checked permutation
+            object.__setattr__(perm, "pi", tuple(pi))
+            return perm
+    return alignment(Sentence.from_surfaces(original), modified)
 
 
 def align_by_surface(original: Sequence[str], modified: Sequence[str]) -> AlignedPermutation:
@@ -74,11 +85,7 @@ def align_by_surface(original: Sequence[str], modified: Sequence[str]) -> Aligne
     Duplicate surfaces are matched in order of occurrence (k-th copy to
     k-th copy), the only well-posed convention without carried identity.
     """
-    if len(original) != len(modified):
-        raise AlignmentError(
-            f"length mismatch: original has {len(original)} tokens, "
-            f"modified has {len(modified)}"
-        )
+    _check_lengths(original, modified)
     positions: dict[str, list[int]] = {}
     for j in reversed(range(len(modified))):
         positions.setdefault(modified[j], []).append(j)

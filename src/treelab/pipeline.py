@@ -24,6 +24,9 @@ outputs are written to temporary files that replace them only once the
 input has been read to its end, so an unreadable input leaves any earlier
 output in place.
 
+Each line is scanned once; ``--stats`` aligns by origin, with one check of the
+(surface, origin) multiset. ``stats`` scans tokens without building nodes.
+
 Each written artifact gets a ``<path>.provenance.json`` sidecar recording
 the tool version, the effective configuration, the seed, and SHA-256
 digests of inputs and output (null for a pipe or device). Sidecars
@@ -51,8 +54,8 @@ from typing import IO, Iterable, Iterator, Mapping, Sequence, Union
 from .metrics import (
     AlignmentError,
     StatsAccumulator,
+    align_by_origin,
     align_by_surface,
-    alignment,
     format_stats_table,
     inversion_ratio,
     word_move_distance,
@@ -73,7 +76,7 @@ from .treebank import (
     Sentence,
     TreeNode,
     TreeParseError,
-    parse_ptb,
+    scan_ptb,
     serialize,
     yield_sentence,
 )
@@ -206,6 +209,8 @@ class PipelineConfig:
             raise UsageError(f"emit must be sentences, trees, or both, got {self.emit!r}")
         if self.workers < 1:
             raise UsageError(f"workers must be >= 1, got {self.workers}")
+        if self.report and not self.stats:
+            raise UsageError("--report (or config key 'report') needs --stats")
 
 
 def read_lines(paths: Sequence[str]) -> Iterator[tuple[str, int, str]]:
@@ -286,7 +291,7 @@ def _run_chunk(chunk: list[tuple[int, tuple[str, int, str]]], steps: tuple[Chain
             counts["placeholder"] += 1
             continue
         try:
-            tree = parse_ptb(text)
+            tokens, tree = scan_ptb(text)
         except TreeParseError as exc:
             counts["bad"] += 1
             errors.append(f"{path}:{lineno}: {exc}")
@@ -299,7 +304,7 @@ def _run_chunk(chunk: list[tuple[int, tuple[str, int, str]]], steps: tuple[Chain
         if config.emit != "sentences":
             trees.append(serialize(out_tree) + "\n")
         if config.stats:
-            perm = alignment(yield_sentence(tree), sentence)  # trees are immutable
+            perm = align_by_origin(tokens, sentence)
             rows.append((inversion_ratio(perm), word_move_distance(perm), perm.n))
     return "".join(sentences), "".join(trees), rows, counts, errors
 
@@ -410,8 +415,7 @@ def run_transform(
     tree_path = {"trees": config.output, "both": config.tree_output}.get(config.emit)
     outputs = [path for path in (sentence_path, tree_path) if path]
     check_paths_distinct(
-        [*outputs, *(path + SIDECAR_SUFFIX for path in outputs),
-         config.report if config.stats else None],
+        [*outputs, *(path + SIDECAR_SUFFIX for path in outputs), config.report],
         [*config.inputs, config.rules_file],
     )
     lines = enumerate(read_lines(config.inputs))  # opens the inputs before any output
@@ -465,7 +469,7 @@ def run_transform(
 
 
 def _line_tokens(line: str, label: str, lineno: int) -> list[str]:
-    """Tokens of a corpus line; bracketed lines are read as trees.
+    """Tokens of a corpus line; bracketed lines are scanned as trees (no nodes).
 
     Sentences produced by this tool never start with a literal ``(`` —
     bracket tokens are stored escaped — so the dispatch is unambiguous.
@@ -475,7 +479,7 @@ def _line_tokens(line: str, label: str, lineno: int) -> list[str]:
         return []
     if stripped.startswith("("):
         try:
-            return list(yield_sentence(parse_ptb(stripped)).surfaces())
+            return scan_ptb(stripped, build=False)[0]
         except TreeParseError as exc:
             raise AlignmentError(f"{label}:{lineno}: {exc}") from exc
     return stripped.split()
@@ -490,6 +494,7 @@ def run_stats(
     stderr: IO[str] = sys.stderr,
 ) -> int:
     """Compare two line-aligned corpora (token lines or treebank lines)."""
+    check_paths_distinct([report], [original_path, modified_path])
     acc = StatsAccumulator()
     errors: list[str] = []
     for line_a, line_b in zip_longest(read_lines([original_path]), read_lines([modified_path])):

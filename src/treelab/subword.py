@@ -16,7 +16,7 @@ the next pair comes from a heap of ``(-count, pair)`` entries, each live
 while its count is current (Sennrich, Haddow & Birch 2016). ``bpe_apply``
 segments each distinct word once per model: the model keeps the merge ranks
 and each word's ids in a memo that takes no part in equality, ``repr`` or
-the saved file, and grows with the number of distinct words encoded.
+the saved file, and is emptied when it holds ``MEMO_WORDS`` words.
 
 Vocabularies are never shared across languages; a model records the
 language tag it was trained on. Ids are dense and 0-based with the five
@@ -46,6 +46,7 @@ SPECIAL_TOKENS = ("<pad>", "<unk>", "<cls>", "<sep>", "<mask>")
 PAD_ID, UNK_ID, CLS_ID, SEP_ID, MASK_ID = range(5)
 END_OF_WORD = "</w>"
 IGNORE_LABEL = 0
+MEMO_WORDS = 1 << 16  # bpe_apply's per-model memo is emptied at this many words
 
 
 class BpeError(ValueError):
@@ -62,7 +63,7 @@ class BpeModel:
     end_of_word: str = END_OF_WORD
     special_tokens: tuple[str, ...] = SPECIAL_TOKENS
     # bpe_apply's memo: the merge ranks, and each word's ids (end-of-word
-    # included). Left out of equality and repr; never saved.
+    # included; at most MEMO_WORDS words). Left out of equality and repr; never saved.
     _ranks: dict[tuple[str, str], int] = field(init=False, compare=False, repr=False)
     _segments: dict[str, tuple[int, ...]] = field(
         default_factory=dict, init=False, compare=False, repr=False
@@ -193,6 +194,8 @@ def bpe_apply(model: BpeModel, text: str) -> list[int]:
     for word in text.split():
         word_ids = segments.get(word)
         if word_ids is None:
+            if len(segments) >= MEMO_WORDS:
+                segments.clear()
             symbols = _segment_word(word, model._ranks)
             word_ids = segments[word] = (
                 *(model.vocab.get(sym, UNK_ID) for sym in symbols), model.eow_id

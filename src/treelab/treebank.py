@@ -10,6 +10,9 @@ hashing ignore ``origin``. Nothing here recurses, so trees may be nested to
 any depth. Code that knows a node's fields are valid may skip the checks
 of ``TreeNode(...)`` with ``tuple.__new__(TreeNode, (label, kids, token, origin))``.
 
+One scanner, :func:`scan_ptb`, reads the bracket grammar, with or without
+building the tree.
+
 File convention: UTF-8, one bracketed tree per line. Lines that contain
 only brackets and whitespace (e.g. ``(())``) are treated as empty
 placeholders and skipped with a warning counter rather than rejected.
@@ -41,6 +44,10 @@ class TreeParseError(ValueError):
     def __init__(self, message: str, offset: int) -> None:
         super().__init__(f"{message} (byte offset {offset})")
         self.offset = offset
+
+
+class AlignmentError(ValueError):
+    """Two sentences hold different (surface, origin) pairs, or origins are not a permutation."""
 
 
 def escape_symbol(text: str) -> str:
@@ -134,7 +141,7 @@ class Sentence:
 
     def __post_init__(self) -> None:
         if not is_permutation([o for _, o in self.tokens]):
-            raise ValueError("origin indices must be a permutation of 0..n-1")
+            raise AlignmentError("origin indices must be a permutation of 0..n-1")
 
     def __len__(self) -> int:
         return len(self.tokens)
@@ -159,52 +166,65 @@ _ATOM = re.compile(r"[^\s()]+")
 _OPEN = re.compile(r"\(\s*([^\s()]+)(?:\s+([^\s()]+)\s*\))?\s*")
 
 
-def parse_ptb(text: str) -> TreeNode:
-    """Parse a single bracketed tree ``(LABEL child ...)`` / ``(TAG token)``.
-
-    Leaf origins are assigned 0..n-1 in textual order. Raises
-    :class:`TreeParseError` with a byte offset on malformed input. One
-    regex match per leaf, opening and closing bracket; open internal nodes
-    wait on an explicit stack.
-    """
+def scan_ptb(text: str, *, build: bool = True) -> tuple[list[str], TreeNode | None]:
+    """The leaves' tokens of one bracketed tree ``(LABEL child ...)`` / ``(TAG token)``
+    and, if ``build``, the tree (leaf origins 0..n-1 in order), else None and no
+    node made. Malformed input raises :class:`TreeParseError` with a byte offset,
+    in both modes. One regex match per leaf, opening and closing bracket."""
     n = len(text)
-    pos = _WS.match(text).end()
+    ws = _WS.match
+    pos = ws(text).end()
     if pos == n:
         raise TreeParseError("empty input", _byte_offset(text, pos))
     if text[pos] != "(":
         raise TreeParseError(f"expected '(', found {text[pos]!r}", _byte_offset(text, pos))
-    stack: list[tuple[str, list[TreeNode]]] = []  # open internal nodes
-    leaves = 0
+    match, new = _OPEN.match, _new  # locals: this loop runs once per node of every tree read
+    tokens: list[str] = []
+    stack: list = []  # the enclosing open nodes' (label, children so far)
+    label_open = kids = node = None  # the innermost open node's label and children so far
+    depth = 0
     while True:
-        m = _OPEN.match(text, pos)
+        m = match(text, pos)
         if m is None:
-            pos = _WS.match(text, pos + 1).end()
+            pos = ws(text, pos + 1).end()
             what = "end of input" if pos == n else repr(text[pos])
             raise TreeParseError(f"expected node label, found {what}", _byte_offset(text, pos))
         label, token = m.groups()
         pos = m.end()
         if token is None:
             if pos < n and text[pos] == "(":
-                stack.append((label, []))
+                depth += 1
+                if build:
+                    stack.append((label_open, kids))
+                    label_open, kids = label, []
                 continue
             raise _bad_leaf(text, pos)
-        node = _new(TreeNode, (label, (), token, leaves))
-        leaves += 1
-        while stack:
-            stack[-1][1].append(node)
+        if build:
+            node = new(TreeNode, (label, (), token, len(tokens)))
+        tokens.append(token)
+        while depth:
+            if build:
+                kids.append(node)
             if pos == n:
                 raise TreeParseError("unbalanced brackets: unexpected end of input", _byte_offset(text, pos))
             if text[pos] == "(":
                 break
             if text[pos] != ")":
                 raise TreeParseError(f"expected ')' , found {text[pos]!r}", _byte_offset(text, pos))
-            label, kids = stack.pop()
-            node = _new(TreeNode, (label, tuple(kids), None, None))
-            pos = _WS.match(text, pos + 1).end()
+            depth -= 1
+            if build:
+                node = new(TreeNode, (label_open, tuple(kids), None, None))
+                label_open, kids = stack.pop()
+            pos = ws(text, pos + 1).end()
         else:
             if pos < n:
                 raise TreeParseError("trailing content after tree", _byte_offset(text, pos))
-            return node
+            return tokens, node
+
+
+def parse_ptb(text: str) -> TreeNode:
+    """Parse one bracketed tree, leaf origins 0..n-1 in order (see :func:`scan_ptb`)."""
+    return scan_ptb(text)[1]
 
 
 def _bad_leaf(text: str, pos: int) -> TreeParseError:

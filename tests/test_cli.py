@@ -258,6 +258,17 @@ class TestTransformCommand:
         # pairs inverted; second sentence is untouched by 83A.
         assert doc["mean_inversion_ratio"] == pytest.approx((2 / 6) / 2)
 
+    @pytest.mark.parametrize("via", ["flag", "config"])
+    def test_report_without_stats_is_usage_error(self, run, corpus, tmp_path, via):
+        out, report, config = tmp_path / "o.txt", tmp_path / "r.json", tmp_path / "t.conf"
+        config.write_text(f"report = {report}\n")
+        extra = ["--report", str(report)] if via == "flag" else ["--config", str(config)]
+        argv = ["transform", str(corpus), "-o", str(out), "--chain", "reorder:83A", *extra]
+        code, _, err = run(*argv)
+        assert code == 2
+        assert err == "error: --report (or config key 'report') needs --stats\n"
+        assert sorted(os.listdir(tmp_path)) == ["input.trees", "t.conf"]
+
     def test_missing_chain_is_usage_error(self, run, corpus, tmp_path):
         code, _, err = run("transform", str(corpus), "-o", str(tmp_path / "o"))
         assert code == 2

@@ -12,14 +12,26 @@ from pathlib import Path
 
 import pytest
 
-from treelab import pipeline
+from treelab import metrics, pipeline, treebank
 from treelab.cli import SEED_ENV, WORKERS_ENV, main
-from treelab.metrics import corpus_stats
+from treelab.metrics import (
+    AlignmentError,
+    alignment,
+    corpus_stats,
+    inversion_ratio,
+    word_move_distance,
+)
 from treelab.pipeline import CHUNK_LINES, CHUNKS_PER_WORKER, apply_chain, parse_chain, read_lines
 from treelab.rng import SeedScheme
-from treelab.treebank import parse_ptb, serialize, yield_sentence
+from treelab.treebank import internal, leaf, parse_ptb, serialize, yield_sentence
 
 CHAIN = "reorder:83A,ablate:0.5:shuffle"
+FIXTURE = Path(__file__).resolve().parent / "fixtures" / "english_like.trees"
+# One chain per step kind, and mixed chains that end in each kind of sentence.
+STEP_KINDS = (
+    "reorder:83A", "constituent_shuffle", "ablate:0.5", "ablate:1:shuffle", "word_shuffle",
+    CHAIN, "reorder:85A,constituent_shuffle,word_shuffle",
+)
 SEED = 11
 TREES = (
     "(S (NP (DT the) (NN cat)) (VP (VBD saw) (NP (DT a) (JJ small) (NN bird))))",
@@ -140,9 +152,9 @@ def test_worker_counts_agree_across_chunk_and_file_boundaries(
 
 
 @pytest.mark.parametrize("workers", ["1", "2"])
-def test_report_floats_equal_sequential_corpus_stats(tmp_path, monkeypatch, capsys, workers):
+@pytest.mark.parametrize("chain", ["constituent_shuffle,ablate:0.3:shuffle", *STEP_KINDS])
+def test_report_floats_equal_sequential_corpus_stats(tmp_path, monkeypatch, capsys, chain, workers):
     paths = write_corpus(tmp_path)
-    chain = "constituent_shuffle,ablate:0.3:shuffle"
     code, _, _ = run_in(
         tmp_path / "run", monkeypatch, capsys,
         "transform", *paths, "-o", "out.sents", "--chain", chain, "--stats", "--report", "r.json",
@@ -397,6 +409,12 @@ def test_mask_late_bad_id_keeps_existing_outputs(tmp_path, capsys):
     assert sorted(os.listdir(outputs)) == ["m.ids", "m.ids.labels"]
 
 
+TOY_GRAMMAR = (
+    "language a 83A=VO\nlanguage b 83A=OV\nrule S -> NP VP\nrule VP -> VB NP\nrule NP -> NN\n"
+    "lex a NN cat dog\nlex a VB sees\nlex b NN neko inu\nlex b VB miru\n"
+)
+
+
 def snapshot(directory: Path) -> dict[str, bytes | str]:
     """Every file's bytes, a symlink's target, a directory's entries."""
     return {
@@ -427,6 +445,16 @@ def snapshot(directory: Path) -> dict[str, bytes | str]:
         "mask in.ids -o m.ids --labels-output m.ids.provenance.json --vocab-size 40",
         "mask in.ids -o m.bpe --model m.bpe",
         "mask in.ids -o m.ids --labels-output m.bpe --model m.bpe",
+        "bpe learn words.txt -o words.txt --vocab-size 40",
+        "bpe learn m.bpe.provenance.json -o m.bpe --vocab-size 40",
+        "bpe apply words.txt -o words.txt --model m.bpe",
+        "bpe apply words.txt -o m.bpe --model m.bpe",
+        "stats in.trees other.trees --report other.trees",
+        "stats in.trees in.trees --report link.trees",
+        "retrieval --source in.ids --target other.trees --report in.ids",
+        "retrieval --source m.ids.provenance.json --target other.trees --report m.ids",
+        "synth generate -o s --languages a a --grammar toy.grammar",
+        "synth generate -o toy -n 3 --grammar toy.a.trees",
     ],
 )
 def test_outputs_that_alias_each_other_or_an_input_are_refused(tmp_path, monkeypatch, capsys, argv):
@@ -439,6 +467,8 @@ def test_outputs_that_alias_each_other_or_an_input_are_refused(tmp_path, monkeyp
     (tmp_path / "rules.txt").write_text("83B VP VB NP prefix:VB\n", encoding="utf-8")
     (tmp_path / "in.ids").write_text("7 8 9\n", encoding="utf-8")
     (tmp_path / "words.txt").write_text("the cat sat\n", encoding="utf-8")
+    for grammar in ("toy.grammar", "toy.a.trees"):
+        (tmp_path / grammar).write_text(TOY_GRAMMAR, encoding="utf-8")
     assert main(["bpe", "learn", "words.txt", "-o", "m.bpe", "--vocab-size", "40"]) == 0
     for name in ("same.out", "out.txt", "out.txt.provenance.json", "m.ids", "m.ids.provenance.json"):
         (tmp_path / name).write_text(f"earlier {name}\n", encoding="utf-8")
@@ -465,3 +495,80 @@ def test_output_in_a_missing_directory_names_the_output(tmp_path, capsys, comman
     assert code == 1
     assert capsys.readouterr().err == f"error: cannot write {out}: No such file or directory\n"
     assert sorted(os.listdir(tmp_path)) == ["in.trees", "m.bpe", "m.bpe.provenance.json"]
+
+
+def reference_row(text: str, index: int, chain: str) -> tuple[float, float, int]:
+    """A ``--stats`` row as ``_run_chunk`` computed it before alignment by
+    origin: ``alignment`` of the input tree's yield and the chain's sentence."""
+    tree = parse_ptb(text)
+    _, sentence = apply_chain(tree, parse_chain(chain), SeedScheme(SEED, index).stream())
+    perm = alignment(yield_sentence(tree), sentence)
+    return inversion_ratio(perm), word_move_distance(perm), perm.n
+
+
+@pytest.mark.parametrize("chain", STEP_KINDS)
+def test_stats_rows_equal_the_alignment_reference(chain):
+    lines = FIXTURE.read_text(encoding="utf-8").splitlines()
+    config = pipeline.PipelineConfig(
+        inputs=(str(FIXTURE),), output="unused", chain=chain, global_seed=SEED, stats=True
+    )
+    chunk = [(index, (str(FIXTURE), index + 1, text)) for index, text in enumerate(lines)]
+    _, _, rows, counts, errors = pipeline._run_chunk(chunk, parse_chain(chain), config)
+    assert counts["emitted"] == len(lines) and not errors
+    assert rows == [reference_row(text, index, chain) for index, text in enumerate(lines)]
+
+
+# A chain step that breaks the (surface, origin) multiset of
+# "(S (NP (DT the) (NN cat)) (VP (VBD sat)))", whose origins are 0, 1, 2.
+BROKEN_STEPS = {
+    "drops the last leaf": internal(
+        "S", [internal("NP", [leaf("DT", "the", 0), leaf("NN", "cat", 1)])]
+    ),
+    "drops a middle leaf": internal(
+        "S", [internal("NP", [leaf("DT", "the", 0)]), internal("VP", [leaf("VBD", "sat", 2)])]
+    ),
+    "duplicates a leaf": internal(
+        "S",
+        [internal("NP", [leaf("DT", "the", 0), leaf("NN", "cat", 1), leaf("NN", "cat", 1)]),
+         internal("VP", [leaf("VBD", "sat", 2)])],
+    ),
+    "renames a leaf": internal(
+        "S", [internal("NP", [leaf("DT", "the", 0), leaf("NN", "dog", 1)]),
+              internal("VP", [leaf("VBD", "sat", 2)])]
+    ),
+}
+
+
+@pytest.mark.parametrize("broken", sorted(BROKEN_STEPS))
+def test_a_step_that_breaks_the_multiset_raises_alignment_error(monkeypatch, broken):
+    monkeypatch.setattr(pipeline, "apply_reorder", lambda tree, rules: BROKEN_STEPS[broken])
+    config = pipeline.PipelineConfig(
+        inputs=("in",), output="unused", chain="reorder:83A", stats=True
+    )
+    chunk = [(0, ("in", 1, "(S (NP (DT the) (NN cat)) (VP (VBD sat)))"))]
+    with pytest.raises(AlignmentError):
+        pipeline._run_chunk(chunk, parse_chain("reorder:83A"), config)
+
+
+@pytest.mark.parametrize("chain", [CHAIN, "reorder:83A,word_shuffle"])
+def test_one_permutation_check_per_emitted_line(tmp_path, monkeypatch, capsys, chain):
+    """The emitted sentence's origins are checked once; the input side, read
+    fresh from the parse, needs no check, and the alignment none of its own."""
+    calls = []
+    real = treebank.is_permutation
+
+    def counting(values):
+        calls.append(len(values))
+        return real(values)
+
+    monkeypatch.setattr(treebank, "is_permutation", counting)
+    monkeypatch.setattr(metrics, "is_permutation", counting)
+    code, _, err = run_in(
+        tmp_path / "run", monkeypatch, capsys,
+        "transform", str(FIXTURE), "-o", "out.sents", "--chain", chain, "--stats", "--workers", "1",
+    )
+    assert code == 0, err
+    sidecar = json.loads((tmp_path / "run" / "out.sents.provenance.json").read_text())
+    emitted = sidecar["counts"]["emitted"]
+    per_line = 2 if chain.endswith("word_shuffle") else 1  # word_shuffle makes a second Sentence
+    assert emitted == 50 and len(calls) == per_line * emitted

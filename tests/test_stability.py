@@ -5,12 +5,18 @@
   ``bench/smoke.py``.
 * ``transform`` output bytes on the fixture treebank are pinned by SHA-256
   for every randomized chain step, at one and two workers.
+* The stats bytes are pinned too: ``stats`` stdout and ``--report`` JSON on
+  the fixture against a transformed copy, ``transform --stats --report`` at
+  one and two workers, and the exact lines ``stats`` prints for malformed
+  trees. A change to the tree scanner or to the alignment that moves a
+  float, a token or an error message fails here.
 """
 
 from __future__ import annotations
 
 import hashlib
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -78,3 +84,75 @@ def test_transform_bytes_are_pinned(tmp_path, capsys, monkeypatch, chain, worker
     assert sha256(sentences) == want_sentences
     if want_trees is not None:
         assert sha256(trees) == want_trees
+
+
+BENCH_CHAIN = "reorder:83A,ablate:0.5:shuffle"
+# SHA-256 of (stdout, --report JSON) of ``stats fixture.trees MODIFIED``,
+# MODIFIED being ``transform fixture.trees --seed 5 --chain CHAIN`` output.
+STATS_PINNED = {
+    ("trees", BENCH_CHAIN): (
+        "fa3e3eaae7f1ee50b14d2083f3ac7fb3566d84cd3da99904a6ecef4d2ac0ad1e",
+        "d60e60fb30461746257d3de4e3203a0202135f568262f5cdd9697b62d1917d17",
+    ),
+    ("sentences", "word_shuffle"): (
+        "0985dffac49665cff183c20a08d744189ba622b5ba7baca9840b38642b627d05",
+        "851aa3cc9eddad78850009966e2a67209aaf1884e6e27110d50aa468fd1d3d85",
+    ),
+}
+# SHA-256 of (stdout, --report JSON) of
+# ``transform fixture.trees --seed 5 --chain CHAIN --stats --report``.
+TRANSFORM_STATS_PINNED = {
+    BENCH_CHAIN: (
+        "29ca7fa0818bdfcb9c390e88fe0a75ea32f4d993b4f4dc1643aae4c937af4f34",
+        "db8b27592416c7cdc8f34b90332a7b9d909ded6d836349136d4ef49ac91da2e0",
+    ),
+    "word_shuffle": (
+        "885dfcce2f083e7656af9aaa41279ad35b4a1bcf56662b46472619bfb74ec12a",
+        "e3bc3540e478afd117484b57e587b87b30b7f2445f3a56efcb1d37cc4bba24b1",
+    ),
+}
+MALFORMED = [
+    "(S (NP (DT the) (NN cat)) (VP (VBD sat))",  # unbalanced
+    "(S (NP (DT the) (NN cat)) (VP (VBD sat))) x",  # trailing junk
+    "(S (NP (DT the) (NN cat (X y))) (VP (VBD sat)))",  # a leaf with children
+]
+MALFORMED_STDERR = (
+    "bad.trees:2: unbalanced brackets: unexpected end of input (byte offset 40)\n"
+    "bad.trees:3: trailing content after tree (byte offset 42)\n"
+    "bad.trees:4: leaf cannot have children (byte offset 24)\n"
+)
+
+
+def digest_text(text: str) -> str:
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+@pytest.mark.parametrize("emit, chain", sorted(STATS_PINNED))
+def test_stats_bytes_are_pinned(tmp_path, capsys, monkeypatch, emit, chain):
+    monkeypatch.chdir(tmp_path)
+    shutil.copy(FIXTURE, "fixture.trees")
+    assert main(["transform", "fixture.trees", "--seed", "5", "--chain", chain,
+                 "--emit", emit, "-o", "modified"]) == 0
+    capsys.readouterr()
+    assert main(["stats", "fixture.trees", "modified", "--report", "s.json"]) == 0
+    out = capsys.readouterr().out
+    assert (digest_text(out), sha256(tmp_path / "s.json")) == STATS_PINNED[emit, chain]
+
+
+@pytest.mark.parametrize("workers", ["1", "2"])
+@pytest.mark.parametrize("chain", sorted(TRANSFORM_STATS_PINNED))
+def test_transform_stats_bytes_are_pinned(tmp_path, capsys, monkeypatch, chain, workers):
+    monkeypatch.delenv(SEED_ENV, raising=False)
+    monkeypatch.chdir(tmp_path)
+    assert main(["transform", str(FIXTURE), "--seed", "5", "--workers", workers, "--chain", chain,
+                 "-o", "out.txt", "--stats", "--report", "r.json"]) == 0
+    out = capsys.readouterr().out
+    assert (digest_text(out), sha256(tmp_path / "r.json")) == TRANSFORM_STATS_PINNED[chain]
+
+
+def test_stats_malformed_lines_are_pinned(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    good = FIXTURE.read_text(encoding="utf-8").splitlines()[:2]
+    Path("bad.trees").write_text("\n".join([good[0], *MALFORMED, good[1]]) + "\n", encoding="utf-8")
+    assert main(["stats", "bad.trees", "bad.trees"]) == 1
+    assert capsys.readouterr().err == MALFORMED_STDERR

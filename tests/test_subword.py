@@ -7,6 +7,7 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
+from treelab import subword
 from treelab.rng import SeedScheme
 from treelab.subword import (
     END_OF_WORD,
@@ -202,6 +203,27 @@ class TestApplyDecode:
                 for i in bpe_apply(BpeModel(model.merges, dict(model.vocab)), word)
             ]
             assert bpe_apply(model, text) == cold
+
+    @given(
+        st.lists(st.text("abcx", min_size=1, max_size=6), min_size=1, max_size=30),
+        st.integers(2, 3),
+    )
+    @settings(max_examples=60)
+    def test_capped_memo_equals_cold_segmentation(self, words, cap):
+        # With room for only two or three words the memo is emptied again and
+        # again; ids stay those of a fresh model, and the memo stays capped.
+        model = bpe_learn(["abab abc cab aab bca"], vocab_size=14)
+
+        def cold(word):
+            return bpe_apply(BpeModel(model.merges, dict(model.vocab)), word)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(subword, "MEMO_WORDS", cap)
+            for word in words:
+                assert bpe_apply(model, word) == cold(word)
+                assert len(model._segments) <= cap
+            assert bpe_apply(model, " ".join(words)) == [i for word in words for i in cold(word)]
+            assert 1 <= len(model._segments) <= cap
 
     def test_memo_is_invisible(self, tmp_path):
         model = bpe_learn(["the cat sat on the mat"], vocab_size=40, language="toy")

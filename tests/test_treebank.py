@@ -1,7 +1,11 @@
 from __future__ import annotations
 
+import random
+from pathlib import Path
+
 import pytest
 from hypothesis import given
+from hypothesis import strategies as st
 
 from treelab.treebank import (
     Sentence,
@@ -15,6 +19,7 @@ from treelab.treebank import (
     leaf,
     parse_ptb,
     read_treebank,
+    scan_ptb,
     serialize,
     write_treebank,
     yield_sentence,
@@ -23,6 +28,7 @@ from treelab.treebank import (
 from conftest import tree_nodes
 
 NESTED = "(S (NP (PRP I)) (VP (VBD read) (NP (CD two) (NNS papers))))"
+FIXTURE = Path(__file__).resolve().parent / "fixtures" / "english_like.trees"
 
 
 class TestEscape:
@@ -202,3 +208,84 @@ class TestReader:
         write_treebank(str(path), trees)
         assert read_treebank(str(path)) == trees
         assert path.read_text().count("\n") == 2
+
+
+def reference_tokens(text: str):
+    """What ``stats`` read from a tree line before the token scan: the
+    surfaces of the parsed tree's yield, or the parse error and its offset."""
+    try:
+        return list(yield_sentence(parse_ptb(text)).surfaces())
+    except TreeParseError as exc:
+        return str(exc), exc.offset
+
+
+def scanned(text: str, build: bool):
+    try:
+        tokens, tree = scan_ptb(text, build=build)
+    except TreeParseError as exc:
+        return str(exc), exc.offset
+    if build:
+        assert tree == parse_ptb(text)
+        assert [node.origin for node in iter_leaves(tree)] == list(range(len(tokens)))
+    else:
+        assert tree is None
+    return tokens
+
+
+def mutations(lines: list[str], count: int, seed: int) -> list[str]:
+    """Seeded edits of real tree lines: drop, insert or duplicate a bracket,
+    a space or a character, or truncate."""
+    rnd = random.Random(seed)
+    out = []
+    for _ in range(count):
+        line = rnd.choice(lines)
+        i = rnd.randrange(len(line) + 1)
+        kind = rnd.randrange(4)
+        if kind == 0:
+            line = line[:i] + line[i + 1:]
+        elif kind == 1:
+            line = line[:i] + rnd.choice("() \tx") + line[i:]
+        elif kind == 2:
+            line = line[:i] + line[i:i + 1] + line[i:]
+        else:
+            line = line[:i]
+        out.append(line)
+    return out
+
+
+class TestScan:
+    """The token scan gives what parse + yield gave: the same tokens, or the
+    same error at the same byte offset."""
+
+    LINES = FIXTURE.read_text(encoding="utf-8").splitlines()
+
+    @pytest.mark.parametrize("build", [False, True])
+    def test_fixture_lines(self, build):
+        for line in self.LINES:
+            assert scanned(line, build) == reference_tokens(line), line
+
+    @pytest.mark.parametrize("build", [False, True])
+    def test_seeded_mutations(self, build):
+        cases = mutations(self.LINES, 3000, seed=11)
+        errors = 0
+        for line in cases:
+            want = reference_tokens(line)
+            errors += isinstance(want, tuple)
+            assert scanned(line, build) == want, line
+        assert 1000 < errors < len(cases)  # both outcomes are exercised
+
+    @pytest.mark.parametrize(
+        "text",
+        ["", "  ", "x", "(", "()", "(A", "(A b", "(A b)", "(A b) )", "(A b)x", "(A b c)",
+         "(A (B c)", "(A (B c)))", "(A (B c) d)", "(A (B c) (", "(A (B c)) (D e)", "((A b))",
+         "(A ( B c ) )", "(A (B c)\t)\n", "(A (B ǎ)) )"],
+    )
+    def test_edge_cases(self, text):
+        want = reference_tokens(text)
+        assert scanned(text, False) == want
+        assert scanned(text, True) == want
+
+    @given(tree_nodes(), st.sampled_from(["", " ", "  \t"]))
+    def test_generated_trees(self, tree, pad):
+        text = pad + serialize(tree).replace(" (", pad + " (") + pad
+        assert scanned(text, False) == scanned(text, True) == reference_tokens(text)
