@@ -37,7 +37,7 @@ from .subword import (
     bpe_learn,
     mask_tokens,
 )
-from .synthlang import SynthGrammar, demo_grammar, generate_corpus, sample_pair
+from .synthlang import SynthGrammar, corpus_pairs, demo_grammar, sample_pair
 from .transform import (
     BUILTIN_RULES,
     AblationSpec,
@@ -83,9 +83,9 @@ __all__ = [
     "bpe_decode",
     "bpe_learn",
     "constituent_shuffle",
+    "corpus_pairs",
     "corpus_stats",
     "demo_grammar",
-    "generate_corpus",
     "inverse_rule",
     "inversion_count",
     "inversion_ratio",

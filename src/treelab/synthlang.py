@@ -436,17 +436,6 @@ def corpus_pairs(
     )
 
 
-def generate_corpus(
-    grammar: SynthGrammar,
-    n: int,
-    seed: int,
-    languages: tuple[str, str] | None = None,
-) -> ParallelCorpus:
-    """n independent pairs, one seed stream per sentence index."""
-    languages, pairs = corpus_pairs(grammar, n, seed, languages)
-    return ParallelCorpus(tuple(pairs), seed, languages)
-
-
 def format_alignment(alignment: Iterable[tuple[int, int]]) -> str:
     return "\t".join(f"{i}-{j}" for i, j in alignment)
 

@@ -166,7 +166,9 @@ def word_shuffle(sentence: Sentence, rng: Rng) -> Sentence:
         raise ValueError("cannot shuffle an empty sentence")
     tokens = list(sentence.tokens)
     rng.shuffle(tokens)
-    return Sentence(tuple(tokens))
+    shuffled = object.__new__(Sentence)  # permuted origins of a checked Sentence: no new check
+    object.__setattr__(shuffled, "tokens", tuple(tokens))
+    return shuffled
 
 
 @dataclass(frozen=True)

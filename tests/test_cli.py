@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
 import os
@@ -11,6 +12,7 @@ import numpy as np
 import pytest
 
 import treelab
+import treelab.cli
 from treelab.cli import SEED_ENV, WORKERS_ENV, main
 from treelab.pipeline import (
     ChainError,
@@ -468,6 +470,25 @@ class TestSubwordCommands:
         code, _, _ = run("mask", str(ids), "-o", str(out), "--vocab-size", "20", "--seed", "1")
         assert code == 0
         assert len(out.read_text().splitlines()) == 1
+
+    def test_learn_that_fails_part_way_keeps_the_earlier_model(
+        self, run, text_file, tmp_path, monkeypatch
+    ):
+        model_path = tmp_path / "model.bpe"
+        code, _, _ = run("bpe", "learn", str(text_file), "-o", str(model_path), "--vocab-size", "30")
+        assert code == 0
+        before = {path.name: path.read_bytes() for path in tmp_path.iterdir()}
+        learn = treelab.cli.bpe_learn
+
+        def unencodable_last_merge(*args):  # a lone surrogate has no UTF-8 form
+            model = learn(*args)
+            return dataclasses.replace(model, merges=(*model.merges, ("\ud800", "t")))
+
+        monkeypatch.setattr(treelab.cli, "bpe_learn", unencodable_last_merge)
+        code, _, err = run("bpe", "learn", str(text_file), "-o", str(model_path), "--vocab-size", "30")
+        assert code == 1
+        assert err.startswith("error: ") and "Traceback" not in err, err
+        assert {path.name: path.read_bytes() for path in tmp_path.iterdir()} == before
 
     def test_learn_rejects_tiny_vocab(self, run, text_file, tmp_path):
         code, _, err = run(

@@ -16,13 +16,14 @@ from treelab.synthlang import (
     MAX_RETRIES,
     DerivationNode,
     OrderProfile,
+    ParallelCorpus,
     Production,
     SynthError,
     SynthGrammar,
+    corpus_pairs,
     delta_rules,
     demo_grammar,
     format_alignment,
-    generate_corpus,
     lexicon_map,
     linearize,
     parse_alignment,
@@ -279,25 +280,24 @@ class TestPairedSampling:
 
     def test_corpus_determinism_and_per_index_streams(self):
         g = demo_grammar()
-        first = generate_corpus(g, 10, seed=77)
-        second = generate_corpus(g, 10, seed=77)
-        other = generate_corpus(g, 10, seed=78)
-        render = lambda corpus: [
-            (serialize(a), serialize(b), alignment) for a, b, alignment in corpus.pairs
+        render = lambda seed: [
+            (serialize(a), serialize(b), alignment)
+            for a, b, alignment in corpus_pairs(g, 10, seed)[1]
         ]
-        assert render(first) == render(second)
-        assert render(first) != render(other)
+        first = render(77)
+        assert first == render(77)
+        assert first != render(78)
         lone = sample_pair(g, SeedScheme(77, 4).stream())
-        assert render(first)[4] == (serialize(lone[0]), serialize(lone[1]), lone[2])
+        assert first[4] == (serialize(lone[0]), serialize(lone[1]), lone[2])
 
     def test_corpus_size_validated(self):
         with pytest.raises(SynthError, match=">= 1"):
-            generate_corpus(demo_grammar(), 0, seed=1)
+            corpus_pairs(demo_grammar(), 0, 1)
 
     def test_bag_of_concepts_is_preserved(self):
         g = demo_grammar()
         mapping = lexicon_map(g, "alpha", "beta")
-        for a, b, _ in generate_corpus(g, 30, seed=5).pairs:
+        for a, b, _ in corpus_pairs(g, 30, 5)[1]:
             translated = collections.Counter(mapping[w] for w in surfaces(a))
             assert translated == collections.Counter(surfaces(b))
 
@@ -324,7 +324,7 @@ class TestDeltaOracle:
         g = demo_grammar()
         rules = delta_rules(g, "alpha", "beta")
         assert [r.feature_id for r in rules] == ["83A", "85A", "87A"]
-        for a, b, _ in generate_corpus(g, 60, seed=23).pairs:
+        for a, b, _ in corpus_pairs(g, 60, 23)[1]:
             carried = translate_tree(g, apply_reorder(a, rules), "alpha", "beta")
             assert serialize(carried) == serialize(b)
             assert origins(carried) == origins(b)
@@ -335,7 +335,7 @@ class TestDeltaOracle:
         assert back == tuple(
             inverse_rule(BUILTIN_RULES[f]) for f in ("83A", "85A", "87A")
         )
-        for a, b, _ in generate_corpus(g, 40, seed=41).pairs:
+        for a, b, _ in corpus_pairs(g, 40, 41)[1]:
             carried = translate_tree(g, apply_reorder(b, back), "beta", "alpha")
             assert serialize(carried) == serialize(a)
 
@@ -389,7 +389,8 @@ class TestAlignmentFormat:
 
     def test_write_corpus_files(self, tmp_path):
         g = demo_grammar()
-        corpus = generate_corpus(g, 8, seed=3)
+        languages, pairs = corpus_pairs(g, 8, 3)
+        corpus = ParallelCorpus(tuple(pairs), 3, languages)
         pa, pb, pal = (tmp_path / n for n in ("a.trees", "b.trees", "align.txt"))
         write_corpus(corpus, str(pa), str(pb), str(pal))
         side_a = read_treebank(str(pa))
