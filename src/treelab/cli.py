@@ -13,8 +13,12 @@ mirror the long option names of the subcommand being run. Input and
 output paths are always given on the command line — a manifest that
 silently redirects file writes is a footgun, not a convenience.
 
-Exit status: 0 on success, 1 on hard errors (unreadable input, malformed
-trees without ``--skip-bad``, alignment failures), 2 on usage errors.
+Every file a subcommand writes, reports included, gets a provenance sidecar
+that hashes every file the command read (``pipeline.recorded``).
+
+Exit status: 0 on success, 1 on hard errors (unreadable input, a failed
+write, malformed trees without ``--skip-bad``, alignment failures), 2 on
+usage errors (an aliased output among them).
 """
 
 from __future__ import annotations
@@ -25,17 +29,15 @@ import sys
 from typing import IO, Sequence
 
 from .pipeline import (
-    SIDECAR_SUFFIX,
     PipelineConfig,
     PipelineError,
     UsageError,
-    check_paths_distinct,
     read_lines,
+    recorded,
     replace_on_success,
     run_stats,
     run_transform,
     write_json,
-    write_provenance,
 )
 from .subword import (
     MaskingConfig,
@@ -282,50 +284,37 @@ def _cmd_stats(args: argparse.Namespace, stdout: IO[str], stderr: IO[str]) -> in
 def _cmd_bpe_learn(args: argparse.Namespace, stdout: IO[str], stderr: IO[str]) -> int:
     config = _load_config(args, "bpe learn")
     seed, workers = _seed_and_workers(args, config)
-    vocab_size = _resolve(
-        args.vocab_size, config=config, key="vocab-size", default=32000, kind=int
-    )
+    vocab_size = _resolve(args.vocab_size, config=config, key="vocab-size", default=32000, kind=int)
     language = _resolve(args.language, config=config, key="language", default="und")
-    check_paths_distinct([args.output, args.output + SIDECAR_SUFFIX], args.inputs)
-    model = bpe_learn((text for _, _, text in read_lines(args.inputs)), vocab_size, language)
-    save_model(model, args.output)
-    write_provenance(
-        args.output,
-        command="bpe learn",
+    with recorded(
+        "bpe learn", [args.output], args.inputs,
         config={"vocab_size": vocab_size, "language": language, "inputs": list(args.inputs)},
-        seed=seed,
-        workers=workers,
-        inputs=args.inputs,
-        counts={"merges": len(model.merges), "vocabulary": len(model.vocab)},
-    )
-    print(
-        f"learned {len(model.merges)} merges; vocabulary has {len(model.vocab)} entries",
-        file=stdout,
-    )
+        seed=seed, workers=workers,
+    ) as counts:
+        model = bpe_learn((text for _, _, text in read_lines(args.inputs)), vocab_size, language)
+        save_model(model, args.output)
+        counts.update(merges=len(model.merges), vocabulary=len(model.vocab))
+    print(f"learned {len(model.merges)} merges; vocabulary has {len(model.vocab)} entries",
+          file=stdout)
     return 0
 
 
 def _cmd_bpe_apply(args: argparse.Namespace, stdout: IO[str], stderr: IO[str]) -> int:
     config = _load_config(args, "bpe apply")
     seed, workers = _seed_and_workers(args, config)
-    check_paths_distinct([args.output, args.output + SIDECAR_SUFFIX], [*args.inputs, args.model])
-    model = load_model(args.model)
-    numbered = read_lines(args.inputs)  # opens the inputs before the output
-    lines = 0
-    with replace_on_success(args.output) as fh:
-        for _, _, text in numbered:
-            fh.write(" ".join(str(i) for i in bpe_apply(model, text)))
-            fh.write("\n")
-            lines += 1
-    write_provenance(
-        args.output,
-        command="bpe apply",
-        config={"model": args.model, "inputs": list(args.inputs)},
-        seed=seed,
-        workers=workers,
-        inputs=[*args.inputs, args.model],
-        counts={"lines": lines},
-    )
+    with recorded(
+        "bpe apply", [args.output], [*args.inputs, args.model],
+        config={"model": args.model, "inputs": list(args.inputs)}, seed=seed, workers=workers,
+    ) as counts:
+        model = load_model(args.model)
+        numbered = read_lines(args.inputs)  # opens the inputs before the output
+        lines = 0
+        with replace_on_success(args.output) as fh:
+            for _, _, text in numbered:
+                fh.write(" ".join(str(i) for i in bpe_apply(model, text)))
+                fh.write("\n")
+                lines += 1
+        counts["lines"] = lines
     print(f"encoded {lines} line(s) with {model.language} model", file=stdout)
     return 0
 
@@ -344,37 +333,22 @@ def _cmd_mask(args: argparse.Namespace, stdout: IO[str], stderr: IO[str]) -> int
     rate = _resolve(args.rate, config=config, key="rate", default=0.15, kind=float)
     masking = MaskingConfig(mask_rate=rate, seed=seed)
     labels_path = args.labels_output or args.output + ".labels"
-    check_paths_distinct(
-        [args.output, labels_path, args.output + SIDECAR_SUFFIX, labels_path + SIDECAR_SUFFIX],
-        [args.input, args.model],
-    )
-
-    sequences = iter_ids_file(args.input)  # opens the input before the outputs
-    sentences = tokens = 0
-    with replace_on_success(args.output) as fh_ids, replace_on_success(labels_path) as fh_labels:
-        for seq in sequences:
-            masked, labels = mask_tokens(seq, masking, vocab_size, sentence_index=sentences)
-            fh_ids.write(" ".join(str(i) for i in masked) + "\n")
-            fh_labels.write(" ".join(str(i) for i in labels) + "\n")
-            sentences += 1
-            tokens += len(seq)
-    provenance_config = {
-        "input": args.input,
-        "vocab_size": vocab_size,
-        "rate": rate,
-        "labels": labels_path,
-    }
-    inputs = [args.input] + ([args.model] if args.model else [])
-    for path in (args.output, labels_path):
-        write_provenance(
-            path,
-            command="mask",
-            config=provenance_config,
-            seed=seed,
-            workers=workers,
-            inputs=inputs,
-            counts={"sentences": sentences, "tokens": tokens},
-        )
+    with recorded(
+        "mask", [args.output, labels_path], [args.input, args.model],
+        config={"input": args.input, "vocab_size": vocab_size, "rate": rate, "labels": labels_path},
+        seed=seed, workers=workers,
+    ) as counts:
+        sequences = iter_ids_file(args.input)  # opens the input before the outputs
+        sentences = tokens = 0
+        with (replace_on_success(args.output) as fh_ids,
+              replace_on_success(labels_path) as fh_labels):
+            for seq in sequences:
+                masked, labels = mask_tokens(seq, masking, vocab_size, sentence_index=sentences)
+                fh_ids.write(" ".join(str(i) for i in masked) + "\n")
+                fh_labels.write(" ".join(str(i) for i in labels) + "\n")
+                sentences += 1
+                tokens += len(seq)
+        counts.update(sentences=sentences, tokens=tokens)
     print(f"masked {sentences} sentence(s), {tokens} token(s)", file=stdout)
     return 0
 
@@ -385,35 +359,21 @@ def _cmd_retrieval(args: argparse.Namespace, stdout: IO[str], stderr: IO[str]) -
     config = _load_config(args, "retrieval")
     seed, workers = _seed_and_workers(args, config)
     report = _resolve(args.report, config=config, key="report")
-    check_paths_distinct([report, report and report + SIDECAR_SUFFIX], [args.source, args.target])
-    source, _ = read_embeddings(args.source)
-    target, _ = read_embeddings(args.target)
-    result = top1_retrieval(source, target)
-    print(
-        f"queries {source.shape[0]}  top-1 accuracy {result.top1_accuracy:.4f}  "
-        f"margin {result.margin:.4f}",
-        file=stdout,
-    )
-    if report:
-        write_json(
-            report,
-            {
-                "source": args.source,
-                "target": args.target,
-                "queries": source.shape[0],
-                "top1_accuracy": result.top1_accuracy,
-                "margin": result.margin,
+    with recorded(
+        "retrieval", [report], [args.source, args.target],
+        config={"source": args.source, "target": args.target}, seed=seed, workers=workers,
+    ):
+        source, _ = read_embeddings(args.source)
+        target, _ = read_embeddings(args.target)
+        result = top1_retrieval(source, target)
+        print(f"queries {source.shape[0]}  top-1 accuracy {result.top1_accuracy:.4f}  "
+              f"margin {result.margin:.4f}", file=stdout)
+        if report:
+            write_json(report, {
+                "source": args.source, "target": args.target, "queries": source.shape[0],
+                "top1_accuracy": result.top1_accuracy, "margin": result.margin,
                 "per_query_nearest": list(result.per_query_nearest),
-            },
-        )
-        write_provenance(
-            report,
-            command="retrieval",
-            config={"source": args.source, "target": args.target},
-            seed=seed,
-            workers=workers,
-            inputs=[args.source, args.target],
-        )
+            })
     return 0
 
 
@@ -427,28 +387,16 @@ def _cmd_synth_generate(args: argparse.Namespace, stdout: IO[str], stderr: IO[st
     (lang_a, lang_b), pairs = corpus_pairs(
         grammar, count, seed, tuple(args.languages) if args.languages else None
     )
-    path_a = f"{args.prefix}.{lang_a}.trees"
-    path_b = f"{args.prefix}.{lang_b}.trees"
-    path_align = f"{args.prefix}.align"
-    outputs = (path_a, path_b, path_align)
-    check_paths_distinct([*outputs, *(path + SIDECAR_SUFFIX for path in outputs)], [grammar_path])
-    write_pairs(pairs, path_a, path_b, path_align)
-    provenance_inputs = [grammar_path] if grammar_path else []
-    for path in outputs:
-        write_provenance(
-            path,
-            command="synth generate",
-            config={
-                "grammar": grammar_path or "<built-in demo>",
-                "count": count,
-                "languages": [lang_a, lang_b],
-            },
-            seed=seed,
-            workers=workers,
-            inputs=provenance_inputs,
-            counts={"pairs": count},
-        )
-    print(f"wrote {count} aligned pairs: {path_a}, {path_b}, {path_align}", file=stdout)
+    outputs = [f"{args.prefix}.{name}" for name in (f"{lang_a}.trees", f"{lang_b}.trees", "align")]
+    with recorded(
+        "synth generate", outputs, [grammar_path],
+        config={"grammar": grammar_path or "<built-in demo>", "count": count,
+                "languages": [lang_a, lang_b]},
+        seed=seed, workers=workers,
+    ) as counts:
+        write_pairs(pairs, *outputs)
+        counts["pairs"] = count
+    print(f"wrote {count} aligned pairs: {', '.join(outputs)}", file=stdout)
     return 0
 
 

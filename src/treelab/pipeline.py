@@ -19,17 +19,17 @@ when ``workers`` is 1 or the input has fewer than two lines, else in a pool
 with at most ``CHUNKS_PER_WORKER`` chunks per worker in flight. Results are
 taken in input order: each chunk's blocks are written and its per-sentence
 stats added one by one, so bytes and float sums do not depend on the worker
-count, and memory depends on the chunk size, not on the corpus size. The
-outputs are written to temporary files that replace them only once the
-input has been read to its end, so an unreadable input leaves any earlier
-output in place.
+count, and memory depends on the chunk size, not on the corpus size.
 
 Each line is scanned once; ``--stats`` aligns by origin, with one check of the
 (surface, origin) multiset. ``stats`` scans tokens without building nodes.
 
-Each written artifact gets a ``<path>.provenance.json`` sidecar recording
-the tool version, the effective configuration, the seed, and SHA-256
-digests of inputs and output (null for a pipe or device). Sidecars
+Every subcommand writes through :func:`recorded`. No output may be another
+output, a sidecar or an input. Each replaces an earlier file only once it is
+whole, so an unreadable input leaves earlier outputs in place. Each, reports
+included, gets a ``<path>.provenance.json`` sidecar recording the tool
+version, the effective configuration, the seed, and SHA-256 digests of every
+file the command read and of the output (null for a pipe or device). Sidecars
 contain no timestamps, so a rerun with the same inputs and seed
 reproduces them byte for byte (except for the recorded worker count,
 which is part of the configuration).
@@ -40,10 +40,10 @@ from __future__ import annotations
 import dataclasses
 import functools
 import hashlib
+import io
 import json
 import os
 import sys
-import tempfile
 from collections import Counter, deque
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import ExitStack, contextmanager
@@ -240,6 +240,24 @@ def _numbered_lines(paths: Sequence[str]) -> Iterator:
                 raise PipelineError(f"cannot read {path}: {exc}") from exc
 
 
+class _Output(io.FileIO):
+    """A raw output file whose failed write or close raises ``cannot write NAME``."""
+
+    def write(self, data):
+        return _named(self.name, super().write, data)
+
+    def close(self) -> None:
+        _named(self.name, super().close)
+
+
+def _named(path: str, call, *args):
+    """``call(*args)``, with an ``OSError`` raised as ``cannot write PATH: REASON``."""
+    try:
+        return call(*args)
+    except OSError as exc:
+        raise PipelineError(f"cannot write {path}: {exc.strerror}") from exc
+
+
 @contextmanager
 def replace_on_success(path: str) -> Iterator[IO[str]]:
     """A text file that becomes ``path`` only if the ``with`` block succeeds.
@@ -248,27 +266,22 @@ def replace_on_success(path: str) -> Iterator[IO[str]]:
     names (through any symlinks) and renamed over that file on exit, so an
     error part-way leaves an existing file as it was and no temporary file
     behind. A device or pipe is written directly: it keeps no earlier output.
+    A failed open, write, flush, close or rename raises ``cannot write PATH``.
     """
     target = os.path.realpath(path)
-    if os.path.exists(target) and not os.path.isfile(target):
-        with open(path, "w", encoding="utf-8") as fh:
-            yield fh
-        return
+    tmp = None
+    if not os.path.exists(target) or os.path.isfile(target):
+        tmp = f"{os.path.dirname(target)}/.{os.path.basename(target)}.{os.urandom(6).hex()}.tmp"
+    raw = _named(path, _Output, tmp or path, "x" if tmp else "w")  # "x": a new file, open()'s mode
+    raw.name = path
     try:
-        fd, tmp = tempfile.mkstemp(
-            prefix=f".{os.path.basename(target)}.", suffix=".tmp", dir=os.path.dirname(target)
-        )
-    except OSError as exc:  # it would name the temporary file, not ``path``
-        raise PipelineError(f"cannot write {path}: {exc.strerror}") from exc
-    try:
-        with open(fd, "w", encoding="utf-8") as fh:
-            umask = os.umask(0)
-            os.umask(umask)
-            os.fchmod(fd, 0o666 & ~umask)  # the mode open() gives a new file
+        with io.TextIOWrapper(io.BufferedWriter(raw), encoding="utf-8") as fh:
             yield fh
-        os.replace(tmp, target)
+        if tmp:
+            _named(path, os.replace, tmp, target)
     except BaseException:
-        os.unlink(tmp)
+        if tmp:
+            os.unlink(tmp)
         raise
 
 
@@ -376,17 +389,14 @@ def write_provenance(
 def write_json(path: str, document: Mapping[str, object]) -> None:
     """``document`` as indented JSON and a newline, through :func:`replace_on_success`."""
     with replace_on_success(path) as fh:
-        json.dump(document, fh, indent=2)
-        fh.write("\n")
+        fh.write(json.dumps(document, indent=2) + "\n")
 
 
-def check_paths_distinct(outputs: Iterable[str | None], inputs: Iterable[str | None]) -> None:
-    """Raise :class:`UsageError` if two outputs, or an output and an input,
-    are one file (compared by ``os.path.realpath``); empty entries are not
-    paths. Callers check before they open any output."""
-    read = {os.path.realpath(path): path for path in inputs if path}
+def check_paths_distinct(outputs: Iterable[str], inputs: Iterable[str]) -> None:
+    """Raise :class:`UsageError` if two outputs, or an output and an input, are one file."""
+    read = {os.path.realpath(path): path for path in inputs}
     written: dict[str, str] = {}
-    for path in filter(None, outputs):
+    for path in outputs:
         real = os.path.realpath(path)
         if real in read:
             raise UsageError(f"output {path} is also the input {read[real]}")
@@ -395,17 +405,30 @@ def check_paths_distinct(outputs: Iterable[str | None], inputs: Iterable[str | N
         written[real] = path
 
 
+@contextmanager
+def recorded(command: str, outputs: Iterable[str | None], inputs: Iterable[str | None], *,
+             config: Mapping[str, object], seed: int | None = None,
+             workers: int | None = None) -> Iterator[Counter]:
+    """The one write protocol of every subcommand (see the module docstring): refuse an
+    output or sidecar that is another output or an input (empty entries are not paths),
+    yield a ``Counter`` for the run's counts, then give each written output its sidecar."""
+    outputs = [path for path in outputs if path]
+    inputs = [path for path in inputs if path]
+    check_paths_distinct([*outputs, *(path + SIDECAR_SUFFIX for path in outputs)], inputs)
+    counts: Counter = Counter()
+    yield counts
+    for path in outputs:
+        write_provenance(path, command=command, config=config, seed=seed, workers=workers,
+                         inputs=inputs, counts=counts)
+
+
 def run_transform(
     config: PipelineConfig,
     stdout: IO[str] = sys.stdout,
     stderr: IO[str] = sys.stderr,
 ) -> int:
-    extra_rules = (
-        {rule.feature_id: rule for rule in load_rules_file(config.rules_file)}
-        if config.rules_file
-        else {}
-    )
-    steps = parse_chain(config.chain, extra_rules)
+    rules = load_rules_file(config.rules_file) if config.rules_file else []
+    steps = parse_chain(config.chain, {rule.feature_id: rule for rule in rules})
     if config.emit in ("trees", "both") and any(isinstance(s, WordShuffleStep) for s in steps):
         raise UsageError("cannot emit trees: the chain ends in word_shuffle")
     if config.emit == "both" and not config.tree_output:
@@ -413,51 +436,37 @@ def run_transform(
 
     sentence_path = config.output if config.emit != "trees" else None
     tree_path = {"trees": config.output, "both": config.tree_output}.get(config.emit)
-    outputs = [path for path in (sentence_path, tree_path) if path]
-    check_paths_distinct(
-        [*outputs, *(path + SIDECAR_SUFFIX for path in outputs), config.report],
-        [*config.inputs, config.rules_file],
-    )
-    lines = enumerate(read_lines(config.inputs))  # opens the inputs before any output
     work = functools.partial(_run_chunk, steps=steps, config=config)
-
     acc = StatsAccumulator()
     errors: list[str] = []
-    counts = Counter(total=0, emitted=0, blank=0, placeholder=0, bad=0)  # sidecar key order
-    with ExitStack() as stack:
-        sentence_fh, tree_fh = (
-            stack.enter_context(replace_on_success(path)) if path else None
-            for path in (sentence_path, tree_path)
-        )
-        results = _map_chunks(work, lines, config.workers)
-        for sentence_block, tree_block, rows, chunk_counts, chunk_errors in results:
-            if sentence_fh is not None:
-                sentence_fh.write(sentence_block)
-            if tree_fh is not None:
-                tree_fh.write(tree_block)
-            for row in rows:
-                acc.add_row(*row)
-            counts.update(chunk_counts)
-            if not config.skip_bad:
-                errors.extend(chunk_errors)
-
-    config_dict = dataclasses.asdict(config)
-    for path in outputs:
-        write_provenance(
-            path,
-            command="transform",
-            config=config_dict,
-            seed=config.global_seed,
-            workers=config.workers,
-            inputs=config.inputs,
-            counts=counts,
-        )
-
-    if config.stats:
-        stats = acc.finalize()
-        print(format_stats_table([(config.chain, stats)]), file=stdout)
-        if config.report:
-            write_json(config.report, {"chain": config.chain, **dataclasses.asdict(stats)})
+    with recorded(
+        "transform", [sentence_path, tree_path, config.report], [*config.inputs, config.rules_file],
+        config=dataclasses.asdict(config), seed=config.global_seed, workers=config.workers,
+    ) as counts:
+        lines = enumerate(read_lines(config.inputs))  # opens the inputs before any output
+        counts.update(total=0, emitted=0, blank=0, placeholder=0, bad=0)  # sidecar key order
+        with ExitStack() as stack:
+            sentence_fh, tree_fh, report_fh = (
+                stack.enter_context(replace_on_success(path)) if path else None
+                for path in (sentence_path, tree_path, config.report)
+            )
+            results = _map_chunks(work, lines, config.workers)
+            for sentence_block, tree_block, rows, chunk_counts, chunk_errors in results:
+                if sentence_fh is not None:
+                    sentence_fh.write(sentence_block)
+                if tree_fh is not None:
+                    tree_fh.write(tree_block)
+                for row in rows:
+                    acc.add_row(*row)
+                counts.update(chunk_counts)
+                if not config.skip_bad:
+                    errors.extend(chunk_errors)
+            if config.stats:
+                stats = acc.finalize()
+                print(format_stats_table([(config.chain, stats)]), file=stdout)
+            if report_fh is not None:
+                report = {"chain": config.chain, **dataclasses.asdict(stats)}
+                report_fh.write(json.dumps(report, indent=2) + "\n")
 
     if counts["placeholder"]:
         print(f"skipped {counts['placeholder']} line(s) with no tree", file=stderr)
@@ -494,35 +503,36 @@ def run_stats(
     stderr: IO[str] = sys.stderr,
 ) -> int:
     """Compare two line-aligned corpora (token lines or treebank lines)."""
-    check_paths_distinct([report], [original_path, modified_path])
     acc = StatsAccumulator()
     errors: list[str] = []
-    for line_a, line_b in zip_longest(read_lines([original_path]), read_lines([modified_path])):
-        if line_a is None or line_b is None:
-            short = original_path if line_a is None else modified_path
-            errors.append(f"line {(line_a or line_b)[1]}: {short} has fewer lines")
-            break
-        (_, lineno, text_a), (_, _, text_b) = line_a, line_b
-        try:
-            tokens_a = _line_tokens(text_a, original_path, lineno)
-            tokens_b = _line_tokens(text_b, modified_path, lineno)
-        except AlignmentError as exc:
-            errors.append(str(exc))
-            continue
-        if not tokens_a and not tokens_b:
-            continue
-        try:
-            acc.add(align_by_surface(tokens_a, tokens_b))
-        except AlignmentError as exc:
-            errors.append(f"line {lineno}: {exc}")
+    with recorded(
+        "stats", [report], [original_path, modified_path],
+        config={"original": original_path, "modified": modified_path},
+    ):
+        for line_a, line_b in zip_longest(read_lines([original_path]), read_lines([modified_path])):
+            if line_a is None or line_b is None:
+                short = original_path if line_a is None else modified_path
+                errors.append(f"line {(line_a or line_b)[1]}: {short} has fewer lines")
+                break
+            (_, lineno, text_a), (_, _, text_b) = line_a, line_b
+            try:
+                tokens_a = _line_tokens(text_a, original_path, lineno)
+                tokens_b = _line_tokens(text_b, modified_path, lineno)
+            except AlignmentError as exc:
+                errors.append(str(exc))
+                continue
+            if not tokens_a and not tokens_b:
+                continue
+            try:
+                acc.add(align_by_surface(tokens_a, tokens_b))
+            except AlignmentError as exc:
+                errors.append(f"line {lineno}: {exc}")
 
-    stats = acc.finalize()
-    print(format_stats_table([(modified_path, stats)]), file=stdout)
-    if report:
-        write_json(
-            report,
-            {"original": original_path, "modified": modified_path, **dataclasses.asdict(stats)},
-        )
+        stats = acc.finalize()
+        print(format_stats_table([(modified_path, stats)]), file=stdout)
+        if report:
+            write_json(report, {"original": original_path, "modified": modified_path,
+                                **dataclasses.asdict(stats)})
     for message in errors:
         print(message, file=stderr)
     return 1 if errors else 0

@@ -171,10 +171,18 @@ def write_token_embeddings(path: str, embeddings: EmbeddingMatrix) -> None:
             fh.write(np.asarray(sent.vectors, dtype="<f4").tobytes())
 
 
-def _read_file(path: str, magic: bytes, kind: str, header: str) -> tuple[bytes, tuple]:
-    """The file's bytes and its header fields, after the magic is checked."""
-    with open(path, "rb") as fh:
-        data = fh.read()
+def _read_bytes(path: str) -> bytes:
+    try:
+        with open(path, "rb") as fh:
+            return fh.read()
+    except OSError as exc:
+        raise RetrievalError(f"cannot read {path}: {exc}") from exc
+
+
+def _read_file(path: str, magic: bytes, kind: str, header: str,
+               data: bytes | None) -> tuple[bytes, tuple]:
+    """The file's bytes (``data``, if already read) and header fields, magic checked."""
+    data = _read_bytes(path) if data is None else data
     if data[:8] != magic:
         raise RetrievalError(f"{path}: not a {kind} embedding file (bad magic {data[:8]!r})")
     try:
@@ -183,8 +191,8 @@ def _read_file(path: str, magic: bytes, kind: str, header: str) -> tuple[bytes, 
         raise RetrievalError(f"{path}: truncated header ({len(data)} bytes)") from None
 
 
-def read_token_embeddings(path: str) -> EmbeddingMatrix:
-    data, (n, max_tokens, dim, layer) = _read_file(path, TOKEN_MAGIC, "token", "<4I")
+def read_token_embeddings(path: str, data: bytes | None = None) -> EmbeddingMatrix:
+    data, (n, max_tokens, dim, layer) = _read_file(path, TOKEN_MAGIC, "token", "<4I", data)
     pos = 8 + 16
     sentences = []
     for i in range(n):
@@ -223,9 +231,9 @@ def write_pooled_embeddings(path: str, matrix: np.ndarray, layer: int = 0) -> No
         fh.write(matrix.tobytes())
 
 
-def read_pooled_embeddings(path: str) -> tuple[np.ndarray, int]:
+def read_pooled_embeddings(path: str, data: bytes | None = None) -> tuple[np.ndarray, int]:
     """Returns ``(matrix, layer)``."""
-    data, (n, dim, layer) = _read_file(path, POOLED_MAGIC, "pooled", "<3I")
+    data, (n, dim, layer) = _read_file(path, POOLED_MAGIC, "pooled", "<3I", data)
     expected = 8 + 12 + 4 * n * dim
     if len(data) < expected:
         raise RetrievalError(f"{path}: truncated ({len(data)} bytes, expected {expected})")
@@ -235,11 +243,11 @@ def read_pooled_embeddings(path: str) -> tuple[np.ndarray, int]:
 
 def read_embeddings(path: str) -> tuple[np.ndarray, int]:
     """Accept either format and return a pooled ``(matrix, layer)``."""
-    with open(path, "rb") as fh:
-        magic = fh.read(8)
-    if magic == POOLED_MAGIC:
-        return read_pooled_embeddings(path)
-    if magic == TOKEN_MAGIC:
-        emb = read_token_embeddings(path)
-        return pool_matrix(emb), emb.layer
-    raise RetrievalError(f"{path}: unrecognized embedding file (magic {magic!r})")
+    data = _read_bytes(path)
+    if data[:8] == POOLED_MAGIC:
+        return read_pooled_embeddings(path, data)
+    if data[:8] != TOKEN_MAGIC:
+        raise RetrievalError(f"{path}: unrecognized embedding file (magic {data[:8]!r})")
+    emb = read_token_embeddings(path, data)
+    del data  # the vectors are copies: pool without the file's bytes in memory
+    return pool_matrix(emb), emb.layer

@@ -332,14 +332,6 @@ def mask_tokens(
     return masked, labels
 
 
-def write_ids_file(path: str, sequences: Iterable[Sequence[int]]) -> None:
-    """One sentence per line, ids space-separated."""
-    with open(path, "w", encoding="utf-8") as fh:
-        for seq in sequences:
-            fh.write(" ".join(str(i) for i in seq))
-            fh.write("\n")
-
-
 def iter_ids_file(path: str) -> Iterator[list[int]]:
     """Each line's ids, read as the iterator is consumed.
 

@@ -624,7 +624,7 @@ class TestSynthCommand:
         assert "No such file" not in err
 
 
-@pytest.mark.parametrize("reader", ["ids", "model", "rules", "grammar"])
+@pytest.mark.parametrize("reader", ["ids", "model", "rules", "grammar", "embeddings"])
 def test_non_utf8_side_inputs_name_the_file(run, tmp_path, reader):
     bad = tmp_path / "latin1.txt"
     bad.write_bytes(b"caf\xe9\n")
@@ -638,10 +638,16 @@ def test_non_utf8_side_inputs_name_the_file(run, tmp_path, reader):
         "model": ["mask", str(ids), "-o", out, "--model", str(bad)],
         "rules": ["transform", str(trees), "-o", out, "--chain", "reorder:83A", "--rules", str(bad)],
         "grammar": ["synth", "generate", "-o", out, "--grammar", str(bad)],
+        "embeddings": ["retrieval", "--source", str(bad), "--target", str(bad)],
     }[reader]
+    message = "'utf-8' codec can't decode byte 0xe9 in position 3: invalid continuation byte"
+    if reader == "embeddings":  # a binary file is not decoded; a directory cannot be read
+        bad.unlink()
+        bad.mkdir()
+        message = f"[Errno 21] Is a directory: '{bad}'"
     code, _, err = run(*argv)
     assert code == 1
-    assert err == f"error: cannot read {bad}: 'utf-8' codec can't decode byte 0xe9 in position 3: invalid continuation byte\n"
+    assert err == f"error: cannot read {bad}: {message}\n"
 
 
 def test_importing_the_cli_leaves_numpy_unloaded():

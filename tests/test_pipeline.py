@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import stat
@@ -10,6 +11,7 @@ import sys
 import threading
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from treelab import metrics, pipeline, treebank
@@ -22,6 +24,7 @@ from treelab.metrics import (
     word_move_distance,
 )
 from treelab.pipeline import CHUNK_LINES, CHUNKS_PER_WORKER, apply_chain, parse_chain, read_lines
+from treelab.retrieval import write_pooled_embeddings
 from treelab.rng import SeedScheme
 from treelab.treebank import internal, leaf, parse_ptb, serialize, yield_sentence
 
@@ -482,23 +485,149 @@ def test_outputs_that_alias_each_other_or_an_input_are_refused(tmp_path, monkeyp
     assert snapshot(tmp_path) == before
 
 
-@pytest.mark.parametrize("command", ["transform", "bpe apply", "bpe learn"])
+@pytest.mark.parametrize(
+    "command",
+    ["transform", "bpe apply", "bpe learn", "mask", "retrieval --report", "stats --report",
+     "transform --report", "synth generate"],
+)
 def test_output_in_a_missing_directory_names_the_output(tmp_path, capsys, command):
     text = tmp_path / "in.trees"
     text.write_text(TREES[0] + "\n", encoding="utf-8")
     model = tmp_path / "m.bpe"
     assert main(["bpe", "learn", str(text), "-o", str(model), "--vocab-size", "40"]) == 0
+    (tmp_path / "in.ids").write_text("7 8 9\n", encoding="utf-8")
+    write_pooled_embeddings(str(tmp_path / "in.emb"), np.eye(3, dtype=np.float32))
     out = tmp_path / "missing" / "o.txt"
-    extra = {
-        "transform": ["--chain", CHAIN],
-        "bpe apply": ["--model", str(model)],
-        "bpe learn": ["--vocab-size", "40"],
+    argv = {
+        "transform": ["transform", text, "-o", out, "--chain", CHAIN],
+        "bpe apply": ["bpe", "apply", text, "-o", out, "--model", model],
+        "bpe learn": ["bpe", "learn", text, "-o", out, "--vocab-size", "40"],
+        "mask": ["mask", tmp_path / "in.ids", "-o", out, "--vocab-size", "40"],
+        "retrieval --report": ["retrieval", "--source", tmp_path / "in.emb",
+                               "--target", tmp_path / "in.emb", "--report", out],
+        "stats --report": ["stats", text, text, "--report", out],
+        "transform --report": ["transform", text, "-o", tmp_path / "o.txt", "--chain", CHAIN,
+                               "--stats", "--report", out],
+        "synth generate": ["synth", "generate", "-o", tmp_path / "missing" / "o", "-n", "3"],
     }[command]
+    if command == "synth generate":  # the first of its three outputs
+        out = tmp_path / "missing" / "o.alpha.trees"
+    before = sorted(os.listdir(tmp_path))
     capsys.readouterr()
-    code = main([*command.split(), str(text), "-o", str(out), *extra])
+    code = main([str(arg) for arg in argv])
     assert code == 1
     assert capsys.readouterr().err == f"error: cannot write {out}: No such file or directory\n"
-    assert sorted(os.listdir(tmp_path)) == ["in.trees", "m.bpe", "m.bpe.provenance.json"]
+    assert sorted(os.listdir(tmp_path)) == before
+
+
+def side_files(directory: Path) -> None:
+    """One of every kind of file a subcommand reads, and a model learned from the text."""
+    (directory / "in.trees").write_text("".join(t + "\n" for t in TREES * 20), encoding="utf-8")
+    reversed_lines = (" ".join(yield_sentence(parse_ptb(t)).surfaces()[::-1]) for t in TREES * 20)
+    (directory / "other.txt").write_text("".join(line + "\n" for line in reversed_lines))
+    (directory / "words.txt").write_text("the cat sat on the mat\n" * 60, encoding="utf-8")
+    (directory / "in.ids").write_text("7 8 9 10 11\n" * 60, encoding="utf-8")
+    (directory / "rules.txt").write_text("83B VP VB NP prefix:VB\n", encoding="utf-8")
+    (directory / "toy.grammar").write_text(TOY_GRAMMAR, encoding="utf-8")
+    write_pooled_embeddings(str(directory / "a.emb"), np.eye(3, dtype=np.float32))
+    write_pooled_embeddings(str(directory / "b.emb"), np.eye(3, dtype=np.float32)[::-1])
+    learn = ["bpe", "learn", str(directory / "words.txt"), "-o", str(directory / "m.bpe"),
+             "--vocab-size", "40"]
+    assert main(learn) == 0
+    os.remove(directory / "m.bpe.provenance.json")
+
+
+# Every file a subcommand writes, as ``argv`` with OUT in its place and the
+# other outputs sent to ``null``, a symlink to /dev/null.
+WRITERS = {
+    "transform sentences": f"transform in.trees -o OUT --chain {CHAIN}",
+    "transform trees": f"transform in.trees -o OUT --emit trees --chain {CHAIN}",
+    "transform --report": f"transform in.trees -o null --stats --report OUT --chain {CHAIN}",
+    "stats --report": "stats in.trees other.txt --report OUT",
+    "bpe learn": "bpe learn words.txt -o OUT --vocab-size 40",
+    "bpe apply": "bpe apply words.txt -o OUT --model m.bpe",
+    "mask ids": "mask in.ids -o OUT --labels-output null --vocab-size 40",
+    "mask labels": "mask in.ids -o null --labels-output OUT --vocab-size 40",
+    "retrieval --report": "retrieval --source a.emb --target b.emb --report OUT",
+}
+FILE_SIZE_LIMIT = 64  # bytes; every output above is longer
+
+
+@pytest.mark.parametrize("target", ["full", "directory", "limited"])
+@pytest.mark.parametrize("writer", list(WRITERS))
+def test_a_failed_write_names_its_output(tmp_path, writer, target):
+    """Each written file against /dev/full, a directory, and a regular file
+    (``limited``) in a child whose RLIMIT_FSIZE is below the output's size:
+    one ``error: cannot write PATH`` line, exit 1, and every earlier file kept."""
+    side_files(tmp_path)
+    (tmp_path / "null").symlink_to(os.devnull)
+    (tmp_path / "full").symlink_to("/dev/full")
+    (tmp_path / "directory").mkdir()
+    (tmp_path / "limited").write_text("earlier output\n", encoding="utf-8")
+    argv = [target if arg == "OUT" else arg for arg in WRITERS[writer].split()]
+    limit = f"({FILE_SIZE_LIMIT},) * 2" if target == "limited" else "None"
+    child = (
+        "import resource, sys\n"
+        f"if {limit}: resource.setrlimit(resource.RLIMIT_FSIZE, {limit})\n"
+        "from treelab.cli import main\n"
+        "sys.exit(main(sys.argv[1:]))\n"
+    )
+    src = str(Path(pipeline.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1",
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    before = snapshot(tmp_path)
+    result = subprocess.run([sys.executable, "-c", child, *argv], cwd=tmp_path, env=env,
+                            capture_output=True, text=True, timeout=60)
+    reason = {"full": "No space left on device", "directory": "Is a directory",
+              "limited": "File too large"}[target]
+    assert result.stderr == f"error: cannot write {target}: {reason}\n"
+    assert result.returncode == 1
+    assert snapshot(tmp_path) == before
+
+
+# Each subcommand, and the files it reads.
+PROTOCOL = {
+    "transform": (f"transform in.trees -o out.txt --chain {CHAIN}", ["in.trees"]),
+    "transform --rules": ("transform in.trees -o out.txt --rules rules.txt --chain reorder:83B",
+                          ["in.trees", "rules.txt"]),
+    "transform --stats --report": (
+        f"transform in.trees -o out.txt --tree-output out.trees --emit both --stats "
+        f"--report report.json --chain {CHAIN}", ["in.trees"]),
+    "stats --report": ("stats in.trees other.txt --report report.json", ["in.trees", "other.txt"]),
+    "bpe learn": ("bpe learn words.txt -o out.bpe --vocab-size 40", ["words.txt"]),
+    "bpe apply": ("bpe apply words.txt -o out.ids --model m.bpe", ["words.txt", "m.bpe"]),
+    "mask --vocab-size": ("mask in.ids -o out.ids --vocab-size 40", ["in.ids"]),
+    "mask --model": ("mask in.ids -o out.ids --labels-output out.labels --model m.bpe",
+                     ["in.ids", "m.bpe"]),
+    "retrieval --report": ("retrieval --source a.emb --target b.emb --report report.json",
+                           ["a.emb", "b.emb"]),
+    "synth generate": ("synth generate -o out -n 3", []),
+    "synth generate --grammar": ("synth generate -o out -n 3 --grammar toy.grammar",
+                                 ["toy.grammar"]),
+}
+
+
+@pytest.mark.parametrize("command", list(PROTOCOL))
+def test_every_written_file_has_a_sidecar_that_hashes_every_input(
+    tmp_path, monkeypatch, capsys, command
+):
+    side_files(tmp_path)
+    monkeypatch.chdir(tmp_path)
+    argv, read = PROTOCOL[command]
+    before = set(os.listdir(tmp_path))
+    assert main(argv.split()) == 0, capsys.readouterr().err
+    written = set(os.listdir(tmp_path)) - before
+    sidecars = {name for name in written if name.endswith(".provenance.json")}
+    assert sidecars and sidecars == {name + ".provenance.json" for name in written - sidecars}
+    for name in written - sidecars:
+        doc = json.loads((tmp_path / (name + ".provenance.json")).read_text(encoding="utf-8"))
+        assert doc["command"] == command.split(" -")[0]
+        assert doc["output"] == {"path": name, "sha256": sha256(tmp_path / name)}
+        assert doc["inputs"] == [{"path": path, "sha256": sha256(tmp_path / path)} for path in read]
+
+
+def sha256(path: Path) -> str:
+    return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
 def reference_row(text: str, index: int, chain: str) -> tuple[float, float, int]:

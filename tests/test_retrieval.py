@@ -1,7 +1,11 @@
 from __future__ import annotations
 
+import struct
+
+import hypothesis.strategies as st
 import numpy as np
 import pytest
+from hypothesis import given
 
 from treelab.cli import main
 from treelab.retrieval import (
@@ -310,3 +314,23 @@ def test_every_prefix_is_an_error_naming_the_file(tmp_path, capsys, kind):
         assert code == 1, cut
         assert err.startswith("error: ") and str(source) in err, (cut, err)
         assert "Traceback" not in err
+
+
+# Small uint32 fields mixed with raw bytes, so that headers and token counts
+# often parse and the sentence, truncation and pooling paths all run.
+_FIELDS = st.lists(
+    st.one_of(st.integers(0, 4).map(lambda v: struct.pack("<I", v)), st.binary(max_size=9)),
+    max_size=12,
+).map(b"".join)
+
+
+@given(magic=st.sampled_from([TOKEN_MAGIC, POOLED_MAGIC]), body=_FIELDS)
+def test_any_bytes_behind_a_magic_read_or_raise_retrieval_error(tmp_path_factory, magic, body):
+    path = tmp_path_factory.getbasetemp() / "fuzz.emb"
+    path.write_bytes(magic + body)
+    try:
+        matrix, layer = read_embeddings(str(path))
+    except RetrievalError:
+        return
+    assert matrix.ndim == 2 and matrix.dtype == np.float64
+    assert isinstance(layer, int)

@@ -27,7 +27,6 @@ from treelab.subword import (
     mask_tokens,
     read_ids_file,
     save_model,
-    write_ids_file,
 )
 
 
@@ -379,5 +378,5 @@ def test_ids_file_is_read_as_it_is_consumed(tmp_path):
 def test_ids_file_round_trip(tmp_path):
     path = tmp_path / "ids.txt"
     sequences = [[1, 2, 3], [], [42]]
-    write_ids_file(str(path), sequences)
+    path.write_text("1 2 3\n\n42\n", encoding="utf-8")
     assert read_ids_file(str(path)) == sequences
