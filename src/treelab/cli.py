@@ -1,17 +1,19 @@
 """Command-line front end.
 
 Subcommands: ``transform``, ``stats``, ``bpe learn``, ``bpe apply``,
-``mask``, ``retrieval``, ``synth generate``. Every subcommand accepts
-``--config FILE``, and every one but ``stats`` (which draws no random
-numbers and runs in one process) also ``--seed`` and ``--workers``. Option
-values resolve in a fixed precedence: explicit flag, then environment
-(``TREELAB_SEED``, ``TREELAB_WORKERS``), then the config file, then the
-built-in default.
+``mask``, ``retrieval``, ``synth generate``. :func:`build_parser` is the one
+option table: it declares each option once, with its type and default.
 
-A config file holds ``key = value`` lines (``#`` comments allowed); keys
-mirror the long option names of the subcommand being run. Input and
-output paths are always given on the command line — a manifest that
-silently redirects file writes is a footgun, not a convenience.
+A subcommand's settings are its options other than inputs and outputs; each
+is also a config key, named by its long option. Every subcommand but
+``stats`` (which draws no random numbers and runs in one process) has
+``--seed`` and ``--workers``. ``--config FILE`` holds ``key = value`` lines
+(``#`` comments allowed); ``TREELAB_SEED`` and ``TREELAB_WORKERS`` override
+it. Those values become the settings' defaults, so the precedence is explicit
+flag, then environment, then config file, then built-in default; one that
+cannot be read, or an unknown key, is a usage error even when a flag wins.
+Input and output paths are always given on the command line — a manifest
+that silently redirects file writes is a footgun, not a convenience.
 
 Every file a subcommand writes, reports included, gets a provenance sidecar
 that hashes every file the command read (``pipeline.recorded``).
@@ -26,7 +28,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from typing import IO, Sequence
+from typing import IO, Collection, Sequence
 
 from .pipeline import (
     PipelineConfig,
@@ -59,18 +61,10 @@ _BOOL_WORDS = {
     "0": False, "false": False, "no": False, "off": False,
 }
 
-_CONFIG_KEYS = {
-    "transform": frozenset({"seed", "workers", "chain", "emit", "skip-bad", "stats", "report", "rules"}),
-    "stats": frozenset({"report"}),
-    "bpe learn": frozenset({"seed", "workers", "vocab-size", "language"}),
-    "bpe apply": frozenset({"seed", "workers"}),
-    "mask": frozenset({"seed", "workers", "rate", "vocab-size"}),
-    "retrieval": frozenset({"seed", "workers", "report"}),
-    "synth generate": frozenset({"seed", "workers", "count", "grammar"}),
-}
 
-
-def _convert(raw: str, kind: type, origin: str):
+def _convert(raw: str, action: argparse.Action, origin: str):
+    """``raw`` read as ``action`` reads its flag's value (a bool word for a switch)."""
+    kind = bool if action.nargs == 0 else action.type or str
     try:
         if kind is bool:
             return _BOOL_WORDS[raw.strip().lower()]
@@ -79,13 +73,15 @@ def _convert(raw: str, kind: type, origin: str):
         raise UsageError(f"{origin}: cannot read {raw!r} as {kind.__name__}") from None
 
 
-def load_config_file(path: str, allowed: frozenset[str]) -> dict[str, str]:
+def load_config_file(path: str, allowed: Collection[str]) -> dict[str, str]:
     entries: dict[str, str] = {}
     try:
         with open(path, encoding="utf-8") as fh:
             lines = fh.readlines()
     except OSError as exc:
         raise UsageError(f"cannot read config file: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise UsageError(f"cannot read {path}: {exc}") from exc
     for lineno, raw in enumerate(lines, start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -103,42 +99,24 @@ def load_config_file(path: str, allowed: frozenset[str]) -> dict[str, str]:
     return entries
 
 
-def _resolve(
-    flag_value,
-    *,
-    config: dict[str, str],
-    key: str | None = None,
-    env: str | None = None,
-    default=None,
-    kind: type = str,
-):
-    """flag > environment > config file > default."""
-    if flag_value is not None:
-        return flag_value
-    if env is not None and os.environ.get(env, "") != "":
-        return _convert(os.environ[env], kind, f"environment variable {env}")
-    if key is not None and key in config:
-        return _convert(config[key], kind, f"config key {key!r}")
-    return default
-
-
-def _load_config(args: argparse.Namespace, command_key: str) -> dict[str, str]:
-    if getattr(args, "config", None) is None:
-        return {}
-    return load_config_file(args.config, _CONFIG_KEYS[command_key])
-
-
-def _seed_and_workers(args: argparse.Namespace, config: dict[str, str]) -> tuple[int, int]:
-    seed = _resolve(args.seed, config=config, key="seed", env=SEED_ENV, default=0, kind=int)
-    workers = _resolve(
-        args.workers, config=config, key="workers", env=WORKERS_ENV, default=1, kind=int
-    )
-    if workers < 1:
-        raise UsageError(f"workers must be >= 1, got {workers}")
-    return seed, workers
+def _set_defaults(args: argparse.Namespace) -> bool:
+    """Make each config-file value, then each environment value, its setting's
+    default; return whether there was any."""
+    settings = {action.dest.replace("_", "-"): action for action in args.settings}
+    config = load_config_file(args.config, settings) if args.config is not None else {}
+    values = [(key, raw, f"config key {key!r}") for key, raw in config.items()] + [
+        (key, os.environ[env], f"environment variable {env}")
+        for key, env in (("seed", SEED_ENV), ("workers", WORKERS_ENV))
+        if key in settings and os.environ.get(env)
+    ]
+    for key, raw, origin in values:
+        settings[key].default = _convert(raw, settings[key], origin)
+    return bool(values)
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """The option table. Each subcommand's ``settings`` are the options a config
+    file may set; inputs and outputs are flags only."""
     parser = argparse.ArgumentParser(
         prog="treelab",
         description="Transform constituency treebanks, measure the damage, "
@@ -149,149 +127,138 @@ def build_parser() -> argparse.ArgumentParser:
 
     config_only = argparse.ArgumentParser(add_help=False)
     config_only.add_argument(
-        "--config", metavar="FILE", default=None,
-        help="'key = value' defaults file; explicit flags win",
+        "--config", metavar="FILE", help="'key = value' defaults file; explicit flags win"
     )
     common = argparse.ArgumentParser(add_help=False, parents=[config_only])
-    common.add_argument(
-        "--seed", type=int, default=None,
-        help=f"global random seed (env {SEED_ENV}; default 0)",
-    )
-    common.add_argument(
-        "--workers", type=int, default=None,
-        help=f"worker processes (env {WORKERS_ENV}; default 1)",
+    seeded = (  # the actions ``parents=[common]`` gives each subcommand, not copies
+        common.add_argument(
+            "--seed", type=int, default=0,
+            help=f"global random seed (env {SEED_ENV}; default %(default)s)",
+        ),
+        common.add_argument(
+            "--workers", type=int, default=1,
+            help=f"worker processes (env {WORKERS_ENV}; default %(default)s)",
+        ),
     )
 
-    p = sub.add_parser(
-        "transform", parents=[common],
-        help="apply a transformation chain to treebank files",
-    )
-    p.set_defaults(run=_cmd_transform)
+    p = sub.add_parser("transform", parents=[common],
+                       help="apply a transformation chain to treebank files")
     p.add_argument("inputs", nargs="+", metavar="TREEBANK", help="input treebank file(s)")
     p.add_argument("-o", "--output", required=True, help="output corpus path")
-    p.add_argument(
-        "--chain", default=None,
-        help="comma-separated steps: reorder:FEATURE, constituent_shuffle, "
-        "ablate:ALPHA[:shuffle], word_shuffle (final only)",
-    )
-    p.add_argument(
-        "--emit", choices=("sentences", "trees", "both"), default=None,
-        help="write token lines, tree lines, or both (default sentences)",
-    )
-    p.add_argument("--tree-output", default=None, help="tree output path for --emit both")
-    p.add_argument(
-        "--stats", action="store_true", default=None,
-        help="report inversion ratio and word-move distance vs. the input",
-    )
-    p.add_argument("--report", default=None, help="also write the stats as JSON (needs --stats)")
-    p.add_argument(
-        "--skip-bad", action="store_true", default=None,
-        help="count and drop malformed lines instead of failing",
-    )
-    p.add_argument("--rules", default=None, help="file of extra reorder rules")
+    p.add_argument("--tree-output", help="tree output path for --emit both")
+    p.set_defaults(run=_cmd_transform, settings=(
+        *seeded,
+        p.add_argument(
+            "--chain",
+            help="comma-separated steps: reorder:FEATURE, constituent_shuffle, "
+            "ablate:ALPHA[:shuffle], word_shuffle (final only)",
+        ),
+        p.add_argument(
+            "--emit", choices=("sentences", "trees", "both"), default="sentences",
+            help="write token lines, tree lines, or both (default %(default)s)",
+        ),
+        p.add_argument(
+            "--stats", action="store_true",
+            help="report inversion ratio and word-move distance vs. the input",
+        ),
+        p.add_argument("--report", help="also write the stats as JSON (needs --stats)"),
+        p.add_argument(
+            "--skip-bad", action="store_true",
+            help="count and drop malformed lines instead of failing",
+        ),
+        p.add_argument("--rules", help="file of extra reorder rules"),
+    ))
 
-    p = sub.add_parser(
-        "stats", parents=[config_only],
-        help="compare two line-aligned corpora (token lines or treebanks)",
-    )
-    p.set_defaults(run=_cmd_stats)
+    p = sub.add_parser("stats", parents=[config_only],
+                       help="compare two line-aligned corpora (token lines or treebanks)")
     p.add_argument("original", help="original corpus")
     p.add_argument("modified", help="modified corpus")
-    p.add_argument("--report", default=None, help="also write the report as JSON")
+    p.set_defaults(run=_cmd_stats,
+                   settings=(p.add_argument("--report", help="also write the report as JSON"),))
 
     p = sub.add_parser("bpe", help="learn or apply subword vocabularies")
     bpe_sub = p.add_subparsers(dest="bpe_command", required=True, metavar="ACTION")
     p = bpe_sub.add_parser("learn", parents=[common], help="learn merges from text")
-    p.set_defaults(run=_cmd_bpe_learn)
     p.add_argument("inputs", nargs="+", metavar="TEXT", help="training text file(s)")
     p.add_argument("-o", "--output", required=True, help="model file to write")
-    p.add_argument(
-        "--vocab-size", type=int, default=None, help="vocabulary budget (default 32000)"
-    )
-    p.add_argument("--language", default=None, help="language tag recorded in the model")
+    p.set_defaults(run=_cmd_bpe_learn, settings=(
+        *seeded,
+        p.add_argument("--vocab-size", type=int, default=32000,
+                       help="vocabulary budget (default %(default)s)"),
+        p.add_argument("--language", default="und",
+                       help="language tag recorded in the model (default %(default)s)"),
+    ))
     p = bpe_sub.add_parser("apply", parents=[common], help="encode text to subword ids")
-    p.set_defaults(run=_cmd_bpe_apply)
+    p.set_defaults(run=_cmd_bpe_apply, settings=seeded)
     p.add_argument("inputs", nargs="+", metavar="TEXT", help="text file(s) to encode")
     p.add_argument("-o", "--output", required=True, help="ids file to write")
     p.add_argument("--model", required=True, help="model file from 'bpe learn'")
 
-    p = sub.add_parser(
-        "mask", parents=[common],
-        help="make masked-token training pairs from an ids file",
-    )
-    p.set_defaults(run=_cmd_mask)
+    p = sub.add_parser("mask", parents=[common],
+                       help="make masked-token training pairs from an ids file")
     p.add_argument("input", metavar="IDS", help="ids file from 'bpe apply'")
     p.add_argument("-o", "--output", required=True, help="masked ids file to write")
-    p.add_argument("--labels-output", default=None, help="labels path (default OUTPUT.labels)")
-    p.add_argument("--model", default=None, help="model file; supplies the vocabulary size")
-    p.add_argument("--vocab-size", type=int, default=None, help="vocabulary size if no model")
-    p.add_argument("--rate", type=float, default=None, help="selection rate (default 0.15)")
+    p.add_argument("--labels-output", help="labels path (default OUTPUT.labels)")
+    p.add_argument("--model", help="model file; supplies the vocabulary size")
+    p.set_defaults(run=_cmd_mask, settings=(
+        *seeded,
+        p.add_argument("--vocab-size", type=int, help="vocabulary size if no model"),
+        p.add_argument("--rate", type=float, default=0.15,
+                       help="selection rate (default %(default)s)"),
+    ))
 
-    p = sub.add_parser(
-        "retrieval", parents=[common],
-        help="cosine top-1 accuracy between aligned embedding files",
-    )
-    p.set_defaults(run=_cmd_retrieval)
+    p = sub.add_parser("retrieval", parents=[common],
+                       help="cosine top-1 accuracy between aligned embedding files")
     p.add_argument("--source", required=True, help="source embedding file")
     p.add_argument("--target", required=True, help="target embedding file")
-    p.add_argument("--report", default=None, help="also write the result as JSON")
+    p.set_defaults(run=_cmd_retrieval, settings=(
+        *seeded, p.add_argument("--report", help="also write the result as JSON"),
+    ))
 
     p = sub.add_parser("synth", help="synthetic parallel-language corpora")
     synth_sub = p.add_subparsers(dest="synth_command", required=True, metavar="ACTION")
     p = synth_sub.add_parser(
         "generate", parents=[common], help="sample an aligned two-language corpus"
     )
-    p.set_defaults(run=_cmd_synth_generate)
     p.add_argument("-o", "--prefix", required=True, help="output path prefix")
-    p.add_argument("-n", "--count", type=int, default=None, help="sentence pairs (default 100)")
-    p.add_argument("--grammar", default=None, help="grammar file (default: built-in demo)")
     p.add_argument(
-        "--languages", nargs=2, metavar=("A", "B"), default=None,
+        "--languages", nargs=2, metavar=("A", "B"),
         help="which two languages to emit (default: first two in the grammar)",
     )
+    p.set_defaults(run=_cmd_synth_generate, settings=(
+        *seeded,
+        p.add_argument("-n", "--count", type=int, default=100,
+                       help="sentence pairs (default %(default)s)"),
+        p.add_argument("--grammar", help="grammar file (default: built-in demo)"),
+    ))
 
     return parser
 
 
 def _cmd_transform(args: argparse.Namespace, stdout: IO[str], stderr: IO[str]) -> int:
-    config = _load_config(args, "transform")
-    seed, workers = _seed_and_workers(args, config)
-    chain = _resolve(args.chain, config=config, key="chain")
-    if chain is None:
+    if args.chain is None:
         raise UsageError("transform needs a chain: --chain or a config-file 'chain' entry")
     pipeline_config = PipelineConfig(
-        inputs=tuple(args.inputs),
-        output=args.output,
-        chain=chain,
-        global_seed=seed,
-        workers=workers,
-        emit=_resolve(args.emit, config=config, key="emit", default="sentences"),
-        tree_output=args.tree_output,
-        stats=_resolve(args.stats, config=config, key="stats", default=False, kind=bool),
-        report=_resolve(args.report, config=config, key="report"),
-        skip_bad=_resolve(args.skip_bad, config=config, key="skip-bad", default=False, kind=bool),
-        rules_file=_resolve(args.rules, config=config, key="rules"),
+        inputs=tuple(args.inputs), output=args.output, chain=args.chain, global_seed=args.seed,
+        workers=args.workers, emit=args.emit, tree_output=args.tree_output, stats=args.stats,
+        report=args.report, skip_bad=args.skip_bad, rules_file=args.rules,
     )
     return run_transform(pipeline_config, stdout=stdout, stderr=stderr)
 
 
 def _cmd_stats(args: argparse.Namespace, stdout: IO[str], stderr: IO[str]) -> int:
-    config = _load_config(args, "stats")
-    report = _resolve(args.report, config=config, key="report")
-    return run_stats(args.original, args.modified, report=report, stdout=stdout, stderr=stderr)
+    return run_stats(args.original, args.modified, report=args.report, stdout=stdout, stderr=stderr)
 
 
 def _cmd_bpe_learn(args: argparse.Namespace, stdout: IO[str], stderr: IO[str]) -> int:
-    config = _load_config(args, "bpe learn")
-    seed, workers = _seed_and_workers(args, config)
-    vocab_size = _resolve(args.vocab_size, config=config, key="vocab-size", default=32000, kind=int)
-    language = _resolve(args.language, config=config, key="language", default="und")
     with recorded(
         "bpe learn", [args.output], args.inputs,
-        config={"vocab_size": vocab_size, "language": language, "inputs": list(args.inputs)},
-        seed=seed, workers=workers,
+        config={"vocab_size": args.vocab_size, "language": args.language,
+                "inputs": list(args.inputs)},
+        seed=args.seed, workers=args.workers,
     ) as counts:
-        model = bpe_learn((text for _, _, text in read_lines(args.inputs)), vocab_size, language)
+        lines = (text for _, _, text in read_lines(args.inputs))
+        model = bpe_learn(lines, args.vocab_size, args.language)
         save_model(model, args.output)
         counts.update(merges=len(model.merges), vocabulary=len(model.vocab))
     print(f"learned {len(model.merges)} merges; vocabulary has {len(model.vocab)} entries",
@@ -300,11 +267,10 @@ def _cmd_bpe_learn(args: argparse.Namespace, stdout: IO[str], stderr: IO[str]) -
 
 
 def _cmd_bpe_apply(args: argparse.Namespace, stdout: IO[str], stderr: IO[str]) -> int:
-    config = _load_config(args, "bpe apply")
-    seed, workers = _seed_and_workers(args, config)
     with recorded(
         "bpe apply", [args.output], [*args.inputs, args.model],
-        config={"model": args.model, "inputs": list(args.inputs)}, seed=seed, workers=workers,
+        config={"model": args.model, "inputs": list(args.inputs)},
+        seed=args.seed, workers=args.workers,
     ) as counts:
         model = load_model(args.model)
         numbered = read_lines(args.inputs)  # opens the inputs before the output
@@ -320,23 +286,18 @@ def _cmd_bpe_apply(args: argparse.Namespace, stdout: IO[str], stderr: IO[str]) -
 
 
 def _cmd_mask(args: argparse.Namespace, stdout: IO[str], stderr: IO[str]) -> int:
-    config = _load_config(args, "mask")
-    seed, workers = _seed_and_workers(args, config)
     if args.model is not None and args.vocab_size is not None:
         raise UsageError("give either --model or --vocab-size, not both")
-    if args.model is not None:
-        vocab_size = len(load_model(args.model).vocab)
-    else:
-        vocab_size = _resolve(args.vocab_size, config=config, key="vocab-size", kind=int)
-        if vocab_size is None:
-            raise UsageError("mask needs --model or --vocab-size")
-    rate = _resolve(args.rate, config=config, key="rate", default=0.15, kind=float)
-    masking = MaskingConfig(mask_rate=rate, seed=seed)
+    if args.model is None and args.vocab_size is None:
+        raise UsageError("mask needs --model or --vocab-size")
+    vocab_size = args.vocab_size if args.model is None else len(load_model(args.model).vocab)
+    masking = MaskingConfig(mask_rate=args.rate, seed=args.seed)
     labels_path = args.labels_output or args.output + ".labels"
     with recorded(
         "mask", [args.output, labels_path], [args.input, args.model],
-        config={"input": args.input, "vocab_size": vocab_size, "rate": rate, "labels": labels_path},
-        seed=seed, workers=workers,
+        config={"input": args.input, "vocab_size": vocab_size, "rate": args.rate,
+                "labels": labels_path},
+        seed=args.seed, workers=args.workers,
     ) as counts:
         sequences = iter_ids_file(args.input)  # opens the input before the outputs
         sentences = tokens = 0
@@ -356,20 +317,17 @@ def _cmd_mask(args: argparse.Namespace, stdout: IO[str], stderr: IO[str]) -> int
 def _cmd_retrieval(args: argparse.Namespace, stdout: IO[str], stderr: IO[str]) -> int:
     from .retrieval import read_embeddings, top1_retrieval  # numpy loads for this command only
 
-    config = _load_config(args, "retrieval")
-    seed, workers = _seed_and_workers(args, config)
-    report = _resolve(args.report, config=config, key="report")
     with recorded(
-        "retrieval", [report], [args.source, args.target],
-        config={"source": args.source, "target": args.target}, seed=seed, workers=workers,
+        "retrieval", [args.report], [args.source, args.target],
+        config={"source": args.source, "target": args.target}, seed=args.seed, workers=args.workers,
     ):
         source, _ = read_embeddings(args.source)
         target, _ = read_embeddings(args.target)
         result = top1_retrieval(source, target)
         print(f"queries {source.shape[0]}  top-1 accuracy {result.top1_accuracy:.4f}  "
               f"margin {result.margin:.4f}", file=stdout)
-        if report:
-            write_json(report, {
+        if args.report:
+            write_json(args.report, {
                 "source": args.source, "target": args.target, "queries": source.shape[0],
                 "top1_accuracy": result.top1_accuracy, "margin": result.margin,
                 "per_query_nearest": list(result.per_query_nearest),
@@ -378,21 +336,18 @@ def _cmd_retrieval(args: argparse.Namespace, stdout: IO[str], stderr: IO[str]) -
 
 
 def _cmd_synth_generate(args: argparse.Namespace, stdout: IO[str], stderr: IO[str]) -> int:
-    config = _load_config(args, "synth generate")
-    seed, workers = _seed_and_workers(args, config)
-    count = _resolve(args.count, config=config, key="count", default=100, kind=int)
-    grammar_path = _resolve(args.grammar, config=config, key="grammar")
+    count, grammar_path = args.count, args.grammar
     grammar = load_grammar(grammar_path) if grammar_path else demo_grammar()
     # Checks the count and the languages before any output is opened.
     (lang_a, lang_b), pairs = corpus_pairs(
-        grammar, count, seed, tuple(args.languages) if args.languages else None
+        grammar, count, args.seed, tuple(args.languages) if args.languages else None
     )
     outputs = [f"{args.prefix}.{name}" for name in (f"{lang_a}.trees", f"{lang_b}.trees", "align")]
     with recorded(
         "synth generate", outputs, [grammar_path],
         config={"grammar": grammar_path or "<built-in demo>", "count": count,
                 "languages": [lang_a, lang_b]},
-        seed=seed, workers=workers,
+        seed=args.seed, workers=args.workers,
     ) as counts:
         write_pairs(pairs, *outputs)
         counts["pairs"] = count
@@ -405,6 +360,10 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = parser.parse_args(argv)
     stdout, stderr = sys.stdout, sys.stderr
     try:
+        if _set_defaults(args):
+            args = parser.parse_args(argv)
+        if getattr(args, "workers", 1) < 1:
+            raise UsageError(f"workers must be >= 1, got {args.workers}")
         return args.run(args, stdout, stderr)
     except UsageError as exc:
         print(f"error: {exc}", file=stderr)

@@ -46,7 +46,7 @@ import os
 import sys
 from collections import Counter, deque
 from concurrent.futures import ProcessPoolExecutor
-from contextlib import ExitStack, contextmanager
+from contextlib import ExitStack, contextmanager, suppress
 from dataclasses import dataclass
 from itertools import chain, groupby, islice, zip_longest
 from typing import IO, Iterable, Iterator, Mapping, Sequence, Union
@@ -411,15 +411,23 @@ def recorded(command: str, outputs: Iterable[str | None], inputs: Iterable[str |
              workers: int | None = None) -> Iterator[Counter]:
     """The one write protocol of every subcommand (see the module docstring): refuse an
     output or sidecar that is another output or an input (empty entries are not paths),
-    yield a ``Counter`` for the run's counts, then give each written output its sidecar."""
+    yield a ``Counter`` for the run's counts, then give each written output its sidecar.
+    If a sidecar cannot be written, every earlier sidecar not yet replaced is deleted,
+    so none is left that describes an earlier output."""
     outputs = [path for path in outputs if path]
     inputs = [path for path in inputs if path]
     check_paths_distinct([*outputs, *(path + SIDECAR_SUFFIX for path in outputs)], inputs)
     counts: Counter = Counter()
     yield counts
-    for path in outputs:
-        write_provenance(path, command=command, config=config, seed=seed, workers=workers,
-                         inputs=inputs, counts=counts)
+    for done, path in enumerate(outputs):
+        try:
+            write_provenance(path, command=command, config=config, seed=seed, workers=workers,
+                             inputs=inputs, counts=counts)
+        except BaseException:
+            for stale in outputs[done:]:
+                with suppress(OSError):
+                    os.unlink(stale + SIDECAR_SUFFIX)
+            raise
 
 
 def run_transform(

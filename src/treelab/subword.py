@@ -38,7 +38,7 @@ import heapq
 import math
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field
-from typing import IO, Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .rng import Rng, SeedScheme
 
@@ -263,6 +263,9 @@ def load_model(path: str) -> BpeModel:
         alphabet = lines[5 : 5 + n_alpha]
         pos = 5 + n_alpha
         n_merges = int(lines[pos].split()[1])
+        if lines[pos].split()[0] != "merges" or len(lines) != pos + 1 + n_merges:
+            raise ValueError(f"{len(lines)} lines, but the header counts {n_alpha} alphabet "
+                             f"and {n_merges} merge lines")
         merges = []
         for line in lines[pos + 1 : pos + 1 + n_merges]:
             a, b = line.split(" ")
@@ -339,15 +342,18 @@ def iter_ids_file(path: str) -> Iterator[list[int]]:
     creates any output. A file that cannot be read, is not UTF-8 or holds a
     non-integer raises ``cannot read PATH: ...``.
     """
+    lines = _ids_lines(path)
+    next(lines)  # open the file now; closing the iterator closes it
+    return lines
+
+
+def _ids_lines(path: str) -> Iterator:
     try:
         fh = open(path, encoding="utf-8")
     except OSError as exc:
         raise BpeError(f"cannot read {path}: {exc}") from exc
-    return _ids_lines(path, fh)
-
-
-def _ids_lines(path: str, fh: IO[str]) -> Iterator[list[int]]:
     with fh:
+        yield None  # where iter_ids_file stops: the file is open
         try:
             for line in fh:
                 yield [int(tok) for tok in line.split()]

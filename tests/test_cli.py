@@ -624,7 +624,7 @@ class TestSynthCommand:
         assert "No such file" not in err
 
 
-@pytest.mark.parametrize("reader", ["ids", "model", "rules", "grammar", "embeddings"])
+@pytest.mark.parametrize("reader", ["ids", "model", "rules", "grammar", "embeddings", "config"])
 def test_non_utf8_side_inputs_name_the_file(run, tmp_path, reader):
     bad = tmp_path / "latin1.txt"
     bad.write_bytes(b"caf\xe9\n")
@@ -639,6 +639,7 @@ def test_non_utf8_side_inputs_name_the_file(run, tmp_path, reader):
         "rules": ["transform", str(trees), "-o", out, "--chain", "reorder:83A", "--rules", str(bad)],
         "grammar": ["synth", "generate", "-o", out, "--grammar", str(bad)],
         "embeddings": ["retrieval", "--source", str(bad), "--target", str(bad)],
+        "config": ["mask", str(ids), "-o", out, "--vocab-size", "40", "--config", str(bad)],
     }[reader]
     message = "'utf-8' codec can't decode byte 0xe9 in position 3: invalid continuation byte"
     if reader == "embeddings":  # a binary file is not decoded; a directory cannot be read
@@ -646,8 +647,38 @@ def test_non_utf8_side_inputs_name_the_file(run, tmp_path, reader):
         bad.mkdir()
         message = f"[Errno 21] Is a directory: '{bad}'"
     code, _, err = run(*argv)
-    assert code == 1
+    assert code == (2 if reader == "config" else 1)  # a config file is part of the invocation
     assert err == f"error: cannot read {bad}: {message}\n"
+
+
+@pytest.mark.parametrize("source", ["environment", "config"])
+def test_an_unreadable_default_is_an_error_even_under_a_flag(run, tmp_path, monkeypatch, source):
+    """A config or environment value is the flag's default, so it is read even when a flag wins."""
+    src = tmp_path / "in.trees"
+    src.write_text(NESTED + "\n")
+    config = tmp_path / "run.conf"
+    config.write_text("seed = many\n" if source == "config" else "")
+    monkeypatch.setenv(SEED_ENV, "many" if source == "environment" else "")
+    code, _, err = run(
+        "transform", str(src), "-o", str(tmp_path / "o"), "--chain", "word_shuffle",
+        "--config", str(config), "--seed", "3",
+    )
+    assert code == 2
+    origin = f"environment variable {SEED_ENV}" if source == "environment" else "config key 'seed'"
+    assert err == f"error: {origin}: cannot read 'many' as int\n"
+    assert not (tmp_path / "o").exists()
+
+
+def test_a_config_vocab_size_conflicts_with_a_model(run, tmp_path):
+    """``mask --model`` with a config ``vocab-size`` is the conflict of giving both flags."""
+    ids = tmp_path / "in.ids"
+    ids.write_text("7 8 9\n")
+    config = tmp_path / "run.conf"
+    config.write_text("vocab-size = 30\n")
+    code, _, err = run(
+        "mask", str(ids), "-o", str(tmp_path / "o"), "--model", "m.bpe", "--config", str(config)
+    )
+    assert (code, err) == (2, "error: give either --model or --vocab-size, not both\n")
 
 
 def test_importing_the_cli_leaves_numpy_unloaded():

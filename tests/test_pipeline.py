@@ -24,7 +24,12 @@ from treelab.metrics import (
     word_move_distance,
 )
 from treelab.pipeline import CHUNK_LINES, CHUNKS_PER_WORKER, apply_chain, parse_chain, read_lines
-from treelab.retrieval import write_pooled_embeddings
+from treelab.retrieval import (
+    EmbeddingMatrix,
+    SentenceTokens,
+    write_pooled_embeddings,
+    write_token_embeddings,
+)
 from treelab.rng import SeedScheme
 from treelab.treebank import internal, leaf, parse_ptb, serialize, yield_sentence
 
@@ -523,6 +528,7 @@ def test_output_in_a_missing_directory_names_the_output(tmp_path, capsys, comman
 def side_files(directory: Path) -> None:
     """One of every kind of file a subcommand reads, and a model learned from the text."""
     (directory / "in.trees").write_text("".join(t + "\n" for t in TREES * 20), encoding="utf-8")
+    (directory / "bad.trees").write_text(f"{TREES[0]}\n{MALFORMED}\n", encoding="utf-8")
     reversed_lines = (" ".join(yield_sentence(parse_ptb(t)).surfaces()[::-1]) for t in TREES * 20)
     (directory / "other.txt").write_text("".join(line + "\n" for line in reversed_lines))
     (directory / "words.txt").write_text("the cat sat on the mat\n" * 60, encoding="utf-8")
@@ -565,24 +571,60 @@ def test_a_failed_write_names_its_output(tmp_path, writer, target):
     (tmp_path / "directory").mkdir()
     (tmp_path / "limited").write_text("earlier output\n", encoding="utf-8")
     argv = [target if arg == "OUT" else arg for arg in WRITERS[writer].split()]
-    limit = f"({FILE_SIZE_LIMIT},) * 2" if target == "limited" else "None"
+    before = snapshot(tmp_path)
+    result = run_limited(tmp_path, argv, FILE_SIZE_LIMIT if target == "limited" else None)
+    reason = {"full": "No space left on device", "directory": "Is a directory",
+              "limited": "File too large"}[target]
+    assert result.stderr == f"error: cannot write {target}: {reason}\n"
+    assert result.returncode == 1
+    assert snapshot(tmp_path) == before
+
+
+def run_limited(directory: Path, argv: list[str], limit: int | None) -> subprocess.CompletedProcess:
+    """``treelab ARGV`` in a child run in ``directory``, with RLIMIT_FSIZE ``limit`` if given."""
     child = (
         "import resource, sys\n"
-        f"if {limit}: resource.setrlimit(resource.RLIMIT_FSIZE, {limit})\n"
+        f"if {limit}: resource.setrlimit(resource.RLIMIT_FSIZE, ({limit},) * 2)\n"
         "from treelab.cli import main\n"
         "sys.exit(main(sys.argv[1:]))\n"
     )
     src = str(Path(pipeline.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1",
                PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    before = snapshot(tmp_path)
-    result = subprocess.run([sys.executable, "-c", child, *argv], cwd=tmp_path, env=env,
-                            capture_output=True, text=True, timeout=60)
-    reason = {"full": "No space left on device", "directory": "Is a directory",
-              "limited": "File too large"}[target]
-    assert result.stderr == f"error: cannot write {target}: {reason}\n"
+    return subprocess.run([sys.executable, "-c", child, *argv], cwd=directory, env=env,
+                          capture_output=True, text=True, timeout=60)
+
+
+# Commands whose outputs are shorter than SIDECAR_LIMIT and whose sidecars are
+# longer, as ``argv`` with SEED in place of the seed that changes the outputs.
+SMALL_WRITERS = {
+    "transform": "transform wide.trees -o out.txt --chain word_shuffle --seed SEED",
+    "mask": "mask wide.ids -o out.ids --vocab-size 40 --rate 0.5 --seed SEED",
+    "synth generate": "synth generate -o out -n 1 --grammar toy.grammar --seed SEED",
+}
+SIDECAR_LIMIT = 200  # bytes
+
+
+@pytest.mark.parametrize("writer", list(SMALL_WRITERS))
+def test_a_failed_sidecar_write_leaves_no_stale_sidecar(tmp_path, writer):
+    """A rerun whose first sidecar cannot be written (RLIMIT_FSIZE) fails with
+    one ``error: cannot write`` line, and leaves no sidecar that describes an
+    output from the earlier run."""
+    (tmp_path / "wide.trees").write_text(TREES[2] + "\n", encoding="utf-8")
+    (tmp_path / "wide.ids").write_text("7 8 9 10 11 12 13 14 15 16 17 18\n", encoding="utf-8")
+    (tmp_path / "toy.grammar").write_text(TOY_GRAMMAR, encoding="utf-8")
+    runs = [SMALL_WRITERS[writer].replace("SEED", seed).split() for seed in ("1", "2")]
+    assert run_limited(tmp_path, runs[0], None).returncode == 0
+    earlier = {path.name: sha256(path) for path in tmp_path.glob("out*")}
+    result = run_limited(tmp_path, runs[1], SIDECAR_LIMIT)
     assert result.returncode == 1
-    assert snapshot(tmp_path) == before
+    assert result.stderr.startswith("error: cannot write out") and result.stderr.endswith(
+        ".provenance.json: File too large\n"
+    )
+    assert any(sha256(tmp_path / name) != digest for name, digest in earlier.items())
+    for sidecar in tmp_path.glob("*.provenance.json"):
+        output = json.loads(sidecar.read_text(encoding="utf-8"))["output"]
+        assert output["sha256"] == sha256(tmp_path / output["path"]), sidecar.name
 
 
 # Each subcommand, and the files it reads.
@@ -628,6 +670,193 @@ def test_every_written_file_has_a_sidecar_that_hashes_every_input(
 
 def sha256(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+# Each subcommand and each side file it reads, as ``argv`` with SIDE in the side
+# file's place, and the whole file SIDE stands for.
+SIDE_READS = {
+    "transform --rules": ("transform in.trees -o out.txt --rules SIDE --chain reorder:83B",
+                          "rules.txt"),
+    "transform --config": ("transform in.trees -o out.txt --config SIDE", "transform.conf"),
+    "stats --config": ("stats in.trees other.txt --config SIDE", "stats.conf"),
+    "bpe learn --config": ("bpe learn words.txt -o out.bpe --config SIDE", "learn.conf"),
+    "bpe apply --model": ("bpe apply words.txt -o out.ids --model SIDE", "m.bpe"),
+    "bpe apply --config": ("bpe apply words.txt -o out.ids --model m.bpe --config SIDE",
+                           "seeded.conf"),
+    "mask ids": ("mask SIDE -o out.ids --vocab-size 40", "in.ids"),
+    "mask --model": ("mask in.ids -o out.ids --model SIDE", "m.bpe"),
+    "mask --config": ("mask in.ids -o out.ids --config SIDE", "mask.conf"),
+    "retrieval pooled": ("retrieval --source SIDE --target b.emb --report out.json", "a.emb"),
+    "retrieval token": ("retrieval --source a.emb --target SIDE --report out.json", "t.emb"),
+    "retrieval --config": ("retrieval --source a.emb --target b.emb --config SIDE",
+                           "retrieval.conf"),
+    "synth generate --grammar": ("synth generate -o out -n 3 --grammar SIDE", "toy.grammar"),
+    "synth generate --config": ("synth generate -o out --config SIDE", "synth.conf"),
+}
+CONFIGS = {
+    "transform.conf": "chain = reorder:83A\nseed = 3\nstats = yes\nreport = out.json\n",
+    "stats.conf": "# a report\nreport = out.json\n",
+    "learn.conf": "vocab-size = 40\nlanguage = toy\nseed = 1\n",
+    "seeded.conf": "seed = 1\nworkers = 1\n",
+    "mask.conf": "vocab-size = 40\nrate = 0.5\nseed = 2\n",
+    "retrieval.conf": "seed = 1\nreport = out.json\n",
+    "synth.conf": "count = 3\ngrammar = toy.grammar\nseed = 4\n",
+}
+DAMAGE = {
+    "empty": lambda data: b"",
+    "garbage": lambda data: b"garbage = = (( \x00 7\n",
+    "halved": lambda data: data[: len(data) // 2],
+    # A text file loses its last line, a binary file its last float.
+    "truncated": lambda data: data[: data.rstrip(b"\n").rfind(b"\n") + 1]
+    if data.endswith(b"\n") else data[:-4],
+}
+# Formats that record their own length: every damaged version must fail.
+COUNTED = {"bpe apply --model", "mask --model", "retrieval pooled", "retrieval token"}
+
+
+@pytest.mark.parametrize("damage", list(DAMAGE))
+@pytest.mark.parametrize("read", list(SIDE_READS))
+def test_a_damaged_side_file_ends_in_one_error_line(tmp_path, monkeypatch, capsys, read, damage):
+    """An empty, garbage, halved or truncated side file: exit 0, 1 or 2 and no
+    traceback; a failure prints one ``error:`` line and leaves every earlier file
+    as it was. A model or embedding file never loads damaged."""
+    side_files(tmp_path)
+    monkeypatch.chdir(tmp_path)
+    special = np.array([True, False, False])
+    write_token_embeddings("t.emb", EmbeddingMatrix(
+        tuple(SentenceTokens(np.eye(3, dtype=np.float32) * (i + 1), special) for i in range(3)),
+        dim=3,
+    ))
+    for name, text in CONFIGS.items():
+        (tmp_path / name).write_text(text, encoding="utf-8")
+    for name in ("out.txt", "out.json", "out.bpe", "out.ids", "out.a.trees"):
+        (tmp_path / name).write_text(f"earlier {name}\n", encoding="utf-8")
+    argv, side = SIDE_READS[read]
+    assert main([side if arg == "SIDE" else arg for arg in argv.split()]) == 0
+    for name in os.listdir(tmp_path):
+        if name.startswith("out"):
+            (tmp_path / name).write_text(f"earlier {name}\n", encoding="utf-8")
+    path = tmp_path / side
+    path.write_bytes(DAMAGE[damage](path.read_bytes()))
+    before = snapshot(tmp_path)
+    capsys.readouterr()
+    code = main([side if arg == "SIDE" else arg for arg in argv.split()])
+    err = capsys.readouterr().err
+    assert code in ((1, 2) if read in COUNTED else (0, 1, 2)), err
+    if code:
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert snapshot(tmp_path) == before
+
+
+# Each subcommand's settings: ``(argv, key, value)``. The flag run adds
+# ``--KEY VALUE`` (``--KEY`` for a switch, whose value is True); the config run
+# adds ``--config FILE`` with ``KEY = VALUE``.
+SETTINGS = [
+    ("transform in.trees -o out.txt --chain word_shuffle", "seed", "3"),
+    ("transform in.trees -o out.txt --chain word_shuffle", "workers", "2"),
+    ("transform in.trees -o out.txt", "chain", "reorder:83A,word_shuffle"),
+    ("transform in.trees -o out.txt --chain constituent_shuffle", "emit", "trees"),
+    ("transform in.trees -o out.txt --chain constituent_shuffle", "stats", True),
+    ("transform in.trees -o out.txt --chain constituent_shuffle --stats", "report", "r.json"),
+    ("transform bad.trees -o out.txt --chain reorder:83A", "skip-bad", True),
+    ("transform in.trees -o out.txt --chain reorder:83B", "rules", "rules.txt"),
+    ("stats in.trees other.txt", "report", "r.json"),
+    ("bpe learn words.txt -o out.bpe", "seed", "3"),
+    ("bpe learn words.txt -o out.bpe", "workers", "2"),
+    ("bpe learn words.txt -o out.bpe", "vocab-size", "40"),
+    ("bpe learn words.txt -o out.bpe", "language", "toy"),
+    ("bpe apply words.txt -o out.ids --model m.bpe", "seed", "3"),
+    ("bpe apply words.txt -o out.ids --model m.bpe", "workers", "2"),
+    ("mask in.ids -o out.ids --vocab-size 40", "seed", "3"),
+    ("mask in.ids -o out.ids --vocab-size 40", "workers", "2"),
+    ("mask in.ids -o out.ids --vocab-size 40", "rate", "0.5"),
+    ("mask in.ids -o out.ids", "vocab-size", "40"),
+    ("retrieval --source a.emb --target b.emb --report r.json", "seed", "3"),
+    ("retrieval --source a.emb --target b.emb --report r.json", "workers", "2"),
+    ("retrieval --source a.emb --target b.emb", "report", "r.json"),
+    ("synth generate -o out -n 3", "seed", "3"),
+    ("synth generate -o out -n 3", "workers", "2"),
+    ("synth generate -o out", "count", "3"),
+    ("synth generate -o out -n 3", "grammar", "toy.grammar"),
+]
+REQUIRED = {  # the positional and required arguments of each subcommand
+    "transform": ["in.trees", "-o", "out.txt"],
+    "stats": ["a.txt", "b.txt"],
+    "bpe learn": ["words.txt", "-o", "out.bpe"],
+    "bpe apply": ["words.txt", "-o", "out.ids", "--model", "m.bpe"],
+    "mask": ["in.ids", "-o", "out.ids"],
+    "retrieval": ["--source", "a.emb", "--target", "b.emb"],
+    "synth generate": ["-o", "out"],
+}
+# Options that are inputs or outputs, each with a subcommand that has it.
+FLAG_ONLY = {
+    "output": "transform", "tree-output": "transform", "labels-output": "mask", "model": "mask",
+    "source": "retrieval", "target": "retrieval", "prefix": "synth generate",
+    "languages": "synth generate", "config": "transform",
+}
+
+
+def subcommand(argv: str) -> str:
+    words = argv.split()
+    return " ".join(words[:2]) if words[0] in ("bpe", "synth") else words[0]
+
+
+@pytest.mark.parametrize("argv, key, value", SETTINGS, ids=lambda x: str(x).split(" -")[0])
+def test_a_config_key_acts_as_its_flag(tmp_path, monkeypatch, capsys, argv, key, value):
+    """Same outputs, sidecars and stdout whether a setting comes as a flag or a key."""
+    config = tmp_path / "run.conf"
+    config.write_text(f"{key} = {'yes' if value is True else value}\n", encoding="utf-8")
+    flag = [f"--{key}"] if value is True else [f"--{key}", value]
+    runs = []
+    for name, extra in (("flag", flag), ("config", ["--config", str(config)])):
+        (tmp_path / name).mkdir()
+        side_files(tmp_path / name)
+        monkeypatch.chdir(tmp_path / name)
+        capsys.readouterr()
+        code = main([*argv.split(), *extra])
+        runs.append((code, *capsys.readouterr(), snapshot(tmp_path / name)))
+    assert runs[0][0] == 0, runs[0][2]
+    assert runs[1] == runs[0]
+
+
+@pytest.mark.parametrize("command", sorted({subcommand(argv) for argv, _, _ in SETTINGS}))
+def test_each_subcommand_accepts_exactly_its_settings_as_keys(tmp_path, capsys, command):
+    """The key set of each subcommand is the set of its settings in SETTINGS."""
+    config = tmp_path / "run.conf"
+    config.write_text("nonsense = 1\n", encoding="utf-8")
+    code = main([*command.split(), *REQUIRED[command], "--config", str(config)])
+    err = capsys.readouterr().err
+    keys = sorted(key for argv, key, _ in SETTINGS if subcommand(argv) == command)
+    assert code == 2
+    assert err.endswith(f"unknown key 'nonsense'; this subcommand accepts {', '.join(keys)}\n")
+
+
+@pytest.mark.parametrize("key", list(FLAG_ONLY))
+def test_inputs_and_outputs_are_not_config_keys(tmp_path, capsys, key):
+    config = tmp_path / "run.conf"
+    config.write_text(f"{key} = x\n", encoding="utf-8")
+    command = FLAG_ONLY[key]
+    code = main([*command.split(), *REQUIRED[command], "--config", str(config)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert f"unknown key {key!r}" in err
+
+
+@pytest.mark.parametrize("key, env, default", [("seed", SEED_ENV, 0), ("workers", WORKERS_ENV, 1)])
+def test_workers_and_seed_resolve_alike(tmp_path, monkeypatch, key, env, default):
+    """Flag over environment over config file over built-in default, as the sidecar records."""
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "run.conf").write_text(f"{key} = 3\n", encoding="utf-8")
+
+    def recorded(*extra: str) -> int:
+        assert main(["synth", "generate", "-o", "out", "-n", "1", *extra]) == 0
+        return json.loads((tmp_path / "out.align.provenance.json").read_text())[key]
+
+    assert recorded() == default
+    assert recorded("--config", "run.conf") == 3
+    monkeypatch.setenv(env, "4")
+    assert recorded("--config", "run.conf") == 4
+    assert recorded("--config", "run.conf", f"--{key}", "5") == 5
 
 
 def reference_row(text: str, index: int, chain: str) -> tuple[float, float, int]:

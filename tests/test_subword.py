@@ -267,6 +267,24 @@ class TestModelFile:
         with pytest.raises(BpeError, match="malformed"):
             load_model(str(path))
 
+    @pytest.mark.parametrize("damage", ["merges cut", "merge added", "alphabet line dropped"])
+    def test_lines_must_match_the_header_counts(self, tmp_path, damage):
+        path = tmp_path / "model.bpe"
+        text = "the cat sat on the mat and the rat sat at that hat then the cat ran"
+        save_model(bpe_learn([text], vocab_size=60), str(path))
+        lines = path.read_text(encoding="utf-8").splitlines()
+        merges = next(i for i, line in enumerate(lines) if line.startswith("merges "))
+        assert len(lines) - merges - 1 == int(lines[merges].split()[1]) >= 4
+        if damage == "merges cut":
+            del lines[merges + 3:]
+        elif damage == "merge added":
+            lines.append("t h")
+        else:
+            del lines[merges - 1]
+        path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+        with pytest.raises(BpeError, match=re.escape(f"malformed model file {path}: ")):
+            load_model(str(path))
+
 
 class TestMasking:
     def test_deterministic_per_sentence(self):
