@@ -19,13 +19,14 @@ Every file a subcommand writes, reports included, gets a provenance sidecar
 that hashes every file the command read (``pipeline.recorded``).
 
 Exit status: 0 on success, 1 on hard errors (unreadable input, a failed
-write, malformed trees without ``--skip-bad``, alignment failures), 2 on
-usage errors (an aliased output among them).
+write, a dead worker, malformed trees without ``--skip-bad``, alignment
+failures), 2 on usage errors (an aliased output among them), 130 on SIGINT.
 """
 
 from __future__ import annotations
 
 import argparse
+import json
 import os
 import sys
 from typing import IO, Collection, Sequence
@@ -36,19 +37,16 @@ from .pipeline import (
     UsageError,
     read_lines,
     recorded,
-    replace_on_success,
     run_stats,
     run_transform,
-    write_json,
 )
 from .subword import (
     MaskingConfig,
     bpe_apply,
     bpe_learn,
-    iter_ids_file,
+    dump_model,
     load_model,
     mask_tokens,
-    save_model,
 )
 from .synthlang import corpus_pairs, demo_grammar, load_grammar, write_pairs
 from .version import TOOL_VERSION
@@ -256,10 +254,10 @@ def _cmd_bpe_learn(args: argparse.Namespace, stdout: IO[str], stderr: IO[str]) -
         config={"vocab_size": args.vocab_size, "language": args.language,
                 "inputs": list(args.inputs)},
         seed=args.seed, workers=args.workers,
-    ) as counts:
-        lines = (text for _, _, text in read_lines(args.inputs))
-        model = bpe_learn(lines, args.vocab_size, args.language)
-        save_model(model, args.output)
+    ) as (counts, (fh,)):
+        model = bpe_learn((text for _, _, text in read_lines(args.inputs)), args.vocab_size,
+                          args.language)
+        dump_model(model, fh)
         counts.update(merges=len(model.merges), vocabulary=len(model.vocab))
     print(f"learned {len(model.merges)} merges; vocabulary has {len(model.vocab)} entries",
           file=stdout)
@@ -271,15 +269,12 @@ def _cmd_bpe_apply(args: argparse.Namespace, stdout: IO[str], stderr: IO[str]) -
         "bpe apply", [args.output], [*args.inputs, args.model],
         config={"model": args.model, "inputs": list(args.inputs)},
         seed=args.seed, workers=args.workers,
-    ) as counts:
+    ) as (counts, (fh,)):
         model = load_model(args.model)
-        numbered = read_lines(args.inputs)  # opens the inputs before the output
         lines = 0
-        with replace_on_success(args.output) as fh:
-            for _, _, text in numbered:
-                fh.write(" ".join(str(i) for i in bpe_apply(model, text)))
-                fh.write("\n")
-                lines += 1
+        for _, _, text in read_lines(args.inputs):
+            fh.write(" ".join(str(i) for i in bpe_apply(model, text)) + "\n")
+            lines += 1
         counts["lines"] = lines
     print(f"encoded {lines} line(s) with {model.language} model", file=stdout)
     return 0
@@ -298,17 +293,18 @@ def _cmd_mask(args: argparse.Namespace, stdout: IO[str], stderr: IO[str]) -> int
         config={"input": args.input, "vocab_size": vocab_size, "rate": args.rate,
                 "labels": labels_path},
         seed=args.seed, workers=args.workers,
-    ) as counts:
-        sequences = iter_ids_file(args.input)  # opens the input before the outputs
+    ) as (counts, (fh_ids, fh_labels)):
         sentences = tokens = 0
-        with (replace_on_success(args.output) as fh_ids,
-              replace_on_success(labels_path) as fh_labels):
-            for seq in sequences:
-                masked, labels = mask_tokens(seq, masking, vocab_size, sentence_index=sentences)
-                fh_ids.write(" ".join(str(i) for i in masked) + "\n")
-                fh_labels.write(" ".join(str(i) for i in labels) + "\n")
-                sentences += 1
-                tokens += len(seq)
+        for _, _, text in read_lines([args.input]):
+            try:
+                seq = [int(tok) for tok in text.split()]
+            except ValueError as exc:
+                raise PipelineError(f"cannot read {args.input}: {exc}") from exc
+            masked, labels = mask_tokens(seq, masking, vocab_size, sentence_index=sentences)
+            fh_ids.write(" ".join(str(i) for i in masked) + "\n")
+            fh_labels.write(" ".join(str(i) for i in labels) + "\n")
+            sentences += 1
+            tokens += len(seq)
         counts.update(sentences=sentences, tokens=tokens)
     print(f"masked {sentences} sentence(s), {tokens} token(s)", file=stdout)
     return 0
@@ -320,18 +316,18 @@ def _cmd_retrieval(args: argparse.Namespace, stdout: IO[str], stderr: IO[str]) -
     with recorded(
         "retrieval", [args.report], [args.source, args.target],
         config={"source": args.source, "target": args.target}, seed=args.seed, workers=args.workers,
-    ):
+    ) as (_, (report_fh,)):
         source, _ = read_embeddings(args.source)
         target, _ = read_embeddings(args.target)
         result = top1_retrieval(source, target)
         print(f"queries {source.shape[0]}  top-1 accuracy {result.top1_accuracy:.4f}  "
               f"margin {result.margin:.4f}", file=stdout)
-        if args.report:
-            write_json(args.report, {
+        if report_fh is not None:
+            report_fh.write(json.dumps({
                 "source": args.source, "target": args.target, "queries": source.shape[0],
                 "top1_accuracy": result.top1_accuracy, "margin": result.margin,
                 "per_query_nearest": list(result.per_query_nearest),
-            })
+            }, indent=2) + "\n")
     return 0
 
 
@@ -348,8 +344,8 @@ def _cmd_synth_generate(args: argparse.Namespace, stdout: IO[str], stderr: IO[st
         config={"grammar": grammar_path or "<built-in demo>", "count": count,
                 "languages": [lang_a, lang_b]},
         seed=args.seed, workers=args.workers,
-    ) as counts:
-        write_pairs(pairs, *outputs)
+    ) as (counts, handles):
+        write_pairs(pairs, *handles)
         counts["pairs"] = count
     print(f"wrote {count} aligned pairs: {', '.join(outputs)}", file=stdout)
     return 0
@@ -368,6 +364,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=stderr)
         return 2
+    except KeyboardInterrupt:
+        print("error: interrupted", file=stderr)
+        return 130
     except (PipelineError, OSError, ValueError) as exc:  # every domain error is a ValueError
         print(f"error: {exc}", file=stderr)
         return 1

@@ -25,14 +25,15 @@ Each line is scanned once; ``--stats`` aligns by origin, with one check of the
 (surface, origin) multiset. ``stats`` scans tokens without building nodes.
 
 Every subcommand writes through :func:`recorded`. No output may be another
-output, a sidecar or an input. Each replaces an earlier file only once it is
-whole, so an unreadable input leaves earlier outputs in place. Each, reports
-included, gets a ``<path>.provenance.json`` sidecar recording the tool
-version, the effective configuration, the seed, and SHA-256 digests of every
-file the command read and of the output (null for a pipe or device). Sidecars
-contain no timestamps, so a rerun with the same inputs and seed
-reproduces them byte for byte (except for the recorded worker count,
-which is part of the configuration).
+output, a sidecar or an input. Each output, reports included, gets a
+``<path>.provenance.json`` sidecar recording the tool version, the effective
+configuration, the seed, and SHA-256 digests of every file the command read
+and of the bytes written to the output (null for a pipe or device). A run
+stages all its outputs and sidecars and replaces their files together at the
+end, or none of them: a failed read, write, worker or interrupt before then
+leaves every earlier file as it was. Sidecars contain no timestamps, so a
+rerun with the same inputs and seed reproduces them byte for byte (except
+for the recorded worker count, which is part of the configuration).
 """
 
 from __future__ import annotations
@@ -46,7 +47,8 @@ import os
 import sys
 from collections import Counter, deque
 from concurrent.futures import ProcessPoolExecutor
-from contextlib import ExitStack, contextmanager, suppress
+from concurrent.futures.process import BrokenProcessPool
+from contextlib import closing, contextmanager, suppress
 from dataclasses import dataclass
 from itertools import chain, groupby, islice, zip_longest
 from typing import IO, Iterable, Iterator, Mapping, Sequence, Union
@@ -214,37 +216,28 @@ class PipelineConfig:
 
 
 def read_lines(paths: Sequence[str]) -> Iterator[tuple[str, int, str]]:
-    """``(path, lineno, text)`` over the concatenated UTF-8 files, newlines stripped.
-
-    Every file is opened before this returns, so a missing input fails
-    before the caller creates any output. A file that cannot be opened or
-    read, or is not UTF-8, raises :class:`PipelineError` naming it.
-    """
-    lines = _numbered_lines(paths)
-    next(lines)  # open every file now; closing the iterator closes them
-    return lines
-
-
-def _numbered_lines(paths: Sequence[str]) -> Iterator:
-    with ExitStack() as stack:
+    """``(path, lineno, text)`` over the concatenated UTF-8 files, newlines
+    stripped, each file opened when the one before it is done. A file that
+    cannot be opened or read, or is not UTF-8, raises :class:`PipelineError`
+    naming it."""
+    for path in paths:
         try:
-            handles = [stack.enter_context(open(path, encoding="utf-8")) for path in paths]
-        except OSError as exc:
-            raise PipelineError(f"cannot read {exc.filename}: {exc}") from exc
-        yield None  # where read_lines stops: every file is open
-        for path, fh in zip(paths, handles):
-            try:
+            with open(path, encoding="utf-8") as fh:
                 for lineno, line in enumerate(fh, start=1):
                     yield path, lineno, line.rstrip("\n")
-            except (OSError, UnicodeDecodeError) as exc:
-                raise PipelineError(f"cannot read {path}: {exc}") from exc
+        except (OSError, UnicodeDecodeError) as exc:
+            raise PipelineError(f"cannot read {path}: {exc}") from exc
 
 
 class _Output(io.FileIO):
-    """A raw output file whose failed write or close raises ``cannot write NAME``."""
+    """A raw output file that adds what it writes to ``sha256`` (None for a
+    pipe or device), and whose failed write or close raises ``cannot write NAME``."""
 
     def write(self, data):
-        return _named(self.name, super().write, data)
+        written = _named(self.name, super().write, data)
+        if self.sha256 is not None:
+            self.sha256.update(data[:written])
+        return written
 
     def close(self) -> None:
         _named(self.name, super().close)
@@ -259,29 +252,41 @@ def _named(path: str, call, *args):
 
 
 @contextmanager
-def replace_on_success(path: str) -> Iterator[IO[str]]:
-    """A text file that becomes ``path`` only if the ``with`` block succeeds.
+def replace_on_success(*paths: str) -> Iterator[tuple[IO[str], ...]]:
+    """One text handle per path; the files become ``paths`` only if the ``with`` block succeeds.
 
-    It is written as a temporary file in the directory of the file ``path``
-    names (through any symlinks) and renamed over that file on exit, so an
-    error part-way leaves an existing file as it was and no temporary file
+    Each is written as a temporary file in the directory of the file its path
+    names (through any symlinks). On exit every handle is closed, and then
+    every temporary file is renamed over its file in one loop, so an error
+    before that loop leaves every existing file as it was and no temporary file
     behind. A device or pipe is written directly: it keeps no earlier output.
     A failed open, write, flush, close or rename raises ``cannot write PATH``.
     """
-    target = os.path.realpath(path)
-    tmp = None
-    if not os.path.exists(target) or os.path.isfile(target):
-        tmp = f"{os.path.dirname(target)}/.{os.path.basename(target)}.{os.urandom(6).hex()}.tmp"
-    raw = _named(path, _Output, tmp or path, "x" if tmp else "w")  # "x": a new file, open()'s mode
-    raw.name = path
+    handles: list[IO[str]] = []
+    staged: list[tuple[str, str, str]] = []  # (temporary, target, path)
     try:
-        with io.TextIOWrapper(io.BufferedWriter(raw), encoding="utf-8") as fh:
-            yield fh
-        if tmp:
+        for path in paths:
+            target = os.path.realpath(path)
+            tmp = None
+            if not os.path.exists(target) or os.path.isfile(target):
+                tmp = f"{os.path.dirname(target)}/.{os.path.basename(target)}.{os.urandom(6).hex()}.tmp"
+            raw = _named(path, _Output, tmp or path, "x" if tmp else "w")  # "x": a new file
+            raw.name, raw.sha256 = path, hashlib.sha256() if tmp else None
+            if tmp:
+                staged.append((tmp, target, path))
+            handles.append(io.TextIOWrapper(io.BufferedWriter(raw), encoding="utf-8"))
+        yield tuple(handles)
+        for fh in handles:
+            fh.close()
+        for tmp, target, path in staged:
             _named(path, os.replace, tmp, target)
     except BaseException:
-        if tmp:
-            os.unlink(tmp)
+        for fh in handles:
+            with suppress(PipelineError):  # what _Output raises for a failed write or close
+                fh.close()
+        for tmp, _, _ in staged:
+            with suppress(OSError):
+                os.unlink(tmp)
         raise
 
 
@@ -332,14 +337,17 @@ def _map_chunks(work, lines: Iterator, workers: int) -> Iterator:
     if workers == 1 or len(first) < 2:  # CHUNK_LINES >= 2, so this means < 2 lines
         yield from map(work, chunks)
         return
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        pending: deque = deque()
-        for chunk in chunks:
-            if len(pending) == workers * CHUNKS_PER_WORKER:
+    try:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            pending: deque = deque()
+            for chunk in chunks:
+                if len(pending) == workers * CHUNKS_PER_WORKER:
+                    yield pending.popleft().result()
+                pending.append(pool.submit(work, chunk))
+            while pending:
                 yield pending.popleft().result()
-            pending.append(pool.submit(work, chunk))
-        while pending:
-            yield pending.popleft().result()
+    except BrokenProcessPool as exc:
+        raise PipelineError(f"a worker process died ({exc})") from exc
 
 
 def sha256_file(path: str) -> str | None:
@@ -354,42 +362,30 @@ def sha256_file(path: str) -> str | None:
     return digest.hexdigest()
 
 
-def write_provenance(
-    output_path: str,
-    *,
-    command: str,
-    config: Mapping[str, object],
-    seed: int | None,
-    workers: int | None,
-    inputs: Sequence[str],
-    counts: Mapping[str, int] | None = None,
-) -> str:
-    """Write ``<output>.provenance.json`` and return its path.
+def _provenance(output: str, sha256: str | None, inputs: list[dict], *, command: str,
+                config: Mapping[str, object], seed: int | None, workers: int | None,
+                counts: Mapping[str, int] | None) -> str:
+    """The text of ``output``'s sidecar, given the digest of its bytes and the
+    ``{"path", "sha256"}`` of each input. Deliberately timestamp-free: identical
+    runs must produce identical sidecars, so audits can diff them directly."""
+    document = {"tool": TOOL_NAME, "version": TOOL_VERSION, "command": command,
+                "config": dict(config), "seed": seed, "workers": workers, "inputs": inputs,
+                "output": {"path": output, "sha256": sha256}, "counts": dict(counts or {})}
+    return json.dumps(document, indent=2) + "\n"
 
-    Deliberately timestamp-free: identical runs must produce identical
-    sidecars, so audits can diff them directly. A path that is not a
-    regular file, such as a pipe, records ``"sha256": null``.
-    """
-    document = {
-        "tool": TOOL_NAME,
-        "version": TOOL_VERSION,
-        "command": command,
-        "config": dict(config),
-        "seed": seed,
-        "workers": workers,
-        "inputs": [{"path": p, "sha256": sha256_file(p)} for p in inputs],
-        "output": {"path": output_path, "sha256": sha256_file(output_path)},
-        "counts": dict(counts or {}),
-    }
+
+def write_provenance(output_path: str, *, command: str, config: Mapping[str, object],
+                     seed: int | None, workers: int | None, inputs: Sequence[str],
+                     counts: Mapping[str, int] | None = None) -> str:
+    """Write ``<output>.provenance.json`` for a file already written, and
+    return its path. A path that is not a regular file, such as a pipe,
+    records ``"sha256": null``."""
     sidecar = output_path + SIDECAR_SUFFIX
-    write_json(sidecar, document)
+    read = [{"path": path, "sha256": sha256_file(path)} for path in inputs]
+    with replace_on_success(sidecar) as (fh,):
+        fh.write(_provenance(output_path, sha256_file(output_path), read, command=command,
+                             config=config, seed=seed, workers=workers, counts=counts))
     return sidecar
-
-
-def write_json(path: str, document: Mapping[str, object]) -> None:
-    """``document`` as indented JSON and a newline, through :func:`replace_on_success`."""
-    with replace_on_success(path) as fh:
-        fh.write(json.dumps(document, indent=2) + "\n")
 
 
 def check_paths_distinct(outputs: Iterable[str], inputs: Iterable[str]) -> None:
@@ -406,28 +402,28 @@ def check_paths_distinct(outputs: Iterable[str], inputs: Iterable[str]) -> None:
 
 
 @contextmanager
-def recorded(command: str, outputs: Iterable[str | None], inputs: Iterable[str | None], *,
+def recorded(command: str, outputs: Sequence[str | None], inputs: Iterable[str | None], *,
              config: Mapping[str, object], seed: int | None = None,
-             workers: int | None = None) -> Iterator[Counter]:
+             workers: int | None = None) -> Iterator[tuple[Counter, list[IO[str] | None]]]:
     """The one write protocol of every subcommand (see the module docstring): refuse an
     output or sidecar that is another output or an input (empty entries are not paths),
-    yield a ``Counter`` for the run's counts, then give each written output its sidecar.
-    If a sidecar cannot be written, every earlier sidecar not yet replaced is deleted,
-    so none is left that describes an earlier output."""
-    outputs = [path for path in outputs if path]
+    yield a ``Counter`` for the run's counts and a handle per output (None for an empty
+    entry), then stage each output's sidecar, all through one :func:`replace_on_success`."""
+    written = [path for path in outputs if path]
     inputs = [path for path in inputs if path]
-    check_paths_distinct([*outputs, *(path + SIDECAR_SUFFIX for path in outputs)], inputs)
+    sidecars = [path + SIDECAR_SUFFIX for path in written]
+    check_paths_distinct([*written, *sidecars], inputs)
     counts: Counter = Counter()
-    yield counts
-    for done, path in enumerate(outputs):
-        try:
-            write_provenance(path, command=command, config=config, seed=seed, workers=workers,
-                             inputs=inputs, counts=counts)
-        except BaseException:
-            for stale in outputs[done:]:
-                with suppress(OSError):
-                    os.unlink(stale + SIDECAR_SUFFIX)
-            raise
+    with replace_on_success(*written, *sidecars) as handles:
+        by_path = dict(zip(written, handles))
+        yield counts, [by_path.get(path) for path in outputs]
+        if written:  # each input is hashed once, for every sidecar
+            read = [{"path": path, "sha256": sha256_file(path)} for path in inputs]
+        for path, fh, sidecar in zip(written, handles, handles[len(written):]):
+            fh.flush()  # every byte has passed through the output's digest
+            digest = fh.buffer.raw.sha256
+            sidecar.write(_provenance(path, digest and digest.hexdigest(), read, command=command,
+                                      config=config, seed=seed, workers=workers, counts=counts))
 
 
 def run_transform(
@@ -450,15 +446,11 @@ def run_transform(
     with recorded(
         "transform", [sentence_path, tree_path, config.report], [*config.inputs, config.rules_file],
         config=dataclasses.asdict(config), seed=config.global_seed, workers=config.workers,
-    ) as counts:
-        lines = enumerate(read_lines(config.inputs))  # opens the inputs before any output
+    ) as (counts, (sentence_fh, tree_fh, report_fh)):
         counts.update(total=0, emitted=0, blank=0, placeholder=0, bad=0)  # sidecar key order
-        with ExitStack() as stack:
-            sentence_fh, tree_fh, report_fh = (
-                stack.enter_context(replace_on_success(path)) if path else None
-                for path in (sentence_path, tree_path, config.report)
-            )
-            results = _map_chunks(work, lines, config.workers)
+        # Closed here: a failed pool result can keep the reader alive after the run.
+        with closing(read_lines(config.inputs)) as lines:
+            results = _map_chunks(work, enumerate(lines), config.workers)
             for sentence_block, tree_block, rows, chunk_counts, chunk_errors in results:
                 if sentence_fh is not None:
                     sentence_fh.write(sentence_block)
@@ -469,12 +461,12 @@ def run_transform(
                 counts.update(chunk_counts)
                 if not config.skip_bad:
                     errors.extend(chunk_errors)
-            if config.stats:
-                stats = acc.finalize()
-                print(format_stats_table([(config.chain, stats)]), file=stdout)
-            if report_fh is not None:
-                report = {"chain": config.chain, **dataclasses.asdict(stats)}
-                report_fh.write(json.dumps(report, indent=2) + "\n")
+        if config.stats:
+            stats = acc.finalize()
+            print(format_stats_table([(config.chain, stats)]), file=stdout)
+        if report_fh is not None:
+            report = {"chain": config.chain, **dataclasses.asdict(stats)}
+            report_fh.write(json.dumps(report, indent=2) + "\n")
 
     if counts["placeholder"]:
         print(f"skipped {counts['placeholder']} line(s) with no tree", file=stderr)
@@ -516,7 +508,7 @@ def run_stats(
     with recorded(
         "stats", [report], [original_path, modified_path],
         config={"original": original_path, "modified": modified_path},
-    ):
+    ) as (_, (report_fh,)):
         for line_a, line_b in zip_longest(read_lines([original_path]), read_lines([modified_path])):
             if line_a is None or line_b is None:
                 short = original_path if line_a is None else modified_path
@@ -538,9 +530,9 @@ def run_stats(
 
         stats = acc.finalize()
         print(format_stats_table([(modified_path, stats)]), file=stdout)
-        if report:
-            write_json(report, {"original": original_path, "modified": modified_path,
-                                **dataclasses.asdict(stats)})
+        if report_fh is not None:
+            report_fh.write(json.dumps({"original": original_path, "modified": modified_path,
+                                        **dataclasses.asdict(stats)}, indent=2) + "\n")
     for message in errors:
         print(message, file=stderr)
     return 1 if errors else 0

@@ -38,7 +38,7 @@ import heapq
 import math
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Sequence
+from typing import IO, Iterable, Sequence
 
 from .rng import Rng, SeedScheme
 
@@ -225,26 +225,39 @@ def bpe_decode(model: BpeModel, ids: Sequence[int]) -> str:
     return " ".join(words)
 
 
+def dump_model(model: BpeModel, fh: IO[str]) -> None:
+    """Text format: header lines, the initial alphabet, then one merge per line."""
+    # Alphabet entries are the only single-character symbols in the vocabulary.
+    alphabet = [s for s, _ in sorted(model.vocab.items(), key=lambda kv: kv[1]) if len(s) == 1]
+    fh.write("bpe-model v1\n")
+    fh.write(f"language {model.language}\n")
+    fh.write(f"end_of_word {model.end_of_word}\n")
+    fh.write("specials " + " ".join(model.special_tokens) + "\n")
+    fh.write(f"alphabet {len(alphabet)}\n")
+    for sym in alphabet:
+        fh.write(sym + "\n")
+    fh.write(f"merges {len(model.merges)}\n")
+    for a, b in model.merges:
+        fh.write(f"{a} {b}\n")
+
+
 def save_model(model: BpeModel, path: str) -> None:
-    """Text format: header lines, the initial alphabet, then one merge per line.
-    A write that fails part-way leaves an existing file at ``path`` as it was."""
+    """:func:`dump_model` to ``path``; a write that fails part-way leaves an
+    existing file at ``path`` as it was."""
     # Imported here: at module level it loads the corpus driver early in
     # ``import treelab`` and adds about 0.4 MB to the CLI's peak RSS.
     from .pipeline import replace_on_success
 
-    # Alphabet entries are the only single-character symbols in the vocabulary.
-    alphabet = [s for s, _ in sorted(model.vocab.items(), key=lambda kv: kv[1]) if len(s) == 1]
-    with replace_on_success(path) as fh:
-        fh.write("bpe-model v1\n")
-        fh.write(f"language {model.language}\n")
-        fh.write(f"end_of_word {model.end_of_word}\n")
-        fh.write("specials " + " ".join(model.special_tokens) + "\n")
-        fh.write(f"alphabet {len(alphabet)}\n")
-        for sym in alphabet:
-            fh.write(sym + "\n")
-        fh.write(f"merges {len(model.merges)}\n")
-        for a, b in model.merges:
-            fh.write(f"{a} {b}\n")
+    with replace_on_success(path) as (fh,):
+        dump_model(model, fh)
+
+
+def _header_field(lines: Sequence[str], index: int, keyword: str) -> str:
+    """What follows ``keyword`` on line ``index``; another keyword or no line is malformed."""
+    head, _, value = lines[index].partition(" ") if index < len(lines) else ("", "", "")
+    if head != keyword:
+        raise ValueError(f"line {index + 1}: expected {keyword!r}")
+    return value
 
 
 def load_model(path: str) -> BpeModel:
@@ -253,23 +266,20 @@ def load_model(path: str) -> BpeModel:
             lines = [line.rstrip("\n") for line in fh]
     except (OSError, UnicodeDecodeError) as exc:
         raise BpeError(f"cannot read {path}: {exc}") from exc
+    if lines[:1] != ["bpe-model v1"]:
+        raise BpeError(f"unsupported model header: {''.join(lines[:1])!r}")
     try:
-        if lines[0] != "bpe-model v1":
-            raise BpeError(f"unsupported model header: {lines[0]!r}")
-        language = lines[1].split(" ", 1)[1]
-        eow = lines[2].split(" ", 1)[1]
-        specials = tuple(lines[3].split()[1:])
-        n_alpha = int(lines[4].split()[1])
+        language = _header_field(lines, 1, "language")
+        eow = _header_field(lines, 2, "end_of_word")
+        specials = tuple(_header_field(lines, 3, "specials").split())
+        n_alpha = int(_header_field(lines, 4, "alphabet"))
         alphabet = lines[5 : 5 + n_alpha]
         pos = 5 + n_alpha
-        n_merges = int(lines[pos].split()[1])
-        if lines[pos].split()[0] != "merges" or len(lines) != pos + 1 + n_merges:
+        n_merges = int(_header_field(lines, pos, "merges"))
+        if len(lines) != pos + 1 + n_merges:
             raise ValueError(f"{len(lines)} lines, but the header counts {n_alpha} alphabet "
                              f"and {n_merges} merge lines")
-        merges = []
-        for line in lines[pos + 1 : pos + 1 + n_merges]:
-            a, b = line.split(" ")
-            merges.append((a, b))
+        merges = [(a, b) for a, b in (line.split(" ") for line in lines[pos + 1 :])]
     except (IndexError, ValueError) as exc:
         raise BpeError(f"malformed model file {path}: {exc}") from exc
     vocab = _build_vocab(specials, eow, alphabet, merges)
@@ -335,31 +345,11 @@ def mask_tokens(
     return masked, labels
 
 
-def iter_ids_file(path: str) -> Iterator[list[int]]:
-    """Each line's ids, read as the iterator is consumed.
-
-    The file is opened now, so a missing file fails before the caller
-    creates any output. A file that cannot be read, is not UTF-8 or holds a
-    non-integer raises ``cannot read PATH: ...``.
-    """
-    lines = _ids_lines(path)
-    next(lines)  # open the file now; closing the iterator closes it
-    return lines
-
-
-def _ids_lines(path: str) -> Iterator:
-    try:
-        fh = open(path, encoding="utf-8")
-    except OSError as exc:
-        raise BpeError(f"cannot read {path}: {exc}") from exc
-    with fh:
-        yield None  # where iter_ids_file stops: the file is open
-        try:
-            for line in fh:
-                yield [int(tok) for tok in line.split()]
-        except (OSError, ValueError) as exc:  # ValueError: not UTF-8, or not an integer
-            raise BpeError(f"cannot read {path}: {exc}") from exc
-
-
 def read_ids_file(path: str) -> list[list[int]]:
-    return list(iter_ids_file(path))
+    """Each line's ids. A file that cannot be read, is not UTF-8 or holds a
+    non-integer raises ``cannot read PATH: ...``."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return [[int(tok) for tok in line.split()] for line in fh]
+    except (OSError, ValueError) as exc:  # ValueError: not UTF-8, or not an integer
+        raise BpeError(f"cannot read {path}: {exc}") from exc

@@ -31,9 +31,8 @@ stream, and written pair by pair, so memory does not grow with the corpus.
 from __future__ import annotations
 
 import itertools
-from contextlib import ExitStack
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Mapping
+from typing import IO, Iterable, Iterator, Mapping
 
 from .pipeline import replace_on_success
 from .rng import Rng, SeedScheme
@@ -451,23 +450,20 @@ def parse_alignment(line: str) -> tuple[tuple[int, int], ...]:
     return tuple(pairs)
 
 
-def write_pairs(pairs: Iterable[Pair], path_a: str, path_b: str, path_align: str) -> None:
-    """Write each pair as it comes: a treebank line to each side's file and
-    an alignment line. The files replace their paths only once every pair
-    is written, so an error part-way leaves no partial output."""
-    with ExitStack() as stack:
-        fh_a, fh_b, fh_align = (
-            stack.enter_context(replace_on_success(path)) for path in (path_a, path_b, path_align)
-        )
-        for tree_a, tree_b, alignment in pairs:
-            fh_a.write(serialize(tree_a) + "\n")
-            fh_b.write(serialize(tree_b) + "\n")
-            fh_align.write(format_alignment(alignment) + "\n")
+def write_pairs(pairs: Iterable[Pair], fh_a: IO[str], fh_b: IO[str], fh_align: IO[str]) -> None:
+    """Each pair as it comes: a treebank line to each side's handle and an alignment line."""
+    for tree_a, tree_b, alignment in pairs:
+        fh_a.write(serialize(tree_a) + "\n")
+        fh_b.write(serialize(tree_b) + "\n")
+        fh_align.write(format_alignment(alignment) + "\n")
 
 
 def write_corpus(corpus: ParallelCorpus, path_a: str, path_b: str, path_align: str) -> None:
-    """Both sides as treebank files plus one alignment line per pair."""
-    write_pairs(corpus.pairs, path_a, path_b, path_align)
+    """Both sides as treebank files plus one alignment line per pair. The
+    files replace their paths only once every pair is written, so an error
+    part-way leaves no partial output."""
+    with replace_on_success(path_a, path_b, path_align) as handles:
+        write_pairs(corpus.pairs, *handles)
 
 
 def lexicon_map(grammar: SynthGrammar, source: str, target: str) -> dict[str, str]:

@@ -257,7 +257,7 @@ def test_read_lines_numbers_each_file_and_opens_all_first(tmp_path):
         (str(second), 1, "three"), (str(second), 2, "four"),
     ]
     with pytest.raises(pipeline.PipelineError, match="cannot read .*missing.txt"):
-        read_lines([str(first), str(tmp_path / "missing.txt")])  # before any line is read
+        list(read_lines([str(first), str(tmp_path / "missing.txt")]))
 
 
 @pytest.mark.parametrize("command", ["transform", "bpe apply"])
@@ -352,7 +352,7 @@ def test_replace_on_success_writes_through_symlinks_and_pipes(tmp_path):
     real.write_text("earlier output\n", encoding="utf-8")
     link = tmp_path / "link.txt"
     link.symlink_to(real)
-    with pipeline.replace_on_success(str(link)) as fh:
+    with pipeline.replace_on_success(str(link)) as (fh,):
         fh.write("new output\n")
     assert link.is_symlink()
     assert real.read_text(encoding="utf-8") == "new output\n"
@@ -362,7 +362,7 @@ def test_replace_on_success_writes_through_symlinks_and_pipes(tmp_path):
     received: list[str] = []
     reader = threading.Thread(target=lambda: received.append(fifo.read_text()), daemon=True)
     reader.start()
-    with pipeline.replace_on_success(str(fifo)) as fh:
+    with pipeline.replace_on_success(str(fifo)) as (fh,):
         fh.write("through the pipe\n")
     reader.join(timeout=10)
     assert received == ["through the pipe\n"]
@@ -608,23 +608,66 @@ SIDECAR_LIMIT = 200  # bytes
 @pytest.mark.parametrize("writer", list(SMALL_WRITERS))
 def test_a_failed_sidecar_write_leaves_no_stale_sidecar(tmp_path, writer):
     """A rerun whose first sidecar cannot be written (RLIMIT_FSIZE) fails with
-    one ``error: cannot write`` line, and leaves no sidecar that describes an
-    output from the earlier run."""
+    one ``error: cannot write`` line, and leaves every output and sidecar of the
+    earlier run byte-identical and no temporary file."""
     (tmp_path / "wide.trees").write_text(TREES[2] + "\n", encoding="utf-8")
     (tmp_path / "wide.ids").write_text("7 8 9 10 11 12 13 14 15 16 17 18\n", encoding="utf-8")
     (tmp_path / "toy.grammar").write_text(TOY_GRAMMAR, encoding="utf-8")
     runs = [SMALL_WRITERS[writer].replace("SEED", seed).split() for seed in ("1", "2")]
     assert run_limited(tmp_path, runs[0], None).returncode == 0
-    earlier = {path.name: sha256(path) for path in tmp_path.glob("out*")}
+    before = snapshot(tmp_path)
     result = run_limited(tmp_path, runs[1], SIDECAR_LIMIT)
     assert result.returncode == 1
     assert result.stderr.startswith("error: cannot write out") and result.stderr.endswith(
         ".provenance.json: File too large\n"
     )
-    assert any(sha256(tmp_path / name) != digest for name, digest in earlier.items())
+    assert snapshot(tmp_path) == before
     for sidecar in tmp_path.glob("*.provenance.json"):
         output = json.loads(sidecar.read_text(encoding="utf-8"))["output"]
         assert output["sha256"] == sha256(tmp_path / output["path"]), sidecar.name
+
+
+RUN_CHUNK = pipeline._run_chunk
+STOP_LINE = 512  # the first line of the chunk that fails
+
+
+def dying_chunk(chunk, steps, config):
+    """``_run_chunk``, except that the process running it dies from STOP_LINE on."""
+    if chunk[-1][0] >= STOP_LINE:
+        os._exit(3)
+    return RUN_CHUNK(chunk, steps, config)
+
+
+def interrupted_chunk(chunk, steps, config):
+    """``_run_chunk``, except that it is interrupted from STOP_LINE on."""
+    if chunk[-1][0] >= STOP_LINE:
+        raise KeyboardInterrupt
+    return RUN_CHUNK(chunk, steps, config)
+
+
+@pytest.mark.parametrize("chunk_function, workers, message", [
+    (dying_chunk, 2, "error: a worker process died ("),
+    (interrupted_chunk, 1, "error: interrupted\n"),
+    (interrupted_chunk, 2, "error: interrupted\n"),
+])
+def test_a_dead_worker_or_an_interrupt_ends_in_one_error_line(
+    tmp_path, monkeypatch, capsys, chunk_function, workers, message
+):
+    """The run stops after it has written earlier chunks to its staged files:
+    one ``error:`` line, exit 1 (130 when interrupted), every earlier file as
+    it was and no temporary file."""
+    (tmp_path / "in.trees").write_text((TREES[0] + "\n") * 2000, encoding="utf-8")
+    for name in ("out.txt", "out.txt.provenance.json"):
+        (tmp_path / name).write_text(f"earlier {name}\n", encoding="utf-8")
+    before = snapshot(tmp_path)
+    monkeypatch.setattr(pipeline, "_run_chunk", chunk_function)
+    argv = ["transform", str(tmp_path / "in.trees"), "-o", str(tmp_path / "out.txt"),
+            "--chain", CHAIN, "--workers", str(workers)]
+    code = main(argv)
+    err = capsys.readouterr().err
+    assert code == (130 if "interrupted" in message else 1)
+    assert err.startswith(message) and err.count("\n") == 1, err
+    assert snapshot(tmp_path) == before
 
 
 # Each subcommand, and the files it reads.

@@ -22,7 +22,6 @@ from treelab.subword import (
     bpe_apply,
     bpe_decode,
     bpe_learn,
-    iter_ids_file,
     load_model,
     mask_tokens,
     read_ids_file,
@@ -267,6 +266,23 @@ class TestModelFile:
         with pytest.raises(BpeError, match="malformed"):
             load_model(str(path))
 
+    @pytest.mark.parametrize("damage, message", [
+        ("cut after line 3", "line 4: expected 'specials'"),
+        ("end_of_word and specials swapped", "line 3: expected 'end_of_word'"),
+    ])
+    def test_header_keywords_are_checked_in_order(self, tmp_path, damage, message):
+        path = tmp_path / "model.bpe"
+        save_model(bpe_learn(["the cat sat on the mat"], vocab_size=30), str(path))
+        lines = path.read_text(encoding="utf-8").splitlines()
+        if damage == "cut after line 3":
+            del lines[3:]
+        else:
+            lines[2], lines[3] = lines[3], lines[2]
+        path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+        with pytest.raises(BpeError) as caught:
+            load_model(str(path))
+        assert str(caught.value) == f"malformed model file {path}: {message}"
+
     @pytest.mark.parametrize("damage", ["merges cut", "merge added", "alphabet line dropped"])
     def test_lines_must_match_the_header_counts(self, tmp_path, damage):
         path = tmp_path / "model.bpe"
@@ -379,18 +395,8 @@ def test_ids_file_errors_name_the_file(tmp_path):
     path.write_text("1 2\n3 x\n")
     with pytest.raises(BpeError, match=re.escape(f"cannot read {path}: invalid literal")):
         read_ids_file(str(path))
-
-
-def test_ids_file_is_read_as_it_is_consumed(tmp_path):
-    path = tmp_path / "ids.txt"
-    path.write_text("1 2\n3\n4 x\n")
-    lines = iter_ids_file(str(path))
-    assert next(lines) == [1, 2]
-    assert next(lines) == [3]
-    with pytest.raises(BpeError, match=re.escape(f"cannot read {path}: invalid literal")):
-        next(lines)
     with pytest.raises(BpeError, match=re.escape(f"cannot read {tmp_path / 'missing'}: [Errno 2]")):
-        iter_ids_file(str(tmp_path / "missing"))
+        read_ids_file(str(tmp_path / "missing"))
 
 
 def test_ids_file_round_trip(tmp_path):
