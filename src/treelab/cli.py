@@ -16,7 +16,9 @@ Input and output paths are always given on the command line — a manifest
 that silently redirects file writes is a footgun, not a convenience.
 
 Every file a subcommand writes, reports included, gets a provenance sidecar
-that hashes every file the command read (``pipeline.recorded``).
+that hashes every file the command read (``pipeline.recorded``). Each
+``_cmd_*`` imports the layers it runs beyond ``pipeline``, so a subcommand
+loads only its own modules (numpy only for ``retrieval``).
 
 Exit status: 0 on success, 1 on hard errors (unreadable input, a failed
 write, a dead worker, malformed trees without ``--skip-bad``, alignment
@@ -40,15 +42,6 @@ from .pipeline import (
     run_stats,
     run_transform,
 )
-from .subword import (
-    MaskingConfig,
-    bpe_apply,
-    bpe_learn,
-    dump_model,
-    load_model,
-    mask_tokens,
-)
-from .synthlang import corpus_pairs, demo_grammar, load_grammar, write_pairs
 from .version import TOOL_VERSION
 
 SEED_ENV = "TREELAB_SEED"
@@ -249,6 +242,7 @@ def _cmd_stats(args: argparse.Namespace, stdout: IO[str], stderr: IO[str]) -> in
 
 
 def _cmd_bpe_learn(args: argparse.Namespace, stdout: IO[str], stderr: IO[str]) -> int:
+    from .subword import bpe_learn, dump_model
     with recorded(
         "bpe learn", [args.output], args.inputs,
         config={"vocab_size": args.vocab_size, "language": args.language,
@@ -265,6 +259,7 @@ def _cmd_bpe_learn(args: argparse.Namespace, stdout: IO[str], stderr: IO[str]) -
 
 
 def _cmd_bpe_apply(args: argparse.Namespace, stdout: IO[str], stderr: IO[str]) -> int:
+    from .subword import bpe_apply, load_model
     with recorded(
         "bpe apply", [args.output], [*args.inputs, args.model],
         config={"model": args.model, "inputs": list(args.inputs)},
@@ -281,6 +276,7 @@ def _cmd_bpe_apply(args: argparse.Namespace, stdout: IO[str], stderr: IO[str]) -
 
 
 def _cmd_mask(args: argparse.Namespace, stdout: IO[str], stderr: IO[str]) -> int:
+    from .subword import MaskingConfig, load_model, mask_tokens
     if args.model is not None and args.vocab_size is not None:
         raise UsageError("give either --model or --vocab-size, not both")
     if args.model is None and args.vocab_size is None:
@@ -295,11 +291,11 @@ def _cmd_mask(args: argparse.Namespace, stdout: IO[str], stderr: IO[str]) -> int
         seed=args.seed, workers=args.workers,
     ) as (counts, (fh_ids, fh_labels)):
         sentences = tokens = 0
-        for _, _, text in read_lines([args.input]):
+        for path, lineno, text in read_lines([args.input]):
             try:
                 seq = [int(tok) for tok in text.split()]
             except ValueError as exc:
-                raise PipelineError(f"cannot read {args.input}: {exc}") from exc
+                raise PipelineError(f"{path}:{lineno}: {exc}") from exc
             masked, labels = mask_tokens(seq, masking, vocab_size, sentence_index=sentences)
             fh_ids.write(" ".join(str(i) for i in masked) + "\n")
             fh_labels.write(" ".join(str(i) for i in labels) + "\n")
@@ -311,8 +307,7 @@ def _cmd_mask(args: argparse.Namespace, stdout: IO[str], stderr: IO[str]) -> int
 
 
 def _cmd_retrieval(args: argparse.Namespace, stdout: IO[str], stderr: IO[str]) -> int:
-    from .retrieval import read_embeddings, top1_retrieval  # numpy loads for this command only
-
+    from .retrieval import read_embeddings, top1_retrieval
     with recorded(
         "retrieval", [args.report], [args.source, args.target],
         config={"source": args.source, "target": args.target}, seed=args.seed, workers=args.workers,
@@ -332,6 +327,7 @@ def _cmd_retrieval(args: argparse.Namespace, stdout: IO[str], stderr: IO[str]) -
 
 
 def _cmd_synth_generate(args: argparse.Namespace, stdout: IO[str], stderr: IO[str]) -> int:
+    from .synthlang import corpus_pairs, demo_grammar, load_grammar, write_pairs
     count, grammar_path = args.count, args.grammar
     grammar = load_grammar(grammar_path) if grammar_path else demo_grammar()
     # Checks the count and the languages before any output is opened.

@@ -46,8 +46,6 @@ import json
 import os
 import sys
 from collections import Counter, deque
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
 from contextlib import closing, contextmanager, suppress
 from dataclasses import dataclass
 from itertools import chain, groupby, islice, zip_longest
@@ -337,6 +335,8 @@ def _map_chunks(work, lines: Iterator, workers: int) -> Iterator:
     if workers == 1 or len(first) < 2:  # CHUNK_LINES >= 2, so this means < 2 lines
         yield from map(work, chunks)
         return
+    from concurrent.futures import ProcessPoolExecutor  # multiprocessing loads only for a pool
+    from concurrent.futures.process import BrokenProcessPool
     try:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             pending: deque = deque()

@@ -40,6 +40,7 @@ from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 from typing import IO, Iterable, Sequence
 
+from .pipeline import replace_on_success
 from .rng import Rng, SeedScheme
 
 SPECIAL_TOKENS = ("<pad>", "<unk>", "<cls>", "<sep>", "<mask>")
@@ -244,10 +245,6 @@ def dump_model(model: BpeModel, fh: IO[str]) -> None:
 def save_model(model: BpeModel, path: str) -> None:
     """:func:`dump_model` to ``path``; a write that fails part-way leaves an
     existing file at ``path`` as it was."""
-    # Imported here: at module level it loads the corpus driver early in
-    # ``import treelab`` and adds about 0.4 MB to the CLI's peak RSS.
-    from .pipeline import replace_on_success
-
     with replace_on_success(path) as (fh,):
         dump_model(model, fh)
 

@@ -87,9 +87,10 @@ def inverse_rule(rule: ReorderRule) -> ReorderRule:
     return replace(rule, first_child=rule.second_child, second_child=rule.first_child)
 
 
-def load_rules(lines: Iterable[str]) -> list[ReorderRule]:
+def load_rules(lines: Iterable[str], origin: str = "<rules>") -> list[ReorderRule]:
     """Parse a rule file: one ``FEATURE PARENT CHILD1 CHILD2 [prefix:PAT ...]``
-    per line, blank lines and ``#`` comments ignored."""
+    per line, blank lines and ``#`` comments ignored; a bad line raises
+    ``ValueError`` as ``ORIGIN:LINE: reason``."""
     rules = []
     for lineno, line in enumerate(lines, start=1):
         body = line.split("#", 1)[0].strip()
@@ -97,16 +98,16 @@ def load_rules(lines: Iterable[str]) -> list[ReorderRule]:
             continue
         parts = body.split()
         if len(parts) < 4:
-            raise ValueError(f"rule line {lineno}: expected at least 4 fields, got {len(parts)}")
+            raise ValueError(f"{origin}:{lineno}: expected at least 4 fields, got {len(parts)}")
         prefixes = set()
         for extra in parts[4:]:
             if not extra.startswith("prefix:") or len(extra) <= len("prefix:"):
-                raise ValueError(f"rule line {lineno}: bad modifier {extra!r}")
+                raise ValueError(f"{origin}:{lineno}: bad modifier {extra!r}")
             prefixes.add(extra[len("prefix:"):])
         try:
             rules.append(ReorderRule(parts[0], parts[1], parts[2], parts[3], frozenset(prefixes)))
         except ValueError as exc:
-            raise ValueError(f"rule line {lineno}: {exc}") from exc
+            raise ValueError(f"{origin}:{lineno}: {exc}") from exc
     return rules
 
 
@@ -116,7 +117,7 @@ def load_rules_file(path: str) -> list[ReorderRule]:
             lines = fh.readlines()
     except (OSError, UnicodeDecodeError) as exc:
         raise ValueError(f"cannot read {path}: {exc}") from exc
-    return load_rules(lines)
+    return load_rules(lines, path)
 
 
 def apply_reorder(tree: TreeNode, rule: ReorderRule | Iterable[ReorderRule]) -> TreeNode:

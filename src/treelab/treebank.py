@@ -360,10 +360,18 @@ _NON_TREE_LINE = re.compile(r"^[\s()]*$")
 def read_treebank(path: str) -> list[TreeNode]:
     """Read all trees from a file, skipping blank and placeholder lines.
 
-    A malformed line raises :class:`TreeParseError`.
+    A malformed line raises :class:`TreeParseError` as ``PATH:LINE: reason``.
     """
+    trees = []
     with open(path, encoding="utf-8") as fh:
-        return [parse_ptb(line) for line in fh if not _NON_TREE_LINE.match(line)]
+        for lineno, line in enumerate(fh, start=1):
+            try:
+                if not _NON_TREE_LINE.match(line):
+                    trees.append(parse_ptb(line))
+            except TreeParseError as exc:
+                exc.args = (f"{path}:{lineno}: {exc}",)
+                raise
+    return trees
 
 
 def write_treebank(path: str, trees: Iterable[TreeNode]) -> None:

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import treelab
-import treelab.cli
+import treelab.subword
 from treelab.cli import SEED_ENV, WORKERS_ENV, main
 from treelab.pipeline import (
     ChainError,
@@ -478,13 +478,13 @@ class TestSubwordCommands:
         code, _, _ = run("bpe", "learn", str(text_file), "-o", str(model_path), "--vocab-size", "30")
         assert code == 0
         before = {path.name: path.read_bytes() for path in tmp_path.iterdir()}
-        learn = treelab.cli.bpe_learn
+        learn = treelab.subword.bpe_learn
 
         def unencodable_last_merge(*args):  # a lone surrogate has no UTF-8 form
             model = learn(*args)
             return dataclasses.replace(model, merges=(*model.merges, ("\ud800", "t")))
 
-        monkeypatch.setattr(treelab.cli, "bpe_learn", unencodable_last_merge)
+        monkeypatch.setattr(treelab.subword, "bpe_learn", unencodable_last_merge)
         code, _, err = run("bpe", "learn", str(text_file), "-o", str(model_path), "--vocab-size", "30")
         assert code == 1
         assert err.startswith("error: ") and "Traceback" not in err, err
@@ -681,15 +681,57 @@ def test_a_config_vocab_size_conflicts_with_a_model(run, tmp_path):
     assert (code, err) == (2, "error: give either --model or --vocab-size, not both\n")
 
 
-def test_importing_the_cli_leaves_numpy_unloaded():
-    # Only the retrieval command needs numpy; every other command skips its import time.
+LOADED_PROBE = """
+import json, sys
+if sys.argv[1:]:
+    from treelab.cli import main
+    assert main(sys.argv[1:]) == 0
+else:
+    import treelab
+print(json.dumps(sorted({m if m.startswith("treelab") else m.partition(".")[0]
+                         for m in sys.modules
+                         if m.partition(".")[0] in ("treelab", "numpy", "multiprocessing")})))
+"""
+CLI_MODULES = {"treelab", "treelab.cli", "treelab.metrics", "treelab.pipeline", "treelab.rng",
+               "treelab.transform", "treelab.treebank", "treelab.version"}
+
+
+def loaded_modules(*argv: object) -> set[str]:
+    """The ``treelab`` modules, numpy and multiprocessing that a fresh interpreter
+    holds after ``treelab ARGV``, or after ``import treelab`` when ARGV is empty."""
     src = str(Path(treelab.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    probe = "import sys, treelab.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'numpy'))"
-    result = subprocess.run(
-        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+    result = subprocess.run([sys.executable, "-c", LOADED_PROBE, *map(str, argv)],
+                            env=env, capture_output=True, text=True, check=True)
+    return set(json.loads(result.stdout.splitlines()[-1]))
+
+
+def test_each_subcommand_loads_only_the_modules_it_runs(tmp_path):
+    # A subcommand pays the import time of the layers it runs and no others:
+    # numpy only for retrieval, multiprocessing only for a pool.
+    trees, one_tree, text = tmp_path / "in.trees", tmp_path / "one.trees", tmp_path / "in.txt"
+    trees.write_text(NESTED + "\n" + WITH_PP + "\n", encoding="utf-8")
+    one_tree.write_text(NESTED + "\n", encoding="utf-8")
+    text.write_text("the cat sat\nthe cat ran\nthe dog sat\n", encoding="utf-8")
+    out, model, ids, emb = (tmp_path / name for name in ("out.txt", "m.bpe", "in.ids", "x.emb"))
+    write_pooled_embeddings(str(emb), np.eye(3, dtype=np.float32))
+    transform = ("transform", "-o", out, "--chain", "reorder:83A,constituent_shuffle")
+
+    assert loaded_modules() == {"treelab", "treelab.version"}
+    assert loaded_modules(*transform, trees) == CLI_MODULES
+    assert loaded_modules(*transform, one_tree, "--workers", "2") == CLI_MODULES
+    assert loaded_modules(*transform, trees, "--workers", "2") == CLI_MODULES | {"multiprocessing"}
+    assert loaded_modules("stats", trees, out) == CLI_MODULES
+    with_subword = CLI_MODULES | {"treelab.subword"}
+    assert loaded_modules("bpe", "learn", text, "-o", model, "--vocab-size", "30") == with_subword
+    assert loaded_modules("bpe", "apply", text, "-o", ids, "--model", model) == with_subword
+    assert loaded_modules("mask", ids, "-o", tmp_path / "m.ids", "--model", model) == with_subword
+    assert loaded_modules("synth", "generate", "-o", tmp_path / "s", "-n", "3") == (
+        CLI_MODULES | {"treelab.synthlang"}
     )
-    assert result.stdout == "[]\n"
+    assert loaded_modules("retrieval", "--source", emb, "--target", emb) == (
+        CLI_MODULES | {"treelab.retrieval", "numpy"}
+    )
 
 
 class TestTopLevel:

@@ -221,7 +221,7 @@ def test_pool_runs_for_two_or_more_lines_and_several_workers(
     tmp_path, monkeypatch, lines, workers, pooled
 ):
     InlinePool.made.clear()
-    monkeypatch.setattr(pipeline, "ProcessPoolExecutor", InlinePool)
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", InlinePool)
     src = tmp_path / "in.trees"
     src.write_text("".join(TREES[i % 3] + "\n" for i in range(lines)), encoding="utf-8")
     out = tmp_path / "out.txt"
@@ -238,7 +238,7 @@ def test_pool_holds_a_bounded_number_of_chunks(tmp_path, monkeypatch, capsys):
     reference = tmp_path / "serial.txt"
     argv = ["transform", *paths, "--chain", CHAIN, "--skip-bad", "-o"]
     assert main([*argv, str(reference)]) == 0
-    monkeypatch.setattr(pipeline, "ProcessPoolExecutor", InlinePool)
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", InlinePool)
     out = tmp_path / "pooled.txt"
     assert main([*argv, str(out), "--workers", "3"]) == 0
     capsys.readouterr()
@@ -411,7 +411,7 @@ def test_mask_late_bad_id_keeps_existing_outputs(tmp_path, capsys):
     labels.write_text("earlier labels\n", encoding="utf-8")
     code = main(["mask", str(ids), "-o", str(out), "--vocab-size", "40"])
     assert code == 1
-    assert capsys.readouterr().err == f"error: cannot read {ids}: invalid literal for int() with base 10: 'x'\n"
+    assert capsys.readouterr().err == f"error: {ids}:3001: invalid literal for int() with base 10: 'x'\n"
     assert out.read_text(encoding="utf-8") == "earlier output\n"
     assert labels.read_text(encoding="utf-8") == "earlier labels\n"
     assert sorted(os.listdir(outputs)) == ["m.ids", "m.ids.labels"]

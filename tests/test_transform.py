@@ -333,11 +333,11 @@ class TestRulesFile:
         assert rules[1].prefix_match == frozenset({"NN", "CD"})
 
     def test_bad_lines_name_line_number(self):
-        with pytest.raises(ValueError, match="line 2"):
+        with pytest.raises(ValueError, match=":2:"):
             load_rules(["85A PP IN NP", "oops PP IN"])
-        with pytest.raises(ValueError, match="line 1"):
+        with pytest.raises(ValueError, match=":1:"):
             load_rules(["85A PP IN NP badmod"])
-        with pytest.raises(ValueError, match="line 1"):
+        with pytest.raises(ValueError, match=":1:"):
             load_rules(["85A PP IN IN"])
 
     def test_loaded_rule_behaves_like_builtin(self):

@@ -202,6 +202,16 @@ class TestReader:
         with pytest.raises(TreeParseError):
             read_treebank(str(path))
 
+    def test_parse_error_names_file_line_and_offset(self, tmp_path):
+        path = tmp_path / "corpus.trees"
+        path.write_text("\n(S (NP a))\n(S (NP b)\n", encoding="utf-8")
+        with pytest.raises(TreeParseError) as caught:
+            read_treebank(str(path))
+        assert str(caught.value) == (
+            f"{path}:3: unbalanced brackets: unexpected end of input (byte offset 10)"
+        )
+        assert caught.value.offset == 10
+
     def test_file_round_trip(self, tmp_path):
         trees = [parse_ptb(NESTED), parse_ptb("(S (UH hi))")]
         path = tmp_path / "corpus.trees"
