@@ -67,13 +67,10 @@ def _convert(raw: str, action: argparse.Action, origin: str):
 def load_config_file(path: str, allowed: Collection[str]) -> dict[str, str]:
     entries: dict[str, str] = {}
     try:
-        with open(path, encoding="utf-8") as fh:
-            lines = fh.readlines()
-    except OSError as exc:
-        raise UsageError(f"cannot read config file: {exc}") from exc
-    except UnicodeDecodeError as exc:
-        raise UsageError(f"cannot read {path}: {exc}") from exc
-    for lineno, raw in enumerate(lines, start=1):
+        lines = list(read_lines([path]))
+    except PipelineError as exc:  # the config file is part of the invocation: exit 2
+        raise UsageError(str(exc)) from exc
+    for _, lineno, raw in lines:
         line = raw.strip()
         if not line or line.startswith("#"):
             continue

@@ -52,7 +52,6 @@ from itertools import chain, groupby, islice, zip_longest
 from typing import IO, Iterable, Iterator, Mapping, Sequence, Union
 
 from .metrics import (
-    AlignmentError,
     StatsAccumulator,
     align_by_origin,
     align_by_surface,
@@ -67,7 +66,7 @@ from .transform import (
     ReorderRule,
     apply_reorder,
     constituent_shuffle,
-    load_rules_file,
+    load_rules,
     remove_composition,
     word_shuffle,
 )
@@ -431,7 +430,8 @@ def run_transform(
     stdout: IO[str] = sys.stdout,
     stderr: IO[str] = sys.stderr,
 ) -> int:
-    rules = load_rules_file(config.rules_file) if config.rules_file else []
+    rules = load_rules((text for _, _, text in read_lines([config.rules_file])),
+                       config.rules_file) if config.rules_file else []
     steps = parse_chain(config.chain, {rule.feature_id: rule for rule in rules})
     if config.emit in ("trees", "both") and any(isinstance(s, WordShuffleStep) for s in steps):
         raise UsageError("cannot emit trees: the chain ends in word_shuffle")
@@ -477,7 +477,7 @@ def run_transform(
     return 1 if errors else 0
 
 
-def _line_tokens(line: str, label: str, lineno: int) -> list[str]:
+def _line_tokens(line: str) -> list[str]:
     """Tokens of a corpus line; bracketed lines are scanned as trees (no nodes).
 
     Sentences produced by this tool never start with a literal ``(`` —
@@ -487,10 +487,7 @@ def _line_tokens(line: str, label: str, lineno: int) -> list[str]:
     if _NON_TREE_LINE.match(stripped):
         return []
     if stripped.startswith("("):
-        try:
-            return scan_ptb(stripped, build=False)[0]
-        except TreeParseError as exc:
-            raise AlignmentError(f"{label}:{lineno}: {exc}") from exc
+        return scan_ptb(stripped, build=False)[0]
     return stripped.split()
 
 
@@ -502,7 +499,8 @@ def run_stats(
     stdout: IO[str] = sys.stdout,
     stderr: IO[str] = sys.stderr,
 ) -> int:
-    """Compare two line-aligned corpora (token lines or treebank lines)."""
+    """Compare two line-aligned corpora (token lines or treebank lines). A bad line is
+    ``PATH:LINE: reason``, naming the modified file for an alignment failure."""
     acc = StatsAccumulator()
     errors: list[str] = []
     with recorded(
@@ -511,22 +509,19 @@ def run_stats(
     ) as (_, (report_fh,)):
         for line_a, line_b in zip_longest(read_lines([original_path]), read_lines([modified_path])):
             if line_a is None or line_b is None:
+                path, lineno, _ = line_a or line_b
                 short = original_path if line_a is None else modified_path
-                errors.append(f"line {(line_a or line_b)[1]}: {short} has fewer lines")
+                errors.append(f"{path}:{lineno}: {short} has fewer lines")
                 break
-            (_, lineno, text_a), (_, _, text_b) = line_a, line_b
+            (path, lineno, text_a), (path_b, _, text_b) = line_a, line_b
             try:
-                tokens_a = _line_tokens(text_a, original_path, lineno)
-                tokens_b = _line_tokens(text_b, modified_path, lineno)
-            except AlignmentError as exc:
-                errors.append(str(exc))
-                continue
-            if not tokens_a and not tokens_b:
-                continue
-            try:
-                acc.add(align_by_surface(tokens_a, tokens_b))
-            except AlignmentError as exc:
-                errors.append(f"line {lineno}: {exc}")
+                tokens_a = _line_tokens(text_a)
+                path = path_b
+                tokens_b = _line_tokens(text_b)
+                if tokens_a or tokens_b:
+                    acc.add(align_by_surface(tokens_a, tokens_b))
+            except ValueError as exc:  # a malformed tree or an alignment failure
+                errors.append(f"{path}:{lineno}: {exc}")
 
         stats = acc.finalize()
         print(format_stats_table([(modified_path, stats)]), file=stdout)

@@ -40,7 +40,7 @@ from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 from typing import IO, Iterable, Sequence
 
-from .pipeline import replace_on_success
+from .pipeline import read_lines, replace_on_success
 from .rng import Rng, SeedScheme
 
 SPECIAL_TOKENS = ("<pad>", "<unk>", "<cls>", "<sep>", "<mask>")
@@ -258,11 +258,7 @@ def _header_field(lines: Sequence[str], index: int, keyword: str) -> str:
 
 
 def load_model(path: str) -> BpeModel:
-    try:
-        with open(path, encoding="utf-8") as fh:
-            lines = [line.rstrip("\n") for line in fh]
-    except (OSError, UnicodeDecodeError) as exc:
-        raise BpeError(f"cannot read {path}: {exc}") from exc
+    lines = [text for _, _, text in read_lines([path])]
     if lines[:1] != ["bpe-model v1"]:
         raise BpeError(f"unsupported model header: {''.join(lines[:1])!r}")
     try:
@@ -276,7 +272,13 @@ def load_model(path: str) -> BpeModel:
         if len(lines) != pos + 1 + n_merges:
             raise ValueError(f"{len(lines)} lines, but the header counts {n_alpha} alphabet "
                              f"and {n_merges} merge lines")
-        merges = [(a, b) for a, b in (line.split(" ") for line in lines[pos + 1 :])]
+        for lineno, symbol in enumerate(alphabet, start=6):
+            if len(symbol) != 1:
+                raise ValueError(f"line {lineno}: expected one character, got {symbol!r}")
+        merges = [tuple(line.split(" ")) for line in lines[pos + 1 :]]
+        for lineno, merge in enumerate(merges, start=pos + 2):
+            if len(merge) != 2 or not all(merge):
+                raise ValueError(f"line {lineno}: expected 'LEFT RIGHT', got {' '.join(merge)!r}")
     except (IndexError, ValueError) as exc:
         raise BpeError(f"malformed model file {path}: {exc}") from exc
     vocab = _build_vocab(specials, eow, alphabet, merges)

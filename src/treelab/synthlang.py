@@ -34,7 +34,7 @@ import itertools
 from dataclasses import dataclass, field
 from typing import IO, Iterable, Iterator, Mapping
 
-from .pipeline import replace_on_success
+from .pipeline import read_lines, replace_on_success
 from .rng import Rng, SeedScheme
 from .transform import BUILTIN_RULES, ReorderRule, inverse_rule
 from .treebank import TreeNode, escape_symbol, leaf, rebuild, serialize
@@ -87,9 +87,6 @@ class OrderProfile:
             raise SynthError(f"unknown order feature(s): {sorted(unknown)}")
         merged = dict(CANONICAL_VALUES) | dict(features)
         return cls(merged["83A"], merged["85A"], merged["87A"])
-
-
-CANONICAL_PROFILE = OrderProfile()
 
 
 @dataclass(frozen=True)
@@ -591,12 +588,7 @@ def parse_grammar(text: str, origin: str = "<string>") -> SynthGrammar:
 
 
 def load_grammar(path: str) -> SynthGrammar:
-    try:
-        with open(path, encoding="utf-8") as fh:
-            text = fh.read()
-    except (OSError, UnicodeDecodeError) as exc:
-        raise SynthError(f"cannot read {path}: {exc}") from exc
-    return parse_grammar(text, origin=path)
+    return parse_grammar("\n".join(text for _, _, text in read_lines([path])), origin=path)
 
 
 #: Two-language demo: same derivation process, opposite settings of all

@@ -16,6 +16,8 @@ Every operation preserves the multiset of ``(surface, origin)`` leaf
 pairs. Randomized operations take a required ``rng``, the sentence's
 stream (``SeedScheme(seed, index).stream()``), so results are reproducible
 and independent of scheduling.
+
+The module opens no file: ``load_rules`` parses lines its caller has read.
 """
 
 from __future__ import annotations
@@ -89,9 +91,11 @@ def inverse_rule(rule: ReorderRule) -> ReorderRule:
 
 def load_rules(lines: Iterable[str], origin: str = "<rules>") -> list[ReorderRule]:
     """Parse a rule file: one ``FEATURE PARENT CHILD1 CHILD2 [prefix:PAT ...]``
-    per line, blank lines and ``#`` comments ignored; a bad line raises
-    ``ValueError`` as ``ORIGIN:LINE: reason``."""
+    per line, blank lines and ``#`` comments ignored; a bad line, or one that
+    gives a built-in or earlier feature a different rule, raises ``ValueError``
+    as ``ORIGIN:LINE: reason``."""
     rules = []
+    known = dict(BUILTIN_RULES)
     for lineno, line in enumerate(lines, start=1):
         body = line.split("#", 1)[0].strip()
         if not body:
@@ -105,19 +109,13 @@ def load_rules(lines: Iterable[str], origin: str = "<rules>") -> list[ReorderRul
                 raise ValueError(f"{origin}:{lineno}: bad modifier {extra!r}")
             prefixes.add(extra[len("prefix:"):])
         try:
-            rules.append(ReorderRule(parts[0], parts[1], parts[2], parts[3], frozenset(prefixes)))
+            rule = ReorderRule(parts[0], parts[1], parts[2], parts[3], frozenset(prefixes))
         except ValueError as exc:
             raise ValueError(f"{origin}:{lineno}: {exc}") from exc
+        if known.setdefault(rule.feature_id, rule) != rule:
+            raise ValueError(f"{origin}:{lineno}: feature {rule.feature_id} is already defined")
+        rules.append(rule)
     return rules
-
-
-def load_rules_file(path: str) -> list[ReorderRule]:
-    try:
-        with open(path, encoding="utf-8") as fh:
-            lines = fh.readlines()
-    except (OSError, UnicodeDecodeError) as exc:
-        raise ValueError(f"cannot read {path}: {exc}") from exc
-    return load_rules(lines, path)
 
 
 def apply_reorder(tree: TreeNode, rule: ReorderRule | Iterable[ReorderRule]) -> TreeNode:

@@ -387,7 +387,7 @@ class TestStatsCommand:
         b.write_text("y x\np z\n")
         code, _, err = run("stats", str(a), str(b))
         assert code == 1
-        assert "line 2" in err
+        assert f"{b}:2: " in err
 
     def test_line_count_mismatch(self, run, tmp_path):
         a = tmp_path / "a.txt"
@@ -396,7 +396,7 @@ class TestStatsCommand:
         b.write_text("y x\nq p\n")
         code, _, err = run("stats", str(a), str(b))
         assert code == 1
-        assert "has fewer lines" in err
+        assert err == f"{b}:2: {a} has fewer lines\n"
 
     @pytest.mark.parametrize("flag", ["--seed", "--workers"])
     def test_takes_no_seed_or_workers(self, run, tmp_path, flag):
@@ -649,6 +649,29 @@ def test_non_utf8_side_inputs_name_the_file(run, tmp_path, reader):
     code, _, err = run(*argv)
     assert code == (2 if reader == "config" else 1)  # a config file is part of the invocation
     assert err == f"error: cannot read {bad}: {message}\n"
+
+
+@pytest.mark.parametrize("reader", ["ids", "model", "rules", "grammar", "config"])
+def test_missing_side_inputs_name_the_file(run, tmp_path, reader):
+    """Every text input is read by ``pipeline.read_lines``, so each names a missing file alike."""
+    missing = tmp_path / "missing.txt"
+    ids = tmp_path / "good.ids"
+    ids.write_text("7 8 9\n")
+    trees = tmp_path / "good.trees"
+    trees.write_text(NESTED + "\n")
+    out = tmp_path / "o"
+    argv = {
+        "ids": ["mask", str(missing), "-o", str(out), "--vocab-size", "40"],
+        "model": ["mask", str(ids), "-o", str(out), "--model", str(missing)],
+        "rules": ["transform", str(trees), "-o", str(out), "--chain", "reorder:83A",
+                  "--rules", str(missing)],
+        "grammar": ["synth", "generate", "-o", str(out), "--grammar", str(missing)],
+        "config": ["mask", str(ids), "-o", str(out), "--vocab-size", "40", "--config", str(missing)],
+    }[reader]
+    code, _, err = run(*argv)
+    assert code == (2 if reader == "config" else 1)  # a config file is part of the invocation
+    assert err == f"error: cannot read {missing}: [Errno 2] No such file or directory: '{missing}'\n"
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("source", ["environment", "config"])

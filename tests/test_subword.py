@@ -301,6 +301,24 @@ class TestModelFile:
         with pytest.raises(BpeError, match=re.escape(f"malformed model file {path}: ")):
             load_model(str(path))
 
+    @pytest.mark.parametrize("section, bad", [
+        ("alphabet", "ab"), ("alphabet", ""),
+        ("merges", "a"), ("merges", "a b c"), ("merges", "a "), ("merges", " a"),
+    ])
+    def test_alphabet_and_merge_lines_are_checked(self, tmp_path, section, bad):
+        path = tmp_path / "model.bpe"
+        save_model(bpe_learn(["ab ab ab cd cd"], vocab_size=13), str(path))
+        lines = path.read_text(encoding="utf-8").splitlines()
+        index = next(i for i, line in enumerate(lines) if line.startswith(section + " ")) + 1
+        lines[index] = bad  # the first line after the section header
+        path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+        with pytest.raises(BpeError) as caught:
+            load_model(str(path))
+        expected = "one character" if section == "alphabet" else "'LEFT RIGHT'"
+        assert str(caught.value) == (
+            f"malformed model file {path}: line {index + 1}: expected {expected}, got {bad!r}"
+        )
+
 
 class TestMasking:
     def test_deterministic_per_sentence(self):

@@ -343,3 +343,19 @@ class TestRulesFile:
     def test_loaded_rule_behaves_like_builtin(self):
         (rule,) = load_rules(["83A VP VB NP prefix:VB"])
         assert rule == BUILTIN_RULES["83A"]
+
+    @pytest.mark.parametrize("lines, lineno", [
+        (["83A VP NP VB"], 1),  # a built-in, with its children swapped
+        (["83A VP VB NP"], 1),  # a built-in, without its prefix match
+        (["# mine", "x QP CD NN", "x QP CD JJ"], 3),  # an earlier line
+        (["x QP CD NN", "x QP CD NN prefix:NN"], 2),
+    ])
+    def test_a_feature_cannot_be_redefined(self, lines, lineno):
+        feature = lines[-1].split()[0]
+        with pytest.raises(ValueError) as caught:
+            load_rules(lines, "over.rules")
+        assert str(caught.value) == f"over.rules:{lineno}: feature {feature} is already defined"
+
+    def test_restating_a_rule_is_allowed(self):
+        rules = load_rules(["85A PP IN NP", "x QP CD NN", "x QP CD NN  # again"])
+        assert [r.feature_id for r in rules] == ["85A", "x", "x"]
