@@ -21,8 +21,9 @@ taken in input order: each chunk's blocks are written and its per-sentence
 stats added one by one, so bytes and float sums do not depend on the worker
 count, and memory depends on the chunk size, not on the corpus size.
 
-Each line is scanned once; ``--stats`` aligns by origin, with one check of the
-(surface, origin) multiset. ``stats`` scans tokens without building nodes.
+Each line is scanned once, with the chain's leading reorder steps run as each
+bracket closes; ``--stats`` aligns by origin, with one check of the (surface,
+origin) multiset. ``stats`` scans tokens without building nodes.
 
 Every subcommand writes through :func:`recorded`. No output may be another
 output, a sidecar or an input. Each output, reports included, gets a
@@ -68,6 +69,7 @@ from .transform import (
     constituent_shuffle,
     load_rules,
     remove_composition,
+    reorder_kids,
     word_shuffle,
 )
 from .treebank import (
@@ -215,15 +217,29 @@ class PipelineConfig:
 def read_lines(paths: Sequence[str]) -> Iterator[tuple[str, int, str]]:
     """``(path, lineno, text)`` over the concatenated UTF-8 files, newlines
     stripped, each file opened when the one before it is done. A file that
-    cannot be opened or read, or is not UTF-8, raises :class:`PipelineError`
-    naming it."""
+    cannot be opened or read raises :class:`PipelineError` naming it, or, for a
+    byte that is not UTF-8, naming ``PATH:LINE``."""
     for path in paths:
         try:
             with open(path, encoding="utf-8") as fh:
                 for lineno, line in enumerate(fh, start=1):
                     yield path, lineno, line.rstrip("\n")
-        except (OSError, UnicodeDecodeError) as exc:
+        except UnicodeDecodeError as exc:
+            raise PipelineError(f"cannot read {path}:{_undecodable(path) or f' {exc}'}") from exc
+        except OSError as exc:
             raise PipelineError(f"cannot read {path}: {exc}") from exc
+
+
+def _undecodable(path: str) -> str | None:
+    """``LINE: REASON`` for the first line of ``path``, counted as in text mode,
+    that is not UTF-8; REASON's position is the bad byte's offset in that line."""
+    with open(path, encoding="utf-8", errors="surrogateescape") as fh:  # bad bytes kept
+        for lineno, line in enumerate(fh, start=1):
+            try:
+                line.encode("utf-8", "surrogateescape").decode("utf-8")
+            except UnicodeDecodeError as exc:
+                return f"{lineno}: {exc}"
+    return None
 
 
 class _Output(io.FileIO):
@@ -298,6 +314,8 @@ def _run_chunk(chunk: list[tuple[int, tuple[str, int, str]]], steps: tuple[Chain
     """
     sentences, trees, rows, errors = [], [], [], []
     counts = Counter(total=len(chunk))
+    lead = next((k for k, step in enumerate(steps) if not isinstance(step, ReorderStep)), len(steps))
+    close = functools.partial(reorder_kids, [s.rule for s in steps[:lead]]) if lead else None
     for index, (path, lineno, text) in chunk:
         if not text.strip():
             counts["blank"] += 1
@@ -306,13 +324,13 @@ def _run_chunk(chunk: list[tuple[int, tuple[str, int, str]]], steps: tuple[Chain
             counts["placeholder"] += 1
             continue
         try:
-            tokens, tree = scan_ptb(text)
+            tokens, tree = scan_ptb(text, close=close)
         except TreeParseError as exc:
             counts["bad"] += 1
             errors.append(f"{path}:{lineno}: {exc}")
             continue
         rng = SeedScheme(config.global_seed, index).stream()
-        out_tree, sentence = apply_chain(tree, steps, rng)
+        out_tree, sentence = apply_chain(tree, steps[lead:], rng)
         counts["emitted"] += 1
         if config.emit != "trees":
             sentences.append(sentence.text() + "\n")

@@ -276,9 +276,14 @@ def load_model(path: str) -> BpeModel:
             if len(symbol) != 1:
                 raise ValueError(f"line {lineno}: expected one character, got {symbol!r}")
         merges = [tuple(line.split(" ")) for line in lines[pos + 1 :]]
+        known = set(alphabet)  # and, as each merge is read, its output
         for lineno, merge in enumerate(merges, start=pos + 2):
             if len(merge) != 2 or not all(merge):
                 raise ValueError(f"line {lineno}: expected 'LEFT RIGHT', got {' '.join(merge)!r}")
+            for symbol in merge:
+                if symbol not in known:
+                    raise ValueError(f"line {lineno}: unknown symbol {symbol!r}")
+            known.add(merge[0] + merge[1])
     except (IndexError, ValueError) as exc:
         raise BpeError(f"malformed model file {path}: {exc}") from exc
     vocab = _build_vocab(specials, eow, alphabet, merges)

@@ -118,6 +118,14 @@ def load_rules(lines: Iterable[str], origin: str = "<rules>") -> list[ReorderRul
     return rules
 
 
+def reorder_kids(rules: Sequence[ReorderRule], label: str, kids: list[TreeNode]) -> None:
+    """Try ``rules`` in order at a node labelled ``label``: each that matches
+    ``kids`` as they are then reverses them in place."""
+    for rule in rules:
+        if rule._matches_children(label, kids):
+            kids.reverse()
+
+
 def apply_reorder(tree: TreeNode, rule: ReorderRule | Iterable[ReorderRule]) -> TreeNode:
     """Swap matching two-child nodes everywhere in the tree, in one walk.
 
@@ -132,9 +140,7 @@ def apply_reorder(tree: TreeNode, rule: ReorderRule | Iterable[ReorderRule]) -> 
     rules = (rule,) if isinstance(rule, ReorderRule) else tuple(rule)
 
     def combine(node: TreeNode, kids: list[TreeNode]) -> TreeNode:
-        for one in rules:
-            if one._matches_children(node.label, kids):
-                kids.reverse()
+        reorder_kids(rules, node.label, kids)
         return with_children(node, kids)
 
     return rebuild(tree, combine)

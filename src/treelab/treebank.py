@@ -10,8 +10,9 @@ hashing ignore ``origin``. Nothing here recurses, so trees may be nested to
 any depth. Code that knows a node's fields are valid may skip the checks
 of ``TreeNode(...)`` with ``tuple.__new__(TreeNode, (label, kids, token, origin))``.
 
-One scanner, :func:`scan_ptb`, reads the bracket grammar, with or without
-building the tree.
+One scanner, :func:`scan_ptb`, reads the bracket grammar in one loop over a
+line's lexemes, with or without building the tree; a hook may reorder each
+node's children as its bracket closes.
 
 File convention: UTF-8, one bracketed tree per line. Lines that contain
 only brackets and whitespace (e.g. ``(())``) are treated as empty
@@ -29,6 +30,7 @@ from __future__ import annotations
 import re
 from collections import namedtuple
 from dataclasses import dataclass
+from itertools import islice
 from operator import is_
 from typing import Callable, Iterable, Iterator, Sequence, TypeVar
 
@@ -160,65 +162,64 @@ class Sentence:
         return cls(tuple((s, i) for i, s in enumerate(surfaces)))
 
 
-_WS = re.compile(r"\s*")
-_ATOM = re.compile(r"[^\s()]+")
-# "(" and a label; for a leaf also its token and ")"; then any whitespace.
-_OPEN = re.compile(r"\(\s*([^\s()]+)(?:\s+([^\s()]+)\s*\))?\s*")
+_LEXEME = re.compile(r"[()]|[^\s()]+")  # scan_ptb's lexemes, found with their positions
 
 
-def scan_ptb(text: str, *, build: bool = True) -> tuple[list[str], TreeNode | None]:
+def scan_ptb(text: str, *, build: bool = True, close: Callable[[str, list], object] | None = None
+             ) -> tuple[list[str], TreeNode | None]:
     """The leaves' tokens of one bracketed tree ``(LABEL child ...)`` / ``(TAG token)``
-    and, if ``build``, the tree (leaf origins 0..n-1 in order), else None and no
-    node made. Malformed input raises :class:`TreeParseError` with a byte offset,
-    in both modes. One regex match per leaf, opening and closing bracket."""
-    n = len(text)
-    ws = _WS.match
-    pos = ws(text).end()
-    if pos == n:
-        raise TreeParseError("empty input", _byte_offset(text, pos))
-    if text[pos] != "(":
-        raise TreeParseError(f"expected '(', found {text[pos]!r}", _byte_offset(text, pos))
-    match, new = _OPEN.match, _new  # locals: this loop runs once per node of every tree read
+    and, if ``build``, the tree (leaf origins 0..n-1 in order), else None and no node
+    made; ``close(label, kids)``, if given, may reorder ``kids`` in place as each
+    internal node's bracket closes. One loop over the line's lexemes (``str.split``);
+    malformed input raises :class:`TreeParseError` with a byte offset, in both modes."""
+    lex = text.replace("(", " ( ").replace(")", " ) ").split()
+    lex.append("")  # the end of input; no lexeme is empty, and "" in "()" holds
+    if lex[0] != "(":
+        raise _rejected(text, 0, "expected '(', found {}", "empty input")
+    new = _new  # a local: this loop runs once per node of every tree read
     tokens: list[str] = []
     stack: list = []  # the enclosing open nodes' (label, children so far)
     label_open = kids = node = None  # the innermost open node's label and children so far
-    depth = 0
+    depth = i = 0  # lex[i] is the "(" of the next node
     while True:
-        m = match(text, pos)
-        if m is None:
-            pos = ws(text, pos + 1).end()
-            what = "end of input" if pos == n else repr(text[pos])
-            raise TreeParseError(f"expected node label, found {what}", _byte_offset(text, pos))
-        label, token = m.groups()
-        pos = m.end()
-        if token is None:
-            if pos < n and text[pos] == "(":
-                depth += 1
-                if build:
-                    stack.append((label_open, kids))
-                    label_open, kids = label, []
-                continue
-            raise _bad_leaf(text, pos)
+        label = lex[i + 1]
+        if label in "()":
+            raise _rejected(text, i + 1, "expected node label, found {}",
+                            "expected node label, found end of input")
+        token = lex[i + 2]
+        if token in "()":
+            if token != "(":
+                raise _rejected(text, i + 2, "expected token or child, found {}")
+            depth += 1
+            if build:
+                stack.append((label_open, kids))
+                label_open, kids = label, []
+            i += 2
+            continue
+        if lex[i + 3] != ")":
+            raise _rejected(text, i + 3, "leaf cannot have children" if lex[i + 3] == "("
+                            else "expected ')' after token, found {}")
         if build:
             node = new(TreeNode, (label, (), token, len(tokens)))
         tokens.append(token)
+        i += 4
         while depth:
             if build:
                 kids.append(node)
-            if pos == n:
-                raise TreeParseError("unbalanced brackets: unexpected end of input", _byte_offset(text, pos))
-            if text[pos] == "(":
+            if lex[i] == "(":
                 break
-            if text[pos] != ")":
-                raise TreeParseError(f"expected ')' , found {text[pos]!r}", _byte_offset(text, pos))
+            if lex[i] != ")":
+                raise _rejected(text, i, "expected ')' , found {}")
             depth -= 1
             if build:
+                if close is not None:
+                    close(label_open, kids)
                 node = new(TreeNode, (label_open, tuple(kids), None, None))
                 label_open, kids = stack.pop()
-            pos = ws(text, pos + 1).end()
+            i += 1
         else:
-            if pos < n:
-                raise TreeParseError("trailing content after tree", _byte_offset(text, pos))
+            if lex[i]:
+                raise _rejected(text, i, "trailing content after tree")
             return tokens, node
 
 
@@ -227,24 +228,14 @@ def parse_ptb(text: str) -> TreeNode:
     return scan_ptb(text)[1]
 
 
-def _bad_leaf(text: str, pos: int) -> TreeParseError:
-    """The error for a label ending at ``pos`` that is followed neither by a
-    child nor by ``token)``."""
-    m = _ATOM.match(text, pos)
-    end = _WS.match(text, m.end()).end() if m else pos
-    if end == len(text):
-        message = "unbalanced brackets: unexpected end of input"
-    elif m is None:
-        message = f"expected token or child, found {text[end]!r}"
-    elif text[end] == "(":
-        message = "leaf cannot have children"
-    else:
-        message = f"expected ')' after token, found {text[end]!r}"
-    return TreeParseError(message, _byte_offset(text, end))
-
-
-def _byte_offset(text: str, pos: int) -> int:
-    return len(text[:pos].encode("utf-8"))
+def _rejected(text: str, k: int, message: str,
+              at_end: str = "unbalanced brackets: unexpected end of input") -> TreeParseError:
+    """The error at the ``k``-th lexeme of ``text``: ``message`` with the lexeme's first
+    character for ``{}``, or ``at_end`` if there are only ``k``; its UTF-8 byte offset."""
+    found = next(islice(_LEXEME.finditer(text), k, None), None)
+    pos = found.start() if found else len(text)
+    message = message.format(repr(text[pos])) if found else at_end
+    return TreeParseError(message, len(text[:pos].encode("utf-8")))
 
 
 def rebuild(tree: TreeNode, combine: Callable[[TreeNode, list[V]], V],

@@ -641,14 +641,14 @@ def test_non_utf8_side_inputs_name_the_file(run, tmp_path, reader):
         "embeddings": ["retrieval", "--source", str(bad), "--target", str(bad)],
         "config": ["mask", str(ids), "-o", out, "--vocab-size", "40", "--config", str(bad)],
     }[reader]
-    message = "'utf-8' codec can't decode byte 0xe9 in position 3: invalid continuation byte"
+    message = ":1: 'utf-8' codec can't decode byte 0xe9 in position 3: invalid continuation byte"
     if reader == "embeddings":  # a binary file is not decoded; a directory cannot be read
         bad.unlink()
         bad.mkdir()
-        message = f"[Errno 21] Is a directory: '{bad}'"
+        message = f": [Errno 21] Is a directory: '{bad}'"
     code, _, err = run(*argv)
     assert code == (2 if reader == "config" else 1)  # a config file is part of the invocation
-    assert err == f"error: cannot read {bad}: {message}\n"
+    assert err == f"error: cannot read {bad}{message}\n"
 
 
 @pytest.mark.parametrize("reader", ["ids", "model", "rules", "grammar", "config"])

@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from treelab import metrics, pipeline, treebank
+from treelab import metrics, pipeline, transform, treebank
 from treelab.cli import SEED_ENV, WORKERS_ENV, main
 from treelab.metrics import (
     AlignmentError,
@@ -260,6 +260,26 @@ def test_read_lines_numbers_each_file_and_opens_all_first(tmp_path):
         list(read_lines([str(first), str(tmp_path / "missing.txt")]))
 
 
+BAD_BYTE = "'utf-8' codec can't decode byte 0xe9 in position {}: invalid continuation byte"
+
+
+@pytest.mark.parametrize("data, where", [
+    (b"a b\n" * 5000 + b"caf\xe9\n", "5001: " + BAD_BYTE.format(3)),
+    (b"x\r\ny\r\nab\xe9\r\n", "3: " + BAD_BYTE.format(2)),
+    (b"x\ry\rabc\xe9d\r", "3: " + BAD_BYTE.format(3)),
+    (b"x\r\n\ry\n\rq\xe9\n", "5: " + BAD_BYTE.format(1)),
+    (b"ok\n\xe2\x82", "2: 'utf-8' codec can't decode bytes in position 0-1: unexpected end of data"),
+])
+def test_a_byte_that_is_not_utf8_is_named_by_line_and_position(tmp_path, data, where):
+    """Lines end at ``\\r\\n``, ``\\r`` or ``\\n``, as ``read_lines`` numbers them; the
+    first case's byte lies beyond the text decoder's first chunk."""
+    path = tmp_path / "bad.txt"
+    path.write_bytes(data)
+    with pytest.raises(pipeline.PipelineError) as caught:
+        list(read_lines([str(path)]))
+    assert str(caught.value) == f"cannot read {path}:{where}"
+
+
 @pytest.mark.parametrize("command", ["transform", "bpe apply"])
 def test_missing_input_leaves_existing_output_untouched(tmp_path, capsys, command):
     text = tmp_path / "text.txt"
@@ -297,7 +317,7 @@ def test_non_utf8_input_names_the_file(tmp_path, capsys, command):
     code = main([*command.split(), str(good), str(bad), *extra])
     err = capsys.readouterr().err
     assert code == 1
-    assert err.startswith(f"error: cannot read {bad}: 'utf-8' codec can't decode byte 0xe9")
+    assert err.startswith(f"error: cannot read {bad}:1: 'utf-8' codec can't decode byte 0xe9")
     assert "Traceback" not in err
 
 
@@ -320,7 +340,7 @@ def test_late_input_error_leaves_existing_output_untouched(tmp_path, capsys, com
     code = main([*command.split(), str(late), "-o", str(out), *extra])
     err = capsys.readouterr().err
     assert code == 1
-    assert err.startswith(f"error: cannot read {late}: 'utf-8' codec can't decode byte 0xe9")
+    assert err.startswith(f"error: cannot read {late}:3001: 'utf-8' codec can't decode byte 0xe9")
     assert "Traceback" not in err
     assert out.read_text(encoding="utf-8") == "earlier output\n"
     assert os.listdir(outputs) == ["out.txt"]
@@ -946,13 +966,67 @@ BROKEN_STEPS = {
 
 @pytest.mark.parametrize("broken", sorted(BROKEN_STEPS))
 def test_a_step_that_breaks_the_multiset_raises_alignment_error(monkeypatch, broken):
+    """The reorder step follows another step, so it runs after the scan, where
+    it can be replaced (a leading reorder runs inside the scan)."""
     monkeypatch.setattr(pipeline, "apply_reorder", lambda tree, rules: BROKEN_STEPS[broken])
-    config = pipeline.PipelineConfig(
-        inputs=("in",), output="unused", chain="reorder:83A", stats=True
-    )
+    chain = "constituent_shuffle,reorder:83A"
+    config = pipeline.PipelineConfig(inputs=("in",), output="unused", chain=chain, stats=True)
     chunk = [(0, ("in", 1, "(S (NP (DT the) (NN cat)) (VP (VBD sat)))"))]
     with pytest.raises(AlignmentError):
-        pipeline._run_chunk(chunk, parse_chain("reorder:83A"), config)
+        pipeline._run_chunk(chunk, parse_chain(chain), config)
+
+
+# SHA-256 of (sentence output, tree output) of ``transform english_like.trees
+# --seed 5 --chain CHAIN --emit both``, as written before leading reorder steps
+# ran inside the scan: one chain with such a step, one of nothing else, and one
+# whose reorder step is not leading.
+FOLDED_PINNED = {
+    CHAIN: ("65bcfefb861f23a21e154712f6209c25104fcedd9a9986fd65df9bd05176a6dc",
+            "ba258b0d4a01bfc921610dacb2d5ec16be9d74034b2c123f758ebb9ce44541d0"),
+    "reorder:83A,reorder:85A,reorder:87A": (
+        "499353ca85e61c62674166cd422671db900cd9fa8ea4825dcf842b447b2dc6fc",
+        "add7b86d3b38e4a42be357ef2b961be3c87ea0d4be196048df4c58b0126ae57c"),
+    "constituent_shuffle,reorder:83A": (
+        "2a14b3900b4b396a79d474e065f9be0cec09b8930810dd0296eae229457432da",
+        "af873677b66b4ecfdf3e82e782c73196f39e5881405df222f071f8edae5563ef"),
+}
+
+
+@pytest.mark.parametrize("chain", sorted(FOLDED_PINNED))
+def test_reorder_steps_in_the_scan_keep_the_bytes(tmp_path, monkeypatch, capsys, chain):
+    """The outputs equal their pins and the whole chain run on each parsed tree."""
+    code, _, err = run_in(
+        tmp_path / "run", monkeypatch, capsys, "transform", str(FIXTURE), "-o", "s.txt",
+        "--tree-output", "t.txt", "--emit", "both", "--seed", "5", "--chain", chain,
+    )
+    assert code == 0, err
+    sentences, trees = [], []
+    for index, text in enumerate(FIXTURE.read_text(encoding="utf-8").splitlines()):
+        tree, sentence = apply_chain(parse_ptb(text), parse_chain(chain), SeedScheme(5, index).stream())
+        sentences.append(sentence.text() + "\n")
+        trees.append(serialize(tree) + "\n")
+    written = [tmp_path / "run" / name for name in ("s.txt", "t.txt")]
+    assert [path.read_text(encoding="utf-8") for path in written] == ["".join(sentences), "".join(trees)]
+    assert tuple(hashlib.sha256(path.read_bytes()).hexdigest() for path in written) == FOLDED_PINNED[chain]
+
+
+def test_one_rebuild_per_emitted_line_on_the_wsj_chain(tmp_path, monkeypatch, capsys):
+    """``reorder:83A`` runs in the scan, so only ``ablate:0.5:shuffle`` walks the tree."""
+    calls = []
+    real = transform.rebuild
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(transform, "rebuild", counting)
+    code, _, err = run_in(
+        tmp_path / "run", monkeypatch, capsys,
+        "transform", str(FIXTURE), "-o", "out.sents", "--chain", CHAIN, "--workers", "1",
+    )
+    assert code == 0, err
+    sidecar = json.loads((tmp_path / "run" / "out.sents.provenance.json").read_text())
+    assert sidecar["counts"]["emitted"] == 50 and len(calls) == 50
 
 
 @pytest.mark.parametrize("chain", [CHAIN, "reorder:83A,word_shuffle"])

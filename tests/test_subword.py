@@ -319,6 +319,30 @@ class TestModelFile:
             f"malformed model file {path}: line {index + 1}: expected {expected}, got {bad!r}"
         )
 
+    @pytest.mark.parametrize("merges, line, unknown", [
+        (["a b", "c d", "x y"], 13, "x"), (["a b", "c d", "a y"], 13, "y"),
+        (["a b", "c d", "abc d"], 13, "abc"), (["a b", "c d", "ba c"], 13, "ba"),
+        (["a b", "c d", "a </w>"], 13, "</w>"), (["a b", "c d", "<pad> a"], 13, "<pad>"),
+        (["ab c", "a b", "c d"], 11, "ab"),  # the output of a later merge
+        (["a b", "c d", "b ab"], None, None), (["a b", "c d", "ab cd"], None, None),
+        (["a b", "c d", "cd ab"], None, None),
+    ])
+    def test_a_merge_joins_known_symbols(self, tmp_path, merges, line, unknown):
+        """LEFT and RIGHT are alphabet symbols (a b c d) or earlier merge outputs."""
+        path = tmp_path / "model.bpe"
+        save_model(bpe_learn(["ab ab ab cd cd"], vocab_size=13), str(path))
+        lines = path.read_text(encoding="utf-8").splitlines()
+        assert lines[-3:] == ["merges 2", "a b", "c d"]
+        lines[-3:] = ["merges 3", *merges]
+        path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+        if unknown is None:
+            left, right = merges[-1].split()
+            assert load_model(str(path)).vocab[left + right] == 12
+            return
+        with pytest.raises(BpeError) as caught:
+            load_model(str(path))
+        assert str(caught.value) == f"malformed model file {path}: line {line}: unknown symbol {unknown!r}"
+
 
 class TestMasking:
     def test_deterministic_per_sentence(self):

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import collections
+import functools
 import os
 
 import hypothesis.strategies as st
@@ -19,6 +20,7 @@ from treelab.transform import (
     inverse_rule,
     load_rules,
     remove_composition,
+    reorder_kids,
     word_shuffle,
 )
 from treelab.treebank import (
@@ -26,6 +28,7 @@ from treelab.treebank import (
     ensure_origins,
     iter_nodes,
     parse_ptb,
+    scan_ptb,
     serialize,
     yield_sentence,
 )
@@ -178,6 +181,26 @@ class TestReorderInOneWalk:
         once = apply_reorder(tree, [RULE_POOL["83A"], RULE_POOL["87A"], RULE_POOL["87A-inv"]])
         assert once.children[0] is tree.children[0]
         assert once.children[1].children == tree.children[1].children[::-1]
+
+    @staticmethod
+    def assert_the_scan_hook_equals_a_walk_after_the_parse(text, rules):
+        """``reorder_kids`` run as each bracket closes gives ``apply_reorder``'s tree and origins."""
+        tokens, scanned = scan_ptb(text, close=functools.partial(reorder_kids, rules))
+        assert repr(scanned) == repr(apply_reorder(parse_ptb(text), rules))
+        assert tokens == scan_ptb(text)[0]
+
+    @given(tree_nodes(), st.lists(st.sampled_from(sorted(RULE_POOL)), max_size=5))
+    def test_the_scan_hook_on_generated_trees(self, tree, names):
+        self.assert_the_scan_hook_equals_a_walk_after_the_parse(
+            serialize(tree), [RULE_POOL[name] for name in names])
+
+    @pytest.mark.parametrize("names", [["83A"], ["87A", "NPD", "87A-inv", "NPD-inv"], ["85A", "PPX"],
+                                       ["83A", "85A", "87A"], ["87A-inv", "87A"]])
+    def test_the_scan_hook_on_the_fixture(self, names):
+        with open(FIXTURE, encoding="utf-8") as fh:
+            for line in fh:
+                self.assert_the_scan_hook_equals_a_walk_after_the_parse(
+                    line, [RULE_POOL[name] for name in names])
 
     def test_no_rules_assigns_origins(self):
         tree = TreeNode("S", (TreeNode("NN", token="a"), TreeNode("NN", token="b")))

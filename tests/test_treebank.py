@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+import re
 from pathlib import Path
 
 import pytest
@@ -263,6 +264,13 @@ def mutations(lines: list[str], count: int, seed: int) -> list[str]:
     return out
 
 
+EDGE_CASES = [
+    "", "  ", "x", "(", "()", "(A", "(A b", "(A b)", "(A b) )", "(A b)x", "(A b c)",
+    "(A (B c)", "(A (B c)))", "(A (B c) d)", "(A (B c) (", "(A (B c)) (D e)", "((A b))",
+    "(A ( B c ) )", "(A (B c)\t)\n", "(A (B ǎ)) )",
+]
+
+
 class TestScan:
     """The token scan gives what parse + yield gave: the same tokens, or the
     same error at the same byte offset."""
@@ -284,12 +292,7 @@ class TestScan:
             assert scanned(line, build) == want, line
         assert 1000 < errors < len(cases)  # both outcomes are exercised
 
-    @pytest.mark.parametrize(
-        "text",
-        ["", "  ", "x", "(", "()", "(A", "(A b", "(A b)", "(A b) )", "(A b)x", "(A b c)",
-         "(A (B c)", "(A (B c)))", "(A (B c) d)", "(A (B c) (", "(A (B c)) (D e)", "((A b))",
-         "(A ( B c ) )", "(A (B c)\t)\n", "(A (B ǎ)) )"],
-    )
+    @pytest.mark.parametrize("text", EDGE_CASES)
     def test_edge_cases(self, text):
         want = reference_tokens(text)
         assert scanned(text, False) == want
@@ -299,3 +302,121 @@ class TestScan:
     def test_generated_trees(self, tree, pad):
         text = pad + serialize(tree).replace(" (", pad + " (") + pad
         assert scanned(text, False) == scanned(text, True) == reference_tokens(text)
+
+
+# The scanner as it was before it split lines into lexemes: one regex match
+# per leaf, opening and closing bracket. Kept as the oracle of its tokens,
+# trees, error messages and byte offsets.
+_WS = re.compile(r"\s*")
+_ATOM = re.compile(r"[^\s()]+")
+_OPEN = re.compile(r"\(\s*([^\s()]+)(?:\s+([^\s()]+)\s*\))?\s*")
+
+
+def _offset(text: str, pos: int) -> int:
+    return len(text[:pos].encode("utf-8"))
+
+
+def regex_scan(text: str, build: bool) -> tuple[list[str], TreeNode | None]:
+    n = len(text)
+    pos = _WS.match(text).end()
+    if pos == n:
+        raise TreeParseError("empty input", _offset(text, pos))
+    if text[pos] != "(":
+        raise TreeParseError(f"expected '(', found {text[pos]!r}", _offset(text, pos))
+    tokens: list[str] = []
+    stack: list = []
+    label_open = kids = node = None
+    depth = 0
+    while True:
+        m = _OPEN.match(text, pos)
+        if m is None:
+            pos = _WS.match(text, pos + 1).end()
+            what = "end of input" if pos == n else repr(text[pos])
+            raise TreeParseError(f"expected node label, found {what}", _offset(text, pos))
+        label, token = m.groups()
+        pos = m.end()
+        if token is None:
+            if pos < n and text[pos] == "(":
+                depth += 1
+                if build:
+                    stack.append((label_open, kids))
+                    label_open, kids = label, []
+                continue
+            raise regex_bad_leaf(text, pos)
+        if build:
+            node = TreeNode(label, (), token, len(tokens))
+        tokens.append(token)
+        while depth:
+            if build:
+                kids.append(node)
+            if pos == n:
+                raise TreeParseError("unbalanced brackets: unexpected end of input", _offset(text, pos))
+            if text[pos] == "(":
+                break
+            if text[pos] != ")":
+                raise TreeParseError(f"expected ')' , found {text[pos]!r}", _offset(text, pos))
+            depth -= 1
+            if build:
+                node = TreeNode(label_open, tuple(kids))
+                label_open, kids = stack.pop()
+            pos = _WS.match(text, pos + 1).end()
+        else:
+            if pos < n:
+                raise TreeParseError("trailing content after tree", _offset(text, pos))
+            return tokens, node
+
+
+def regex_bad_leaf(text: str, pos: int) -> TreeParseError:
+    m = _ATOM.match(text, pos)
+    end = _WS.match(text, m.end()).end() if m else pos
+    if end == len(text):
+        message = "unbalanced brackets: unexpected end of input"
+    elif m is None:
+        message = f"expected token or child, found {text[end]!r}"
+    elif text[end] == "(":
+        message = "leaf cannot have children"
+    else:
+        message = f"expected ')' after token, found {text[end]!r}"
+    return TreeParseError(message, _offset(text, end))
+
+
+def outcome(scan, text: str, build: bool):
+    """Tokens and the tree with its origins (``repr``), or the error text and offset."""
+    try:
+        tokens, tree = scan(text, build=build)
+    except TreeParseError as exc:
+        return str(exc), exc.offset
+    return tokens, repr(tree)
+
+
+class TestScanAgainstRegexScanner:
+    """The lexeme loop gives what the regex scanner gave, line for line."""
+
+    @staticmethod
+    def agree(text: str, *builds: bool) -> None:
+        for build in builds:
+            assert outcome(scan_ptb, text, build) == outcome(regex_scan, text, build), repr(text)
+
+    @pytest.mark.parametrize("build", [False, True])
+    def test_fixture_lines(self, build):
+        for line in TestScan.LINES:
+            self.agree(line, build)
+
+    @pytest.mark.parametrize("build", [False, True])
+    def test_seeded_mutations(self, build):
+        for line in mutations(TestScan.LINES, 3000, seed=11):
+            self.agree(line, build)
+
+    @pytest.mark.parametrize("text", EDGE_CASES)
+    def test_edge_cases(self, text):
+        self.agree(text, False, True)
+
+    # Brackets, atoms, and whitespace that str.split and re's \s both know:
+    # tab, U+001C, U+0085, U+3000; and a two-byte character for the offsets.
+    @given(st.text(alphabet="() ab\t\x1c\x85\u3000ǎ", max_size=40))
+    def test_generated_text(self, text):
+        self.agree(text, False, True)
+
+    @given(st.lists(st.sampled_from(["(", ")", " ", "ab", "\x85", "\u3000", "ǎ"]), max_size=30))
+    def test_generated_lexemes(self, parts):
+        self.agree("(" + "".join(parts), False, True)
