@@ -293,6 +293,11 @@ def _cmd_mask(args: argparse.Namespace, stdout: IO[str], stderr: IO[str]) -> int
                 seq = [int(tok) for tok in text.split()]
             except ValueError as exc:
                 raise PipelineError(f"{path}:{lineno}: {exc}") from exc
+            bad = next((i for i in seq if not 0 <= i < vocab_size), None)
+            if bad is not None:
+                raise PipelineError(
+                    f"{path}:{lineno}: id {bad} is outside the vocabulary (0..{vocab_size - 1})"
+                )
             masked, labels = mask_tokens(seq, masking, vocab_size, sentence_index=sentences)
             fh_ids.write(" ".join(str(i) for i in masked) + "\n")
             fh_labels.write(" ".join(str(i) for i in labels) + "\n")

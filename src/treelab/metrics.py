@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from operator import sub
-from typing import Iterable, Sequence, Sized
+from typing import Sequence, Sized
 
 from .treebank import AlignmentError, Sentence, is_permutation
 
@@ -177,20 +177,6 @@ class StatsAccumulator:
             token_count=self.tokens,
             short_sentence_count=self.short,
         )
-
-
-def corpus_stats(pairs: Iterable[tuple[Sentence, Sentence]]) -> CorpusStats:
-    """Aggregate metrics over a stream of (original, modified) pairs.
-
-    Alignment failures are re-raised with the 1-based pair number.
-    """
-    acc = StatsAccumulator()
-    for index, (original, modified) in enumerate(pairs, start=1):
-        try:
-            acc.add(alignment(original, modified))
-        except AlignmentError as exc:
-            raise AlignmentError(f"sentence {index}: {exc}") from exc
-    return acc.finalize()
 
 
 def format_stats_table(rows: Sequence[tuple[str, CorpusStats]]) -> str:

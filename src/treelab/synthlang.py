@@ -2,23 +2,27 @@
 
 A grammar holds weighted productions over nonterminals and preterminals,
 plus two or more languages, each contributing a lexicon and an order
-profile. Sampling draws a single *unordered* derivation (structure and
-concept choices); each language then linearizes that same derivation
-under its own word order and vocabulary. The two sides are therefore
-word-alignable by construction, and any structural transform applied to
-one side has an analytic ground truth on the other.
+profile. Sampling walks one derivation in pre-order and builds both
+languages' trees as it goes: each nonterminal takes one weighted draw for
+its right-hand side, whose symbols are then expanded in the order written,
+and each preterminal takes one draw for its concept, which becomes a leaf in
+each language's vocabulary. Each side orders every constituent by its own
+profile. The two sides are therefore word-alignable by construction, and
+any structural transform applied to one side has an analytic ground truth
+on the other.
 
 Production right-hand sides are written in a fixed canonical order:
 verb before object, adposition before its complement, adjective before
 noun. A language whose profile departs from a canonical value swaps the
-two children of the matching constituent at linearization time. The swap
-logic here is deliberately self-contained — the reorder rules in
-``treelab.transform`` replay the same moves and serve as an independent
-cross-check, not as a dependency.
+two children of the matching constituent. The swap logic here is
+deliberately self-contained — the reorder rules in ``treelab.transform``
+replay the same moves and serve as an independent cross-check, not as a
+dependency.
 
-Recursive productions are damped geometrically with depth and a hard
-depth cap bounds every derivation; sampling retries a bounded number of
-times if the cap strands a nonterminal with no all-preterminal expansion.
+Recursive productions are damped geometrically with depth. At the depth
+cap a nonterminal may expand only by a production whose right-hand side is
+all preterminals; one with none strands the derivation, which is dropped
+and sampled again, a bounded number of times.
 
 Everything sampling needs that depends only on the grammar is worked out
 once, when the grammar is built, into a private sampling plan: each
@@ -103,22 +107,12 @@ class Production:
 
 
 @dataclass(frozen=True)
-class DerivationNode:
-    """Unordered derivation: symbol plus either children or a concept index."""
-
-    symbol: str
-    children: tuple["DerivationNode", ...] = ()
-    concept: int | None = None
-
-
-@dataclass(frozen=True)
 class SynthGrammar:
     productions: tuple[Production, ...]
     lexicons: Mapping[str, Mapping[str, tuple[str, ...]]]
     profiles: Mapping[str, OrderProfile]
     start: str = "S"
-    # What sampling and linearization read, built once from the fields
-    # above. Left out of equality and repr.
+    # What sampling reads, built once from the fields above. Left out of equality and repr.
     _plan: "_Plan" = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
@@ -216,7 +210,7 @@ def _validate_grammar(grammar: SynthGrammar) -> None:
 
 
 class _Plan:
-    """What sampling and linearization read from a grammar, worked out once.
+    """What sampling reads from a grammar, worked out once.
 
     For each nonterminal: ``options``, the right-hand sides of its
     productions in grammar order; ``weights[symbol][depth]``, their weights
@@ -284,29 +278,6 @@ class ParallelCorpus:
     languages: tuple[str, str]
 
 
-def _sample_derivation(grammar: SynthGrammar, rng: Rng, max_depth: int) -> DerivationNode:
-    """Pre-order: one weighted draw per nonterminal, one concept draw per
-    preterminal, children in right-hand-side order."""
-    plan = grammar._plan
-    arity, options, weights, closed = plan.arity, plan.options, plan.weights, plan.closed
-
-    def expand(symbol: str, depth: int) -> DerivationNode:
-        n = arity.get(symbol)
-        if n is not None:
-            return DerivationNode(symbol, (), rng.randbelow(n))
-        if depth >= max_depth:
-            choices, chances = closed[symbol]
-            if not choices:
-                raise _DepthExceeded
-        else:
-            choices, table = options[symbol], weights[symbol]
-            chances = table[depth] if depth < len(table) else plan.damped(symbol, depth)
-        rhs = choices[rng.weighted_index(chances)]
-        return DerivationNode(symbol, tuple([expand(s, depth + 1) for s in rhs]))
-
-    return expand(grammar.start, 0)
-
-
 def _swaps(parent: str, first: str, second: str, profile: OrderProfile) -> bool:
     """Whether ``profile`` swaps the canonical two-child constituent
     ``parent -> first second``. Mirrors the built-in reorder patterns."""
@@ -317,41 +288,6 @@ def _swaps(parent: str, first: str, second: str, profile: OrderProfile) -> bool:
     if parent == "NP":
         return profile.adjective_noun == "NA" and first.startswith("JJ") and second.startswith("NN")
     return False
-
-
-def _check_language(grammar: SynthGrammar, language: str) -> None:
-    if language not in grammar.lexicons:
-        raise SynthError(f"unknown language {language!r}; grammar has {list(grammar.languages)}")
-
-
-def linearize(grammar: SynthGrammar, derivation: DerivationNode, language: str) -> TreeNode:
-    """Order and lexicalize one derivation for one language.
-
-    Leaf origins number derivation leaves in canonical pre-order, so the
-    same origin on two sides of a pair marks the same concept occurrence.
-    """
-    _check_language(grammar, language)
-    labels, words = grammar._plan.labels, grammar._plan.words[language]
-    profile = grammar.profiles[language]
-    counter = itertools.count()
-
-    def build(node: DerivationNode) -> TreeNode:
-        if node.concept is not None:
-            word = words[node.symbol][node.concept]
-            return _new(TreeNode, (labels[node.symbol], (), word, next(counter)))
-        kids = [build(c) for c in node.children]
-        if not kids:
-            raise SynthError(f"derivation node {node.symbol} has neither children nor a concept")
-        if len(kids) == 2:
-            first, second = node.children
-            if _swaps(node.symbol, first.symbol, second.symbol, profile):
-                kids.reverse()
-        return _new(TreeNode, (labels[node.symbol], tuple(kids), None, None))
-
-    try:
-        return build(derivation)
-    except KeyError as exc:
-        raise SynthError(f"derivation symbol {exc.args[0]!r} is not in the grammar") from None
 
 
 def _leaf_positions(tree: TreeNode) -> list[int]:
@@ -377,8 +313,9 @@ def _pair_languages(grammar: SynthGrammar, languages: tuple[str, str] | None) ->
             raise SynthError("grammar defines fewer than two languages")
         return grammar.languages[0], grammar.languages[1]
     lang_a, lang_b = languages
-    _check_language(grammar, lang_a)
-    _check_language(grammar, lang_b)
+    for language in languages:
+        if language not in grammar.lexicons:
+            raise SynthError(f"unknown language {language!r}; grammar has {list(grammar.languages)}")
     return lang_a, lang_b
 
 
@@ -390,17 +327,54 @@ def sample_pair(
     max_depth: int = MAX_DEPTH,
     max_retries: int = MAX_RETRIES,
 ) -> Pair:
-    """Sample one derivation and linearize it for two languages.
+    """Sample one derivation straight into both languages' trees.
 
-    The alignment lists ``(position_in_a, position_in_b)`` for every
-    derivation leaf, in canonical pre-order. A retry continues on the same
-    stream.
+    One pre-order walk makes every draw. A nonterminal takes one weighted
+    draw for its right-hand side, then expands those symbols in the order
+    written; a preterminal takes one ``randbelow`` draw for its concept and
+    becomes a leaf on each side with the next origin. Each side then reverses
+    a two-child constituent where ``_swaps`` says so for its profile. Origins
+    therefore number the leaves in canonical pre-order, the same origin on
+    both sides marks the same concept occurrence, and the alignment lists
+    ``(position_in_a, position_in_b)`` for each origin in turn. A derivation
+    that the depth cap strands is dropped and sampled again, continuing on
+    the same stream.
     """
     lang_a, lang_b = _pair_languages(grammar, languages)
+    plan = grammar._plan
+    arity, options, weights, closed, labels = (
+        plan.arity, plan.options, plan.weights, plan.closed, plan.labels
+    )
+    words_a, words_b = plan.words[lang_a], plan.words[lang_b]
+    profile_a, profile_b = grammar.profiles[lang_a], grammar.profiles[lang_b]
+
+    def expand(symbol: str, depth: int) -> tuple[TreeNode, TreeNode]:
+        label = labels[symbol]
+        n = arity.get(symbol)
+        if n is not None:
+            concept, origin = rng.randbelow(n), next(origins)
+            return (_new(TreeNode, (label, (), words_a[symbol][concept], origin)),
+                    _new(TreeNode, (label, (), words_b[symbol][concept], origin)))
+        if depth >= max_depth:
+            choices, chances = closed[symbol]
+            if not choices:
+                raise _DepthExceeded
+        else:
+            choices, table = options[symbol], weights[symbol]
+            chances = table[depth] if depth < len(table) else plan.damped(symbol, depth)
+        rhs = choices[rng.weighted_index(chances)]
+        kids_a, kids_b = zip(*[expand(s, depth + 1) for s in rhs])
+        if len(rhs) == 2:
+            if _swaps(symbol, *rhs, profile_a):
+                kids_a = kids_a[::-1]
+            if _swaps(symbol, *rhs, profile_b):
+                kids_b = kids_b[::-1]
+        return _new(TreeNode, (label, kids_a, None, None)), _new(TreeNode, (label, kids_b, None, None))
 
     for _ in range(max_retries):
+        origins = itertools.count()
         try:
-            derivation = _sample_derivation(grammar, rng, max_depth)
+            tree_a, tree_b = expand(grammar.start, 0)
             break
         except _DepthExceeded:
             continue
@@ -408,11 +382,7 @@ def sample_pair(
         raise SynthError(
             f"no derivation closed within depth {max_depth} after {max_retries} attempts"
         )
-
-    tree_a = linearize(grammar, derivation, lang_a)
-    tree_b = linearize(grammar, derivation, lang_b)
-    alignment = tuple(zip(_leaf_positions(tree_a), _leaf_positions(tree_b)))
-    return tree_a, tree_b, alignment
+    return tree_a, tree_b, tuple(zip(_leaf_positions(tree_a), _leaf_positions(tree_b)))
 
 
 def corpus_pairs(

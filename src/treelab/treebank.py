@@ -312,17 +312,6 @@ def iter_leaves(tree: TreeNode) -> Iterator[TreeNode]:
     return (node for node in iter_nodes(tree) if node.is_leaf)
 
 
-def ensure_origins(tree: TreeNode) -> TreeNode:
-    """Return a tree whose leaves all carry origins.
-
-    If no leaf has an origin, positions 0..n-1 are assigned in leaf order;
-    if all leaves already have origins the tree is returned unchanged.
-    Mixed trees are rejected: they indicate leaves from different
-    provenances were combined.
-    """
-    return rebuild(tree, with_children)
-
-
 def yield_sentence(tree: TreeNode) -> Sentence:
     """Left-to-right leaf sequence with carried (or freshly assigned) origins."""
     tokens = []
@@ -351,22 +340,24 @@ _NON_TREE_LINE = re.compile(r"^[\s()]*$")
 def read_treebank(path: str) -> list[TreeNode]:
     """Read all trees from a file, skipping blank and placeholder lines.
 
-    A malformed line raises :class:`TreeParseError` as ``PATH:LINE: reason``.
+    A malformed line raises :class:`TreeParseError` as ``PATH:LINE: reason``;
+    an unreadable file raises ``PipelineError`` as ``cannot read PATH...``.
     """
+    from .pipeline import read_lines  # pipeline imports this module
     trees = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            try:
-                if not _NON_TREE_LINE.match(line):
-                    trees.append(parse_ptb(line))
-            except TreeParseError as exc:
-                exc.args = (f"{path}:{lineno}: {exc}",)
-                raise
+    for _, lineno, line in read_lines([path]):
+        try:
+            if not _NON_TREE_LINE.match(line):
+                trees.append(parse_ptb(line + "\n"))  # byte offsets count the line's newline
+        except TreeParseError as exc:
+            exc.args = (f"{path}:{lineno}: {exc}",)
+            raise
     return trees
 
 
 def write_treebank(path: str, trees: Iterable[TreeNode]) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    """One serialized tree per line; the file replaces ``path`` only once every tree is written."""
+    from .pipeline import replace_on_success  # pipeline imports this module
+    with replace_on_success(path) as (fh,):
         for tree in trees:
-            fh.write(serialize(tree))
-            fh.write("\n")
+            fh.write(serialize(tree) + "\n")

@@ -471,6 +471,21 @@ class TestSubwordCommands:
         assert code == 0
         assert len(out.read_text().splitlines()) == 1
 
+    @pytest.mark.parametrize("line, bad", [("5 6 999", 999), ("-3 7", -3)])
+    @pytest.mark.parametrize("vocabulary", ["model", "vocab-size"])
+    def test_mask_rejects_ids_outside_the_vocabulary(self, run, text_file, tmp_path, line, bad,
+                                                     vocabulary):
+        model_path = tmp_path / "model.bpe"
+        assert run("bpe", "learn", str(text_file), "-o", str(model_path), "--vocab-size", "30")[0] == 0
+        size = len(load_model(str(model_path)).vocab)
+        flags = ["--model", str(model_path)] if vocabulary == "model" else ["--vocab-size", str(size)]
+        ids = tmp_path / "bad.ids"
+        ids.write_text(f"5 6\n{line}\n")
+        out = tmp_path / "masked.ids"
+        code, _, err = run("mask", str(ids), "-o", str(out), *flags)
+        assert (code, err) == (1, f"error: {ids}:2: id {bad} is outside the vocabulary (0..{size - 1})\n")
+        assert not out.exists()
+
     def test_learn_that_fails_part_way_keeps_the_earlier_model(
         self, run, text_file, tmp_path, monkeypatch
     ):

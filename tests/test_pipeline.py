@@ -18,8 +18,8 @@ from treelab import metrics, pipeline, transform, treebank
 from treelab.cli import SEED_ENV, WORKERS_ENV, main
 from treelab.metrics import (
     AlignmentError,
+    StatsAccumulator,
     alignment,
-    corpus_stats,
     inversion_ratio,
     word_move_distance,
 )
@@ -174,7 +174,10 @@ def test_report_floats_equal_sequential_corpus_stats(tmp_path, monkeypatch, caps
         for index, _, _, text in numbered(paths)
         if text in TREES
     ]
-    expected = corpus_stats(pairs)
+    acc = StatsAccumulator()
+    for original, modified in pairs:
+        acc.add(alignment(original, modified))
+    expected = acc.finalize()
     report = json.loads((tmp_path / "run" / "r.json").read_text(encoding="utf-8"))
     assert report["mean_inversion_ratio"] == expected.mean_inversion_ratio  # exact, not approx
     assert report["mean_word_move_distance"] == expected.mean_word_move_distance

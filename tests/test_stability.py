@@ -2,7 +2,8 @@
 
 * The benchmark modules import names from ``treelab``; importing them here
   makes a renamed or deleted name fail the test suite, not only
-  ``bench/smoke.py``.
+  ``bench/smoke.py``. Running every workload's replica once on tiny inputs
+  does the same for a renamed keyword or attribute the replicas use.
 * ``transform`` output bytes on the fixture treebank are pinned by SHA-256
   for every randomized chain step, at one and two workers.
 * The stats bytes are pinned too: ``stats`` stdout and ``--report`` JSON on
@@ -15,6 +16,7 @@
 from __future__ import annotations
 
 import hashlib
+import json
 import os
 import shutil
 import subprocess
@@ -63,6 +65,22 @@ def test_benchmark_modules_import_against_src():
         cwd=ROOT, env=env, capture_output=True, text=True, timeout=120,
     )
     assert done.returncode == 0, done.stderr
+
+
+def test_every_benchmark_replica_runs_once(tmp_path):
+    """``bench/run.py --trace 1`` on tiny inputs, in a copy that holds only the
+    benchmark and the sources, so its inputs and results stay out of the tree."""
+    shutil.copytree(ROOT / "bench", tmp_path / "bench", ignore=shutil.ignore_patterns("__pycache__"))
+    shutil.copytree(ROOT / "src", tmp_path / "src", ignore=shutil.ignore_patterns("__pycache__"))
+    shutil.copyfile(ROOT / "BENCHMARK.json", tmp_path / "BENCHMARK.json")
+    done = subprocess.run(
+        [sys.executable, "bench/run.py", "--workload", "all", "--tiny", "--trace", "1", "--seconds", "1"],
+        cwd=tmp_path, env=dict(os.environ, PYTHONPATH=str(tmp_path / "src")),
+        capture_output=True, text=True, timeout=300,
+    )
+    assert done.returncode == 0, done.stderr
+    summary = json.loads(done.stdout.splitlines()[-1])
+    assert summary["failed"] == 0 and summary["attempted"] > 0, done.stdout
 
 
 def sha256(path: Path) -> str:

@@ -14,7 +14,6 @@ from treelab.synthlang import (
     DEPTH_DECAY,
     MAX_DEPTH,
     MAX_RETRIES,
-    DerivationNode,
     OrderProfile,
     ParallelCorpus,
     Production,
@@ -25,7 +24,6 @@ from treelab.synthlang import (
     demo_grammar,
     format_alignment,
     lexicon_map,
-    linearize,
     parse_alignment,
     parse_grammar,
     sample_pair,
@@ -185,31 +183,37 @@ class TestGrammarFile:
         assert g.languages == ("a",)
 
 
+# One rule per nonterminal and one word per preterminal: every seed gives
+# the same tree.
+FIXED_GRAMMAR = """\
+language alpha
+language beta 83A=OV 85A=Post 87A=NA
+rule S -> NP VP PP
+rule VP -> VB NP
+rule PP -> IN NP
+rule NP -> JJ NN
+lex alpha JJ red
+lex alpha NN cat
+lex alpha VB sees
+lex alpha IN on
+lex beta JJ akai
+lex beta NN neko
+lex beta VB miru
+lex beta IN ue
+"""
+
+
 class TestLinearize:
     def test_mirror_profile_flips_every_pair(self):
-        g = demo_grammar()
-        deriv = DerivationNode(
-            "S",
-            (
-                DerivationNode(
-                    "NP",
-                    (DerivationNode("JJ", concept=0), DerivationNode("NN", concept=0)),
-                ),
-                DerivationNode(
-                    "VP",
-                    (
-                        DerivationNode("VB", concept=0),
-                        DerivationNode("NP", (DerivationNode("PRP", concept=0),)),
-                    ),
-                ),
-            ),
+        side_a, side_b, alignment = sample_pair(parse_grammar(FIXED_GRAMMAR), Rng(0))
+        assert surfaces(side_a) == ("red", "cat", "sees", "red", "cat", "on", "red", "cat")
+        assert origins(side_a) == (0, 1, 2, 3, 4, 5, 6, 7)
+        assert serialize(side_b) == (
+            "(S (NP (NN neko) (JJ akai)) (VP (NP (NN neko) (JJ akai)) (VB miru))"
+            " (PP (NP (NN neko) (JJ akai)) (IN ue)))"
         )
-        side_a = linearize(g, deriv, "alpha")
-        side_b = linearize(g, deriv, "beta")
-        assert surfaces(side_a) == ("red", "paper", "see", "i")
-        assert origins(side_a) == (0, 1, 2, 3)
-        assert serialize(side_b) == "(S (NP (NN zhi) (JJ hong)) (VP (NP (PRP wo)) (VB kan)))"
-        assert origins(side_b) == (1, 0, 3, 2)
+        assert origins(side_b) == (1, 0, 4, 3, 2, 7, 6, 5)
+        assert alignment == ((0, 1), (1, 0), (2, 4), (3, 3), (4, 2), (5, 7), (6, 6), (7, 5))
 
     def test_identical_language_settings_give_identical_trees(self):
         text = (
@@ -227,7 +231,7 @@ class TestLinearize:
 
     def test_unknown_language(self):
         with pytest.raises(SynthError, match="unknown language 'gamma'"):
-            linearize(demo_grammar(), DerivationNode("NN", concept=0), "gamma")
+            sample_pair(demo_grammar(), Rng(0), languages=("alpha", "gamma"))
 
 
 class TestPairedSampling:
@@ -405,6 +409,10 @@ class TestAlignmentFormat:
 # The sampling plan against the algorithm it replaced
 
 
+#: The reference's unordered derivation: children, or a concept at a preterminal.
+Derivation = collections.namedtuple("Derivation", "symbol children concept", defaults=((), None))
+
+
 def reference_pair(grammar, rng, languages, max_depth=MAX_DEPTH, max_retries=MAX_RETRIES):
     """``sample_pair`` as written before the plan: the recursion fixpoint,
     the production scan and the weight list per node, ``leaf``/``internal``
@@ -417,7 +425,7 @@ def reference_pair(grammar, rng, languages, max_depth=MAX_DEPTH, max_retries=MAX
 
         def expand(symbol, depth):
             if symbol in preterminals:
-                return DerivationNode(symbol, concept=rng.randbelow(arity[symbol]))
+                return Derivation(symbol, concept=rng.randbelow(arity[symbol]))
             options = tuple(p for p in grammar.productions if p.lhs == symbol)
             if depth >= max_depth:
                 options = tuple(p for p in options if all(s in preterminals for s in p.rhs))
@@ -429,7 +437,7 @@ def reference_pair(grammar, rng, languages, max_depth=MAX_DEPTH, max_retries=MAX
                     p.weight * DEPTH_DECAY**depth if p in recursive else p.weight for p in options
                 ]
             chosen = options[rng.weighted_index(weights)]
-            return DerivationNode(symbol, tuple(expand(s, depth + 1) for s in chosen.rhs))
+            return Derivation(symbol, tuple(expand(s, depth + 1) for s in chosen.rhs))
 
         return expand(grammar.start, 0)
 
@@ -613,8 +621,3 @@ class TestSamplingPlan:
                 {"a": OrderProfile(), "b": OrderProfile()},
             )
 
-    def test_linearize_rejects_symbols_outside_the_grammar(self):
-        with pytest.raises(SynthError, match="derivation symbol 'ZZ' is not in the grammar"):
-            linearize(demo_grammar(), DerivationNode("S", (DerivationNode("ZZ", concept=0),)), "alpha")
-        with pytest.raises(SynthError, match="neither children nor a concept"):
-            linearize(demo_grammar(), DerivationNode("S"), "alpha")

@@ -25,11 +25,12 @@ from treelab.transform import (
 )
 from treelab.treebank import (
     TreeNode,
-    ensure_origins,
     iter_nodes,
     parse_ptb,
+    rebuild,
     scan_ptb,
     serialize,
+    with_children,
     yield_sentence,
 )
 
@@ -47,7 +48,7 @@ def unordered_fingerprint(node: TreeNode):
 
 
 def token_multiset(tree: TreeNode) -> collections.Counter:
-    return collections.Counter(yield_sentence(ensure_origins(tree)).tokens)
+    return collections.Counter(yield_sentence(tree).tokens)
 
 
 class TestReorderRule:
@@ -157,7 +158,7 @@ class TestReorderInOneWalk:
     @given(tree_nodes(), st.lists(st.sampled_from(sorted(RULE_POOL)), max_size=5))
     def test_equals_one_pass_per_rule(self, tree, names):
         rules = [RULE_POOL[name] for name in names]
-        assert repr(apply_reorder(tree, rules)) == repr(one_pass_per_rule(ensure_origins(tree), rules))
+        assert repr(apply_reorder(tree, rules)) == repr(one_pass_per_rule(rebuild(tree, with_children), rules))
 
     @pytest.mark.parametrize(
         "names",
@@ -317,7 +318,7 @@ class TestRemoveComposition:
     @given(tree_nodes(), st.floats(0, 1), st.integers(0, 2**32))
     def test_preserves_yield_order_and_tokens(self, tree, alpha, seed):
         result = remove_composition(tree, AblationSpec(alpha), SeedScheme(seed, 0).stream())
-        assert yield_sentence(result).tokens == yield_sentence(ensure_origins(tree)).tokens
+        assert yield_sentence(result).tokens == yield_sentence(tree).tokens
 
     def test_deterministic(self):
         tree = parse_ptb("(S (A (X x) (Y y)) (B (P p) (Q q)) (C (M m) (N n)))")

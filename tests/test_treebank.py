@@ -8,11 +8,11 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from treelab.pipeline import PipelineError
 from treelab.treebank import (
     Sentence,
     TreeNode,
     TreeParseError,
-    ensure_origins,
     escape_symbol,
     internal,
     iter_leaves,
@@ -20,8 +20,10 @@ from treelab.treebank import (
     leaf,
     parse_ptb,
     read_treebank,
+    rebuild,
     scan_ptb,
     serialize,
+    with_children,
     write_treebank,
     yield_sentence,
 )
@@ -152,19 +154,19 @@ def test_iter_nodes_preorder():
 
 
 class TestOrigins:
-    def test_ensure_assigns_left_to_right(self):
+    def test_rebuild_assigns_left_to_right(self):
         tree = internal("S", [leaf("A", "x"), internal("B", [leaf("C", "y")])])
-        tagged = ensure_origins(tree)
+        tagged = rebuild(tree, with_children)
         assert [n.origin for n in iter_leaves(tagged)] == [0, 1]
 
-    def test_ensure_noop_when_present(self):
+    def test_rebuild_keeps_present_origins(self):
         tree = parse_ptb(NESTED)
-        assert ensure_origins(tree) is tree
+        assert rebuild(tree, with_children) is tree
 
     def test_mixed_rejected(self):
         tree = internal("S", [leaf("A", "x", origin=0), leaf("B", "y")])
         with pytest.raises(ValueError, match="mixes"):
-            ensure_origins(tree)
+            rebuild(tree, with_children)
         with pytest.raises(ValueError, match="mixes"):
             yield_sentence(tree)
 
@@ -219,6 +221,29 @@ class TestReader:
         write_treebank(str(path), trees)
         assert read_treebank(str(path)) == trees
         assert path.read_text().count("\n") == 2
+
+    def test_non_utf8_names_the_file_and_line(self, tmp_path):
+        path = tmp_path / "latin1.trees"
+        path.write_bytes(b"(S (NN x))\n(S (NN caf\xe9))\n")
+        with pytest.raises(PipelineError) as caught:
+            read_treebank(str(path))
+        assert str(caught.value) == (
+            f"cannot read {path}:2: 'utf-8' codec can't decode byte 0xe9 in position 10: "
+            "invalid continuation byte"
+        )
+
+    def test_write_that_fails_part_way_keeps_the_old_file(self, tmp_path):
+        path = tmp_path / "corpus.trees"
+        path.write_text("(S (UH old))\n")
+
+        def trees():
+            yield parse_ptb(NESTED)
+            raise RuntimeError("no second tree")
+
+        with pytest.raises(RuntimeError):
+            write_treebank(str(path), trees())
+        assert path.read_text() == "(S (UH old))\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["corpus.trees"]
 
 
 def reference_tokens(text: str):
