@@ -11,7 +11,8 @@ is also a config key, named by its long option. Every subcommand but
 (``#`` comments allowed); ``TREELAB_SEED`` and ``TREELAB_WORKERS`` override
 it. Those values become the settings' defaults, so the precedence is explicit
 flag, then environment, then config file, then built-in default; one that
-cannot be read, or an unknown key, is a usage error even when a flag wins.
+cannot be read or is out of range, or an unknown key, is a usage error even
+when a flag wins.
 Input and output paths are always given on the command line — a manifest
 that silently redirects file writes is a footgun, not a convenience.
 
@@ -22,7 +23,10 @@ loads only its own modules (numpy only for ``retrieval``).
 
 Exit status: 0 on success, 1 on hard errors (unreadable input, a failed
 write, a dead worker, malformed trees without ``--skip-bad``, alignment
-failures), 2 on usage errors (an aliased output among them), 130 on SIGINT.
+failures, a limit that depends on the data), 2 on usage errors (an aliased
+output, or an option value that no input could make valid, which the
+option's ``type`` rejects from a flag, a key or the environment alike), 130
+on SIGINT.
 """
 
 from __future__ import annotations
@@ -53,6 +57,20 @@ _BOOL_WORDS = {
 }
 
 
+def _ranged(kind: type, low: float, high: float | None = None):
+    """An option's ``type``: ``kind`` of its text, which must lie in ``[low, high]``."""
+    bound = f">= {low}" if high is None else f"in [{low}, {high}]"
+
+    def read(text: str):
+        value = kind(text)
+        if not (low <= value and (high is None or value <= high)):  # NaN is out of range
+            raise argparse.ArgumentTypeError(f"must be {bound}, got {text}")
+        return value
+
+    read.__name__ = kind.__name__  # what argparse and _convert call the type in "cannot read"
+    return read
+
+
 def _convert(raw: str, action: argparse.Action, origin: str):
     """``raw`` read as ``action`` reads its flag's value (a bool word for a switch)."""
     kind = bool if action.nargs == 0 else action.type or str
@@ -62,6 +80,8 @@ def _convert(raw: str, action: argparse.Action, origin: str):
         return kind(raw)
     except (KeyError, ValueError):
         raise UsageError(f"{origin}: cannot read {raw!r} as {kind.__name__}") from None
+    except argparse.ArgumentTypeError as exc:
+        raise UsageError(f"{origin}: {exc}") from None
 
 
 def load_config_file(path: str, allowed: Collection[str]) -> dict[str, str]:
@@ -124,7 +144,7 @@ def build_parser() -> argparse.ArgumentParser:
             help=f"global random seed (env {SEED_ENV}; default %(default)s)",
         ),
         common.add_argument(
-            "--workers", type=int, default=1,
+            "--workers", type=_ranged(int, 1), default=1,
             help=f"worker processes (env {WORKERS_ENV}; default %(default)s)",
         ),
     )
@@ -171,7 +191,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-o", "--output", required=True, help="model file to write")
     p.set_defaults(run=_cmd_bpe_learn, settings=(
         *seeded,
-        p.add_argument("--vocab-size", type=int, default=32000,
+        # At least the 5 special tokens, end-of-word and one character.
+        p.add_argument("--vocab-size", type=_ranged(int, 7), default=32000,
                        help="vocabulary budget (default %(default)s)"),
         p.add_argument("--language", default="und",
                        help="language tag recorded in the model (default %(default)s)"),
@@ -190,8 +211,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", help="model file; supplies the vocabulary size")
     p.set_defaults(run=_cmd_mask, settings=(
         *seeded,
-        p.add_argument("--vocab-size", type=int, help="vocabulary size if no model"),
-        p.add_argument("--rate", type=float, default=0.15,
+        # More than the 5 special tokens, which are never masked.
+        p.add_argument("--vocab-size", type=_ranged(int, 6), help="vocabulary size if no model"),
+        p.add_argument("--rate", type=_ranged(float, 0, 1), default=0.15,
                        help="selection rate (default %(default)s)"),
     ))
 
@@ -215,7 +237,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.set_defaults(run=_cmd_synth_generate, settings=(
         *seeded,
-        p.add_argument("-n", "--count", type=int, default=100,
+        p.add_argument("-n", "--count", type=_ranged(int, 1), default=100,
                        help="sentence pairs (default %(default)s)"),
         p.add_argument("--grammar", help="grammar file (default: built-in demo)"),
     ))
@@ -356,8 +378,6 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         if _set_defaults(args):
             args = parser.parse_args(argv)
-        if getattr(args, "workers", 1) < 1:
-            raise UsageError(f"workers must be >= 1, got {args.workers}")
         return args.run(args, stdout, stderr)
     except UsageError as exc:
         print(f"error: {exc}", file=stderr)

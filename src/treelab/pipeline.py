@@ -21,9 +21,10 @@ taken in input order: each chunk's blocks are written and its per-sentence
 stats added one by one, so bytes and float sums do not depend on the worker
 count, and memory depends on the chunk size, not on the corpus size.
 
-Each line is scanned once, with the chain's leading reorder steps run as each
-bracket closes; ``--stats`` aligns by origin, with one check of the (surface,
-origin) multiset. ``stats`` scans tokens without building nodes.
+Each line is classified and scanned once, by ``treebank.scan_line``, with the
+chain's leading reorder steps run as each bracket closes; ``--stats`` aligns by
+origin, with one check of the (surface, origin) multiset. ``stats`` scans
+tokens without building nodes, through the same function.
 
 Every subcommand writes through :func:`recorded`. No output may be another
 output, a sidecar or an input. Each output, reports included, gets a
@@ -72,15 +73,7 @@ from .transform import (
     reorder_kids,
     word_shuffle,
 )
-from .treebank import (
-    _NON_TREE_LINE,
-    Sentence,
-    TreeNode,
-    TreeParseError,
-    scan_ptb,
-    serialize,
-    yield_sentence,
-)
+from .treebank import Sentence, TreeNode, TreeParseError, scan_line, serialize, yield_sentence
 from .version import TOOL_NAME, TOOL_VERSION
 
 CHUNK_LINES = 256  # lines per unit of work: one worker call, one block write
@@ -317,17 +310,14 @@ def _run_chunk(chunk: list[tuple[int, tuple[str, int, str]]], steps: tuple[Chain
     lead = next((k for k, step in enumerate(steps) if not isinstance(step, ReorderStep)), len(steps))
     close = functools.partial(reorder_kids, [s.rule for s in steps[:lead]]) if lead else None
     for index, (path, lineno, text) in chunk:
-        if not text.strip():
-            counts["blank"] += 1
-            continue
-        if _NON_TREE_LINE.match(text):
-            counts["placeholder"] += 1
-            continue
         try:
-            tokens, tree = scan_ptb(text, close=close)
+            skipped, tokens, tree = scan_line(text, close=close)
         except TreeParseError as exc:
             counts["bad"] += 1
             errors.append(f"{path}:{lineno}: {exc}")
+            continue
+        if skipped:
+            counts[skipped] += 1
             continue
         rng = SeedScheme(config.global_seed, index).stream()
         out_tree, sentence = apply_chain(tree, steps[lead:], rng)
@@ -498,15 +488,12 @@ def run_transform(
 def _line_tokens(line: str) -> list[str]:
     """Tokens of a corpus line; bracketed lines are scanned as trees (no nodes).
 
-    Sentences produced by this tool never start with a literal ``(`` —
+    Sentences produced by this tool never start with a literal bracket —
     bracket tokens are stored escaped — so the dispatch is unambiguous.
     """
-    stripped = line.strip()
-    if _NON_TREE_LINE.match(stripped):
-        return []
-    if stripped.startswith("("):
-        return scan_ptb(stripped, build=False)[0]
-    return stripped.split()
+    if line.lstrip()[:1] in ("(", ")"):
+        return scan_line(line, build=False)[1]
+    return line.split()
 
 
 def run_stats(

@@ -160,17 +160,6 @@ def top1_retrieval(source: np.ndarray, target: np.ndarray) -> RetrievalResult:
     return RetrievalResult(accuracy, tuple(int(i) for i in nearest), margin)
 
 
-def write_token_embeddings(path: str, embeddings: EmbeddingMatrix) -> None:
-    max_tokens = max((s.vectors.shape[0] for s in embeddings.sentences), default=0)
-    with open(path, "wb") as fh:
-        fh.write(TOKEN_MAGIC)
-        fh.write(struct.pack("<4I", len(embeddings), max_tokens, embeddings.dim, embeddings.layer))
-        for sent in embeddings.sentences:
-            fh.write(struct.pack("<I", sent.vectors.shape[0]))
-            fh.write(np.asarray(sent.special, dtype=np.uint8).tobytes())
-            fh.write(np.asarray(sent.vectors, dtype="<f4").tobytes())
-
-
 def _read_bytes(path: str) -> bytes:
     try:
         with open(path, "rb") as fh:
@@ -219,16 +208,6 @@ def read_token_embeddings(path: str, data: bytes | None = None) -> EmbeddingMatr
             raise RetrievalError(f"{path}: truncated at sentence {i}") from exc
         sentences.append(SentenceTokens(vectors, special))
     return EmbeddingMatrix(tuple(sentences), dim, layer)
-
-
-def write_pooled_embeddings(path: str, matrix: np.ndarray, layer: int = 0) -> None:
-    matrix = np.asarray(matrix, dtype="<f4")
-    if matrix.ndim != 2:
-        raise RetrievalError("pooled matrix must be 2-D (sentences, dim)")
-    with open(path, "wb") as fh:
-        fh.write(POOLED_MAGIC)
-        fh.write(struct.pack("<3I", matrix.shape[0], matrix.shape[1], layer))
-        fh.write(matrix.tobytes())
 
 
 def read_pooled_embeddings(path: str, data: bytes | None = None) -> tuple[np.ndarray, int]:

@@ -41,7 +41,7 @@ from typing import IO, Iterable, Iterator, Mapping
 from .pipeline import read_lines, replace_on_success
 from .rng import Rng, SeedScheme
 from .transform import BUILTIN_RULES, ReorderRule, inverse_rule
-from .treebank import TreeNode, escape_symbol, leaf, rebuild, serialize
+from .treebank import TreeNode, escape_symbol, leaf, rebuild, serialize, yield_sentence
 
 _new = tuple.__new__
 
@@ -290,22 +290,6 @@ def _swaps(parent: str, first: str, second: str, profile: OrderProfile) -> bool:
     return False
 
 
-def _leaf_positions(tree: TreeNode) -> list[int]:
-    """Each leaf's position in the yield, indexed by its origin (0..n-1)."""
-    order = []
-    stack = [tree]
-    while stack:
-        node = stack.pop()
-        if node.token is None:
-            stack.extend(node.children[::-1])
-        else:
-            order.append(node.origin)
-    positions = [0] * len(order)
-    for position, origin in enumerate(order):
-        positions[origin] = position
-    return positions
-
-
 def _pair_languages(grammar: SynthGrammar, languages: tuple[str, str] | None) -> tuple[str, str]:
     """The two languages to emit: as given (each must exist), else the grammar's first two."""
     if languages is None:
@@ -382,7 +366,9 @@ def sample_pair(
         raise SynthError(
             f"no derivation closed within depth {max_depth} after {max_retries} attempts"
         )
-    return tree_a, tree_b, tuple(zip(_leaf_positions(tree_a), _leaf_positions(tree_b)))
+    # Each side's leaf positions, sorted by origin: the i-th is where origin i landed.
+    orders = [yield_sentence(tree).origins() for tree in (tree_a, tree_b)]
+    return tree_a, tree_b, tuple(zip(*[sorted(range(len(o)), key=o.__getitem__) for o in orders]))
 
 
 def corpus_pairs(
@@ -404,17 +390,6 @@ def corpus_pairs(
 
 def format_alignment(alignment: Iterable[tuple[int, int]]) -> str:
     return "\t".join(f"{i}-{j}" for i, j in alignment)
-
-
-def parse_alignment(line: str) -> tuple[tuple[int, int], ...]:
-    pairs = []
-    for token in line.split():
-        left, _, right = token.partition("-")
-        try:
-            pairs.append((int(left), int(right)))
-        except ValueError as exc:
-            raise SynthError(f"bad alignment token {token!r}") from exc
-    return tuple(pairs)
 
 
 def write_pairs(pairs: Iterable[Pair], fh_a: IO[str], fh_b: IO[str], fh_align: IO[str]) -> None:

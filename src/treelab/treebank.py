@@ -14,9 +14,14 @@ One scanner, :func:`scan_ptb`, reads the bracket grammar in one loop over a
 line's lexemes, with or without building the tree; a hook may reorder each
 node's children as its bracket closes.
 
-File convention: UTF-8, one bracketed tree per line. Lines that contain
-only brackets and whitespace (e.g. ``(())``) are treated as empty
-placeholders and skipped with a warning counter rather than rejected.
+File convention: UTF-8, one bracketed tree per line. Every reader of tree
+lines (``transform``, ``stats`` and :func:`read_treebank`) classifies and
+scans a line through :func:`scan_line`: a blank line, or one that contains
+only brackets and whitespace (an empty placeholder such as ``(())``), holds
+no tree and is skipped rather than rejected; any other line is scanned as
+read, without its newline, so one malformed line gives one message and one
+byte offset on every path. :func:`read_treebank` is a generator: it raises
+when iteration reaches a malformed line.
 
 Tokens and labels may not contain raw parentheses or whitespace;
 ``escape_symbol`` maps ``(`` / ``)`` to the PTB forms ``-LRB-`` / ``-RRB-``
@@ -320,7 +325,7 @@ def yield_sentence(tree: TreeNode) -> Sentence:
     while stack:
         node = stack.pop()
         if node.token is None:
-            stack.extend(reversed(node.children))
+            stack += node.children[::-1]
         else:
             if node.origin is None:
                 missing += 1
@@ -337,22 +342,32 @@ def yield_sentence(tree: TreeNode) -> Sentence:
 _NON_TREE_LINE = re.compile(r"^[\s()]*$")
 
 
-def read_treebank(path: str) -> list[TreeNode]:
-    """Read all trees from a file, skipping blank and placeholder lines.
+def scan_line(line: str, *, build: bool = True, close: Callable[[str, list], object] | None = None
+              ) -> tuple[str | None, list[str], TreeNode | None]:
+    """One treebank line, as read without its newline: ``("blank", [], None)`` for
+    whitespace only, ``("placeholder", [], None)`` for brackets and whitespace only,
+    else ``(None, tokens, tree)`` from :func:`scan_ptb` on the line as it is, so a
+    :class:`TreeParseError`'s byte offset counts from the line's first byte."""
+    if _NON_TREE_LINE.match(line):
+        return "placeholder" if line.strip() else "blank", [], None
+    return (None, *scan_ptb(line, build=build, close=close))
 
-    A malformed line raises :class:`TreeParseError` as ``PATH:LINE: reason``;
-    an unreadable file raises ``PipelineError`` as ``cannot read PATH...``.
+
+def read_treebank(path: str) -> Iterator[TreeNode]:
+    """The trees of a file in order, skipping blank and placeholder lines, read
+    as iterated. A malformed line raises :class:`TreeParseError` as
+    ``PATH:LINE: reason`` when iteration reaches it; an unreadable file
+    raises ``PipelineError`` as ``cannot read PATH...``.
     """
     from .pipeline import read_lines  # pipeline imports this module
-    trees = []
     for _, lineno, line in read_lines([path]):
         try:
-            if not _NON_TREE_LINE.match(line):
-                trees.append(parse_ptb(line + "\n"))  # byte offsets count the line's newline
+            skipped, _, tree = scan_line(line)
         except TreeParseError as exc:
             exc.args = (f"{path}:{lineno}: {exc}",)
             raise
-    return trees
+        if not skipped:
+            yield tree
 
 
 def write_treebank(path: str, trees: Iterable[TreeNode]) -> None:

@@ -149,7 +149,7 @@ def test_criterion_3_shuffle_statistics(long_sentences):
 
 def test_criterion_4_local_reorders_are_small():
     with criterion(4, "each local reorder IR < 10% on English-like parses, all < shuffle IR"):
-        trees = read_treebank(os.path.join(FIXTURES, "english_like.trees"))
+        trees = list(read_treebank(os.path.join(FIXTURES, "english_like.trees")))
         assert len(trees) >= 40
 
         def mean_ir(transform):

@@ -14,6 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from helpers import write_pooled_embeddings, write_token_embeddings
 from treelab import metrics, pipeline, transform, treebank
 from treelab.cli import SEED_ENV, WORKERS_ENV, main
 from treelab.metrics import (
@@ -24,12 +25,7 @@ from treelab.metrics import (
     word_move_distance,
 )
 from treelab.pipeline import CHUNK_LINES, CHUNKS_PER_WORKER, apply_chain, parse_chain, read_lines
-from treelab.retrieval import (
-    EmbeddingMatrix,
-    SentenceTokens,
-    write_pooled_embeddings,
-    write_token_embeddings,
-)
+from treelab.retrieval import EmbeddingMatrix, SentenceTokens
 from treelab.rng import SeedScheme
 from treelab.treebank import internal, leaf, parse_ptb, serialize, yield_sentence
 
@@ -923,6 +919,66 @@ def test_workers_and_seed_resolve_alike(tmp_path, monkeypatch, key, env, default
     monkeypatch.setenv(env, "4")
     assert recorded("--config", "run.conf") == 4
     assert recorded("--config", "run.conf", f"--{key}", "5") == 5
+
+
+# Option values that no input could make valid, as ``(argv, key, value,
+# source)``: each as a flag, a config key and, for workers, TREELAB_WORKERS.
+OUT_OF_RANGE = [
+    (argv, key, value, source)
+    for argv, key, value in [
+        *[(argv, key, "0") for argv, key, _ in SETTINGS if key == "workers"],
+        ("synth generate -o out", "count", "0"),
+        ("mask in.ids -o out.ids --vocab-size 40", "rate", "-1"),
+        ("mask in.ids -o out.ids --vocab-size 40", "rate", "1.5"),
+        ("mask in.ids -o out.ids", "vocab-size", "0"),
+        ("bpe learn words.txt -o out.bpe", "vocab-size", "1"),
+    ]
+    for source in ("flag", "config", "environment")[: 3 if key == "workers" else 2]
+]
+
+
+@pytest.mark.parametrize("argv, key, value, source", OUT_OF_RANGE,
+                         ids=lambda x: str(x).split(" -")[0])
+def test_an_out_of_range_value_is_a_usage_error(tmp_path, monkeypatch, capsys, argv, key, value,
+                                                source):
+    """Exit 2 with the option, key or variable named, and no output or sidecar."""
+    side_files(tmp_path)
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "run.conf").write_text(f"{key} = {value}\n", encoding="utf-8")
+    extra, origin = {
+        "flag": ([f"--{key}", value], f"argument {'-n/' if key == 'count' else ''}--{key}"),
+        "config": (["--config", "run.conf"], f"config key {key!r}"),
+        "environment": ([], f"environment variable {WORKERS_ENV}"),
+    }[source]
+    if source == "environment":
+        monkeypatch.setenv(WORKERS_ENV, value)
+    before = snapshot(tmp_path)
+    capsys.readouterr()
+    try:
+        code = main([*argv.split(), *extra])
+    except SystemExit as exc:  # argparse rejects a flag's value itself
+        code = exc.code
+    err = capsys.readouterr().err
+    assert code == 2
+    assert f"error: {origin}: must be " in err and err.count("error:") == 1, err
+    assert "Traceback" not in err
+    assert snapshot(tmp_path) == before
+
+
+def test_one_bad_line_gives_one_error_on_every_path(tmp_path, monkeypatch, capsys):
+    """transform, stats and read_treebank scan a line as read, without its newline
+    and unstripped, so the byte offset counts from the line's first byte."""
+    monkeypatch.chdir(tmp_path)
+    Path("bad.trees").write_text("(S (NP a))\n  (S (NP b)\n", encoding="utf-8")
+    Path("good.trees").write_text("(S (NP a))\n(S (NP b))\n", encoding="utf-8")
+    message = "bad.trees:2: unbalanced brackets: unexpected end of input (byte offset 11)"
+    assert main(["transform", "bad.trees", "-o", "out.txt", "--chain", "reorder:83A"]) == 1
+    assert capsys.readouterr().err == message + "\n"
+    assert main(["stats", "bad.trees", "good.trees"]) == 1
+    assert capsys.readouterr().err == message + "\n"
+    with pytest.raises(treebank.TreeParseError) as caught:
+        list(treebank.read_treebank("bad.trees"))
+    assert str(caught.value) == message
 
 
 def reference_row(text: str, index: int, chain: str) -> tuple[float, float, int]:

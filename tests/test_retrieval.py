@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given
 
+from helpers import write_pooled_embeddings, write_token_embeddings
 from treelab.cli import main
 from treelab.retrieval import (
     BLOCK_ROWS,
@@ -21,8 +22,6 @@ from treelab.retrieval import (
     read_pooled_embeddings,
     read_token_embeddings,
     top1_retrieval,
-    write_pooled_embeddings,
-    write_token_embeddings,
 )
 
 

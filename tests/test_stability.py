@@ -4,6 +4,8 @@
   makes a renamed or deleted name fail the test suite, not only
   ``bench/smoke.py``. Running every workload's replica once on tiny inputs
   does the same for a renamed keyword or attribute the replicas use.
+* No ``treelab`` module imports an underscore name from another, so a
+  module's private helpers stay its own.
 * ``transform`` output bytes on the fixture treebank are pinned by SHA-256
   for every randomized chain step, at one and two workers.
 * The stats bytes are pinned too: ``stats`` stdout and ``--report`` JSON on
@@ -15,6 +17,7 @@
 
 from __future__ import annotations
 
+import ast
 import hashlib
 import json
 import os
@@ -65,6 +68,20 @@ def test_benchmark_modules_import_against_src():
         cwd=ROOT, env=env, capture_output=True, text=True, timeout=120,
     )
     assert done.returncode == 0, done.stderr
+
+
+def test_no_module_imports_a_private_name_of_another():
+    """A name that starts with ``_`` stays in its module: no ``treelab`` module
+    imports one from another, so each module's private helpers can change alone."""
+    imports = []
+    for path in sorted((ROOT / "src" / "treelab").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom) and (
+                node.level or (node.module or "").partition(".")[0] == "treelab"
+            ):
+                imports += [f"{path.name}: {node.module}.{alias.name}"
+                            for alias in node.names if alias.name.startswith("_")]
+    assert imports == []
 
 
 def test_every_benchmark_replica_runs_once(tmp_path):

@@ -7,6 +7,7 @@ import re
 
 import pytest
 
+from helpers import parse_alignment
 from treelab.rng import Rng, SeedScheme
 from treelab.synthlang import (
     BUILTIN_RULES,
@@ -24,7 +25,6 @@ from treelab.synthlang import (
     demo_grammar,
     format_alignment,
     lexicon_map,
-    parse_alignment,
     parse_grammar,
     sample_pair,
     translate_tree,

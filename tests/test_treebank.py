@@ -197,36 +197,45 @@ class TestReader:
     def test_skips_placeholders(self, tmp_path):
         path = tmp_path / "corpus.trees"
         path.write_text("(S (NN x))\n\n(())\n  \n( ( ) )\n(S (NN y))\n")
-        assert read_treebank(str(path)) == [parse_ptb("(S (NN x))"), parse_ptb("(S (NN y))")]
+        assert list(read_treebank(str(path))) == [parse_ptb("(S (NN x))"), parse_ptb("(S (NN y))")]
 
     def test_propagates_parse_errors(self, tmp_path):
         path = tmp_path / "corpus.trees"
         path.write_text("(S (NN x))\n(S (NN\n")
         with pytest.raises(TreeParseError):
-            read_treebank(str(path))
+            list(read_treebank(str(path)))
 
     def test_parse_error_names_file_line_and_offset(self, tmp_path):
         path = tmp_path / "corpus.trees"
         path.write_text("\n(S (NP a))\n(S (NP b)\n", encoding="utf-8")
         with pytest.raises(TreeParseError) as caught:
-            read_treebank(str(path))
+            list(read_treebank(str(path)))
         assert str(caught.value) == (
-            f"{path}:3: unbalanced brackets: unexpected end of input (byte offset 10)"
+            f"{path}:3: unbalanced brackets: unexpected end of input (byte offset 9)"
         )
-        assert caught.value.offset == 10
+        assert caught.value.offset == 9
+
+    def test_trees_come_as_iterated(self, tmp_path):
+        path = tmp_path / "corpus.trees"
+        path.write_text("(S (NN x))\n(S (NN y))\n(S (NN\n", encoding="utf-8")
+        trees = read_treebank(str(path))
+        assert next(trees) == parse_ptb("(S (NN x))")
+        assert next(trees) == parse_ptb("(S (NN y))")
+        with pytest.raises(TreeParseError, match=":3: "):
+            next(trees)
 
     def test_file_round_trip(self, tmp_path):
         trees = [parse_ptb(NESTED), parse_ptb("(S (UH hi))")]
         path = tmp_path / "corpus.trees"
         write_treebank(str(path), trees)
-        assert read_treebank(str(path)) == trees
+        assert list(read_treebank(str(path))) == trees
         assert path.read_text().count("\n") == 2
 
     def test_non_utf8_names_the_file_and_line(self, tmp_path):
         path = tmp_path / "latin1.trees"
         path.write_bytes(b"(S (NN x))\n(S (NN caf\xe9))\n")
         with pytest.raises(PipelineError) as caught:
-            read_treebank(str(path))
+            list(read_treebank(str(path)))
         assert str(caught.value) == (
             f"cannot read {path}:2: 'utf-8' codec can't decode byte 0xe9 in position 10: "
             "invalid continuation byte"
