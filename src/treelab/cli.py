@@ -351,11 +351,11 @@ def _cmd_retrieval(args: argparse.Namespace, stdout: IO[str], stderr: IO[str]) -
 
 
 def _cmd_synth_generate(args: argparse.Namespace, stdout: IO[str], stderr: IO[str]) -> int:
-    from .synthlang import corpus_pairs, demo_grammar, load_grammar, write_pairs
+    from .synthlang import corpus_lines, demo_grammar, load_grammar, write_lines
     count, grammar_path = args.count, args.grammar
     grammar = load_grammar(grammar_path) if grammar_path else demo_grammar()
     # Checks the count and the languages before any output is opened.
-    (lang_a, lang_b), pairs = corpus_pairs(
+    (lang_a, lang_b), lines = corpus_lines(
         grammar, count, args.seed, tuple(args.languages) if args.languages else None
     )
     outputs = [f"{args.prefix}.{name}" for name in (f"{lang_a}.trees", f"{lang_b}.trees", "align")]
@@ -365,7 +365,7 @@ def _cmd_synth_generate(args: argparse.Namespace, stdout: IO[str], stderr: IO[st
                 "languages": [lang_a, lang_b]},
         seed=args.seed, workers=args.workers,
     ) as (counts, handles):
-        write_pairs(pairs, *handles)
+        write_lines(lines, *handles)
         counts["pairs"] = count
     print(f"wrote {count} aligned pairs: {', '.join(outputs)}", file=stdout)
     return 0

@@ -2,14 +2,15 @@
 
 A grammar holds weighted productions over nonterminals and preterminals,
 plus two or more languages, each contributing a lexicon and an order
-profile. Sampling walks one derivation in pre-order and builds both
-languages' trees as it goes: each nonterminal takes one weighted draw for
-its right-hand side, whose symbols are then expanded in the order written,
-and each preterminal takes one draw for its concept, which becomes a leaf in
-each language's vocabulary. Each side orders every constituent by its own
-profile. The two sides are therefore word-alignable by construction, and
-any structural transform applied to one side has an analytic ground truth
-on the other.
+profile. Sampling walks one derivation in pre-order and writes both
+languages' treebank lines as it goes: each nonterminal takes one weighted
+draw for its right-hand side, whose symbols are then expanded in the order
+written, and each preterminal takes one draw for its concept, which becomes
+a leaf in each language's vocabulary. Each side orders every constituent by
+its own profile. Library trees are scanned from the lines, each leaf given
+the origin the walk recorded. The two sides are therefore word-alignable by
+construction, and any structural transform applied to one side has an
+analytic ground truth on the other.
 
 Production right-hand sides are written in a fixed canonical order:
 verb before object, adposition before its complement, adjective before
@@ -28,7 +29,7 @@ Everything sampling needs that depends only on the grammar is worked out
 once, when the grammar is built, into a private sampling plan: each
 symbol's options and their weights at every depth, the options left at
 the depth cap, and the escaped labels and lexicons. A pair then costs only
-its own draws and nodes. Corpora are sampled lazily, one pair per seed
+its own draws and text. Corpora are sampled lazily, one pair per seed
 stream, and written pair by pair, so memory does not grow with the corpus.
 """
 
@@ -41,7 +42,7 @@ from typing import IO, Iterable, Iterator, Mapping
 from .pipeline import read_lines, replace_on_success
 from .rng import Rng, SeedScheme
 from .transform import BUILTIN_RULES, ReorderRule, inverse_rule
-from .treebank import TreeNode, escape_symbol, leaf, rebuild, serialize, yield_sentence
+from .treebank import TreeNode, escape_symbol, leaf, rebuild, scan_ptb, serialize, with_children
 
 _new = tuple.__new__
 
@@ -265,8 +266,10 @@ class _Plan:
         ]
 
 
-#: Side A, side B, and ``(position_in_a, position_in_b)`` per derivation leaf.
+#: Side A, side B, and ``(position_in_a, position_in_b)`` per derivation leaf,
+#: with the sides as trees (``Pair``) or as treebank lines (``LinePair``).
 Pair = tuple[TreeNode, TreeNode, tuple[tuple[int, int], ...]]
+LinePair = tuple[str, str, tuple[tuple[int, int], ...]]
 
 
 @dataclass(frozen=True)
@@ -303,21 +306,40 @@ def _pair_languages(grammar: SynthGrammar, languages: tuple[str, str] | None) ->
     return lang_a, lang_b
 
 
-def sample_pair(
+def _side(label: str, kids: tuple[tuple[str, tuple[int, ...]], ...]) -> tuple[str, tuple[int, ...]]:
+    """One side's ``(LABEL kid ...)`` text and leaf origins, from its kids' in order."""
+    if len(kids) == 1:
+        text, order = kids[0]
+        return f"({label} {text})", order
+    texts, orders = zip(*kids)
+    return f"({label} {' '.join(texts)})", sum(orders, ())
+
+
+def _inverse(order: tuple[int, ...]) -> list[int]:
+    """Where each origin stands in ``order``."""
+    positions = [0] * len(order)
+    for position, origin in enumerate(order):
+        positions[origin] = position
+    return positions
+
+
+def sample_lines(
     grammar: SynthGrammar,
     rng: Rng,
     *,
     languages: tuple[str, str] | None = None,
     max_depth: int = MAX_DEPTH,
     max_retries: int = MAX_RETRIES,
-) -> Pair:
-    """Sample one derivation straight into both languages' trees.
+) -> LinePair:
+    """Sample one derivation straight into both languages' treebank lines.
 
     One pre-order walk makes every draw. A nonterminal takes one weighted
     draw for its right-hand side, then expands those symbols in the order
     written; a preterminal takes one ``randbelow`` draw for its concept and
-    becomes a leaf on each side with the next origin. Each side then reverses
-    a two-child constituent where ``_swaps`` says so for its profile. Origins
+    becomes a leaf ``(LABEL WORD)`` on each side with the next origin. Each
+    side writes a nonterminal as ``(LABEL kid ...)``, the ``serialize`` form,
+    reversing a two-child constituent where ``_swaps`` says so for its
+    profile, and records its leaves' origins in the order written. Origins
     therefore number the leaves in canonical pre-order, the same origin on
     both sides marks the same concept occurrence, and the alignment lists
     ``(position_in_a, position_in_b)`` for each origin in turn. A derivation
@@ -332,13 +354,13 @@ def sample_pair(
     words_a, words_b = plan.words[lang_a], plan.words[lang_b]
     profile_a, profile_b = grammar.profiles[lang_a], grammar.profiles[lang_b]
 
-    def expand(symbol: str, depth: int) -> tuple[TreeNode, TreeNode]:
+    def expand(symbol: str, depth: int) -> tuple[tuple[str, tuple[int, ...]], ...]:
         label = labels[symbol]
         n = arity.get(symbol)
         if n is not None:
-            concept, origin = rng.randbelow(n), next(origins)
-            return (_new(TreeNode, (label, (), words_a[symbol][concept], origin)),
-                    _new(TreeNode, (label, (), words_b[symbol][concept], origin)))
+            concept, origin = rng.randbelow(n), (next(origins),)
+            return ((f"({label} {words_a[symbol][concept]})", origin),
+                    (f"({label} {words_b[symbol][concept]})", origin))
         if depth >= max_depth:
             choices, chances = closed[symbol]
             if not choices:
@@ -353,12 +375,12 @@ def sample_pair(
                 kids_a = kids_a[::-1]
             if _swaps(symbol, *rhs, profile_b):
                 kids_b = kids_b[::-1]
-        return _new(TreeNode, (label, kids_a, None, None)), _new(TreeNode, (label, kids_b, None, None))
+        return _side(label, kids_a), _side(label, kids_b)
 
     for _ in range(max_retries):
         origins = itertools.count()
         try:
-            tree_a, tree_b = expand(grammar.start, 0)
+            (line_a, order_a), (line_b, order_b) = expand(grammar.start, 0)
             break
         except _DepthExceeded:
             continue
@@ -366,37 +388,62 @@ def sample_pair(
         raise SynthError(
             f"no derivation closed within depth {max_depth} after {max_retries} attempts"
         )
-    # Each side's leaf positions, sorted by origin: the i-th is where origin i landed.
-    orders = [yield_sentence(tree).origins() for tree in (tree_a, tree_b)]
-    return tree_a, tree_b, tuple(zip(*[sorted(range(len(o)), key=o.__getitem__) for o in orders]))
+    return line_a, line_b, tuple(zip(_inverse(order_a), _inverse(order_b)))
 
 
-def corpus_pairs(
+def sample_pair(grammar: SynthGrammar, rng: Rng, *, languages: tuple[str, str] | None = None,
+                max_depth: int = MAX_DEPTH, max_retries: int = MAX_RETRIES) -> Pair:
+    """Sample one derivation into both languages' trees: the lines of
+    :func:`sample_lines`, with the same draws and alignment, each scanned
+    into a tree whose leaves carry the origins that the walk recorded."""
+    return _trees(*sample_lines(
+        grammar, rng, languages=languages, max_depth=max_depth, max_retries=max_retries
+    ))
+
+
+def _trees(line_a: str, line_b: str, alignment: tuple[tuple[int, int], ...]) -> Pair:
+    """Both lines scanned, each leaf given the origin that the walk recorded at its position."""
+    trees = []
+    for line, positions in zip((line_a, line_b), zip(*alignment)):
+        order = _inverse(positions)
+        trees.append(rebuild(scan_ptb(line)[1], with_children, leaf=lambda node: _new(
+            TreeNode, (node.label, (), node.token, order[node.origin]))))
+    return trees[0], trees[1], alignment
+
+
+def corpus_lines(
     grammar: SynthGrammar,
     n: int,
     seed: int,
     languages: tuple[str, str] | None = None,
-) -> tuple[tuple[str, str], Iterator[Pair]]:
-    """The two languages and an iterator over n pairs, pair i drawn from
-    stream ``(seed, i)`` as it is consumed. ``n`` and the languages are
+) -> tuple[tuple[str, str], Iterator[LinePair]]:
+    """The two languages and an iterator over n line pairs, pair i drawn
+    from stream ``(seed, i)`` as it is consumed. ``n`` and the languages are
     checked now, before any pair is drawn."""
     if n < 1:
         raise SynthError(f"sentence count must be >= 1, got {n}")
     languages = _pair_languages(grammar, languages)
     return languages, (
-        sample_pair(grammar, SeedScheme(seed, i).stream(), languages=languages) for i in range(n)
+        sample_lines(grammar, SeedScheme(seed, i).stream(), languages=languages) for i in range(n)
     )
+
+
+def corpus_pairs(grammar: SynthGrammar, n: int, seed: int, languages: tuple[str, str] | None = None
+                 ) -> tuple[tuple[str, str], Iterator[Pair]]:
+    """:func:`corpus_lines` with each line pair scanned into trees, as by :func:`sample_pair`."""
+    languages, lines = corpus_lines(grammar, n, seed, languages)
+    return languages, (_trees(*line_pair) for line_pair in lines)
 
 
 def format_alignment(alignment: Iterable[tuple[int, int]]) -> str:
     return "\t".join(f"{i}-{j}" for i, j in alignment)
 
 
-def write_pairs(pairs: Iterable[Pair], fh_a: IO[str], fh_b: IO[str], fh_align: IO[str]) -> None:
-    """Each pair as it comes: a treebank line to each side's handle and an alignment line."""
-    for tree_a, tree_b, alignment in pairs:
-        fh_a.write(serialize(tree_a) + "\n")
-        fh_b.write(serialize(tree_b) + "\n")
+def write_lines(lines: Iterable[LinePair], fh_a: IO[str], fh_b: IO[str], fh_align: IO[str]) -> None:
+    """Each line pair as it comes: its treebank line to each side's handle and an alignment line."""
+    for line_a, line_b, alignment in lines:
+        fh_a.write(line_a + "\n")
+        fh_b.write(line_b + "\n")
         fh_align.write(format_alignment(alignment) + "\n")
 
 
@@ -405,7 +452,8 @@ def write_corpus(corpus: ParallelCorpus, path_a: str, path_b: str, path_align: s
     files replace their paths only once every pair is written, so an error
     part-way leaves no partial output."""
     with replace_on_success(path_a, path_b, path_align) as handles:
-        write_pairs(corpus.pairs, *handles)
+        write_lines(((serialize(a), serialize(b), alignment) for a, b, alignment in corpus.pairs),
+                    *handles)
 
 
 def lexicon_map(grammar: SynthGrammar, source: str, target: str) -> dict[str, str]:

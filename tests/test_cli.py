@@ -13,6 +13,7 @@ import pytest
 
 import treelab
 import treelab.subword
+import treelab.synthlang
 from helpers import write_pooled_embeddings
 from treelab.cli import SEED_ENV, WORKERS_ENV, main
 from treelab.pipeline import (
@@ -612,6 +613,15 @@ class TestSynthCommand:
             "demo.beta.trees": "427178afadfd383ccc3799dc2bab071d52efb1b279e91a971cf4c7f98e5ae7fa",
             "demo.align": "e156622b7a813cfe72fa4095d28b7ff84764d2e7ed68f5535c25802cb27996d5",
         }
+
+    def test_generate_builds_no_tree(self, run, tmp_path, monkeypatch):
+        """Each pair's lines come from the sampling walk: no tree is scanned, yielded or serialized."""
+        def forbidden(*args, **kwargs):
+            raise AssertionError("synth generate went through a tree")
+
+        for name in ("serialize", "yield_sentence", "scan_ptb"):
+            monkeypatch.setattr(treelab.synthlang, name, forbidden, raising=False)
+        self.test_demo_outputs_are_pinned(run, tmp_path)
 
     @pytest.mark.parametrize(
         "extra, status, message",

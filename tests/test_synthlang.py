@@ -26,6 +26,7 @@ from treelab.synthlang import (
     format_alignment,
     lexicon_map,
     parse_grammar,
+    sample_lines,
     sample_pair,
     translate_tree,
     write_corpus,
@@ -585,6 +586,35 @@ class TestSamplingPlan:
                 a, b, alignment = sample_pair(g, rng=ours, languages=languages, max_depth=max_depth,
                                               max_retries=4)
                 assert (repr(a), repr(b), alignment) == tuple(map(repr, expected[:2])) + (expected[2],)
+            assert ours.draws == theirs.draws
+            assert ours.next_u64() == theirs.next_u64()
+
+    @pytest.mark.parametrize(
+        "grammar, languages",
+        [
+            (demo_grammar, ("alpha", "beta")),
+            (lambda: parse_grammar(RECURSIVE_GRAMMAR), ("a", "b")),
+            (lambda: parse_grammar(RECURSIVE_GRAMMAR), ("c", "a")),
+            (spaced_grammar, ("b", "a")),
+            (lambda: parse_grammar(DEEP_GRAMMAR), ("a", "b")),
+        ],
+    )
+    @pytest.mark.parametrize("max_depth", [0, 2, 3, 6, MAX_DEPTH, MAX_DEPTH + 5])
+    def test_lines_and_draws_equal_the_reference(self, grammar, languages, max_depth):
+        """The walk that writes text gives the reference trees' serialized lines."""
+        g = grammar()
+        for i in range(60):
+            ours, theirs = CountingRng(1000 + i), CountingRng(1000 + i)
+            try:
+                expected = reference_pair(g, theirs, languages, max_depth, max_retries=4)
+            except SynthError as exc:
+                with pytest.raises(SynthError, match=re.escape(str(exc))):
+                    sample_lines(g, rng=ours, languages=languages, max_depth=max_depth, max_retries=4)
+            else:
+                line_a, line_b, alignment = sample_lines(g, rng=ours, languages=languages,
+                                                         max_depth=max_depth, max_retries=4)
+                assert (line_a, line_b) == (serialize(expected[0]), serialize(expected[1]))
+                assert alignment == expected[2]
             assert ours.draws == theirs.draws
             assert ours.next_u64() == theirs.next_u64()
 
