@@ -295,13 +295,14 @@ def _cmd_bpe_apply(args: argparse.Namespace, stdout: IO[str], stderr: IO[str]) -
 
 
 def _cmd_mask(args: argparse.Namespace, stdout: IO[str], stderr: IO[str]) -> int:
+    from .rng import SeedScheme
     from .subword import MaskingConfig, load_model, mask_tokens
     if args.model is not None and args.vocab_size is not None:
         raise UsageError("give either --model or --vocab-size, not both")
     if args.model is None and args.vocab_size is None:
         raise UsageError("mask needs --model or --vocab-size")
     vocab_size = args.vocab_size if args.model is None else len(load_model(args.model).vocab)
-    masking = MaskingConfig(mask_rate=args.rate, seed=args.seed)
+    masking = MaskingConfig(mask_rate=args.rate)
     labels_path = args.labels_output or args.output + ".labels"
     with recorded(
         "mask", [args.output, labels_path], [args.input, args.model],
@@ -320,7 +321,9 @@ def _cmd_mask(args: argparse.Namespace, stdout: IO[str], stderr: IO[str]) -> int
                 raise PipelineError(
                     f"{path}:{lineno}: id {bad} is outside the vocabulary (0..{vocab_size - 1})"
                 )
-            masked, labels = mask_tokens(seq, masking, vocab_size, sentence_index=sentences)
+            masked, labels = mask_tokens(
+                seq, masking, vocab_size, rng=SeedScheme(args.seed, sentences).stream()
+            )
             fh_ids.write(" ".join(str(i) for i in masked) + "\n")
             fh_labels.write(" ".join(str(i) for i in labels) + "\n")
             sentences += 1

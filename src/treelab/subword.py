@@ -26,8 +26,8 @@ learned order.
 
 ``mask_tokens`` implements the usual MLM corruption: each non-special
 position is selected independently at the configured rate, and selected
-positions are replaced by the mask id, kept, or resampled at the
-configured split. Labels hold the original id at selected positions and
+positions are replaced by the mask id, kept, or resampled at the fixed
+80/10/10 split. Labels hold the original id at selected positions and
 ``IGNORE_LABEL`` (0, unambiguous because specials are never selected)
 elsewhere.
 """
@@ -35,7 +35,6 @@ elsewhere.
 from __future__ import annotations
 
 import heapq
-import math
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 from typing import IO, Iterable, Sequence
@@ -47,6 +46,10 @@ SPECIAL_TOKENS = ("<pad>", "<unk>", "<cls>", "<sep>", "<mask>")
 PAD_ID, UNK_ID, CLS_ID, SEP_ID, MASK_ID = range(5)
 END_OF_WORD = "</w>"
 IGNORE_LABEL = 0
+# mask_tokens' split of selected positions: a draw below CUT_MASK masks (80%),
+# one below CUT_KEEP keeps the id (10%), any other resamples it (10%).
+CUT_MASK = 0.8
+CUT_KEEP = 0.8 + 0.1
 MEMO_WORDS = 1 << 16  # bpe_apply's per-model memo is emptied at this many words
 
 
@@ -292,47 +295,38 @@ def load_model(path: str) -> BpeModel:
 
 @dataclass(frozen=True)
 class MaskingConfig:
-    """Selection rate and the replace/keep/resample split for selected tokens."""
+    """The selection rate, and the seed of the stream that :func:`mask_tokens`
+    uses when given none; selected tokens split a fixed 80/10/10."""
 
     mask_rate: float = 0.15
-    replace_mask: float = 0.8
-    keep_original: float = 0.1
-    replace_random: float = 0.1
     seed: int = 0
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.mask_rate <= 1.0:
             raise ValueError(f"mask_rate must be in [0, 1], got {self.mask_rate}")
-        parts = (self.replace_mask, self.keep_original, self.replace_random)
-        if any(p < 0 for p in parts) or not math.isclose(sum(parts), 1.0, abs_tol=1e-9):
-            raise ValueError("replace_mask + keep_original + replace_random must equal 1")
 
 
 def mask_tokens(
-    ids: Sequence[int],
-    config: MaskingConfig,
-    vocab_size: int,
-    sentence_index: int = 0,
-    *,
-    rng: Rng | None = None,
+    ids: Sequence[int], config: MaskingConfig, vocab_size: int, *, rng: Rng | None = None
 ) -> tuple[list[int], list[int]]:
     """Corrupt a subword id sequence for MLM training.
 
     Returns ``(masked_ids, labels)``. Special-token positions are never
-    selected. Stream consumption order: one uniform draw per candidate
-    position, then for selected positions one draw for the replace/keep/
-    resample decision and, only when resampling, one bounded-integer draw.
+    selected; a selected one becomes the mask id (80%), keeps its id (10%)
+    or takes a random non-special id (10%). Draws come from ``rng``, else
+    from ``SeedScheme(config.seed).stream()``. Stream consumption order: one
+    uniform draw per candidate position, then for selected positions one
+    draw for the replace/keep/resample decision and, only when resampling,
+    one bounded-integer draw.
     """
     n_special = len(SPECIAL_TOKENS)
     if vocab_size <= n_special:
         raise ValueError(f"vocab_size must exceed {n_special}")
     if rng is None:
-        rng = SeedScheme(config.seed, sentence_index).stream()
+        rng = SeedScheme(config.seed).stream()
 
     masked = list(ids)
     labels = [IGNORE_LABEL] * len(masked)
-    cut_mask = config.replace_mask
-    cut_keep = config.replace_mask + config.keep_original
     for i, token_id in enumerate(masked):
         if token_id < n_special:
             continue
@@ -340,9 +334,9 @@ def mask_tokens(
             continue
         labels[i] = token_id
         u = rng.random()
-        if u < cut_mask:
+        if u < CUT_MASK:
             masked[i] = MASK_ID
-        elif u < cut_keep:
+        elif u < CUT_KEEP:
             pass
         else:
             masked[i] = n_special + rng.randbelow(vocab_size - n_special)

@@ -20,10 +20,11 @@ deliberately self-contained — the reorder rules in ``treelab.transform``
 replay the same moves and serve as an independent cross-check, not as a
 dependency.
 
-Recursive productions are damped geometrically with depth. At the depth
-cap a nonterminal may expand only by a production whose right-hand side is
-all preterminals; one with none strands the derivation, which is dropped
-and sampled again, a bounded number of times.
+Recursive productions are damped geometrically with depth. At the fixed
+depth cap, ``MAX_DEPTH``, a nonterminal may expand only by a production
+whose right-hand side is all preterminals; one with none strands the
+derivation, which is dropped and sampled again, at most ``MAX_RETRIES``
+times in all.
 
 Everything sampling needs that depends only on the grammar is worked out
 once, when the grammar is built, into a private sampling plan: each
@@ -42,7 +43,7 @@ from typing import IO, Iterable, Iterator, Mapping
 from .pipeline import read_lines, replace_on_success
 from .rng import Rng, SeedScheme
 from .transform import BUILTIN_RULES, ReorderRule, inverse_rule
-from .treebank import TreeNode, escape_symbol, leaf, rebuild, scan_ptb, serialize, with_children
+from .treebank import TreeNode, escape_symbol, leaf, rebuild, scan_ptb, serialize
 
 _new = tuple.__new__
 
@@ -215,38 +216,37 @@ class _Plan:
 
     For each nonterminal: ``options``, the right-hand sides of its
     productions in grammar order; ``weights[symbol][depth]``, their weights
-    below the depth cap (``weight * DEPTH_DECAY**depth`` for a production in
-    ``recursive``, else ``weight``) for each depth below ``MAX_DEPTH``; and
-    ``closed``, the all-preterminal options with their undamped weights, the
-    only ones left at the cap. ``arity`` gives each preterminal's number of
-    concepts, ``labels`` every symbol escaped, and ``words[language]`` that
-    language's lexicon escaped.
+    (``weight * DEPTH_DECAY**depth`` for a recursive production, else
+    ``weight``) at each depth below the cap ``MAX_DEPTH``, which is every
+    depth the walk draws at; and ``closed``, the all-preterminal options
+    with their undamped weights, the only ones left at the cap. ``arity``
+    gives each preterminal's number of concepts, ``labels`` every symbol
+    escaped, and ``words[language]`` that language's lexicon escaped.
     """
 
-    __slots__ = (
-        "productions", "recursive", "options", "weights", "closed", "arity", "labels", "words"
-    )
+    __slots__ = ("options", "weights", "closed", "arity", "labels", "words")
 
     def __init__(self, grammar: SynthGrammar) -> None:
         first_lexicon = next(iter(grammar.lexicons.values()))
         self.arity = {pre: len(words) for pre, words in first_lexicon.items()}
-        self.recursive = grammar.recursive_productions()
-        self.productions: dict[str, list[Production]] = {}
+        recursive = grammar.recursive_productions()
+        productions: dict[str, list[Production]] = {}
         for p in grammar.productions:
-            self.productions.setdefault(p.lhs, []).append(p)
-        self.options = {lhs: tuple(p.rhs for p in ps) for lhs, ps in self.productions.items()}
+            productions.setdefault(p.lhs, []).append(p)
+        self.options = {lhs: tuple(p.rhs for p in ps) for lhs, ps in productions.items()}
         self.weights = {
-            lhs: tuple(self.damped(lhs, depth) for depth in range(MAX_DEPTH))
-            for lhs in self.productions
+            lhs: tuple([p.weight * DEPTH_DECAY**depth if p in recursive else p.weight for p in ps]
+                       for depth in range(MAX_DEPTH))
+            for lhs, ps in productions.items()
         }
         closed = {
             lhs: [p for p in ps if all(s in self.arity for s in p.rhs)]
-            for lhs, ps in self.productions.items()
+            for lhs, ps in productions.items()
         }
         self.closed = {
             lhs: (tuple(p.rhs for p in ps), [p.weight for p in ps]) for lhs, ps in closed.items()
         }
-        self.labels = {sym: escape_symbol(sym) for sym in (*self.productions, *self.arity)}
+        self.labels = {sym: escape_symbol(sym) for sym in (*productions, *self.arity)}
         if not all(self.labels.values()):
             raise SynthError("grammar symbols must be non-empty")
         self.words = {
@@ -257,13 +257,6 @@ class _Plan:
             for pre, words in lex.items():
                 if not all(words):
                     raise SynthError(f"language {lang}: preterminal {pre} has an empty word")
-
-    def damped(self, symbol: str, depth: int) -> list[float]:
-        """The weights of ``symbol``'s options at ``depth``, below the cap."""
-        return [
-            p.weight * DEPTH_DECAY**depth if p in self.recursive else p.weight
-            for p in self.productions[symbol]
-        ]
 
 
 #: Side A, side B, and ``(position_in_a, position_in_b)`` per derivation leaf,
@@ -323,14 +316,8 @@ def _inverse(order: tuple[int, ...]) -> list[int]:
     return positions
 
 
-def sample_lines(
-    grammar: SynthGrammar,
-    rng: Rng,
-    *,
-    languages: tuple[str, str] | None = None,
-    max_depth: int = MAX_DEPTH,
-    max_retries: int = MAX_RETRIES,
-) -> LinePair:
+def sample_lines(grammar: SynthGrammar, rng: Rng, *, languages: tuple[str, str] | None = None
+                 ) -> LinePair:
     """Sample one derivation straight into both languages' treebank lines.
 
     One pre-order walk makes every draw. A nonterminal takes one weighted
@@ -343,8 +330,8 @@ def sample_lines(
     therefore number the leaves in canonical pre-order, the same origin on
     both sides marks the same concept occurrence, and the alignment lists
     ``(position_in_a, position_in_b)`` for each origin in turn. A derivation
-    that the depth cap strands is dropped and sampled again, continuing on
-    the same stream.
+    that the depth cap ``MAX_DEPTH`` strands is dropped and sampled again,
+    continuing on the same stream, up to ``MAX_RETRIES`` attempts in all.
     """
     lang_a, lang_b = _pair_languages(grammar, languages)
     plan = grammar._plan
@@ -361,13 +348,12 @@ def sample_lines(
             concept, origin = rng.randbelow(n), (next(origins),)
             return ((f"({label} {words_a[symbol][concept]})", origin),
                     (f"({label} {words_b[symbol][concept]})", origin))
-        if depth >= max_depth:
+        if depth >= MAX_DEPTH:
             choices, chances = closed[symbol]
             if not choices:
                 raise _DepthExceeded
         else:
-            choices, table = options[symbol], weights[symbol]
-            chances = table[depth] if depth < len(table) else plan.damped(symbol, depth)
+            choices, chances = options[symbol], weights[symbol][depth]
         rhs = choices[rng.weighted_index(chances)]
         kids_a, kids_b = zip(*[expand(s, depth + 1) for s in rhs])
         if len(rhs) == 2:
@@ -377,7 +363,7 @@ def sample_lines(
                 kids_b = kids_b[::-1]
         return _side(label, kids_a), _side(label, kids_b)
 
-    for _ in range(max_retries):
+    for _ in range(MAX_RETRIES):
         origins = itertools.count()
         try:
             (line_a, order_a), (line_b, order_b) = expand(grammar.start, 0)
@@ -386,28 +372,32 @@ def sample_lines(
             continue
     else:
         raise SynthError(
-            f"no derivation closed within depth {max_depth} after {max_retries} attempts"
+            f"no derivation closed within depth {MAX_DEPTH} after {MAX_RETRIES} attempts"
         )
     return line_a, line_b, tuple(zip(_inverse(order_a), _inverse(order_b)))
 
 
-def sample_pair(grammar: SynthGrammar, rng: Rng, *, languages: tuple[str, str] | None = None,
-                max_depth: int = MAX_DEPTH, max_retries: int = MAX_RETRIES) -> Pair:
+def sample_pair(grammar: SynthGrammar, rng: Rng, *, languages: tuple[str, str] | None = None
+                ) -> Pair:
     """Sample one derivation into both languages' trees: the lines of
     :func:`sample_lines`, with the same draws and alignment, each scanned
     into a tree whose leaves carry the origins that the walk recorded."""
-    return _trees(*sample_lines(
-        grammar, rng, languages=languages, max_depth=max_depth, max_retries=max_retries
-    ))
+    return _trees(*sample_lines(grammar, rng, languages=languages))
 
 
 def _trees(line_a: str, line_b: str, alignment: tuple[tuple[int, int], ...]) -> Pair:
-    """Both lines scanned, each leaf given the origin that the walk recorded at its position."""
+    """Both lines scanned once; as each bracket closes, its leaves trade their
+    position for the origin that the walk recorded there."""
     trees = []
     for line, positions in zip((line_a, line_b), zip(*alignment)):
         order = _inverse(positions)
-        trees.append(rebuild(scan_ptb(line)[1], with_children, leaf=lambda node: _new(
-            TreeNode, (node.label, (), node.token, order[node.origin]))))
+
+        def close(label: str, kids: list[TreeNode]) -> None:
+            for k, kid in enumerate(kids):
+                if kid.token is not None:
+                    kids[k] = _new(TreeNode, (kid.label, (), kid.token, order[kid.origin]))
+
+        trees.append(scan_ptb(line, close=close)[1])
     return trees[0], trees[1], alignment
 
 

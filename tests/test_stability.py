@@ -6,6 +6,9 @@
   does the same for a renamed keyword or attribute the replicas use.
 * No ``treelab`` module imports an underscore name from another, so a
   module's private helpers stay its own.
+* Every defaulted parameter or dataclass field that the program calls is
+  passed by some call in ``src/treelab`` or ``bench``, so no library knob
+  exists that only tests set.
 * ``transform`` output bytes on the fixture treebank are pinned by SHA-256
   for every randomized chain step, at one and two workers.
 * The stats bytes are pinned too: ``stats`` stdout and ``--report`` JSON on
@@ -13,6 +16,8 @@
   one and two workers, and the exact lines ``stats`` prints for malformed
   trees. A change to the tree scanner or to the alignment that moves a
   float, a token or an error message fails here.
+* ``mask`` output and labels bytes on a fixed ids file are pinned by
+  SHA-256, with the number of stream draws it makes.
 """
 
 from __future__ import annotations
@@ -29,6 +34,7 @@ from pathlib import Path
 import pytest
 
 from treelab.cli import SEED_ENV, WORKERS_ENV, main
+from treelab.rng import Rng
 
 ROOT = Path(__file__).resolve().parent.parent
 FIXTURE = ROOT / "tests" / "fixtures" / "english_like.trees"
@@ -82,6 +88,86 @@ def test_no_module_imports_a_private_name_of_another():
                 imports += [f"{path.name}: {node.module}.{alias.name}"
                             for alias in node.names if alias.name.startswith("_")]
     assert imports == []
+
+
+#: Defaulted parameters and fields that no call in ``src/treelab`` or ``bench``
+#: passes, each kept for the reason given.
+UNPASSED_DEFAULTS_ALLOWED = {
+    "main.argv": "the console entry point, which reads sys.argv",
+    **{f"StatsAccumulator.{name}": "a running sum: state, not a setting"
+       for name in ("sum_ir", "sum_wmd", "sentences", "tokens", "short")},
+    "ConstituentShuffleStep.include_root": "bench/replicas.py reads it",
+}
+
+
+def _signatures(tree: ast.Module) -> dict[str, tuple[list[str], list[str]]]:
+    """Each public module-level function and dataclass of ``tree``: the
+    parameters or ``__init__`` fields that can be passed by position, in
+    order, and those that have a default."""
+    found = {}
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
+            args = node.args
+            positional = [a.arg for a in args.posonlyargs + args.args]
+            defaulted = positional[len(positional) - len(args.defaults):] + [
+                a.arg for a, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None
+            ]
+            found[node.name] = positional, defaulted
+        elif (isinstance(node, ast.ClassDef) and not node.name.startswith("_")
+              and any("dataclass" in ast.unparse(d) for d in node.decorator_list)):
+            fields = [item for item in node.body if isinstance(item, ast.AnnAssign)
+                      and not (item.value and "init=False" in ast.unparse(item.value))]
+            found[node.name] = ([f.target.id for f in fields],
+                                [f.target.id for f in fields if f.value is not None])
+    return found
+
+
+def _passed(tree: ast.Module, names: set[str]) -> dict[str, set]:
+    """For each of ``names`` that some call in ``tree`` makes (``f(...)``,
+    ``mod.f(...)``, or ``cls(...)`` inside class ``f``): the keywords passed
+    and the counts of positional arguments, or ``"*"`` for a call that
+    unpacks ``*args`` or ``**kwargs``."""
+    passed: dict[str, set] = {}
+    scopes = [(tree, None)]
+    while scopes:
+        node, owner = scopes.pop()
+        scopes += [(child, child.name if isinstance(child, ast.ClassDef) else owner)
+                   for child in ast.iter_child_nodes(node)]
+        if not isinstance(node, ast.Call):
+            continue
+        name = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+        name = owner if name == "cls" else name
+        if name in names:
+            seen = passed.setdefault(name, set())
+            seen.add(len(node.args))
+            seen.update(k.arg or "*" for k in node.keywords)
+            if any(isinstance(a, ast.Starred) for a in node.args):
+                seen.add("*")
+    return passed
+
+
+def test_every_default_is_passed_by_some_caller():
+    """Each defaulted parameter or field of a public function or dataclass in
+    ``src/treelab`` that the program calls is passed, by keyword or by
+    position, by some call in ``src/treelab`` or ``bench``. One that no call
+    passes is a setting that only tests set; the allowlist names the others."""
+    sources = [*(ROOT / "src" / "treelab").glob("*.py"), *(ROOT / "bench").glob("*.py")]
+    trees = {path: ast.parse(path.read_text(encoding="utf-8")) for path in sources}
+    signatures = {}
+    for path, tree in trees.items():
+        if path.parent.name == "treelab":
+            signatures.update(_signatures(tree))
+    passed: dict[str, set] = {}
+    for tree in trees.values():
+        for name, seen in _passed(tree, set(signatures)).items():
+            passed.setdefault(name, set()).update(seen)
+    unpassed = set()
+    for name, seen in passed.items():
+        positional, defaulted = signatures[name]
+        reach = max(n for n in seen if isinstance(n, int))
+        unpassed.update(f"{name}.{param}" for param in defaulted
+                        if not {"*", param} & seen and param not in positional[:reach])
+    assert sorted(unpassed) == sorted(UNPASSED_DEFAULTS_ALLOWED)
 
 
 def test_every_benchmark_replica_runs_once(tmp_path):
@@ -183,6 +269,37 @@ def test_transform_stats_bytes_are_pinned(tmp_path, capsys, monkeypatch, chain, 
                  "-o", "out.txt", "--stats", "--report", "r.json"]) == 0
     out = capsys.readouterr().out
     assert (digest_text(out), sha256(tmp_path / "r.json")) == TRANSFORM_STATS_PINNED[chain]
+
+
+# SHA-256 of (ids output, labels output) of ``mask ids.txt --vocab-size 120
+# --seed 7`` on MASK_IDS, and the stream draws (``Rng.next_u64`` calls) it makes.
+MASK_PINNED = (
+    "413ba206a440b52f11adad2d8aa62a08feb7d851a88a44ca0b0c6e4551ea09a9",
+    "a615b7dd945b06fb2b470036a388dd4f92c9d26acdac539e9715fc6a08c4fdab",
+    6331,
+)
+# 300 lines of 0 to 39 ids, special ids (0..4) among them; every 40th line is blank.
+MASK_IDS = "".join(
+    " ".join(str((7 * i + 13 * j) % 120) for j in range(i % 40)) + "\n" for i in range(300)
+)
+
+
+def test_mask_bytes_and_draws_are_pinned(tmp_path, capsys, monkeypatch):
+    monkeypatch.delenv(SEED_ENV, raising=False)
+    monkeypatch.chdir(tmp_path)
+    Path("ids.txt").write_text(MASK_IDS, encoding="utf-8")
+    draws = 0
+    next_u64 = Rng.next_u64
+
+    def counted(rng: Rng) -> int:
+        nonlocal draws
+        draws += 1
+        return next_u64(rng)
+
+    monkeypatch.setattr(Rng, "next_u64", counted)
+    assert main(["mask", "ids.txt", "--vocab-size", "120", "--seed", "7", "-o", "masked.txt"]) == 0, \
+        capsys.readouterr().err
+    assert (sha256(tmp_path / "masked.txt"), sha256(tmp_path / "masked.txt.labels"), draws) == MASK_PINNED
 
 
 def test_stats_malformed_lines_are_pinned(tmp_path, capsys, monkeypatch):

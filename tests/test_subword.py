@@ -347,10 +347,10 @@ class TestModelFile:
 class TestMasking:
     def test_deterministic_per_sentence(self):
         ids = list(range(5, 45))
-        config = MaskingConfig(seed=3)
-        first = mask_tokens(ids, config, vocab_size=50, sentence_index=7)
-        second = mask_tokens(ids, config, vocab_size=50, sentence_index=7)
-        other = mask_tokens(ids, config, vocab_size=50, sentence_index=8)
+        config = MaskingConfig()
+        first = mask_tokens(ids, config, vocab_size=50, rng=SeedScheme(3, 7).stream())
+        second = mask_tokens(ids, config, vocab_size=50, rng=SeedScheme(3, 7).stream())
+        other = mask_tokens(ids, config, vocab_size=50, rng=SeedScheme(3, 8).stream())
         assert first == second
         assert first != other
 
@@ -378,20 +378,29 @@ class TestMasking:
         assert labels == [IGNORE_LABEL] * len(ids)
 
     def test_rate_one_full_mask(self):
+        # At rate 1 every non-special position is selected and labelled, and
+        # its split draw u masks it (u < 0.8), keeps it (u < 0.9) or resamples it.
         ids = list(range(5, 55))
-        config = MaskingConfig(mask_rate=1.0, replace_mask=1.0, keep_original=0.0, replace_random=0.0)
-        masked, labels = mask_tokens(ids, config, vocab_size=60)
-        assert masked == [MASK_ID] * len(ids)
+        masked, labels = mask_tokens(ids, MaskingConfig(mask_rate=1.0), vocab_size=60,
+                                     rng=SeedScheme(4, 0).stream())
         assert labels == ids
+        draws, expected = SeedScheme(4, 0).stream(), []
+        for original in ids:
+            draws.random()  # the selection draw, always below rate 1
+            u = draws.random()
+            expected.append(MASK_ID if u < 0.8 else original if u < 0.9
+                            else len(SPECIAL_TOKENS) + draws.randbelow(60 - len(SPECIAL_TOKENS)))
+        assert masked == expected
+        assert len(ids) / 2 < masked.count(MASK_ID) < len(ids)
 
     def test_random_replacements_are_non_special(self):
         ids = [10] * 2000
-        config = MaskingConfig(
-            mask_rate=1.0, replace_mask=0.0, keep_original=0.0, replace_random=1.0, seed=2
-        )
-        masked, _ = mask_tokens(ids, config, vocab_size=30)
-        assert all(len(SPECIAL_TOKENS) <= i < 30 for i in masked)
-        assert len(set(masked)) > 5  # actually random, not constant
+        masked, _ = mask_tokens(ids, MaskingConfig(mask_rate=1.0), vocab_size=30,
+                                rng=SeedScheme(2).stream())
+        resampled = [i for i in masked if i not in (MASK_ID, 10)]
+        assert len(resampled) > 100  # about a tenth of 2000
+        assert all(len(SPECIAL_TOKENS) <= i < 30 for i in resampled)
+        assert len(set(resampled)) > 5  # actually random, not constant
 
     def test_split_statistics_loose(self):
         ids = list(range(5, 65)) * 500  # 30k tokens
@@ -415,17 +424,17 @@ class TestMasking:
     def test_explicit_stream_override(self):
         ids = list(range(5, 25))
         config = MaskingConfig(seed=9)
-        via_scheme = mask_tokens(ids, config, vocab_size=30, sentence_index=4)
-        via_stream = mask_tokens(ids, config, vocab_size=30, rng=SeedScheme(9, 4).stream())
-        assert via_scheme == via_stream
+        via_seed = mask_tokens(ids, config, vocab_size=30)
+        via_stream = mask_tokens(ids, config, vocab_size=30, rng=SeedScheme(9).stream())
+        other = mask_tokens(ids, config, vocab_size=30, rng=SeedScheme(9, 4).stream())
+        assert via_seed == via_stream
+        assert other != via_stream
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
             MaskingConfig(mask_rate=1.5)
         with pytest.raises(ValueError):
-            MaskingConfig(replace_mask=0.9, keep_original=0.2, replace_random=0.1)
-        with pytest.raises(ValueError):
-            MaskingConfig(replace_mask=1.2, keep_original=-0.2, replace_random=0.0)
+            MaskingConfig(mask_rate=-0.1)
 
     def test_vocab_must_exceed_specials(self):
         with pytest.raises(ValueError, match="exceed"):

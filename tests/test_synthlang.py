@@ -8,6 +8,7 @@ import re
 import pytest
 
 from helpers import parse_alignment
+from treelab import synthlang
 from treelab.rng import Rng, SeedScheme
 from treelab.synthlang import (
     BUILTIN_RULES,
@@ -264,24 +265,32 @@ class TestPairedSampling:
         for origin, word in word_at_a.items():
             assert mapping[word] == word_at_b[origin]
 
-    def test_depth_cap_is_respected(self):
+    def test_depth_cap_is_respected(self, monkeypatch):
         g = demo_grammar()
-        for i in range(50):
-            a, _, _ = sample_pair(g, SeedScheme(31, i).stream(), max_depth=6)
-            assert tree_depth(a) <= 7
         for i in range(20):
             a, _, _ = sample_pair(g, SeedScheme(32, i).stream())
             assert tree_depth(a) <= MAX_DEPTH + 1
+        # A lower cap, set before the grammar's sampling plan is built.
+        monkeypatch.setattr(synthlang, "MAX_DEPTH", 6)
+        g = demo_grammar()
+        for i in range(50):
+            a, _, _ = sample_pair(g, SeedScheme(31, i).stream())
+            assert tree_depth(a) <= 7
 
-    def test_uncloseable_grammar_raises_after_retries(self):
+    def test_uncloseable_grammar_raises_after_retries(self, monkeypatch):
         text = (
             "language a\nlanguage b\n"
             "rule S -> X\nrule X -> X NN\n"
             "lex a NN n\nlex b NN m\n"
         )
         g = parse_grammar(text)
+        with pytest.raises(SynthError, match=f"no derivation closed within depth {MAX_DEPTH} "
+                                             f"after {MAX_RETRIES} attempts"):
+            sample_pair(g, SeedScheme(0).stream())
+        monkeypatch.setattr(synthlang, "MAX_DEPTH", 3)
+        monkeypatch.setattr(synthlang, "MAX_RETRIES", 5)
         with pytest.raises(SynthError, match="no derivation closed within depth 3 after 5"):
-            sample_pair(g, SeedScheme(0).stream(), max_depth=3, max_retries=5)
+            sample_pair(parse_grammar(text), SeedScheme(0).stream())
 
     def test_corpus_determinism_and_per_index_streams(self):
         g = demo_grammar()
@@ -532,8 +541,8 @@ lex c VB c8
 """
 
 
-# A recursive rule so heavy that derivations run past MAX_DEPTH, where the
-# damped weights are no longer precomputed.
+# A recursive rule so heavy that derivations run to whatever depth cap is
+# set, so the plan's damped weights are read at every depth below it.
 DEEP_GRAMMAR = """\
 language a
 language b 87A=NA
@@ -572,8 +581,10 @@ class TestSamplingPlan:
         ],
     )
     @pytest.mark.parametrize("max_depth", [0, 2, 3, 6, MAX_DEPTH, MAX_DEPTH + 5])
-    def test_pairs_and_draws_equal_the_reference(self, grammar, languages, max_depth):
-        # The plan is built once, for the whole loop.
+    def test_pairs_and_draws_equal_the_reference(self, monkeypatch, grammar, languages, max_depth):
+        # The cap and retries are set before the plan is built, once, for the whole loop.
+        monkeypatch.setattr(synthlang, "MAX_DEPTH", max_depth)
+        monkeypatch.setattr(synthlang, "MAX_RETRIES", 4)
         g = grammar()
         for i in range(60):
             ours, theirs = CountingRng(1000 + i), CountingRng(1000 + i)
@@ -581,10 +592,9 @@ class TestSamplingPlan:
                 expected = reference_pair(g, theirs, languages, max_depth, max_retries=4)
             except SynthError as exc:
                 with pytest.raises(SynthError, match=re.escape(str(exc))):
-                    sample_pair(g, rng=ours, languages=languages, max_depth=max_depth, max_retries=4)
+                    sample_pair(g, rng=ours, languages=languages)
             else:
-                a, b, alignment = sample_pair(g, rng=ours, languages=languages, max_depth=max_depth,
-                                              max_retries=4)
+                a, b, alignment = sample_pair(g, rng=ours, languages=languages)
                 assert (repr(a), repr(b), alignment) == tuple(map(repr, expected[:2])) + (expected[2],)
             assert ours.draws == theirs.draws
             assert ours.next_u64() == theirs.next_u64()
@@ -600,8 +610,10 @@ class TestSamplingPlan:
         ],
     )
     @pytest.mark.parametrize("max_depth", [0, 2, 3, 6, MAX_DEPTH, MAX_DEPTH + 5])
-    def test_lines_and_draws_equal_the_reference(self, grammar, languages, max_depth):
+    def test_lines_and_draws_equal_the_reference(self, monkeypatch, grammar, languages, max_depth):
         """The walk that writes text gives the reference trees' serialized lines."""
+        monkeypatch.setattr(synthlang, "MAX_DEPTH", max_depth)
+        monkeypatch.setattr(synthlang, "MAX_RETRIES", 4)
         g = grammar()
         for i in range(60):
             ours, theirs = CountingRng(1000 + i), CountingRng(1000 + i)
@@ -609,10 +621,9 @@ class TestSamplingPlan:
                 expected = reference_pair(g, theirs, languages, max_depth, max_retries=4)
             except SynthError as exc:
                 with pytest.raises(SynthError, match=re.escape(str(exc))):
-                    sample_lines(g, rng=ours, languages=languages, max_depth=max_depth, max_retries=4)
+                    sample_lines(g, rng=ours, languages=languages)
             else:
-                line_a, line_b, alignment = sample_lines(g, rng=ours, languages=languages,
-                                                         max_depth=max_depth, max_retries=4)
+                line_a, line_b, alignment = sample_lines(g, rng=ours, languages=languages)
                 assert (line_a, line_b) == (serialize(expected[0]), serialize(expected[1]))
                 assert alignment == expected[2]
             assert ours.draws == theirs.draws
