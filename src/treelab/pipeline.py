@@ -21,10 +21,11 @@ taken in input order: each chunk's blocks are written and its per-sentence
 stats added one by one, so bytes and float sums do not depend on the worker
 count, and memory depends on the chunk size, not on the corpus size.
 
-Each line is classified and scanned once, by ``treebank.scan_line``, with the
-chain's leading reorder steps run as each bracket closes; ``--stats`` aligns by
-origin, with one check of the (surface, origin) multiset. ``stats`` scans
-tokens without building nodes, through the same function.
+One scanner and one writer: ``treebank.scan_line`` scans each line once, with
+the chain's leading reorder steps run as each bracket closes, and one walk of
+``treebank.write_tree`` gives each emitted tree's line and sentence. ``--stats``
+aligns by origin, with one check of the (surface, origin) multiset; ``stats``
+scans tokens without building nodes, through the same function.
 
 Every subcommand writes through :func:`recorded`. No output may be another
 output, a sidecar or an input. Each output, reports included, gets a
@@ -73,7 +74,7 @@ from .transform import (
     reorder_kids,
     word_shuffle,
 )
-from .treebank import Sentence, TreeNode, TreeParseError, scan_line, serialize, yield_sentence
+from .treebank import Sentence, TreeNode, TreeParseError, scan_line, write_tree, yield_sentence
 from .version import TOOL_NAME, TOOL_VERSION
 
 CHUNK_LINES = 256  # lines per unit of work: one worker call, one block write
@@ -155,14 +156,13 @@ def parse_chain(
     return tuple(steps)
 
 
-def apply_chain(
-    tree: TreeNode, steps: Sequence[ChainStep], rng: Rng
-) -> tuple[TreeNode | None, Sentence]:
+def apply_chain(tree: TreeNode, steps: Sequence[ChainStep], rng: Rng,
+                text: bool = False) -> tuple[TreeNode | None, Sentence, str]:
     """Run one tree through the chain, consuming one random stream.
 
-    Returns the transformed tree (None once word_shuffle has destroyed
-    the structure) and the resulting sentence. Each run of consecutive
-    reorder steps is applied in one walk.
+    Returns the transformed tree (None once word_shuffle has destroyed the
+    structure), the resulting sentence and, if ``text``, the tree's line (else
+    ""), both from one writer walk. Each run of reorder steps is one walk.
     """
     for kind, run in groupby(steps, type):
         if kind is ReorderStep:
@@ -174,10 +174,11 @@ def apply_chain(
             elif isinstance(step, AblationSpec):
                 tree = remove_composition(tree, step, rng)
             elif isinstance(step, WordShuffleStep):
-                return None, word_shuffle(yield_sentence(tree), rng)
+                return None, word_shuffle(yield_sentence(tree), rng), ""
             else:  # pragma: no cover - parse_chain constructs only the above
                 raise TypeError(f"unknown chain step {step!r}")
-    return tree, yield_sentence(tree)
+    line, tokens = write_tree(tree, text)
+    return tree, Sentence.of_leaves(tokens), line
 
 
 @dataclass(frozen=True)
@@ -320,12 +321,12 @@ def _run_chunk(chunk: list[tuple[int, tuple[str, int, str]]], steps: tuple[Chain
             counts[skipped] += 1
             continue
         rng = SeedScheme(config.global_seed, index).stream()
-        out_tree, sentence = apply_chain(tree, steps[lead:], rng)
+        _, sentence, line = apply_chain(tree, steps[lead:], rng, config.emit != "sentences")
         counts["emitted"] += 1
         if config.emit != "trees":
             sentences.append(sentence.text() + "\n")
         if config.emit != "sentences":
-            trees.append(serialize(out_tree) + "\n")
+            trees.append(line + "\n")
         if config.stats:
             perm = align_by_origin(tokens, sentence)
             rows.append((inversion_ratio(perm), word_move_distance(perm), perm.n))

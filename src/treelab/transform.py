@@ -27,7 +27,7 @@ from dataclasses import dataclass, replace
 from typing import Iterable, Sequence
 
 from .rng import Rng
-from .treebank import Sentence, TreeNode, rebuild, with_children
+from .treebank import Sentence, TreeNode, iter_nodes, rebuild, with_children, yield_sentence
 
 _new = tuple.__new__
 
@@ -195,62 +195,61 @@ class AblationSpec:
 
 def intermediate_node_count(tree: TreeNode) -> int:
     """Number of non-root nodes with more than one child."""
-    return len(_intermediate_ranks(tree))
-
-
-def _intermediate_ranks(tree: TreeNode) -> list[int]:
-    """Pre-order rank of each intermediate node (a position, not a node
-    object, which may occur twice), listed in post-order."""
-    ranks: list[int] = []
-    found = 0
-    stack: list = list(reversed(tree.children))  # the root is no candidate
-    while stack:
-        item = stack.pop()
-        if type(item) is int:  # popped after the candidate's whole subtree
-            ranks.append(item)
-        elif item.children:
-            if len(item.children) > 1:
-                stack.append(found)
-                found += 1
-            stack.extend(reversed(item.children))
-    return ranks
+    return sum(len(node.children) > 1 for node in iter_nodes(tree)) - (len(tree.children) > 1)
 
 
 def remove_composition(tree: TreeNode, spec: AblationSpec, rng: Rng) -> TreeNode:
-    """Remove ``round(alpha * K)`` of the K intermediate nodes.
+    """Remove ``round(alpha * K)``, rounded half-up, of the K intermediate nodes.
 
-    Selection is uniform without replacement and decided against the
-    original tree's intermediate-node set, in pre-order, before any splice
-    is applied, so the removal count is exact even though splicing changes
-    child counts. Each removed node's children take its place in its
-    parent's child list, preserving order; with ``shuffle_after`` the
-    spliced tree is then constituent-shuffled on the same stream, in the
-    same walk. ``round`` is half-up, giving zero variance at alpha 0 and 1.
+    The nodes are drawn uniformly without replacement, by their pre-order
+    rank in the tree as given, before any splice, so the count is exact. Each
+    removed node's children take its place in its parent's child list, in
+    order; with ``shuffle_after`` each kept node of two or more children is
+    then shuffled on the same stream, in the same loop. The draws: one shuffle
+    of the K ranks (none if no node goes), then the kept nodes' shuffles in
+    post-order. Leaves keep their origins, or get 0..n-1 in order if none has
+    one (a mix raises ``ValueError``); a node object met twice counts twice.
     """
-    ranks = _intermediate_ranks(tree)
-    k = len(ranks)
+    walk: list = []  # pre-order: an internal node's rank among intermediate nodes (or -1)
+    k = 0  # as it opens and its label as it closes; a leaf as itself. k: the next rank
+    stack: list = [tree]
+    while stack:
+        node = stack.pop()
+        if type(node) is str or node.token is not None:
+            walk.append(node)
+        else:
+            kids = node.children
+            intermediate = len(kids) > 1 and node is not tree
+            walk.append(k if intermediate else -1)
+            k += intermediate
+            stack.append(node.label)
+            stack += kids[::-1]
     n_remove = math.floor(spec.alpha * k + 0.5)
-    removed = [False] * k  # in post-order, the order ``combine`` meets them
+    removed = bytearray(k + 1)  # by rank; -1, no candidate, reads the extra last 0
     if n_remove > 0:
         order = list(range(k))
         rng.shuffle(order)
-        selected = set(order[:n_remove])
-        removed = [rank in selected for rank in ranks]
-    verdicts = iter(removed)
-    shuffle = rng.shuffle if spec.shuffle_after else None
-
-    def combine(node: TreeNode, values: list) -> TreeNode | tuple[TreeNode, ...]:
-        kids: list[TreeNode] = []
-        for value in values:
-            if type(value) is tuple:  # a removed child's children
-                kids.extend(value)
-            else:
-                kids.append(value)
-        if node is not tree and len(node.children) > 1 and next(verdicts):
-            return tuple(kids)
-        if shuffle is not None and len(kids) >= 2:
-            shuffle(kids)
-        return _new(TreeNode, (node.label, tuple(kids), None, None))
-
-    return rebuild(tree, combine)
-
+        for rank in order[:n_remove]:
+            removed[rank] = 1
+    values: list[TreeNode] = []  # the finished subtrees not yet taken by a parent
+    starts: list[int] = []  # per open node, where its children begin in values; -1 if removed
+    missing = 0
+    for item in walk:
+        if type(item) is int:
+            starts.append(-1 if removed[item] else len(values))
+        elif type(item) is str:
+            start = starts.pop()
+            if start >= 0:  # else the removed node's children stay in place: spliced
+                kids = values[start:]
+                del values[start:]
+                if spec.shuffle_after and len(kids) > 1:
+                    rng.shuffle(kids)
+                values.append(_new(TreeNode, (item, tuple(kids), None, None)))
+        elif item.origin is None:
+            values.append(_new(TreeNode, (item.label, (), item.token, missing)))
+            missing += 1
+        else:
+            values.append(item)
+    if missing:
+        yield_sentence(tree)  # raises ValueError if some leaves have an origin
+    return values[0]

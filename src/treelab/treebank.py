@@ -10,9 +10,10 @@ hashing ignore ``origin``. Nothing here recurses, so trees may be nested to
 any depth. Code that knows a node's fields are valid may skip the checks
 of ``TreeNode(...)`` with ``tuple.__new__(TreeNode, (label, kids, token, origin))``.
 
-One scanner, :func:`scan_ptb`, reads the bracket grammar in one loop over a
-line's lexemes, with or without building the tree; a hook may reorder each
-node's children as its bracket closes.
+One scanner and one writer: :func:`scan_ptb` reads a line's brackets in one
+loop, building the tree or not; a hook may reorder each node's children as its
+bracket closes. :func:`write_tree` writes a tree's line and lists its leaves in
+one walk; :func:`serialize` and :func:`yield_sentence` each take half of it.
 
 File convention: UTF-8, one bracketed tree per line. Every reader of tree
 lines (``transform``, ``stats`` and :func:`read_treebank`) classifies and
@@ -101,8 +102,8 @@ class TreeNode(namedtuple("TreeNode", "label children token origin")):
         return hash(serialize(self))
 
     def __repr__(self) -> str:
-        origins = tuple(node.origin for node in iter_leaves(self))
-        return f"TreeNode({serialize(self)!r}, origins={origins})"
+        text, tokens = write_tree(self, True)
+        return f"TreeNode({text!r}, origins={tuple(origin for _, origin in tokens)})"
 
 
 def leaf(label: str, token: str, origin: int | None = None) -> TreeNode:
@@ -165,6 +166,15 @@ class Sentence:
     @classmethod
     def from_surfaces(cls, surfaces: Iterable[str]) -> "Sentence":
         return cls(tuple((s, i) for i, s in enumerate(surfaces)))
+
+    @classmethod
+    def of_leaves(cls, tokens: list[tuple[str, int | None]]) -> "Sentence":
+        """A tree's ``(token, origin)`` leaves in order, as :func:`write_tree` lists them;
+        origins 0..n-1 in order if no leaf has one, ``ValueError`` if only some do."""
+        missing = [origin for _, origin in tokens].count(None)
+        if missing and missing < len(tokens):
+            raise ValueError(_MIXED)
+        return cls.from_surfaces(token for token, _ in tokens) if missing else cls(tuple(tokens))
 
 
 _LEXEME = re.compile(r"[()]|[^\s()]+")  # scan_ptb's lexemes, found with their positions
@@ -287,21 +297,30 @@ def with_children(node: TreeNode, kids: Sequence[TreeNode]) -> TreeNode:
     return _new(TreeNode, (node.label, tuple(kids), None, None))
 
 
-def serialize(tree: TreeNode) -> str:
-    """Canonical single-space form; ``parse_ptb(serialize(t))`` equals ``t``."""
-    parts = []
+def write_tree(tree: TreeNode, text: bool) -> tuple[str, list[tuple[str, int | None]]]:
+    """In one pre-order walk, the canonical single-space form of ``tree`` if ``text``
+    (else "") and each leaf's ``(token, origin)``, listed as the leaf is written."""
+    parts, tokens = [], []
     stack: list = [tree]
     while stack:
         node = stack.pop()
         if node is None:  # the end of an internal node
             parts.append(")")
         elif node.token is None:
-            parts.append(" (" + node.label)
-            stack.append(None)
-            stack.extend(node.children[::-1])
+            if text:
+                parts.append(" (" + node.label)
+                stack.append(None)
+            stack += node.children[::-1]
         else:
-            parts.append(f" ({node.label} {node.token})")
-    return "".join(parts)[1:]  # every node's text starts with a space
+            tokens.append((node.token, node.origin))
+            if text:
+                parts.append(f" ({node.label} {node.token})")
+    return "".join(parts)[1:], tokens  # every node's text starts with a space
+
+
+def serialize(tree: TreeNode) -> str:
+    """Canonical single-space form; ``parse_ptb(serialize(t))`` equals ``t``."""
+    return write_tree(tree, True)[0]
 
 
 def iter_nodes(tree: TreeNode) -> Iterator[TreeNode]:
@@ -313,28 +332,9 @@ def iter_nodes(tree: TreeNode) -> Iterator[TreeNode]:
         stack.extend(reversed(node.children))
 
 
-def iter_leaves(tree: TreeNode) -> Iterator[TreeNode]:
-    return (node for node in iter_nodes(tree) if node.is_leaf)
-
-
 def yield_sentence(tree: TreeNode) -> Sentence:
-    """Left-to-right leaf sequence with carried (or freshly assigned) origins."""
-    tokens = []
-    missing = 0
-    stack = [tree]
-    while stack:
-        node = stack.pop()
-        if node.token is None:
-            stack += node.children[::-1]
-        else:
-            if node.origin is None:
-                missing += 1
-            tokens.append((node.token, node.origin))
-    if missing:
-        if missing < len(tokens):
-            raise ValueError(_MIXED)
-        tokens = [(token, i) for i, (token, _) in enumerate(tokens)]
-    return Sentence(tuple(tokens))
+    """Left-to-right leaf sequence with carried (or fresh) origins: :meth:`Sentence.of_leaves`."""
+    return Sentence.of_leaves(write_tree(tree, False)[1])
 
 
 # Lines with no symbol content: blank lines and empty-bracket placeholders

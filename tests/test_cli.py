@@ -104,7 +104,7 @@ class TestParseChain:
 
     def test_apply_chain_word_shuffle_drops_tree(self):
         tree = parse_ptb(NESTED)
-        out_tree, sentence = apply_chain(
+        out_tree, sentence, _ = apply_chain(
             tree, parse_chain("word_shuffle"), SeedScheme(0, 0).stream()
         )
         assert out_tree is None

@@ -76,7 +76,7 @@ def test_reorder(tree):
     "chain", ["reorder:83A", "constituent_shuffle", "ablate:0.5:shuffle", "word_shuffle"]
 )
 def test_chain_steps_keep_tokens(tree, chain):
-    out_tree, sentence = apply_chain(tree, parse_chain(chain), SeedScheme(3, 0).stream())
+    out_tree, sentence, _ = apply_chain(tree, parse_chain(chain), SeedScheme(3, 0).stream())
     before = yield_sentence(tree).tokens
     assert collections.Counter(sentence.tokens) == collections.Counter(before)
     if out_tree is not None:

@@ -135,7 +135,7 @@ def test_worker_counts_agree_across_chunk_and_file_boundaries(
     expected_sentences, expected_trees = [], []
     for index, _, _, text in rows:
         if text in TREES:  # seeded by the global line index, across files and chunks
-            tree, sentence = chained(text, index, CHAIN)
+            tree, sentence, _ = chained(text, index, CHAIN)
             expected_sentences.append(sentence.text() + "\n")
             expected_trees.append(serialize(tree) + "\n")
     assert sentences.decode() == "".join(expected_sentences)
@@ -985,7 +985,7 @@ def reference_row(text: str, index: int, chain: str) -> tuple[float, float, int]
     """A ``--stats`` row as ``_run_chunk`` computed it before alignment by
     origin: ``alignment`` of the input tree's yield and the chain's sentence."""
     tree = parse_ptb(text)
-    _, sentence = apply_chain(tree, parse_chain(chain), SeedScheme(SEED, index).stream())
+    _, sentence, _ = apply_chain(tree, parse_chain(chain), SeedScheme(SEED, index).stream())
     perm = alignment(yield_sentence(tree), sentence)
     return inversion_ratio(perm), word_move_distance(perm), perm.n
 
@@ -1061,7 +1061,7 @@ def test_reorder_steps_in_the_scan_keep_the_bytes(tmp_path, monkeypatch, capsys,
     assert code == 0, err
     sentences, trees = [], []
     for index, text in enumerate(FIXTURE.read_text(encoding="utf-8").splitlines()):
-        tree, sentence = apply_chain(parse_ptb(text), parse_chain(chain), SeedScheme(5, index).stream())
+        tree, sentence, _ = apply_chain(parse_ptb(text), parse_chain(chain), SeedScheme(5, index).stream())
         sentences.append(sentence.text() + "\n")
         trees.append(serialize(tree) + "\n")
     written = [tmp_path / "run" / name for name in ("s.txt", "t.txt")]
@@ -1069,23 +1069,30 @@ def test_reorder_steps_in_the_scan_keep_the_bytes(tmp_path, monkeypatch, capsys,
     assert tuple(hashlib.sha256(path.read_bytes()).hexdigest() for path in written) == FOLDED_PINNED[chain]
 
 
-def test_one_rebuild_per_emitted_line_on_the_wsj_chain(tmp_path, monkeypatch, capsys):
-    """``reorder:83A`` runs in the scan, so only ``ablate:0.5:shuffle`` walks the tree."""
-    calls = []
-    real = transform.rebuild
+def test_one_writer_walk_and_no_rebuild_per_emitted_line_on_the_wsj_chain(tmp_path, monkeypatch, capsys):
+    """``reorder:83A`` runs in the scan and ``ablate:0.5:shuffle`` in its own loop,
+    so no ``rebuild`` fold runs, and one writer walk gives each tree line and sentence."""
+    calls = {"rebuild": 0, "write_tree": 0}
 
-    def counting(*args, **kwargs):
-        calls.append(1)
-        return real(*args, **kwargs)
+    def counting(module, name):
+        real = getattr(module, name)
 
-    monkeypatch.setattr(transform, "rebuild", counting)
+        def call(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+        monkeypatch.setattr(module, name, call)
+
+    for module in (treebank, transform):
+        counting(module, "rebuild")
+    for module in (treebank, pipeline):
+        counting(module, "write_tree")
     code, _, err = run_in(
-        tmp_path / "run", monkeypatch, capsys,
-        "transform", str(FIXTURE), "-o", "out.sents", "--chain", CHAIN, "--workers", "1",
+        tmp_path / "run", monkeypatch, capsys, "transform", str(FIXTURE), "-o", "out.sents",
+        "--tree-output", "out.trees", "--emit", "both", "--chain", CHAIN, "--workers", "1",
     )
     assert code == 0, err
     sidecar = json.loads((tmp_path / "run" / "out.sents.provenance.json").read_text())
-    assert sidecar["counts"]["emitted"] == 50 and len(calls) == 50
+    assert sidecar["counts"]["emitted"] == 50 and calls == {"rebuild": 0, "write_tree": 50}
 
 
 @pytest.mark.parametrize("chain", [CHAIN, "reorder:83A,word_shuffle"])

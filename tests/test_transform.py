@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 
 from treelab.pipeline import ReorderStep, apply_chain
-from treelab.rng import Rng, SeedScheme
+from treelab.rng import Rng, SeedScheme, stream_seed
 from treelab.transform import (
     BUILTIN_RULES,
     AblationSpec,
@@ -25,7 +25,9 @@ from treelab.transform import (
 )
 from treelab.treebank import (
     TreeNode,
+    internal,
     iter_nodes,
+    leaf,
     parse_ptb,
     rebuild,
     scan_ptb,
@@ -34,7 +36,8 @@ from treelab.treebank import (
     yield_sentence,
 )
 
-from conftest import tree_nodes
+from conftest import random_tree, tree_nodes
+from helpers import reference_remove_composition
 
 NESTED = "(S (NP (PRP I)) (VP (VBD read) (NP (CD two) (NNS papers))))"
 FIXTURE = os.path.join(os.path.dirname(__file__), "fixtures", "english_like.trees")
@@ -171,7 +174,7 @@ class TestReorderInOneWalk:
         with open(FIXTURE, encoding="utf-8") as fh:
             trees = [parse_ptb(line) for line in fh if line.strip()]
         for tree in trees:
-            out, sentence = apply_chain(tree, steps, rng=None)
+            out, sentence, _ = apply_chain(tree, steps, rng=None)
             expected = one_pass_per_rule(tree, rules)
             assert serialize(out) == serialize(expected)
             assert sentence == yield_sentence(expected)
@@ -282,6 +285,20 @@ class TestWordShuffle:
         assert word_shuffle(sentence, SeedScheme(5).stream()) == sentence
 
 
+class CountingRng(Rng):
+    """A stream that counts its draws."""
+
+    __slots__ = ("draws",)
+
+    def __init__(self, seed: int) -> None:
+        super().__init__(seed)
+        self.draws = 0
+
+    def next_u64(self) -> int:
+        self.draws += 1
+        return super().next_u64()
+
+
 class TestRemoveComposition:
     def test_alpha_zero_is_identity(self):
         tree = parse_ptb(NESTED)
@@ -335,6 +352,56 @@ class TestRemoveComposition:
         manual = remove_composition(tree, AblationSpec(0.5), rng=rng)
         manual = constituent_shuffle(manual, rng=rng)
         assert combined == manual
+
+    @pytest.mark.parametrize("shuffle_after", [False, True])
+    def test_an_origin_less_tree_gets_origins_in_input_order(self, shuffle_after):
+        tree = internal("S", [internal("NP", [leaf("DT", "the"), leaf("NN", "cat")]),
+                              internal("VP", [leaf("VB", "saw"), leaf("PRP", "us")])])
+        result = remove_composition(tree, AblationSpec(0.5, shuffle_after), SeedScheme(1, 0).stream())
+        position = {"the": 0, "cat": 1, "saw": 2, "us": 3}
+        tokens = yield_sentence(result).tokens
+        assert dict(tokens) == position
+        assert all(node.origin is not None for node in iter_nodes(result) if node.is_leaf)
+        if not shuffle_after:
+            assert tokens == tuple(position.items())
+
+    def test_a_tree_that_mixes_origins_raises(self):
+        tree = internal("S", [internal("NP", [leaf("DT", "the", 0), leaf("NN", "cat")]), leaf("VB", "saw", 2)])
+        for alpha in (0.0, 1.0):
+            with pytest.raises(ValueError, match="^tree mixes leaves with and without origin indices$"):
+                remove_composition(tree, AblationSpec(alpha, True), SeedScheme(1, 0).stream())
+
+    def test_a_shared_subtree_is_handled_at_each_position(self):
+        np_ = internal("NP", [leaf("DT", "the"), leaf("NN", "cat")])
+        tree = internal("S", [np_, internal("VP", [leaf("VB", "saw"), np_])])
+        assert intermediate_node_count(tree) == 3  # NP, VP and NP again
+        result = remove_composition(tree, AblationSpec(1.0), SeedScheme(1, 0).stream())
+        assert repr(result) == "TreeNode('(S (DT the) (NN cat) (VB saw) (DT the) (NN cat))', origins=(0, 1, 2, 3, 4))"
+        # One of the three positions goes; it may be either NP, leaving the other.
+        texts = [serialize(remove_composition(tree, AblationSpec(1 / 3), SeedScheme(1, i).stream()))
+                 for i in range(20)]
+        assert {text.count("(NP ") + text.count("(VP ") for text in texts} == {2}
+        assert {text.count("(NP ") for text in texts} == {1, 2}
+
+    def test_equals_the_rebuild_fold_draw_for_draw(self):
+        """On trees without origins, with carried origins in order, with permuted
+        origins and with a shared subtree: the same tree, origins included, the
+        same number of draws and the same next draw as the reference fold."""
+        rng = SeedScheme(11).stream()
+        trees = []
+        for _ in range(60):
+            raw = random_tree(rng, max_depth=6, max_children=4)
+            trees += [raw, parse_ptb(serialize(raw)),
+                      constituent_shuffle(raw, rng), internal("S", [raw, raw, leaf("NN", "x")])]
+        for alpha in (0.0, 0.3, 0.5, 1.0):
+            for shuffle_after in (False, True):
+                spec = AblationSpec(alpha, shuffle_after)
+                for index, tree in enumerate(trees):
+                    ours, theirs = CountingRng(stream_seed(3, index)), CountingRng(stream_seed(3, index))
+                    got = remove_composition(tree, spec, ours)
+                    assert repr(got) == repr(reference_remove_composition(tree, spec, theirs))
+                    assert ours.draws == theirs.draws
+                    assert ours.next_u64() == theirs.next_u64()
 
     def test_spec_validation(self):
         with pytest.raises(ValueError):

@@ -15,7 +15,6 @@ from treelab.treebank import (
     TreeParseError,
     escape_symbol,
     internal,
-    iter_leaves,
     iter_nodes,
     leaf,
     parse_ptb,
@@ -24,11 +23,15 @@ from treelab.treebank import (
     scan_ptb,
     serialize,
     with_children,
+    write_tree,
     write_treebank,
     yield_sentence,
 )
+from treelab.rng import SeedScheme
+from treelab.transform import AblationSpec, constituent_shuffle, remove_composition
 
-from conftest import tree_nodes
+from conftest import random_tree, tree_nodes
+from helpers import iter_leaves, reference_serialize, reference_yield
 
 NESTED = "(S (NP (PRP I)) (VP (VBD read) (NP (CD two) (NNS papers))))"
 FIXTURE = Path(__file__).resolve().parent / "fixtures" / "english_like.trees"
@@ -175,6 +178,31 @@ class TestOrigins:
         assert sentence.surfaces() == ("I", "read", "two", "papers")
         assert sentence.origins() == (0, 1, 2, 3)
         assert sentence.text() == "I read two papers"
+
+
+def writer_cases() -> list[TreeNode]:
+    """Random trees without origins, with carried origins, permuted by a shuffle
+    and by an ablation, and with a shared subtree; and a 100 000-deep tree."""
+    rng = SeedScheme(12).stream()
+    trees = []
+    for _ in range(60):
+        raw = random_tree(rng, max_depth=6, max_children=4)
+        trees += [raw, parse_ptb(serialize(raw)), constituent_shuffle(raw, rng),
+                  remove_composition(raw, AblationSpec(0.5, True), rng), internal("S", [raw, raw])]
+    depth = 100_000
+    trees.append(parse_ptb("(X (A a) " * depth + "(B b)" + ")" * depth))
+    return trees
+
+
+def test_the_writer_gives_the_reference_text_and_tokens():
+    for tree in writer_cases():
+        sentence = reference_yield(tree)
+        text, tokens = write_tree(tree, True)
+        assert text == reference_serialize(tree) == serialize(tree)
+        assert write_tree(tree, False) == ("", tokens)
+        assert Sentence.of_leaves(tokens) == sentence == yield_sentence(tree)
+        assert [token for token, _ in tokens] == [node.token for node in iter_leaves(tree)]
+        assert [origin for _, origin in tokens] == [node.origin for node in iter_leaves(tree)]
 
 
 class TestSentence:
