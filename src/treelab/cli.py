@@ -5,14 +5,16 @@ Subcommands: ``transform``, ``stats``, ``bpe learn``, ``bpe apply``,
 option table: it declares each option once, with its type and default.
 
 A subcommand's settings are its options other than inputs and outputs; each
-is also a config key, named by its long option. Every subcommand but
-``stats`` (which draws no random numbers and runs in one process) has
-``--seed`` and ``--workers``. ``--config FILE`` holds ``key = value`` lines
-(``#`` comments allowed); ``TREELAB_SEED`` and ``TREELAB_WORKERS`` override
-it. Those values become the settings' defaults, so the precedence is explicit
-flag, then environment, then config file, then built-in default; one that
-cannot be read or is out of range, or an unknown key, is a usage error even
-when a flag wins.
+is also a config key, named by its long option. Only the subcommands that
+draw random numbers (``transform``, ``mask``, ``synth generate``) have
+``--seed``, and only ``transform``, the one with a process pool, has
+``--workers``. ``--config FILE`` (on every subcommand but ``bpe apply``,
+which has no settings) holds ``key = value`` lines (``#`` comments allowed);
+``TREELAB_SEED`` and ``TREELAB_WORKERS`` override it, each read only where
+its setting exists. Those values become the settings' defaults, so the
+precedence is explicit flag, then environment, then config file, then
+built-in default; one that cannot be read or is out of range, or an unknown
+key, is a usage error even when a flag wins.
 Input and output paths are always given on the command line — a manifest
 that silently redirects file writes is a footgun, not a convenience.
 
@@ -111,7 +113,8 @@ def _set_defaults(args: argparse.Namespace) -> bool:
     """Make each config-file value, then each environment value, its setting's
     default; return whether there was any."""
     settings = {action.dest.replace("_", "-"): action for action in args.settings}
-    config = load_config_file(args.config, settings) if args.config is not None else {}
+    path = getattr(args, "config", None)  # ``bpe apply`` has no settings and no --config
+    config = load_config_file(path, settings) if path is not None else {}
     values = [(key, raw, f"config key {key!r}") for key, raw in config.items()] + [
         (key, os.environ[env], f"environment variable {env}")
         for key, env in (("seed", SEED_ENV), ("workers", WORKERS_ENV))
@@ -137,25 +140,27 @@ def build_parser() -> argparse.ArgumentParser:
     config_only.add_argument(
         "--config", metavar="FILE", help="'key = value' defaults file; explicit flags win"
     )
-    common = argparse.ArgumentParser(add_help=False, parents=[config_only])
-    seeded = (  # the actions ``parents=[common]`` gives each subcommand, not copies
-        common.add_argument(
-            "--seed", type=int, default=0,
-            help=f"global random seed (env {SEED_ENV}; default %(default)s)",
-        ),
-        common.add_argument(
-            "--workers", type=_ranged(int, 1), default=1,
-            help=f"worker processes (env {WORKERS_ENV}; default %(default)s)",
-        ),
+    seeded = argparse.ArgumentParser(add_help=False, parents=[config_only])
+    # The action ``parents=[seeded]`` gives each subcommand that draws random numbers.
+    seed = seeded.add_argument(
+        "--seed", type=int, default=0,
+        help=f"global random seed (env {SEED_ENV}; default %(default)s)",
     )
+    # bench/replicas.py is the only reader of ``seed`` and ``workers`` on a
+    # subcommand that lacks the option, so there they are None, never settable.
+    unset = {"seed": None, "workers": None}
 
-    p = sub.add_parser("transform", parents=[common],
+    p = sub.add_parser("transform", parents=[seeded],
                        help="apply a transformation chain to treebank files")
     p.add_argument("inputs", nargs="+", metavar="TREEBANK", help="input treebank file(s)")
     p.add_argument("-o", "--output", required=True, help="output corpus path")
     p.add_argument("--tree-output", help="tree output path for --emit both")
     p.set_defaults(run=_cmd_transform, settings=(
-        *seeded,
+        seed,
+        p.add_argument(
+            "--workers", type=_ranged(int, 1), default=1,
+            help=f"worker processes (env {WORKERS_ENV}; default %(default)s)",
+        ),
         p.add_argument(
             "--chain",
             help="comma-separated steps: reorder:FEATURE, constituent_shuffle, "
@@ -186,57 +191,55 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("bpe", help="learn or apply subword vocabularies")
     bpe_sub = p.add_subparsers(dest="bpe_command", required=True, metavar="ACTION")
-    p = bpe_sub.add_parser("learn", parents=[common], help="learn merges from text")
+    p = bpe_sub.add_parser("learn", parents=[config_only], help="learn merges from text")
     p.add_argument("inputs", nargs="+", metavar="TEXT", help="training text file(s)")
     p.add_argument("-o", "--output", required=True, help="model file to write")
-    p.set_defaults(run=_cmd_bpe_learn, settings=(
-        *seeded,
+    p.set_defaults(**unset, run=_cmd_bpe_learn, settings=(
         # At least the 5 special tokens, end-of-word and one character.
         p.add_argument("--vocab-size", type=_ranged(int, 7), default=32000,
                        help="vocabulary budget (default %(default)s)"),
         p.add_argument("--language", default="und",
                        help="language tag recorded in the model (default %(default)s)"),
     ))
-    p = bpe_sub.add_parser("apply", parents=[common], help="encode text to subword ids")
-    p.set_defaults(run=_cmd_bpe_apply, settings=seeded)
+    p = bpe_sub.add_parser("apply", help="encode text to subword ids")
+    p.set_defaults(**unset, run=_cmd_bpe_apply, settings=())
     p.add_argument("inputs", nargs="+", metavar="TEXT", help="text file(s) to encode")
     p.add_argument("-o", "--output", required=True, help="ids file to write")
     p.add_argument("--model", required=True, help="model file from 'bpe learn'")
 
-    p = sub.add_parser("mask", parents=[common],
+    p = sub.add_parser("mask", parents=[seeded],
                        help="make masked-token training pairs from an ids file")
     p.add_argument("input", metavar="IDS", help="ids file from 'bpe apply'")
     p.add_argument("-o", "--output", required=True, help="masked ids file to write")
     p.add_argument("--labels-output", help="labels path (default OUTPUT.labels)")
     p.add_argument("--model", help="model file; supplies the vocabulary size")
-    p.set_defaults(run=_cmd_mask, settings=(
-        *seeded,
+    p.set_defaults(workers=None, run=_cmd_mask, settings=(
+        seed,
         # More than the 5 special tokens, which are never masked.
         p.add_argument("--vocab-size", type=_ranged(int, 6), help="vocabulary size if no model"),
         p.add_argument("--rate", type=_ranged(float, 0, 1), default=0.15,
                        help="selection rate (default %(default)s)"),
     ))
 
-    p = sub.add_parser("retrieval", parents=[common],
+    p = sub.add_parser("retrieval", parents=[config_only],
                        help="cosine top-1 accuracy between aligned embedding files")
     p.add_argument("--source", required=True, help="source embedding file")
     p.add_argument("--target", required=True, help="target embedding file")
-    p.set_defaults(run=_cmd_retrieval, settings=(
-        *seeded, p.add_argument("--report", help="also write the result as JSON"),
-    ))
+    p.set_defaults(**unset, run=_cmd_retrieval,
+                   settings=(p.add_argument("--report", help="also write the result as JSON"),))
 
     p = sub.add_parser("synth", help="synthetic parallel-language corpora")
     synth_sub = p.add_subparsers(dest="synth_command", required=True, metavar="ACTION")
     p = synth_sub.add_parser(
-        "generate", parents=[common], help="sample an aligned two-language corpus"
+        "generate", parents=[seeded], help="sample an aligned two-language corpus"
     )
     p.add_argument("-o", "--prefix", required=True, help="output path prefix")
     p.add_argument(
         "--languages", nargs=2, metavar=("A", "B"),
         help="which two languages to emit (default: first two in the grammar)",
     )
-    p.set_defaults(run=_cmd_synth_generate, settings=(
-        *seeded,
+    p.set_defaults(workers=None, run=_cmd_synth_generate, settings=(
+        seed,
         p.add_argument("-n", "--count", type=_ranged(int, 1), default=100,
                        help="sentence pairs (default %(default)s)"),
         p.add_argument("--grammar", help="grammar file (default: built-in demo)"),
@@ -266,7 +269,6 @@ def _cmd_bpe_learn(args: argparse.Namespace, stdout: IO[str], stderr: IO[str]) -
         "bpe learn", [args.output], args.inputs,
         config={"vocab_size": args.vocab_size, "language": args.language,
                 "inputs": list(args.inputs)},
-        seed=args.seed, workers=args.workers,
     ) as (counts, (fh,)):
         model = bpe_learn((text for _, _, text in read_lines(args.inputs)), args.vocab_size,
                           args.language)
@@ -279,11 +281,8 @@ def _cmd_bpe_learn(args: argparse.Namespace, stdout: IO[str], stderr: IO[str]) -
 
 def _cmd_bpe_apply(args: argparse.Namespace, stdout: IO[str], stderr: IO[str]) -> int:
     from .subword import bpe_apply, load_model
-    with recorded(
-        "bpe apply", [args.output], [*args.inputs, args.model],
-        config={"model": args.model, "inputs": list(args.inputs)},
-        seed=args.seed, workers=args.workers,
-    ) as (counts, (fh,)):
+    with recorded("bpe apply", [args.output], [*args.inputs, args.model],
+                  config={"model": args.model, "inputs": list(args.inputs)}) as (counts, (fh,)):
         model = load_model(args.model)
         lines = 0
         for _, _, text in read_lines(args.inputs):
@@ -307,8 +306,7 @@ def _cmd_mask(args: argparse.Namespace, stdout: IO[str], stderr: IO[str]) -> int
     with recorded(
         "mask", [args.output, labels_path], [args.input, args.model],
         config={"input": args.input, "vocab_size": vocab_size, "rate": args.rate,
-                "labels": labels_path},
-        seed=args.seed, workers=args.workers,
+                "labels": labels_path}, seed=args.seed,
     ) as (counts, (fh_ids, fh_labels)):
         sentences = tokens = 0
         for path, lineno, text in read_lines([args.input]):
@@ -335,10 +333,8 @@ def _cmd_mask(args: argparse.Namespace, stdout: IO[str], stderr: IO[str]) -> int
 
 def _cmd_retrieval(args: argparse.Namespace, stdout: IO[str], stderr: IO[str]) -> int:
     from .retrieval import read_embeddings, top1_retrieval
-    with recorded(
-        "retrieval", [args.report], [args.source, args.target],
-        config={"source": args.source, "target": args.target}, seed=args.seed, workers=args.workers,
-    ) as (_, (report_fh,)):
+    with recorded("retrieval", [args.report], [args.source, args.target],
+                  config={"source": args.source, "target": args.target}) as (_, (report_fh,)):
         source, _ = read_embeddings(args.source)
         target, _ = read_embeddings(args.target)
         result = top1_retrieval(source, target)
@@ -365,8 +361,7 @@ def _cmd_synth_generate(args: argparse.Namespace, stdout: IO[str], stderr: IO[st
     with recorded(
         "synth generate", outputs, [grammar_path],
         config={"grammar": grammar_path or "<built-in demo>", "count": count,
-                "languages": [lang_a, lang_b]},
-        seed=args.seed, workers=args.workers,
+                "languages": [lang_a, lang_b]}, seed=args.seed,
     ) as (counts, handles):
         write_lines(lines, *handles)
         counts["pairs"] = count

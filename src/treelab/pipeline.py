@@ -30,8 +30,9 @@ scans tokens without building nodes, through the same function.
 Every subcommand writes through :func:`recorded`. No output may be another
 output, a sidecar or an input. Each output, reports included, gets a
 ``<path>.provenance.json`` sidecar recording the tool version, the effective
-configuration, the seed, and SHA-256 digests of every file the command read
-and of the bytes written to the output (null for a pipe or device). A run
+configuration, the seed and worker count (null on a subcommand without the
+option), and SHA-256 digests of every file the command read and of the bytes
+written to the output (null for a pipe or device). A run
 stages all its outputs and sidecars and replaces their files together at the
 end, or none of them: a failed read, write, worker or interrupt before then
 leaves every earlier file as it was. Sidecars contain no timestamps, so a

@@ -64,8 +64,6 @@ class BpeModel:
     merges: tuple[tuple[str, str], ...]
     vocab: dict[str, int]
     language: str = "und"
-    end_of_word: str = END_OF_WORD
-    special_tokens: tuple[str, ...] = SPECIAL_TOKENS
     # bpe_apply's memo: the merge ranks, and each word's ids (end-of-word
     # included; at most MEMO_WORDS words). Left out of equality and repr; never saved.
     _ranks: dict[tuple[str, str], int] = field(init=False, compare=False, repr=False)
@@ -78,16 +76,15 @@ class BpeModel:
 
     @property
     def eow_id(self) -> int:
-        return self.vocab[self.end_of_word]
+        return self.vocab[END_OF_WORD]
 
     def id_to_symbol(self) -> dict[int, str]:
         return {i: s for s, i in self.vocab.items()}
 
 
-def _build_vocab(specials: Sequence[str], end_of_word: str, alphabet: Sequence[str],
-                 merges: Iterable[tuple[str, str]]) -> dict[str, int]:
+def _build_vocab(alphabet: Sequence[str], merges: Iterable[tuple[str, str]]) -> dict[str, int]:
     vocab: dict[str, int] = {}
-    for sym in (*specials, end_of_word, *alphabet):
+    for sym in (*SPECIAL_TOKENS, END_OF_WORD, *alphabet):
         vocab.setdefault(sym, len(vocab))
     for a, b in merges:
         vocab.setdefault(a + b, len(vocab))
@@ -128,7 +125,7 @@ def bpe_learn(corpus: Iterable[str], vocab_size: int, language: str = "und") -> 
     heap = [(-c, p) for p, c in pair_counts.items() if c >= 2]
     heapq.heapify(heap)
 
-    vocab = _build_vocab(SPECIAL_TOKENS, END_OF_WORD, alphabet, ())
+    vocab = _build_vocab(alphabet, ())
     merges: list[tuple[str, str]] = []
     while len(vocab) < vocab_size and heap:
         count, best = heapq.heappop(heap)
@@ -219,7 +216,7 @@ def bpe_decode(model: BpeModel, ids: Sequence[int]) -> str:
         sym = symbols.get(i)
         if sym is None:
             raise BpeError(f"id {i} not in vocabulary")
-        if sym == model.end_of_word:
+        if sym == END_OF_WORD:
             words.append("".join(current))
             current = []
         else:
@@ -235,8 +232,8 @@ def dump_model(model: BpeModel, fh: IO[str]) -> None:
     alphabet = [s for s, _ in sorted(model.vocab.items(), key=lambda kv: kv[1]) if len(s) == 1]
     fh.write("bpe-model v1\n")
     fh.write(f"language {model.language}\n")
-    fh.write(f"end_of_word {model.end_of_word}\n")
-    fh.write("specials " + " ".join(model.special_tokens) + "\n")
+    fh.write(f"end_of_word {END_OF_WORD}\n")
+    fh.write(f"specials {' '.join(SPECIAL_TOKENS)}\n")
     fh.write(f"alphabet {len(alphabet)}\n")
     for sym in alphabet:
         fh.write(sym + "\n")
@@ -266,8 +263,12 @@ def load_model(path: str) -> BpeModel:
         raise BpeError(f"unsupported model header: {''.join(lines[:1])!r}")
     try:
         language = _header_field(lines, 1, "language")
-        eow = _header_field(lines, 2, "end_of_word")
-        specials = tuple(_header_field(lines, 3, "specials").split())
+        # Fixed lines: the ids of the specials and end-of-word do not come from the file.
+        for index, keyword, value in ((2, "end_of_word", END_OF_WORD),
+                                      (3, "specials", " ".join(SPECIAL_TOKENS))):
+            if _header_field(lines, index, keyword) != value:
+                raise ValueError(f"line {index + 1}: expected '{keyword} {value}', "
+                                 f"got {lines[index]!r}")
         n_alpha = int(_header_field(lines, 4, "alphabet"))
         alphabet = lines[5 : 5 + n_alpha]
         pos = 5 + n_alpha
@@ -289,8 +290,7 @@ def load_model(path: str) -> BpeModel:
             known.add(merge[0] + merge[1])
     except (IndexError, ValueError) as exc:
         raise BpeError(f"malformed model file {path}: {exc}") from exc
-    vocab = _build_vocab(specials, eow, alphabet, merges)
-    return BpeModel(tuple(merges), vocab, language, eow, specials)
+    return BpeModel(tuple(merges), _build_vocab(alphabet, merges), language)
 
 
 @dataclass(frozen=True)

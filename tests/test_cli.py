@@ -402,17 +402,6 @@ class TestStatsCommand:
         assert code == 1
         assert err == f"{b}:2: {a} has fewer lines\n"
 
-    @pytest.mark.parametrize("flag", ["--seed", "--workers"])
-    def test_takes_no_seed_or_workers(self, run, tmp_path, flag):
-        path = tmp_path / "tokens.txt"
-        path.write_text("a b\n")
-        assert run("stats", str(path), str(path), flag, "1")[0] == 2
-        config = tmp_path / "run.conf"
-        config.write_text(f"{flag[2:]} = 1\n")
-        code, _, err = run("stats", str(path), str(path), "--config", str(config))
-        assert code == 2
-        assert f"unknown key {flag[2:]!r}" in err
-
 
 class TestSubwordCommands:
     @pytest.fixture()
@@ -721,6 +710,42 @@ def test_an_unreadable_default_is_an_error_even_under_a_flag(run, tmp_path, monk
     origin = f"environment variable {SEED_ENV}" if source == "environment" else "config key 'seed'"
     assert err == f"error: {origin}: cannot read 'many' as int\n"
     assert not (tmp_path / "o").exists()
+
+
+# Each subcommand without --seed or --workers (it draws no random numbers, or runs
+# in one process): a run that succeeds among the files below, and what it lacks.
+WITHOUT = {
+    "stats": ("stats a.txt a.txt", ("seed", "workers")),
+    "bpe learn": ("bpe learn a.txt -o out.bpe --vocab-size 20", ("seed", "workers")),
+    "bpe apply": ("bpe apply a.txt -o a.ids --model m.bpe", ("seed", "workers")),
+    "mask": ("mask in.ids -o out.ids --vocab-size 20", ("workers",)),
+    "retrieval": ("retrieval --source a.emb --target a.emb", ("seed", "workers")),
+    "synth generate": ("synth generate -o out -n 1", ("workers",)),
+}
+
+
+@pytest.mark.parametrize("command, key", [
+    (command, key) for command, (_, keys) in WITHOUT.items() for key in keys
+])
+def test_a_setting_that_would_take_no_effect_does_not_exist(run, tmp_path, monkeypatch, command,
+                                                            key):
+    """Its flag and its config key exit 2, and its environment variable is not read."""
+    monkeypatch.chdir(tmp_path)
+    Path("a.txt").write_text("the cat sat\n")
+    Path("in.ids").write_text("7 8 9\n")
+    write_pooled_embeddings("a.emb", np.eye(2, dtype=np.float32))
+    assert run("bpe", "learn", "a.txt", "-o", "m.bpe", "--vocab-size", "20")[0] == 0
+    argv = WITHOUT[command][0].split()
+    assert run(*argv, f"--{key}", "1")[0] == 2
+    Path("run.conf").write_text(f"{key} = 1\n")
+    code, _, err = run(*argv, "--config", "run.conf")
+    assert code == 2
+    # ``bpe apply`` has no settings, so no --config either.
+    assert ("unrecognized arguments: --config" if command == "bpe apply"
+            else f"unknown key {key!r}") in err
+    monkeypatch.setenv(SEED_ENV if key == "seed" else WORKERS_ENV, "x")
+    code, _, err = run(*argv)
+    assert code == 0, err
 
 
 def test_a_config_vocab_size_conflicts_with_a_model(run, tmp_path):

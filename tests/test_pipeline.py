@@ -24,7 +24,14 @@ from treelab.metrics import (
     inversion_ratio,
     word_move_distance,
 )
-from treelab.pipeline import CHUNK_LINES, CHUNKS_PER_WORKER, apply_chain, parse_chain, read_lines
+from treelab.pipeline import (
+    CHUNK_LINES,
+    CHUNKS_PER_WORKER,
+    SIDECAR_SUFFIX,
+    apply_chain,
+    parse_chain,
+    read_lines,
+)
 from treelab.retrieval import EmbeddingMatrix, SentenceTokens
 from treelab.rng import SeedScheme
 from treelab.treebank import internal, leaf, parse_ptb, serialize, yield_sentence
@@ -728,6 +735,10 @@ def test_every_written_file_has_a_sidecar_that_hashes_every_input(
         assert doc["command"] == command.split(" -")[0]
         assert doc["output"] == {"path": name, "sha256": sha256(tmp_path / name)}
         assert doc["inputs"] == [{"path": path, "sha256": sha256(tmp_path / path)} for path in read]
+        # Only a subcommand that has --seed or --workers records a value for it.
+        assert doc["seed"] == (0 if doc["command"] in ("transform", "mask", "synth generate")
+                               else None)
+        assert doc["workers"] == (1 if doc["command"] == "transform" else None)
 
 
 def sha256(path: Path) -> str:
@@ -743,8 +754,6 @@ SIDE_READS = {
     "stats --config": ("stats in.trees other.txt --config SIDE", "stats.conf"),
     "bpe learn --config": ("bpe learn words.txt -o out.bpe --config SIDE", "learn.conf"),
     "bpe apply --model": ("bpe apply words.txt -o out.ids --model SIDE", "m.bpe"),
-    "bpe apply --config": ("bpe apply words.txt -o out.ids --model m.bpe --config SIDE",
-                           "seeded.conf"),
     "mask ids": ("mask SIDE -o out.ids --vocab-size 40", "in.ids"),
     "mask --model": ("mask in.ids -o out.ids --model SIDE", "m.bpe"),
     "mask --config": ("mask in.ids -o out.ids --config SIDE", "mask.conf"),
@@ -758,10 +767,9 @@ SIDE_READS = {
 CONFIGS = {
     "transform.conf": "chain = reorder:83A\nseed = 3\nstats = yes\nreport = out.json\n",
     "stats.conf": "# a report\nreport = out.json\n",
-    "learn.conf": "vocab-size = 40\nlanguage = toy\nseed = 1\n",
-    "seeded.conf": "seed = 1\nworkers = 1\n",
+    "learn.conf": "vocab-size = 40\nlanguage = toy\n",
     "mask.conf": "vocab-size = 40\nrate = 0.5\nseed = 2\n",
-    "retrieval.conf": "seed = 1\nreport = out.json\n",
+    "retrieval.conf": "report = out.json\n",
     "synth.conf": "count = 3\ngrammar = toy.grammar\nseed = 4\n",
 }
 DAMAGE = {
@@ -812,7 +820,8 @@ def test_a_damaged_side_file_ends_in_one_error_line(tmp_path, monkeypatch, capsy
 
 # Each subcommand's settings: ``(argv, key, value)``. The flag run adds
 # ``--KEY VALUE`` (``--KEY`` for a switch, whose value is True); the config run
-# adds ``--config FILE`` with ``KEY = VALUE``.
+# adds ``--config FILE`` with ``KEY = VALUE``. Each value binds: the run differs
+# from one without it.
 SETTINGS = [
     ("transform in.trees -o out.txt --chain word_shuffle", "seed", "3"),
     ("transform in.trees -o out.txt --chain word_shuffle", "workers", "2"),
@@ -823,21 +832,13 @@ SETTINGS = [
     ("transform bad.trees -o out.txt --chain reorder:83A", "skip-bad", True),
     ("transform in.trees -o out.txt --chain reorder:83B", "rules", "rules.txt"),
     ("stats in.trees other.txt", "report", "r.json"),
-    ("bpe learn words.txt -o out.bpe", "seed", "3"),
-    ("bpe learn words.txt -o out.bpe", "workers", "2"),
-    ("bpe learn words.txt -o out.bpe", "vocab-size", "40"),
+    ("bpe learn words.txt -o out.bpe", "vocab-size", "20"),
     ("bpe learn words.txt -o out.bpe", "language", "toy"),
-    ("bpe apply words.txt -o out.ids --model m.bpe", "seed", "3"),
-    ("bpe apply words.txt -o out.ids --model m.bpe", "workers", "2"),
     ("mask in.ids -o out.ids --vocab-size 40", "seed", "3"),
-    ("mask in.ids -o out.ids --vocab-size 40", "workers", "2"),
     ("mask in.ids -o out.ids --vocab-size 40", "rate", "0.5"),
     ("mask in.ids -o out.ids", "vocab-size", "40"),
-    ("retrieval --source a.emb --target b.emb --report r.json", "seed", "3"),
-    ("retrieval --source a.emb --target b.emb --report r.json", "workers", "2"),
     ("retrieval --source a.emb --target b.emb", "report", "r.json"),
     ("synth generate -o out -n 3", "seed", "3"),
-    ("synth generate -o out -n 3", "workers", "2"),
     ("synth generate -o out", "count", "3"),
     ("synth generate -o out -n 3", "grammar", "toy.grammar"),
 ]
@@ -845,7 +846,6 @@ REQUIRED = {  # the positional and required arguments of each subcommand
     "transform": ["in.trees", "-o", "out.txt"],
     "stats": ["a.txt", "b.txt"],
     "bpe learn": ["words.txt", "-o", "out.bpe"],
-    "bpe apply": ["words.txt", "-o", "out.ids", "--model", "m.bpe"],
     "mask": ["in.ids", "-o", "out.ids"],
     "retrieval": ["--source", "a.emb", "--target", "b.emb"],
     "synth generate": ["-o", "out"],
@@ -881,6 +881,25 @@ def test_a_config_key_acts_as_its_flag(tmp_path, monkeypatch, capsys, argv, key,
     assert runs[1] == runs[0]
 
 
+@pytest.mark.parametrize("argv, key, value", SETTINGS, ids=lambda x: str(x).split(" -")[0])
+def test_every_setting_changes_what_the_run_does(tmp_path, monkeypatch, capsys, argv, key, value):
+    """A run with the setting and one without it differ in output bytes, stdout or
+    exit status, sidecars aside; ``transform --workers`` by contract changes no byte."""
+    flag = [f"--{key}"] if value is True else [f"--{key}", value]
+    runs = []
+    for name, extra in (("with", flag), ("without", [])):
+        (tmp_path / name).mkdir()
+        side_files(tmp_path / name)
+        monkeypatch.chdir(tmp_path / name)
+        capsys.readouterr()
+        code = main([*argv.split(), *extra])
+        files = {path: data for path, data in snapshot(tmp_path / name).items()
+                 if not path.endswith(SIDECAR_SUFFIX)}
+        runs.append((code, capsys.readouterr().out, files))
+    assert runs[0][0] == 0
+    assert (runs[0] == runs[1]) == (subcommand(argv) == "transform" and key == "workers")
+
+
 @pytest.mark.parametrize("command", sorted({subcommand(argv) for argv, _, _ in SETTINGS}))
 def test_each_subcommand_accepts_exactly_its_settings_as_keys(tmp_path, capsys, command):
     """The key set of each subcommand is the set of its settings in SETTINGS."""
@@ -909,10 +928,11 @@ def test_workers_and_seed_resolve_alike(tmp_path, monkeypatch, key, env, default
     """Flag over environment over config file over built-in default, as the sidecar records."""
     monkeypatch.chdir(tmp_path)
     (tmp_path / "run.conf").write_text(f"{key} = 3\n", encoding="utf-8")
+    (tmp_path / "in.trees").write_text(TREES[0] + "\n", encoding="utf-8")
 
     def recorded(*extra: str) -> int:
-        assert main(["synth", "generate", "-o", "out", "-n", "1", *extra]) == 0
-        return json.loads((tmp_path / "out.align.provenance.json").read_text())[key]
+        assert main(["transform", "in.trees", "-o", "out", "--chain", "word_shuffle", *extra]) == 0
+        return json.loads((tmp_path / "out.provenance.json").read_text())[key]
 
     assert recorded() == default
     assert recorded("--config", "run.conf") == 3

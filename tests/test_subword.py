@@ -269,6 +269,10 @@ class TestModelFile:
     @pytest.mark.parametrize("damage, message", [
         ("cut after line 3", "line 4: expected 'specials'"),
         ("end_of_word and specials swapped", "line 3: expected 'end_of_word'"),
+        # The specials and end-of-word have fixed ids, so their lines are fixed.
+        ("end_of_word <eow>", "line 3: expected 'end_of_word </w>', got 'end_of_word <eow>'"),
+        ("specials <unk> <pad>", "line 4: expected 'specials <pad> <unk> <cls> <sep> <mask>', "
+                                 "got 'specials <unk> <pad>'"),
     ])
     def test_header_keywords_are_checked_in_order(self, tmp_path, damage, message):
         path = tmp_path / "model.bpe"
@@ -276,8 +280,10 @@ class TestModelFile:
         lines = path.read_text(encoding="utf-8").splitlines()
         if damage == "cut after line 3":
             del lines[3:]
-        else:
+        elif damage.endswith("swapped"):
             lines[2], lines[3] = lines[3], lines[2]
+        else:
+            lines[2 if damage.startswith("end_of_word") else 3] = damage
         path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
         with pytest.raises(BpeError) as caught:
             load_model(str(path))
