@@ -155,7 +155,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("inputs", nargs="+", metavar="TREEBANK", help="input treebank file(s)")
     p.add_argument("-o", "--output", required=True, help="output corpus path")
     p.add_argument("--tree-output", help="tree output path for --emit both")
-    p.set_defaults(run=_cmd_transform, settings=(
+    p.set_defaults(parser=p, run=_cmd_transform, settings=(
         seed,
         p.add_argument(
             "--workers", type=_ranged(int, 1), default=1,
@@ -186,7 +186,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="compare two line-aligned corpora (token lines or treebanks)")
     p.add_argument("original", help="original corpus")
     p.add_argument("modified", help="modified corpus")
-    p.set_defaults(run=_cmd_stats,
+    p.set_defaults(parser=p, run=_cmd_stats,
                    settings=(p.add_argument("--report", help="also write the report as JSON"),))
 
     p = sub.add_parser("bpe", help="learn or apply subword vocabularies")
@@ -194,7 +194,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = bpe_sub.add_parser("learn", parents=[config_only], help="learn merges from text")
     p.add_argument("inputs", nargs="+", metavar="TEXT", help="training text file(s)")
     p.add_argument("-o", "--output", required=True, help="model file to write")
-    p.set_defaults(**unset, run=_cmd_bpe_learn, settings=(
+    p.set_defaults(parser=p, **unset, run=_cmd_bpe_learn, settings=(
         # At least the 5 special tokens, end-of-word and one character.
         p.add_argument("--vocab-size", type=_ranged(int, 7), default=32000,
                        help="vocabulary budget (default %(default)s)"),
@@ -202,7 +202,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="language tag recorded in the model (default %(default)s)"),
     ))
     p = bpe_sub.add_parser("apply", help="encode text to subword ids")
-    p.set_defaults(**unset, run=_cmd_bpe_apply, settings=())
+    p.set_defaults(parser=p, **unset, run=_cmd_bpe_apply, settings=())
     p.add_argument("inputs", nargs="+", metavar="TEXT", help="text file(s) to encode")
     p.add_argument("-o", "--output", required=True, help="ids file to write")
     p.add_argument("--model", required=True, help="model file from 'bpe learn'")
@@ -213,7 +213,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-o", "--output", required=True, help="masked ids file to write")
     p.add_argument("--labels-output", help="labels path (default OUTPUT.labels)")
     p.add_argument("--model", help="model file; supplies the vocabulary size")
-    p.set_defaults(workers=None, run=_cmd_mask, settings=(
+    p.set_defaults(parser=p, workers=None, run=_cmd_mask, settings=(
         seed,
         # More than the 5 special tokens, which are never masked.
         p.add_argument("--vocab-size", type=_ranged(int, 6), help="vocabulary size if no model"),
@@ -225,7 +225,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="cosine top-1 accuracy between aligned embedding files")
     p.add_argument("--source", required=True, help="source embedding file")
     p.add_argument("--target", required=True, help="target embedding file")
-    p.set_defaults(**unset, run=_cmd_retrieval,
+    p.set_defaults(parser=p, **unset, run=_cmd_retrieval,
                    settings=(p.add_argument("--report", help="also write the result as JSON"),))
 
     p = sub.add_parser("synth", help="synthetic parallel-language corpora")
@@ -238,7 +238,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--languages", nargs=2, metavar=("A", "B"),
         help="which two languages to emit (default: first two in the grammar)",
     )
-    p.set_defaults(workers=None, run=_cmd_synth_generate, settings=(
+    p.set_defaults(parser=p, workers=None, run=_cmd_synth_generate, settings=(
         seed,
         p.add_argument("-n", "--count", type=_ranged(int, 1), default=100,
                        help="sentence pairs (default %(default)s)"),
@@ -371,7 +371,9 @@ def _cmd_synth_generate(args: argparse.Namespace, stdout: IO[str], stderr: IO[st
 
 def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args, extras = parser.parse_known_args(argv)
+    if extras:  # reported by the subcommand's parser, whose usage lists its options
+        args.parser.error(f"unrecognized arguments: {' '.join(extras)}")
     stdout, stderr = sys.stdout, sys.stderr
     try:
         if _set_defaults(args):

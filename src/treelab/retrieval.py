@@ -3,9 +3,12 @@
 The encoder lives elsewhere: this module ingests per-token vectors from a
 binary export (or an already-pooled dense matrix), mean-pools them while
 skipping positions flagged as special tokens, and scores aligned pairs by
-cosine nearest neighbor. Top-1 accuracy is the fraction of queries whose
-nearest target row has the query's own index; ties go to the lowest index,
-so a tie is a miss unless the lowest tied index is the aligned one.
+cosine nearest neighbor. A token file is pooled straight from its bytes:
+each sentence's flags and float32 vectors are views of them, summed in
+float64 into that sentence's row, with no per-sentence copy. Top-1 accuracy
+is the fraction of queries whose nearest target row has the query's own
+index; ties go to the lowest index, so a tie is a miss unless the lowest
+tied index is the aligned one.
 
 Similarities are float64 and computed for ``BLOCK_ROWS`` queries at a
 time, so memory is O(block x N), not O(N^2). The rows are split into
@@ -30,7 +33,7 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -89,33 +92,39 @@ class RetrievalResult:
 
 
 def mean_pool(vectors: np.ndarray, special: Sequence[bool] | np.ndarray) -> np.ndarray:
-    """Arithmetic mean of the non-special token vectors.
+    """Arithmetic mean of the non-special token vectors, summed in float64.
 
     Raises when every position is flagged special: there is nothing to
     pool, and silently returning zeros would poison cosine scoring later.
     """
-    vectors = np.asarray(vectors, dtype=np.float64)
+    vectors = np.asarray(vectors)
     keep = ~np.asarray(special, dtype=bool)
     if keep.shape != (vectors.shape[0],):
         raise RetrievalError(
             f"{len(keep)} special flags for {vectors.shape[0]} token vectors"
         )
-    if not keep.any():
+    kept = np.count_nonzero(keep)
+    if not kept:
         raise RetrievalError("all tokens flagged special; nothing to pool")
-    return vectors[keep].mean(axis=0)
+    # mean(axis=0, dtype=np.float64)'s sum and division, without its per-call overhead
+    return np.add.reduce(vectors[keep], axis=0, dtype=np.float64) / kept
+
+
+def _pool(sentences: Iterable[tuple[np.ndarray, np.ndarray]], rows: int, dim: int) -> np.ndarray:
+    """A (rows, dim) float64 :func:`mean_pool` row for each of at most ``rows`` sentences."""
+    pooled = np.empty((rows, dim))
+    for i, (vectors, special) in enumerate(sentences):
+        try:
+            pooled[i] = mean_pool(vectors, special)
+        except RetrievalError as exc:
+            raise RetrievalError(f"sentence {i}: {exc}") from exc
+    return pooled
 
 
 def pool_matrix(embeddings: EmbeddingMatrix) -> np.ndarray:
     """Pool every sentence into one row; (N, dim) float64."""
-    if not embeddings.sentences:
-        return np.zeros((0, embeddings.dim))
-    rows = []
-    for i, sent in enumerate(embeddings.sentences):
-        try:
-            rows.append(mean_pool(sent.vectors, sent.special))
-        except RetrievalError as exc:
-            raise RetrievalError(f"sentence {i}: {exc}") from exc
-    return np.stack(rows)
+    return _pool(((s.vectors, s.special) for s in embeddings.sentences),
+                 len(embeddings), embeddings.dim)
 
 
 def _row_norms(matrix: np.ndarray, name: str) -> np.ndarray:
@@ -180,34 +189,35 @@ def _read_file(path: str, magic: bytes, kind: str, header: str,
         raise RetrievalError(f"{path}: truncated header ({len(data)} bytes)") from None
 
 
-def read_token_embeddings(path: str, data: bytes | None = None) -> EmbeddingMatrix:
+def _token_sentences(path: str, data: bytes | None) -> Iterator:
+    """A token file's ``(rows, dim, layer)``, ``rows`` being how many sentences its
+    bytes can pool (each holds a count, a flag and ``dim`` floats), then each
+    sentence's ``(count, dim)`` float32 vectors and flags, as views of the bytes."""
     data, (n, max_tokens, dim, layer) = _read_file(path, TOKEN_MAGIC, "token", "<4I", data)
-    pos = 8 + 16
-    sentences = []
+    if dim < 1:
+        raise RetrievalError(f"{path}: dimension must be positive, got {dim}")
+    yield min(n, (len(data) - 24) // (5 + 4 * dim)), dim, layer
+    end = 24
     for i in range(n):
-        try:
-            (count,) = struct.unpack_from("<I", data, pos)
-            pos += 4
+        start, end = end, end + 4
+        if end <= len(data):  # else the count itself is cut off
+            count = int.from_bytes(data[start:end], "little")
             if count > max_tokens:
                 raise RetrievalError(
                     f"{path}: sentence {i} has {count} tokens, header says max {max_tokens}"
                 )
-            special = np.frombuffer(data, dtype=np.uint8, count=count, offset=pos).astype(bool)
-            pos += count
-            vectors = (
-                np.frombuffer(data, dtype="<f4", count=count * dim, offset=pos)
-                .reshape(count, dim)
-                .copy()
-            )
-            pos += 4 * count * dim
-        except struct.error as exc:
-            raise RetrievalError(f"{path}: truncated at sentence {i}") from exc
-        except ValueError as exc:
-            if isinstance(exc, RetrievalError):
-                raise
-            raise RetrievalError(f"{path}: truncated at sentence {i}") from exc
-        sentences.append(SentenceTokens(vectors, special))
-    return EmbeddingMatrix(tuple(sentences), dim, layer)
+            end += count + 4 * count * dim
+        if end > len(data):
+            raise RetrievalError(f"{path}: truncated at sentence {i}")
+        yield (np.frombuffer(data, "<f4", count * dim, start + 4 + count).reshape(count, dim),
+               np.frombuffer(data, np.uint8, count, start + 4))
+
+
+def read_token_embeddings(path: str) -> EmbeddingMatrix:
+    sentences = _token_sentences(path, None)
+    _, dim, layer = next(sentences)
+    return EmbeddingMatrix(tuple(SentenceTokens(vectors.copy(), special.astype(bool))
+                                 for vectors, special in sentences), dim, layer)
 
 
 def read_pooled_embeddings(path: str, data: bytes | None = None) -> tuple[np.ndarray, int]:
@@ -227,6 +237,6 @@ def read_embeddings(path: str) -> tuple[np.ndarray, int]:
         return read_pooled_embeddings(path, data)
     if data[:8] != TOKEN_MAGIC:
         raise RetrievalError(f"{path}: unrecognized embedding file (magic {data[:8]!r})")
-    emb = read_token_embeddings(path, data)
-    del data  # the vectors are copies: pool without the file's bytes in memory
-    return pool_matrix(emb), emb.layer
+    sentences = _token_sentences(path, data)
+    rows, dim, layer = next(sentences)
+    return _pool(sentences, rows, dim), layer

@@ -11,12 +11,14 @@ open, and both are needed for reproducibility:
   word in the output id stream but never participates in a merge.
 
 The learner keeps the pair counts and, for each pair, the set of words that
-contain it, so a merge visits only those words and applies count deltas;
-the next pair comes from a heap of ``(-count, pair)`` entries, each live
-while its count is current (Sennrich, Haddow & Birch 2016). ``bpe_apply``
-segments each distinct word once per model: the model keeps the merge ranks
-and each word's ids in a memo that takes no part in equality, ``repr`` or
-the saved file, and is emptied when it holds ``MEMO_WORDS`` words.
+contain it; merging ``(a, b)`` visits only those words and in each only the
+sites (Sennrich, Haddow & Birch 2016): ``(left, a)`` and ``(b, right)`` become
+``(left, ab)`` and ``(ab, right)``, ``left`` read from the merged word, so
+``a b a b`` gives ``(ab, ab)``, no ``(ab, a)``. The next pair comes from a heap
+of ``(-count, pair)`` entries, each live while its count is current.
+``bpe_apply`` segments each distinct word once per model: the model keeps the
+merge ranks and each word's ids in a memo that takes no part in equality,
+``repr`` or the saved file, and is emptied when it holds ``MEMO_WORDS`` words.
 
 Vocabularies are never shared across languages; a model records the
 language tag it was trained on. Ids are dense and 0-based with the five
@@ -133,26 +135,52 @@ def bpe_learn(corpus: Iterable[str], vocab_size: int, language: str = "und") -> 
             continue
         merges.append(best)
         vocab.setdefault(best[0] + best[1], len(vocab))
-        delta: Counter[tuple[str, str]] = Counter()
-        for i in where.pop(best):
-            syms = words[i]
-            fused = _fuse(syms, best)
-            if len(fused) == len(syms):
-                continue  # an earlier merge took the pair out of this word
-            freq = freqs[i]
-            for pair in zip(syms, syms[1:]):
-                delta[pair] -= freq
-            for pair in zip(fused, fused[1:]):
-                delta[pair] += freq
-                where[pair].add(i)
-            words[i] = fused
-        for pair, change in delta.items():
+        for pair, change in _merge_sites(best, words, freqs, where).items():
             if change:
                 pair_counts[pair] += change
                 if pair_counts[pair] >= 2:
                     heapq.heappush(heap, (-pair_counts[pair], pair))
+        pair_counts[best] = 0  # every site is merged; any entry pushed for it is stale
 
     return BpeModel(tuple(merges), vocab, language)
+
+
+def _merge_sites(pair: tuple[str, str], words: list[list[str]], freqs: list[int],
+                 where: defaultdict[tuple[str, str], set[int]]) -> dict[tuple[str, str], int]:
+    """Merge ``pair`` in the words ``where`` lists for it, as ``_fuse`` does; each
+    site's neighbour pairs change by the word's frequency in the returned counts,
+    and the new pairs list the word in ``where``. The pair's own count is not kept."""
+    a, b = pair
+    ab = a + b
+    delta: defaultdict[tuple[str, str], int] = defaultdict(int)
+    for i in where.pop(pair):
+        syms, freq = words[i], freqs[i]
+        last = len(syms) - 1
+        out: list[str] = []
+        j = k = 0  # syms[j:] is not yet in out; the next site starts at k or later
+        while True:
+            try:
+                k = syms.index(a, k, last)
+            except ValueError:
+                break
+            if syms[k + 1] != b:
+                k += 1
+                continue
+            out += syms[j:k]
+            if out:  # out[-1] is ab, not b, when the last site ended at k
+                delta[out[-1], a] -= freq
+                delta[out[-1], ab] += freq
+                where[out[-1], ab].add(i)
+            if k < last - 1:
+                delta[b, syms[k + 2]] -= freq
+                delta[ab, syms[k + 2]] += freq
+                where[ab, syms[k + 2]].add(i)
+            out.append(ab)
+            j = k = k + 2
+        if j:  # else an earlier merge took the pair out of this word
+            out += syms[j:]
+            words[i] = out
+    return delta
 
 
 def _fuse(syms: Sequence[str], pair: tuple[str, str]) -> list[str]:

@@ -171,10 +171,15 @@ class Sentence:
     def of_leaves(cls, tokens: list[tuple[str, int | None]]) -> "Sentence":
         """A tree's ``(token, origin)`` leaves in order, as :func:`write_tree` lists them;
         origins 0..n-1 in order if no leaf has one, ``ValueError`` if only some do."""
-        missing = [origin for _, origin in tokens].count(None)
-        if missing and missing < len(tokens):
+        try:
+            return cls(tuple(tokens))
+        except (TypeError, AlignmentError):  # TypeError: the check compared a None origin
+            missing = sum(origin is None for _, origin in tokens)
+            if not missing:
+                raise
+        if missing < len(tokens):
             raise ValueError(_MIXED)
-        return cls.from_surfaces(token for token, _ in tokens) if missing else cls(tuple(tokens))
+        return cls.from_surfaces(token for token, _ in tokens)
 
 
 _LEXEME = re.compile(r"[()]|[^\s()]+")  # scan_ptb's lexemes, found with their positions

@@ -748,6 +748,22 @@ def test_a_setting_that_would_take_no_effect_does_not_exist(run, tmp_path, monke
     assert code == 0, err
 
 
+@pytest.mark.parametrize("argv", [
+    "transform in.trees -o out --chain word_shuffle",
+    *(argv for argv, _ in WITHOUT.values()),
+])
+def test_an_unknown_option_is_reported_with_the_subcommands_usage(run, tmp_path, monkeypatch,
+                                                                  argv):
+    """Not the top-level ``usage: treelab [-h] [--version] COMMAND ...``."""
+    monkeypatch.chdir(tmp_path)
+    command = " ".join(word for word in argv.split()[:2] if word.isalpha())
+    code, out, err = run(*argv.split(), "--bogus")
+    assert (code, out) == (2, "")
+    assert err.startswith(f"usage: treelab {command} "), err
+    assert err.endswith(f"treelab {command}: error: unrecognized arguments: --bogus\n"), err
+    assert os.listdir() == []
+
+
 def test_a_config_vocab_size_conflicts_with_a_model(run, tmp_path):
     """``mask --model`` with a config ``vocab-size`` is the conflict of giving both flags."""
     ids = tmp_path / "in.ids"

@@ -292,6 +292,67 @@ class TestFiles:
         assert loaded.shape == (0, 5)
 
 
+def test_a_token_file_pools_to_the_bits_of_float64_means(tmp_path):
+    """``read_embeddings`` pools from views of the file's bytes; every row has
+    the bits of the mean of that sentence's kept rows taken in float64, as
+    ``pool_matrix`` of ``read_token_embeddings`` gives them too. Odd token
+    counts put the float32 rows at unaligned offsets."""
+    rng = np.random.default_rng(11)
+    sentences = []
+    for count in (1, 2, 3, 7, 30, 5):
+        special = rng.random(count) < 0.3
+        special[rng.integers(count)] = False
+        sentences.append(sent(rng.normal(size=(count, 5)) * 100, special))
+    matrix = EmbeddingMatrix(tuple(sentences), dim=5, layer=4)
+    path = tmp_path / "tok.bin"
+    write_token_embeddings(str(path), matrix)
+    expected = np.stack([s.vectors.astype(np.float64)[~s.special].mean(axis=0) for s in sentences])
+    pooled, layer = read_embeddings(str(path))
+    assert layer == 4 and pooled.dtype == np.float64
+    assert pooled.tobytes() == expected.tobytes()
+    assert pool_matrix(read_token_embeddings(str(path))).tobytes() == expected.tobytes()
+
+
+def token_file(path, n: int, max_tokens: int, dim: int, body: bytes = b"") -> str:
+    path.write_bytes(TOKEN_MAGIC + struct.pack("<4I", n, max_tokens, dim, 0) + body)
+    return str(path)
+
+
+@pytest.mark.parametrize("read", [read_embeddings, read_token_embeddings])
+def test_a_header_larger_than_the_file_is_an_error_not_an_allocation(tmp_path, read):
+    """Sizes come from the header only after the bytes are known to hold them."""
+    huge = 1 << 24
+    with pytest.raises(RetrievalError, match="truncated at sentence 0"):
+        read(token_file(tmp_path / "a.emb", huge, huge, huge, b"\1\0\0\0\0abcd"))
+    one = struct.pack("<I", 1) + b"\0" + struct.pack("<f", 2.0)
+    with pytest.raises(RetrievalError, match="truncated at sentence 1"):
+        read(token_file(tmp_path / "b.emb", huge, 1, 1, one))
+    with pytest.raises(RetrievalError, match="dimension must be positive, got 0"):
+        read(token_file(tmp_path / "c.emb", huge, 1, 0, one))
+
+
+def test_token_file_errors_name_the_sentence(tmp_path):
+    matrix = EmbeddingMatrix(
+        (sent([[1.0, 2.0]], [False]), sent([[3.0, 4.0], [5.0, 6.0]], [True, True])), dim=2
+    )
+    path = tmp_path / "tok.bin"
+    write_token_embeddings(str(path), matrix)
+    with pytest.raises(RetrievalError) as info:
+        read_embeddings(str(path))
+    assert str(info.value) == "sentence 1: all tokens flagged special; nothing to pool"
+    data = path.read_bytes()
+    # Cut in sentence 1's vectors, flags and count (sentence 0 ends at byte 24 + 4 + 1 + 8).
+    for cut in (len(data) - 1, 37 + 4 + 1, 37 + 2):
+        path.write_bytes(data[:cut])
+        with pytest.raises(RetrievalError) as info:
+            read_embeddings(str(path))
+        assert str(info.value) == f"{path}: truncated at sentence 1", cut
+    path.write_bytes(b"EMBTOK02" + data[8:])
+    with pytest.raises(RetrievalError) as info:
+        read_embeddings(str(path))
+    assert str(info.value) == f"{path}: unrecognized embedding file (magic b'EMBTOK02')"
+
+
 @pytest.mark.parametrize("kind", ["token", "pooled"])
 def test_every_prefix_is_an_error_naming_the_file(tmp_path, capsys, kind):
     matrix = EmbeddingMatrix(

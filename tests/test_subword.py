@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import collections
+import hashlib
+import io
 import re
 
 import hypothesis.strategies as st
@@ -8,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 
 from treelab import subword
-from treelab.rng import SeedScheme
+from treelab.rng import Rng, SeedScheme
 from treelab.subword import (
     END_OF_WORD,
     IGNORE_LABEL,
@@ -22,6 +24,7 @@ from treelab.subword import (
     bpe_apply,
     bpe_decode,
     bpe_learn,
+    dump_model,
     load_model,
     mask_tokens,
     read_ids_file,
@@ -52,23 +55,61 @@ def reference_merges(corpus: list[str], vocab_size: int) -> list[tuple[str, str]
         merges.append(best)
         vocab.add(best[0] + best[1])
         for word, seq in sequences.items():
-            out, i = [], 0
-            while i < len(seq):
-                if i + 1 < len(seq) and (seq[i], seq[i + 1]) == best:
-                    out.append(seq[i] + seq[i + 1])
-                    i += 2
-                else:
-                    out.append(seq[i])
-                    i += 1
-            sequences[word] = out
+            sequences[word] = reference_fuse(seq, best)
     return merges
 
 
-corpora = st.lists(
-    st.lists(st.text("abcde", min_size=1, max_size=6), min_size=1, max_size=8).map(" ".join),
+def reference_fuse(seq: list[str], pair: tuple[str, str]) -> list[str]:
+    """``seq`` with each occurrence of ``pair`` merged, left to right."""
+    out, i = [], 0
+    while i < len(seq):
+        if i + 1 < len(seq) and (seq[i], seq[i + 1]) == pair:
+            out.append(seq[i] + seq[i + 1])
+            i += 2
+        else:
+            out.append(seq[i])
+            i += 1
+    return out
+
+
+# Two letters give long runs and repeats ("abab", "aaaa"), where merge sites touch.
+corpora = st.sampled_from(["ab", "abcde"]).flatmap(lambda letters: st.lists(
+    st.lists(st.text(letters, min_size=1, max_size=12), min_size=1, max_size=8).map(" ".join),
     min_size=1,
     max_size=6,
-)
+))
+
+
+def zipf_corpus(seed: int, words: int) -> list[str]:
+    """``words`` distinct words over 16 skewed letters; the word of rank r
+    occurs 1 + 600 // r times."""
+    rng = Rng(seed)
+    letters = "etaoinshrdlucmfw"
+    weights = [1.0 / (i + 1) for i in range(len(letters))]
+    vocab = ["".join(letters[rng.weighted_index(weights)] for _ in range(2 + rng.randbelow(9)))
+             for _ in range(words)]
+    return [" ".join([word] * (1 + 600 // rank)) for rank, word in enumerate(vocab, start=1)]
+
+
+def pair_counts(syms: list[str]) -> collections.Counter:
+    return collections.Counter(zip(syms, syms[1:]))
+
+
+def check_merge_sites(syms: list[str], pair: tuple[str, str]) -> None:
+    """``_merge_sites`` fuses a word listed for ``pair`` as the reference does, and
+    its count changes are a recount's, apart from the merged pair's own count."""
+    words, where = [list(syms)], collections.defaultdict(set, {pair: {0}})
+    delta = subword._merge_sites(pair, words, [3], where)
+    fused = reference_fuse(syms, pair)
+    assert words == [fused]
+    change = pair_counts(fused)
+    change.subtract(pair_counts(syms))
+    del change[pair]  # the learner sets the merged pair's own count to 0
+    delta.pop(pair, None)
+    assert {p: c for p, c in delta.items() if c} == {p: 3 * c for p, c in change.items() if c}
+    # Each pair the merge adds lists the word (a later site may leave stale entries).
+    assert {p for p, c in change.items() if c > 0} <= set(where)
+    assert all(listed == {0} for listed in where.values())
 
 
 class TestLearn:
@@ -114,6 +155,63 @@ class TestLearn:
         a = bpe_learn(["ab ab", "ab cd cd"], vocab_size=20)
         b = bpe_learn(["cd ab cd", "ab ab"], vocab_size=20)
         assert a.merges == b.merges and a.vocab == b.vocab
+
+    @pytest.mark.parametrize("corpus", [
+        ["abab abab abab"],
+        ["ababab ababab", "abab"],
+        ["abababab ab ab", "ba ba"],
+    ])
+    def test_adjacent_sites_make_ab_ab_never_ab_a(self, corpus):
+        """In ``a b a b`` the second site's left neighbour is the first site's
+        ``ab``: the pair there becomes ``(ab, ab)``; no ``(ab, a)`` is left."""
+        model = bpe_learn(corpus, vocab_size=100)
+        assert list(model.merges) == reference_merges(corpus, 100)
+        assert ("ab", "ab") in model.merges and ("ab", "a") not in model.merges
+
+    @pytest.mark.parametrize("corpus", [
+        ["aaa aaa"],
+        ["aaaa aaaa"],
+        ["aaa aaaa aaaaa aaaaaa"],
+        ["baaab baaab aaaa"],
+    ])
+    def test_runs_under_a_a_merge_left_to_right(self, corpus):
+        """A run pairs from its left end: ``aaa`` is ``aa a`` and ``aaaa`` is ``aa aa``."""
+        for vocab_size in range(8, 20):
+            assert list(bpe_learn(corpus, vocab_size).merges) == reference_merges(corpus,
+                                                                                  vocab_size)
+
+    @pytest.mark.parametrize("syms, pair", [
+        (["xyz", "x", "yz"], ("x", "yz")),
+        (["xyz", "x", "yz", "x", "yz", "q"], ("x", "yz")),
+        (["ab", "a", "b", "ab"], ("a", "b")),
+        (["a", "b", "a", "b", "a"], ("a", "b")),
+        (["a", "a", "a", "a", "a"], ("a", "a")),
+        (["c", "a", "b"], ("a", "b")),
+        (["a", "c", "b"], ("a", "b")),
+    ])
+    def test_merge_sites_change_only_the_counts_a_recount_changes(self, syms, pair):
+        """A word that already holds ``a+b`` from another split (``xyz`` from
+        ``xy z``) before a site: that left ``xyz`` is a neighbour like any
+        other, since no site of this merge ended there. No corpus is known that
+        leads the learner to such a word, so it is built by hand."""
+        check_merge_sites(syms, pair)
+
+    @given(st.lists(st.sampled_from(["a", "b", "ab", "ba", "aba"]), max_size=10),
+           st.sampled_from([("a", "b"), ("a", "a"), ("ab", "a"), ("a", "ba"), ("ab", "ab")]))
+    def test_merge_sites_on_any_word(self, syms, pair):
+        check_merge_sites(syms, pair)
+
+    def test_learner_bytes_at_scale(self):
+        """Thousands of Zipf-like words at two budgets: the model files'
+        SHA-256 are those of the learner that recounted every visited word."""
+        corpus = zipf_corpus(seed=7, words=3000)
+        for vocab_size, digest in (
+            (300, "c7b3c4900e6aea62d5604d00ed9a5490dbb2dca4c7d3f25e1bbba3aef3da1ee9"),
+            (2000, "fa77421427b0f8dd6f0e24b3e54dd1e0064108eea7f5e5177007f4262afe52d6"),
+        ):
+            fh = io.StringIO()
+            dump_model(bpe_learn(corpus, vocab_size), fh)
+            assert hashlib.sha256(fh.getvalue().encode("utf-8")).hexdigest() == digest, vocab_size
 
     @given(corpora, st.integers(0, 12))
     @settings(max_examples=60)

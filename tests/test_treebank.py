@@ -8,8 +8,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from treelab import treebank
 from treelab.pipeline import PipelineError
 from treelab.treebank import (
+    AlignmentError,
     Sentence,
     TreeNode,
     TreeParseError,
@@ -219,6 +221,28 @@ class TestSentence:
 
     def test_empty_ok(self):
         assert len(Sentence(())) == 0
+
+    @pytest.mark.parametrize("tokens, error, text", [
+        ([("a", 0), ("b", None)], ValueError, "tree mixes leaves with and without origin indices"),
+        ([("a", None), ("b", 0)], ValueError, "tree mixes leaves with and without origin indices"),
+        ([("a", 5), ("b", None)], ValueError, "tree mixes leaves with and without origin indices"),
+        ([("a", 0), ("b", 0)], AlignmentError, "origin indices must be a permutation of 0..n-1"),
+        ([("a", 1), ("b", 2)], AlignmentError, "origin indices must be a permutation of 0..n-1"),
+    ])
+    def test_of_leaves_errors(self, tokens, error, text):
+        with pytest.raises(error) as info:
+            Sentence.of_leaves(tokens)
+        assert type(info.value) is error and str(info.value) == text
+
+    def test_of_leaves_checks_carried_origins_once(self, monkeypatch):
+        """Carried origins are checked once; leaves without any get 0..n-1."""
+        calls = []
+        real = treebank.is_permutation
+        monkeypatch.setattr(treebank, "is_permutation", lambda v: calls.append(v) or real(v))
+        assert Sentence.of_leaves([("a", 1), ("b", 0)]).tokens == (("a", 1), ("b", 0))
+        assert calls == [[1, 0]]
+        assert Sentence.of_leaves([("a", None), ("b", None)]) == Sentence.from_surfaces("ab")
+        assert Sentence.of_leaves([]) == Sentence(())
 
 
 class TestReader:
