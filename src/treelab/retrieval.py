@@ -3,21 +3,28 @@
 The encoder lives elsewhere: this module ingests per-token vectors from a
 binary export (or an already-pooled dense matrix), mean-pools them while
 skipping positions flagged as special tokens, and scores aligned pairs by
-cosine nearest neighbor. A token file is pooled straight from its bytes:
-each sentence's flags and float32 vectors are views of them, summed in
-float64 into that sentence's row, with no per-sentence copy. Top-1 accuracy
-is the fraction of queries whose nearest target row has the query's own
-index; ties go to the lowest index, so a tie is a miss unless the lowest
-tied index is the aligned one.
+cosine nearest neighbor. A file is read once, front to back, so a pipe
+serves as well as a regular file. A token file is read one record at a time:
+each sentence's flags and float32 vectors are views of that record's bytes,
+summed in float64 into the sentence's row. No size read from a header is
+allocated before its bytes have arrived: a record or a pooled file's matrix
+is read in pieces of at most 1 MiB, and the pooled matrix grows as sentences
+arrive. Bytes after the header's last record or row are an error. Top-1
+accuracy is the fraction of queries whose nearest target row has the
+query's own index; ties go to the lowest index, so a tie is a miss unless
+the lowest tied index is the aligned one.
 
-Similarities are float64 and computed for ``BLOCK_ROWS`` queries at a
-time, so memory is O(block x N), not O(N^2). The rows are split into
-near-equal blocks (``np.array_split``), so no block has a single row unless
-N is 1: a one-row product takes another BLAS path, whose sums can differ
-from the full product's in the last bit. Each block's rows are exactly the
-rows the full matrix would have, so the nearest index, the best-minus-second
-gap and the mean gap over all queries are the same bits as with the full
-matrix.
+Similarities are float64 and computed for at most ``BLOCK_ROWS`` queries at
+a time into one reused block, whose best two are then found in place. So
+besides the two pooled matrices, retrieval holds the normalized target and
+one block, and reading a token file holds about one record: memory is
+O(N x (dim + block)), not O(N^2) and not the file's size. The rows are split
+into near-equal blocks (``np.array_split``), so no block has a single row
+unless N is 1: a one-row product takes another BLAS path, whose sums can
+differ from the full product's in the last bit. Each block's rows are exactly
+the rows the full matrix would have, so the nearest index, the
+best-minus-second gap and the mean gap over all queries are the same bits as
+with the full matrix.
 
 Binary layouts (both little-endian; see docs/embedding-format.md):
 
@@ -32,14 +39,17 @@ then N*dim float32 values.
 from __future__ import annotations
 
 import struct
+from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import BinaryIO, Iterable, Iterator, Sequence
 
 import numpy as np
 
 TOKEN_MAGIC = b"EMBTOK01"
 POOLED_MAGIC = b"EMBPOOL1"
-BLOCK_ROWS = 256  # query rows per similarity block in top1_retrieval
+BLOCK_ROWS = 64  # query rows per similarity block in top1_retrieval
+_PIECE = 1 << 20  # most bytes asked for in one read of a record or matrix
+_MAX_DIM = ((1 << 31) - 1) // 8  # widest float64 row a numpy dtype can describe
 
 
 class RetrievalError(ValueError):
@@ -110,21 +120,21 @@ def mean_pool(vectors: np.ndarray, special: Sequence[bool] | np.ndarray) -> np.n
     return np.add.reduce(vectors[keep], axis=0, dtype=np.float64) / kept
 
 
-def _pool(sentences: Iterable[tuple[np.ndarray, np.ndarray]], rows: int, dim: int) -> np.ndarray:
-    """A (rows, dim) float64 :func:`mean_pool` row for each of at most ``rows`` sentences."""
-    pooled = np.empty((rows, dim))
-    for i, (vectors, special) in enumerate(sentences):
-        try:
-            pooled[i] = mean_pool(vectors, special)
-        except RetrievalError as exc:
-            raise RetrievalError(f"sentence {i}: {exc}") from exc
-    return pooled
+def _pool(sentences: Iterable[tuple[np.ndarray, np.ndarray]], dim: int) -> np.ndarray:
+    """A (N, dim) float64 :func:`mean_pool` row for each of the N sentences,
+    in a matrix that grows as the rows arrive."""
+    def pooled() -> Iterator[np.ndarray]:
+        for i, (vectors, special) in enumerate(sentences):
+            try:
+                yield mean_pool(vectors, special)
+            except RetrievalError as exc:
+                raise RetrievalError(f"sentence {i}: {exc}") from exc
+    return np.fromiter(pooled(), np.dtype((np.float64, dim)))
 
 
 def pool_matrix(embeddings: EmbeddingMatrix) -> np.ndarray:
     """Pool every sentence into one row; (N, dim) float64."""
-    return _pool(((s.vectors, s.special) for s in embeddings.sentences),
-                 len(embeddings), embeddings.dim)
+    return _pool(((s.vectors, s.special) for s in embeddings.sentences), embeddings.dim)
 
 
 def _row_norms(matrix: np.ndarray, name: str) -> np.ndarray:
@@ -156,87 +166,121 @@ def top1_retrieval(source: np.ndarray, target: np.ndarray) -> RetrievalResult:
     source_norms = _row_norms(source, "source")
     target_t = (target / _row_norms(target, "target")).T
     blocks = -(-n // BLOCK_ROWS)
+    block = np.empty((-(-n // blocks), n))  # every block's similarities, in turn
     nearest, gaps = [], []
     for rows, norms in zip(np.array_split(source, blocks), np.array_split(source_norms, blocks)):
-        sims = (rows / norms) @ target_t
+        sims = np.matmul(rows / norms, target_t, out=block[:len(rows)])
         nearest.append(sims.argmax(axis=1))  # argmax takes the lowest index on ties
         if n >= 2:
-            top2 = np.partition(sims, -2, axis=1)[:, -2:]
-            gaps.append(top2[:, 1] - top2[:, 0])
+            sims.partition(-2, axis=1)  # in place: argmax has already read the block
+            gaps.append(sims[:, -1] - sims[:, -2])
     nearest = np.concatenate(nearest)
     accuracy = float(np.mean(nearest == np.arange(n)))
     margin = float(np.mean(np.concatenate(gaps))) if gaps else 0.0
     return RetrievalResult(accuracy, tuple(int(i) for i in nearest), margin)
 
 
-def _read_bytes(path: str) -> bytes:
+@contextmanager
+def _opened(path: str) -> Iterator[BinaryIO]:
     try:
         with open(path, "rb") as fh:
-            return fh.read()
+            yield fh
     except OSError as exc:
         raise RetrievalError(f"cannot read {path}: {exc}") from exc
 
 
-def _read_file(path: str, magic: bytes, kind: str, header: str,
-               data: bytes | None) -> tuple[bytes, tuple]:
-    """The file's bytes (``data``, if already read) and header fields, magic checked."""
-    data = _read_bytes(path) if data is None else data
-    if data[:8] != magic:
-        raise RetrievalError(f"{path}: not a {kind} embedding file (bad magic {data[:8]!r})")
-    try:
-        return data, struct.unpack_from(header, data, 8)
-    except struct.error:
-        raise RetrievalError(f"{path}: truncated header ({len(data)} bytes)") from None
+def _read_up_to(fh: BinaryIO, size: int) -> bytes | bytearray:
+    """The next ``size`` bytes of ``fh``, or as many as are left. A size taken
+    from a header costs memory only as its bytes arrive: each read asks for at
+    most ``_PIECE`` bytes."""
+    if size <= _PIECE:
+        return fh.read(size)
+    data = bytearray()
+    while len(data) < size and (piece := fh.read(min(size - len(data), _PIECE))):
+        data += piece
+    return data
 
 
-def _token_sentences(path: str, data: bytes | None) -> Iterator:
-    """A token file's ``(rows, dim, layer)``, ``rows`` being how many sentences its
-    bytes can pool (each holds a count, a flag and ``dim`` floats), then each
-    sentence's ``(count, dim)`` float32 vectors and flags, as views of the bytes."""
-    data, (n, max_tokens, dim, layer) = _read_file(path, TOKEN_MAGIC, "token", "<4I", data)
+def _check_magic(fh: BinaryIO, path: str, magic: bytes, kind: str) -> None:
+    found = fh.read(8)
+    if found != magic:
+        raise RetrievalError(f"{path}: not a {kind} embedding file (bad magic {found!r})")
+
+
+def _header(fh: BinaryIO, path: str, fields: int) -> tuple[int, ...]:
+    """The ``fields`` uint32 header fields that follow the magic."""
+    data = fh.read(4 * fields)
+    if len(data) < 4 * fields:
+        raise RetrievalError(f"{path}: truncated header ({8 + len(data)} bytes)")
+    return struct.unpack(f"<{fields}I", data)
+
+
+def _check_end(fh: BinaryIO, path: str, n: int, what: str) -> None:
+    if fh.read(1):
+        raise RetrievalError(f"{path}: trailing bytes after {n} {what}(s)")
+
+
+def _token_sentences(path: str, fh: BinaryIO) -> Iterator:
+    """The ``(dim, layer)`` of the token file open in ``fh`` past its magic,
+    then each sentence's ``(count, dim)`` float32 vectors and flags, as views
+    of that one record's bytes; the file is read one record at a time."""
+    n, max_tokens, dim, layer = _header(fh, path, 4)
     if dim < 1:
         raise RetrievalError(f"{path}: dimension must be positive, got {dim}")
-    yield min(n, (len(data) - 24) // (5 + 4 * dim)), dim, layer
-    end = 24
+    if dim > _MAX_DIM:
+        raise RetrievalError(f"{path}: dimension {dim} is above {_MAX_DIM}")
+    yield dim, layer
     for i in range(n):
-        start, end = end, end + 4
-        if end <= len(data):  # else the count itself is cut off
-            count = int.from_bytes(data[start:end], "little")
-            if count > max_tokens:
-                raise RetrievalError(
-                    f"{path}: sentence {i} has {count} tokens, header says max {max_tokens}"
-                )
-            end += count + 4 * count * dim
-        if end > len(data):
+        head = fh.read(4)
+        count = int.from_bytes(head, "little")
+        if len(head) == 4 and count > max_tokens:
+            raise RetrievalError(
+                f"{path}: sentence {i} has {count} tokens, header says max {max_tokens}"
+            )
+        size = count + 4 * count * dim
+        body = _read_up_to(fh, size)
+        if len(head) < 4 or len(body) < size:
             raise RetrievalError(f"{path}: truncated at sentence {i}")
-        yield (np.frombuffer(data, "<f4", count * dim, start + 4 + count).reshape(count, dim),
-               np.frombuffer(data, np.uint8, count, start + 4))
+        yield (np.frombuffer(body, "<f4", count * dim, count).reshape(count, dim),
+               np.frombuffer(body, np.uint8, count))
+    _check_end(fh, path, n, "sentence")
+
+
+def _pooled_matrix(path: str, fh: BinaryIO) -> tuple[np.ndarray, int]:
+    """The float64 matrix and layer of the pooled file open in ``fh`` past its magic."""
+    n, dim, layer = _header(fh, path, 3)
+    size = 4 * n * dim
+    data = _read_up_to(fh, size)
+    if len(data) < size:
+        raise RetrievalError(f"{path}: truncated ({20 + len(data)} bytes, expected {20 + size})")
+    _check_end(fh, path, n, "row")
+    return np.frombuffer(data, "<f4", n * dim).reshape(n, dim).astype(np.float64), layer
 
 
 def read_token_embeddings(path: str) -> EmbeddingMatrix:
-    sentences = _token_sentences(path, None)
-    _, dim, layer = next(sentences)
-    return EmbeddingMatrix(tuple(SentenceTokens(vectors.copy(), special.astype(bool))
-                                 for vectors, special in sentences), dim, layer)
+    with _opened(path) as fh:
+        _check_magic(fh, path, TOKEN_MAGIC, "token")
+        sentences = _token_sentences(path, fh)
+        dim, layer = next(sentences)
+        return EmbeddingMatrix(tuple(SentenceTokens(vectors.copy(), special.astype(bool))
+                                     for vectors, special in sentences), dim, layer)
 
 
-def read_pooled_embeddings(path: str, data: bytes | None = None) -> tuple[np.ndarray, int]:
+def read_pooled_embeddings(path: str) -> tuple[np.ndarray, int]:
     """Returns ``(matrix, layer)``."""
-    data, (n, dim, layer) = _read_file(path, POOLED_MAGIC, "pooled", "<3I", data)
-    expected = 8 + 12 + 4 * n * dim
-    if len(data) < expected:
-        raise RetrievalError(f"{path}: truncated ({len(data)} bytes, expected {expected})")
-    matrix = np.frombuffer(data, dtype="<f4", count=n * dim, offset=20).reshape(n, dim).copy()
-    return matrix.astype(np.float64), layer
+    with _opened(path) as fh:
+        _check_magic(fh, path, POOLED_MAGIC, "pooled")
+        return _pooled_matrix(path, fh)
 
 
 def read_embeddings(path: str) -> tuple[np.ndarray, int]:
     """Accept either format and return a pooled ``(matrix, layer)``."""
-    data = _read_bytes(path)
-    if data[:8] == POOLED_MAGIC:
-        return read_pooled_embeddings(path, data)
-    if data[:8] != TOKEN_MAGIC:
-        raise RetrievalError(f"{path}: unrecognized embedding file (magic {data[:8]!r})")
-    sentences = _token_sentences(path, data)
-    rows, dim, layer = next(sentences)
-    return _pool(sentences, rows, dim), layer
+    with _opened(path) as fh:
+        magic = fh.read(8)
+        if magic == POOLED_MAGIC:
+            return _pooled_matrix(path, fh)
+        if magic != TOKEN_MAGIC:
+            raise RetrievalError(f"{path}: unrecognized embedding file (magic {magic!r})")
+        sentences = _token_sentences(path, fh)
+        dim, layer = next(sentences)
+        return _pool(sentences, dim), layer

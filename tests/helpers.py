@@ -1,12 +1,16 @@
 """Code that only the tests need: writers and readers of embedding containers
 in the formats of ``docs/embedding-format.md`` and of the alignment lines that
-``synth generate`` writes, and reference versions of tree walks that the
-program now does in fewer passes."""
+``synth generate`` writes, a FIFO input, and reference versions of tree walks
+that the program now does in fewer passes."""
 
 from __future__ import annotations
 
 import math
+import os
 import struct
+import threading
+from contextlib import contextmanager
+from pathlib import Path
 from typing import Iterator
 
 import numpy as np
@@ -37,6 +41,17 @@ def write_pooled_embeddings(path: str, matrix: np.ndarray, layer: int = 0) -> No
         fh.write(POOLED_MAGIC)
         fh.write(struct.pack("<3I", matrix.shape[0], matrix.shape[1], layer))
         fh.write(matrix.tobytes())
+
+
+@contextmanager
+def fifo_holding(path: Path, data: bytes) -> Iterator[str]:
+    """``path`` made a FIFO that a thread writes ``data`` into once a reader opens it."""
+    os.mkfifo(path)
+    writer = threading.Thread(target=path.write_bytes, args=(data,), daemon=True)
+    writer.start()
+    yield str(path)
+    writer.join(timeout=10)
+    assert not writer.is_alive()
 
 
 def parse_alignment(line: str) -> tuple[tuple[int, int], ...]:

@@ -1,13 +1,14 @@
 from __future__ import annotations
 
 import struct
+import tracemalloc
 
 import hypothesis.strategies as st
 import numpy as np
 import pytest
 from hypothesis import given
 
-from helpers import write_pooled_embeddings, write_token_embeddings
+from helpers import fifo_holding, write_pooled_embeddings, write_token_embeddings
 from treelab.cli import main
 from treelab.retrieval import (
     BLOCK_ROWS,
@@ -293,7 +294,7 @@ class TestFiles:
 
 
 def test_a_token_file_pools_to_the_bits_of_float64_means(tmp_path):
-    """``read_embeddings`` pools from views of the file's bytes; every row has
+    """``read_embeddings`` pools from views of each record's bytes; every row has
     the bits of the mean of that sentence's kept rows taken in float64, as
     ``pool_matrix`` of ``read_token_embeddings`` gives them too. Odd token
     counts put the float32 rows at unaligned offsets."""
@@ -329,6 +330,83 @@ def test_a_header_larger_than_the_file_is_an_error_not_an_allocation(tmp_path, r
         read(token_file(tmp_path / "b.emb", huge, 1, 1, one))
     with pytest.raises(RetrievalError, match="dimension must be positive, got 0"):
         read(token_file(tmp_path / "c.emb", huge, 1, 0, one))
+    with pytest.raises(RetrievalError, match="dimension 268435456 is above 268435455"):
+        read(token_file(tmp_path / "d.emb", 0, 1, 1 << 28))
+
+
+@pytest.mark.parametrize("read", [read_embeddings, read_token_embeddings])
+def test_a_fifo_whose_header_claims_a_huge_record_is_truncated(tmp_path, read):
+    """A pipe has no size to check a record against: its body is read in
+    bounded pieces, so a record longer than the input is cut short, not
+    allocated."""
+    huge = 1 << 24
+    data = TOKEN_MAGIC + struct.pack("<5I", 1, huge, huge, 0, huge) + b"abcd"
+    with fifo_holding(tmp_path / "pipe.emb", data) as path:
+        with pytest.raises(RetrievalError) as info:
+            read(path)
+    assert str(info.value) == f"{path}: truncated at sentence 0"
+
+
+def test_records_past_the_header_count_are_an_error(tmp_path):
+    matrix = EmbeddingMatrix((sent([[1.0, 2.0]], [False]), sent([[3.0, 4.0]], [False])), dim=2)
+    path = tmp_path / "tok.bin"
+    write_token_embeddings(str(path), matrix)
+    data = path.read_bytes()
+    path.write_bytes(data[:8] + struct.pack("<I", 1) + data[12:] + b"junk")
+    for read in (read_embeddings, read_token_embeddings):
+        with pytest.raises(RetrievalError) as info:
+            read(str(path))
+        assert str(info.value) == f"{path}: trailing bytes after 1 sentence(s)"
+
+
+def test_rows_past_the_header_count_are_an_error(tmp_path):
+    path = tmp_path / "pool.bin"
+    write_pooled_embeddings(str(path), np.ones((2, 3), dtype=np.float32))
+    data = path.read_bytes()
+    path.write_bytes(data[:8] + struct.pack("<I", 1) + data[12:])
+    for read in (read_embeddings, read_pooled_embeddings):
+        with pytest.raises(RetrievalError) as info:
+            read(str(path))
+        assert str(info.value) == f"{path}: trailing bytes after 1 row(s)"
+
+
+def traced_peak(call, *args):
+    """``call(*args)`` and the most bytes it had allocated at once."""
+    tracemalloc.start()
+    try:
+        return call(*args), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_a_token_file_is_pooled_one_record_at_a_time(tmp_path):
+    """``read_embeddings`` holds the pooled matrix (grown by at most half
+    again as rows arrive) and about one record, not the file: 2 048
+    sentences of 16 tokens in 64 dimensions make an 8.4 MB file, a 1 MiB
+    matrix and 4 116-byte records."""
+    rng = np.random.default_rng(8)
+    vectors = rng.standard_normal((2048, 16, 64), dtype=np.float32)
+    special = np.zeros(16, dtype=bool)
+    special[[0, -1]] = True
+    path = tmp_path / "big.emb"
+    write_token_embeddings(str(path), EmbeddingMatrix(
+        tuple(SentenceTokens(v, special) for v in vectors), dim=64))
+    assert path.stat().st_size >= 8 << 20
+    (pooled, _), peak = traced_peak(read_embeddings, str(path))
+    assert pooled.shape == (2048, 64)
+    record = 4 + 16 + 16 * 64 * 4
+    assert peak <= 1.5 * pooled.nbytes + 16 * record, peak
+
+
+def test_top1_retrieval_holds_its_inputs_and_one_block():
+    """Beyond its inputs, ``top1_retrieval`` holds the normalized target and
+    one similarity block at a time: the top two of a block are found in place."""
+    rng = np.random.default_rng(9)
+    source = rng.standard_normal((3000, 64))
+    target = source + rng.standard_normal((3000, 64))
+    result, peak = traced_peak(top1_retrieval, source, target)
+    assert result.top1_accuracy > 0.9
+    assert peak <= source.nbytes + target.nbytes + BLOCK_ROWS * 3000 * 8, peak
 
 
 def test_token_file_errors_name_the_sentence(tmp_path):

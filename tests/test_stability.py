@@ -18,6 +18,9 @@
   float, a token or an error message fails here.
 * ``mask`` output and labels bytes on a fixed ids file are pinned by
   SHA-256, with the number of stream draws it makes.
+* ``retrieval`` stdout and ``--report`` bytes are pinned on a seeded token
+  file pair that spans several similarity blocks, from a regular file and
+  from a FIFO.
 """
 
 from __future__ import annotations
@@ -31,9 +34,12 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from helpers import fifo_holding, write_token_embeddings
 from treelab.cli import SEED_ENV, WORKERS_ENV, main
+from treelab.retrieval import EmbeddingMatrix, SentenceTokens
 from treelab.rng import Rng
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -308,3 +314,60 @@ def test_stats_malformed_lines_are_pinned(tmp_path, capsys, monkeypatch):
     Path("bad.trees").write_text("\n".join([good[0], *MALFORMED, good[1]]) + "\n", encoding="utf-8")
     assert main(["stats", "bad.trees", "bad.trees"]) == 1
     assert capsys.readouterr().err == MALFORMED_STDERR
+
+
+def write_retrieval_pair(directory: Path) -> None:
+    """``source.emb`` and ``target.emb``: seeded EMBTOK01 files of 600 sentences
+    of dimension 5 with 1 to 12 tokens each. Every ninth sentence has all but
+    one token flagged special, and every seventh target is unrelated to its
+    source. 600 rows span several similarity blocks at any block size from 2
+    to 256 rows."""
+    rng = np.random.default_rng(22)
+    source, target = [], []
+    for i in range(600):
+        count = int(rng.integers(1, 13))
+        special = np.zeros(count, dtype=bool)
+        if i % 9 == 0:
+            special[:] = True
+            special[rng.integers(count)] = False
+        elif count > 2:
+            special[[0, -1]] = True
+        vectors = rng.integers(-8, 9, size=(count, 5)) / 4
+        noise = rng.integers(-2, 3, size=(count, 5)) / 8
+        other = rng.integers(-8, 9, size=(count, 5)) / 4
+        source.append(SentenceTokens(vectors.astype(np.float32), special))
+        target.append(SentenceTokens((other if i % 7 == 3 else vectors + noise).astype(np.float32),
+                                     special))
+    write_token_embeddings(str(directory / "source.emb"), EmbeddingMatrix(tuple(source), dim=5, layer=6))
+    write_token_embeddings(str(directory / "target.emb"), EmbeddingMatrix(tuple(target), dim=5, layer=6))
+
+
+# SHA-256 of (stdout, --report JSON) of ``retrieval --source source.emb
+# --target target.emb --report r.json`` on the files write_retrieval_pair writes.
+RETRIEVAL_PINNED = (
+    "66aed8f4747afe7290793feced00911942c5550bff32ab99f373b19eeec02f34",
+    "35ad5d5e0b3372238952b30ad918f463010863bb5d2f589e652fdbe3cda47083",
+)
+
+
+def test_retrieval_bytes_are_pinned(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    write_retrieval_pair(tmp_path)
+    assert main(["retrieval", "--source", "source.emb", "--target", "target.emb",
+                 "--report", "r.json"]) == 0, capsys.readouterr().err
+    out = capsys.readouterr().out
+    assert (digest_text(out), sha256(tmp_path / "r.json")) == RETRIEVAL_PINNED
+
+
+def test_retrieval_reads_a_fifo_source_like_a_file(tmp_path, capsys, monkeypatch):
+    """The source is read once, front to back, with no seek: from a FIFO it
+    gives the report bytes it gives from the regular file."""
+    (tmp_path / "files").mkdir()
+    write_retrieval_pair(tmp_path / "files")
+    monkeypatch.chdir(tmp_path)
+    shutil.copy("files/target.emb", "target.emb")
+    with fifo_holding(tmp_path / "source.emb", Path("files/source.emb").read_bytes()):
+        assert main(["retrieval", "--source", "source.emb", "--target", "target.emb",
+                     "--report", "r.json"]) == 0, capsys.readouterr().err
+    out = capsys.readouterr().out
+    assert (digest_text(out), sha256(tmp_path / "r.json")) == RETRIEVAL_PINNED
