@@ -13,6 +13,11 @@ Both depend only on positions, never on surface forms: duplicate words
 are disambiguated by the origin indices carried on
 :class:`~treelab.treebank.Sentence`. Corpus aggregation weights every
 sentence equally and runs in constant memory.
+
+:func:`permutation_row` takes a ``pi`` that its caller built as a
+permutation, so ``transform --stats`` goes from a tree's leaves to IR and
+WMD with no :class:`~treelab.treebank.Sentence` built and no second check.
+Inversions are counted with bitmasks of the values already seen.
 """
 
 from __future__ import annotations
@@ -63,20 +68,11 @@ def alignment(original: Sentence, modified: Sentence) -> AlignedPermutation:
     return AlignedPermutation(tuple(pos))
 
 
-def align_by_origin(original: Sequence[str], modified: Sentence) -> AlignedPermutation:
-    """:func:`alignment` to the surfaces of origins 0..n-1, as parsed: ``modified``'s
-    origins are checked, so one pass checks surfaces; on a mismatch ``alignment`` raises."""
-    pi = [0] * len(original)
-    if len(modified) == len(pi):
-        for position, (surface, origin) in enumerate(modified.tokens):
-            if original[origin] != surface:
-                break
-            pi[origin] = position
-        else:
-            perm = object.__new__(AlignedPermutation)  # pi inverts a checked permutation
-            object.__setattr__(perm, "pi", tuple(pi))
-            return perm
-    return alignment(Sentence.from_surfaces(original), modified)
+def _unchecked(pi: Sequence[int]) -> AlignedPermutation:
+    """An :class:`AlignedPermutation` of a ``pi`` that its caller built as a permutation."""
+    perm = object.__new__(AlignedPermutation)
+    object.__setattr__(perm, "pi", tuple(pi))
+    return perm
 
 
 def align_by_surface(original: Sequence[str], modified: Sequence[str]) -> AlignedPermutation:
@@ -95,26 +91,46 @@ def align_by_surface(original: Sequence[str], modified: Sequence[str]) -> Aligne
         if not stack:
             raise AlignmentError(f"token {surface!r} has no remaining match in modified sentence")
         pi.append(stack.pop())
-    return AlignedPermutation(tuple(pi))
+    return _unchecked(pi)  # n pops of n distinct positions
+
+
+BLOCK_BITS = 10  # inversion_count keeps one bitmask per 2**BLOCK_BITS values
 
 
 def inversion_count(perm: AlignedPermutation) -> int:
-    """Number of pairs i < j with pi[i] > pi[j], by a Fenwick tree over values.
+    """Number of pairs i < j with pi[i] > pi[j]: each value adds the earlier values above it.
 
-    Each value adds the count of earlier values above it: the earlier ones
-    minus those at or below it, which the tree's prefix sum gives.
+    The earlier values are the set bits of one integer, and ``value`` adds
+    ``(seen >> value).bit_count()``. A shift costs O(n / 64) on n bits, so above
+    ``2**BLOCK_BITS`` values each block of that many values has a mask of its
+    own, and a value adds the set bits above it in its block's mask plus the
+    earlier values in higher blocks, counted with a Fenwick tree over blocks.
     """
-    n = perm.n
-    counts = [0] * (n + 1)  # Fenwick tree: counts[i] covers values i - (i & -i) .. i - 1
+    pi = perm.pi
+    n = len(pi)
+    if n <= 1 << BLOCK_BITS:
+        seen = inversions = 0
+        for value in pi:
+            inversions += (seen >> value).bit_count()
+            seen |= 1 << value
+        return inversions
+    low = (1 << BLOCK_BITS) - 1
+    blocks = (n + low) >> BLOCK_BITS
+    masks = [0] * blocks
+    counts = [0] * (blocks + 1)  # Fenwick tree: counts[i] covers blocks i - (i & -i) .. i - 1
     inversions = 0
-    for seen, value in enumerate(perm.pi):
-        inversions += seen
-        i = value + 1
+    for earlier, value in enumerate(pi):
+        b, r = value >> BLOCK_BITS, value & low
+        # The set bits above r in block b, plus every earlier value less those
+        # in blocks 0..b, which the first loop takes off.
+        inversions += earlier + (masks[b] >> r).bit_count()
+        masks[b] |= 1 << r
+        i = b + 1
         while i:
             inversions -= counts[i]
             i &= i - 1
-        i = value + 1
-        while i <= n:
+        i = b + 1
+        while i <= blocks:
             counts[i] += 1
             i += i & -i
     return inversions
@@ -134,6 +150,13 @@ def word_move_distance(perm: AlignedPermutation) -> float:
     if n == 0:
         raise ValueError("empty permutation")
     return sum(map(abs, map(sub, perm.pi, range(n)))) / (n * n)
+
+
+def permutation_row(pi: Sequence[int]) -> tuple[float, float, int]:
+    """``(inversion ratio, word-move distance, n)`` of a ``pi`` that its caller
+    built as a permutation: no check, and the functions above compute the floats."""
+    perm = _unchecked(pi)
+    return inversion_ratio(perm), word_move_distance(perm), perm.n
 
 
 @dataclass(frozen=True)

@@ -22,10 +22,12 @@ stats added one by one, so bytes and float sums do not depend on the worker
 count, and memory depends on the chunk size, not on the corpus size.
 
 One scanner and one writer: ``treebank.scan_line`` scans each line once, with
-the chain's leading reorder steps run as each bracket closes, and one walk of
-``treebank.write_tree`` gives each emitted tree's line and sentence. ``--stats``
-aligns by origin, with one check of the (surface, origin) multiset; ``stats``
-scans tokens without building nodes, through the same function.
+the chain's leading reorder steps, looked up by label, run as each bracket
+closes, and one walk of ``treebank.write_tree`` gives each emitted tree's line
+and ``(surface, origin)`` leaves. One loop checks that the leaves' origins are a
+permutation and gives the sentence and ``pi``; ``--stats`` checks the surfaces
+against the scanned tokens and takes IR/WMD from ``pi``. ``stats`` scans tokens
+without building nodes, through the same function.
 
 Every subcommand writes through :func:`recorded`. No output may be another
 output, a sidecar or an input. Each output, reports included, gets a
@@ -57,11 +59,10 @@ from typing import IO, Iterable, Iterator, Mapping, Sequence, Union
 
 from .metrics import (
     StatsAccumulator,
-    align_by_origin,
     align_by_surface,
+    alignment,
     format_stats_table,
-    inversion_ratio,
-    word_move_distance,
+    permutation_row,
 )
 from .rng import Rng, SeedScheme
 from .transform import (
@@ -73,6 +74,7 @@ from .transform import (
     load_rules,
     remove_composition,
     reorder_kids,
+    reorder_table,
     word_shuffle,
 )
 from .treebank import Sentence, TreeNode, TreeParseError, scan_line, write_tree, yield_sentence
@@ -157,14 +159,9 @@ def parse_chain(
     return tuple(steps)
 
 
-def apply_chain(tree: TreeNode, steps: Sequence[ChainStep], rng: Rng,
-                text: bool = False) -> tuple[TreeNode | None, Sentence, str]:
-    """Run one tree through the chain, consuming one random stream.
-
-    Returns the transformed tree (None once word_shuffle has destroyed the
-    structure), the resulting sentence and, if ``text``, the tree's line (else
-    ""), both from one writer walk. Each run of reorder steps is one walk.
-    """
+def _tree_steps(tree: TreeNode, steps: Sequence[ChainStep], rng: Rng | None) -> TreeNode:
+    """The tree after the chain's steps up to a final word_shuffle, which is left to
+    the caller. Each run of reorder steps is one walk."""
     for kind, run in groupby(steps, type):
         if kind is ReorderStep:
             tree = apply_reorder(tree, [step.rule for step in run])
@@ -174,10 +171,22 @@ def apply_chain(tree: TreeNode, steps: Sequence[ChainStep], rng: Rng,
                 tree = constituent_shuffle(tree, rng, include_root=step.include_root)
             elif isinstance(step, AblationSpec):
                 tree = remove_composition(tree, step, rng)
-            elif isinstance(step, WordShuffleStep):
-                return None, word_shuffle(yield_sentence(tree), rng), ""
-            else:  # pragma: no cover - parse_chain constructs only the above
-                raise TypeError(f"unknown chain step {step!r}")
+            elif not isinstance(step, WordShuffleStep):  # pragma: no cover
+                raise TypeError(f"unknown chain step {step!r}")  # parse_chain makes no other
+    return tree
+
+
+def apply_chain(tree: TreeNode, steps: Sequence[ChainStep], rng: Rng,
+                text: bool = False) -> tuple[TreeNode | None, Sentence, str]:
+    """Run one tree through the chain, consuming one random stream.
+
+    Returns the transformed tree (None once word_shuffle has destroyed the
+    structure), the resulting sentence and, if ``text``, the tree's line (else
+    ""), both from one writer walk.
+    """
+    tree = _tree_steps(tree, steps, rng)
+    if steps and isinstance(steps[-1], WordShuffleStep):
+        return None, word_shuffle(yield_sentence(tree), rng), ""
     line, tokens = write_tree(tree, text)
     return tree, Sentence.of_leaves(tokens), line
 
@@ -310,7 +319,9 @@ def _run_chunk(chunk: list[tuple[int, tuple[str, int, str]]], steps: tuple[Chain
     sentences, trees, rows, errors = [], [], [], []
     counts = Counter(total=len(chunk))
     lead = next((k for k, step in enumerate(steps) if not isinstance(step, ReorderStep)), len(steps))
-    close = functools.partial(reorder_kids, [s.rule for s in steps[:lead]]) if lead else None
+    table = reorder_table(step.rule for step in steps[:lead])
+    close = functools.partial(reorder_kids, table) if table else None
+    rest, shuffle_words = steps[lead:], isinstance(steps[-1], WordShuffleStep)
     for index, (path, lineno, text) in chunk:
         try:
             skipped, tokens, tree = scan_line(text, close=close)
@@ -321,17 +332,50 @@ def _run_chunk(chunk: list[tuple[int, tuple[str, int, str]]], steps: tuple[Chain
         if skipped:
             counts[skipped] += 1
             continue
-        rng = SeedScheme(config.global_seed, index).stream()
-        _, sentence, line = apply_chain(tree, steps[lead:], rng, config.emit != "sentences")
+        # Only the steps after the leading reorders can draw.
+        rng = SeedScheme(config.global_seed, index).stream() if rest else None
+        line, leaves = write_tree(_tree_steps(tree, rest, rng), config.emit != "sentences")
+        if shuffle_words:  # word_shuffle's draws; the scanned leaves all carry origins
+            rng.shuffle(leaves)
+        sentence, row = _sentence_row(tokens, leaves, config.stats)
         counts["emitted"] += 1
         if config.emit != "trees":
-            sentences.append(sentence.text() + "\n")
+            sentences.append(sentence + "\n")
         if config.emit != "sentences":
             trees.append(line + "\n")
-        if config.stats:
-            perm = align_by_origin(tokens, sentence)
-            rows.append((inversion_ratio(perm), word_move_distance(perm), perm.n))
+        if row is not None:
+            rows.append(row)
     return "".join(sentences), "".join(trees), rows, counts, errors
+
+
+def _sentence_row(tokens: list[str], leaves: list[tuple[str, int]],
+                  stats: bool) -> tuple[str, tuple[float, float, int] | None]:
+    """The text of an emitted sentence's ``(surface, origin)`` leaves and, if ``stats``,
+    its ``(IR, WMD, n)`` against the scanned ``tokens``. One loop checks that the origins
+    are a permutation of 0..n-1 and builds ``pi``; with ``stats``, one comparison then
+    checks that the leaf of origin i has surface ``tokens[i]``. If a check fails, the
+    leaves take the checked path, :meth:`Sentence.of_leaves` and :func:`alignment`, so
+    that what is raised, or given, stays as it was."""
+    pi = [-1] * len(leaves)
+    surfaces: list[str] = []
+    keep = surfaces.append
+    try:
+        for position, (surface, origin) in enumerate(leaves):
+            if origin < 0 or pi[origin] >= 0:
+                break
+            pi[origin] = position
+            keep(surface)
+        else:
+            if not stats:
+                return " ".join(surfaces), None
+            if list(map(surfaces.__getitem__, pi)) == tokens:
+                return " ".join(surfaces), permutation_row(pi)
+    except (TypeError, IndexError):  # an origin that is not an int below n
+        pass
+    sentence = Sentence.of_leaves(leaves)
+    if not stats:
+        return sentence.text(), None
+    return sentence.text(), permutation_row(alignment(Sentence.from_surfaces(tokens), sentence).pi)
 
 
 def _map_chunks(work, lines: Iterator, workers: int) -> Iterator:

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Iterable, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .rng import Rng
 from .treebank import Sentence, TreeNode, iter_nodes, rebuild, with_children, yield_sentence
@@ -118,10 +118,20 @@ def load_rules(lines: Iterable[str], origin: str = "<rules>") -> list[ReorderRul
     return rules
 
 
-def reorder_kids(rules: Sequence[ReorderRule], label: str, kids: list[TreeNode]) -> None:
-    """Try ``rules`` in order at a node labelled ``label``: each that matches
-    ``kids`` as they are then reverses them in place."""
+def reorder_table(rules: Iterable[ReorderRule]) -> dict[str, tuple[ReorderRule, ...]]:
+    """``rules`` by parent label, each label's rules in the order given."""
+    table: dict[str, tuple[ReorderRule, ...]] = {}
     for rule in rules:
+        table[rule.parent_label] = table.get(rule.parent_label, ()) + (rule,)
+    return table
+
+
+def reorder_kids(table: Mapping[str, Sequence[ReorderRule]], label: str,
+                 kids: list[TreeNode]) -> None:
+    """Try the rules that :func:`reorder_table` files under ``label``, in order, at a
+    node labelled ``label``: each that matches ``kids`` as they are then reverses
+    them in place. A label that no rule names costs one lookup."""
+    for rule in table.get(label, ()):
         if rule._matches_children(label, kids):
             kids.reverse()
 
@@ -129,18 +139,19 @@ def reorder_kids(rules: Sequence[ReorderRule], label: str, kids: list[TreeNode])
 def apply_reorder(tree: TreeNode, rule: ReorderRule | Iterable[ReorderRule]) -> TreeNode:
     """Swap matching two-child nodes everywhere in the tree, in one walk.
 
-    At each node the rules are tried in order, each against the node's
-    children in their current order, so a node that one rule swaps is
-    seen swapped by the next. This gives what whole-tree passes, one per
-    rule, would give: a node's match depends only on its own label and its
-    children's labels, which swaps below it never change. Non-matching
-    trees pass through unchanged (and untouched subtrees are shared, not
-    copied).
+    At each node the rules for its label are tried in order (see
+    :func:`reorder_kids`), each against the node's children in their current
+    order, so a node that one rule swaps is seen swapped by the next. This
+    gives what whole-tree passes, one per rule, would give: a node's match
+    depends only on its own label and its children's labels, which swaps
+    below it never change, and rules for other labels never match it.
+    Non-matching trees pass through unchanged (and untouched subtrees are
+    shared, not copied).
     """
-    rules = (rule,) if isinstance(rule, ReorderRule) else tuple(rule)
+    table = reorder_table((rule,) if isinstance(rule, ReorderRule) else rule)
 
     def combine(node: TreeNode, kids: list[TreeNode]) -> TreeNode:
-        reorder_kids(rules, node.label, kids)
+        reorder_kids(table, node.label, kids)
         return with_children(node, kids)
 
     return rebuild(tree, combine)

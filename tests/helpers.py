@@ -1,7 +1,7 @@
 """Code that only the tests need: writers and readers of embedding containers
 in the formats of ``docs/embedding-format.md`` and of the alignment lines that
-``synth generate`` writes, a FIFO input, and reference versions of tree walks
-that the program now does in fewer passes."""
+``synth generate`` writes, a FIFO input, reference versions of tree walks
+that the program now does in fewer passes, and an inversion count of its own."""
 
 from __future__ import annotations
 
@@ -9,9 +9,10 @@ import math
 import os
 import struct
 import threading
+from bisect import bisect_right
 from contextlib import contextmanager
 from pathlib import Path
-from typing import Iterator
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -142,3 +143,18 @@ def reference_yield(tree: TreeNode) -> Sentence:
     if all(node.origin is None for node in leaves):
         return Sentence.from_surfaces(node.token for node in leaves)
     return Sentence(tuple((node.token, node.origin) for node in leaves))
+
+
+def merge_sort_inversions(values: Sequence[int]) -> int:
+    """Pairs i < j with values[i] > values[j], by a bottom-up merge sort: when two
+    sorted neighbouring runs merge, each value of the right run passes the values
+    of the left run above it."""
+    runs = [[value] for value in values]
+    inversions = 0
+    while len(runs) > 1:
+        merged = []
+        for left, right in zip(runs[::2], runs[1::2]):
+            inversions += sum(len(left) - bisect_right(left, value) for value in right)
+            merged.append(sorted(left + right))
+        runs = merged + runs[len(merged) * 2:]
+    return inversions

@@ -1,9 +1,11 @@
 from __future__ import annotations
 
+import collections
 import dataclasses
 import hashlib
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -32,6 +34,7 @@ from treelab.subword import load_model
 from treelab.transform import BUILTIN_RULES, ReorderRule
 from treelab.treebank import parse_ptb, yield_sentence
 
+FIXTURE = Path(__file__).parent / "fixtures" / "english_like.trees"
 NESTED = "(S (NP (PRP I)) (VP (VBD read) (NP (CD two) (NNS papers))))"
 WITH_PP = "(S (NP (DT the) (NN cat)) (VP (VBD sat) (PP (IN on) (NP (DT the) (NN mat)))))"
 WIDE = "(X (A a) (B b) (C c) (D d) (E e) (F f) (G g) (H h) (I i) (J j))"
@@ -401,6 +404,53 @@ class TestStatsCommand:
         code, _, err = run("stats", str(a), str(b))
         assert code == 1
         assert err == f"{b}:2: {a} has fewer lines\n"
+
+
+def mutate(data: bytes, other: bytes, rnd: random.Random) -> bytes:
+    """``data`` after one to three byte flips, truncations, insertions of one of
+    ``()\\n\\0\\xff``, or splices onto a suffix of ``other``."""
+    for _ in range(rnd.randint(1, 3)):
+        at, kind = rnd.randrange(len(data) + 1), rnd.randrange(4)
+        if kind == 0 and at < len(data):
+            data = data[:at] + bytes([data[at] ^ 1 << rnd.randrange(8)]) + data[at + 1:]
+        elif kind == 1:
+            data = data[:at]
+        elif kind == 2:
+            data = data[:at] + bytes([rnd.choice(b"()\n\0\xff")]) + data[at:]
+        else:
+            data = data[:at] + other[rnd.randrange(len(other) + 1):]
+    return data
+
+
+class TestMutatedInputs:
+    RULES = b"VPX VP NP VB prefix:VB\n# swaps 83A back\nNPD NP DT NN prefix:NN\n"
+
+    def test_every_mutant_ends_in_an_exit_status_with_a_reason(self, tmp_path, monkeypatch, capsys):
+        """Seeded mutants of a small treebank or of a rules file, through ``transform
+        --stats`` and through ``stats`` on either side: each run exits 0, 1 or 2, lets
+        no exception out of ``main``, and writes a diagnostic when it does not exit 0."""
+        rnd = random.Random(23)
+        clean = b"".join(FIXTURE.read_bytes().splitlines(keepends=True)[:6])
+        monkeypatch.chdir(tmp_path)
+        Path("clean.trees").write_bytes(clean)
+        commands = (["transform", "in.trees", "-o", "out.sents", "--rules", "extra.rules",
+                     "--chain", "reorder:83A,ablate:0.5:shuffle", "--stats"],
+                    ["stats", "clean.trees", "in.trees"], ["stats", "in.trees", "clean.trees"])
+        exits = collections.Counter()
+        for k in range(160):  # one input mutated at a time, so that some runs succeed
+            trees, rules = (mutate(clean, self.RULES, rnd), self.RULES) if k % 2 else (
+                clean, mutate(self.RULES, clean, rnd))
+            Path("in.trees").write_bytes(trees)
+            Path("extra.rules").write_bytes(rules)
+            for argv in commands:
+                try:
+                    code = main(argv)
+                except (Exception, SystemExit) as exc:
+                    pytest.fail(f"{argv[0]} raised {exc!r} on mutant {k}: {trees!r} {rules!r}")
+                err = capsys.readouterr().err
+                assert code in (0, 1, 2) and (code == 0 or err.strip()), (argv, k, trees, rules)
+                exits[argv[0], code] += 1
+        assert exits["transform", 0] and exits["transform", 1] and exits["stats", 1], exits
 
 
 class TestSubwordCommands:

@@ -1,9 +1,13 @@
 from __future__ import annotations
 
+import random
+
 import hypothesis.strategies as st
 import pytest
 from hypothesis import given
 
+from helpers import merge_sort_inversions
+from treelab import metrics
 from treelab.metrics import (
     AlignedPermutation,
     AlignmentError,
@@ -20,9 +24,12 @@ from treelab.treebank import Sentence
 
 
 def brute_force_inversions(pi) -> int:
-    """O(n^2) reference used to validate the merge-sort implementation."""
+    """O(n^2) reference for inversion_count."""
     n = len(pi)
     return sum(1 for i in range(n) for j in range(i + 1, n) if pi[i] > pi[j])
+
+
+BLOCK = 1 << metrics.BLOCK_BITS
 
 
 def permutations(max_n: int = 40):
@@ -96,6 +103,27 @@ class TestInversions:
     @given(permutations())
     def test_matches_brute_force(self, pi):
         assert inversion_count(AlignedPermutation(tuple(pi))) == brute_force_inversions(pi)
+
+    @given(permutations())
+    def test_blocks_match_brute_force(self, pi):
+        """With 4-value blocks, a permutation of up to 40 values crosses many blocks."""
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(metrics, "BLOCK_BITS", 2)
+            assert inversion_count(AlignedPermutation(tuple(pi))) == brute_force_inversions(pi)
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 17, BLOCK - 1, BLOCK, BLOCK + 1, 10**4, 10**5])
+    def test_exact_counts_against_merge_sort(self, n):
+        """One mask up to BLOCK values, blocks above it: a random permutation against
+        the oracle; reversed, sorted, and one pair swapped across each block boundary
+        against their closed forms."""
+        pi = random.Random(n).sample(range(n), n)
+        assert inversion_count(AlignedPermutation(tuple(pi))) == merge_sort_inversions(pi)
+        crossed, boundaries = list(range(n)), range(BLOCK - 1, n - 1, BLOCK)
+        for start in boundaries:
+            crossed[start], crossed[start + 1] = crossed[start + 1], crossed[start]
+        for pi, expected in ((list(range(n))[::-1], n * (n - 1) // 2), (list(range(n)), 0),
+                             (crossed, len(boundaries))):
+            assert inversion_count(AlignedPermutation(tuple(pi))) == expected
 
     def test_full_reversal_ratio_is_one(self):
         assert inversion_ratio(AlignedPermutation((3, 2, 1, 0))) == 1.0

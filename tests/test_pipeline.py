@@ -34,7 +34,7 @@ from treelab.pipeline import (
 )
 from treelab.retrieval import EmbeddingMatrix, SentenceTokens
 from treelab.rng import SeedScheme
-from treelab.treebank import internal, leaf, parse_ptb, serialize, yield_sentence
+from treelab.treebank import Sentence, internal, leaf, parse_ptb, serialize, yield_sentence
 
 CHAIN = "reorder:83A,ablate:0.5:shuffle"
 FIXTURE = Path(__file__).resolve().parent / "fixtures" / "english_like.trees"
@@ -1115,20 +1115,63 @@ def test_one_writer_walk_and_no_rebuild_per_emitted_line_on_the_wsj_chain(tmp_pa
     assert sidecar["counts"]["emitted"] == 50 and calls == {"rebuild": 0, "write_tree": 50}
 
 
+def checked_sentence_row(tokens, leaves, stats):
+    """An emitted sentence's text and row by way of checked ``Sentence``s."""
+    sentence = Sentence.of_leaves(leaves)
+    if not stats:
+        return sentence.text(), None
+    perm = alignment(Sentence.from_surfaces(tokens), sentence)
+    return sentence.text(), (inversion_ratio(perm), word_move_distance(perm), perm.n)
+
+
+@pytest.mark.parametrize("stats", [False, True], ids=["text", "stats"])
+@pytest.mark.parametrize("tokens,leaves", [
+    ("abc", [("c", 2), ("a", 0), ("b", 1)]),
+    ("ab", [("a", 0), ("b", 0)]),
+    ("ab", [("a", -1), ("b", 0)]),
+    ("ab", [("a", 0), ("b", 5)]),
+    ("ab", [("a", None), ("b", None)]),
+    ("ab", [("a", 0), ("b", None)]),
+    ("ab", [("a", 0), ("x", 1)]),
+    ("abc", [("a", 0), ("b", 1)]),
+    ("ab", [("a", 0), ("b", 1), ("c", 2)]),
+    ("ba", [("a", True), ("b", False)]),
+    ("a", [("a", 0.0)]),
+    ("", []),
+], ids=["moved", "twice", "negative", "too-large", "none", "mixed", "surface", "fewer", "more",
+        "bool", "float", "empty"])
+def test_the_one_loop_gives_what_the_checked_path_gives(tokens, leaves, stats):
+    """The same text and row, or the same exception and message, as checked
+    ``Sentence``s and ``alignment``."""
+    def outcome(row_of):
+        try:
+            return row_of(list(tokens), list(leaves), stats)
+        except Exception as exc:  # the exception is what is compared
+            return type(exc), str(exc)
+
+    assert outcome(pipeline._sentence_row) == outcome(checked_sentence_row)
+
+
 @pytest.mark.parametrize("chain", [CHAIN, "reorder:83A,word_shuffle"])
 def test_one_permutation_check_per_emitted_line(tmp_path, monkeypatch, capsys, chain):
-    """The emitted sentence's origins are checked once; the input side, read
-    fresh from the parse, needs no check, and the alignment none of its own.
-    ``word_shuffle`` permutes an already checked sentence and checks nothing."""
+    """The emitted sentence's origins are checked once, by the loop of
+    ``_sentence_row`` that also builds ``pi``; the input side, read fresh from
+    the parse, needs no check, and the alignment none of its own.
+    ``word_shuffle`` permutes the leaves before that one check."""
     calls = []
-    real = treebank.is_permutation
+    real, real_row = treebank.is_permutation, pipeline._sentence_row
 
     def counting(values):
         calls.append(len(values))
         return real(values)
 
+    def counting_rows(tokens, leaves, stats):
+        calls.append(len(leaves))
+        return real_row(tokens, leaves, stats)
+
     monkeypatch.setattr(treebank, "is_permutation", counting)
     monkeypatch.setattr(metrics, "is_permutation", counting)
+    monkeypatch.setattr(pipeline, "_sentence_row", counting_rows)
     code, _, err = run_in(
         tmp_path / "run", monkeypatch, capsys,
         "transform", str(FIXTURE), "-o", "out.sents", "--chain", chain, "--stats", "--workers", "1",

@@ -8,6 +8,7 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
+from treelab.cli import main
 from treelab.pipeline import ReorderStep, apply_chain
 from treelab.rng import Rng, SeedScheme, stream_seed
 from treelab.transform import (
@@ -21,6 +22,7 @@ from treelab.transform import (
     load_rules,
     remove_composition,
     reorder_kids,
+    reorder_table,
     word_shuffle,
 )
 from treelab.treebank import (
@@ -189,7 +191,7 @@ class TestReorderInOneWalk:
     @staticmethod
     def assert_the_scan_hook_equals_a_walk_after_the_parse(text, rules):
         """``reorder_kids`` run as each bracket closes gives ``apply_reorder``'s tree and origins."""
-        tokens, scanned = scan_ptb(text, close=functools.partial(reorder_kids, rules))
+        tokens, scanned = scan_ptb(text, close=functools.partial(reorder_kids, reorder_table(rules)))
         assert repr(scanned) == repr(apply_reorder(parse_ptb(text), rules))
         assert tokens == scan_ptb(text)[0]
 
@@ -205,6 +207,33 @@ class TestReorderInOneWalk:
             for line in fh:
                 self.assert_the_scan_hook_equals_a_walk_after_the_parse(
                     line, [RULE_POOL[name] for name in names])
+
+    @pytest.mark.parametrize("names", [["83A", "NPD", "VPX", "85A", "87A", "NPP"],
+                                       ["NPP", "87A", "83A", "85A", "VPX", "NPD"]])
+    def test_rules_filed_by_label_equal_one_pass_per_rule(self, names, tmp_path, monkeypatch,
+                                                           capsys):
+        """Built-in and rules-file rules on one parent label (83A and VPX on VP; 87A,
+        NPD and NPP on NP) and on another (85A on PP), through the library and
+        through ``transform --chain``, give what one pass per rule in chain order gives."""
+        rules_file = tmp_path / "extra.rules"
+        rules_file.write_text("VPX VP NP VB prefix:VB\nNPD NP DT NN prefix:NN\nNPP NP NP PP\n")
+        known = {**BUILTIN_RULES, **{rule.feature_id: rule for rule in
+                                     load_rules(rules_file.read_text().splitlines())}}
+        rules = [known[name] for name in names]
+        with open(FIXTURE, encoding="utf-8") as fh:
+            lines = [line.rstrip("\n") for line in fh if line.strip()]
+        expected = [one_pass_per_rule(parse_ptb(line), rules) for line in lines]
+        for name in names:  # every rule swaps some node of the fixture, in this order
+            before = rules[:names.index(name)]
+            assert any(known[name].matches(node) for line in lines
+                       for node in iter_nodes(one_pass_per_rule(parse_ptb(line), before))), name
+        for line, tree in zip(lines, expected):
+            assert repr(apply_reorder(parse_ptb(line), rules)) == repr(tree)
+        monkeypatch.chdir(tmp_path)
+        code = main(["transform", FIXTURE, "-o", "out.trees", "--emit", "trees", "--rules",
+                     str(rules_file), "--chain", ",".join(f"reorder:{name}" for name in names)])
+        assert code == 0, capsys.readouterr().err
+        assert (tmp_path / "out.trees").read_text().splitlines() == list(map(serialize, expected))
 
     def test_no_rules_assigns_origins(self):
         tree = TreeNode("S", (TreeNode("NN", token="a"), TreeNode("NN", token="b")))
