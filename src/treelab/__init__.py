@@ -1,6 +1,6 @@
 """Controlled modification and measurement of constituency-parsed corpora.
 
-The toolkit groups into five layers:
+The toolkit groups into six layers:
 
 * ``treebank`` — bracketed-tree parsing, serialization, token origins;
 * ``transform`` — order rules, shuffles, and composition removal;
@@ -8,12 +8,15 @@ The toolkit groups into five layers:
 * ``subword`` / ``retrieval`` — vocabulary learning, masking, and
   embedding-based sentence retrieval scoring;
 * ``synthlang`` / ``pipeline`` / ``cli`` — paired artificial languages,
-  corpus runs, and the ``treelab`` command.
+  corpus runs, and the ``treelab`` command;
+* ``files`` — the line reader and the write protocol with its provenance
+  sidecars, which every layer that reads or writes files shares.
 
 Every tree and synth operation that draws random numbers takes a required
 ``rng``: the stream that :class:`~treelab.rng.SeedScheme` (global seed +
-sentence index) names, ``SeedScheme(seed, index).stream()``. Output is
-bit-stable across platforms and worker counts.
+sentence index) names, ``SeedScheme(seed, index).stream()``, which is
+``run_streams(seed)(index)``. Output is bit-stable across platforms and
+worker counts.
 
 The package re-exports nothing: each name is imported from its module
 (``from treelab.treebank import parse_ptb``), so ``import treelab`` loads no

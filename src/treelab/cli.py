@@ -19,9 +19,10 @@ Input and output paths are always given on the command line — a manifest
 that silently redirects file writes is a footgun, not a convenience.
 
 Every file a subcommand writes, reports included, gets a provenance sidecar
-that hashes every file the command read (``pipeline.recorded``). Each
-``_cmd_*`` imports the layers it runs beyond ``pipeline``, so a subcommand
-loads only its own modules (numpy only for ``retrieval``).
+that hashes every file the command read (``files.recorded``). Each
+``_cmd_*`` imports the layers it runs beyond ``files``, so a subcommand
+loads only its own modules: the tree layers only for ``transform``, ``stats``
+and ``synth generate``, numpy only for ``retrieval``.
 
 Exit status: 0 on success, 1 on hard errors (unreadable input, a failed
 write, a dead worker, malformed trees without ``--skip-bad``, alignment
@@ -34,20 +35,13 @@ on SIGINT.
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import os
 import sys
 from typing import IO, Collection, Sequence
 
-from .pipeline import (
-    PipelineConfig,
-    PipelineError,
-    UsageError,
-    read_lines,
-    recorded,
-    run_stats,
-    run_transform,
-)
+from .files import PipelineError, UsageError, read_lines, recorded
 from .version import TOOL_VERSION
 
 SEED_ENV = "TREELAB_SEED"
@@ -249,6 +243,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_transform(args: argparse.Namespace, stdout: IO[str], stderr: IO[str]) -> int:
+    from .pipeline import PipelineConfig, run_transform
     if args.chain is None:
         raise UsageError("transform needs a chain: --chain or a config-file 'chain' entry")
     pipeline_config = PipelineConfig(
@@ -260,6 +255,7 @@ def _cmd_transform(args: argparse.Namespace, stdout: IO[str], stderr: IO[str]) -
 
 
 def _cmd_stats(args: argparse.Namespace, stdout: IO[str], stderr: IO[str]) -> int:
+    from .pipeline import run_stats
     return run_stats(args.original, args.modified, report=args.report, stdout=stdout, stderr=stderr)
 
 
@@ -294,7 +290,7 @@ def _cmd_bpe_apply(args: argparse.Namespace, stdout: IO[str], stderr: IO[str]) -
 
 
 def _cmd_mask(args: argparse.Namespace, stdout: IO[str], stderr: IO[str]) -> int:
-    from .rng import SeedScheme
+    from .rng import run_streams
     from .subword import MaskingConfig, load_model, mask_tokens
     if args.model is not None and args.vocab_size is not None:
         raise UsageError("give either --model or --vocab-size, not both")
@@ -309,6 +305,7 @@ def _cmd_mask(args: argparse.Namespace, stdout: IO[str], stderr: IO[str]) -> int
                 "labels": labels_path}, seed=args.seed,
     ) as (counts, (fh_ids, fh_labels)):
         sentences = tokens = 0
+        stream = run_streams(args.seed)
         for path, lineno, text in read_lines([args.input]):
             try:
                 seq = [int(tok) for tok in text.split()]
@@ -319,9 +316,7 @@ def _cmd_mask(args: argparse.Namespace, stdout: IO[str], stderr: IO[str]) -> int
                 raise PipelineError(
                     f"{path}:{lineno}: id {bad} is outside the vocabulary (0..{vocab_size - 1})"
                 )
-            masked, labels = mask_tokens(
-                seq, masking, vocab_size, rng=SeedScheme(args.seed, sentences).stream()
-            )
+            masked, labels = mask_tokens(seq, masking, vocab_size, rng=stream(sentences))
             fh_ids.write(" ".join(str(i) for i in masked) + "\n")
             fh_labels.write(" ".join(str(i) for i in labels) + "\n")
             sentences += 1
@@ -333,10 +328,12 @@ def _cmd_mask(args: argparse.Namespace, stdout: IO[str], stderr: IO[str]) -> int
 
 def _cmd_retrieval(args: argparse.Namespace, stdout: IO[str], stderr: IO[str]) -> int:
     from .retrieval import read_embeddings, top1_retrieval
-    with recorded("retrieval", [args.report], [args.source, args.target],
+    # With a report to record, each input is hashed as it is read, not read again.
+    digests = [hashlib.sha256() if args.report else None for _ in range(2)]
+    with recorded("retrieval", [args.report], [args.source, args.target], digests=digests,
                   config={"source": args.source, "target": args.target}) as (_, (report_fh,)):
-        source, _ = read_embeddings(args.source)
-        target, _ = read_embeddings(args.target)
+        source, _ = read_embeddings(args.source, digests[0])
+        target, _ = read_embeddings(args.target, digests[1])
         result = top1_retrieval(source, target)
         print(f"queries {source.shape[0]}  top-1 accuracy {result.top1_accuracy:.4f}  "
               f"margin {result.margin:.4f}", file=stdout)

@@ -120,15 +120,17 @@ def mean_pool(vectors: np.ndarray, special: Sequence[bool] | np.ndarray) -> np.n
     return np.add.reduce(vectors[keep], axis=0, dtype=np.float64) / kept
 
 
-def _pool(sentences: Iterable[tuple[np.ndarray, np.ndarray]], dim: int) -> np.ndarray:
+def _pool(sentences: Iterable[tuple[np.ndarray, np.ndarray]], dim: int,
+          where: str = "") -> np.ndarray:
     """A (N, dim) float64 :func:`mean_pool` row for each of the N sentences,
-    in a matrix that grows as the rows arrive."""
+    in a matrix that grows as the rows arrive. An error names ``where`` (a file
+    and ``": "``, or nothing) and the sentence."""
     def pooled() -> Iterator[np.ndarray]:
         for i, (vectors, special) in enumerate(sentences):
             try:
                 yield mean_pool(vectors, special)
             except RetrievalError as exc:
-                raise RetrievalError(f"sentence {i}: {exc}") from exc
+                raise RetrievalError(f"{where}sentence {i}: {exc}") from exc
     return np.fromiter(pooled(), np.dtype((np.float64, dim)))
 
 
@@ -180,11 +182,23 @@ def top1_retrieval(source: np.ndarray, target: np.ndarray) -> RetrievalResult:
     return RetrievalResult(accuracy, tuple(int(i) for i in nearest), margin)
 
 
+class _Hashed:
+    """A binary reader that adds every byte it reads to ``digest``."""
+
+    def __init__(self, fh: BinaryIO, digest) -> None:
+        self._fh, self._digest = fh, digest
+
+    def read(self, size: int = -1) -> bytes:
+        data = self._fh.read(size)
+        self._digest.update(data)
+        return data
+
+
 @contextmanager
-def _opened(path: str) -> Iterator[BinaryIO]:
+def _opened(path: str, digest=None) -> Iterator[BinaryIO]:
     try:
         with open(path, "rb") as fh:
-            yield fh
+            yield fh if digest is None else _Hashed(fh, digest)
     except OSError as exc:
         raise RetrievalError(f"cannot read {path}: {exc}") from exc
 
@@ -273,9 +287,11 @@ def read_pooled_embeddings(path: str) -> tuple[np.ndarray, int]:
         return _pooled_matrix(path, fh)
 
 
-def read_embeddings(path: str) -> tuple[np.ndarray, int]:
-    """Accept either format and return a pooled ``(matrix, layer)``."""
-    with _opened(path) as fh:
+def read_embeddings(path: str, digest=None) -> tuple[np.ndarray, int]:
+    """Accept either format and return a pooled ``(matrix, layer)``. A ``digest``
+    (a :mod:`hashlib` object) is updated with every byte read: on return, the
+    whole file's."""
+    with _opened(path, digest) as fh:
         magic = fh.read(8)
         if magic == POOLED_MAGIC:
             return _pooled_matrix(path, fh)
@@ -283,4 +299,4 @@ def read_embeddings(path: str) -> tuple[np.ndarray, int]:
             raise RetrievalError(f"{path}: unrecognized embedding file (magic {magic!r})")
         sentences = _token_sentences(path, fh)
         dim, layer = next(sentences)
-        return _pool(sentences, dim), layer
+        return _pool(sentences, dim, f"{path}: "), layer

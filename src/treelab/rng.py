@@ -24,7 +24,7 @@ bumping the provenance format version: golden outputs depend on it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import MutableSequence, Sequence
+from typing import Callable, MutableSequence, Sequence
 
 _MASK64 = (1 << 64) - 1
 GOLDEN = 0x9E3779B97F4A7C15
@@ -38,9 +38,17 @@ def mix64(z: int) -> int:
     return z ^ (z >> 31)
 
 
+def run_streams(global_seed: int) -> Callable[[int], Rng]:
+    """``sentence_index -> Rng`` for one seeded run: the stream seeded with
+    ``stream_seed(global_seed, sentence_index)``, the run's ``mix64(g + GOLDEN)``
+    computed once. Every per-sentence stream is made here."""
+    base = mix64(global_seed + GOLDEN)
+    return lambda sentence_index: Rng(mix64(base + sentence_index))
+
+
 def stream_seed(global_seed: int, sentence_index: int) -> int:
     """Seed of the per-sentence stream; see the module docstring formula."""
-    return mix64((mix64((global_seed + GOLDEN) & _MASK64) + sentence_index) & _MASK64)
+    return run_streams(global_seed)(sentence_index)._state
 
 
 class Rng:
@@ -107,4 +115,4 @@ class SeedScheme:
     sentence_index: int = 0
 
     def stream(self) -> Rng:
-        return Rng(stream_seed(self.global_seed, self.sentence_index))
+        return run_streams(self.global_seed)(self.sentence_index)

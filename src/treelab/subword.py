@@ -41,8 +41,8 @@ from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 from typing import IO, Iterable, Sequence
 
-from .pipeline import read_lines, replace_on_success
-from .rng import Rng, SeedScheme
+from .files import read_lines, replace_on_success
+from .rng import Rng, run_streams
 
 SPECIAL_TOKENS = ("<pad>", "<unk>", "<cls>", "<sep>", "<mask>")
 PAD_ID, UNK_ID, CLS_ID, SEP_ID, MASK_ID = range(5)
@@ -288,7 +288,7 @@ def _header_field(lines: Sequence[str], index: int, keyword: str) -> str:
 def load_model(path: str) -> BpeModel:
     lines = [text for _, _, text in read_lines([path])]
     if lines[:1] != ["bpe-model v1"]:
-        raise BpeError(f"unsupported model header: {''.join(lines[:1])!r}")
+        raise BpeError(f"unsupported model header in {path}: {''.join(lines[:1])!r}")
     try:
         language = _header_field(lines, 1, "language")
         # Fixed lines: the ids of the specials and end-of-word do not come from the file.
@@ -351,7 +351,7 @@ def mask_tokens(
     if vocab_size <= n_special:
         raise ValueError(f"vocab_size must exceed {n_special}")
     if rng is None:
-        rng = SeedScheme(config.seed).stream()
+        rng = run_streams(config.seed)(0)
 
     masked = list(ids)
     labels = [IGNORE_LABEL] * len(masked)

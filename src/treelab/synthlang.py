@@ -40,8 +40,8 @@ import itertools
 from dataclasses import dataclass, field
 from typing import IO, Iterable, Iterator, Mapping
 
-from .pipeline import read_lines, replace_on_success
-from .rng import Rng, SeedScheme
+from .files import read_lines, replace_on_success
+from .rng import Rng, run_streams
 from .transform import BUILTIN_RULES, ReorderRule, inverse_rule
 from .treebank import TreeNode, escape_symbol, leaf, rebuild, scan_ptb, serialize
 
@@ -413,9 +413,8 @@ def corpus_lines(
     if n < 1:
         raise SynthError(f"sentence count must be >= 1, got {n}")
     languages = _pair_languages(grammar, languages)
-    return languages, (
-        sample_lines(grammar, SeedScheme(seed, i).stream(), languages=languages) for i in range(n)
-    )
+    stream = run_streams(seed)
+    return languages, (sample_lines(grammar, stream(i), languages=languages) for i in range(n))
 
 
 def corpus_pairs(grammar: SynthGrammar, n: int, seed: int, languages: tuple[str, str] | None = None

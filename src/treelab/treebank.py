@@ -40,6 +40,8 @@ from itertools import islice
 from operator import is_
 from typing import Callable, Iterable, Iterator, Sequence, TypeVar
 
+from .files import read_lines, replace_on_success
+
 _SPACE = re.compile(r"\s")  # exactly the characters for which str.isspace() holds
 _MIXED = "tree mixes leaves with and without origin indices"
 _new = tuple.__new__
@@ -364,7 +366,6 @@ def read_treebank(path: str) -> Iterator[TreeNode]:
     ``PATH:LINE: reason`` when iteration reaches it; an unreadable file
     raises ``PipelineError`` as ``cannot read PATH...``.
     """
-    from .pipeline import read_lines  # pipeline imports this module
     for _, lineno, line in read_lines([path]):
         try:
             skipped, _, tree = scan_line(line)
@@ -377,7 +378,6 @@ def read_treebank(path: str) -> Iterator[TreeNode]:
 
 def write_treebank(path: str, trees: Iterable[TreeNode]) -> None:
     """One serialized tree per line; the file replaces ``path`` only once every tree is written."""
-    from .pipeline import replace_on_success  # pipeline imports this module
     with replace_on_success(path) as (fh,):
         for tree in trees:
             fh.write(serialize(tree) + "\n")

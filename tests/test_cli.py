@@ -16,8 +16,9 @@ import pytest
 import treelab
 import treelab.subword
 import treelab.synthlang
-from helpers import write_pooled_embeddings
+from helpers import write_pooled_embeddings, write_token_embeddings
 from treelab.cli import SEED_ENV, WORKERS_ENV, main
+from treelab.retrieval import EmbeddingMatrix, SentenceTokens
 from treelab.pipeline import (
     ChainError,
     PipelineConfig,
@@ -453,6 +454,54 @@ class TestMutatedInputs:
         assert exits["transform", 0] and exits["transform", 1] and exits["stats", 1], exits
 
 
+    def test_every_subword_probe_mutant_ends_in_an_exit_status_naming_the_file(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        """Seeded mutants of a text file (``bpe learn``), a model (``bpe apply``, ``mask``),
+        an ids file (``mask``) and an ``EMBTOK01`` or ``EMBPOOL1`` file (``retrieval``):
+        each run exits 0, 1 or 2, lets no exception out of ``main``, and when it does
+        not exit 0 names the mutated file in its diagnostic and leaves every file as it was."""
+        rnd = random.Random(29)
+        monkeypatch.chdir(tmp_path)
+        Path("clean.txt").write_text("the cat sat\nthe cat ran on the mat\na dog sat\n")
+        assert main(["bpe", "learn", "clean.txt", "-o", "clean.bpe", "--vocab-size", "30"]) == 0
+        assert main(["bpe", "apply", "clean.txt", "-o", "clean.ids", "--model", "clean.bpe"]) == 0
+        vectors = np.random.default_rng(29).normal(size=(4, 3, 2)).astype(np.float32)
+        special = np.array([True, False, False])
+        write_token_embeddings("clean.emb", EmbeddingMatrix(
+            tuple(SentenceTokens(v, special) for v in vectors), dim=2))
+        write_pooled_embeddings("clean.pool", vectors[:, 1:].mean(axis=1))
+        capsys.readouterr()
+        cases = (  # (mutated file, clean file, file spliced in, command)
+            ("in.txt", "clean.txt", "clean.ids", ["bpe", "learn", "in.txt", "-o", "out.bpe"]),
+            ("in.bpe", "clean.bpe", "clean.txt",
+             ["bpe", "apply", "clean.txt", "-o", "out.ids", "--model", "in.bpe"]),
+            ("in.bpe", "clean.bpe", "clean.ids", ["mask", "clean.ids", "-o", "m", "--model", "in.bpe"]),
+            ("in.ids", "clean.ids", "clean.bpe", ["mask", "in.ids", "-o", "m", "--model", "clean.bpe"]),
+            ("in.emb", "clean.emb", "clean.pool",
+             ["retrieval", "--source", "in.emb", "--target", "clean.pool", "--report", "r.json"]),
+            ("in.pool", "clean.pool", "clean.emb",
+             ["retrieval", "--source", "clean.emb", "--target", "in.pool", "--report", "r.json"]),
+        )
+        exits = collections.Counter()
+        for k in range(40):
+            for name, clean, other, argv in cases:
+                mutant = mutate(Path(clean).read_bytes(), Path(other).read_bytes(), rnd)
+                Path(name).write_bytes(mutant)
+                before = {path: path.read_bytes() for path in Path().iterdir()}
+                try:
+                    code = main(argv)
+                except (Exception, SystemExit) as exc:
+                    pytest.fail(f"{argv[0]} raised {exc!r} on mutant {k} of {name}: {mutant!r}")
+                err = capsys.readouterr().err
+                assert code in (0, 1, 2) and (code == 0 or name in err), (argv, k, mutant, err)
+                if code:
+                    assert {path: path.read_bytes() for path in Path().iterdir()} == before
+                exits[argv[0], code] += 1
+        assert all(exits[command, code] for command in ("bpe", "mask", "retrieval")
+                   for code in (0, 1)), exits
+
+
 class TestSubwordCommands:
     @pytest.fixture()
     def text_file(self, tmp_path):
@@ -723,7 +772,7 @@ def test_non_utf8_side_inputs_name_the_file(run, tmp_path, reader):
 
 @pytest.mark.parametrize("reader", ["ids", "model", "rules", "grammar", "config"])
 def test_missing_side_inputs_name_the_file(run, tmp_path, reader):
-    """Every text input is read by ``pipeline.read_lines``, so each names a missing file alike."""
+    """Every text input is read by ``files.read_lines``, so each names a missing file alike."""
     missing = tmp_path / "missing.txt"
     ids = tmp_path / "good.ids"
     ids.write_text("7 8 9\n")
@@ -828,7 +877,9 @@ def test_a_config_vocab_size_conflicts_with_a_model(run, tmp_path):
 
 LOADED_PROBE = """
 import json, sys
-if sys.argv[1:]:
+if sys.argv[1:] == ["import", "treelab.files"]:
+    import treelab.files
+elif sys.argv[1:]:
     from treelab.cli import main
     assert main(sys.argv[1:]) == 0
 else:
@@ -837,13 +888,15 @@ print(json.dumps(sorted({m if m.startswith("treelab") else m.partition(".")[0]
                          for m in sys.modules
                          if m.partition(".")[0] in ("treelab", "numpy", "multiprocessing")})))
 """
-CLI_MODULES = {"treelab", "treelab.cli", "treelab.metrics", "treelab.pipeline", "treelab.rng",
-               "treelab.transform", "treelab.treebank", "treelab.version"}
+CLI_MODULES = {"treelab", "treelab.cli", "treelab.files", "treelab.version"}
+TREE_MODULES = CLI_MODULES | {"treelab.metrics", "treelab.pipeline", "treelab.rng",
+                              "treelab.transform", "treelab.treebank"}
 
 
 def loaded_modules(*argv: object) -> set[str]:
     """The ``treelab`` modules, numpy and multiprocessing that a fresh interpreter
-    holds after ``treelab ARGV``, or after ``import treelab`` when ARGV is empty."""
+    holds after ``treelab ARGV``, after ``import treelab`` when ARGV is empty, or
+    after ``import treelab.files`` when ARGV is ``import treelab.files``."""
     src = str(Path(treelab.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     result = subprocess.run([sys.executable, "-c", LOADED_PROBE, *map(str, argv)],
@@ -852,8 +905,9 @@ def loaded_modules(*argv: object) -> set[str]:
 
 
 def test_each_subcommand_loads_only_the_modules_it_runs(tmp_path):
-    # A subcommand pays the import time of the layers it runs and no others:
-    # numpy only for retrieval, multiprocessing only for a pool.
+    # A subcommand pays the import time of the layers it runs and no others: the
+    # tree layers only for transform, stats and synth generate, numpy only for
+    # retrieval, multiprocessing only for a pool.
     trees, one_tree, text = tmp_path / "in.trees", tmp_path / "one.trees", tmp_path / "in.txt"
     trees.write_text(NESTED + "\n" + WITH_PP + "\n", encoding="utf-8")
     one_tree.write_text(NESTED + "\n", encoding="utf-8")
@@ -863,16 +917,17 @@ def test_each_subcommand_loads_only_the_modules_it_runs(tmp_path):
     transform = ("transform", "-o", out, "--chain", "reorder:83A,constituent_shuffle")
 
     assert loaded_modules() == {"treelab", "treelab.version"}
-    assert loaded_modules(*transform, trees) == CLI_MODULES
-    assert loaded_modules(*transform, one_tree, "--workers", "2") == CLI_MODULES
-    assert loaded_modules(*transform, trees, "--workers", "2") == CLI_MODULES | {"multiprocessing"}
-    assert loaded_modules("stats", trees, out) == CLI_MODULES
-    with_subword = CLI_MODULES | {"treelab.subword"}
+    assert loaded_modules("import", "treelab.files") == {"treelab", "treelab.files", "treelab.version"}
+    assert loaded_modules(*transform, trees) == TREE_MODULES
+    assert loaded_modules(*transform, one_tree, "--workers", "2") == TREE_MODULES
+    assert loaded_modules(*transform, trees, "--workers", "2") == TREE_MODULES | {"multiprocessing"}
+    assert loaded_modules("stats", trees, out) == TREE_MODULES
+    with_subword = CLI_MODULES | {"treelab.rng", "treelab.subword"}
     assert loaded_modules("bpe", "learn", text, "-o", model, "--vocab-size", "30") == with_subword
     assert loaded_modules("bpe", "apply", text, "-o", ids, "--model", model) == with_subword
     assert loaded_modules("mask", ids, "-o", tmp_path / "m.ids", "--model", model) == with_subword
     assert loaded_modules("synth", "generate", "-o", tmp_path / "s", "-n", "3") == (
-        CLI_MODULES | {"treelab.synthlang"}
+        TREE_MODULES - {"treelab.metrics", "treelab.pipeline"} | {"treelab.synthlang"}
     )
     assert loaded_modules("retrieval", "--source", emb, "--target", emb) == (
         CLI_MODULES | {"treelab.retrieval", "numpy"}

@@ -417,7 +417,7 @@ def test_token_file_errors_name_the_sentence(tmp_path):
     write_token_embeddings(str(path), matrix)
     with pytest.raises(RetrievalError) as info:
         read_embeddings(str(path))
-    assert str(info.value) == "sentence 1: all tokens flagged special; nothing to pool"
+    assert str(info.value) == f"{path}: sentence 1: all tokens flagged special; nothing to pool"
     data = path.read_bytes()
     # Cut in sentence 1's vectors, flags and count (sentence 0 ends at byte 24 + 4 + 1 + 8).
     for cut in (len(data) - 1, 37 + 4 + 1, 37 + 2):

@@ -6,7 +6,7 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import given
 
-from treelab.rng import GOLDEN, Rng, SeedScheme, mix64, stream_seed
+from treelab.rng import GOLDEN, Rng, SeedScheme, mix64, run_streams, stream_seed
 
 # Reference outputs of the published SplitMix64 algorithm. Computed with an
 # independent implementation of the textbook constants; any change to the
@@ -38,6 +38,16 @@ def test_stream_seed_formula():
     # The documented two-step derivation, spelled out.
     expected = mix64((mix64((99 + GOLDEN) & ((1 << 64) - 1)) + 3) & ((1 << 64) - 1))
     assert stream_seed(99, 3) == expected == 0xB1DAA5E7337EE72F
+
+
+@given(st.integers(-(2**70), 2**70), st.integers(0, 2**64 - 1))
+def test_a_runs_streams_are_the_formulas(g, i):
+    """``run_streams(g)(i)``, ``SeedScheme(g, i).stream()`` and ``Rng(stream_seed(g, i))``
+    are one stream, seeded by the documented formula."""
+    mask = (1 << 64) - 1
+    expected = mix64((mix64((g + GOLDEN) & mask) + i) & mask)
+    streams = [run_streams(g)(i), SeedScheme(g, i).stream(), Rng(stream_seed(g, i)), Rng(expected)]
+    assert len({tuple(rng.next_u64() for _ in range(3)) for rng in streams}) == 1
 
 
 @given(st.integers(0, 2**64 - 1), st.integers(0, 10_000), st.integers(0, 10_000))

@@ -20,7 +20,8 @@
   SHA-256, with the number of stream draws it makes.
 * ``retrieval`` stdout and ``--report`` bytes are pinned on a seeded token
   file pair that spans several similarity blocks, from a regular file and
-  from a FIFO.
+  from a FIFO, and so is its sidecar, whose input digests come from the
+  bytes the reader consumed.
 """
 
 from __future__ import annotations
@@ -37,7 +38,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from helpers import fifo_holding, write_token_embeddings
+from helpers import fifo_holding, write_pooled_embeddings, write_token_embeddings
+from treelab import files
 from treelab.cli import SEED_ENV, WORKERS_ENV, main
 from treelab.retrieval import EmbeddingMatrix, SentenceTokens
 from treelab.rng import Rng
@@ -348,6 +350,8 @@ RETRIEVAL_PINNED = (
     "66aed8f4747afe7290793feced00911942c5550bff32ab99f373b19eeec02f34",
     "35ad5d5e0b3372238952b30ad918f463010863bb5d2f589e652fdbe3cda47083",
 )
+# SHA-256 of that run's r.json.provenance.json.
+RETRIEVAL_SIDECAR_PINNED = "136ba8c78bedb895f141c2b4e71423ff9ee5a088464728cf0036d2414aa33825"
 
 
 def test_retrieval_bytes_are_pinned(tmp_path, capsys, monkeypatch):
@@ -371,3 +375,34 @@ def test_retrieval_reads_a_fifo_source_like_a_file(tmp_path, capsys, monkeypatch
                      "--report", "r.json"]) == 0, capsys.readouterr().err
     out = capsys.readouterr().out
     assert (digest_text(out), sha256(tmp_path / "r.json")) == RETRIEVAL_PINNED
+
+
+@pytest.mark.parametrize("target", ["target.emb", "source.emb", "pooled.emb"])
+def test_retrieval_reads_each_input_once(tmp_path, capsys, monkeypatch, target):
+    """The sidecar's input digests are those of the bytes the reader consumed: no
+    input is read again, also when source and target are one file or the target is
+    a pooled file, and the sidecar is the one a second read gives."""
+    monkeypatch.chdir(tmp_path)
+    write_retrieval_pair(tmp_path)
+    write_pooled_embeddings("pooled.emb", np.random.default_rng(3).normal(size=(600, 5)))
+    monkeypatch.setattr(files, "sha256_file", lambda path: pytest.fail(f"{path} read again"))
+    assert main(["retrieval", "--source", "source.emb", "--target", target,
+                 "--report", "r.json"]) == 0, capsys.readouterr().err
+    sidecar = tmp_path / "r.json.provenance.json"
+    assert json.loads(sidecar.read_text(encoding="utf-8"))["inputs"] == [
+        {"path": path, "sha256": sha256(tmp_path / path)} for path in ("source.emb", target)]
+    if target == "target.emb":
+        assert sha256(sidecar) == RETRIEVAL_SIDECAR_PINNED
+
+
+def test_retrieval_records_no_digest_for_a_fifo_source(tmp_path, capsys, monkeypatch):
+    (tmp_path / "files").mkdir()
+    write_retrieval_pair(tmp_path / "files")
+    monkeypatch.chdir(tmp_path)
+    shutil.copy("files/target.emb", "target.emb")
+    with fifo_holding(tmp_path / "source.emb", Path("files/source.emb").read_bytes()):
+        assert main(["retrieval", "--source", "source.emb", "--target", "target.emb",
+                     "--report", "r.json"]) == 0, capsys.readouterr().err
+    inputs = json.loads((tmp_path / "r.json.provenance.json").read_text(encoding="utf-8"))["inputs"]
+    assert inputs == [{"path": "source.emb", "sha256": None},
+                      {"path": "target.emb", "sha256": sha256(tmp_path / "target.emb")}]
