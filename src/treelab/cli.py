@@ -38,6 +38,7 @@ import argparse
 import hashlib
 import json
 import os
+import re
 import sys
 from typing import IO, Collection, Sequence
 
@@ -327,14 +328,18 @@ def _cmd_mask(args: argparse.Namespace, stdout: IO[str], stderr: IO[str]) -> int
 
 
 def _cmd_retrieval(args: argparse.Namespace, stdout: IO[str], stderr: IO[str]) -> int:
-    from .retrieval import read_embeddings, top1_retrieval
+    from .retrieval import RetrievalError, read_embeddings, top1_retrieval
     # With a report to record, each input is hashed as it is read, not read again.
     digests = [hashlib.sha256() if args.report else None for _ in range(2)]
     with recorded("retrieval", [args.report], [args.source, args.target], digests=digests,
                   config={"source": args.source, "target": args.target}) as (_, (report_fh,)):
         source, _ = read_embeddings(args.source, digests[0])
         target, _ = read_embeddings(args.target, digests[1])
-        result = top1_retrieval(source, target)
+        try:
+            result = top1_retrieval(source, target)
+        except RetrievalError as exc:  # the message names a role: name its file instead
+            named = re.sub(r"\b(source|target)\b", lambda m: getattr(args, m[1]), str(exc))
+            raise RetrievalError(named) from exc
         print(f"queries {source.shape[0]}  top-1 accuracy {result.top1_accuracy:.4f}  "
               f"margin {result.margin:.4f}", file=stdout)
         if report_fh is not None:

@@ -29,8 +29,9 @@ permutation and gives the sentence and ``pi``; ``--stats`` checks the surfaces
 against the scanned tokens and takes IR/WMD from ``pi``. ``stats`` scans tokens
 without building nodes, through the same function.
 
-Every subcommand writes through :func:`treelab.files.recorded`; the names that
-moved to ``files`` stay importable from this module.
+Every subcommand writes through :func:`treelab.files.recorded`; of the names
+that moved to ``files``, only ``write_provenance`` is still importable from
+this module, for the benchmark replicas.
 """
 
 from __future__ import annotations
@@ -46,14 +47,8 @@ from itertools import chain, groupby, islice, zip_longest
 from typing import IO, Iterator, Mapping, Sequence, Union
 
 from .files import PipelineError, UsageError, read_lines, recorded
-from .files import SIDECAR_SUFFIX, replace_on_success, write_provenance  # for importers
-from .metrics import (
-    StatsAccumulator,
-    align_by_surface,
-    alignment,
-    format_stats_table,
-    permutation_row,
-)
+from .files import write_provenance  # for bench/replicas.py
+from .metrics import StatsAccumulator, align_by_surface, format_stats_table, permutation_row
 from .rng import Rng, run_streams
 from .transform import (
     BUILTIN_RULES,
@@ -67,7 +62,8 @@ from .transform import (
     reorder_table,
     word_shuffle,
 )
-from .treebank import Sentence, TreeNode, TreeParseError, scan_line, write_tree, yield_sentence
+from .treebank import (AlignmentError, Sentence, TreeNode, TreeParseError, scan_line, write_tree,
+                       yield_sentence)
 
 CHUNK_LINES = 256  # lines per unit of work: one worker call, one block write
 CHUNKS_PER_WORKER = 2  # chunks queued or running per pool worker
@@ -156,19 +152,16 @@ def _tree_steps(tree: TreeNode, steps: Sequence[ChainStep], rng: Rng | None) -> 
     return tree
 
 
-def apply_chain(tree: TreeNode, steps: Sequence[ChainStep], rng: Rng,
-                text: bool = False) -> tuple[TreeNode | None, Sentence, str]:
+def apply_chain(tree: TreeNode, steps: Sequence[ChainStep], rng: Rng) -> tuple[TreeNode | None, Sentence]:
     """Run one tree through the chain, consuming one random stream.
 
     Returns the transformed tree (None once word_shuffle has destroyed the
-    structure), the resulting sentence and, if ``text``, the tree's line (else
-    ""), both from one writer walk.
+    structure) and the resulting sentence.
     """
     tree = _tree_steps(tree, steps, rng)
     if steps and isinstance(steps[-1], WordShuffleStep):
-        return None, word_shuffle(yield_sentence(tree), rng), ""
-    line, tokens = write_tree(tree, text)
-    return tree, Sentence.of_leaves(tokens), line
+        return None, word_shuffle(yield_sentence(tree), rng)
+    return tree, yield_sentence(tree)
 
 
 @dataclass(frozen=True)
@@ -245,9 +238,9 @@ def _sentence_row(tokens: list[str], leaves: list[tuple[str, int]],
     """The text of an emitted sentence's ``(surface, origin)`` leaves and, if ``stats``,
     its ``(IR, WMD, n)`` against the scanned ``tokens``. One loop checks that the origins
     are a permutation of 0..n-1 and builds ``pi``; with ``stats``, one comparison then
-    checks that the leaf of origin i has surface ``tokens[i]``. If a check fails, the
-    leaves take the checked path, :meth:`Sentence.of_leaves` and :func:`alignment`, so
-    that what is raised, or given, stays as it was."""
+    checks that the leaf of origin i has surface ``tokens[i]``. A failed check is an
+    :class:`AlignmentError`; ``scan_line`` numbers every leaf and every step keeps its
+    ``(surface, origin)`` pairs, so only a fault in a step can fail it."""
     pi = [-1] * len(leaves)
     surfaces: list[str] = []
     keep = surfaces.append
@@ -264,10 +257,7 @@ def _sentence_row(tokens: list[str], leaves: list[tuple[str, int]],
                 return " ".join(surfaces), permutation_row(pi)
     except (TypeError, IndexError):  # an origin that is not an int below n
         pass
-    sentence = Sentence.of_leaves(leaves)
-    if not stats:
-        return sentence.text(), None
-    return sentence.text(), permutation_row(alignment(Sentence.from_surfaces(tokens), sentence).pi)
+    raise AlignmentError("the emitted leaves are not a permutation of the scanned tokens")
 
 
 def _map_chunks(work, lines: Iterator, workers: int) -> Iterator:

@@ -12,7 +12,10 @@ is read in pieces of at most 1 MiB, and the pooled matrix grows as sentences
 arrive. Bytes after the header's last record or row are an error. Top-1
 accuracy is the fraction of queries whose nearest target row has the
 query's own index; ties go to the lowest index, so a tie is a miss unless
-the lowest tied index is the aligned one.
+the lowest tied index is the aligned one. :func:`read_embeddings` reads
+either format into its pooled matrix; :func:`read_token_embeddings` gives a
+token file's sentences as those views, which :func:`pool_matrix` pools by the
+same code.
 
 Similarities are float64 and computed for at most ``BLOCK_ROWS`` queries at
 a time into one reused block, whose best two are then found in place. So
@@ -57,38 +60,13 @@ class RetrievalError(ValueError):
 
 
 @dataclass(frozen=True)
-class SentenceTokens:
-    """Token vectors for one sentence with a per-token special flag."""
-
-    vectors: np.ndarray  # (tokens, dim) float32
-    special: np.ndarray  # (tokens,) bool
-
-    def __post_init__(self) -> None:
-        if self.vectors.ndim != 2 or self.vectors.shape[1] < 1:
-            raise RetrievalError(f"token vectors must be (tokens, dim), got {self.vectors.shape}")
-        if self.special.shape != (self.vectors.shape[0],):
-            raise RetrievalError(
-                f"special flags shape {self.special.shape} does not match "
-                f"{self.vectors.shape[0]} tokens"
-            )
-
-
-@dataclass(frozen=True)
 class EmbeddingMatrix:
-    """A corpus of token-level sentence embeddings sharing one dimension."""
+    """A token file's sentences, each a ``(vectors, special)`` pair: its
+    ``(tokens, dim)`` float32 vectors and its ``(tokens,)`` special flags."""
 
-    sentences: tuple[SentenceTokens, ...]
+    sentences: tuple[tuple[np.ndarray, np.ndarray], ...]
     dim: int
     layer: int = 0
-
-    def __post_init__(self) -> None:
-        if self.dim < 1:
-            raise RetrievalError(f"dimension must be positive, got {self.dim}")
-        for i, sent in enumerate(self.sentences):
-            if sent.vectors.shape[1] != self.dim:
-                raise RetrievalError(
-                    f"sentence {i} has dimension {sent.vectors.shape[1]}, expected {self.dim}"
-                )
 
     def __len__(self) -> int:
         return len(self.sentences)
@@ -136,7 +114,7 @@ def _pool(sentences: Iterable[tuple[np.ndarray, np.ndarray]], dim: int,
 
 def pool_matrix(embeddings: EmbeddingMatrix) -> np.ndarray:
     """Pool every sentence into one row; (N, dim) float64."""
-    return _pool(((s.vectors, s.special) for s in embeddings.sentences), embeddings.dim)
+    return _pool(embeddings.sentences, embeddings.dim)
 
 
 def _row_norms(matrix: np.ndarray, name: str) -> np.ndarray:
@@ -215,12 +193,6 @@ def _read_up_to(fh: BinaryIO, size: int) -> bytes | bytearray:
     return data
 
 
-def _check_magic(fh: BinaryIO, path: str, magic: bytes, kind: str) -> None:
-    found = fh.read(8)
-    if found != magic:
-        raise RetrievalError(f"{path}: not a {kind} embedding file (bad magic {found!r})")
-
-
 def _header(fh: BinaryIO, path: str, fields: int) -> tuple[int, ...]:
     """The ``fields`` uint32 header fields that follow the magic."""
     data = fh.read(4 * fields)
@@ -272,19 +244,14 @@ def _pooled_matrix(path: str, fh: BinaryIO) -> tuple[np.ndarray, int]:
 
 
 def read_token_embeddings(path: str) -> EmbeddingMatrix:
+    """A token file's sentences, as views of each record's bytes."""
     with _opened(path) as fh:
-        _check_magic(fh, path, TOKEN_MAGIC, "token")
+        magic = fh.read(8)
+        if magic != TOKEN_MAGIC:
+            raise RetrievalError(f"{path}: not a token embedding file (bad magic {magic!r})")
         sentences = _token_sentences(path, fh)
         dim, layer = next(sentences)
-        return EmbeddingMatrix(tuple(SentenceTokens(vectors.copy(), special.astype(bool))
-                                     for vectors, special in sentences), dim, layer)
-
-
-def read_pooled_embeddings(path: str) -> tuple[np.ndarray, int]:
-    """Returns ``(matrix, layer)``."""
-    with _opened(path) as fh:
-        _check_magic(fh, path, POOLED_MAGIC, "pooled")
-        return _pooled_matrix(path, fh)
+        return EmbeddingMatrix(tuple(sentences), dim, layer)
 
 
 def read_embeddings(path: str, digest=None) -> tuple[np.ndarray, int]:

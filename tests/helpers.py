@@ -24,14 +24,14 @@ from treelab.treebank import Sentence, TreeNode, iter_nodes, rebuild
 
 
 def write_token_embeddings(path: str, embeddings: EmbeddingMatrix) -> None:
-    max_tokens = max((s.vectors.shape[0] for s in embeddings.sentences), default=0)
+    max_tokens = max((len(vectors) for vectors, _ in embeddings.sentences), default=0)
     with open(path, "wb") as fh:
         fh.write(TOKEN_MAGIC)
         fh.write(struct.pack("<4I", len(embeddings), max_tokens, embeddings.dim, embeddings.layer))
-        for sent in embeddings.sentences:
-            fh.write(struct.pack("<I", sent.vectors.shape[0]))
-            fh.write(np.asarray(sent.special, dtype=np.uint8).tobytes())
-            fh.write(np.asarray(sent.vectors, dtype="<f4").tobytes())
+        for vectors, special in embeddings.sentences:
+            fh.write(struct.pack("<I", len(vectors)))
+            fh.write(np.asarray(special, dtype=np.uint8).tobytes())
+            fh.write(np.asarray(vectors, dtype="<f4").tobytes())
 
 
 def write_pooled_embeddings(path: str, matrix: np.ndarray, layer: int = 0) -> None:

@@ -6,6 +6,7 @@ import hashlib
 import json
 import os
 import random
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -18,11 +19,11 @@ import treelab.subword
 import treelab.synthlang
 from helpers import write_pooled_embeddings, write_token_embeddings
 from treelab.cli import SEED_ENV, WORKERS_ENV, main
-from treelab.retrieval import EmbeddingMatrix, SentenceTokens
+from treelab.files import UsageError
+from treelab.retrieval import EmbeddingMatrix
 from treelab.pipeline import (
     ChainError,
     PipelineConfig,
-    UsageError,
     AblateStep,
     ConstituentShuffleStep,
     ReorderStep,
@@ -108,7 +109,7 @@ class TestParseChain:
 
     def test_apply_chain_word_shuffle_drops_tree(self):
         tree = parse_ptb(NESTED)
-        out_tree, sentence, _ = apply_chain(
+        out_tree, sentence = apply_chain(
             tree, parse_chain("word_shuffle"), SeedScheme(0, 0).stream()
         )
         assert out_tree is None
@@ -453,14 +454,47 @@ class TestMutatedInputs:
                 exits[argv[0], code] += 1
         assert exits["transform", 0] and exits["transform", 1] and exits["stats", 1], exits
 
+    @staticmethod
+    def run_mutants(cases, rnd: random.Random, capsys) -> collections.Counter:
+        """Run each ``(mutated file, clean file, file spliced in, command)`` case on
+        40 seeded mutants; a report, if any, is ``r.json``. Each run exits 0, 1
+        or 2 and lets no exception out of ``main``. One that ends in an ``error:`` line
+        leaves every file as it was and, but for a config value's error, which names
+        its key, names the mutated file. Any other failure is ``stats``' per-line
+        form: one ``PATH:LINE: reason`` line per bad line, each naming the mutated
+        file, after the report and its sidecar are written. Returns how often each
+        ``(command, exit)`` was seen."""
+        exits = collections.Counter()
+        for k in range(40):
+            for name, clean, other, argv in cases:
+                mutant = mutate(Path(clean).read_bytes(), Path(other).read_bytes(), rnd)
+                Path(name).write_bytes(mutant)
+                for path in Path().glob("r.json*"):
+                    path.unlink()
+                before = {path: path.read_bytes() for path in Path().iterdir()}
+                try:
+                    code = main(argv)
+                except (Exception, SystemExit) as exc:
+                    pytest.fail(f"{argv[0]} raised {exc!r} on mutant {k} of {name}: {mutant!r}")
+                err = capsys.readouterr().err
+                assert code in (0, 1, 2) and (code == 0 or err.strip()), (argv, k, mutant)
+                if err.startswith("error: "):
+                    assert name in err or argv[-2] == "--config", (argv, k, mutant, err)
+                    assert {path: path.read_bytes() for path in Path().iterdir()} == before
+                elif code:
+                    assert argv[0] == "stats" and code == 1, (argv, k, mutant, err)
+                    assert all(re.match(r"\S+:\d+: ", line) and name in line
+                               for line in err.splitlines()), (argv, k, err)
+                    assert Path("r.json").exists() and Path("r.json.provenance.json").exists()
+                exits[argv[0], code] += 1
+        return exits
 
     def test_every_subword_probe_mutant_ends_in_an_exit_status_naming_the_file(
         self, tmp_path, monkeypatch, capsys
     ):
         """Seeded mutants of a text file (``bpe learn``), a model (``bpe apply``, ``mask``),
-        an ids file (``mask``) and an ``EMBTOK01`` or ``EMBPOOL1`` file (``retrieval``):
-        each run exits 0, 1 or 2, lets no exception out of ``main``, and when it does
-        not exit 0 names the mutated file in its diagnostic and leaves every file as it was."""
+        an ids file (``mask``) and an ``EMBTOK01`` or ``EMBPOOL1`` file (``retrieval``),
+        through :meth:`run_mutants`."""
         rnd = random.Random(29)
         monkeypatch.chdir(tmp_path)
         Path("clean.txt").write_text("the cat sat\nthe cat ran on the mat\na dog sat\n")
@@ -468,11 +502,10 @@ class TestMutatedInputs:
         assert main(["bpe", "apply", "clean.txt", "-o", "clean.ids", "--model", "clean.bpe"]) == 0
         vectors = np.random.default_rng(29).normal(size=(4, 3, 2)).astype(np.float32)
         special = np.array([True, False, False])
-        write_token_embeddings("clean.emb", EmbeddingMatrix(
-            tuple(SentenceTokens(v, special) for v in vectors), dim=2))
+        write_token_embeddings("clean.emb", EmbeddingMatrix(tuple((v, special) for v in vectors), dim=2))
         write_pooled_embeddings("clean.pool", vectors[:, 1:].mean(axis=1))
         capsys.readouterr()
-        cases = (  # (mutated file, clean file, file spliced in, command)
+        exits = self.run_mutants((
             ("in.txt", "clean.txt", "clean.ids", ["bpe", "learn", "in.txt", "-o", "out.bpe"]),
             ("in.bpe", "clean.bpe", "clean.txt",
              ["bpe", "apply", "clean.txt", "-o", "out.ids", "--model", "in.bpe"]),
@@ -482,24 +515,46 @@ class TestMutatedInputs:
              ["retrieval", "--source", "in.emb", "--target", "clean.pool", "--report", "r.json"]),
             ("in.pool", "clean.pool", "clean.emb",
              ["retrieval", "--source", "clean.emb", "--target", "in.pool", "--report", "r.json"]),
-        )
-        exits = collections.Counter()
-        for k in range(40):
-            for name, clean, other, argv in cases:
-                mutant = mutate(Path(clean).read_bytes(), Path(other).read_bytes(), rnd)
-                Path(name).write_bytes(mutant)
-                before = {path: path.read_bytes() for path in Path().iterdir()}
-                try:
-                    code = main(argv)
-                except (Exception, SystemExit) as exc:
-                    pytest.fail(f"{argv[0]} raised {exc!r} on mutant {k} of {name}: {mutant!r}")
-                err = capsys.readouterr().err
-                assert code in (0, 1, 2) and (code == 0 or name in err), (argv, k, mutant, err)
-                if code:
-                    assert {path: path.read_bytes() for path in Path().iterdir()} == before
-                exits[argv[0], code] += 1
+        ), rnd, capsys)
         assert all(exits[command, code] for command in ("bpe", "mask", "retrieval")
                    for code in (0, 1)), exits
+
+    # Comments, which a mutant may damage harmlessly, give each file runs that exit 0.
+    COMMENT = b"# a comment line that any byte can replace, at no risk to the rest of the file\n"
+    GRAMMAR = (COMMENT + b"language a 83A=VO\nlanguage b 83A=OV\nrule S -> NP VP\n" + COMMENT
+               + b"rule VP -> VB NP\nrule VP -> VB\nrule NP -> NN\nlex a NN cat dog\n"
+               + b"lex a VB sees likes\nlex b NN neko inu\nlex b VB miru suki\n" + COMMENT)
+
+    def test_every_grammar_config_and_token_line_mutant_ends_in_an_exit_status_with_a_reason(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        """Seeded mutants of a grammar (``synth generate``), a config file (``transform``,
+        ``mask``) and a token-line file (``stats``, against a clean file and against
+        itself), through :meth:`run_mutants`."""
+        rnd = random.Random(31)
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.delenv(WORKERS_ENV, raising=False)
+        monkeypatch.delenv(SEED_ENV, raising=False)
+        Path("clean.trees").write_bytes(b"".join(FIXTURE.read_bytes().splitlines(keepends=True)[:6]))
+        Path("clean.grammar").write_bytes(self.GRAMMAR)
+        Path("clean.tconf").write_bytes(self.COMMENT + b"chain = reorder:83A,ablate:0.5:shuffle\n"
+                                        + self.COMMENT + b"seed = 3\nstats = true\n" + self.COMMENT)
+        Path("clean.mconf").write_bytes(self.COMMENT + b"vocab-size = 40\nrate = 0.3\n"
+                                        + self.COMMENT + b"seed = 4\n" + self.COMMENT)
+        Path("clean.txt").write_text("the cat sat\nthe cat ran on the mat\na dog sat\n")
+        Path("clean.ids").write_text("7 8 9 10\n11 12\n")
+        exits = self.run_mutants((
+            ("in.grammar", "clean.grammar", "clean.tconf",
+             ["synth", "generate", "-o", "syn", "-n", "5", "--grammar", "in.grammar"]),
+            ("in.tconf", "clean.tconf", "clean.grammar",
+             ["transform", "clean.trees", "-o", "out.sents", "--config", "in.tconf"]),
+            ("in.mconf", "clean.mconf", "clean.tconf", ["mask", "clean.ids", "-o", "m", "--config", "in.mconf"]),
+            ("in.txt", "clean.txt", "clean.trees", ["stats", "clean.txt", "in.txt", "--report", "r.json"]),
+            ("in.txt", "clean.txt", "clean.trees", ["stats", "in.txt", "in.txt", "--report", "r.json"]),
+        ), rnd, capsys)
+        assert all(exits[command, code] for command, code in (
+            ("synth", 0), ("synth", 1), ("transform", 0), ("transform", 2), ("mask", 0),
+            ("mask", 2), ("stats", 0), ("stats", 1))), exits
 
 
 class TestSubwordCommands:

@@ -24,15 +24,9 @@ from treelab.metrics import (
     inversion_ratio,
     word_move_distance,
 )
-from treelab.pipeline import (
-    CHUNK_LINES,
-    CHUNKS_PER_WORKER,
-    SIDECAR_SUFFIX,
-    apply_chain,
-    parse_chain,
-    read_lines,
-)
-from treelab.retrieval import EmbeddingMatrix, SentenceTokens
+from treelab.files import SIDECAR_SUFFIX, PipelineError, read_lines, replace_on_success
+from treelab.pipeline import CHUNK_LINES, CHUNKS_PER_WORKER, apply_chain, parse_chain
+from treelab.retrieval import EmbeddingMatrix
 from treelab.rng import SeedScheme
 from treelab.treebank import Sentence, internal, leaf, parse_ptb, serialize, yield_sentence
 
@@ -142,7 +136,7 @@ def test_worker_counts_agree_across_chunk_and_file_boundaries(
     expected_sentences, expected_trees = [], []
     for index, _, _, text in rows:
         if text in TREES:  # seeded by the global line index, across files and chunks
-            tree, sentence, _ = chained(text, index, CHAIN)
+            tree, sentence = chained(text, index, CHAIN)
             expected_sentences.append(sentence.text() + "\n")
             expected_trees.append(serialize(tree) + "\n")
     assert sentences.decode() == "".join(expected_sentences)
@@ -262,7 +256,7 @@ def test_read_lines_numbers_each_file_and_opens_all_first(tmp_path):
         (str(first), 1, "one"), (str(first), 2, ""), (str(first), 3, "two"),
         (str(second), 1, "three"), (str(second), 2, "four"),
     ]
-    with pytest.raises(pipeline.PipelineError, match="cannot read .*missing.txt"):
+    with pytest.raises(PipelineError, match="cannot read .*missing.txt"):
         list(read_lines([str(first), str(tmp_path / "missing.txt")]))
 
 
@@ -281,7 +275,7 @@ def test_a_byte_that_is_not_utf8_is_named_by_line_and_position(tmp_path, data, w
     first case's byte lies beyond the text decoder's first chunk."""
     path = tmp_path / "bad.txt"
     path.write_bytes(data)
-    with pytest.raises(pipeline.PipelineError) as caught:
+    with pytest.raises(PipelineError) as caught:
         list(read_lines([str(path)]))
     assert str(caught.value) == f"cannot read {path}:{where}"
 
@@ -378,7 +372,7 @@ def test_replace_on_success_writes_through_symlinks_and_pipes(tmp_path):
     real.write_text("earlier output\n", encoding="utf-8")
     link = tmp_path / "link.txt"
     link.symlink_to(real)
-    with pipeline.replace_on_success(str(link)) as (fh,):
+    with replace_on_success(str(link)) as (fh,):
         fh.write("new output\n")
     assert link.is_symlink()
     assert real.read_text(encoding="utf-8") == "new output\n"
@@ -388,7 +382,7 @@ def test_replace_on_success_writes_through_symlinks_and_pipes(tmp_path):
     received: list[str] = []
     reader = threading.Thread(target=lambda: received.append(fifo.read_text()), daemon=True)
     reader.start()
-    with pipeline.replace_on_success(str(fifo)) as (fh,):
+    with replace_on_success(str(fifo)) as (fh,):
         fh.write("through the pipe\n")
     reader.join(timeout=10)
     assert received == ["through the pipe\n"]
@@ -794,7 +788,7 @@ def test_a_damaged_side_file_ends_in_one_error_line(tmp_path, monkeypatch, capsy
     monkeypatch.chdir(tmp_path)
     special = np.array([True, False, False])
     write_token_embeddings("t.emb", EmbeddingMatrix(
-        tuple(SentenceTokens(np.eye(3, dtype=np.float32) * (i + 1), special) for i in range(3)),
+        tuple((np.eye(3, dtype=np.float32) * (i + 1), special) for i in range(3)),
         dim=3,
     ))
     for name, text in CONFIGS.items():
@@ -1005,7 +999,7 @@ def reference_row(text: str, index: int, chain: str) -> tuple[float, float, int]
     """A ``--stats`` row as ``_run_chunk`` computed it before alignment by
     origin: ``alignment`` of the input tree's yield and the chain's sentence."""
     tree = parse_ptb(text)
-    _, sentence, _ = apply_chain(tree, parse_chain(chain), SeedScheme(SEED, index).stream())
+    _, sentence = apply_chain(tree, parse_chain(chain), SeedScheme(SEED, index).stream())
     perm = alignment(yield_sentence(tree), sentence)
     return inversion_ratio(perm), word_move_distance(perm), perm.n
 
@@ -1081,7 +1075,7 @@ def test_reorder_steps_in_the_scan_keep_the_bytes(tmp_path, monkeypatch, capsys,
     assert code == 0, err
     sentences, trees = [], []
     for index, text in enumerate(FIXTURE.read_text(encoding="utf-8").splitlines()):
-        tree, sentence, _ = apply_chain(parse_ptb(text), parse_chain(chain), SeedScheme(5, index).stream())
+        tree, sentence = apply_chain(parse_ptb(text), parse_chain(chain), SeedScheme(5, index).stream())
         sentences.append(sentence.text() + "\n")
         trees.append(serialize(tree) + "\n")
     written = [tmp_path / "run" / name for name in ("s.txt", "t.txt")]
@@ -1125,31 +1119,37 @@ def checked_sentence_row(tokens, leaves, stats):
 
 
 @pytest.mark.parametrize("stats", [False, True], ids=["text", "stats"])
-@pytest.mark.parametrize("tokens,leaves", [
-    ("abc", [("c", 2), ("a", 0), ("b", 1)]),
-    ("ab", [("a", 0), ("b", 0)]),
-    ("ab", [("a", -1), ("b", 0)]),
-    ("ab", [("a", 0), ("b", 5)]),
-    ("ab", [("a", None), ("b", None)]),
-    ("ab", [("a", 0), ("b", None)]),
-    ("ab", [("a", 0), ("x", 1)]),
-    ("abc", [("a", 0), ("b", 1)]),
-    ("ab", [("a", 0), ("b", 1), ("c", 2)]),
-    ("ba", [("a", True), ("b", False)]),
-    ("a", [("a", 0.0)]),
-    ("", []),
+@pytest.mark.parametrize("tokens,leaves,good", [
+    ("abc", [("c", 2), ("a", 0), ("b", 1)], {False, True}),
+    ("ab", [("a", 0), ("b", 0)], set()),
+    ("ab", [("a", -1), ("b", 0)], set()),
+    ("ab", [("a", 0), ("b", 5)], set()),
+    ("ab", [("a", None), ("b", None)], set()),
+    ("ab", [("a", 0), ("b", None)], set()),
+    ("ab", [("a", 0), ("x", 1)], {False}),
+    ("abc", [("a", 0), ("b", 1)], {False}),
+    ("ab", [("a", 0), ("b", 1), ("c", 2)], {False}),
+    ("ba", [("a", True), ("b", False)], {False, True}),
+    ("a", [("a", 0.0)], set()),
+    ("", [], {False, True}),
 ], ids=["moved", "twice", "negative", "too-large", "none", "mixed", "surface", "fewer", "more",
         "bool", "float", "empty"])
-def test_the_one_loop_gives_what_the_checked_path_gives(tokens, leaves, stats):
-    """The same text and row, or the same exception and message, as checked
-    ``Sentence``s and ``alignment``."""
+def test_the_one_loop_gives_what_the_checked_path_gives(tokens, leaves, stats, good):
+    """Leaves whose origins are a permutation of 0..n-1 (and, with ``stats``, whose
+    surfaces are the tokens) give what checked ``Sentence``s and ``alignment`` give:
+    the same text and row, or the same exception and message. Any others, origins
+    missing or not ints included, are an ``AlignmentError``."""
     def outcome(row_of):
         try:
             return row_of(list(tokens), list(leaves), stats)
         except Exception as exc:  # the exception is what is compared
             return type(exc), str(exc)
 
-    assert outcome(pipeline._sentence_row) == outcome(checked_sentence_row)
+    if stats in good:
+        assert outcome(pipeline._sentence_row) == outcome(checked_sentence_row)
+    else:
+        with pytest.raises(AlignmentError, match="not a permutation of the scanned tokens"):
+            pipeline._sentence_row(list(tokens), list(leaves), stats)
 
 
 @pytest.mark.parametrize("chain", [CHAIN, "reorder:83A,word_shuffle"])

@@ -16,20 +16,17 @@ from treelab.retrieval import (
     TOKEN_MAGIC,
     EmbeddingMatrix,
     RetrievalError,
-    SentenceTokens,
     mean_pool,
     pool_matrix,
     read_embeddings,
-    read_pooled_embeddings,
     read_token_embeddings,
     top1_retrieval,
 )
 
 
-def sent(vectors, special) -> SentenceTokens:
-    return SentenceTokens(
-        np.asarray(vectors, dtype=np.float32), np.asarray(special, dtype=bool)
-    )
+def sent(vectors, special) -> tuple[np.ndarray, np.ndarray]:
+    """One sentence of an ``EmbeddingMatrix``: float32 vectors and bool flags."""
+    return np.asarray(vectors, dtype=np.float32), np.asarray(special, dtype=bool)
 
 
 class TestMeanPool:
@@ -195,18 +192,6 @@ class TestBlocks:
         assert accuracy == (n - len(block_starts(n))) / n
 
 
-class TestValidation:
-    def test_sentence_tokens_shapes(self):
-        with pytest.raises(RetrievalError, match="tokens, dim"):
-            SentenceTokens(np.ones(4, dtype=np.float32), np.zeros(4, dtype=bool))
-        with pytest.raises(RetrievalError, match="does not match"):
-            sent([[1.0, 2.0]], [False, False])
-
-    def test_matrix_dimension_check(self):
-        with pytest.raises(RetrievalError, match="sentence 1 has dimension 3"):
-            EmbeddingMatrix((sent([[1.0, 2.0]], [False]), sent([[1.0, 2.0, 3.0]], [False])), dim=2)
-
-
 class TestFiles:
     @pytest.fixture()
     def matrix(self) -> EmbeddingMatrix:
@@ -217,7 +202,7 @@ class TestFiles:
             special = np.zeros(count, dtype=bool)
             if count > 1:
                 special[0] = True
-            sentences.append(SentenceTokens(vectors, special))
+            sentences.append((vectors, special))
         return EmbeddingMatrix(tuple(sentences), dim=4, layer=9)
 
     def test_token_round_trip(self, tmp_path, matrix):
@@ -226,15 +211,16 @@ class TestFiles:
         loaded = read_token_embeddings(str(path))
         assert loaded.dim == 4 and loaded.layer == 9
         assert len(loaded) == 3
-        for a, b in zip(loaded.sentences, matrix.sentences):
-            np.testing.assert_array_equal(a.vectors, b.vectors)
-            np.testing.assert_array_equal(a.special, b.special)
+        for (vectors, special), (want, want_special) in zip(loaded.sentences, matrix.sentences):
+            assert not vectors.flags.owndata and not special.flags.owndata  # views, not copies
+            np.testing.assert_array_equal(vectors, want)
+            np.testing.assert_array_equal(special.astype(bool), want_special)
 
     def test_pooled_round_trip(self, tmp_path):
         path = tmp_path / "pool.bin"
         original = np.arange(12, dtype=np.float32).reshape(3, 4) / 7
         write_pooled_embeddings(str(path), original, layer=2)
-        loaded, layer = read_pooled_embeddings(str(path))
+        loaded, layer = read_embeddings(str(path))
         assert layer == 2
         np.testing.assert_array_equal(loaded, original.astype(np.float64))
 
@@ -254,8 +240,6 @@ class TestFiles:
         path.write_bytes(b"NOTMAGIC" + b"\0" * 32)
         with pytest.raises(RetrievalError, match="bad magic"):
             read_token_embeddings(str(path))
-        with pytest.raises(RetrievalError, match="bad magic"):
-            read_pooled_embeddings(str(path))
         with pytest.raises(RetrievalError, match="unrecognized"):
             read_embeddings(str(path))
 
@@ -273,7 +257,7 @@ class TestFiles:
         data = path.read_bytes()
         path.write_bytes(data[:-4])
         with pytest.raises(RetrievalError, match="truncated"):
-            read_pooled_embeddings(str(path))
+            read_embeddings(str(path))
 
     def test_count_exceeding_header_max(self, tmp_path):
         emb = EmbeddingMatrix((sent([[1.0, 2.0]], [False]),), dim=2)
@@ -289,7 +273,7 @@ class TestFiles:
     def test_empty_corpus_round_trip(self, tmp_path):
         path = tmp_path / "empty.bin"
         write_pooled_embeddings(str(path), np.zeros((0, 5), dtype=np.float32))
-        loaded, _ = read_pooled_embeddings(str(path))
+        loaded, _ = read_embeddings(str(path))
         assert loaded.shape == (0, 5)
 
 
@@ -307,7 +291,7 @@ def test_a_token_file_pools_to_the_bits_of_float64_means(tmp_path):
     matrix = EmbeddingMatrix(tuple(sentences), dim=5, layer=4)
     path = tmp_path / "tok.bin"
     write_token_embeddings(str(path), matrix)
-    expected = np.stack([s.vectors.astype(np.float64)[~s.special].mean(axis=0) for s in sentences])
+    expected = np.stack([v.astype(np.float64)[~special].mean(axis=0) for v, special in sentences])
     pooled, layer = read_embeddings(str(path))
     assert layer == 4 and pooled.dtype == np.float64
     assert pooled.tobytes() == expected.tobytes()
@@ -364,10 +348,9 @@ def test_rows_past_the_header_count_are_an_error(tmp_path):
     write_pooled_embeddings(str(path), np.ones((2, 3), dtype=np.float32))
     data = path.read_bytes()
     path.write_bytes(data[:8] + struct.pack("<I", 1) + data[12:])
-    for read in (read_embeddings, read_pooled_embeddings):
-        with pytest.raises(RetrievalError) as info:
-            read(str(path))
-        assert str(info.value) == f"{path}: trailing bytes after 1 row(s)"
+    with pytest.raises(RetrievalError) as info:
+        read_embeddings(str(path))
+    assert str(info.value) == f"{path}: trailing bytes after 1 row(s)"
 
 
 def traced_peak(call, *args):
@@ -390,7 +373,7 @@ def test_a_token_file_is_pooled_one_record_at_a_time(tmp_path):
     special[[0, -1]] = True
     path = tmp_path / "big.emb"
     write_token_embeddings(str(path), EmbeddingMatrix(
-        tuple(SentenceTokens(v, special) for v in vectors), dim=64))
+        tuple((v, special) for v in vectors), dim=64))
     assert path.stat().st_size >= 8 << 20
     (pooled, _), peak = traced_peak(read_embeddings, str(path))
     assert pooled.shape == (2048, 64)
@@ -452,6 +435,26 @@ def test_every_prefix_is_an_error_naming_the_file(tmp_path, capsys, kind):
         assert code == 1, cut
         assert err.startswith("error: ") and str(source) in err, (cut, err)
         assert "Traceback" not in err
+
+
+def test_a_shape_mismatch_names_both_files(tmp_path, capsys):
+    source, target = tmp_path / "three.pool", tmp_path / "four.pool"
+    write_pooled_embeddings(str(source), np.ones((3, 3), dtype=np.float32))
+    write_pooled_embeddings(str(target), np.ones((4, 3), dtype=np.float32))
+    assert main(["retrieval", "--source", str(source), "--target", str(target)]) == 1
+    assert capsys.readouterr().err == (
+        f"error: {source} shape (3, 3) does not match {target} shape (4, 3)\n"
+    )
+
+
+@pytest.mark.parametrize("side", ["source", "target"])
+def test_a_zero_row_names_its_file(tmp_path, capsys, side):
+    good, zero = tmp_path / "good.pool", tmp_path / "zero.pool"
+    write_pooled_embeddings(str(good), np.eye(3, dtype=np.float32))
+    write_pooled_embeddings(str(zero), np.diag([1.0, 0.0, 1.0]).astype(np.float32))
+    paths = {"source": str(good), "target": str(good), side: str(zero)}
+    assert main(["retrieval", "--source", paths["source"], "--target", paths["target"]]) == 1
+    assert capsys.readouterr().err == f"error: zero-norm vector at row 1 of {zero}\n"
 
 
 # Small uint32 fields mixed with raw bytes, so that headers and token counts

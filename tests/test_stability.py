@@ -8,7 +8,8 @@
   module's private helpers stay its own.
 * Every defaulted parameter or dataclass field that the program calls is
   passed by some call in ``src/treelab`` or ``bench``, so no library knob
-  exists that only tests set.
+  exists that only tests set; and every public function or class is named
+  outside the tests, so no code path exists that only tests reach.
 * ``transform`` output bytes on the fixture treebank are pinned by SHA-256
   for every randomized chain step, at one and two workers.
 * The stats bytes are pinned too: ``stats`` stdout and ``--report`` JSON on
@@ -30,6 +31,7 @@ import ast
 import hashlib
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -41,7 +43,7 @@ import pytest
 from helpers import fifo_holding, write_pooled_embeddings, write_token_embeddings
 from treelab import files
 from treelab.cli import SEED_ENV, WORKERS_ENV, main
-from treelab.retrieval import EmbeddingMatrix, SentenceTokens
+from treelab.retrieval import EmbeddingMatrix
 from treelab.rng import Rng
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -176,6 +178,50 @@ def test_every_default_is_passed_by_some_caller():
         unpassed.update(f"{name}.{param}" for param in defaulted
                         if not {"*", param} & seen and param not in positional[:reach])
     assert sorted(unpassed) == sorted(UNPASSED_DEFAULTS_ALLOWED)
+
+
+#: Public functions and classes of ``src/treelab`` that nothing outside the
+#: tests names, each kept for the reason given.
+UNNAMED_PUBLIC_ALLOWED = {
+    "apply_chain": "the per-line reference of the corpus driver's tests",
+    "translate_tree": "a criterion-1 oracle: the lexicon applied to a tree",
+    "delta_rules": "a criterion-1 oracle: the reorder rules between two languages",
+    "internal": "the tree builder that pairs with leaf",
+}
+
+
+def _references(tree: ast.Module) -> tuple[set[str], set[str]]:
+    """The public functions and classes that ``tree`` defines at module level, and
+    every name it uses (a name, an attribute or an import) outside the definition
+    of the same name."""
+    defined, used = set(), set()
+    for statement in tree.body:
+        own = getattr(statement, "name", None)
+        if isinstance(statement, (ast.FunctionDef, ast.ClassDef)) and not own.startswith("_"):
+            defined.add(own)
+        for node in ast.walk(statement):
+            name = (node.id if isinstance(node, ast.Name) else node.attr
+                    if isinstance(node, ast.Attribute) else node.name
+                    if isinstance(node, ast.alias) else None)
+            if name is not None and name != own:
+                used.add(name)
+    return defined, used
+
+
+def test_every_public_name_is_used_outside_the_tests():
+    """Each public module-level function or class in ``src/treelab`` is named
+    outside its own definition: by code in ``src/treelab`` or ``bench``, or in
+    ``README.md`` or ``docs/``. One that only tests name is a code path that only
+    tests reach; the allowlist names the others."""
+    defined, used = set(), set()
+    for path in [*(ROOT / "src" / "treelab").glob("*.py"), *(ROOT / "bench").glob("*.py")]:
+        names, references = _references(ast.parse(path.read_text(encoding="utf-8")))
+        used |= references
+        if path.parent.name == "treelab":
+            defined |= names
+    for path in [ROOT / "README.md", *(ROOT / "docs").glob("*.md")]:
+        used.update(re.findall(r"\w+", path.read_text(encoding="utf-8")))
+    assert sorted(defined - used) == sorted(UNNAMED_PUBLIC_ALLOWED)
 
 
 def test_every_benchmark_replica_runs_once(tmp_path):
@@ -337,9 +383,8 @@ def write_retrieval_pair(directory: Path) -> None:
         vectors = rng.integers(-8, 9, size=(count, 5)) / 4
         noise = rng.integers(-2, 3, size=(count, 5)) / 8
         other = rng.integers(-8, 9, size=(count, 5)) / 4
-        source.append(SentenceTokens(vectors.astype(np.float32), special))
-        target.append(SentenceTokens((other if i % 7 == 3 else vectors + noise).astype(np.float32),
-                                     special))
+        source.append((vectors.astype(np.float32), special))
+        target.append(((other if i % 7 == 3 else vectors + noise).astype(np.float32), special))
     write_token_embeddings(str(directory / "source.emb"), EmbeddingMatrix(tuple(source), dim=5, layer=6))
     write_token_embeddings(str(directory / "target.emb"), EmbeddingMatrix(tuple(target), dim=5, layer=6))
 

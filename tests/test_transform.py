@@ -176,7 +176,7 @@ class TestReorderInOneWalk:
         with open(FIXTURE, encoding="utf-8") as fh:
             trees = [parse_ptb(line) for line in fh if line.strip()]
         for tree in trees:
-            out, sentence, _ = apply_chain(tree, steps, rng=None)
+            out, sentence = apply_chain(tree, steps, rng=None)
             expected = one_pass_per_rule(tree, rules)
             assert serialize(out) == serialize(expected)
             assert sentence == yield_sentence(expected)

@@ -9,7 +9,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from treelab import treebank
-from treelab.pipeline import PipelineError
+from treelab.files import PipelineError
 from treelab.treebank import (
     AlignmentError,
     Sentence,
