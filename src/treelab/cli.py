@@ -81,8 +81,9 @@ def _convert(raw: str, action: argparse.Action, origin: str):
         raise UsageError(f"{origin}: {exc}") from None
 
 
-def load_config_file(path: str, allowed: Collection[str]) -> dict[str, str]:
-    entries: dict[str, str] = {}
+def load_config_file(path: str, allowed: Collection[str]) -> dict[str, tuple[str, int]]:
+    """Each key's value and the line it is on; the last line that sets a key wins."""
+    entries: dict[str, tuple[str, int]] = {}
     try:
         lines = list(read_lines([path]))
     except PipelineError as exc:  # the config file is part of the invocation: exit 2
@@ -100,7 +101,7 @@ def load_config_file(path: str, allowed: Collection[str]) -> dict[str, str]:
                 f"{path}:{lineno}: unknown key {key!r}; this subcommand accepts "
                 + ", ".join(sorted(allowed))
             )
-        entries[key] = value.strip()
+        entries[key] = (value.strip(), lineno)
     return entries
 
 
@@ -110,7 +111,9 @@ def _set_defaults(args: argparse.Namespace) -> bool:
     settings = {action.dest.replace("_", "-"): action for action in args.settings}
     path = getattr(args, "config", None)  # ``bpe apply`` has no settings and no --config
     config = load_config_file(path, settings) if path is not None else {}
-    values = [(key, raw, f"config key {key!r}") for key, raw in config.items()] + [
+    values = [
+        (key, raw, f"{path}:{lineno}: config key {key!r}") for key, (raw, lineno) in config.items()
+    ] + [
         (key, os.environ[env], f"environment variable {env}")
         for key, env in (("seed", SEED_ENV), ("workers", WORKERS_ENV))
         if key in settings and os.environ.get(env)
@@ -283,7 +286,7 @@ def _cmd_bpe_apply(args: argparse.Namespace, stdout: IO[str], stderr: IO[str]) -
         model = load_model(args.model)
         lines = 0
         for _, _, text in read_lines(args.inputs):
-            fh.write(" ".join(str(i) for i in bpe_apply(model, text)) + "\n")
+            fh.write(" ".join(map(str, bpe_apply(model, text))) + "\n")
             lines += 1
         counts["lines"] = lines
     print(f"encoded {lines} line(s) with {model.language} model", file=stdout)
@@ -309,17 +312,17 @@ def _cmd_mask(args: argparse.Namespace, stdout: IO[str], stderr: IO[str]) -> int
         stream = run_streams(args.seed)
         for path, lineno, text in read_lines([args.input]):
             try:
-                seq = [int(tok) for tok in text.split()]
+                seq = list(map(int, text.split()))
             except ValueError as exc:
                 raise PipelineError(f"{path}:{lineno}: {exc}") from exc
-            bad = next((i for i in seq if not 0 <= i < vocab_size), None)
-            if bad is not None:
+            if seq and (min(seq) < 0 or max(seq) >= vocab_size):
+                bad = next(i for i in seq if not 0 <= i < vocab_size)
                 raise PipelineError(
                     f"{path}:{lineno}: id {bad} is outside the vocabulary (0..{vocab_size - 1})"
                 )
             masked, labels = mask_tokens(seq, masking, vocab_size, rng=stream(sentences))
-            fh_ids.write(" ".join(str(i) for i in masked) + "\n")
-            fh_labels.write(" ".join(str(i) for i in labels) + "\n")
+            fh_ids.write(" ".join(map(str, masked)) + "\n")
+            fh_labels.write(" ".join(map(str, labels)) + "\n")
             sentences += 1
             tokens += len(seq)
         counts.update(sentences=sentences, tokens=tokens)

@@ -137,7 +137,7 @@ def top1_retrieval(source: np.ndarray, target: np.ndarray) -> RetrievalResult:
     if source.ndim != 2 or target.ndim != 2:
         raise RetrievalError("pooled embeddings must be 2-D (sentences, dim)")
     if source.shape[0] == 0:
-        raise RetrievalError("no sentences to retrieve")
+        raise RetrievalError("source has no sentences to retrieve")
     if source.shape != target.shape:
         raise RetrievalError(
             f"source shape {source.shape} does not match target shape {target.shape}"

@@ -1,7 +1,8 @@
 """Code that only the tests need: writers and readers of embedding containers
 in the formats of ``docs/embedding-format.md`` and of the alignment lines that
 ``synth generate`` writes, a FIFO input, reference versions of tree walks
-that the program now does in fewer passes, and an inversion count of its own."""
+that the program now does in fewer passes, an inversion count of its own, and
+a scalar SplitMix64 stream with a draw count taken from the state."""
 
 from __future__ import annotations
 
@@ -12,12 +13,12 @@ import threading
 from bisect import bisect_right
 from contextlib import contextmanager
 from pathlib import Path
-from typing import Iterator, Sequence
+from typing import Iterator, MutableSequence, Sequence
 
 import numpy as np
 
 from treelab.retrieval import POOLED_MAGIC, TOKEN_MAGIC, EmbeddingMatrix, RetrievalError
-from treelab.rng import Rng
+from treelab.rng import GOLDEN, Rng, mix64
 from treelab.synthlang import SynthError
 from treelab.transform import AblationSpec
 from treelab.treebank import Sentence, TreeNode, iter_nodes, rebuild
@@ -158,3 +159,86 @@ def merge_sort_inversions(values: Sequence[int]) -> int:
             merged.append(sorted(left + right))
         runs = merged + runs[len(merged) * 2:]
     return inversions
+
+
+MASK64 = (1 << 64) - 1
+
+
+def draws_between(start: int, end: int) -> int:
+    """How many draws take a stream from state ``start`` to state ``end``:
+    each draw adds ``GOLDEN``, so ``(end - start) * GOLDEN**-1 mod 2**64``."""
+    return (end - start) * pow(GOLDEN, -1, 1 << 64) & MASK64
+
+
+class CountingRng(Rng):
+    """A stream that counts its draws from its state, however they were made."""
+
+    __slots__ = ("start",)
+
+    def __init__(self, seed: int) -> None:
+        super().__init__(seed)
+        self.start = self._state
+
+    @property
+    def draws(self) -> int:
+        return draws_between(self.start, self._state)
+
+
+def unmix64(y: int) -> int:
+    """The ``z`` with ``mix64(z) == y``: each xor-shift undone, each multiply
+    undone by the multiplier's inverse mod 2**64."""
+    def unshift(y: int, shift: int) -> int:
+        z = y
+        for _ in range(64 // shift):
+            z = y ^ (z >> shift)
+        return z
+
+    z = unshift(y, 31) * pow(0x94D049BB133111EB, -1, 1 << 64) & MASK64
+    z = unshift(z, 27) * pow(0xBF58476D1CE4E5B9, -1, 1 << 64) & MASK64
+    return unshift(z, 30)
+
+
+def seed_drawing(u: int, position: int) -> int:
+    """A seed whose stream's draw number ``position`` (from 0) is ``u``."""
+    return (unmix64(u) - (position + 1) * GOLDEN) & MASK64
+
+
+class ScalarRng:
+    """The stream as ``rng.py``'s docstring defines it, one ``mix64`` per
+    draw and the exact rejection limit on every draw."""
+
+    def __init__(self, seed: int) -> None:
+        self._state = seed & MASK64
+
+    def next_u64(self) -> int:
+        self._state = (self._state + GOLDEN) & MASK64
+        return mix64(self._state)
+
+    def random(self) -> float:
+        return (self.next_u64() >> 11) * (1.0 / (1 << 53))
+
+    def randbelow(self, n: int) -> int:
+        if n == 1:
+            return 0  # no draw
+        limit = (1 << 64) - (1 << 64) % n
+        while True:
+            u = self.next_u64()
+            if u < limit:
+                return u % n
+
+    def shuffle(self, seq: MutableSequence) -> None:
+        for i in range(len(seq) - 1, 0, -1):
+            j = self.randbelow(i + 1)
+            seq[i], seq[j] = seq[j], seq[i]
+
+    def weighted_index(self, weights: Sequence[float]) -> int:
+        total = 0.0
+        for w in weights:
+            total += w
+        x = self.random() * total
+        acc = 0.0
+        for i, w in enumerate(weights):
+            acc += w
+            if x < acc:
+                return i
+        return len(weights) - 1

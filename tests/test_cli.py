@@ -459,8 +459,9 @@ class TestMutatedInputs:
         """Run each ``(mutated file, clean file, file spliced in, command)`` case on
         40 seeded mutants; a report, if any, is ``r.json``. Each run exits 0, 1
         or 2 and lets no exception out of ``main``. One that ends in an ``error:`` line
-        leaves every file as it was and, but for a config value's error, which names
-        its key, names the mutated file. Any other failure is ``stats``' per-line
+        leaves every file as it was and, but for a config value that reads but does
+        not fit (a chain step, a switch that needs another), which names its key or
+        step, names the mutated file. Any other failure is ``stats``' per-line
         form: one ``PATH:LINE: reason`` line per bad line, each naming the mutated
         file, after the report and its sidecar are written. Returns how often each
         ``(command, exit)`` was seen."""
@@ -861,7 +862,8 @@ def test_an_unreadable_default_is_an_error_even_under_a_flag(run, tmp_path, monk
         "--config", str(config), "--seed", "3",
     )
     assert code == 2
-    origin = f"environment variable {SEED_ENV}" if source == "environment" else "config key 'seed'"
+    origin = (f"environment variable {SEED_ENV}" if source == "environment"
+              else f"{config}:1: config key 'seed'")
     assert err == f"error: {origin}: cannot read 'many' as int\n"
     assert not (tmp_path / "o").exists()
 

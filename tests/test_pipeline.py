@@ -961,7 +961,7 @@ def test_an_out_of_range_value_is_a_usage_error(tmp_path, monkeypatch, capsys, a
     (tmp_path / "run.conf").write_text(f"{key} = {value}\n", encoding="utf-8")
     extra, origin = {
         "flag": ([f"--{key}", value], f"argument {'-n/' if key == 'count' else ''}--{key}"),
-        "config": (["--config", "run.conf"], f"config key {key!r}"),
+        "config": (["--config", "run.conf"], f"run.conf:1: config key {key!r}"),
         "environment": ([], f"environment variable {WORKERS_ENV}"),
     }[source]
     if source == "environment":

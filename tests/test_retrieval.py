@@ -447,6 +447,13 @@ def test_a_shape_mismatch_names_both_files(tmp_path, capsys):
     )
 
 
+def test_an_empty_source_names_its_file(tmp_path, capsys):
+    empty = tmp_path / "empty.pool"
+    write_pooled_embeddings(str(empty), np.zeros((0, 3), dtype=np.float32))
+    assert main(["retrieval", "--source", str(empty), "--target", str(empty)]) == 1
+    assert capsys.readouterr().err == f"error: {empty} has no sentences to retrieve\n"
+
+
 @pytest.mark.parametrize("side", ["source", "target"])
 def test_a_zero_row_names_its_file(tmp_path, capsys, side):
     good, zero = tmp_path / "good.pool", tmp_path / "zero.pool"

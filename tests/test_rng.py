@@ -6,7 +6,8 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import given
 
-from treelab.rng import GOLDEN, Rng, SeedScheme, mix64, run_streams, stream_seed
+from helpers import MASK64, CountingRng, ScalarRng, draws_between, seed_drawing
+from treelab.rng import GOLDEN, Rng, SeedScheme, _draws, mix64, run_streams, stream_seed
 
 # Reference outputs of the published SplitMix64 algorithm. Computed with an
 # independent implementation of the textbook constants; any change to the
@@ -151,3 +152,77 @@ def test_seed_scheme_streams_differ_by_sentence():
 def test_seed_scheme_is_hashable_value_object():
     assert SeedScheme(1, 2) == SeedScheme(1, 2)
     assert len({SeedScheme(1, 2), SeedScheme(1, 2), SeedScheme(1, 3)}) == 2
+
+
+@pytest.mark.parametrize("seed", [0, 1 << 63, MASK64])
+def test_a_block_is_the_scalar_outputs(seed):
+    for k in range(1, 33):
+        assert list(_draws(seed, k)) == [mix64(seed + (i + 1) * GOLDEN) for i in range(k)]
+    for k in (0, 33):
+        with pytest.raises(ValueError):
+            _draws(seed, k)
+
+
+# Where a draw can fall in a stream: first, mid-block, last of the first block
+# (16 draws), first after a refill, last of the second block (32) and first of
+# the third.
+POSITIONS = (0, 7, 15, 16, 47, 48)
+RISKY = (1 << 64) - (1 << 32)
+
+
+def limit(n: int) -> int:
+    return (1 << 64) - (1 << 64) % n
+
+
+@pytest.mark.parametrize("position", POSITIONS)
+@pytest.mark.parametrize("n", [2, 3, 10, 2**32 - 1, 2**32, 2**32 + 1, 2**40 + 7])
+def test_randbelow_at_the_rejection_limit_is_the_scalar_stream(position, n):
+    """Outputs from 2**64 - 2**32 up, which real seeds hardly ever draw: the
+    same result, draw count and next draw as the scalar stream."""
+    for u in sorted({RISKY, limit(n) - 1, min(limit(n), MASK64), MASK64}):
+        seed = seed_drawing(u, position)
+        ours, theirs = CountingRng(seed), ScalarRng(seed)
+        for _ in range(position):
+            assert ours.next_u64() == theirs.next_u64()
+        assert ours.randbelow(n) == theirs.randbelow(n)
+        assert ours.draws == draws_between(seed, theirs._state) == position + 1 + (u >= limit(n))
+        assert ours.next_u64() == theirs.next_u64()
+
+
+@pytest.mark.parametrize("position", POSITIONS)
+def test_shuffle_at_the_rejection_limit_is_the_scalar_stream(position):
+    n = 60 - position  # the draw at ``position`` picks one of n places
+    for u in (limit(n) - 1, limit(n), MASK64):
+        seed = seed_drawing(u, position)
+        ours, theirs = CountingRng(seed), ScalarRng(seed)
+        mine, reference = list(range(60)), list(range(60))
+        ours.shuffle(mine)
+        theirs.shuffle(reference)
+        assert mine == reference
+        assert ours.draws == draws_between(seed, theirs._state) == 59 + (u >= limit(n))
+        assert ours.next_u64() == theirs.next_u64()
+
+
+DRAWS = st.lists(st.one_of(
+    st.tuples(st.sampled_from(["next_u64", "random"]), st.none()),
+    st.tuples(st.just("randbelow"), st.integers(1, 2**64)),
+    st.tuples(st.just("shuffle"), st.integers(0, 80)),
+    st.tuples(st.just("weighted_index"), st.lists(st.floats(0.1, 10), min_size=1, max_size=5)),
+), max_size=30)
+
+
+@given(st.integers(0, MASK64), DRAWS)
+def test_any_mix_of_draws_is_the_scalar_stream(seed, draws):
+    """Every result, and the state after every call, across block refills."""
+    ours, theirs = Rng(seed), ScalarRng(seed)
+    for name, arg in draws:
+        if name == "shuffle":
+            mine, reference = list(range(arg)), list(range(arg))
+            ours.shuffle(mine)
+            theirs.shuffle(reference)
+            assert mine == reference
+        else:
+            args = () if arg is None else (arg,)
+            assert getattr(ours, name)(*args) == getattr(theirs, name)(*args)
+        assert ours._state == theirs._state
+    assert ours.next_u64() == theirs.next_u64()

@@ -36,15 +36,16 @@ import shutil
 import subprocess
 import sys
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 import pytest
 
-from helpers import fifo_holding, write_pooled_embeddings, write_token_embeddings
+from helpers import CountingRng, fifo_holding, write_pooled_embeddings, write_token_embeddings
 from treelab import files
 from treelab.cli import SEED_ENV, WORKERS_ENV, main
 from treelab.retrieval import EmbeddingMatrix
-from treelab.rng import Rng
+from treelab.rng import run_streams
 
 ROOT = Path(__file__).resolve().parent.parent
 FIXTURE = ROOT / "tests" / "fixtures" / "english_like.trees"
@@ -326,7 +327,7 @@ def test_transform_stats_bytes_are_pinned(tmp_path, capsys, monkeypatch, chain, 
 
 
 # SHA-256 of (ids output, labels output) of ``mask ids.txt --vocab-size 120
-# --seed 7`` on MASK_IDS, and the stream draws (``Rng.next_u64`` calls) it makes.
+# --seed 7`` on MASK_IDS, and the stream draws it makes, counted from each stream's state.
 MASK_PINNED = (
     "413ba206a440b52f11adad2d8aa62a08feb7d851a88a44ca0b0c6e4551ea09a9",
     "a615b7dd945b06fb2b470036a388dd4f92c9d26acdac539e9715fc6a08c4fdab",
@@ -342,17 +343,20 @@ def test_mask_bytes_and_draws_are_pinned(tmp_path, capsys, monkeypatch):
     monkeypatch.delenv(SEED_ENV, raising=False)
     monkeypatch.chdir(tmp_path)
     Path("ids.txt").write_text(MASK_IDS, encoding="utf-8")
-    draws = 0
-    next_u64 = Rng.next_u64
+    streams: list[CountingRng] = []
 
-    def counted(rng: Rng) -> int:
-        nonlocal draws
-        draws += 1
-        return next_u64(rng)
+    def counted(global_seed: int) -> Callable[[int], CountingRng]:
+        seeds = run_streams(global_seed)
 
-    monkeypatch.setattr(Rng, "next_u64", counted)
+        def stream(sentence_index: int) -> CountingRng:
+            streams.append(CountingRng(seeds(sentence_index)._state))
+            return streams[-1]
+        return stream
+
+    monkeypatch.setattr("treelab.rng.run_streams", counted)
     assert main(["mask", "ids.txt", "--vocab-size", "120", "--seed", "7", "-o", "masked.txt"]) == 0, \
         capsys.readouterr().err
+    draws = sum(stream.draws for stream in streams)
     assert (sha256(tmp_path / "masked.txt"), sha256(tmp_path / "masked.txt.labels"), draws) == MASK_PINNED
 
 

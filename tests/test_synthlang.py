@@ -7,7 +7,7 @@ import re
 
 import pytest
 
-from helpers import parse_alignment
+from helpers import CountingRng, parse_alignment
 from treelab import synthlang
 from treelab.rng import Rng, SeedScheme
 from treelab.synthlang import (
@@ -493,18 +493,6 @@ def reference_pair(grammar, rng, languages, max_depth=MAX_DEPTH, max_retries=MAX
 
 class DepthCap(Exception):
     pass
-
-
-class CountingRng(Rng):
-    __slots__ = ("draws",)
-
-    def __init__(self, seed):
-        super().__init__(seed)
-        self.draws = 0
-
-    def next_u64(self):
-        self.draws += 1
-        return Rng.next_u64(self)
 
 
 # Deep recursion through two nonterminals, escaped words and labels, and a

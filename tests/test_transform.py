@@ -10,7 +10,7 @@ from hypothesis import given, settings
 
 from treelab.cli import main
 from treelab.pipeline import ReorderStep, apply_chain
-from treelab.rng import Rng, SeedScheme, stream_seed
+from treelab.rng import SeedScheme, stream_seed
 from treelab.transform import (
     BUILTIN_RULES,
     AblationSpec,
@@ -39,7 +39,7 @@ from treelab.treebank import (
 )
 
 from conftest import random_tree, tree_nodes
-from helpers import reference_remove_composition
+from helpers import CountingRng, reference_remove_composition
 
 NESTED = "(S (NP (PRP I)) (VP (VBD read) (NP (CD two) (NNS papers))))"
 FIXTURE = os.path.join(os.path.dirname(__file__), "fixtures", "english_like.trees")
@@ -312,20 +312,6 @@ class TestWordShuffle:
     def test_single_token_fixed(self):
         sentence = yield_sentence(parse_ptb("(S (UH oh))"))
         assert word_shuffle(sentence, SeedScheme(5).stream()) == sentence
-
-
-class CountingRng(Rng):
-    """A stream that counts its draws."""
-
-    __slots__ = ("draws",)
-
-    def __init__(self, seed: int) -> None:
-        super().__init__(seed)
-        self.draws = 0
-
-    def next_u64(self) -> int:
-        self.draws += 1
-        return super().next_u64()
 
 
 class TestRemoveComposition:
