@@ -14,7 +14,9 @@ which has no settings) holds ``key = value`` lines (``#`` comments allowed);
 its setting exists. Those values become the settings' defaults, so the
 precedence is explicit flag, then environment, then config file, then
 built-in default; one that cannot be read or is out of range, or an unknown
-key, is a usage error even when a flag wins.
+key, is a usage error even when a flag wins. A config value that takes
+effect is named by its file and line in its errors, including a bad
+``chain`` and a ``report`` without ``stats``, which show only later.
 Input and output paths are always given on the command line — a manifest
 that silently redirects file writes is a footgun, not a convenience.
 
@@ -105,9 +107,11 @@ def load_config_file(path: str, allowed: Collection[str]) -> dict[str, tuple[str
     return entries
 
 
-def _set_defaults(args: argparse.Namespace) -> bool:
+def _set_defaults(args: argparse.Namespace) -> dict[str, str]:
     """Make each config-file value, then each environment value, its setting's
-    default; return whether there was any."""
+    default; return, by key, the origin of each that no flag overrides. A flag
+    is seen by ``args``, the parse with built-in defaults, moving its setting
+    off the default: exact for defaults that no flag can give, such as None."""
     settings = {action.dest.replace("_", "-"): action for action in args.settings}
     path = getattr(args, "config", None)  # ``bpe apply`` has no settings and no --config
     config = load_config_file(path, settings) if path is not None else {}
@@ -118,9 +122,13 @@ def _set_defaults(args: argparse.Namespace) -> bool:
         for key, env in (("seed", SEED_ENV), ("workers", WORKERS_ENV))
         if key in settings and os.environ.get(env)
     ]
+    origins = {}
     for key, raw, origin in values:
-        settings[key].default = _convert(raw, settings[key], origin)
-    return bool(values)
+        action = settings[key]
+        if getattr(args, action.dest) == action.default:
+            origins[key] = origin
+        action.default = _convert(raw, action, origin)
+    return origins
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -247,15 +255,23 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_transform(args: argparse.Namespace, stdout: IO[str], stderr: IO[str]) -> int:
-    from .pipeline import PipelineConfig, run_transform
+    from .pipeline import ChainError, PipelineConfig, run_transform
     if args.chain is None:
         raise UsageError("transform needs a chain: --chain or a config-file 'chain' entry")
+    origins = args.origins
+    if args.report and not args.stats and "report" in origins:
+        raise UsageError(f"{origins['report']}: needs --stats")
     pipeline_config = PipelineConfig(
         inputs=tuple(args.inputs), output=args.output, chain=args.chain, global_seed=args.seed,
         workers=args.workers, emit=args.emit, tree_output=args.tree_output, stats=args.stats,
         report=args.report, skip_bad=args.skip_bad, rules_file=args.rules,
     )
-    return run_transform(pipeline_config, stdout=stdout, stderr=stderr)
+    try:
+        return run_transform(pipeline_config, stdout=stdout, stderr=stderr)
+    except ChainError as exc:  # only parse_chain raises it: name the chain's config line
+        if "chain" not in origins:
+            raise
+        raise ChainError(f"{origins['chain']}: {exc}") from exc
 
 
 def _cmd_stats(args: argparse.Namespace, stdout: IO[str], stderr: IO[str]) -> int:
@@ -381,8 +397,10 @@ def main(argv: Sequence[str] | None = None) -> int:
         args.parser.error(f"unrecognized arguments: {' '.join(extras)}")
     stdout, stderr = sys.stdout, sys.stderr
     try:
-        if _set_defaults(args):
+        origins = _set_defaults(args)
+        if origins:
             args = parser.parse_args(argv)
+        args.origins = origins
         return args.run(args, stdout, stderr)
     except UsageError as exc:
         print(f"error: {exc}", file=stderr)

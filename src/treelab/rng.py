@@ -38,7 +38,7 @@ from __future__ import annotations
 import sys
 from dataclasses import dataclass
 from functools import cache
-from typing import Callable, MutableSequence, Sequence
+from typing import Callable, MutableSequence
 
 _MASK64 = (1 << 64) - 1
 GOLDEN = 0x9E3779B97F4A7C15
@@ -91,7 +91,10 @@ def stream_seed(global_seed: int, sentence_index: int) -> int:
 
 
 class Rng:
-    """SplitMix64 stream with the few draw kinds this package needs."""
+    """SplitMix64 stream with the draw kinds this package needs: raw 64-bit
+    outputs, floats in [0, 1), unbiased integers below n and shuffles.
+    A weighted choice is a ``random()`` draw that its caller maps to an
+    index itself (``synthlang`` by running sums of its weights)."""
 
     # _end: the state after the block's last output; _buf: the block's outputs
     # not yet handed out, last first; _block: the size of the next block.
@@ -148,23 +151,6 @@ class Rng:
                 u = buf.pop() if buf else (buf := self._fill()).pop()
             j = u % (i + 1)
             seq[i], seq[j] = seq[j], seq[i]
-
-    def weighted_index(self, weights: Sequence[float]) -> int:
-        """Index drawn proportionally to non-negative weights."""
-        total = 0.0
-        for w in weights:
-            if w < 0:
-                raise ValueError("negative weight")
-            total += w
-        if total <= 0:
-            raise ValueError("weights sum to zero")
-        x = self.random() * total
-        acc = 0.0
-        for i, w in enumerate(weights):
-            acc += w
-            if x < acc:
-                return i
-        return len(weights) - 1
 
 
 @dataclass(frozen=True)

@@ -26,17 +26,24 @@ whose right-hand side is all preterminals; one with none strands the
 derivation, which is dropped and sampled again, at most ``MAX_RETRIES``
 times in all.
 
-Everything sampling needs that depends only on the grammar is worked out
-once, when the grammar is built, into a private sampling plan: each
-symbol's options and their weights at every depth, the options left at
-the depth cap, and the escaped labels and lexicons. A pair then costs only
-its own draws and text. Corpora are sampled lazily, one pair per seed
-stream, and written pair by pair, so memory does not grow with the corpus.
+A weighted draw is exact: the weights of the options eligible at that
+depth are added to ``0.0`` one by one in grammar order, the draw is
+``x = random() * total`` with ``total`` the last running sum, and the
+option taken is the first whose running sum exceeds ``x``, else the last.
+
+Everything sampling needs that depends only on the grammar and its
+languages is worked out once, when the grammar is built, into a private
+sampling plan: each nonterminal's options and their running sums at every
+depth up to the cap, each option's swap in each language, and each leaf's
+escaped text in each language. A pair then costs only its own draws and
+text. Corpora are sampled lazily, one pair per seed stream, and written
+pair by pair, so memory does not grow with the corpus.
 """
 
 from __future__ import annotations
 
 import itertools
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import IO, Iterable, Iterator, Mapping
 
@@ -212,51 +219,63 @@ def _validate_grammar(grammar: SynthGrammar) -> None:
 
 
 class _Plan:
-    """What sampling reads from a grammar, worked out once.
+    """What sampling reads from a grammar and its languages, worked out once.
 
-    For each nonterminal: ``options``, the right-hand sides of its
-    productions in grammar order; ``weights[symbol][depth]``, their weights
-    (``weight * DEPTH_DECAY**depth`` for a recursive production, else
-    ``weight``) at each depth below the cap ``MAX_DEPTH``, which is every
-    depth the walk draws at; and ``closed``, the all-preterminal options
-    with their undamped weights, the only ones left at the cap. ``arity``
-    gives each preterminal's number of concepts, ``labels`` every symbol
-    escaped, and ``words[language]`` that language's lexicon escaped.
+    ``choices[symbol][depth]``, for each nonterminal and each depth 0..``cap``
+    (``MAX_DEPTH`` at build time), is the options a node there draws from
+    and the running sums of their weights: below the cap every production,
+    a recursive one weighted ``weight * DEPTH_DECAY**depth``; at the cap the
+    all-preterminal ones, undamped, or ``None`` if there are none; ``()`` if
+    the weights all underflow to 0.0. The options repeat their last one, so
+    ``bisect_right`` over the sums is the draw rule, clamp included. An
+    option is its right-hand side and whether each language, in
+    ``languages`` order, swaps it. ``heads`` gives each nonterminal's piece
+    `` (LABEL``, ``leaves`` each preterminal's number of concepts and each
+    concept's piece `` (LABEL WORD)`` in each language, escaped.
     """
 
-    __slots__ = ("options", "weights", "closed", "arity", "labels", "words")
+    __slots__ = ("cap", "languages", "choices", "heads", "leaves")
 
     def __init__(self, grammar: SynthGrammar) -> None:
+        self.cap = MAX_DEPTH
+        self.languages = tuple(grammar.lexicons)
         first_lexicon = next(iter(grammar.lexicons.values()))
-        self.arity = {pre: len(words) for pre, words in first_lexicon.items()}
-        recursive = grammar.recursive_productions()
         productions: dict[str, list[Production]] = {}
         for p in grammar.productions:
             productions.setdefault(p.lhs, []).append(p)
-        self.options = {lhs: tuple(p.rhs for p in ps) for lhs, ps in productions.items()}
-        self.weights = {
-            lhs: tuple([p.weight * DEPTH_DECAY**depth if p in recursive else p.weight for p in ps]
-                       for depth in range(MAX_DEPTH))
-            for lhs, ps in productions.items()
-        }
-        closed = {
-            lhs: [p for p in ps if all(s in self.arity for s in p.rhs)]
-            for lhs, ps in productions.items()
-        }
-        self.closed = {
-            lhs: (tuple(p.rhs for p in ps), [p.weight for p in ps]) for lhs, ps in closed.items()
-        }
-        self.labels = {sym: escape_symbol(sym) for sym in (*productions, *self.arity)}
-        if not all(self.labels.values()):
+        labels = {sym: escape_symbol(sym) for sym in (*productions, *first_lexicon)}
+        if not all(labels.values()):
             raise SynthError("grammar symbols must be non-empty")
-        self.words = {
-            lang: {pre: tuple(escape_symbol(w) for w in words) for pre, words in lex.items()}
-            for lang, lex in grammar.lexicons.items()
-        }
-        for lang, lex in self.words.items():
-            for pre, words in lex.items():
-                if not all(words):
-                    raise SynthError(f"language {lang}: preterminal {pre} has an empty word")
+        leaves: dict[str, list[list[str]]] = {}
+        for language, lexicon in grammar.lexicons.items():
+            for pre, words in lexicon.items():
+                escaped = [escape_symbol(w) for w in words]
+                if not all(escaped):
+                    raise SynthError(f"language {language}: preterminal {pre} has an empty word")
+                leaves.setdefault(pre, []).append([f" ({labels[pre]} {w})" for w in escaped])
+        self.leaves = {pre: (len(texts[0]), tuple(zip(*texts))) for pre, texts in leaves.items()}
+        self.heads = {lhs: f" ({labels[lhs]}" for lhs in productions}
+
+        profiles = [grammar.profiles[language] for language in self.languages]
+        option = {p: (p.rhs, tuple(len(p.rhs) == 2 and _swaps(p.lhs, *p.rhs, profile)
+                                   for profile in profiles))
+                  for p in grammar.productions}
+
+        def choice(ps: list[Production], weights: list[float]) -> tuple | None:
+            if not ps:
+                return None
+            sums = list(itertools.accumulate(weights))  # 0.0 + w is w: the sums from 0.0
+            return ((*(option[p] for p in ps), option[ps[-1]]), sums) if sums[-1] else ()
+
+        recursive = grammar.recursive_productions()
+        self.choices = {}
+        for lhs, ps in productions.items():
+            closed = [p for p in ps if all(s in first_lexicon for s in p.rhs)]
+            self.choices[lhs] = (
+                *(choice(ps, [p.weight * DEPTH_DECAY**depth if p in recursive else p.weight
+                              for p in ps]) for depth in range(self.cap)),
+                choice(closed, [p.weight for p in closed]),
+            )
 
 
 #: Side A, side B, and ``(position_in_a, position_in_b)`` per derivation leaf,
@@ -299,15 +318,6 @@ def _pair_languages(grammar: SynthGrammar, languages: tuple[str, str] | None) ->
     return lang_a, lang_b
 
 
-def _side(label: str, kids: tuple[tuple[str, tuple[int, ...]], ...]) -> tuple[str, tuple[int, ...]]:
-    """One side's ``(LABEL kid ...)`` text and leaf origins, from its kids' in order."""
-    if len(kids) == 1:
-        text, order = kids[0]
-        return f"({label} {text})", order
-    texts, orders = zip(*kids)
-    return f"({label} {' '.join(texts)})", sum(orders, ())
-
-
 def _inverse(order: tuple[int, ...]) -> list[int]:
     """Where each origin stands in ``order``."""
     positions = [0] * len(order)
@@ -321,59 +331,76 @@ def sample_lines(grammar: SynthGrammar, rng: Rng, *, languages: tuple[str, str] 
     """Sample one derivation straight into both languages' treebank lines.
 
     One pre-order walk makes every draw. A nonterminal takes one weighted
-    draw for its right-hand side, then expands those symbols in the order
-    written; a preterminal takes one ``randbelow`` draw for its concept and
-    becomes a leaf ``(LABEL WORD)`` on each side with the next origin. Each
-    side writes a nonterminal as ``(LABEL kid ...)``, the ``serialize`` form,
-    reversing a two-child constituent where ``_swaps`` says so for its
-    profile, and records its leaves' origins in the order written. Origins
-    therefore number the leaves in canonical pre-order, the same origin on
-    both sides marks the same concept occurrence, and the alignment lists
+    draw for its right-hand side (the rule in the module docstring), then
+    expands those symbols in the order written; a preterminal takes one
+    ``randbelow`` draw for its concept and becomes a leaf ``(LABEL WORD)`` on
+    each side with the next origin. Each side appends the plan's pieces,
+    and its leaves' origins, in the order written; where the plan says a
+    side swaps a two-child constituent, that side's pieces and origins of the
+    two kids trade places once both are written. Joined, less the first
+    space, the pieces are the ``serialize`` form. Origins therefore number
+    the leaves in canonical pre-order, the same origin on both sides marks
+    the same concept occurrence, and the alignment lists
     ``(position_in_a, position_in_b)`` for each origin in turn. A derivation
-    that the depth cap ``MAX_DEPTH`` strands is dropped and sampled again,
+    that the plan's depth cap strands is dropped and sampled again,
     continuing on the same stream, up to ``MAX_RETRIES`` attempts in all.
     """
     lang_a, lang_b = _pair_languages(grammar, languages)
     plan = grammar._plan
-    arity, options, weights, closed, labels = (
-        plan.arity, plan.options, plan.weights, plan.closed, plan.labels
-    )
-    words_a, words_b = plan.words[lang_a], plan.words[lang_b]
-    profile_a, profile_b = grammar.profiles[lang_a], grammar.profiles[lang_b]
+    a, b = plan.languages.index(lang_a), plan.languages.index(lang_b)
+    choices, heads, leaves = plan.choices, plan.heads, plan.leaves
+    randbelow, random = rng.randbelow, rng.random
+    parts_a, parts_b, order_a, order_b = [], [], [], []
+    put_a, put_b = parts_a.append, parts_b.append
 
-    def expand(symbol: str, depth: int) -> tuple[tuple[str, tuple[int, ...]], ...]:
-        label = labels[symbol]
-        n = arity.get(symbol)
-        if n is not None:
-            concept, origin = rng.randbelow(n), (next(origins),)
-            return ((f"({label} {words_a[symbol][concept]})", origin),
-                    (f"({label} {words_b[symbol][concept]})", origin))
-        if depth >= MAX_DEPTH:
-            choices, chances = closed[symbol]
-            if not choices:
+    def expand(symbol: str, depth: int) -> None:
+        leaf = leaves.get(symbol)
+        if leaf is not None:
+            n, texts = leaf
+            text = texts[randbelow(n)]
+            put_a(text[a])
+            put_b(text[b])
+            origin = len(order_a)
+            order_a.append(origin)
+            order_b.append(origin)
+            return
+        entry = choices[symbol][depth]
+        if not entry:
+            if entry is None:
                 raise _DepthExceeded
+            raise ValueError("weights sum to zero")
+        options, sums = entry
+        rhs, swapped = options[bisect_right(sums, random() * sums[-1])]
+        head, depth = heads[symbol], depth + 1
+        put_a(head)
+        put_b(head)
+        flip_a, flip_b = swapped[a], swapped[b]
+        if flip_a or flip_b:
+            p0, o0 = len(parts_a), len(order_a)
+            expand(rhs[0], depth)
+            p1, o1 = len(parts_a), len(order_a)
+            expand(rhs[1], depth)
+            for flip, parts, order in ((flip_a, parts_a, order_a), (flip_b, parts_b, order_b)):
+                if flip:  # the two kids' pieces and origins trade places
+                    parts[p0:], order[o0:] = parts[p1:] + parts[p0:p1], order[o1:] + order[o0:o1]
         else:
-            choices, chances = options[symbol], weights[symbol][depth]
-        rhs = choices[rng.weighted_index(chances)]
-        kids_a, kids_b = zip(*[expand(s, depth + 1) for s in rhs])
-        if len(rhs) == 2:
-            if _swaps(symbol, *rhs, profile_a):
-                kids_a = kids_a[::-1]
-            if _swaps(symbol, *rhs, profile_b):
-                kids_b = kids_b[::-1]
-        return _side(label, kids_a), _side(label, kids_b)
+            for s in rhs:
+                expand(s, depth)
+        put_a(")")
+        put_b(")")
 
     for _ in range(MAX_RETRIES):
-        origins = itertools.count()
         try:
-            (line_a, order_a), (line_b, order_b) = expand(grammar.start, 0)
+            expand(grammar.start, 0)
             break
         except _DepthExceeded:
-            continue
+            for written in (parts_a, parts_b, order_a, order_b):
+                written.clear()
     else:
         raise SynthError(
-            f"no derivation closed within depth {MAX_DEPTH} after {MAX_RETRIES} attempts"
+            f"no derivation closed within depth {plan.cap} after {MAX_RETRIES} attempts"
         )
+    line_a, line_b = "".join(parts_a)[1:], "".join(parts_b)[1:]
     return line_a, line_b, tuple(zip(_inverse(order_a), _inverse(order_b)))
 
 

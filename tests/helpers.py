@@ -1,8 +1,9 @@
 """Code that only the tests need: writers and readers of embedding containers
 in the formats of ``docs/embedding-format.md`` and of the alignment lines that
 ``synth generate`` writes, a FIFO input, reference versions of tree walks
-that the program now does in fewer passes, an inversion count of its own, and
-a scalar SplitMix64 stream with a draw count taken from the state."""
+that the program now does in fewer passes, an inversion count of its own, a
+scalar SplitMix64 stream with a draw count taken from the state, and the
+linear-scan weighted draw that the grammar sampler's tables replace."""
 
 from __future__ import annotations
 
@@ -231,14 +232,22 @@ class ScalarRng:
             j = self.randbelow(i + 1)
             seq[i], seq[j] = seq[j], seq[i]
 
-    def weighted_index(self, weights: Sequence[float]) -> int:
-        total = 0.0
-        for w in weights:
-            total += w
-        x = self.random() * total
-        acc = 0.0
-        for i, w in enumerate(weights):
-            acc += w
-            if x < acc:
-                return i
-        return len(weights) - 1
+
+def weighted_index(rng: Rng | ScalarRng, weights: Sequence[float]) -> int:
+    """An index drawn in proportion to non-negative weights, by a linear scan:
+    one ``random()`` draw times the weights' sum, and the first index whose
+    running sum exceeds it, else the last index."""
+    total = 0.0
+    for w in weights:
+        if w < 0:
+            raise ValueError("negative weight")
+        total += w
+    if total <= 0:
+        raise ValueError("weights sum to zero")
+    x = rng.random() * total
+    acc = 0.0
+    for i, w in enumerate(weights):
+        acc += w
+        if x < acc:
+            return i
+    return len(weights) - 1

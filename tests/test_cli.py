@@ -277,7 +277,8 @@ class TestTransformCommand:
         argv = ["transform", str(corpus), "-o", str(out), "--chain", "reorder:83A", *extra]
         code, _, err = run(*argv)
         assert code == 2
-        assert err == "error: --report (or config key 'report') needs --stats\n"
+        assert err == ("error: --report (or config key 'report') needs --stats\n" if via == "flag"
+                       else f"error: {config}:1: config key 'report': needs --stats\n")
         assert sorted(os.listdir(tmp_path)) == ["input.trees", "t.conf"]
 
     def test_missing_chain_is_usage_error(self, run, corpus, tmp_path):
@@ -337,6 +338,23 @@ class TestSeedPrecedence:
         code, _, _ = run("transform", str(src), "-o", str(out), "--config", str(config))
         assert code == 0
         assert out.read_text() == "I two papers read\n"
+
+    @pytest.mark.parametrize("flag, message", [
+        ([], "CONF:2: config key 'chain': unknown chain step 'r'; expected reorder:FEATURE, "
+             "constituent_shuffle, word_shuffle, or ablate:ALPHA[:shuffle]"),
+        (["--chain", "reorder:83B"], "unknown reorder feature '83B'; known: 83A, 85A, 87A"),
+    ])
+    def test_a_bad_chain_names_its_config_line_unless_a_flag_overrides_it(self, run, tmp_path,
+                                                                         flag, message):
+        src = tmp_path / "in.trees"
+        src.write_text(NESTED + "\n")
+        config = tmp_path / "run.conf"
+        config.write_text("# chain below\nchain = r\n")
+        code, _, err = run("transform", str(src), "-o", str(tmp_path / "o"), "--config",
+                           str(config), *flag)
+        assert code == 2
+        assert err == f"error: {message.replace('CONF', str(config))}\n"
+        assert sorted(os.listdir(tmp_path)) == ["in.trees", "run.conf"]
 
     def test_unknown_config_key_rejected(self, run, tmp_path):
         config = tmp_path / "run.conf"
@@ -686,6 +704,44 @@ class TestRetrievalCommand:
         assert "unrecognized" in err
 
 
+# Escaped symbols, damped recursion, and a cycle X -> Z NN(x), Z -> X IN in
+# which Z has no all-preterminal option, so a derivation that reaches the
+# depth cap is dropped and sampled again (62 times in 300 pairs at seed 4).
+ESCAPED_RECURSIVE_GRAMMAR = """\
+language a
+language b 83A=OV 85A=Post 87A=NA
+rule S -> NP VP : 3
+rule S -> X : 2
+rule NP -> NP PP : 2
+rule NP -> JJ NN(x) : 1
+rule NP -> NN(x)
+rule PP -> IN NP
+rule VP -> VB NP : 2
+rule VP -> VB
+rule X -> Z NN(x) : 2048
+rule X -> NN(x) : 1
+rule Z -> X IN
+lex a NN(x) cat (dog) a)b x:y
+lex a JJ big
+lex a IN on under
+lex a VB see (run)
+lex b NN(x) neko inu ab xy
+lex b JJ ookii
+lex b IN ue shita
+lex b VB miru hashiru
+"""
+
+# The demo grammar with a third language, which is object-verb and noun-adjective.
+THREE_LANGUAGE_GRAMMAR = treelab.synthlang.DEMO_GRAMMAR_TEXT + """\
+language gamma 83A=OV 87A=NA
+lex gamma PRP ga gi gu
+lex gamma VB ve vi vo vu
+lex gamma NN na ne ni no nu
+lex gamma JJ ja je ji jo
+lex gamma IN ia ie io
+"""
+
+
 class TestSynthCommand:
     def test_generate_demo_corpus(self, run, tmp_path):
         prefix = tmp_path / "demo"
@@ -757,6 +813,31 @@ class TestSynthCommand:
             "demo.beta.trees": "427178afadfd383ccc3799dc2bab071d52efb1b279e91a971cf4c7f98e5ae7fa",
             "demo.align": "e156622b7a813cfe72fa4095d28b7ff84764d2e7ed68f5535c25802cb27996d5",
         }
+
+    @pytest.mark.parametrize(
+        "grammar, languages, digests",
+        [
+            (ESCAPED_RECURSIVE_GRAMMAR, ("a", "b"), (
+                "919a10f740ba0616e9e962b0fcca04d757c7f6cadcb0dc81817db2dd1331b773",
+                "e2c8aa31a94a1acf228747efff3db636591eba95b2f770d2542882359406c6ff",
+                "05989c1ad2495cc7a9d007d646d9c13f8d1ada9fb5bd32e7348e3f559e1accd5",
+            )),
+            (THREE_LANGUAGE_GRAMMAR, ("gamma", "alpha"), (
+                "6293ca0e3a52c02009b72c9537793528f4c6964ad22135ecfdd06b847f839395",
+                "1e08cb42e2a719bca79bbcbd2dac0a1e3a91c284bb4e329c8bd571b45d6ca680",
+                "3727faf747c9886e3a08bc0c847f0bd34eb60ffe626bcde52247c6114bd7bd56",
+            )),
+        ],
+    )
+    def test_grammar_file_outputs_are_pinned(self, run, tmp_path, grammar, languages, digests):
+        path = tmp_path / "pinned.grammar"
+        path.write_text(grammar)
+        code, _, _ = run("synth", "generate", "-o", str(tmp_path / "out"), "-n", "300", "--seed",
+                         "4", "--grammar", str(path), "--languages", *languages)
+        assert code == 0
+        names = (f"out.{languages[0]}.trees", f"out.{languages[1]}.trees", "out.align")
+        assert tuple(hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+                     for name in names) == digests
 
     def test_generate_builds_no_tree(self, run, tmp_path, monkeypatch):
         """Each pair's lines come from the sampling walk: no tree is scanned, yielded or serialized."""

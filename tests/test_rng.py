@@ -113,29 +113,6 @@ class TestShuffle:
             assert count == pytest.approx(1000, rel=0.2)
 
 
-class TestWeightedIndex:
-    def test_pinned(self):
-        rng = Rng(5)
-        assert [rng.weighted_index([1.0, 2.0, 3.0]) for _ in range(10)] == [
-            1, 2, 1, 0, 1, 1, 2, 2, 1, 2,
-        ]
-
-    def test_zero_weight_never_drawn(self):
-        rng = Rng(8)
-        assert all(rng.weighted_index([0.0, 1.0, 0.0]) == 1 for _ in range(200))
-
-    def test_errors(self):
-        with pytest.raises(ValueError):
-            Rng(0).weighted_index([0.0, 0.0])
-        with pytest.raises(ValueError):
-            Rng(0).weighted_index([1.0, -0.5])
-
-    def test_proportions(self):
-        rng = Rng(31)
-        counts = collections.Counter(rng.weighted_index([1, 3]) for _ in range(20_000))
-        assert counts[1] / 20_000 == pytest.approx(0.75, abs=0.02)
-
-
 def test_seed_scheme_stream_reproducible():
     a = SeedScheme(99, 3).stream()
     b = SeedScheme(99, 3).stream()
@@ -207,7 +184,6 @@ DRAWS = st.lists(st.one_of(
     st.tuples(st.sampled_from(["next_u64", "random"]), st.none()),
     st.tuples(st.just("randbelow"), st.integers(1, 2**64)),
     st.tuples(st.just("shuffle"), st.integers(0, 80)),
-    st.tuples(st.just("weighted_index"), st.lists(st.floats(0.1, 10), min_size=1, max_size=5)),
 ), max_size=30)
 
 

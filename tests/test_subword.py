@@ -9,6 +9,7 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
+from helpers import weighted_index
 from treelab import subword
 from treelab.rng import Rng, SeedScheme
 from treelab.subword import (
@@ -86,7 +87,7 @@ def zipf_corpus(seed: int, words: int) -> list[str]:
     rng = Rng(seed)
     letters = "etaoinshrdlucmfw"
     weights = [1.0 / (i + 1) for i in range(len(letters))]
-    vocab = ["".join(letters[rng.weighted_index(weights)] for _ in range(2 + rng.randbelow(9)))
+    vocab = ["".join(letters[weighted_index(rng, weights)] for _ in range(2 + rng.randbelow(9)))
              for _ in range(words)]
     return [" ".join([word] * (1 + 600 // rank)) for rank, word in enumerate(vocab, start=1)]
 

@@ -7,7 +7,7 @@ import re
 
 import pytest
 
-from helpers import CountingRng, parse_alignment
+from helpers import MASK64, CountingRng, parse_alignment, seed_drawing, weighted_index
 from treelab import synthlang
 from treelab.rng import Rng, SeedScheme
 from treelab.synthlang import (
@@ -446,7 +446,7 @@ def reference_pair(grammar, rng, languages, max_depth=MAX_DEPTH, max_retries=MAX
                 weights = [
                     p.weight * DEPTH_DECAY**depth if p in recursive else p.weight for p in options
                 ]
-            chosen = options[rng.weighted_index(weights)]
+            chosen = options[weighted_index(rng, weights)]
             return Derivation(symbol, tuple(expand(s, depth + 1) for s in chosen.rhs))
 
         return expand(grammar.start, 0)
@@ -546,6 +546,38 @@ lex b JJ k
 """
 
 
+# At S the running sums are 1 - 2**-53 and 1.0: the start symbol's draw of
+# 2**64 - 1, whose random() is 1 - 2**-53, lands exactly on the first sum and
+# so takes the second option. At NP they are 1, 1e17, 1e17, 1e17: 1e17 + 1
+# rounds to 1e17, so the last two options are never chosen.
+PLATEAU_GRAMMAR = """\
+language a
+language b 87A=NA
+rule S -> NP : 0.9999999999999999
+rule S -> NP NN : 1.1102230246251565e-16
+rule NP -> NN : 1
+rule NP -> JJ NN : 1e17
+rule NP -> JJ : 1
+rule NP -> NN NN : 1
+lex a NN n1 n2
+lex a JJ j1 j2
+lex b NN m1 m2
+lex b JJ k1 k2
+"""
+
+# X's one option is recursive and 5e-324 * 0.5 rounds to 0.0, so below the cap
+# a draw for X has only zero weights to draw from.
+UNDERFLOW_GRAMMAR = """\
+language a
+language b
+rule S -> NN
+rule S -> X
+rule X -> X NN : 5e-324
+lex a NN n1 n2
+lex b NN m1 m2
+"""
+
+
 def spaced_grammar() -> SynthGrammar:
     """Words with whitespace, which only a grammar built in code can hold."""
     return SynthGrammar(
@@ -557,29 +589,35 @@ def spaced_grammar() -> SynthGrammar:
     )
 
 
+GRAMMARS = [
+    (demo_grammar, ("alpha", "beta")),
+    (lambda: parse_grammar(RECURSIVE_GRAMMAR), ("a", "b")),
+    (lambda: parse_grammar(RECURSIVE_GRAMMAR), ("c", "a")),
+    (spaced_grammar, ("b", "a")),
+    (lambda: parse_grammar(DEEP_GRAMMAR), ("a", "b")),
+    (lambda: parse_grammar(PLATEAU_GRAMMAR), ("b", "a")),
+    (lambda: parse_grammar(UNDERFLOW_GRAMMAR), ("a", "b")),
+]
+
+#: Seeds whose first draw, the start symbol's choice, is 0 or 2**64 - 1, so
+#: that ``random()`` returns 0.0 or 1 - 2**-53, then 60 ordinary ones.
+SEEDS = (seed_drawing(0, 0), seed_drawing(MASK64, 0), *range(1000, 1060))
+
+
 class TestSamplingPlan:
-    @pytest.mark.parametrize(
-        "grammar, languages",
-        [
-            (demo_grammar, ("alpha", "beta")),
-            (lambda: parse_grammar(RECURSIVE_GRAMMAR), ("a", "b")),
-            (lambda: parse_grammar(RECURSIVE_GRAMMAR), ("c", "a")),
-            (spaced_grammar, ("b", "a")),
-            (lambda: parse_grammar(DEEP_GRAMMAR), ("a", "b")),
-        ],
-    )
+    @pytest.mark.parametrize("grammar, languages", GRAMMARS)
     @pytest.mark.parametrize("max_depth", [0, 2, 3, 6, MAX_DEPTH, MAX_DEPTH + 5])
     def test_pairs_and_draws_equal_the_reference(self, monkeypatch, grammar, languages, max_depth):
         # The cap and retries are set before the plan is built, once, for the whole loop.
         monkeypatch.setattr(synthlang, "MAX_DEPTH", max_depth)
         monkeypatch.setattr(synthlang, "MAX_RETRIES", 4)
         g = grammar()
-        for i in range(60):
-            ours, theirs = CountingRng(1000 + i), CountingRng(1000 + i)
+        for seed in SEEDS:
+            ours, theirs = CountingRng(seed), CountingRng(seed)
             try:
                 expected = reference_pair(g, theirs, languages, max_depth, max_retries=4)
-            except SynthError as exc:
-                with pytest.raises(SynthError, match=re.escape(str(exc))):
+            except ValueError as exc:
+                with pytest.raises(type(exc), match=re.escape(str(exc))):
                     sample_pair(g, rng=ours, languages=languages)
             else:
                 a, b, alignment = sample_pair(g, rng=ours, languages=languages)
@@ -587,28 +625,19 @@ class TestSamplingPlan:
             assert ours.draws == theirs.draws
             assert ours.next_u64() == theirs.next_u64()
 
-    @pytest.mark.parametrize(
-        "grammar, languages",
-        [
-            (demo_grammar, ("alpha", "beta")),
-            (lambda: parse_grammar(RECURSIVE_GRAMMAR), ("a", "b")),
-            (lambda: parse_grammar(RECURSIVE_GRAMMAR), ("c", "a")),
-            (spaced_grammar, ("b", "a")),
-            (lambda: parse_grammar(DEEP_GRAMMAR), ("a", "b")),
-        ],
-    )
+    @pytest.mark.parametrize("grammar, languages", GRAMMARS)
     @pytest.mark.parametrize("max_depth", [0, 2, 3, 6, MAX_DEPTH, MAX_DEPTH + 5])
     def test_lines_and_draws_equal_the_reference(self, monkeypatch, grammar, languages, max_depth):
         """The walk that writes text gives the reference trees' serialized lines."""
         monkeypatch.setattr(synthlang, "MAX_DEPTH", max_depth)
         monkeypatch.setattr(synthlang, "MAX_RETRIES", 4)
         g = grammar()
-        for i in range(60):
-            ours, theirs = CountingRng(1000 + i), CountingRng(1000 + i)
+        for seed in SEEDS:
+            ours, theirs = CountingRng(seed), CountingRng(seed)
             try:
                 expected = reference_pair(g, theirs, languages, max_depth, max_retries=4)
-            except SynthError as exc:
-                with pytest.raises(SynthError, match=re.escape(str(exc))):
+            except ValueError as exc:
+                with pytest.raises(type(exc), match=re.escape(str(exc))):
                     sample_lines(g, rng=ours, languages=languages)
             else:
                 line_a, line_b, alignment = sample_lines(g, rng=ours, languages=languages)
@@ -616,6 +645,35 @@ class TestSamplingPlan:
                 assert alignment == expected[2]
             assert ours.draws == theirs.draws
             assert ours.next_u64() == theirs.next_u64()
+
+    @staticmethod
+    def choices(weights, rng, pairs):
+        """The option each of ``pairs`` pairs takes at ``S -> A | B | C ...``
+        with these weights. Each symbol has one word, so the start symbol's
+        choice is a pair's only draw."""
+        symbols = [chr(ord("A") + k) for k in range(len(weights))]
+        g = parse_grammar("language a\nlanguage b\n" + "".join(
+            f"rule S -> {sym} : {w}\nlex a {sym} {sym.lower()}\nlex b {sym} {sym.lower()}2\n"
+            for sym, w in zip(symbols, weights)
+        ))
+        draws = []
+        for _ in range(pairs):
+            line_a, _, _ = sample_lines(g, rng)
+            draws.append(symbols.index(line_a[4]))
+        return draws
+
+    def test_choices_are_pinned(self):
+        rng = CountingRng(5)
+        assert self.choices([1.0, 2.0, 3.0], rng, 10) == [1, 2, 1, 0, 1, 1, 2, 2, 1, 2]
+        assert rng.draws == 10
+
+    def test_an_absorbed_weight_is_never_chosen(self):
+        # Running sums 1, 1e17, 1e17: C adds nothing, and A needs x < 1.
+        assert set(self.choices([1, 1e17, 1], Rng(8), 200)) == {1}
+
+    def test_choices_follow_the_weights(self):
+        counts = collections.Counter(self.choices([1, 3], Rng(31), 20_000))
+        assert counts[1] / 20_000 == pytest.approx(0.75, abs=0.02)
 
     def test_the_comparison_meets_retries_and_failures(self):
         # At cap 2 the recursive grammar's seeds above close at once, close
