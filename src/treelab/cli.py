@@ -16,7 +16,9 @@ precedence is explicit flag, then environment, then config file, then
 built-in default; one that cannot be read or is out of range, or an unknown
 key, is a usage error even when a flag wins. A config value that takes
 effect is named by its file and line in its errors, including a bad
-``chain`` and a ``report`` without ``stats``, which show only later.
+``chain``, a ``report`` without ``stats``, an ``emit = both`` without
+``--tree-output`` and a ``vocab-size`` beside ``--model``, which show only
+later; a setting that a config file lacks names the file.
 Input and output paths are always given on the command line — a manifest
 that silently redirects file writes is a footgun, not a convenience.
 
@@ -74,13 +76,15 @@ def _convert(raw: str, action: argparse.Action, origin: str):
     """``raw`` read as ``action`` reads its flag's value (a bool word for a switch)."""
     kind = bool if action.nargs == 0 else action.type or str
     try:
-        if kind is bool:
-            return _BOOL_WORDS[raw.strip().lower()]
-        return kind(raw)
+        value = _BOOL_WORDS[raw.strip().lower()] if kind is bool else kind(raw)
     except (KeyError, ValueError):
         raise UsageError(f"{origin}: cannot read {raw!r} as {kind.__name__}") from None
     except argparse.ArgumentTypeError as exc:
         raise UsageError(f"{origin}: {exc}") from None
+    if action.choices is not None and value not in action.choices:
+        raise UsageError(f"{origin}: invalid choice: {raw!r} (choose from "
+                         + ", ".join(map(repr, action.choices)) + ")")
+    return value
 
 
 def load_config_file(path: str, allowed: Collection[str]) -> dict[str, tuple[str, int]]:
@@ -254,13 +258,21 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _in_config(args: argparse.Namespace, message: str) -> str:
+    """``message`` about a setting that is missing, naming the config file that lacks it."""
+    return f"{args.config}: {message}" if args.config else message
+
+
 def _cmd_transform(args: argparse.Namespace, stdout: IO[str], stderr: IO[str]) -> int:
     from .pipeline import ChainError, PipelineConfig, run_transform
     if args.chain is None:
-        raise UsageError("transform needs a chain: --chain or a config-file 'chain' entry")
+        raise UsageError(
+            _in_config(args, "transform needs a chain: --chain or a config-file 'chain' entry"))
     origins = args.origins
     if args.report and not args.stats and "report" in origins:
         raise UsageError(f"{origins['report']}: needs --stats")
+    if args.emit == "both" and not args.tree_output and "emit" in origins:
+        raise UsageError(f"{origins['emit']}: --emit both needs a separate tree output path")
     pipeline_config = PipelineConfig(
         inputs=tuple(args.inputs), output=args.output, chain=args.chain, global_seed=args.seed,
         workers=args.workers, emit=args.emit, tree_output=args.tree_output, stats=args.stats,
@@ -312,10 +324,12 @@ def _cmd_bpe_apply(args: argparse.Namespace, stdout: IO[str], stderr: IO[str]) -
 def _cmd_mask(args: argparse.Namespace, stdout: IO[str], stderr: IO[str]) -> int:
     from .rng import run_streams
     from .subword import MaskingConfig, load_model, mask_tokens
+    size_origin = args.origins.get("vocab-size")
     if args.model is not None and args.vocab_size is not None:
-        raise UsageError("give either --model or --vocab-size, not both")
+        where = f"{size_origin}: " if size_origin else ""
+        raise UsageError(f"{where}give either --model or --vocab-size, not both")
     if args.model is None and args.vocab_size is None:
-        raise UsageError("mask needs --model or --vocab-size")
+        raise UsageError(_in_config(args, "mask needs --model or --vocab-size"))
     vocab_size = args.vocab_size if args.model is None else len(load_model(args.model).vocab)
     masking = MaskingConfig(mask_rate=args.rate)
     labels_path = args.labels_output or args.output + ".labels"
@@ -333,9 +347,8 @@ def _cmd_mask(args: argparse.Namespace, stdout: IO[str], stderr: IO[str]) -> int
                 raise PipelineError(f"{path}:{lineno}: {exc}") from exc
             if seq and (min(seq) < 0 or max(seq) >= vocab_size):
                 bad = next(i for i in seq if not 0 <= i < vocab_size)
-                raise PipelineError(
-                    f"{path}:{lineno}: id {bad} is outside the vocabulary (0..{vocab_size - 1})"
-                )
+                size = f"0..{vocab_size - 1}" + (f", {size_origin}" if size_origin else "")
+                raise PipelineError(f"{path}:{lineno}: id {bad} is outside the vocabulary ({size})")
             masked, labels = mask_tokens(seq, masking, vocab_size, rng=stream(sentences))
             fh_ids.write(" ".join(map(str, masked)) + "\n")
             fh_labels.write(" ".join(map(str, labels)) + "\n")

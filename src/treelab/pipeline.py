@@ -29,6 +29,16 @@ permutation and gives the sentence and ``pi``; ``--stats`` checks the surfaces
 against the scanned tokens and takes IR/WMD from ``pi``. ``stats`` scans tokens
 without building nodes, through the same function.
 
+A chain of leading reorder steps alone draws nothing, so a line's output
+depends on its text alone: for such a chain each process keeps, per distinct
+tree line, its sentence, tree line and stats row, and a repeated line skips the
+scan, the writer walk and the row. The memo holds at most ``MEMO_LINES`` lines
+(about 700 B each on WSJ-length lines with ``--emit both --stats``, so under
+3 MB) and is emptied when full. Blank, placeholder and malformed lines are never
+kept. It lives for one run: the driver empties it when ``run_transform`` ends,
+and pool workers exit with the pool. Hits depend on how chunks fall to workers;
+the bytes do not.
+
 Every subcommand writes through :func:`treelab.files.recorded`; of the names
 that moved to ``files``, only ``write_provenance`` is still importable from
 this module, for the benchmark replicas.
@@ -67,6 +77,7 @@ from .treebank import (AlignmentError, Sentence, TreeNode, TreeParseError, scan_
 
 CHUNK_LINES = 256  # lines per unit of work: one worker call, one block write
 CHUNKS_PER_WORKER = 2  # chunks queued or running per pool worker
+MEMO_LINES = 4096  # a draw-free chain's per-process line memo is emptied at this many lines
 
 
 class ChainError(UsageError):
@@ -191,6 +202,13 @@ class PipelineConfig:
             raise UsageError("--report (or config key 'report') needs --stats")
 
 
+@functools.lru_cache(maxsize=1)
+def _line_memo(steps: tuple[ChainStep, ...], trees: bool, stats: bool) -> dict:
+    """The memo of a draw-free chain: tree line text -> ``(sentence, tree line, row)``.
+    One setting at a time; ``run_transform`` empties it when it ends."""
+    return {}
+
+
 def _run_chunk(chunk: list[tuple[int, tuple[str, int, str]]], steps: tuple[ChainStep, ...],
                config: PipelineConfig) -> tuple[str, str, list, Counter, list[str]]:
     """Transform a chunk of ``(global index, (path, lineno, text))`` lines.
@@ -207,22 +225,31 @@ def _run_chunk(chunk: list[tuple[int, tuple[str, int, str]]], steps: tuple[Chain
     close = functools.partial(reorder_kids, table) if table else None
     rest, shuffle_words = steps[lead:], isinstance(steps[-1], WordShuffleStep)
     stream = run_streams(config.global_seed)
+    # Only the steps after the leading reorders can draw; without them a line's
+    # output depends on its text alone.
+    memo = None if rest else _line_memo(steps, config.emit != "sentences", config.stats)
     for index, (path, lineno, text) in chunk:
-        try:
-            skipped, tokens, tree = scan_line(text, close=close)
-        except TreeParseError as exc:
-            counts["bad"] += 1
-            errors.append(f"{path}:{lineno}: {exc}")
-            continue
-        if skipped:
-            counts[skipped] += 1
-            continue
-        # Only the steps after the leading reorders can draw.
-        rng = stream(index) if rest else None
-        line, leaves = write_tree(_tree_steps(tree, rest, rng), config.emit != "sentences")
-        if shuffle_words:  # word_shuffle's draws; the scanned leaves all carry origins
-            rng.shuffle(leaves)
-        sentence, row = _sentence_row(tokens, leaves, config.stats)
+        out = memo.get(text) if memo is not None else None
+        if out is None:
+            try:
+                skipped, tokens, tree = scan_line(text, close=close)
+            except TreeParseError as exc:
+                counts["bad"] += 1
+                errors.append(f"{path}:{lineno}: {exc}")
+                continue
+            if skipped:
+                counts[skipped] += 1
+                continue
+            rng = stream(index) if rest else None
+            line, leaves = write_tree(_tree_steps(tree, rest, rng), config.emit != "sentences")
+            if shuffle_words:  # word_shuffle's draws; the scanned leaves all carry origins
+                rng.shuffle(leaves)
+            out = (*_sentence_row(tokens, leaves, config.stats), line)
+            if memo is not None:
+                if len(memo) >= MEMO_LINES:
+                    memo.clear()
+                memo[text] = out
+        sentence, row, line = out
         counts["emitted"] += 1
         if config.emit != "trees":
             sentences.append(sentence + "\n")
@@ -309,18 +336,21 @@ def run_transform(
     ) as (counts, (sentence_fh, tree_fh, report_fh)):
         counts.update(total=0, emitted=0, blank=0, placeholder=0, bad=0)  # sidecar key order
         # Closed here: a failed pool result can keep the reader alive after the run.
-        with closing(read_lines(config.inputs)) as lines:
-            results = _map_chunks(work, enumerate(lines), config.workers)
-            for sentence_block, tree_block, rows, chunk_counts, chunk_errors in results:
-                if sentence_fh is not None:
-                    sentence_fh.write(sentence_block)
-                if tree_fh is not None:
-                    tree_fh.write(tree_block)
-                for row in rows:
-                    acc.add_row(*row)
-                counts.update(chunk_counts)
-                if not config.skip_bad:
-                    errors.extend(chunk_errors)
+        try:
+            with closing(read_lines(config.inputs)) as lines:
+                results = _map_chunks(work, enumerate(lines), config.workers)
+                for sentence_block, tree_block, rows, chunk_counts, chunk_errors in results:
+                    if sentence_fh is not None:
+                        sentence_fh.write(sentence_block)
+                    if tree_fh is not None:
+                        tree_fh.write(tree_block)
+                    for row in rows:
+                        acc.add_row(*row)
+                    counts.update(chunk_counts)
+                    if not config.skip_bad:
+                        errors.extend(chunk_errors)
+        finally:
+            _line_memo.cache_clear()  # the memo lives for one run; pool workers exit with the pool
         if config.stats:
             stats = acc.finalize()
             print(format_stats_table([(config.chain, stats)]), file=stdout)

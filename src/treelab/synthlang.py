@@ -43,6 +43,7 @@ pair by pair, so memory does not grow with the corpus.
 from __future__ import annotations
 
 import itertools
+import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import IO, Iterable, Iterator, Mapping
@@ -111,8 +112,10 @@ class Production:
     def __post_init__(self) -> None:
         if not self.rhs:
             raise SynthError(f"production for {self.lhs} has an empty right-hand side")
-        if self.weight <= 0:
-            raise SynthError(f"production {self.lhs} -> {' '.join(self.rhs)}: weight must be > 0")
+        if not 0 < self.weight < math.inf:  # NaN fails both comparisons
+            raise SynthError(
+                f"production {self.lhs} -> {' '.join(self.rhs)}: weight must be finite and > 0"
+            )
 
 
 @dataclass(frozen=True)

@@ -477,9 +477,8 @@ class TestMutatedInputs:
         """Run each ``(mutated file, clean file, file spliced in, command)`` case on
         40 seeded mutants; a report, if any, is ``r.json``. Each run exits 0, 1
         or 2 and lets no exception out of ``main``. One that ends in an ``error:`` line
-        leaves every file as it was and, but for a config value that reads but does
-        not fit (a chain step, a switch that needs another), which names its key or
-        step, names the mutated file. Any other failure is ``stats``' per-line
+        leaves every file as it was and names the mutated file, also for a config
+        value that reads but does not fit (a chain step, a switch that needs another). Any other failure is ``stats``' per-line
         form: one ``PATH:LINE: reason`` line per bad line, each naming the mutated
         file, after the report and its sidecar are written. Returns how often each
         ``(command, exit)`` was seen."""
@@ -498,7 +497,7 @@ class TestMutatedInputs:
                 err = capsys.readouterr().err
                 assert code in (0, 1, 2) and (code == 0 or err.strip()), (argv, k, mutant)
                 if err.startswith("error: "):
-                    assert name in err or argv[-2] == "--config", (argv, k, mutant, err)
+                    assert name in err, (argv, k, mutant, err)
                     assert {path: path.read_bytes() for path in Path().iterdir()} == before
                 elif code:
                     assert argv[0] == "stats" and code == 1, (argv, k, mutant, err)
@@ -801,6 +800,17 @@ class TestSynthCommand:
         assert code == 1
         assert "broken.grammar:2" in err
 
+    @pytest.mark.parametrize("weight", ["nan", "inf", "-inf"])
+    def test_a_weight_that_is_not_finite_names_its_line(self, run, tmp_path, weight):
+        grammar = tmp_path / "w.grammar"
+        grammar.write_text("language a\nlanguage b\nrule S -> NN\nrule S -> JJ : %s\n"
+                           "lex a NN n\nlex a JJ j\nlex b NN m\nlex b JJ k\n" % weight)
+        code, out, err = run("synth", "generate", "-o", str(tmp_path / "x"), "-n", "5",
+                             "--grammar", str(grammar))
+        assert (code, out) == (1, "")
+        assert err == f"error: {grammar}:4: production S -> JJ: weight must be finite and > 0\n"
+        assert sorted(path.name for path in tmp_path.iterdir()) == ["w.grammar"]
+
     def test_demo_outputs_are_pinned(self, run, tmp_path):
         code, _, _ = run("synth", "generate", "-o", str(tmp_path / "demo"), "-n", "500", "--seed", "3")
         assert code == 0
@@ -1001,16 +1011,52 @@ def test_an_unknown_option_is_reported_with_the_subcommands_usage(run, tmp_path,
     assert os.listdir() == []
 
 
-def test_a_config_vocab_size_conflicts_with_a_model(run, tmp_path):
-    """``mask --model`` with a config ``vocab-size`` is the conflict of giving both flags."""
-    ids = tmp_path / "in.ids"
-    ids.write_text("7 8 9\n")
-    config = tmp_path / "run.conf"
-    config.write_text("vocab-size = 30\n")
-    code, _, err = run(
-        "mask", str(ids), "-o", str(tmp_path / "o"), "--model", "m.bpe", "--config", str(config)
-    )
-    assert (code, err) == (2, "error: give either --model or --vocab-size, not both\n")
+# A setting from a config file that fails with another setting, or one that a
+# config file lacks: the error names the file, and the key's line where there is one.
+CONFIG_COMBINATIONS = {
+    "vocab-size and --model": (
+        "vocab-size = 30\n", "mask in.ids -o o --model m.bpe",
+        "CONF:1: config key 'vocab-size': give either --model or --vocab-size, not both"),
+    "no vocabulary": ("seed = 3\n", "mask in.ids -o o", "CONF: mask needs --model or --vocab-size"),
+    "an id outside vocab-size": (
+        "vocab-size = 8\n", "mask in.ids -o o",
+        "in.ids:1: id 8 is outside the vocabulary (0..7, CONF:1: config key 'vocab-size')"),
+    "emit both": ("chain = reorder:83A\nemit = both\n", "transform in.trees -o o",
+                  "CONF:2: config key 'emit': --emit both needs a separate tree output path"),
+    "no chain": ("seed = 3\n", "transform in.trees -o o",
+                 "CONF: transform needs a chain: --chain or a config-file 'chain' entry"),
+    "a choice under its flag": (
+        "emit = all\n", "transform in.trees -o o --chain reorder:83A --emit trees",
+        "CONF:1: config key 'emit': invalid choice: 'all' (choose from 'sentences', 'trees', 'both')"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CONFIG_COMBINATIONS))
+def test_a_config_setting_that_does_not_fit_names_the_config_file(run, tmp_path, monkeypatch, case):
+    config_text, argv, message = CONFIG_COMBINATIONS[case]
+    monkeypatch.chdir(tmp_path)
+    Path("in.ids").write_text("7 8 9\n")
+    Path("in.trees").write_text(NESTED + "\n")
+    Path("run.conf").write_text(config_text)
+    before = sorted(os.listdir())
+    code, out, err = run(*argv.split(), "--config", "run.conf")
+    assert (code, out) == (1 if "outside" in message else 2, "")
+    assert err == f"error: {message.replace('CONF', 'run.conf')}\n"
+    assert sorted(os.listdir()) == before
+
+
+@pytest.mark.parametrize("argv, message", [
+    ("mask in.ids -o o --model m.bpe --vocab-size 30", "give either --model or --vocab-size, not both"),
+    ("mask in.ids -o o", "mask needs --model or --vocab-size"),
+    ("transform in.trees -o o --chain reorder:83A --emit both",
+     "--emit both needs a separate tree output path"),
+    ("transform in.trees -o o", "transform needs a chain: --chain or a config-file 'chain' entry"),
+])
+def test_without_a_config_file_the_same_errors_name_none(run, tmp_path, monkeypatch, argv, message):
+    monkeypatch.chdir(tmp_path)
+    Path("in.ids").write_text("7 8 9\n")
+    Path("in.trees").write_text(NESTED + "\n")
+    assert run(*argv.split()) == (2, "", f"error: {message}\n")
 
 
 LOADED_PROBE = """

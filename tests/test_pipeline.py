@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
 import os
@@ -1180,3 +1181,144 @@ def test_one_permutation_check_per_emitted_line(tmp_path, monkeypatch, capsys, c
     sidecar = json.loads((tmp_path / "run" / "out.sents.provenance.json").read_text())
     emitted = sidecar["counts"]["emitted"]
     assert emitted == 50 and len(calls) == emitted
+
+
+# A draw-free chain (leading reorders only) and the lines it sees over and over.
+MEMO_CHAIN = "reorder:83A,reorder:87A"
+REPEATS = (*TREES, MALFORMED, TREES[0], "", "(())", TREES[1], "  (( ))")
+
+
+def repeated_corpus(directory) -> list[str]:
+    """Two files of REPEATS over and over, so lines repeat inside each chunk and
+    across chunk and file boundaries, blank, placeholder and malformed ones too."""
+    lines = [REPEATS[i % len(REPEATS)] for i in range(2 * CHUNK_LINES + 40)]
+    paths = []
+    for n, (start, end) in enumerate([(0, CHUNK_LINES + 5), (CHUNK_LINES + 5, len(lines))]):
+        path = directory / f"rep{n}.trees"
+        path.write_text("".join(line + "\n" for line in lines[start:end]), encoding="utf-8")
+        paths.append(str(path))
+    return paths
+
+
+def reordered_reference(paths: list[str], chain: str):
+    """What a draw-free ``transform --emit both --stats`` must give, line by line from
+    ``parse_ptb``, ``apply_reorder`` and ``write_tree``: its sentence and tree
+    outputs, its stats, its counts and its per-line errors."""
+    rules = [step.rule for step in parse_chain(chain)]
+    sentences, trees, errors, acc = [], [], [], StatsAccumulator()
+    counts = dict(total=0, emitted=0, blank=0, placeholder=0, bad=0)
+    for _, path, lineno, text in numbered(paths):
+        counts["total"] += 1
+        if not text.strip() or text.replace(" ", "") == "(())":
+            counts["blank" if not text.strip() else "placeholder"] += 1
+            continue
+        try:
+            original = parse_ptb(text)
+        except treebank.TreeParseError as exc:
+            counts["bad"] += 1
+            errors.append(f"{path}:{lineno}: {exc}")
+            continue
+        tree = transform.apply_reorder(parse_ptb(text), rules)
+        line, leaves = treebank.write_tree(tree, True)
+        sentences.append(" ".join(token for token, _ in leaves) + "\n")
+        trees.append(line + "\n")
+        acc.add(alignment(yield_sentence(original), yield_sentence(tree)))
+        counts["emitted"] += 1
+    return "".join(sentences), "".join(trees), acc.finalize(), counts, errors
+
+
+def run_draw_free(directory, monkeypatch, capsys, paths, workers: str):
+    code, out, err = run_in(
+        directory, monkeypatch, capsys, "transform", *paths, "-o", "out.sents",
+        "--tree-output", "out.trees", "--emit", "both", "--stats", "--report", "r.json",
+        "--chain", MEMO_CHAIN, "--workers", workers,
+    )
+    sidecar = json.loads((directory / "out.sents.provenance.json").read_text(encoding="utf-8"))
+    return (code, out, err, (directory / "out.sents").read_text(encoding="utf-8"),
+            (directory / "out.trees").read_text(encoding="utf-8"),
+            json.loads((directory / "r.json").read_text(encoding="utf-8")), sidecar["counts"])
+
+
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_a_draw_free_chain_emits_what_each_line_gives_alone(tmp_path, monkeypatch, capsys, workers):
+    """Repeated lines, read from the memo, give the bytes, stats table, report floats
+    and counts of the line-by-line reference; each repeated malformed line still has
+    its own error with its own line number."""
+    paths = repeated_corpus(tmp_path)
+    code, out, err, sentences, trees, report, counts = run_draw_free(
+        tmp_path / "run", monkeypatch, capsys, paths, workers)
+    want_sentences, want_trees, stats, want_counts, errors = reordered_reference(paths, MEMO_CHAIN)
+    assert (sentences, trees) == (want_sentences, want_trees)
+    assert out == metrics.format_stats_table([(MEMO_CHAIN, stats)]) + "\n"
+    assert report == {"chain": MEMO_CHAIN, **dataclasses.asdict(stats)}  # exact floats
+    assert counts == want_counts and counts["bad"] > 2 and counts["placeholder"] > 2
+    assert code == 1
+    assert err.splitlines() == [f"skipped {counts['placeholder']} line(s) with no tree", *errors]
+    assert len(set(errors)) == len(errors) == counts["bad"]
+    assert pipeline._line_memo.cache_info().currsize == 0  # emptied when the run ends
+
+
+# SHA-256 of (sentence output, tree output) of ``transform rep.trees --emit both
+# --seed 11 --chain CHAIN`` over DRAWN_LINES, as written before the line memo.
+DRAWN_PINNED = {
+    "constituent_shuffle": ("8862e2e08f90368086464986b02a450933089f5173ff04bfb0d645a0a2d1e237",
+                            "898b278d6b37a2f27f4a8de03f4fa132d071d97997d6b9a676f03b2428e625eb"),
+    "ablate:0.5:shuffle": ("2a1ec8b272a477eda1f872dcc7fff3ab50298db8608f125bb72c2cbba72d65c6",
+                           "80e5b0a357377a7d41d99c48310b6924b4569dfa0d5fdb8c4da95ba38cddeadd"),
+}
+DRAWN_LINES = [TREES[1 + i % 2] for i in range(CHUNK_LINES + 30)]
+
+
+@pytest.mark.parametrize("workers", ["1", "2"])
+@pytest.mark.parametrize("chain", sorted(DRAWN_PINNED))
+def test_identical_lines_keep_their_own_streams_under_a_chain_that_draws(
+    tmp_path, monkeypatch, capsys, chain, workers
+):
+    (tmp_path / "rep.trees").write_text("".join(line + "\n" for line in DRAWN_LINES), encoding="utf-8")
+    code, _, err = run_in(
+        tmp_path / "run", monkeypatch, capsys, "transform", str(tmp_path / "rep.trees"),
+        "-o", "s.txt", "--tree-output", "t.txt", "--emit", "both", "--seed", str(SEED),
+        "--chain", chain, "--workers", workers,
+    )
+    assert code == 0, err
+    written = [tmp_path / "run" / name for name in ("s.txt", "t.txt")]
+    sentences = written[0].read_text(encoding="utf-8").splitlines()
+    assert sentences == [chained(text, index, chain)[1].text() for index, text in enumerate(DRAWN_LINES)]
+    assert len(set(sentences[1::2])) > 1  # one input line, shuffled by each line's own stream
+    assert tuple(hashlib.sha256(path.read_bytes()).hexdigest() for path in written) == DRAWN_PINNED[chain]
+
+
+def test_more_distinct_lines_than_the_bound_keep_the_bytes_and_the_bound(tmp_path, monkeypatch, capsys):
+    """The memo is emptied when it holds MEMO_LINES lines; lines seen before and after
+    that still give the reference bytes."""
+    lines = [f"(S (NP (NN n{i})) (VP (VB v) (NP (NN o{i % 97}))))" for i in range(pipeline.MEMO_LINES + 300)]
+    lines += lines[-400:]  # 100 dropped when the memo was emptied, 300 still in it
+    path = tmp_path / "wide.trees"
+    path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+    sizes, real = [], pipeline.write_tree
+
+    def measuring(tree, text):
+        sizes.append(len(pipeline._line_memo(parse_chain(MEMO_CHAIN), True, True)))
+        return real(tree, text)
+    monkeypatch.setattr(pipeline, "write_tree", measuring)
+    _, out, _, sentences, trees, report, counts = run_draw_free(
+        tmp_path / "run", monkeypatch, capsys, [str(path)], "1")
+    want_sentences, want_trees, stats, want_counts, _ = reordered_reference([str(path)], MEMO_CHAIN)
+    assert (sentences, trees, counts) == (want_sentences, want_trees, want_counts)
+    assert report == {"chain": MEMO_CHAIN, **dataclasses.asdict(stats)}
+    assert max(sizes) == pipeline.MEMO_LINES and len(sizes) == len(lines) - 300
+
+
+def test_a_draw_free_chain_scans_each_distinct_line_once(tmp_path, monkeypatch, capsys):
+    """A repeated tree line is read from the memo; blank, placeholder and malformed
+    lines are never kept, so each of those is scanned every time."""
+    paths = repeated_corpus(tmp_path)
+    scanned, real = {}, pipeline.scan_line
+
+    def counting(text, **kwargs):
+        scanned[text] = scanned.get(text, 0) + 1
+        return real(text, **kwargs)
+    monkeypatch.setattr(pipeline, "scan_line", counting)
+    assert run_draw_free(tmp_path / "run", monkeypatch, capsys, paths, "1")[0] == 1
+    lines = [text for _, _, _, text in numbered(paths)]
+    assert scanned == {text: 1 if text in TREES else lines.count(text) for text in set(lines)}

@@ -86,8 +86,19 @@ class TestGrammarValidation:
     def test_production_validation(self):
         with pytest.raises(SynthError, match="empty right-hand side"):
             Production("X", ())
-        with pytest.raises(SynthError, match="weight must be > 0"):
+        with pytest.raises(SynthError, match="weight must be finite and > 0"):
             Production("X", ("Y",), 0.0)
+
+    @pytest.mark.parametrize("weight", ["nan", "inf", "-inf", "1e400", "-0"])
+    def test_a_weight_that_is_not_finite_and_positive_is_refused(self, weight):
+        """NaN passes ``weight <= 0``, and an infinite weight would decide every draw."""
+        with pytest.raises(SynthError, match=r"^production X -> Y: weight must be finite and > 0$"):
+            Production("X", ("Y",), float(weight))
+        text = ("language a\nlanguage b\nrule S -> NN\nrule S -> JJ : %s\n"
+                "lex a NN n\nlex a JJ j\nlex b NN m\nlex b JJ k\n" % weight)
+        with pytest.raises(SynthError) as caught:
+            parse_grammar(text, origin="g.grammar")
+        assert str(caught.value) == "g.grammar:4: production S -> JJ: weight must be finite and > 0"
 
     @pytest.mark.parametrize(
         "rhs", ["VP -> NP VB", "PP -> NP IN", "NP -> NN JJ", "VP -> NP VBD"]
