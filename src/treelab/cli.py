@@ -14,11 +14,11 @@ which has no settings) holds ``key = value`` lines (``#`` comments allowed);
 its setting exists. Those values become the settings' defaults, so the
 precedence is explicit flag, then environment, then config file, then
 built-in default; one that cannot be read or is out of range, or an unknown
-key, is a usage error even when a flag wins. A config value that takes
-effect is named by its file and line in its errors, including a bad
-``chain``, a ``report`` without ``stats``, an ``emit = both`` without
-``--tree-output`` and a ``vocab-size`` beside ``--model``, which show only
-later; a setting that a config file lacks names the file.
+key, is a usage error even when a flag wins. An error records the settings
+it is about, and :func:`main` alone says where they came from: the first of
+them that a config file or the environment gave prefixes the message with
+``PATH:LINE: config key 'KEY': `` or ``environment variable VAR: ``, and an
+error about a setting that nothing gave names the config file, ``PATH: ``.
 Input and output paths are always given on the command line — a manifest
 that silently redirects file writes is a footgun, not a convenience.
 
@@ -258,32 +258,17 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _in_config(args: argparse.Namespace, message: str) -> str:
-    """``message`` about a setting that is missing, naming the config file that lacks it."""
-    return f"{args.config}: {message}" if args.config else message
-
-
 def _cmd_transform(args: argparse.Namespace, stdout: IO[str], stderr: IO[str]) -> int:
-    from .pipeline import ChainError, PipelineConfig, run_transform
+    from .pipeline import PipelineConfig, run_transform
     if args.chain is None:
-        raise UsageError(
-            _in_config(args, "transform needs a chain: --chain or a config-file 'chain' entry"))
-    origins = args.origins
-    if args.report and not args.stats and "report" in origins:
-        raise UsageError(f"{origins['report']}: needs --stats")
-    if args.emit == "both" and not args.tree_output and "emit" in origins:
-        raise UsageError(f"{origins['emit']}: --emit both needs a separate tree output path")
+        raise UsageError("transform needs a chain: --chain or a config-file 'chain' entry",
+                         ("chain",), missing=True)
     pipeline_config = PipelineConfig(
         inputs=tuple(args.inputs), output=args.output, chain=args.chain, global_seed=args.seed,
         workers=args.workers, emit=args.emit, tree_output=args.tree_output, stats=args.stats,
         report=args.report, skip_bad=args.skip_bad, rules_file=args.rules,
     )
-    try:
-        return run_transform(pipeline_config, stdout=stdout, stderr=stderr)
-    except ChainError as exc:  # only parse_chain raises it: name the chain's config line
-        if "chain" not in origins:
-            raise
-        raise ChainError(f"{origins['chain']}: {exc}") from exc
+    return run_transform(pipeline_config, stdout=stdout, stderr=stderr)
 
 
 def _cmd_stats(args: argparse.Namespace, stdout: IO[str], stderr: IO[str]) -> int:
@@ -324,12 +309,10 @@ def _cmd_bpe_apply(args: argparse.Namespace, stdout: IO[str], stderr: IO[str]) -
 def _cmd_mask(args: argparse.Namespace, stdout: IO[str], stderr: IO[str]) -> int:
     from .rng import run_streams
     from .subword import MaskingConfig, load_model, mask_tokens
-    size_origin = args.origins.get("vocab-size")
     if args.model is not None and args.vocab_size is not None:
-        where = f"{size_origin}: " if size_origin else ""
-        raise UsageError(f"{where}give either --model or --vocab-size, not both")
+        raise UsageError("give either --model or --vocab-size, not both", ("vocab-size",))
     if args.model is None and args.vocab_size is None:
-        raise UsageError(_in_config(args, "mask needs --model or --vocab-size"))
+        raise UsageError("mask needs --model or --vocab-size", ("vocab-size",), missing=True)
     vocab_size = args.vocab_size if args.model is None else len(load_model(args.model).vocab)
     masking = MaskingConfig(mask_rate=args.rate)
     labels_path = args.labels_output or args.output + ".labels"
@@ -347,8 +330,8 @@ def _cmd_mask(args: argparse.Namespace, stdout: IO[str], stderr: IO[str]) -> int
                 raise PipelineError(f"{path}:{lineno}: {exc}") from exc
             if seq and (min(seq) < 0 or max(seq) >= vocab_size):
                 bad = next(i for i in seq if not 0 <= i < vocab_size)
-                size = f"0..{vocab_size - 1}" + (f", {size_origin}" if size_origin else "")
-                raise PipelineError(f"{path}:{lineno}: id {bad} is outside the vocabulary ({size})")
+                raise PipelineError(f"{path}:{lineno}: id {bad} is outside the vocabulary "
+                                    f"(0..{vocab_size - 1})", ("vocab-size",))
             masked, labels = mask_tokens(seq, masking, vocab_size, rng=stream(sentences))
             fh_ids.write(" ".join(map(str, masked)) + "\n")
             fh_labels.write(" ".join(map(str, labels)) + "\n")
@@ -409,21 +392,24 @@ def main(argv: Sequence[str] | None = None) -> int:
     if extras:  # reported by the subcommand's parser, whose usage lists its options
         args.parser.error(f"unrecognized arguments: {' '.join(extras)}")
     stdout, stderr = sys.stdout, sys.stderr
+    origins: dict[str, str] = {}
     try:
         origins = _set_defaults(args)
         if origins:
             args = parser.parse_args(argv)
-        args.origins = origins
         return args.run(args, stdout, stderr)
-    except UsageError as exc:
-        print(f"error: {exc}", file=stderr)
-        return 2
     except KeyboardInterrupt:
         print("error: interrupted", file=stderr)
         return 130
     except (PipelineError, OSError, ValueError) as exc:  # every domain error is a ValueError
-        print(f"error: {exc}", file=stderr)
-        return 1
+        # The one door to origins: the first of the error's settings that a file or
+        # the environment gave, else, for a setting nothing gave, the config file.
+        settings = getattr(exc, "settings", ())
+        where = next((origins[key] for key in settings if key in origins), None)
+        if where is None and getattr(exc, "missing", False):
+            where = getattr(args, "config", None)
+        print(f"error: {where}: {exc}" if where else f"error: {exc}", file=stderr)
+        return 2 if isinstance(exc, UsageError) else 1
 
 
 if __name__ == "__main__":

@@ -33,7 +33,15 @@ SIDECAR_SUFFIX = ".provenance.json"
 
 
 class PipelineError(Exception):
-    """Hard runtime failure; maps to exit status 1."""
+    """Hard runtime failure; maps to exit status 1.
+
+    ``settings`` lists the settings (config keys) the error is about, most
+    telling first; ``missing`` says that nothing gave them. Only ``cli.main``
+    says where they came from."""
+
+    def __init__(self, message: str, settings: Sequence[str] = (), missing: bool = False):
+        super().__init__(message)
+        self.settings, self.missing = tuple(settings), missing
 
 
 class UsageError(PipelineError):

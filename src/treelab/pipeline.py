@@ -81,7 +81,10 @@ MEMO_LINES = 4096  # a draw-free chain's per-process line memo is emptied at thi
 
 
 class ChainError(UsageError):
-    pass
+    """A chain that cannot be parsed: an error about the ``chain`` setting."""
+
+    def __init__(self, message: str):
+        super().__init__(message, ("chain",))
 
 
 @dataclass(frozen=True)
@@ -199,7 +202,7 @@ class PipelineConfig:
         if self.workers < 1:
             raise UsageError(f"workers must be >= 1, got {self.workers}")
         if self.report and not self.stats:
-            raise UsageError("--report (or config key 'report') needs --stats")
+            raise UsageError("--report needs --stats", ("report", "stats"))
 
 
 @functools.lru_cache(maxsize=1)
@@ -321,9 +324,9 @@ def run_transform(
                        config.rules_file) if config.rules_file else []
     steps = parse_chain(config.chain, {rule.feature_id: rule for rule in rules})
     if config.emit in ("trees", "both") and any(isinstance(s, WordShuffleStep) for s in steps):
-        raise UsageError("cannot emit trees: the chain ends in word_shuffle")
+        raise UsageError("cannot emit trees: the chain ends in word_shuffle", ("emit", "chain"))
     if config.emit == "both" and not config.tree_output:
-        raise UsageError("--emit both needs a separate tree output path")
+        raise UsageError("--emit both needs a separate tree output path", ("emit",))
 
     sentence_path = config.output if config.emit != "trees" else None
     tree_path = {"trees": config.output, "both": config.tree_output}.get(config.emit)

@@ -277,8 +277,8 @@ class TestTransformCommand:
         argv = ["transform", str(corpus), "-o", str(out), "--chain", "reorder:83A", *extra]
         code, _, err = run(*argv)
         assert code == 2
-        assert err == ("error: --report (or config key 'report') needs --stats\n" if via == "flag"
-                       else f"error: {config}:1: config key 'report': needs --stats\n")
+        assert err == ("error: --report needs --stats\n" if via == "flag"
+                       else f"error: {config}:1: config key 'report': --report needs --stats\n")
         assert sorted(os.listdir(tmp_path)) == ["input.trees", "t.conf"]
 
     def test_missing_chain_is_usage_error(self, run, corpus, tmp_path):
@@ -556,7 +556,8 @@ class TestMutatedInputs:
         Path("clean.trees").write_bytes(b"".join(FIXTURE.read_bytes().splitlines(keepends=True)[:6]))
         Path("clean.grammar").write_bytes(self.GRAMMAR)
         Path("clean.tconf").write_bytes(self.COMMENT + b"chain = reorder:83A,ablate:0.5:shuffle\n"
-                                        + self.COMMENT + b"seed = 3\nstats = true\n" + self.COMMENT)
+                                        + self.COMMENT + b"seed = 3\nstats = true\nemit = sentences\n"
+                                        + self.COMMENT)
         Path("clean.mconf").write_bytes(self.COMMENT + b"vocab-size = 40\nrate = 0.3\n"
                                         + self.COMMENT + b"seed = 4\n" + self.COMMENT)
         Path("clean.txt").write_text("the cat sat\nthe cat ran on the mat\na dog sat\n")
@@ -1020,9 +1021,16 @@ CONFIG_COMBINATIONS = {
     "no vocabulary": ("seed = 3\n", "mask in.ids -o o", "CONF: mask needs --model or --vocab-size"),
     "an id outside vocab-size": (
         "vocab-size = 8\n", "mask in.ids -o o",
-        "in.ids:1: id 8 is outside the vocabulary (0..7, CONF:1: config key 'vocab-size')"),
+        "CONF:1: config key 'vocab-size': in.ids:1: id 8 is outside the vocabulary (0..7)"),
     "emit both": ("chain = reorder:83A\nemit = both\n", "transform in.trees -o o",
                   "CONF:2: config key 'emit': --emit both needs a separate tree output path"),
+    # Both settings from the file: the error names the first it lists, emit.
+    "trees after word_shuffle": (
+        "chain = word_shuffle\nemit = trees\n", "transform in.trees -o o",
+        "CONF:2: config key 'emit': cannot emit trees: the chain ends in word_shuffle"),
+    "trees after a config word_shuffle": (
+        "chain = word_shuffle\n", "transform in.trees -o o --emit trees",
+        "CONF:1: config key 'chain': cannot emit trees: the chain ends in word_shuffle"),
     "no chain": ("seed = 3\n", "transform in.trees -o o",
                  "CONF: transform needs a chain: --chain or a config-file 'chain' entry"),
     "a choice under its flag": (
@@ -1051,12 +1059,26 @@ def test_a_config_setting_that_does_not_fit_names_the_config_file(run, tmp_path,
     ("transform in.trees -o o --chain reorder:83A --emit both",
      "--emit both needs a separate tree output path"),
     ("transform in.trees -o o", "transform needs a chain: --chain or a config-file 'chain' entry"),
+    ("transform in.trees -o o --chain word_shuffle --emit trees",
+     "cannot emit trees: the chain ends in word_shuffle"),
 ])
 def test_without_a_config_file_the_same_errors_name_none(run, tmp_path, monkeypatch, argv, message):
     monkeypatch.chdir(tmp_path)
     Path("in.ids").write_text("7 8 9\n")
     Path("in.trees").write_text(NESTED + "\n")
     assert run(*argv.split()) == (2, "", f"error: {message}\n")
+
+
+def test_a_config_file_that_did_not_set_the_value_is_not_named(run, tmp_path, monkeypatch):
+    """The vocabulary size comes from the model, so the config file, which sets
+    only the seed, neither gave it nor lacks it."""
+    monkeypatch.chdir(tmp_path)
+    Path("a.txt").write_text("the cat sat\n")
+    assert run("bpe", "learn", "a.txt", "-o", "m.bpe", "--vocab-size", "20")[0] == 0
+    Path("in.ids").write_text("999\n")
+    Path("m.conf").write_text("seed = 3\n")
+    assert run("mask", "in.ids", "-o", "mo", "--model", "m.bpe", "--config", "m.conf") == (
+        1, "", "error: in.ids:1: id 999 is outside the vocabulary (0..12)\n")
 
 
 LOADED_PROBE = """

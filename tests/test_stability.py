@@ -6,6 +6,9 @@
   does the same for a renamed keyword or attribute the replicas use.
 * No ``treelab`` module imports an underscore name from another, so a
   module's private helpers stay its own.
+* Only ``cli.main`` says where a setting came from: no other function in
+  ``cli.py`` reads ``.origins``, and only ``cli._set_defaults`` builds the
+  text ``config key``.
 * Every defaulted parameter or dataclass field that the program calls is
   passed by some call in ``src/treelab`` or ``bench``, so no library knob
   exists that only tests set; and every public function or class is named
@@ -99,6 +102,31 @@ def test_no_module_imports_a_private_name_of_another():
                 imports += [f"{path.name}: {node.module}.{alias.name}"
                             for alias in node.names if alias.name.startswith("_")]
     assert imports == []
+
+
+def test_only_main_says_where_a_setting_came_from():
+    """An error records the settings it is about, and ``cli.main`` alone says where
+    they came from: no other function in ``cli.py`` reads ``.origins``, and no
+    string outside ``cli._set_defaults``, docstrings aside, holds ``config key``."""
+    readers, builders = set(), set()
+    for path in sorted((ROOT / "src" / "treelab").glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        docstrings = {id(node.body[0].value) for node in ast.walk(tree)
+                      if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef))
+                      and ast.get_docstring(node, clean=False) is not None}
+        scopes = [(tree, path.stem)]
+        while scopes:
+            node, owner = scopes.pop()
+            scopes += [(child, f"{path.stem}.{child.name}"
+                        if isinstance(child, (ast.ClassDef, ast.FunctionDef)) else owner)
+                       for child in ast.iter_child_nodes(node)]
+            if isinstance(node, ast.Attribute) and node.attr == "origins" and path.stem == "cli":
+                readers.add(owner)
+            if (isinstance(node, ast.Constant) and isinstance(node.value, str)
+                    and "config key" in node.value and id(node) not in docstrings):
+                builders.add(owner)
+    assert readers <= {"cli.main"}, readers
+    assert builders == {"cli._set_defaults"}, builders
 
 
 #: Defaulted parameters and fields that no call in ``src/treelab`` or ``bench``
