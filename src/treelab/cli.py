@@ -9,12 +9,13 @@ is also a config key, named by its long option. Only the subcommands that
 draw random numbers (``transform``, ``mask``, ``synth generate``) have
 ``--seed``, and only ``transform``, the one with a process pool, has
 ``--workers``. ``--config FILE`` (on every subcommand but ``bpe apply``,
-which has no settings) holds ``key = value`` lines (``#`` comments allowed);
-``TREELAB_SEED`` and ``TREELAB_WORKERS`` override it, each read only where
-its setting exists. Those values become the settings' defaults, so the
-precedence is explicit flag, then environment, then config file, then
-built-in default; one that cannot be read or is out of range, or an unknown
-key, is a usage error even when a flag wins. An error records the settings
+which has no settings) holds ``key = value`` lines; ``#`` starts a comment
+anywhere on a line, so a value cannot contain ``#``. ``TREELAB_SEED`` and
+``TREELAB_WORKERS`` override it, each read only where its setting exists.
+Those values become the settings' defaults, so the precedence is explicit
+flag, then environment, then config file, then built-in default; one that
+cannot be read or is out of range, or an unknown key, is a usage error even
+when a flag wins. An error records the settings
 it is about, and :func:`main` alone says where they came from: the first of
 them that a config file or the environment gave prefixes the message with
 ``PATH:LINE: config key 'KEY': `` or ``environment variable VAR: ``, and an
@@ -95,8 +96,8 @@ def load_config_file(path: str, allowed: Collection[str]) -> dict[str, tuple[str
     except PipelineError as exc:  # the config file is part of the invocation: exit 2
         raise UsageError(str(exc)) from exc
     for _, lineno, raw in lines:
-        line = raw.strip()
-        if not line or line.startswith("#"):
+        line = raw.split("#", 1)[0].strip()  # as transform.load_rules reads a rules file
+        if not line:
             continue
         key, eq, value = line.partition("=")
         if not eq:

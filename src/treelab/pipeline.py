@@ -70,10 +70,8 @@ from .transform import (
     remove_composition,
     reorder_kids,
     reorder_table,
-    word_shuffle,
 )
-from .treebank import (AlignmentError, Sentence, TreeNode, TreeParseError, scan_line, write_tree,
-                       yield_sentence)
+from .treebank import AlignmentError, TreeNode, TreeParseError, scan_line, write_tree
 
 CHUNK_LINES = 256  # lines per unit of work: one worker call, one block write
 CHUNKS_PER_WORKER = 2  # chunks queued or running per pool worker
@@ -164,18 +162,6 @@ def _tree_steps(tree: TreeNode, steps: Sequence[ChainStep], rng: Rng | None) -> 
             elif not isinstance(step, WordShuffleStep):  # pragma: no cover
                 raise TypeError(f"unknown chain step {step!r}")  # parse_chain makes no other
     return tree
-
-
-def apply_chain(tree: TreeNode, steps: Sequence[ChainStep], rng: Rng) -> tuple[TreeNode | None, Sentence]:
-    """Run one tree through the chain, consuming one random stream.
-
-    Returns the transformed tree (None once word_shuffle has destroyed the
-    structure) and the resulting sentence.
-    """
-    tree = _tree_steps(tree, steps, rng)
-    if steps and isinstance(steps[-1], WordShuffleStep):
-        return None, word_shuffle(yield_sentence(tree), rng)
-    return tree, yield_sentence(tree)
 
 
 @dataclass(frozen=True)

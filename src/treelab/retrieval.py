@@ -68,9 +68,6 @@ class EmbeddingMatrix:
     dim: int
     layer: int = 0
 
-    def __len__(self) -> int:
-        return len(self.sentences)
-
 
 @dataclass(frozen=True)
 class RetrievalResult:

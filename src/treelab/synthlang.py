@@ -139,11 +139,6 @@ class SynthGrammar:
     def nonterminals(self) -> frozenset[str]:
         return frozenset(p.lhs for p in self.productions)
 
-    @property
-    def preterminals(self) -> frozenset[str]:
-        first = next(iter(self.lexicons.values()))
-        return frozenset(first)
-
     def recursive_productions(self) -> frozenset[Production]:
         """Productions that can re-derive their own left-hand side."""
         reach: dict[str, set[str]] = {nt: set() for nt in self.nonterminals}

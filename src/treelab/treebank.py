@@ -82,10 +82,6 @@ class TreeNode(namedtuple("TreeNode", "label children token origin")):
             raise ValueError("node must have either a token or children, not both")
         return _new(cls, (label, children, token, origin))
 
-    @property
-    def is_leaf(self) -> bool:
-        return self.token is not None
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, TreeNode):
             return False  # not NotImplemented: tuple's reflected == would compare fields
@@ -114,17 +110,6 @@ def leaf(label: str, token: str, origin: int | None = None) -> TreeNode:
     if not lab or not tok:
         raise ValueError("leaf label and token must be non-empty")
     return TreeNode(lab, (), tok, origin)
-
-
-def internal(label: str, children: Iterable[TreeNode]) -> TreeNode:
-    """Build an internal node from raw text label and >=1 children."""
-    kids = tuple(children)
-    if not kids:
-        raise ValueError("internal node needs at least one child")
-    lab = escape_symbol(label)
-    if not lab:
-        raise ValueError("empty node label")
-    return TreeNode(lab, kids)
 
 
 def is_permutation(values: Sequence[int]) -> bool:
@@ -166,10 +151,6 @@ class Sentence:
         return " ".join(self.surfaces())
 
     @classmethod
-    def from_surfaces(cls, surfaces: Iterable[str]) -> "Sentence":
-        return cls(tuple((s, i) for i, s in enumerate(surfaces)))
-
-    @classmethod
     def of_leaves(cls, tokens: list[tuple[str, int | None]]) -> "Sentence":
         """A tree's ``(token, origin)`` leaves in order, as :func:`write_tree` lists them;
         origins 0..n-1 in order if no leaf has one, ``ValueError`` if only some do."""
@@ -181,7 +162,7 @@ class Sentence:
                 raise
         if missing < len(tokens):
             raise ValueError(_MIXED)
-        return cls.from_surfaces(token for token, _ in tokens)
+        return cls(tuple((token, i) for i, (token, _) in enumerate(tokens)))
 
 
 _LEXEME = re.compile(r"[()]|[^\s()]+")  # scan_ptb's lexemes, found with their positions

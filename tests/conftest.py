@@ -6,7 +6,8 @@ import hypothesis.strategies as st
 from hypothesis import HealthCheck, settings
 
 from treelab.rng import Rng
-from treelab.treebank import TreeNode, internal, leaf
+from helpers import internal
+from treelab.treebank import TreeNode, leaf
 
 settings.register_profile(
     "default",

@@ -1,9 +1,12 @@
 """Code that only the tests need: writers and readers of embedding containers
 in the formats of ``docs/embedding-format.md`` and of the alignment lines that
-``synth generate`` writes, a FIFO input, reference versions of tree walks
-that the program now does in fewer passes, an inversion count of its own, a
-scalar SplitMix64 stream with a draw count taken from the state, and the
-linear-scan weighted draw that the grammar sampler's tables replace."""
+``synth generate`` writes, a FIFO input, builders of trees and sentences from
+raw text, the chain reference that runs the library's steps one at a time on
+one tree (the corpus driver's tests compare against it, sharing none of the
+driver's code), reference versions of tree walks that the program now does in
+fewer passes, an inversion count of its own, a scalar SplitMix64 stream with
+a draw count taken from the state, and the linear-scan weighted draw that the
+grammar sampler's tables replace."""
 
 from __future__ import annotations
 
@@ -14,22 +17,25 @@ import threading
 from bisect import bisect_right
 from contextlib import contextmanager
 from pathlib import Path
-from typing import Iterator, MutableSequence, Sequence
+from typing import Iterable, Iterator, MutableSequence, Sequence
 
 import numpy as np
 
+from treelab.pipeline import ChainStep, ConstituentShuffleStep, ReorderStep
 from treelab.retrieval import POOLED_MAGIC, TOKEN_MAGIC, EmbeddingMatrix, RetrievalError
 from treelab.rng import GOLDEN, Rng, mix64
 from treelab.synthlang import SynthError
-from treelab.transform import AblationSpec
-from treelab.treebank import Sentence, TreeNode, iter_nodes, rebuild
+from treelab.transform import (AblationSpec, apply_reorder, constituent_shuffle, remove_composition,
+                               word_shuffle)
+from treelab.treebank import Sentence, TreeNode, escape_symbol, iter_nodes, rebuild, yield_sentence
 
 
 def write_token_embeddings(path: str, embeddings: EmbeddingMatrix) -> None:
     max_tokens = max((len(vectors) for vectors, _ in embeddings.sentences), default=0)
     with open(path, "wb") as fh:
         fh.write(TOKEN_MAGIC)
-        fh.write(struct.pack("<4I", len(embeddings), max_tokens, embeddings.dim, embeddings.layer))
+        fh.write(struct.pack("<4I", len(embeddings.sentences), max_tokens, embeddings.dim,
+                             embeddings.layer))
         for vectors, special in embeddings.sentences:
             fh.write(struct.pack("<I", len(vectors)))
             fh.write(np.asarray(special, dtype=np.uint8).tobytes())
@@ -69,9 +75,37 @@ def parse_alignment(line: str) -> tuple[tuple[int, int], ...]:
     return tuple(pairs)
 
 
+def internal(label: str, children: Iterable[TreeNode]) -> TreeNode:
+    """An internal node with at least one child, its raw label escaped as ``leaf``
+    escapes its text."""
+    return TreeNode(escape_symbol(label), tuple(children))
+
+
+def sentence_of(surfaces: Iterable[str]) -> Sentence:
+    """``surfaces`` as a sentence in their original order: origins 0..n-1."""
+    return Sentence(tuple((surface, i) for i, surface in enumerate(surfaces)))
+
+
+def apply_chain(tree: TreeNode, steps: Sequence[ChainStep], rng: Rng | None
+                ) -> tuple[TreeNode | None, Sentence]:
+    """The chain on one tree, one library call per step, all drawing from ``rng``:
+    the tree and its sentence, or None and the shuffled sentence when the chain
+    ends in word_shuffle."""
+    for step in steps:
+        if isinstance(step, ReorderStep):
+            tree = apply_reorder(tree, step.rule)
+        elif isinstance(step, ConstituentShuffleStep):
+            tree = constituent_shuffle(tree, rng, include_root=step.include_root)
+        elif isinstance(step, AblationSpec):
+            tree = remove_composition(tree, step, rng)
+        else:  # word_shuffle, which parse_chain allows only last
+            return None, word_shuffle(yield_sentence(tree), rng)
+    return tree, yield_sentence(tree)
+
+
 def iter_leaves(tree: TreeNode) -> Iterator[TreeNode]:
     """The leaves in pre-order."""
-    return (node for node in iter_nodes(tree) if node.is_leaf)
+    return (node for node in iter_nodes(tree) if node.token is not None)
 
 
 def reference_remove_composition(tree: TreeNode, spec: AblationSpec, rng: Rng) -> TreeNode:
@@ -122,7 +156,7 @@ def reference_serialize(tree: TreeNode) -> str:
         node = stack.pop()
         if node is None:
             parts.append(")")
-        elif node.is_leaf:
+        elif node.token is not None:
             parts.append(f" ({node.label} {node.token})")
         else:
             parts.append(" (" + node.label)
@@ -138,12 +172,12 @@ def reference_yield(tree: TreeNode) -> Sentence:
     stack = [tree]
     while stack:
         node = stack.pop()
-        if node.is_leaf:
+        if node.token is not None:
             leaves.append(node)
         else:
             stack.extend(reversed(node.children))
     if all(node.origin is None for node in leaves):
-        return Sentence.from_surfaces(node.token for node in leaves)
+        return sentence_of(node.token for node in leaves)
     return Sentence(tuple((node.token, node.origin) for node in leaves))
 
 

@@ -17,7 +17,7 @@ import pytest
 import treelab
 import treelab.subword
 import treelab.synthlang
-from helpers import write_pooled_embeddings, write_token_embeddings
+from helpers import apply_chain, write_pooled_embeddings, write_token_embeddings
 from treelab.cli import SEED_ENV, WORKERS_ENV, main
 from treelab.files import UsageError
 from treelab.retrieval import EmbeddingMatrix
@@ -28,7 +28,6 @@ from treelab.pipeline import (
     ConstituentShuffleStep,
     ReorderStep,
     WordShuffleStep,
-    apply_chain,
     parse_chain,
 )
 from treelab.rng import SeedScheme
@@ -338,6 +337,25 @@ class TestSeedPrecedence:
         code, _, _ = run("transform", str(src), "-o", str(out), "--config", str(config))
         assert code == 0
         assert out.read_text() == "I two papers read\n"
+
+    def test_a_comment_after_a_value_is_not_part_of_it(self, run, tmp_path, monkeypatch):
+        """``#`` starts a comment anywhere on a config line, as in a rules file."""
+        monkeypatch.chdir(tmp_path)
+        Path("in.trees").write_text(NESTED + "\n")
+        Path("t.conf").write_text("chain = reorder:83A  # verb last\nseed = 3  # fixed\nstats = yes\n"
+                                  "report = r.json  # the JSON report\n")
+        code, _, err = run("transform", "in.trees", "-o", "out.txt", "--config", "t.conf")
+        assert code == 0, err
+        assert json.loads(Path("r.json").read_text())["chain"] == "reorder:83A"
+        assert json.loads(Path("out.txt.provenance.json").read_text())["seed"] == 3
+        Path("text.txt").write_text("the cat sat\n")
+        Path("b.conf").write_text("language = en  # English\nvocab-size = 30\n")
+        code, _, err = run("bpe", "learn", "text.txt", "-o", "m.bpe", "--config", "b.conf")
+        assert code == 0, err
+        assert load_model("m.bpe").language == "en"
+        assert sorted(os.listdir()) == [
+            "b.conf", "in.trees", "m.bpe", "m.bpe.provenance.json", "out.txt",
+            "out.txt.provenance.json", "r.json", "r.json.provenance.json", "t.conf", "text.txt"]
 
     @pytest.mark.parametrize("flag, message", [
         ([], "CONF:2: config key 'chain': unknown chain step 'r'; expected reorder:FEATURE, "

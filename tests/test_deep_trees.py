@@ -11,8 +11,9 @@ import collections
 
 import pytest
 
+from helpers import apply_chain
 from treelab.cli import main
-from treelab.pipeline import apply_chain, parse_chain
+from treelab.pipeline import parse_chain
 from treelab.rng import SeedScheme
 from treelab.synthlang import demo_grammar, translate_tree
 from treelab.transform import BUILTIN_RULES, apply_reorder

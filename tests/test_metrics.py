@@ -6,7 +6,7 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import given
 
-from helpers import merge_sort_inversions
+from helpers import merge_sort_inversions, sentence_of
 from treelab import metrics
 from treelab.metrics import (
     AlignedPermutation,
@@ -55,7 +55,7 @@ class TestAlignment:
         assert alignment(original, modified).pi == (0, 3, 1, 2)
 
     def test_identity(self):
-        s = Sentence.from_surfaces(["a", "b", "c"])
+        s = sentence_of(["a", "b", "c"])
         assert alignment(s, s).pi == (0, 1, 2)
 
     def test_duplicates_tracked_by_origin(self):
@@ -65,10 +65,10 @@ class TestAlignment:
 
     def test_length_mismatch(self):
         with pytest.raises(AlignmentError, match="length"):
-            alignment(Sentence.from_surfaces(["a"]), Sentence.from_surfaces(["a", "b"]))
+            alignment(sentence_of(["a"]), sentence_of(["a", "b"]))
 
     def test_names_first_offender(self):
-        original = Sentence.from_surfaces(["a", "b"])
+        original = sentence_of(["a", "b"])
         modified = Sentence((("a", 0), ("c", 1)))
         with pytest.raises(AlignmentError, match="'b' .* missing from modified"):
             alignment(original, modified)
@@ -184,7 +184,7 @@ class TestAccumulator:
 
 class TestCorpusStats:
     def test_aggregates(self):
-        original = Sentence.from_surfaces(["a", "b", "c", "d"])
+        original = sentence_of(["a", "b", "c", "d"])
         reversed_ = Sentence(tuple(reversed(original.tokens)))
         acc = StatsAccumulator()
         for modified in (original, reversed_):

@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from helpers import write_pooled_embeddings, write_token_embeddings
+from helpers import apply_chain, internal, sentence_of, write_pooled_embeddings, write_token_embeddings
 from treelab import metrics, pipeline, transform, treebank
 from treelab.cli import SEED_ENV, WORKERS_ENV, main
 from treelab.metrics import (
@@ -26,10 +26,10 @@ from treelab.metrics import (
     word_move_distance,
 )
 from treelab.files import SIDECAR_SUFFIX, PipelineError, read_lines, replace_on_success
-from treelab.pipeline import CHUNK_LINES, CHUNKS_PER_WORKER, apply_chain, parse_chain
+from treelab.pipeline import CHUNK_LINES, CHUNKS_PER_WORKER, parse_chain
 from treelab.retrieval import EmbeddingMatrix
 from treelab.rng import SeedScheme
-from treelab.treebank import Sentence, internal, leaf, parse_ptb, serialize, yield_sentence
+from treelab.treebank import Sentence, leaf, parse_ptb, serialize, yield_sentence
 
 CHAIN = "reorder:83A,ablate:0.5:shuffle"
 FIXTURE = Path(__file__).resolve().parent / "fixtures" / "english_like.trees"
@@ -1115,7 +1115,7 @@ def checked_sentence_row(tokens, leaves, stats):
     sentence = Sentence.of_leaves(leaves)
     if not stats:
         return sentence.text(), None
-    perm = alignment(Sentence.from_surfaces(tokens), sentence)
+    perm = alignment(sentence_of(tokens), sentence)
     return sentence.text(), (inversion_ratio(perm), word_move_distance(perm), perm.n)
 
 

@@ -210,7 +210,7 @@ class TestFiles:
         write_token_embeddings(str(path), matrix)
         loaded = read_token_embeddings(str(path))
         assert loaded.dim == 4 and loaded.layer == 9
-        assert len(loaded) == 3
+        assert len(loaded.sentences) == 3
         for (vectors, special), (want, want_special) in zip(loaded.sentences, matrix.sentences):
             assert not vectors.flags.owndata and not special.flags.owndata  # views, not copies
             np.testing.assert_array_equal(vectors, want)

@@ -11,8 +11,11 @@
   text ``config key``.
 * Every defaulted parameter or dataclass field that the program calls is
   passed by some call in ``src/treelab`` or ``bench``, so no library knob
-  exists that only tests set; and every public function or class is named
-  outside the tests, so no code path exists that only tests reach.
+  exists that only tests set.
+* Every function and class of ``src/treelab`` is reached: runs of each
+  subcommand, the README's Python blocks and the acceptance oracles call
+  each function and make an instance of each class, so no code path exists
+  that only tests reach. What they do not reach is listed with its reason.
 * ``transform`` output bytes on the fixture treebank are pinned by SHA-256
   for every randomized chain step, at one and two workers.
 * The stats bytes are pinned too: ``stats`` stdout and ``--report`` JSON on
@@ -32,9 +35,9 @@ from __future__ import annotations
 
 import ast
 import hashlib
+import inspect
 import json
 import os
-import re
 import shutil
 import subprocess
 import sys
@@ -45,6 +48,7 @@ import numpy as np
 import pytest
 
 from helpers import CountingRng, fifo_holding, write_pooled_embeddings, write_token_embeddings
+from test_readme import code_blocks
 from treelab import files
 from treelab.cli import SEED_ENV, WORKERS_ENV, main
 from treelab.retrieval import EmbeddingMatrix
@@ -209,48 +213,205 @@ def test_every_default_is_passed_by_some_caller():
     assert sorted(unpassed) == sorted(UNPASSED_DEFAULTS_ALLOWED)
 
 
-#: Public functions and classes of ``src/treelab`` that nothing outside the
-#: tests names, each kept for the reason given.
-UNNAMED_PUBLIC_ALLOWED = {
-    "apply_chain": "the per-line reference of the corpus driver's tests",
-    "translate_tree": "a criterion-1 oracle: the lexicon applied to a tree",
-    "delta_rules": "a criterion-1 oracle: the reorder rules between two languages",
-    "internal": "the tree builder that pairs with leaf",
+#: Why something that no reach run calls may stay, with the file that must
+#: name it on the cited line: the benchmark calls it, an acceptance criterion
+#: calls it, or it keeps trees of any depth safe (the ``treebank`` docstring).
+REACH_REASONS = {"bench": "bench/", "criterion": "tests/test_acceptance.py",
+                 "deep trees": "tests/test_deep_trees.py"}
+
+#: Functions, methods and classes of ``src/treelab`` that no reach run calls:
+#: each one's reason from REACH_REASONS, the ``FILE:LINE`` that needs it, and
+#: the text on that line that names it.
+UNREACHED_ALLOWED = {
+    "files.write_provenance": ("bench", "bench/replicas.py:303", "write_provenance"),
+    "retrieval.EmbeddingMatrix": ("bench", "bench/replicas.py:444", "read_token_embeddings"),
+    "retrieval.pool_matrix": ("bench", "bench/replicas.py:445", "pool_matrix"),
+    "retrieval.read_token_embeddings": ("bench", "bench/replicas.py:444", "read_token_embeddings"),
+    "rng.stream_seed": ("bench", "bench/replicas.py:215", "stream_seed"),
+    "rng.Rng._state": ("bench", "bench/replicas.py:215", "stream_seed"),
+    "rng.Rng.next_u64": ("bench", "bench/replicas.py:198", "Rng.next_u64"),
+    "subword.save_model": ("bench", "bench/replicas.py:367", "save_model"),
+    "subword.read_ids_file": ("bench", "bench/replicas.py:412", "read_ids_file"),
+    "synthlang.ParallelCorpus": ("bench", "bench/replicas.py:349", "ParallelCorpus"),
+    "synthlang.sample_pair": ("bench", "bench/replicas.py:345", "sample_pair"),
+    "synthlang.write_corpus": ("bench", "bench/replicas.py:349", "write_corpus"),
+    "transform.ReorderRule.matches": ("bench", "bench/replicas.py:272", "matches"),
+    "transform.word_shuffle": ("criterion", "tests/test_acceptance.py:141", "word_shuffle"),
+    "synthlang.corpus_pairs": ("criterion", "tests/test_acceptance.py:108", "corpus_pairs"),
+    "synthlang._trees": ("criterion", "tests/test_acceptance.py:108", "corpus_pairs"),
+    "treebank.Sentence.origins": ("criterion", "tests/test_acceptance.py:79", "origins"),
+    # Criterion 7's fuzzed trees are built by hand, without origins.
+    "treebank.Sentence.of_leaves.<locals>.<genexpr>": (
+        "criterion", "tests/test_acceptance.py:237", "yield_sentence"),
+    "treebank.TreeNode.__eq__": ("deep trees", "tests/test_deep_trees.py:60", "=="),
+    "treebank.TreeNode.__hash__": ("deep trees", "tests/test_deep_trees.py:61", "hash("),
+    "treebank.TreeNode.__repr__": ("deep trees", "tests/test_deep_trees.py:67", "repr("),
 }
 
 
-def _references(tree: ast.Module) -> tuple[set[str], set[str]]:
-    """The public functions and classes that ``tree`` defines at module level, and
-    every name it uses (a name, an attribute or an import) outside the definition
-    of the same name."""
-    defined, used = set(), set()
-    for statement in tree.body:
-        own = getattr(statement, "name", None)
-        if isinstance(statement, (ast.FunctionDef, ast.ClassDef)) and not own.startswith("_"):
-            defined.add(own)
-        for node in ast.walk(statement):
-            name = (node.id if isinstance(node, ast.Name) else node.attr
-                    if isinstance(node, ast.Attribute) else node.name
-                    if isinstance(node, ast.alias) else None)
-            if name is not None and name != own:
-                used.add(name)
-    return defined, used
+def _reach_inputs(tmp: Path) -> None:
+    """The files the reach runs read, written before anything is watched."""
+    shutil.copytree(ROOT / "tests" / "fixtures", tmp / "tests" / "fixtures")
+    lines = FIXTURE.read_text(encoding="utf-8").splitlines()
+    Path("bad.trees").write_text("\n".join([lines[0], "", "(())", *MALFORMED, lines[1]]) + "\n",
+                                 encoding="utf-8")
+    Path("latin1.trees").write_bytes(lines[0].encode("utf-8") + b"\n(S (NN caf\xe9))\n")
+    Path("rules.txt").write_text("NPD NP DT NN prefix:NN  # determiner last\n", encoding="utf-8")
+    Path("run.conf").write_text("# a transform run\nchain = reorder:83A,reorder:NPD\nseed = 3  # any\n",
+                                encoding="utf-8")
+    # X and Z recurse with no all-preterminal rule for Z, so some derivations
+    # reach the depth cap and are sampled again.
+    Path("g.grammar").write_text(
+        "language a\nlanguage b 83A=OV\nrule S -> NP VP\nrule S -> X : 2\nrule NP -> NN\n"
+        "rule VP -> VB NP\nrule X -> Z NN : 2048\nrule X -> NN\nrule Z -> X IN\n"
+        "lex a NN cat dog\nlex a IN on\nlex a VB see\nlex b NN neko inu\nlex b IN ue\n"
+        "lex b VB miru\n", encoding="utf-8")
+    Path("bad.grammar").write_text("language a\nrule S -> NN\nlex a NN cat\nlex a VB cat\n",
+                                   encoding="utf-8")
+    Path("text.txt").write_text("the cat sat\nthe cat ran\nthe dog sat\n", encoding="utf-8")
+    Path("other.txt").write_text("the cat sat\nthe dog ran\na dog sat\n", encoding="utf-8")
+    rng = np.random.default_rng(5)
+    sentences = tuple((rng.normal(size=(3, 4)).astype(np.float32), np.array([True, False, False]))
+                      for _ in range(6))
+    write_token_embeddings("tokens.emb", EmbeddingMatrix(sentences, dim=4))
+    write_pooled_embeddings("pooled.emb", rng.normal(size=(6, 4)))
+    write_pooled_embeddings("narrow.emb", rng.normal(size=(6, 3)))
 
 
-def test_every_public_name_is_used_outside_the_tests():
-    """Each public module-level function or class in ``src/treelab`` is named
-    outside its own definition: by code in ``src/treelab`` or ``bench``, or in
-    ``README.md`` or ``docs/``. One that only tests name is a code path that only
-    tests reach; the allowlist names the others."""
-    defined, used = set(), set()
-    for path in [*(ROOT / "src" / "treelab").glob("*.py"), *(ROOT / "bench").glob("*.py")]:
-        names, references = _references(ast.parse(path.read_text(encoding="utf-8")))
-        used |= references
-        if path.parent.name == "treelab":
-            defined |= names
-    for path in [ROOT / "README.md", *(ROOT / "docs").glob("*.md")]:
-        used.update(re.findall(r"\w+", path.read_text(encoding="utf-8")))
-    assert sorted(defined - used) == sorted(UNNAMED_PUBLIC_ALLOWED)
+#: ``cli.main`` runs in the order given, each with its exit status: each
+#: subcommand's happy path and one bad input of each.
+REACH_RUNS = [
+    (["synth", "generate", "-o", "demo", "-n", "60", "--seed", "3"], 0),
+    (["synth", "generate", "-o", "g", "--grammar", "g.grammar", "-n", "20", "--languages", "b", "a"], 0),
+    (["synth", "generate", "-o", "x", "--grammar", "bad.grammar"], 1),
+    (["transform", str(FIXTURE), "-o", "t.txt", "--config", "run.conf", "--rules", "rules.txt",
+      "--emit", "both", "--tree-output", "t.trees", "--stats", "--report", "t.json"], 0),
+    (["transform", "demo.alpha.trees", "bad.trees", "-o", "s.txt", "--skip-bad", "--stats", "--chain",
+      "reorder:83A,constituent_shuffle,ablate:0.5:shuffle,reorder:87A,word_shuffle"], 0),
+    (["transform", "tests/fixtures/english_like.trees", "-o", "ablate-0.5.trees", "--emit", "trees",
+      "--seed", "2", "--chain", "ablate:0.5:shuffle"], 0),
+    (["transform", "bad.trees", "-o", "b.txt", "--chain", "ablate:0.3"], 1),
+    (["transform", "latin1.trees", "-o", "l.txt", "--chain", "word_shuffle"], 1),
+    (["transform", "bad.trees", "-o", "c.txt", "--chain", "reorder:83A,frob"], 2),
+    (["stats", str(FIXTURE), "t.trees", "--report", "s.json"], 0),
+    (["stats", "text.txt", "other.txt"], 1),
+    (["bpe", "learn", "text.txt", "-o", "m.bpe", "--vocab-size", "40", "--language", "toy"], 0),
+    (["bpe", "learn", "text.txt", "-o", "tiny.bpe", "--vocab-size", "7"], 1),
+    (["bpe", "apply", "text.txt", "-o", "ids.txt", "--model", "m.bpe"], 0),
+    (["bpe", "apply", "text.txt", "-o", "x.ids", "--model", "text.txt"], 1),
+    (["mask", "ids.txt", "-o", "masked.txt", "--model", "m.bpe", "--seed", "1"], 0),
+    (["mask", "ids.txt", "-o", "x.masked", "--vocab-size", "6"], 1),
+    (["retrieval", "--source", "tokens.emb", "--target", "pooled.emb", "--report", "r.json"], 0),
+    (["retrieval", "--source", "tokens.emb", "--target", "narrow.emb"], 1),
+]
+
+
+def _reach_library() -> None:
+    """The README's Library and Experiments Python blocks, as written, and each
+    acceptance oracle once."""
+    from treelab.subword import bpe_apply, bpe_decode, load_model
+    from treelab.synthlang import delta_rules, demo_grammar, lexicon_map, translate_tree
+    from treelab.transform import BUILTIN_RULES, apply_reorder, inverse_rule
+    from treelab.treebank import parse_ptb
+
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    for section in ("Library", "Experiments"):
+        text = readme.split(f"\n## {section}\n", 1)[1].split("\n## ", 1)[0]
+        namespace: dict = {}
+        for lang, block in code_blocks(text):
+            if lang == "python":
+                exec(compile(block, "README.md", "exec"), namespace)
+    grammar = demo_grammar()
+    tree = parse_ptb("(S (NP (PRP i)) (VP (VB see) (NP (JJ red) (NN bird))))")
+    translate_tree(grammar, apply_reorder(tree, delta_rules(grammar, "alpha", "beta")), "alpha", "beta")
+    lexicon_map(grammar, "beta", "alpha")
+    apply_reorder(tree, inverse_rule(BUILTIN_RULES["83A"]))
+    model = load_model("m.bpe")
+    bpe_decode(model, bpe_apply(model, "the cat"))
+
+
+def _defined() -> tuple[dict[tuple, str], dict[type, str]]:
+    """Every function and method code object of ``src/treelab``, nested ones
+    included, keyed as a running frame's code is, and every class defined at
+    module level; each by its dotted name within the package. Each module's
+    function caches are emptied, so what earlier tests cached runs again."""
+    import importlib
+    functions, classes = {}, {}
+    for path in sorted((ROOT / "src" / "treelab").glob("*.py")):
+        name = "treelab" if path.stem == "__init__" else f"treelab.{path.stem}"
+        module = importlib.import_module(name)
+        for value in vars(module).values():
+            getattr(value, "cache_clear", lambda: None)()
+        classes.update({value: f"{path.stem}.{key}" for key, value in vars(module).items()
+                        if isinstance(value, type) and value.__module__ == name})
+        codes = [(compile(path.read_text(encoding="utf-8"), module.__file__, "exec"), "")]
+        while codes:
+            code, qualname = codes.pop()
+            function = code.co_flags & inspect.CO_NEWLOCALS  # not a module or class body
+            inner = f"{qualname}.<locals>." if function else f"{qualname}." if qualname else ""
+            codes += [(c, inner + c.co_name) for c in code.co_consts if isinstance(c, type(code))]
+            if function:
+                functions[code.co_filename, code.co_firstlineno, code.co_name] = (
+                    f"{path.stem}.{qualname}")
+    return functions, classes
+
+
+def test_every_function_runs_under_the_cli_or_is_named_api(tmp_path, monkeypatch, capsys):
+    """Under ``sys.setprofile``, REACH_RUNS, the README's Python blocks and the
+    acceptance oracles call every function and method of ``src/treelab``,
+    nested ones included, and make an instance of every class: a class is
+    reached when a call's ``self`` (``cls`` for ``__new__``) or an exception
+    being handled is one of it. What is not reached stays only on
+    UNREACHED_ALLOWED, for one reason of a closed set (REACH_REASONS): a
+    ``bench/`` file calls it, an acceptance criterion calls it, or it keeps
+    deep trees safe, as ``test_deep_trees.py`` checks; the entry cites the
+    line. What only tests call belongs in ``tests/helpers.py``."""
+    monkeypatch.delenv(SEED_ENV, raising=False)
+    monkeypatch.delenv(WORKERS_ENV, raising=False)
+    monkeypatch.chdir(tmp_path)
+    _reach_inputs(tmp_path)
+    functions, classes = _defined()
+    called: set = set()
+    instances: set = set()
+
+    def watch(frame, event, arg):
+        handled = sys.exc_info()[1]
+        if handled is not None:
+            instances.add(type(handled))
+        if event == "call":
+            code = frame.f_code
+            called.add((code.co_filename, code.co_firstlineno, code.co_name))
+            first = code.co_varnames[:1] if code.co_argcount else ()
+            if first == ("self",):
+                instances.add(type(frame.f_locals["self"]))
+            elif first == ("cls",) and code.co_name == "__new__":
+                instances.add(frame.f_locals["cls"])
+
+    statuses = []
+    sys.setprofile(watch)
+    try:
+        for argv, _ in REACH_RUNS:
+            statuses.append(main([*argv, "--workers", "1"] if argv[0] == "transform" else argv))
+        _reach_library()
+    finally:
+        sys.setprofile(None)
+    capsys.readouterr()
+    assert statuses == [status for _, status in REACH_RUNS]
+    unreached = {name for key, name in functions.items() if key not in called}
+    unreached |= {name for cls, name in classes.items()
+                  if not any(issubclass(seen, cls) for seen in instances)}
+    allowed = {name for name in unreached
+               if any(name == entry or name.startswith(entry + ".") for entry in UNREACHED_ALLOWED)}
+    assert not unreached - allowed, "reached by no run:\n" + "\n".join(sorted(unreached - allowed))
+    assert not set(UNREACHED_ALLOWED) - unreached, sorted(set(UNREACHED_ALLOWED) - unreached)
+
+
+@pytest.mark.parametrize("name", sorted(UNREACHED_ALLOWED))
+def test_each_unreached_entry_cites_a_line_that_needs_it(name):
+    reason, where, shown = UNREACHED_ALLOWED[name]
+    path, _, line = where.partition(":")
+    assert reason in REACH_REASONS and path.startswith(REACH_REASONS[reason])
+    assert shown in (ROOT / path).read_text(encoding="utf-8").splitlines()[int(line) - 1]
 
 
 def test_every_benchmark_replica_runs_once(tmp_path):

@@ -7,7 +7,7 @@ import re
 
 import pytest
 
-from helpers import MASK64, CountingRng, parse_alignment, seed_drawing, weighted_index
+from helpers import MASK64, CountingRng, internal, parse_alignment, seed_drawing, weighted_index
 from treelab import synthlang
 from treelab.rng import Rng, SeedScheme
 from treelab.synthlang import (
@@ -33,7 +33,7 @@ from treelab.synthlang import (
     write_corpus,
 )
 from treelab.transform import apply_reorder, inverse_rule
-from treelab.treebank import internal, leaf, read_treebank, serialize, yield_sentence
+from treelab.treebank import leaf, read_treebank, serialize, yield_sentence
 
 
 def surfaces(tree):
@@ -75,7 +75,7 @@ class TestGrammarValidation:
         g = demo_grammar()
         assert g.start == "S"
         assert g.languages == ("alpha", "beta")
-        assert g.preterminals == {"PRP", "VB", "NN", "JJ", "IN"}
+        assert set(next(iter(g.lexicons.values()))) == {"PRP", "VB", "NN", "JJ", "IN"}
         assert g.nonterminals == {"S", "VP", "NP", "PP"}
 
     def test_recursive_productions(self):
@@ -387,8 +387,6 @@ class TestTranslation:
 
     def test_unknown_word_rejected(self):
         g = demo_grammar()
-        from treelab.treebank import internal, leaf
-
         rogue = internal("S", [leaf("NN", "zebra")])
         with pytest.raises(SynthError, match="'zebra' not in the alpha lexicon"):
             translate_tree(g, rogue, "alpha", "beta")
@@ -438,8 +436,9 @@ def reference_pair(grammar, rng, languages, max_depth=MAX_DEPTH, max_retries=MAX
     """``sample_pair`` as written before the plan: the recursion fixpoint,
     the production scan and the weight list per node, ``leaf``/``internal``
     escaping, and leaf positions read from a ``Sentence``."""
-    preterminals = grammar.preterminals
-    arity = {pre: len(words) for pre, words in next(iter(grammar.lexicons.values())).items()}
+    first = next(iter(grammar.lexicons.values()))
+    preterminals = frozenset(first)
+    arity = {pre: len(words) for pre, words in first.items()}
 
     def derive():
         recursive = grammar.recursive_productions()

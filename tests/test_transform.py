@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 
 from treelab.cli import main
-from treelab.pipeline import ReorderStep, apply_chain
+from treelab.pipeline import parse_chain
 from treelab.rng import SeedScheme, stream_seed
 from treelab.transform import (
     BUILTIN_RULES,
@@ -27,7 +27,6 @@ from treelab.transform import (
 )
 from treelab.treebank import (
     TreeNode,
-    internal,
     iter_nodes,
     leaf,
     parse_ptb,
@@ -39,7 +38,7 @@ from treelab.treebank import (
 )
 
 from conftest import random_tree, tree_nodes
-from helpers import CountingRng, reference_remove_composition
+from helpers import CountingRng, apply_chain, internal, reference_remove_composition
 
 NESTED = "(S (NP (PRP I)) (VP (VBD read) (NP (CD two) (NNS papers))))"
 FIXTURE = os.path.join(os.path.dirname(__file__), "fixtures", "english_like.trees")
@@ -47,7 +46,7 @@ FIXTURE = os.path.join(os.path.dirname(__file__), "fixtures", "english_like.tree
 
 def unordered_fingerprint(node: TreeNode):
     """Shape of a tree ignoring child order — what shuffles must preserve."""
-    if node.is_leaf:
+    if node.token is not None:
         return (node.label, node.token)
     return (node.label, tuple(sorted(map(repr, map(unordered_fingerprint, node.children)))))
 
@@ -170,16 +169,30 @@ class TestReorderInOneWalk:
         [["83A", "83A"], ["87A", "87A-inv"], ["87A-inv", "87A"], ["87A", "NPD", "87A-inv", "NPD-inv"],
          ["85A", "PPX", "85A-inv"], ["83A", "85A", "87A"]],
     )
-    def test_chain_bytes_equal_separate_calls(self, names):
-        rules = [RULE_POOL[name] for name in names]
-        steps = tuple(ReorderStep(rule) for rule in rules)
+    def test_reorders_after_a_shuffle_equal_one_call_per_step(self, names, tmp_path, monkeypatch,
+                                                               capsys):
+        """Reorder steps after a step that draws run in one walk in ``transform``;
+        its bytes equal the chain reference's, one library call per step."""
+        rules_file = tmp_path / "pool.rules"
+        rules_file.write_text("".join(
+            f"{name} {rule.parent_label} {rule.first_child} {rule.second_child}"
+            + "".join(f" prefix:{pattern}" for pattern in sorted(rule.prefix_match)) + "\n"
+            for name, rule in RULE_POOL.items() if name not in BUILTIN_RULES))
+        chain = ",".join(["constituent_shuffle", *(f"reorder:{name}" for name in names)])
+        monkeypatch.chdir(tmp_path)
+        code = main(["transform", FIXTURE, "-o", "s.txt", "--tree-output", "t.trees", "--emit", "both",
+                     "--rules", str(rules_file), "--seed", "4", "--chain", chain])
+        assert code == 0, capsys.readouterr().err
+        steps = parse_chain(chain, {rule.feature_id: rule
+                                    for rule in load_rules(rules_file.read_text().splitlines())})
+        sentences, trees = [], []
         with open(FIXTURE, encoding="utf-8") as fh:
-            trees = [parse_ptb(line) for line in fh if line.strip()]
-        for tree in trees:
-            out, sentence = apply_chain(tree, steps, rng=None)
-            expected = one_pass_per_rule(tree, rules)
-            assert serialize(out) == serialize(expected)
-            assert sentence == yield_sentence(expected)
+            for index, line in enumerate(fh):
+                tree, sentence = apply_chain(parse_ptb(line), steps, SeedScheme(4, index).stream())
+                sentences.append(sentence.text() + "\n")
+                trees.append(serialize(tree) + "\n")
+        assert (tmp_path / "s.txt").read_text() == "".join(sentences)
+        assert (tmp_path / "t.trees").read_text() == "".join(trees)
 
     def test_a_node_swapped_and_swapped_back_is_shared(self):
         tree = parse_ptb("(S (NP (JJ red) (NN cat)) (VP (VB see) (NP (NN dog))))")
@@ -376,7 +389,7 @@ class TestRemoveComposition:
         position = {"the": 0, "cat": 1, "saw": 2, "us": 3}
         tokens = yield_sentence(result).tokens
         assert dict(tokens) == position
-        assert all(node.origin is not None for node in iter_nodes(result) if node.is_leaf)
+        assert all(node.origin is not None for node in iter_nodes(result) if node.token is not None)
         if not shuffle_after:
             assert tokens == tuple(position.items())
 

@@ -16,7 +16,6 @@ from treelab.treebank import (
     TreeNode,
     TreeParseError,
     escape_symbol,
-    internal,
     iter_nodes,
     leaf,
     parse_ptb,
@@ -33,7 +32,7 @@ from treelab.rng import SeedScheme
 from treelab.transform import AblationSpec, constituent_shuffle, remove_composition
 
 from conftest import random_tree, tree_nodes
-from helpers import iter_leaves, reference_serialize, reference_yield
+from helpers import internal, iter_leaves, reference_serialize, reference_yield
 
 NESTED = "(S (NP (PRP I)) (VP (VBD read) (NP (CD two) (NNS papers))))"
 FIXTURE = Path(__file__).resolve().parent / "fixtures" / "english_like.trees"
@@ -62,9 +61,9 @@ class TestEscape:
 class TestTreeNode:
     def test_leaf_and_internal(self):
         n = leaf("NN", "stone")
-        assert n.is_leaf and n.token == "stone"
+        assert n.token == "stone" and n.children == ()
         parent = internal("NP", [n])
-        assert not parent.is_leaf and parent.children == (n,)
+        assert parent.token is None and parent.children == (n,)
 
     def test_rejects_empty_label(self):
         with pytest.raises(ValueError):
@@ -208,8 +207,8 @@ def test_the_writer_gives_the_reference_text_and_tokens():
 
 
 class TestSentence:
-    def test_from_surfaces(self):
-        s = Sentence.from_surfaces(["a", "b", "a"])
+    def test_of_leaves_without_origins_numbers_them_in_order(self):
+        s = Sentence.of_leaves([("a", None), ("b", None), ("a", None)])
         assert s.tokens == (("a", 0), ("b", 1), ("a", 2))
         assert len(s) == 3
 
@@ -241,7 +240,7 @@ class TestSentence:
         monkeypatch.setattr(treebank, "is_permutation", lambda v: calls.append(v) or real(v))
         assert Sentence.of_leaves([("a", 1), ("b", 0)]).tokens == (("a", 1), ("b", 0))
         assert calls == [[1, 0]]
-        assert Sentence.of_leaves([("a", None), ("b", None)]) == Sentence.from_surfaces("ab")
+        assert Sentence.of_leaves([("a", None), ("b", None)]) == Sentence((("a", 0), ("b", 1)))
         assert Sentence.of_leaves([]) == Sentence(())
 
 
