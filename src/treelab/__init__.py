@@ -13,10 +13,9 @@ The toolkit groups into six layers:
   sidecars, which every layer that reads or writes files shares.
 
 Every tree and synth operation that draws random numbers takes a required
-``rng``: the stream that :class:`~treelab.rng.SeedScheme` (global seed +
-sentence index) names, ``SeedScheme(seed, index).stream()``, which is
-``run_streams(seed)(index)``. Output is bit-stable across platforms and
-worker counts.
+``rng``: the stream of one sentence in a seeded run,
+``run_streams(seed)(index)`` (:func:`~treelab.rng.run_streams`). Output is
+bit-stable across platforms and worker counts.
 
 The package re-exports nothing: each name is imported from its module
 (``from treelab.treebank import parse_ptb``), so ``import treelab`` loads no

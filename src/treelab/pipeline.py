@@ -189,6 +189,8 @@ class PipelineConfig:
             raise UsageError(f"workers must be >= 1, got {self.workers}")
         if self.report and not self.stats:
             raise UsageError("--report needs --stats", ("report", "stats"))
+        if self.tree_output and self.emit != "both":
+            raise UsageError("--tree-output needs --emit both", ("emit",))
 
 
 @functools.lru_cache(maxsize=1)

@@ -36,7 +36,6 @@ every smaller output lies below the limit of every such ``n``.
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass
 from functools import cache
 from typing import Callable, MutableSequence
 
@@ -152,17 +151,3 @@ class Rng:
             j = u % (i + 1)
             seq[i], seq[j] = seq[j], seq[i]
 
-
-@dataclass(frozen=True)
-class SeedScheme:
-    """Names one per-sentence stream inside a seeded corpus run.
-
-    ``stream()`` is the only way operations should obtain randomness from a
-    scheme; two schemes with equal fields always yield identical streams.
-    """
-
-    global_seed: int
-    sentence_index: int = 0
-
-    def stream(self) -> Rng:
-        return run_streams(self.global_seed)(self.sentence_index)

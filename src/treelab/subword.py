@@ -342,7 +342,7 @@ def mask_tokens(
     Returns ``(masked_ids, labels)``. Special-token positions are never
     selected; a selected one becomes the mask id (80%), keeps its id (10%)
     or takes a random non-special id (10%). Draws come from ``rng``, else
-    from ``SeedScheme(config.seed).stream()``. Stream consumption order: one
+    from ``run_streams(config.seed)(0)``. Stream consumption order: one
     uniform draw per candidate position, then for selected positions one
     draw for the replace/keep/resample decision and, only when resampling,
     one bounded-integer draw.

@@ -524,11 +524,11 @@ def parse_grammar(text: str, origin: str = "<string>") -> SynthGrammar:
     profiles: dict[str, OrderProfile] = {}
     lexicons: dict[str, dict[str, tuple[str, ...]]] = {}
 
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
+    # Lines are cut at "\n" alone, as read_lines counts them, and at a "#".
+    for lineno, raw in enumerate(text.split("\n"), start=1):
+        fields = raw.split("#", 1)[0].split()
+        if not fields:
             continue
-        fields = line.split()
         keyword = fields[0]
         where = f"{origin}:{lineno}"
         if keyword == "start":

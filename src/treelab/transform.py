@@ -14,7 +14,7 @@ Four families of modification, all pure functions over immutable trees:
 
 Every operation preserves the multiset of ``(surface, origin)`` leaf
 pairs. Randomized operations take a required ``rng``, the sentence's
-stream (``SeedScheme(seed, index).stream()``), so results are reproducible
+stream (``run_streams(seed)(index)``), so results are reproducible
 and independent of scheduling.
 
 The module opens no file: ``load_rules`` parses lines its caller has read.

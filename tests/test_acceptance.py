@@ -31,7 +31,7 @@ from treelab.metrics import (
     inversion_ratio,
     word_move_distance,
 )
-from treelab.rng import Rng, SeedScheme
+from treelab.rng import Rng, run_streams
 from treelab.subword import (
     SPECIAL_TOKENS,
     IGNORE_LABEL,
@@ -138,9 +138,9 @@ def test_criterion_3_shuffle_statistics(long_sentences):
         constituent_total = 0.0
         for index, tree in enumerate(long_sentences):
             original = yield_sentence(tree)
-            shuffled = word_shuffle(original, rng=SeedScheme(9, index).stream())
+            shuffled = word_shuffle(original, rng=run_streams(9)(index))
             word_total += inversion_ratio(alignment(original, shuffled))
-            permuted = constituent_shuffle(tree, SeedScheme(10, index).stream())
+            permuted = constituent_shuffle(tree, run_streams(10)(index))
             constituent_total += inversion_ratio(alignment(original, yield_sentence(permuted)))
         n = len(long_sentences)
         assert abs(word_total / n - 0.50) <= 0.02
@@ -164,7 +164,7 @@ def test_criterion_4_local_reorders_are_small():
             feature: mean_ir(lambda t, i, r=rule: apply_reorder(t, r))
             for feature, rule in BUILTIN_RULES.items()
         }
-        shuffle = mean_ir(lambda t, i: constituent_shuffle(t, SeedScheme(0, i).stream()))
+        shuffle = mean_ir(lambda t, i: constituent_shuffle(t, run_streams(0)(i)))
         for value in local.values():
             assert value < 0.10
             assert value < shuffle
@@ -175,9 +175,9 @@ def test_criterion_5_ablation_degeneracy(synth_trees):
         identity_spec = AblationSpec(0.0)
         full_spec = AblationSpec(1.0)
         for index, tree in enumerate(synth_trees):
-            kept = remove_composition(tree, identity_spec, SeedScheme(0, index).stream())
+            kept = remove_composition(tree, identity_spec, run_streams(0)(index))
             assert fingerprint(kept) == fingerprint(tree)
-            stripped = remove_composition(tree, full_spec, SeedScheme(0, index).stream())
+            stripped = remove_composition(tree, full_spec, run_streams(0)(index))
             assert intermediate_node_count(stripped) == 0
             assert leaf_multiset(yield_sentence(stripped)) == leaf_multiset(yield_sentence(tree))
 
@@ -194,9 +194,9 @@ def test_criterion_5_ablation_degeneracy(synth_trees):
             "shuffle": collections.Counter(),
         }
         for i in range(trials):
-            flattened = remove_composition(tree, spec, SeedScheme(3, i).stream())
+            flattened = remove_composition(tree, spec, run_streams(3)(i))
             orders["ablate"][yield_sentence(flattened).surfaces()] += 1
-            shuffled = word_shuffle(sentence, rng=SeedScheme(4, i).stream())
+            shuffled = word_shuffle(sentence, rng=run_streams(4)(i))
             orders["shuffle"][shuffled.surfaces()] += 1
         support = sorted(set(orders["ablate"]) | set(orders["shuffle"]))
         assert len(support) == 24  # all 4! orders reached
@@ -237,14 +237,14 @@ def test_criterion_7_multiset_preservation():
             reference = leaf_multiset(yield_sentence(tree))
             outputs = [
                 *(apply_reorder(tree, rule) for rule in BUILTIN_RULES.values()),
-                constituent_shuffle(tree, SeedScheme(1, index).stream()),
-                remove_composition(tree, spec, SeedScheme(0, index).stream()),
+                constituent_shuffle(tree, run_streams(1)(index)),
+                remove_composition(tree, spec, run_streams(0)(index)),
             ]
             for out in outputs:
                 assert leaf_multiset(yield_sentence(out)) == reference
                 checked += 1
             shuffled = word_shuffle(
-                yield_sentence(tree), rng=SeedScheme(2, index).stream()
+                yield_sentence(tree), rng=run_streams(2)(index)
             )
             assert leaf_multiset(shuffled) == reference
             checked += 1

@@ -30,7 +30,7 @@ from treelab.pipeline import (
     WordShuffleStep,
     parse_chain,
 )
-from treelab.rng import SeedScheme
+from treelab.rng import run_streams
 from treelab.subword import load_model
 from treelab.transform import BUILTIN_RULES, ReorderRule
 from treelab.treebank import parse_ptb, yield_sentence
@@ -109,7 +109,7 @@ class TestParseChain:
     def test_apply_chain_word_shuffle_drops_tree(self):
         tree = parse_ptb(NESTED)
         out_tree, sentence = apply_chain(
-            tree, parse_chain("word_shuffle"), SeedScheme(0, 0).stream()
+            tree, parse_chain("word_shuffle"), run_streams(0)(0)
         )
         assert out_tree is None
         assert sorted(sentence.surfaces()) == sorted(yield_sentence(tree).surfaces())
@@ -278,6 +278,20 @@ class TestTransformCommand:
         assert code == 2
         assert err == ("error: --report needs --stats\n" if via == "flag"
                        else f"error: {config}:1: config key 'report': --report needs --stats\n")
+        assert sorted(os.listdir(tmp_path)) == ["input.trees", "t.conf"]
+
+    @pytest.mark.parametrize("via", ["flag", "config"])
+    @pytest.mark.parametrize("emit", ["sentences", "trees"])
+    def test_tree_output_without_emit_both_is_usage_error(self, run, corpus, tmp_path, emit, via):
+        out, trees, config = tmp_path / "o.txt", tmp_path / "t.trees", tmp_path / "t.conf"
+        config.write_text(f"emit = {emit}\n")
+        extra = ["--emit", emit] if via == "flag" else ["--config", str(config)]
+        argv = ["transform", str(corpus), "-o", str(out), "--tree-output", str(trees),
+                "--chain", "reorder:83A", *extra]
+        code, _, err = run(*argv)
+        assert code == 2
+        assert err == ("error: --tree-output needs --emit both\n" if via == "flag"
+                       else f"error: {config}:1: config key 'emit': --tree-output needs --emit both\n")
         assert sorted(os.listdir(tmp_path)) == ["input.trees", "t.conf"]
 
     def test_missing_chain_is_usage_error(self, run, corpus, tmp_path):

@@ -14,7 +14,7 @@ import pytest
 from helpers import apply_chain
 from treelab.cli import main
 from treelab.pipeline import parse_chain
-from treelab.rng import SeedScheme
+from treelab.rng import run_streams
 from treelab.synthlang import demo_grammar, translate_tree
 from treelab.transform import BUILTIN_RULES, apply_reorder
 from treelab.treebank import parse_ptb, serialize, yield_sentence
@@ -77,7 +77,7 @@ def test_reorder(tree):
     "chain", ["reorder:83A", "constituent_shuffle", "ablate:0.5:shuffle", "word_shuffle"]
 )
 def test_chain_steps_keep_tokens(tree, chain):
-    out_tree, sentence = apply_chain(tree, parse_chain(chain), SeedScheme(3, 0).stream())
+    out_tree, sentence = apply_chain(tree, parse_chain(chain), run_streams(3)(0))
     before = yield_sentence(tree).tokens
     assert collections.Counter(sentence.tokens) == collections.Counter(before)
     if out_tree is not None:

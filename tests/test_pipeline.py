@@ -28,7 +28,7 @@ from treelab.metrics import (
 from treelab.files import SIDECAR_SUFFIX, PipelineError, read_lines, replace_on_success
 from treelab.pipeline import CHUNK_LINES, CHUNKS_PER_WORKER, parse_chain
 from treelab.retrieval import EmbeddingMatrix
-from treelab.rng import SeedScheme
+from treelab.rng import run_streams
 from treelab.treebank import Sentence, leaf, parse_ptb, serialize, yield_sentence
 
 CHAIN = "reorder:83A,ablate:0.5:shuffle"
@@ -92,7 +92,7 @@ def numbered(paths: list[str]) -> list[tuple[int, str, int, str]]:
 
 def chained(text: str, index: int, chain: str):
     """``apply_chain`` on one line, seeded as the driver must: by its global index."""
-    return apply_chain(parse_ptb(text), parse_chain(chain), SeedScheme(SEED, index).stream())
+    return apply_chain(parse_ptb(text), parse_chain(chain), run_streams(SEED)(index))
 
 
 def run_in(directory, monkeypatch, capsys, *argv: str) -> tuple[int, str, str]:
@@ -1000,7 +1000,7 @@ def reference_row(text: str, index: int, chain: str) -> tuple[float, float, int]
     """A ``--stats`` row as ``_run_chunk`` computed it before alignment by
     origin: ``alignment`` of the input tree's yield and the chain's sentence."""
     tree = parse_ptb(text)
-    _, sentence = apply_chain(tree, parse_chain(chain), SeedScheme(SEED, index).stream())
+    _, sentence = apply_chain(tree, parse_chain(chain), run_streams(SEED)(index))
     perm = alignment(yield_sentence(tree), sentence)
     return inversion_ratio(perm), word_move_distance(perm), perm.n
 
@@ -1076,7 +1076,7 @@ def test_reorder_steps_in_the_scan_keep_the_bytes(tmp_path, monkeypatch, capsys,
     assert code == 0, err
     sentences, trees = [], []
     for index, text in enumerate(FIXTURE.read_text(encoding="utf-8").splitlines()):
-        tree, sentence = apply_chain(parse_ptb(text), parse_chain(chain), SeedScheme(5, index).stream())
+        tree, sentence = apply_chain(parse_ptb(text), parse_chain(chain), run_streams(5)(index))
         sentences.append(sentence.text() + "\n")
         trees.append(serialize(tree) + "\n")
     written = [tmp_path / "run" / name for name in ("s.txt", "t.txt")]

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given
 
 from helpers import MASK64, CountingRng, ScalarRng, draws_between, seed_drawing
-from treelab.rng import GOLDEN, Rng, SeedScheme, _draws, mix64, run_streams, stream_seed
+from treelab.rng import GOLDEN, Rng, _draws, mix64, run_streams, stream_seed
 
 # Reference outputs of the published SplitMix64 algorithm. Computed with an
 # independent implementation of the textbook constants; any change to the
@@ -43,11 +43,11 @@ def test_stream_seed_formula():
 
 @given(st.integers(-(2**70), 2**70), st.integers(0, 2**64 - 1))
 def test_a_runs_streams_are_the_formulas(g, i):
-    """``run_streams(g)(i)``, ``SeedScheme(g, i).stream()`` and ``Rng(stream_seed(g, i))``
-    are one stream, seeded by the documented formula."""
+    """``run_streams(g)(i)`` and ``Rng(stream_seed(g, i))`` are one stream,
+    seeded by the documented formula."""
     mask = (1 << 64) - 1
     expected = mix64((mix64((g + GOLDEN) & mask) + i) & mask)
-    streams = [run_streams(g)(i), SeedScheme(g, i).stream(), Rng(stream_seed(g, i)), Rng(expected)]
+    streams = [run_streams(g)(i), Rng(stream_seed(g, i)), Rng(expected)]
     assert len({tuple(rng.next_u64() for _ in range(3)) for rng in streams}) == 1
 
 
@@ -113,22 +113,17 @@ class TestShuffle:
             assert count == pytest.approx(1000, rel=0.2)
 
 
-def test_seed_scheme_stream_reproducible():
-    a = SeedScheme(99, 3).stream()
-    b = SeedScheme(99, 3).stream()
+def test_run_stream_reproducible():
+    a = run_streams(99)(3)
+    b = run_streams(99)(3)
     assert [a.next_u64() for _ in range(4)] == [b.next_u64() for _ in range(4)]
-    assert SeedScheme(99, 3).stream().next_u64() == 0xD1CE272BF5500D6D
+    assert run_streams(99)(3).next_u64() == 0xD1CE272BF5500D6D
 
 
-def test_seed_scheme_streams_differ_by_sentence():
-    first = SeedScheme(0, 0).stream().next_u64()
-    second = SeedScheme(0, 1).stream().next_u64()
+def test_run_streams_differ_by_sentence():
+    first = run_streams(0)(0).next_u64()
+    second = run_streams(0)(1).next_u64()
     assert first != second
-
-
-def test_seed_scheme_is_hashable_value_object():
-    assert SeedScheme(1, 2) == SeedScheme(1, 2)
-    assert len({SeedScheme(1, 2), SeedScheme(1, 2), SeedScheme(1, 3)}) == 2
 
 
 @pytest.mark.parametrize("seed", [0, 1 << 63, MASK64])

@@ -29,11 +29,15 @@
   file pair that spans several similarity blocks, from a regular file and
   from a FIFO, and so is its sidecar, whose input digests come from the
   bytes the reader consumed.
+* Memory depends on the chunk, not the corpus: each streaming command's
+  ``tracemalloc`` peak at 8k input lines stays within a fixed ratio of its
+  peak at k lines.
 """
 
 from __future__ import annotations
 
 import ast
+import gc
 import hashlib
 import inspect
 import json
@@ -41,6 +45,7 @@ import os
 import shutil
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 from typing import Callable
 
@@ -49,7 +54,7 @@ import pytest
 
 from helpers import CountingRng, fifo_holding, write_pooled_embeddings, write_token_embeddings
 from test_readme import code_blocks
-from treelab import files
+from treelab import files, pipeline
 from treelab.cli import SEED_ENV, WORKERS_ENV, main
 from treelab.retrieval import EmbeddingMatrix
 from treelab.rng import run_streams
@@ -644,3 +649,63 @@ def test_retrieval_records_no_digest_for_a_fifo_source(tmp_path, capsys, monkeyp
     inputs = json.loads((tmp_path / "r.json.provenance.json").read_text(encoding="utf-8"))["inputs"]
     assert inputs == [{"path": "source.emb", "sha256": None},
                       {"path": "target.emb", "sha256": sha256(tmp_path / "target.emb")}]
+
+
+# The memory guard runs each streaming command at MEMORY_K and 8 * MEMORY_K
+# lines, with CHUNK_LINES cut to MEMORY_K // 8 and MEMO_LINES to MEMORY_K // 4,
+# so both sizes run many chunks and both draw-free runs fill the memo and empty
+# it. Each run starts after a full collection, so its peak does not depend on
+# the garbage of the runs before it. Peaks measured at k = 128 (Python 3.11,
+# one 2-core Xeon VM, the same under three hash seeds), in MB from k to 8k
+# lines: transform 0.23 -> 0.28 (draws) and 0.23 -> 0.27 (draw-free), stats
+# 0.12 -> 0.12, bpe apply 0.21 -> 0.24, mask 0.22 -> 0.26, synth generate
+# 0.27 -> 0.37; the largest ratio is 1.38. Reading both of ``stats``' inputs
+# into lists gives 4.0x; a memo that is never emptied gives 3.5x.
+MEMORY_K = 128
+MEMORY_RATIO = 2.0
+MEMORY_TRANSFORM = "transform {n}.trees -o {n}.txt --tree-output {n}.out.trees --emit both --stats --chain "
+MEMORY_COMMANDS = {
+    "transform (draws)": MEMORY_TRANSFORM + "reorder:83A,ablate:0.5:shuffle",
+    "transform (draw-free)": MEMORY_TRANSFORM + "reorder:83A,reorder:87A",
+    "stats": "stats {n}.trees {n}.txt",
+    "bpe apply": "bpe apply {n}.txt -o {n}.ids --model m.bpe",
+    "mask": "mask {n}.ids -o {n}.masked --model m.bpe",
+    "synth generate": "synth generate -n {n} -o {n}.synth",
+}
+
+
+def memory_tree(i: int) -> str:
+    """A distinct tree for each ``i < 16 * 13 * 11``; the first 16 use all 63 words."""
+    a, b, c = i % 16, i % 13, i % 11
+    return (f"(S (NP (DT the) (JJ a{a}) (NN b{b})) (VP (VBD saw) (NP (NP (JJ c{c}) (NN d{i % 7}))"
+            f" (PP (IN on) (NP (DT a) (NN e{i % 5}))))) (PP (IN in) (NP (NN f{i % 3}) (NN g{a}))))")
+
+
+def test_memory_depends_on_the_chunk_not_the_corpus(tmp_path, monkeypatch, capsys):
+    """Each streaming command's tracemalloc peak at 8k input lines is within
+    MEMORY_RATIO of its peak at k lines. ``bpe learn`` is left out: it counts
+    every distinct word of its input by design, so its peak follows the vocabulary."""
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv(SEED_ENV, raising=False)
+    monkeypatch.delenv(WORKERS_ENV, raising=False)
+    monkeypatch.setattr(pipeline, "CHUNK_LINES", MEMORY_K // 8)
+    monkeypatch.setattr(pipeline, "MEMO_LINES", MEMORY_K // 4)
+    sizes = (MEMORY_K, 8 * MEMORY_K)
+    for n in sizes:
+        Path(f"{n}.trees").write_text("".join(memory_tree(i) + "\n" for i in range(n)), encoding="utf-8")
+    assert main(["transform", f"{MEMORY_K}.trees", "-o", "words.txt", "--chain", "reorder:83A"]) == 0
+    assert main(["bpe", "learn", "words.txt", "-o", "m.bpe", "--vocab-size", "200"]) == 0
+    peaks: dict[str, list[float]] = {}
+    tracemalloc.start()
+    try:
+        for name, argv in MEMORY_COMMANDS.items():
+            for n in sizes:
+                gc.collect()  # each run starts from no garbage of the one before
+                tracemalloc.reset_peak()
+                before = tracemalloc.get_traced_memory()[0]
+                assert main(argv.format(n=n).split()) == 0, capsys.readouterr().err
+                peaks.setdefault(name, []).append((tracemalloc.get_traced_memory()[1] - before) / 1e6)
+    finally:
+        tracemalloc.stop()
+    grown = {name: f"{k:.2f} -> {big:.2f} MB" for name, (k, big) in peaks.items() if big > MEMORY_RATIO * k}
+    assert not grown, grown

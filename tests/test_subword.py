@@ -11,7 +11,7 @@ from hypothesis import given, settings
 
 from helpers import weighted_index
 from treelab import subword
-from treelab.rng import Rng, SeedScheme
+from treelab.rng import Rng, run_streams
 from treelab.subword import (
     END_OF_WORD,
     IGNORE_LABEL,
@@ -453,9 +453,9 @@ class TestMasking:
     def test_deterministic_per_sentence(self):
         ids = list(range(5, 45))
         config = MaskingConfig()
-        first = mask_tokens(ids, config, vocab_size=50, rng=SeedScheme(3, 7).stream())
-        second = mask_tokens(ids, config, vocab_size=50, rng=SeedScheme(3, 7).stream())
-        other = mask_tokens(ids, config, vocab_size=50, rng=SeedScheme(3, 8).stream())
+        first = mask_tokens(ids, config, vocab_size=50, rng=run_streams(3)(7))
+        second = mask_tokens(ids, config, vocab_size=50, rng=run_streams(3)(7))
+        other = mask_tokens(ids, config, vocab_size=50, rng=run_streams(3)(8))
         assert first == second
         assert first != other
 
@@ -487,9 +487,9 @@ class TestMasking:
         # its split draw u masks it (u < 0.8), keeps it (u < 0.9) or resamples it.
         ids = list(range(5, 55))
         masked, labels = mask_tokens(ids, MaskingConfig(mask_rate=1.0), vocab_size=60,
-                                     rng=SeedScheme(4, 0).stream())
+                                     rng=run_streams(4)(0))
         assert labels == ids
-        draws, expected = SeedScheme(4, 0).stream(), []
+        draws, expected = run_streams(4)(0), []
         for original in ids:
             draws.random()  # the selection draw, always below rate 1
             u = draws.random()
@@ -501,7 +501,7 @@ class TestMasking:
     def test_random_replacements_are_non_special(self):
         ids = [10] * 2000
         masked, _ = mask_tokens(ids, MaskingConfig(mask_rate=1.0), vocab_size=30,
-                                rng=SeedScheme(2).stream())
+                                rng=run_streams(2)(0))
         resampled = [i for i in masked if i not in (MASK_ID, 10)]
         assert len(resampled) > 100  # about a tenth of 2000
         assert all(len(SPECIAL_TOKENS) <= i < 30 for i in resampled)
@@ -530,8 +530,8 @@ class TestMasking:
         ids = list(range(5, 25))
         config = MaskingConfig(seed=9)
         via_seed = mask_tokens(ids, config, vocab_size=30)
-        via_stream = mask_tokens(ids, config, vocab_size=30, rng=SeedScheme(9).stream())
-        other = mask_tokens(ids, config, vocab_size=30, rng=SeedScheme(9, 4).stream())
+        via_stream = mask_tokens(ids, config, vocab_size=30, rng=run_streams(9)(0))
+        other = mask_tokens(ids, config, vocab_size=30, rng=run_streams(9)(4))
         assert via_seed == via_stream
         assert other != via_stream
 

@@ -9,7 +9,7 @@ import pytest
 
 from helpers import MASK64, CountingRng, internal, parse_alignment, seed_drawing, weighted_index
 from treelab import synthlang
-from treelab.rng import Rng, SeedScheme
+from treelab.rng import Rng, run_streams
 from treelab.synthlang import (
     BUILTIN_RULES,
     DEMO_GRAMMAR_TEXT,
@@ -195,6 +195,24 @@ class TestGrammarFile:
         g = parse_grammar("# c\n\nlanguage a\nrule S -> NN\n  # c2\nlex a NN x\n")
         assert g.languages == ("a",)
 
+    def test_a_hash_starts_a_comment_anywhere_on_a_line(self):
+        g = parse_grammar(
+            "language a  # the only one\nrule S -> VP\nrule VP -> VB  # intransitive\n"
+            "lex a VB go stop#nouns\n"
+        )
+        assert g.productions[1].rhs == ("VB",)
+        assert g.lexicons["a"]["VB"] == ("go", "stop")
+
+    @pytest.mark.parametrize(
+        "separator", ["\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+    )
+    def test_file_errors_count_lines_as_the_reader_does(self, tmp_path, separator):
+        path = tmp_path / "ff.grammar"
+        path.write_text(f"# header{separator} page two\nlanguage a\nrule S -> NN\nlex a NN x\nbogus\n",
+                        encoding="utf-8")
+        with pytest.raises(SynthError, match=r"ff\.grammar:5: unknown directive 'bogus'"):
+            synthlang.load_grammar(str(path))
+
 
 # One rule per nonterminal and one word per preterminal: every seed gives
 # the same tree.
@@ -237,7 +255,7 @@ class TestLinearize:
         )
         g = parse_grammar(text)
         for i in range(30):
-            a, b, alignment = sample_pair(g, SeedScheme(3, i).stream())
+            a, b, alignment = sample_pair(g, run_streams(3)(i))
             assert serialize(a) == serialize(b)
             assert origins(a) == origins(b)
             assert alignment == tuple((k, k) for k in range(len(alignment)))
@@ -251,7 +269,7 @@ class TestPairedSampling:
     def test_alignment_is_a_position_bijection(self):
         g = demo_grammar()
         for i in range(50):
-            a, b, alignment = sample_pair(g, SeedScheme(17, i).stream())
+            a, b, alignment = sample_pair(g, run_streams(17)(i))
             n = len(alignment)
             assert len(surfaces(a)) == len(surfaces(b)) == n
             assert sorted(i for i, _ in alignment) == list(range(n))
@@ -261,14 +279,14 @@ class TestPairedSampling:
         g = demo_grammar()
         mapping = lexicon_map(g, "alpha", "beta")
         for i in range(50):
-            a, b, alignment = sample_pair(g, SeedScheme(29, i).stream())
+            a, b, alignment = sample_pair(g, run_streams(29)(i))
             surf_a, surf_b = surfaces(a), surfaces(b)
             for pos_a, pos_b in alignment:
                 assert mapping[surf_a[pos_a]] == surf_b[pos_b]
 
     def test_same_origin_marks_same_concept(self):
         g = demo_grammar()
-        a, b, _ = sample_pair(g, SeedScheme(8, 0).stream())
+        a, b, _ = sample_pair(g, run_streams(8)(0))
         mapping = lexicon_map(g, "alpha", "beta")
         word_at_a = {origin: tok for tok, origin in yield_sentence(a).tokens}
         word_at_b = {origin: tok for tok, origin in yield_sentence(b).tokens}
@@ -279,13 +297,13 @@ class TestPairedSampling:
     def test_depth_cap_is_respected(self, monkeypatch):
         g = demo_grammar()
         for i in range(20):
-            a, _, _ = sample_pair(g, SeedScheme(32, i).stream())
+            a, _, _ = sample_pair(g, run_streams(32)(i))
             assert tree_depth(a) <= MAX_DEPTH + 1
         # A lower cap, set before the grammar's sampling plan is built.
         monkeypatch.setattr(synthlang, "MAX_DEPTH", 6)
         g = demo_grammar()
         for i in range(50):
-            a, _, _ = sample_pair(g, SeedScheme(31, i).stream())
+            a, _, _ = sample_pair(g, run_streams(31)(i))
             assert tree_depth(a) <= 7
 
     def test_uncloseable_grammar_raises_after_retries(self, monkeypatch):
@@ -297,11 +315,11 @@ class TestPairedSampling:
         g = parse_grammar(text)
         with pytest.raises(SynthError, match=f"no derivation closed within depth {MAX_DEPTH} "
                                              f"after {MAX_RETRIES} attempts"):
-            sample_pair(g, SeedScheme(0).stream())
+            sample_pair(g, run_streams(0)(0))
         monkeypatch.setattr(synthlang, "MAX_DEPTH", 3)
         monkeypatch.setattr(synthlang, "MAX_RETRIES", 5)
         with pytest.raises(SynthError, match="no derivation closed within depth 3 after 5"):
-            sample_pair(parse_grammar(text), SeedScheme(0).stream())
+            sample_pair(parse_grammar(text), run_streams(0)(0))
 
     def test_corpus_determinism_and_per_index_streams(self):
         g = demo_grammar()
@@ -312,7 +330,7 @@ class TestPairedSampling:
         first = render(77)
         assert first == render(77)
         assert first != render(78)
-        lone = sample_pair(g, SeedScheme(77, 4).stream())
+        lone = sample_pair(g, run_streams(77)(4))
         assert first[4] == (serialize(lone[0]), serialize(lone[1]), lone[2])
 
     def test_corpus_size_validated(self):
@@ -340,7 +358,7 @@ class TestDeltaOracle:
         rules = delta_rules(g, "a", "b")
         assert rules == (BUILTIN_RULES["83A"],)
         for i in range(60):
-            a, b, _ = sample_pair(g, SeedScheme(13, i).stream())
+            a, b, _ = sample_pair(g, run_streams(13)(i))
             carried = apply_reorder(a, rules)
             assert serialize(carried) == serialize(b)
             assert origins(carried) == origins(b)
@@ -378,7 +396,7 @@ class TestTranslation:
 
     def test_translate_preserves_structure_and_origins(self):
         g = demo_grammar()
-        a, _, _ = sample_pair(g, SeedScheme(2, 1).stream())
+        a, _, _ = sample_pair(g, run_streams(2)(1))
         translated = translate_tree(g, a, "alpha", "beta")
         assert origins(translated) == origins(a)
         assert [n.label for n in translated.children] == [n.label for n in a.children]

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 
 from treelab.cli import main
 from treelab.pipeline import parse_chain
-from treelab.rng import SeedScheme, stream_seed
+from treelab.rng import run_streams, stream_seed
 from treelab.transform import (
     BUILTIN_RULES,
     AblationSpec,
@@ -188,7 +188,7 @@ class TestReorderInOneWalk:
         sentences, trees = [], []
         with open(FIXTURE, encoding="utf-8") as fh:
             for index, line in enumerate(fh):
-                tree, sentence = apply_chain(parse_ptb(line), steps, SeedScheme(4, index).stream())
+                tree, sentence = apply_chain(parse_ptb(line), steps, run_streams(4)(index))
                 sentences.append(sentence.text() + "\n")
                 trees.append(serialize(tree) + "\n")
         assert (tmp_path / "s.txt").read_text() == "".join(sentences)
@@ -256,35 +256,35 @@ class TestReorderInOneWalk:
 class TestConstituentShuffle:
     def test_deterministic(self):
         tree = parse_ptb(NESTED)
-        a = constituent_shuffle(tree, SeedScheme(11, 4).stream())
-        b = constituent_shuffle(tree, SeedScheme(11, 4).stream())
+        a = constituent_shuffle(tree, run_streams(11)(4))
+        b = constituent_shuffle(tree, run_streams(11)(4))
         assert a == b
 
     def test_seed_changes_result(self):
         tree = parse_ptb("(S (A (X x) (Y y) (Z z)) (B (P p) (Q q) (R r)) (C (NN c)))")
-        results = {serialize(constituent_shuffle(tree, SeedScheme(0, i).stream())) for i in range(24)}
+        results = {serialize(constituent_shuffle(tree, run_streams(0)(i))) for i in range(24)}
         assert len(results) > 1
 
     @given(tree_nodes(), st.integers(0, 2**32))
     def test_preserves_unordered_shape(self, tree, seed):
-        shuffled = constituent_shuffle(tree, SeedScheme(seed).stream())
+        shuffled = constituent_shuffle(tree, run_streams(seed)(0))
         assert unordered_fingerprint(shuffled) == unordered_fingerprint(tree)
         assert token_multiset(shuffled) == token_multiset(tree)
 
     def test_unary_chain_fixed_point(self):
         tree = parse_ptb("(S (X (Y (NN deep))))")
-        assert constituent_shuffle(tree, SeedScheme(3).stream()) == tree
+        assert constituent_shuffle(tree, run_streams(3)(0)) == tree
 
     def test_include_root_false_keeps_root_order(self):
         tree = parse_ptb("(S (A (NN a)) (B (NN b)) (C (NN c)) (D (NN d)))")
         for i in range(40):
-            out = constituent_shuffle(tree, SeedScheme(1, i).stream(), include_root=False)
+            out = constituent_shuffle(tree, run_streams(1)(i), include_root=False)
             assert [c.label for c in out.children] == ["A", "B", "C", "D"]
 
     def test_include_root_default_moves_root_children(self):
         tree = parse_ptb("(S (A (NN a)) (B (NN b)) (C (NN c)) (D (NN d)))")
         orders = {
-            tuple(c.label for c in constituent_shuffle(tree, SeedScheme(1, i).stream()).children)
+            tuple(c.label for c in constituent_shuffle(tree, run_streams(1)(i)).children)
             for i in range(40)
         }
         assert len(orders) > 1
@@ -292,7 +292,7 @@ class TestConstituentShuffle:
     def test_three_leaf_orders_all_reachable(self):
         tree = parse_ptb("(S (A a) (B b) (C c))")
         seen = collections.Counter(
-            yield_sentence(constituent_shuffle(tree, SeedScheme(2, i).stream())).surfaces()
+            yield_sentence(constituent_shuffle(tree, run_streams(2)(i))).surfaces()
             for i in range(1200)
         )
         assert len(seen) == 6
@@ -303,37 +303,37 @@ class TestConstituentShuffle:
 class TestWordShuffle:
     def test_deterministic_and_matches_stream(self):
         sentence = yield_sentence(parse_ptb(NESTED))
-        out = word_shuffle(sentence, SeedScheme(9, 2).stream())
-        again = word_shuffle(sentence, SeedScheme(9, 2).stream())
+        out = word_shuffle(sentence, run_streams(9)(2))
+        again = word_shuffle(sentence, run_streams(9)(2))
         assert out == again
         # Consumes exactly one Fisher-Yates pass of the named stream.
         tokens = list(sentence.tokens)
-        SeedScheme(9, 2).stream().shuffle(tokens)
+        run_streams(9)(2).shuffle(tokens)
         assert out.tokens == tuple(tokens)
 
     def test_preserves_token_multiset(self):
         sentence = yield_sentence(parse_ptb(NESTED))
-        out = word_shuffle(sentence, SeedScheme(0).stream())
+        out = word_shuffle(sentence, run_streams(0)(0))
         assert collections.Counter(out.tokens) == collections.Counter(sentence.tokens)
 
     def test_rejects_empty(self):
         from treelab.treebank import Sentence
 
         with pytest.raises(ValueError):
-            word_shuffle(Sentence(()), SeedScheme(0).stream())
+            word_shuffle(Sentence(()), run_streams(0)(0))
 
     def test_single_token_fixed(self):
         sentence = yield_sentence(parse_ptb("(S (UH oh))"))
-        assert word_shuffle(sentence, SeedScheme(5).stream()) == sentence
+        assert word_shuffle(sentence, run_streams(5)(0)) == sentence
 
 
 class TestRemoveComposition:
     def test_alpha_zero_is_identity(self):
         tree = parse_ptb(NESTED)
-        assert remove_composition(tree, AblationSpec(0.0), SeedScheme(0, 0).stream()) == tree
+        assert remove_composition(tree, AblationSpec(0.0), run_streams(0)(0)) == tree
 
     def test_alpha_one_flattens_example(self):
-        result = remove_composition(parse_ptb(NESTED), AblationSpec(1.0), SeedScheme(0, 0).stream())
+        result = remove_composition(parse_ptb(NESTED), AblationSpec(1.0), run_streams(0)(0))
         assert serialize(result) == "(S (NP (PRP I)) (VBD read) (CD two) (NNS papers))"
 
     def test_intermediate_node_count(self):
@@ -347,36 +347,36 @@ class TestRemoveComposition:
         # Three candidates at alpha 0.5 -> remove 2 (1.5 rounds up).
         tree = parse_ptb("(S (A (X x) (Y y)) (B (P p) (Q q)) (C (M m) (N n)))")
         assert intermediate_node_count(tree) == 3
-        result = remove_composition(tree, AblationSpec(0.5), SeedScheme(4, 0).stream())
+        result = remove_composition(tree, AblationSpec(0.5), run_streams(4)(0))
         assert intermediate_node_count(result) == 1
 
     def test_nested_selection_spliced_in_place(self):
         tree = parse_ptb("(S (X (Y (NN a) (NN b)) (NN c)) (NN d))")
-        result = remove_composition(tree, AblationSpec(1.0), SeedScheme(0, 0).stream())
+        result = remove_composition(tree, AblationSpec(1.0), run_streams(0)(0))
         assert serialize(result) == "(S (NN a) (NN b) (NN c) (NN d))"
 
     def test_position_preserved_on_splice(self):
         tree = parse_ptb("(S (A a) (X (B b) (C c)) (D d))")
-        result = remove_composition(tree, AblationSpec(1.0), SeedScheme(0, 0).stream())
+        result = remove_composition(tree, AblationSpec(1.0), run_streams(0)(0))
         assert serialize(result) == "(S (A a) (B b) (C c) (D d))"
 
     @given(tree_nodes(), st.floats(0, 1), st.integers(0, 2**32))
     def test_preserves_yield_order_and_tokens(self, tree, alpha, seed):
-        result = remove_composition(tree, AblationSpec(alpha), SeedScheme(seed, 0).stream())
+        result = remove_composition(tree, AblationSpec(alpha), run_streams(seed)(0))
         assert yield_sentence(result).tokens == yield_sentence(tree).tokens
 
     def test_deterministic(self):
         tree = parse_ptb("(S (A (X x) (Y y)) (B (P p) (Q q)) (C (M m) (N n)))")
         spec = AblationSpec(0.5)
-        assert remove_composition(tree, spec, SeedScheme(77, 3).stream()) == remove_composition(
-            tree, spec, SeedScheme(77, 3).stream()
+        assert remove_composition(tree, spec, run_streams(77)(3)) == remove_composition(
+            tree, spec, run_streams(77)(3)
         )
 
     def test_shuffle_after_composes_with_stream(self):
         tree = parse_ptb(NESTED)
         spec = AblationSpec(0.5, shuffle_after=True)
-        combined = remove_composition(tree, spec, SeedScheme(6, 1).stream())
-        rng = SeedScheme(6, 1).stream()
+        combined = remove_composition(tree, spec, run_streams(6)(1))
+        rng = run_streams(6)(1)
         manual = remove_composition(tree, AblationSpec(0.5), rng=rng)
         manual = constituent_shuffle(manual, rng=rng)
         assert combined == manual
@@ -385,7 +385,7 @@ class TestRemoveComposition:
     def test_an_origin_less_tree_gets_origins_in_input_order(self, shuffle_after):
         tree = internal("S", [internal("NP", [leaf("DT", "the"), leaf("NN", "cat")]),
                               internal("VP", [leaf("VB", "saw"), leaf("PRP", "us")])])
-        result = remove_composition(tree, AblationSpec(0.5, shuffle_after), SeedScheme(1, 0).stream())
+        result = remove_composition(tree, AblationSpec(0.5, shuffle_after), run_streams(1)(0))
         position = {"the": 0, "cat": 1, "saw": 2, "us": 3}
         tokens = yield_sentence(result).tokens
         assert dict(tokens) == position
@@ -397,16 +397,16 @@ class TestRemoveComposition:
         tree = internal("S", [internal("NP", [leaf("DT", "the", 0), leaf("NN", "cat")]), leaf("VB", "saw", 2)])
         for alpha in (0.0, 1.0):
             with pytest.raises(ValueError, match="^tree mixes leaves with and without origin indices$"):
-                remove_composition(tree, AblationSpec(alpha, True), SeedScheme(1, 0).stream())
+                remove_composition(tree, AblationSpec(alpha, True), run_streams(1)(0))
 
     def test_a_shared_subtree_is_handled_at_each_position(self):
         np_ = internal("NP", [leaf("DT", "the"), leaf("NN", "cat")])
         tree = internal("S", [np_, internal("VP", [leaf("VB", "saw"), np_])])
         assert intermediate_node_count(tree) == 3  # NP, VP and NP again
-        result = remove_composition(tree, AblationSpec(1.0), SeedScheme(1, 0).stream())
+        result = remove_composition(tree, AblationSpec(1.0), run_streams(1)(0))
         assert repr(result) == "TreeNode('(S (DT the) (NN cat) (VB saw) (DT the) (NN cat))', origins=(0, 1, 2, 3, 4))"
         # One of the three positions goes; it may be either NP, leaving the other.
-        texts = [serialize(remove_composition(tree, AblationSpec(1 / 3), SeedScheme(1, i).stream()))
+        texts = [serialize(remove_composition(tree, AblationSpec(1 / 3), run_streams(1)(i)))
                  for i in range(20)]
         assert {text.count("(NP ") + text.count("(VP ") for text in texts} == {2}
         assert {text.count("(NP ") for text in texts} == {1, 2}
@@ -415,7 +415,7 @@ class TestRemoveComposition:
         """On trees without origins, with carried origins in order, with permuted
         origins and with a shared subtree: the same tree, origins included, the
         same number of draws and the same next draw as the reference fold."""
-        rng = SeedScheme(11).stream()
+        rng = run_streams(11)(0)
         trees = []
         for _ in range(60):
             raw = random_tree(rng, max_depth=6, max_children=4)

@@ -28,7 +28,7 @@ from treelab.treebank import (
     write_treebank,
     yield_sentence,
 )
-from treelab.rng import SeedScheme
+from treelab.rng import run_streams
 from treelab.transform import AblationSpec, constituent_shuffle, remove_composition
 
 from conftest import random_tree, tree_nodes
@@ -184,7 +184,7 @@ class TestOrigins:
 def writer_cases() -> list[TreeNode]:
     """Random trees without origins, with carried origins, permuted by a shuffle
     and by an ablation, and with a shared subtree; and a 100 000-deep tree."""
-    rng = SeedScheme(12).stream()
+    rng = run_streams(12)(0)
     trees = []
     for _ in range(60):
         raw = random_tree(rng, max_depth=6, max_children=4)
