@@ -52,27 +52,35 @@ def read_lines(paths: Sequence[str]) -> Iterator[tuple[str, int, str]]:
     """``(path, lineno, text)`` over the concatenated UTF-8 files, newlines
     stripped, each file opened when the one before it is done. A file that
     cannot be opened or read raises :class:`PipelineError` naming it, or, for a
-    byte that is not UTF-8, naming ``PATH:LINE``."""
+    byte that is not UTF-8, naming ``PATH:LINE`` where the file can be read
+    again from its start, else naming only the file. No file is opened twice."""
     for path in paths:
         try:
             with open(path, encoding="utf-8") as fh:
-                for lineno, line in enumerate(fh, start=1):
-                    yield path, lineno, line.rstrip("\n")
-        except UnicodeDecodeError as exc:
-            raise PipelineError(f"cannot read {path}:{_undecodable(path) or f' {exc}'}") from exc
+                try:
+                    for lineno, line in enumerate(fh, start=1):
+                        yield path, lineno, line.rstrip("\n")
+                except UnicodeDecodeError as exc:
+                    where = _undecodable(fh) or f" {exc}"
+                    raise PipelineError(f"cannot read {path}:{where}") from exc
         except OSError as exc:
             raise PipelineError(f"cannot read {path}: {exc}") from exc
 
 
-def _undecodable(path: str) -> str | None:
-    """``LINE: REASON`` for the first line of ``path``, counted as in text mode,
-    that is not UTF-8; REASON's position is the bad byte's offset in that line."""
-    with open(path, encoding="utf-8", errors="surrogateescape") as fh:  # bad bytes kept
-        for lineno, line in enumerate(fh, start=1):
-            try:
-                line.encode("utf-8", "surrogateescape").decode("utf-8")
-            except UnicodeDecodeError as exc:
-                return f"{lineno}: {exc}"
+def _undecodable(fh: io.TextIOWrapper) -> str | None:
+    """``LINE: REASON`` for the first line of the open file ``fh``, read again
+    from its start and counted as in text mode, that is not UTF-8; REASON's
+    position is the bad byte's offset in that line. None for a pipe or device,
+    which cannot be read again."""
+    if not fh.seekable():
+        return None
+    fh.reconfigure(errors="surrogateescape")  # bad bytes kept
+    fh.seek(0)
+    for lineno, line in enumerate(fh, start=1):
+        try:
+            line.encode("utf-8", "surrogateescape").decode("utf-8")
+        except UnicodeDecodeError as exc:
+            return f"{lineno}: {exc}"
     return None
 
 

@@ -14,11 +14,12 @@ analytic ground truth on the other.
 
 Production right-hand sides are written in a fixed canonical order:
 verb before object, adposition before its complement, adjective before
-noun. A language whose profile departs from a canonical value swaps the
-two children of the matching constituent. The swap logic here is
-deliberately self-contained — the reorder rules in ``treelab.transform``
-replay the same moves and serve as an independent cross-check, not as a
-dependency.
+noun. ``ORDER_FEATURES`` is the one table of the three word-order
+features: each one's canonical and other value and the constituent it
+orders. A language whose profile departs from a canonical value swaps the
+two children of the matching constituent. The table is deliberately
+self-contained — the reorder rules in ``treelab.transform`` replay the
+same moves and serve as an independent cross-check, not as a dependency.
 
 Recursive productions are damped geometrically with depth. At the fixed
 depth cap, ``MAX_DEPTH``, a nonterminal may expand only by a production
@@ -59,13 +60,15 @@ DEPTH_DECAY = 0.5
 MAX_DEPTH = 12
 MAX_RETRIES = 20
 
-FEATURE_DOMAINS: dict[str, tuple[str, str]] = {
-    "83A": ("VO", "OV"),
-    "85A": ("Pre", "Post"),
-    "87A": ("AN", "NA"),
+#: The three word-order features, in ``OrderProfile``'s field order: the value
+#: grammar files are written in, the other value, and the constituent the feature
+#: orders, PARENT FIRST SECOND as written. A child ending in ``*`` matches every
+#: label it starts; any other matches only itself.
+ORDER_FEATURES: dict[str, tuple[str, str, str, str, str]] = {
+    "83A": ("VO", "OV", "VP", "VB*", "NP"),
+    "85A": ("Pre", "Post", "PP", "IN", "NP"),
+    "87A": ("AN", "NA", "NP", "JJ*", "NN*"),
 }
-#: The order in which right-hand sides are written in grammar files.
-CANONICAL_VALUES = {"83A": "VO", "85A": "Pre", "87A": "AN"}
 
 
 class SynthError(ValueError):
@@ -85,22 +88,19 @@ class OrderProfile:
     adjective_noun: str = "AN"  # 87A
 
     def __post_init__(self) -> None:
-        for feature, value in self.as_features().items():
-            if value not in FEATURE_DOMAINS[feature]:
-                raise SynthError(
-                    f"feature {feature} must be one of {FEATURE_DOMAINS[feature]}, got {value!r}"
-                )
+        for (feature, value), row in zip(self.as_features().items(), ORDER_FEATURES.values()):
+            if value not in row[:2]:
+                raise SynthError(f"feature {feature} must be one of {row[:2]}, got {value!r}")
 
     def as_features(self) -> dict[str, str]:
-        return {"83A": self.verb_object, "85A": self.adposition, "87A": self.adjective_noun}
+        return dict(zip(ORDER_FEATURES, (self.verb_object, self.adposition, self.adjective_noun)))
 
     @classmethod
     def from_features(cls, features: Mapping[str, str]) -> "OrderProfile":
-        unknown = set(features) - set(FEATURE_DOMAINS)
+        unknown = set(features) - set(ORDER_FEATURES)
         if unknown:
             raise SynthError(f"unknown order feature(s): {sorted(unknown)}")
-        merged = dict(CANONICAL_VALUES) | dict(features)
-        return cls(merged["83A"], merged["85A"], merged["87A"])
+        return cls(*(features.get(f, canonical) for f, (canonical, *_) in ORDER_FEATURES.items()))
 
 
 @dataclass(frozen=True)
@@ -156,17 +156,6 @@ class SynthGrammar:
                          set(p.rhs).union(*(reach.get(s, set()) for s in p.rhs)))
 
 
-# Right-hand sides that contradict the canonical writing order. A grammar
-# author who wants OV order writes the grammar canonically and flips the
-# language's profile instead; allowing both ways would make the
-# profile-delta oracle ambiguous.
-_ANTI_CANONICAL = (
-    ("VP", "NP", "VB"),  # object before verb
-    ("PP", "NP", "IN"),  # complement before adposition
-    ("NP", "NN", "JJ"),  # noun before adjective
-)
-
-
 def _validate_grammar(grammar: SynthGrammar) -> None:
     if not grammar.lexicons:
         raise SynthError("grammar defines no languages")
@@ -207,9 +196,14 @@ def _validate_grammar(grammar: SynthGrammar) -> None:
                     f"production {p.lhs} -> {' '.join(p.rhs)}: symbol {sym!r} is neither "
                     f"expanded by a rule nor lexicalized"
                 )
+        # A right-hand side against the canonical order, both children matched
+        # by prefix. A grammar author who wants OV order writes the grammar
+        # canonically and flips the language's profile instead; allowing both
+        # ways would make the profile-delta oracle ambiguous.
         if len(p.rhs) == 2:
-            for parent, first, second in _ANTI_CANONICAL:
-                if p.lhs == parent and p.rhs[0].startswith(first) and p.rhs[1].startswith(second):
+            for _, _, parent, first, second in ORDER_FEATURES.values():
+                if (p.lhs == parent and p.rhs[0].startswith(second.rstrip("*"))
+                        and p.rhs[1].startswith(first.rstrip("*"))):
                     raise SynthError(
                         f"production {p.lhs} -> {' '.join(p.rhs)} is written against the "
                         f"canonical order; set the language's order profile instead"
@@ -293,18 +287,18 @@ class ParallelCorpus:
 
 def _swaps(parent: str, first: str, second: str, profile: OrderProfile) -> bool:
     """Whether ``profile`` swaps the canonical two-child constituent
-    ``parent -> first second``. Mirrors the built-in reorder patterns."""
-    if parent == "VP":
-        return profile.verb_object == "OV" and first.startswith("VB") and second == "NP"
-    if parent == "PP":
-        return profile.adposition == "Post" and first == "IN" and second == "NP"
-    if parent == "NP":
-        return profile.adjective_noun == "NA" and first.startswith("JJ") and second.startswith("NN")
+    ``parent -> first second``: it sets the feature that orders it to the other value."""
+    values = profile.as_features().values()
+    for value, (_, other, lhs, *children) in zip(values, ORDER_FEATURES.values()):
+        if value == other and parent == lhs:
+            return all(label.startswith(child[:-1]) if child.endswith("*") else label == child
+                       for label, child in zip((first, second), children))
     return False
 
 
 def _pair_languages(grammar: SynthGrammar, languages: tuple[str, str] | None) -> tuple[str, str]:
-    """The two languages to emit: as given (each must exist), else the grammar's first two."""
+    """The two languages of a pair: as given, each checked to be one of the
+    grammar's, else the grammar's first two."""
     if languages is None:
         if len(grammar.languages) < 2:
             raise SynthError("grammar defines fewer than two languages")
@@ -387,17 +381,19 @@ def sample_lines(grammar: SynthGrammar, rng: Rng, *, languages: tuple[str, str] 
         put_a(")")
         put_b(")")
 
-    for _ in range(MAX_RETRIES):
-        try:
-            expand(grammar.start, 0)
-            break
-        except _DepthExceeded:
-            for written in (parts_a, parts_b, order_a, order_b):
-                written.clear()
-    else:
-        raise SynthError(
-            f"no derivation closed within depth {plan.cap} after {MAX_RETRIES} attempts"
-        )
+    try:
+        for _ in range(MAX_RETRIES):
+            try:
+                expand(grammar.start, 0)
+                break
+            except _DepthExceeded:
+                for written in (parts_a, parts_b, order_a, order_b):
+                    written.clear()
+        else:
+            raise SynthError(f"no derivation closed within depth {plan.cap} "
+                             f"after {MAX_RETRIES} attempts")
+    finally:
+        expand = None  # it refers to itself: the pair's lists are freed now, not at a collection
     line_a, line_b = "".join(parts_a)[1:], "".join(parts_b)[1:]
     return line_a, line_b, tuple(zip(_inverse(order_a), _inverse(order_b)))
 
@@ -472,15 +468,10 @@ def write_corpus(corpus: ParallelCorpus, path_a: str, path_b: str, path_align: s
 
 def lexicon_map(grammar: SynthGrammar, source: str, target: str) -> dict[str, str]:
     """Word-for-word translation table induced by the shared concepts."""
-    for lang in (source, target):
-        if lang not in grammar.lexicons:
-            raise SynthError(f"unknown language {lang!r}")
-    mapping: dict[str, str] = {}
+    _pair_languages(grammar, (source, target))
     src_lex, tgt_lex = grammar.lexicons[source], grammar.lexicons[target]
-    for pre, words in src_lex.items():
-        for concept, word in enumerate(words):
-            mapping[word] = tgt_lex[pre][concept]
-    return mapping
+    return {word: tgt_lex[pre][concept]
+            for pre, words in src_lex.items() for concept, word in enumerate(words)}
 
 
 def translate_tree(grammar: SynthGrammar, tree: TreeNode, source: str, target: str) -> TreeNode:
@@ -503,15 +494,11 @@ def delta_rules(grammar: SynthGrammar, source: str, target: str) -> tuple[Reorde
     canonical, otherwise its inverse (the source already sits on the
     swapped side, so the patterns must be read back-to-front).
     """
+    _pair_languages(grammar, (source, target))
     src = grammar.profiles[source].as_features()
     tgt = grammar.profiles[target].as_features()
-    rules = []
-    for feature in ("83A", "85A", "87A"):
-        if src[feature] == tgt[feature]:
-            continue
-        rule = BUILTIN_RULES[feature]
-        rules.append(rule if src[feature] == CANONICAL_VALUES[feature] else inverse_rule(rule))
-    return tuple(rules)
+    return tuple(BUILTIN_RULES[f] if src[f] == canonical else inverse_rule(BUILTIN_RULES[f])
+                 for f, (canonical, *_) in ORDER_FEATURES.items() if src[f] != tgt[f])
 
 
 # ---------------------------------------------------------------------------
@@ -530,63 +517,56 @@ def parse_grammar(text: str, origin: str = "<string>") -> SynthGrammar:
         if not fields:
             continue
         keyword = fields[0]
-        where = f"{origin}:{lineno}"
-        if keyword == "start":
-            if len(fields) != 2:
-                raise SynthError(f"{where}: expected 'start SYMBOL'")
-            start = fields[1]
-        elif keyword == "language":
-            if len(fields) < 2:
-                raise SynthError(f"{where}: expected 'language TAG [FEATURE=VALUE ...]'")
-            tag = fields[1]
-            if tag in profiles:
-                raise SynthError(f"{where}: language {tag} declared twice")
-            features = {}
-            for item in fields[2:]:
-                feature, eq, value = item.partition("=")
-                if not eq:
-                    raise SynthError(f"{where}: expected FEATURE=VALUE, got {item!r}")
-                features[feature] = value
-            try:
+        try:
+            if keyword == "start":
+                if len(fields) != 2:
+                    raise SynthError("expected 'start SYMBOL'")
+                start = fields[1]
+            elif keyword == "language":
+                if len(fields) < 2:
+                    raise SynthError("expected 'language TAG [FEATURE=VALUE ...]'")
+                tag = fields[1]
+                if tag in profiles:
+                    raise SynthError(f"language {tag} declared twice")
+                features = {}
+                for item in fields[2:]:
+                    feature, eq, value = item.partition("=")
+                    if not eq:
+                        raise SynthError(f"expected FEATURE=VALUE, got {item!r}")
+                    features[feature] = value
                 profiles[tag] = OrderProfile.from_features(features)
-            except SynthError as exc:
-                raise SynthError(f"{where}: {exc}") from exc
-            lexicons.setdefault(tag, {})
-        elif keyword == "rule":
-            try:
+                lexicons.setdefault(tag, {})
+            elif keyword == "rule":
+                if "->" not in fields:
+                    raise SynthError("expected 'rule LHS -> RHS... [: WEIGHT]'")
                 arrow = fields.index("->")
-            except ValueError:
-                raise SynthError(f"{where}: expected 'rule LHS -> RHS... [: WEIGHT]'") from None
-            lhs = fields[1:arrow]
-            rest = fields[arrow + 1 :]
-            weight = 1.0
-            if ":" in rest:
-                colon = rest.index(":")
-                weight_fields = rest[colon + 1 :]
-                rest = rest[:colon]
-                if len(weight_fields) != 1:
-                    raise SynthError(f"{where}: expected a single weight after ':'")
-                try:
-                    weight = float(weight_fields[0])
-                except ValueError:
-                    raise SynthError(f"{where}: bad weight {weight_fields[0]!r}") from None
-            if len(lhs) != 1 or not rest:
-                raise SynthError(f"{where}: expected 'rule LHS -> RHS... [: WEIGHT]'")
-            try:
+                lhs, rest = fields[1:arrow], fields[arrow + 1 :]
+                weight = 1.0
+                if ":" in rest:
+                    colon = rest.index(":")
+                    rest, weight_fields = rest[:colon], rest[colon + 1 :]
+                    if len(weight_fields) != 1:
+                        raise SynthError("expected a single weight after ':'")
+                    try:
+                        weight = float(weight_fields[0])
+                    except ValueError:
+                        raise SynthError(f"bad weight {weight_fields[0]!r}") from None
+                if len(lhs) != 1 or not rest:
+                    raise SynthError("expected 'rule LHS -> RHS... [: WEIGHT]'")
                 productions.append(Production(lhs[0], tuple(rest), weight))
-            except SynthError as exc:
-                raise SynthError(f"{where}: {exc}") from exc
-        elif keyword == "lex":
-            if len(fields) < 4:
-                raise SynthError(f"{where}: expected 'lex LANGUAGE PRETERMINAL WORD...'")
-            tag, pre, words = fields[1], fields[2], fields[3:]
-            if tag not in lexicons:
-                raise SynthError(f"{where}: language {tag} not declared")
-            if pre in lexicons[tag]:
-                raise SynthError(f"{where}: lexicon for {tag}/{pre} given twice")
-            lexicons[tag][pre] = tuple(words)
-        else:
-            raise SynthError(f"{where}: unknown directive {keyword!r}")
+            elif keyword == "lex":
+                if len(fields) < 4:
+                    raise SynthError("expected 'lex LANGUAGE PRETERMINAL WORD...'")
+                tag, pre, words = fields[1], fields[2], fields[3:]
+                if tag not in lexicons:
+                    raise SynthError(f"language {tag} not declared")
+                if pre in lexicons[tag]:
+                    raise SynthError(f"lexicon for {tag}/{pre} given twice")
+                lexicons[tag][pre] = tuple(words)
+            else:
+                raise SynthError(f"unknown directive {keyword!r}")
+        except SynthError as exc:
+            raise SynthError(f"{origin}:{lineno}: {exc}") from exc
 
     try:
         return SynthGrammar(tuple(productions), lexicons, profiles, start)

@@ -6,6 +6,7 @@ import dataclasses
 import hashlib
 import json
 import os
+import re
 import stat
 import subprocess
 import sys
@@ -15,7 +16,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from helpers import apply_chain, internal, sentence_of, write_pooled_embeddings, write_token_embeddings
+from helpers import apply_chain, fifo_holding, internal, sentence_of, write_pooled_embeddings, write_token_embeddings
 from treelab import metrics, pipeline, transform, treebank
 from treelab.cli import SEED_ENV, WORKERS_ENV, main
 from treelab.metrics import (
@@ -320,6 +321,21 @@ def test_non_utf8_input_names_the_file(tmp_path, capsys, command):
     assert code == 1
     assert err.startswith(f"error: cannot read {bad}:1: 'utf-8' codec can't decode byte 0xe9")
     assert "Traceback" not in err
+
+
+def test_non_utf8_byte_in_a_fifo_ends_the_run_without_reopening_it(tmp_path):
+    """A FIFO's writer has closed by the time the bad byte, more than a pipe
+    buffer in, is decoded: opening it again would wait for a writer forever, so
+    the error names only the file. The child runs under a timeout, so a hang
+    fails the test."""
+    data = b"(S (NN a))\n" * 10_000 + b"(S (NN caf\xe9))\n"
+    with fifo_holding(tmp_path / "in.fifo", data) as fifo:
+        result = run_limited(tmp_path, ["transform", fifo, "-o", "out.txt", "--chain", "reorder:83A"],
+                             None)
+    assert result.returncode == 1
+    # The position is the bad byte's offset in whatever chunk the pipe gave the decoder.
+    assert re.fullmatch(f"error: cannot read {re.escape(fifo)}: 'utf-8' codec can't decode byte 0xe9 "
+                        r"in position \d+: invalid continuation byte\n", result.stderr)
 
 
 @pytest.mark.parametrize("command", ["transform", "transform --workers 2", "bpe apply"])

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import collections
 import dataclasses
+import gc
 import itertools
 import re
 
@@ -101,13 +102,14 @@ class TestGrammarValidation:
         assert str(caught.value) == "g.grammar:4: production S -> JJ: weight must be finite and > 0"
 
     @pytest.mark.parametrize(
-        "rhs", ["VP -> NP VB", "PP -> NP IN", "NP -> NN JJ", "VP -> NP VBD"]
+        "rhs", ["VP -> NP VB", "PP -> NP IN", "NP -> NN JJ", "VP -> NP VBD", "PP -> NPS IN"]
     )
     def test_anti_canonical_rhs_rejected(self, rhs):
+        """Both children match by prefix, ``NPS`` for ``NP`` too."""
         text = (
             "language a\n"
-            f"rule S -> NN\nrule {rhs}\n"
-            "lex a NN n\nlex a VB v\nlex a VBD w\nlex a JJ j\nlex a IN p\n"
+            f"rule S -> NN\nrule S -> NPS\nrule {rhs}\n"
+            "lex a NN n\nlex a VB v\nlex a VBD w\nlex a JJ j\nlex a IN p\nlex a NPS q\n"
             "rule VP -> VB\nrule NP -> NN\nrule PP -> IN\n"
         )
         with pytest.raises(SynthError, match="against the canonical order"):
@@ -165,22 +167,27 @@ class TestGrammarFile:
     @pytest.mark.parametrize(
         "line, message",
         [
-            ("frobnicate S", "unknown directive"),
+            ("frobnicate S", "unknown directive 'frobnicate'"),
             ("start", "expected 'start SYMBOL'"),
-            ("language", "expected 'language TAG"),
-            ("language b 83A:VO", "expected FEATURE=VALUE"),
-            ("rule S NP VP", "expected 'rule LHS ->"),
-            ("rule S -> NP : x", "bad weight"),
-            ("rule S -> NP : 1 2", "single weight"),
-            ("lex a NN", "expected 'lex LANGUAGE"),
+            ("language", "expected 'language TAG [FEATURE=VALUE ...]'"),
+            ("language b 83A:VO", "expected FEATURE=VALUE, got '83A:VO'"),
+            ("rule S NP VP", "expected 'rule LHS -> RHS... [: WEIGHT]'"),
+            ("rule S -> NP : x", "bad weight 'x'"),
+            ("rule S -> NP : 1 2", "expected a single weight after ':'"),
+            ("lex a NN", "expected 'lex LANGUAGE PRETERMINAL WORD...'"),
             ("lex ghost NN word", "language ghost not declared"),
+            ("language b 83A=XX", "feature 83A must be one of ('VO', 'OV'), got 'XX'"),
+            ("rule S -> NP : 0", "production S -> NP: weight must be finite and > 0"),
+            ("language a", "language a declared twice"),
+            ("lex a NN x\nlex a NN x", "lexicon for a/NN given twice"),
         ],
     )
     def test_parse_errors_carry_location(self, line, message):
+        """The whole message: the failing line's location, once, then what is wrong."""
         text = "language a\n" + line + "\n"
-        with pytest.raises(SynthError, match=message) as err:
+        with pytest.raises(SynthError) as err:
             parse_grammar(text, origin="g.txt")
-        assert "g.txt:2" in str(err.value)
+        assert str(err.value) == f"g.txt:{2 + line.count(chr(10))}: {message}"
 
     def test_duplicate_language(self):
         with pytest.raises(SynthError, match="declared twice"):
@@ -263,6 +270,46 @@ class TestLinearize:
     def test_unknown_language(self):
         with pytest.raises(SynthError, match="unknown language 'gamma'"):
             sample_pair(demo_grammar(), Rng(0), languages=("alpha", "gamma"))
+
+    @pytest.mark.parametrize("feature, other", [("83A", "OV"), ("85A", "Post"), ("87A", "NA")])
+    def test_swaps_are_the_builtin_rules_moves(self, feature, other):
+        """Sampling and the built-in reorder rules state each feature on their
+        own: a language with the feature's other value swaps a constituent
+        exactly when the rule does, and the canonical profile swaps none."""
+        profile = OrderProfile.from_features({feature: other})
+        labels = ["VB", "VBD", "IN", "INX", "JJ", "JJR", "NN", "NNS", "NP", "NPS", "X"]
+        for parent in ("VP", "PP", "NP", "S"):
+            for first, second in itertools.product(labels, repeat=2):
+                tree = internal(parent, [leaf(first, "a"), leaf(second, "b")])
+                moved = serialize(apply_reorder(tree, BUILTIN_RULES[feature])) != serialize(tree)
+                assert synthlang._swaps(parent, first, second, profile) == moved
+                assert not synthlang._swaps(parent, first, second, OrderProfile())
+
+    def test_sampling_leaves_no_reference_cycle(self):
+        """Each call frees its pair's lists when it returns or raises: with the
+        collector off, 100 pairs and 3 stranded derivations leave nothing for it."""
+        g = demo_grammar()
+        stranded = parse_grammar("language a\nlanguage b\nrule S -> X\nrule X -> X NN\n"
+                                 "lex a NN n\nlex b NN m\n")
+
+        def strand(i):
+            try:
+                sample_lines(stranded, run_streams(0)(i))
+            except SynthError:
+                return
+            raise AssertionError("a derivation closed")
+
+        gc.collect()
+        gc.disable()
+        try:
+            for i in range(100):
+                sample_lines(g, run_streams(0)(i))
+            assert gc.collect() == 0
+            for i in range(3):
+                strand(i)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
 
 class TestPairedSampling:
@@ -385,6 +432,14 @@ class TestDeltaOracle:
     def test_no_delta_between_identical_profiles(self):
         g = demo_grammar()
         assert delta_rules(g, "alpha", "alpha") == ()
+
+    @pytest.mark.parametrize("call", [
+        delta_rules, lexicon_map, lambda g, *pair: corpus_pairs(g, 1, 0, pair),
+    ])
+    def test_unknown_language_is_named_with_the_grammars(self, call):
+        with pytest.raises(SynthError) as caught:
+            call(demo_grammar(), "gamma", "alpha")
+        assert str(caught.value) == "unknown language 'gamma'; grammar has ['alpha', 'beta']"
 
 
 class TestTranslation:
