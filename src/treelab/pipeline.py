@@ -14,12 +14,14 @@ global seed and its 0-based position in the concatenated inputs; steps
 consume that one stream in chain order.
 
 The corpus driver streams the numbered lines of the inputs in chunks of
-``CHUNK_LINES``, and one function transforms a chunk. It runs in the driver
-when ``workers`` is 1 or the input has fewer than two lines, else in a pool
-with at most ``CHUNKS_PER_WORKER`` chunks per worker in flight. Results are
-taken in input order: each chunk's blocks are written and its per-sentence
-stats added one by one, so bytes and float sums do not depend on the worker
-count, and memory depends on the chunk size, not on the corpus size.
+``CHUNK_LINES``, and one function transforms a chunk. ``workers`` is a
+maximum: the driver runs chunks itself, and with ``workers`` > 1 and at least
+two lines it starts a pool for the rest once the driver CPU time it projects
+for them reaches ``POOL_MIN_S``, with at most ``CHUNKS_PER_WORKER`` chunks per
+worker in flight. Results are taken in input order: each chunk's blocks are
+written and its per-sentence stats added one by one, so bytes and float sums
+do not depend on the worker count or on when the pool starts, and memory
+depends on the chunk size, not on the corpus size.
 
 One scanner and one writer: ``treebank.scan_line`` scans each line once, with
 the chain's leading reorder steps, looked up by label, run as each bracket
@@ -36,8 +38,9 @@ scan, the writer walk and the row. The memo holds at most ``MEMO_LINES`` lines
 (about 700 B each on WSJ-length lines with ``--emit both --stats``, so under
 3 MB) and is emptied when full. Blank, placeholder and malformed lines are never
 kept. It lives for one run: the driver empties it when ``run_transform`` ends,
-and pool workers exit with the pool. Hits depend on how chunks fall to workers;
-the bytes do not.
+and pool workers exit with the pool. A forked worker starts with what the
+driver's inline chunks put in it, so hits depend on when the pool starts and
+how chunks fall to workers; the bytes do not.
 
 Every subcommand writes through :func:`treelab.files.recorded`; of the names
 that moved to ``files``, only ``write_provenance`` is still importable from
@@ -49,11 +52,15 @@ from __future__ import annotations
 import dataclasses
 import functools
 import json
+import math
+import os
+import stat
 import sys
 from collections import Counter, deque
 from contextlib import closing
 from dataclasses import dataclass
 from itertools import chain, groupby, islice, zip_longest
+from time import process_time
 from typing import IO, Iterator, Mapping, Sequence, Union
 
 from .files import PipelineError, UsageError, read_lines, recorded
@@ -75,6 +82,7 @@ from .treebank import AlignmentError, TreeNode, TreeParseError, scan_line, write
 
 CHUNK_LINES = 256  # lines per unit of work: one worker call, one block write
 CHUNKS_PER_WORKER = 2  # chunks queued or running per pool worker
+POOL_MIN_S = 0.3  # projected driver CPU seconds left at which --workers N starts its pool
 MEMO_LINES = 4096  # a draw-free chain's per-process line memo is emptied at this many lines
 
 
@@ -278,22 +286,55 @@ def _sentence_row(tokens: list[str], leaves: list[tuple[str, int]],
     raise AlignmentError("the emitted leaves are not a permutation of the scanned tokens")
 
 
-def _map_chunks(work, lines: Iterator, workers: int) -> Iterator:
-    """``work`` over ``lines`` cut into chunks of ``CHUNK_LINES``, results in
-    input order; in a pool when ``workers`` > 1 and there are at least two
-    lines, with at most ``CHUNKS_PER_WORKER`` chunks per worker in flight."""
+def _input_bytes(paths: Sequence[str]) -> float:
+    """The summed size of ``paths``, or infinity if one is not a regular file or
+    cannot be examined; ``read_lines`` reports a file it cannot read."""
+    total = 0
+    for path in paths:
+        try:
+            info = os.stat(path)
+        except OSError:
+            return math.inf
+        total += info.st_size if stat.S_ISREG(info.st_mode) else math.inf
+    return total
+
+
+def _map_chunks(work, lines: Iterator, workers: int, paths: Sequence[str]) -> Iterator:
+    """``work`` over ``lines``, read from ``paths``, cut into chunks of
+    ``CHUNK_LINES``, results in input order.
+
+    With ``workers`` > 1 and at least two lines, the driver runs chunks
+    itself until the work it projects is left reaches ``POOL_MIN_S``
+    seconds, then runs the rest in a pool of ``workers`` with at most
+    ``CHUNKS_PER_WORKER`` chunks per worker in flight. After each chunk the
+    projection is the driver's CPU time so far × bytes left ÷ bytes done, the
+    bytes left coming from the sizes of the inputs. CPU time, not wall time,
+    because time spent waiting for a CPU is not work a pool would take over.
+    Before the first chunk the projection is 0, or unbounded if an input's
+    size is unknown (a pipe), which starts the pool at once."""
     chunks = iter(lambda: list(islice(lines, CHUNK_LINES)), [])
     first = next(chunks, [])
     chunks = chain([first], chunks)
     if workers == 1 or len(first) < 2:  # CHUNK_LINES >= 2, so this means < 2 lines
         yield from map(work, chunks)
         return
+    size = _input_bytes(paths)
+    projected = 0.0 if size < math.inf else math.inf
+    done, start = 0, process_time()
+    for chunk in chunks:
+        if projected >= POOL_MIN_S:
+            break
+        yield work(chunk)
+        done += sum(len(text) + 1 for _, (_, _, text) in chunk)  # characters, about the bytes
+        projected = (process_time() - start) * (size - done) / done
+    else:
+        return
     from concurrent.futures import ProcessPoolExecutor  # multiprocessing loads only for a pool
     from concurrent.futures.process import BrokenProcessPool
     try:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             pending: deque = deque()
-            for chunk in chunks:
+            for chunk in chain([chunk], chunks):
                 if len(pending) == workers * CHUNKS_PER_WORKER:
                     yield pending.popleft().result()
                 pending.append(pool.submit(work, chunk))
@@ -329,7 +370,7 @@ def run_transform(
         # Closed here: a failed pool result can keep the reader alive after the run.
         try:
             with closing(read_lines(config.inputs)) as lines:
-                results = _map_chunks(work, enumerate(lines), config.workers)
+                results = _map_chunks(work, enumerate(lines), config.workers, config.inputs)
                 for sentence_block, tree_block, rows, chunk_counts, chunk_errors in results:
                     if sentence_fh is not None:
                         sentence_fh.write(sentence_block)

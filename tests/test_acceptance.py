@@ -330,7 +330,8 @@ def test_criterion_10_retrieval_sanity():
         assert flips == 0
 
 
-def test_criterion_11_cli_determinism(tmp_path):
+def test_criterion_11_cli_determinism(tmp_path, monkeypatch):
+    monkeypatch.setattr("treelab.pipeline.POOL_MIN_S", 0)  # the pool starts before the first chunk
     with criterion(11, "same seed -> byte-identical outputs and digests; workers 1 vs 8 agree"):
         prefix = tmp_path / "pair"
         with contextlib.redirect_stdout(io.StringIO()):

@@ -15,9 +15,10 @@ import numpy as np
 import pytest
 
 import treelab
+import treelab.pipeline as pipeline
 import treelab.subword
 import treelab.synthlang
-from helpers import apply_chain, write_pooled_embeddings, write_token_embeddings
+from helpers import apply_chain, fifo_holding, write_pooled_embeddings, write_token_embeddings
 from treelab.cli import SEED_ENV, WORKERS_ENV, main
 from treelab.files import UsageError
 from treelab.retrieval import EmbeddingMatrix
@@ -169,7 +170,8 @@ class TestTransformCommand:
         ]
         assert docs[0]["output"]["sha256"] == docs[1]["output"]["sha256"]
 
-    def test_worker_count_does_not_change_output(self, run, tmp_path):
+    def test_worker_count_does_not_change_output(self, run, tmp_path, monkeypatch):
+        monkeypatch.setattr(pipeline, "POOL_MIN_S", 0)  # the pool starts before the first chunk
         src = tmp_path / "many.trees"
         src.write_text("".join(f"{WIDE}\n" for _ in range(12)))
         outputs = []
@@ -306,6 +308,16 @@ class TestTransformCommand:
         )
         assert code == 1
         assert "cannot read" in err
+
+    def test_unreadable_second_input_ends_a_pooled_run_in_one_error_line(self, run, tmp_path):
+        """The size of a missing input is unknown, so the pool starts at once, and
+        the reader still names the file when it gets there."""
+        first, missing = tmp_path / "two.trees", tmp_path / "missing.trees"
+        first.write_text(f"{NESTED}\n{WITH_PP}\n")
+        code, _, err = run("transform", str(first), str(missing), "-o", str(tmp_path / "o"),
+                           "--chain", "reorder:83A", "--workers", "2")
+        assert code == 1
+        assert err.startswith(f"error: cannot read {missing}: ") and err.count("\n") == 1, err
 
 
 class TestSeedPrecedence:
@@ -1158,7 +1170,10 @@ def test_each_subcommand_loads_only_the_modules_it_runs(tmp_path):
     assert loaded_modules("import", "treelab.files") == {"treelab", "treelab.files", "treelab.version"}
     assert loaded_modules(*transform, trees) == TREE_MODULES
     assert loaded_modules(*transform, one_tree, "--workers", "2") == TREE_MODULES
-    assert loaded_modules(*transform, trees, "--workers", "2") == TREE_MODULES | {"multiprocessing"}
+    # Two lines of a regular file run in the driver; a pipe's unknown size starts the pool.
+    assert loaded_modules(*transform, trees, "--workers", "2") == TREE_MODULES
+    with fifo_holding(tmp_path / "in.fifo", trees.read_bytes()) as fifo:
+        assert loaded_modules(*transform, fifo, "--workers", "2") == TREE_MODULES | {"multiprocessing"}
     assert loaded_modules("stats", trees, out) == TREE_MODULES
     with_subword = CLI_MODULES | {"treelab.rng", "treelab.subword"}
     assert loaded_modules("bpe", "learn", text, "-o", model, "--vocab-size", "30") == with_subword

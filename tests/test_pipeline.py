@@ -11,6 +11,7 @@ import stat
 import subprocess
 import sys
 import threading
+from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -114,6 +115,7 @@ def sidecar_without_workers(path) -> dict:
 def test_worker_counts_agree_across_chunk_and_file_boundaries(
     tmp_path, monkeypatch, capsys, skip_bad
 ):
+    monkeypatch.setattr(pipeline, "POOL_MIN_S", 0)  # the pool starts before the first chunk
     paths = write_corpus(tmp_path)
     runs = {}
     for workers in ("1", "2"):
@@ -161,6 +163,7 @@ def test_worker_counts_agree_across_chunk_and_file_boundaries(
 @pytest.mark.parametrize("workers", ["1", "2"])
 @pytest.mark.parametrize("chain", ["constituent_shuffle,ablate:0.3:shuffle", *STEP_KINDS])
 def test_report_floats_equal_sequential_corpus_stats(tmp_path, monkeypatch, capsys, chain, workers):
+    monkeypatch.setattr(pipeline, "POOL_MIN_S", 0)  # the pool starts before the first chunk
     paths = write_corpus(tmp_path)
     code, _, _ = run_in(
         tmp_path / "run", monkeypatch, capsys,
@@ -223,6 +226,7 @@ def test_pool_runs_for_two_or_more_lines_and_several_workers(
     tmp_path, monkeypatch, lines, workers, pooled
 ):
     InlinePool.made.clear()
+    monkeypatch.setattr(pipeline, "POOL_MIN_S", 0)  # the pool starts before the first chunk
     monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", InlinePool)
     src = tmp_path / "in.trees"
     src.write_text("".join(TREES[i % 3] + "\n" for i in range(lines)), encoding="utf-8")
@@ -236,6 +240,7 @@ def test_pool_runs_for_two_or_more_lines_and_several_workers(
 def test_pool_holds_a_bounded_number_of_chunks(tmp_path, monkeypatch, capsys):
     InlinePool.made.clear()
     monkeypatch.setattr(pipeline, "CHUNK_LINES", 2)
+    monkeypatch.setattr(pipeline, "POOL_MIN_S", 0)  # the pool starts before the first chunk
     paths = write_corpus(tmp_path)
     reference = tmp_path / "serial.txt"
     argv = ["transform", *paths, "--chain", CHAIN, "--skip-bad", "-o"]
@@ -248,6 +253,27 @@ def test_pool_holds_a_bounded_number_of_chunks(tmp_path, monkeypatch, capsys):
     assert pool.in_flight == 0
     assert pool.most_in_flight == 3 * CHUNKS_PER_WORKER
     assert out.read_bytes() == reference.read_bytes()
+
+
+@pytest.mark.parametrize("source", ["file", "fifo"])
+def test_a_small_file_runs_in_the_driver_and_a_pipe_starts_the_pool(tmp_path, monkeypatch, source):
+    """At the real POOL_MIN_S, ``--workers 2`` over a few chunks of a regular file
+    makes no pool; over a pipe, whose size is unknown, it makes one at once.
+    Either way it writes the bytes of ``--workers 1``."""
+    InlinePool.made.clear()
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", InlinePool)
+    data = "".join(TREES[i % 3] + "\n" for i in range(2 * CHUNK_LINES + 5)).encode("utf-8")
+    src, reference, out = tmp_path / "in.trees", tmp_path / "w1.txt", tmp_path / "w2.txt"
+    src.write_bytes(data)
+    argv = ["transform", "--seed", str(SEED), "--chain", CHAIN, "-o"]
+    assert main([*argv, str(reference), str(src)]) == 0
+    if source == "file":
+        assert main([*argv, str(out), str(src), "--workers", "2"]) == 0
+    else:
+        with fifo_holding(tmp_path / "in.fifo", data) as fifo:
+            assert main([*argv, str(out), fifo, "--workers", "2"]) == 0
+    assert out.read_bytes() == reference.read_bytes()
+    assert [pool.max_workers for pool in InlinePool.made] == ([2] if source == "fifo" else [])
 
 
 def test_read_lines_numbers_each_file_and_opens_all_first(tmp_path):
@@ -339,9 +365,10 @@ def test_non_utf8_byte_in_a_fifo_ends_the_run_without_reopening_it(tmp_path):
 
 
 @pytest.mark.parametrize("command", ["transform", "transform --workers 2", "bpe apply"])
-def test_late_input_error_leaves_existing_output_untouched(tmp_path, capsys, command):
+def test_late_input_error_leaves_existing_output_untouched(tmp_path, monkeypatch, capsys, command):
     """Several chunks of good lines, then a byte that is not UTF-8: the old
     output stays as it was, and no sidecar or temporary file is left."""
+    monkeypatch.setattr(pipeline, "POOL_MIN_S", 0)  # the pool starts before the first chunk
     good = "".join(TREES[i % len(TREES)] + "\n" for i in range(3000))
     late = tmp_path / "late.trees"
     late.write_bytes(good.encode("utf-8") + "(S (NN caf\xe9))\n".encode("latin-1"))
@@ -697,6 +724,7 @@ def test_a_dead_worker_or_an_interrupt_ends_in_one_error_line(
     for name in ("out.txt", "out.txt.provenance.json"):
         (tmp_path / name).write_text(f"earlier {name}\n", encoding="utf-8")
     before = snapshot(tmp_path)
+    monkeypatch.setattr(pipeline, "POOL_MIN_S", 0)  # the pool starts before the first chunk
     monkeypatch.setattr(pipeline, "_run_chunk", chunk_function)
     argv = ["transform", str(tmp_path / "in.trees"), "-o", str(tmp_path / "out.txt"),
             "--chain", CHAIN, "--workers", str(workers)]
@@ -1260,6 +1288,7 @@ def test_a_draw_free_chain_emits_what_each_line_gives_alone(tmp_path, monkeypatc
     """Repeated lines, read from the memo, give the bytes, stats table, report floats
     and counts of the line-by-line reference; each repeated malformed line still has
     its own error with its own line number."""
+    monkeypatch.setattr(pipeline, "POOL_MIN_S", 0)  # the pool starts before the first chunk
     paths = repeated_corpus(tmp_path)
     code, out, err, sentences, trees, report, counts = run_draw_free(
         tmp_path / "run", monkeypatch, capsys, paths, workers)
@@ -1272,6 +1301,52 @@ def test_a_draw_free_chain_emits_what_each_line_gives_alone(tmp_path, monkeypatc
     assert err.splitlines() == [f"skipped {counts['placeholder']} line(s) with no tree", *errors]
     assert len(set(errors)) == len(errors) == counts["bad"]
     assert pipeline._line_memo.cache_info().currsize == 0  # emptied when the run ends
+
+
+class CountedPool(ProcessPoolExecutor):
+    """A real process pool that records the ``max_workers`` of each one made."""
+
+    made: list[int] = []
+
+    def __init__(self, max_workers: int) -> None:
+        super().__init__(max_workers=max_workers)
+        CountedPool.made.append(max_workers)
+
+
+@pytest.mark.parametrize("inline", [1, 2])
+@pytest.mark.parametrize("chain", [MEMO_CHAIN, "constituent_shuffle,ablate:0.3:shuffle"])
+def test_a_pool_started_after_inline_chunks_writes_what_one_worker_writes(
+    tmp_path, monkeypatch, capsys, chain, inline
+):
+    """The driver runs INLINE chunks itself, then a real pool runs the rest: the
+    outputs, stats table, report floats, errors and sidecars (``workers`` aside)
+    are those of ``--workers 1``, for a chain that keeps a memo and one that draws."""
+    readings: list[None] = []
+
+    def clock() -> float:  # 0 s until the INLINE-th chunk is done, then far past POOL_MIN_S
+        readings.append(None)
+        return 0.0 if len(readings) <= inline else 1e9
+
+    monkeypatch.setattr(pipeline, "CHUNK_LINES", 16)
+    monkeypatch.setattr(pipeline, "process_time", clock)
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", CountedPool)
+    CountedPool.made.clear()
+    paths = repeated_corpus(tmp_path)
+    runs = []
+    for workers in ("1", "2"):
+        directory = tmp_path / f"w{workers}"
+        code, out, err = run_in(
+            directory, monkeypatch, capsys, "transform", *paths, "-o", "out.sents",
+            "--tree-output", "out.trees", "--emit", "both", "--stats", "--report", "r.json",
+            "--seed", str(SEED), "--chain", chain, "--workers", workers,
+        )
+        runs.append((code, out, err,
+                     *((directory / name).read_bytes() for name in ("out.sents", "out.trees", "r.json")),
+                     sidecar_without_workers(directory / "out.sents.provenance.json"),
+                     sidecar_without_workers(directory / "out.trees.provenance.json")))
+    assert runs[1] == runs[0]
+    assert len(readings) == inline + 1  # the start, then one reading per chunk run inline
+    assert CountedPool.made == [2]
 
 
 # SHA-256 of (sentence output, tree output) of ``transform rep.trees --emit both
@@ -1290,6 +1365,7 @@ DRAWN_LINES = [TREES[1 + i % 2] for i in range(CHUNK_LINES + 30)]
 def test_identical_lines_keep_their_own_streams_under_a_chain_that_draws(
     tmp_path, monkeypatch, capsys, chain, workers
 ):
+    monkeypatch.setattr(pipeline, "POOL_MIN_S", 0)  # the pool starts before the first chunk
     (tmp_path / "rep.trees").write_text("".join(line + "\n" for line in DRAWN_LINES), encoding="utf-8")
     code, _, err = run_in(
         tmp_path / "run", monkeypatch, capsys, "transform", str(tmp_path / "rep.trees"),

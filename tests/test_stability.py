@@ -295,6 +295,7 @@ REACH_RUNS = [
       "reorder:83A,constituent_shuffle,ablate:0.5:shuffle,reorder:87A,word_shuffle"], 0),
     (["transform", "tests/fixtures/english_like.trees", "-o", "ablate-0.5.trees", "--emit", "trees",
       "--seed", "2", "--chain", "ablate:0.5:shuffle"], 0),
+    (["transform", "demo.alpha.trees", "-o", "w.txt", "--chain", "reorder:83A", "--workers", "2"], 0),
     (["transform", "bad.trees", "-o", "b.txt", "--chain", "ablate:0.3"], 1),
     (["transform", "latin1.trees", "-o", "l.txt", "--chain", "word_shuffle"], 1),
     (["transform", "bad.trees", "-o", "c.txt", "--chain", "reorder:83A,frob"], 2),
@@ -396,7 +397,9 @@ def test_every_function_runs_under_the_cli_or_is_named_api(tmp_path, monkeypatch
     sys.setprofile(watch)
     try:
         for argv, _ in REACH_RUNS:
-            statuses.append(main([*argv, "--workers", "1"] if argv[0] == "transform" else argv))
+            if argv[0] == "transform" and "--workers" not in argv:
+                argv = [*argv, "--workers", "1"]
+            statuses.append(main(argv))
         _reach_library()
     finally:
         sys.setprofile(None)
@@ -442,6 +445,7 @@ def sha256(path: Path) -> str:
 @pytest.mark.parametrize("workers", ["1", "2"])
 @pytest.mark.parametrize("chain", sorted(PINNED))
 def test_transform_bytes_are_pinned(tmp_path, capsys, monkeypatch, chain, workers):
+    monkeypatch.setattr(pipeline, "POOL_MIN_S", 0)  # the pool starts before the first chunk
     monkeypatch.delenv(SEED_ENV, raising=False)
     monkeypatch.delenv(WORKERS_ENV, raising=False)
     sentences, trees = tmp_path / "out.txt", tmp_path / "out.trees"
@@ -512,6 +516,7 @@ def test_stats_bytes_are_pinned(tmp_path, capsys, monkeypatch, emit, chain):
 @pytest.mark.parametrize("workers", ["1", "2"])
 @pytest.mark.parametrize("chain", sorted(TRANSFORM_STATS_PINNED))
 def test_transform_stats_bytes_are_pinned(tmp_path, capsys, monkeypatch, chain, workers):
+    monkeypatch.setattr(pipeline, "POOL_MIN_S", 0)  # the pool starts before the first chunk
     monkeypatch.delenv(SEED_ENV, raising=False)
     monkeypatch.chdir(tmp_path)
     assert main(["transform", str(FIXTURE), "--seed", "5", "--workers", workers, "--chain", chain,
