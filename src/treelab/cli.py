@@ -26,8 +26,11 @@ that silently redirects file writes is a footgun, not a convenience.
 Every file a subcommand writes, reports included, gets a provenance sidecar
 that hashes every file the command read (``files.recorded``). Each
 ``_cmd_*`` imports the layers it runs beyond ``files``, so a subcommand
-loads only its own modules: the tree layers only for ``transform``, ``stats``
-and ``synth generate``, numpy only for ``retrieval``.
+loads only its own modules: ``pipeline``, ``transform`` and ``metrics`` only for
+``transform`` and ``stats``, ``treebank`` for those and ``synth generate``,
+``subword`` only for ``bpe`` and ``mask``, numpy only for ``retrieval``, and
+the standard ``dataclasses``, with the ``inspect`` and ``ast`` it loads, only
+where ``pipeline`` is, for ``pipeline.PipelineConfig``.
 
 Exit status: 0 on success, 1 on hard errors (unreadable input, a failed
 write, a dead worker, malformed trees without ``--skip-bad``, alignment

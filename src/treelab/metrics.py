@@ -22,22 +22,25 @@ Inversions are counted with bitmasks of the values already seen.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from operator import sub
-from typing import Sequence, Sized
+from types import SimpleNamespace
+from typing import NamedTuple, Sequence, Sized
 
 from .treebank import AlignmentError, Sentence, is_permutation
 
+_new = tuple.__new__
 
-@dataclass(frozen=True)
-class AlignedPermutation:
+
+class AlignedPermutation(namedtuple("AlignedPermutation", "pi")):
     """``pi[i]`` is the new position of the token whose origin index is ``i``."""
 
-    pi: tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not is_permutation(self.pi):
+    def __new__(cls, pi: tuple[int, ...]) -> "AlignedPermutation":
+        if not is_permutation(pi):
             raise ValueError("pi must be a permutation of 0..n-1")
+        return _new(cls, (pi,))
 
     @property
     def n(self) -> int:
@@ -70,9 +73,7 @@ def alignment(original: Sentence, modified: Sentence) -> AlignedPermutation:
 
 def _unchecked(pi: Sequence[int]) -> AlignedPermutation:
     """An :class:`AlignedPermutation` of a ``pi`` that its caller built as a permutation."""
-    perm = object.__new__(AlignedPermutation)
-    object.__setattr__(perm, "pi", tuple(pi))
-    return perm
+    return _new(AlignedPermutation, (tuple(pi),))
 
 
 def align_by_surface(original: Sequence[str], modified: Sequence[str]) -> AlignedPermutation:
@@ -159,8 +160,7 @@ def permutation_row(pi: Sequence[int]) -> tuple[float, float, int]:
     return inversion_ratio(perm), word_move_distance(perm), perm.n
 
 
-@dataclass(frozen=True)
-class CorpusStats:
+class CorpusStats(NamedTuple):
     mean_inversion_ratio: float
     mean_word_move_distance: float
     sentence_count: int
@@ -168,16 +168,15 @@ class CorpusStats:
     short_sentence_count: int  # sentences with < 2 tokens, where IR defaults to 0
 
 
-@dataclass
-class StatsAccumulator:
+class StatsAccumulator(SimpleNamespace):
     """Streaming per-sentence aggregation. Float sums depend on the order of
-    addition, so ``run_transform`` adds every sentence in input order."""
+    addition, so ``run_transform`` adds every sentence in input order. Equal to
+    an accumulator with the same sums; mutable, so not hashable."""
 
-    sum_ir: float = 0.0
-    sum_wmd: float = 0.0
-    sentences: int = 0
-    tokens: int = 0
-    short: int = 0
+    def __init__(self, sum_ir: float = 0.0, sum_wmd: float = 0.0, sentences: int = 0,
+                 tokens: int = 0, short: int = 0) -> None:
+        super().__init__(sum_ir=sum_ir, sum_wmd=sum_wmd, sentences=sentences, tokens=tokens,
+                         short=short)
 
     def add(self, perm: AlignedPermutation) -> None:
         self.add_row(inversion_ratio(perm), word_move_distance(perm), perm.n)

@@ -49,7 +49,6 @@ this module, for the benchmark replicas.
 
 from __future__ import annotations
 
-import dataclasses
 import functools
 import json
 import math
@@ -58,10 +57,10 @@ import stat
 import sys
 from collections import Counter, deque
 from contextlib import closing
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from itertools import chain, groupby, islice, zip_longest
 from time import process_time
-from typing import IO, Iterator, Mapping, Sequence, Union
+from typing import IO, Iterator, Mapping, NamedTuple, Sequence, Union
 
 from .files import PipelineError, UsageError, read_lines, recorded
 from .files import write_provenance  # for bench/replicas.py
@@ -93,19 +92,23 @@ class ChainError(UsageError):
         super().__init__(message, ("chain",))
 
 
-@dataclass(frozen=True)
-class ReorderStep:
+# Chain steps meet one another in a chain, so each, as AblationSpec does, equals only
+# a step of its own type with equal fields, never a plain tuple.
+_STEP_EQUALITY = AblationSpec.__eq__, AblationSpec.__ne__, AblationSpec.__hash__
+
+
+class ReorderStep(NamedTuple):
     rule: ReorderRule
+    __eq__, __ne__, __hash__ = _STEP_EQUALITY
 
 
-@dataclass(frozen=True)
-class ConstituentShuffleStep:
+class ConstituentShuffleStep(NamedTuple):
     include_root: bool = True
+    __eq__, __ne__, __hash__ = _STEP_EQUALITY
 
 
-@dataclass(frozen=True)
-class WordShuffleStep:
-    pass
+class WordShuffleStep(NamedTuple):
+    __eq__, __ne__, __hash__ = _STEP_EQUALITY
 
 
 AblateStep = AblationSpec  # ``ablate:ALPHA[:shuffle]`` is its spec; the name stays for importers
@@ -150,7 +153,7 @@ def parse_chain(
                 f"unknown chain step {token!r}; expected reorder:FEATURE, "
                 f"constituent_shuffle, word_shuffle, or ablate:ALPHA[:shuffle]"
             )
-    if any(isinstance(s, WordShuffleStep) for s in steps[:-1]):
+    if WordShuffleStep() in steps[:-1]:
         raise ChainError("word_shuffle must be the final chain step")
     return tuple(steps)
 
@@ -172,7 +175,7 @@ def _tree_steps(tree: TreeNode, steps: Sequence[ChainStep], rng: Rng | None) -> 
     return tree
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True)  # bench/replicas.py calls dataclasses.asdict and .replace on it
 class PipelineConfig:
     """Everything one ``transform`` run needs, resolved and validated."""
 
@@ -215,7 +218,7 @@ def _run_chunk(chunk: list[tuple[int, tuple[str, int, str]]], steps: tuple[Chain
     Returns, in input order, the chunk's block of sentence lines and of
     tree lines (each empty unless ``config.emit`` asks for it), one
     ``(IR, WMD, tokens)`` row per emitted sentence if ``config.stats``, its
-    counts and its malformed-line messages.
+    counts and, per malformed line, its path and message.
     """
     sentences, trees, rows, errors = [], [], [], []
     counts = Counter(total=len(chunk))
@@ -234,7 +237,7 @@ def _run_chunk(chunk: list[tuple[int, tuple[str, int, str]]], steps: tuple[Chain
                 skipped, tokens, tree = scan_line(text, close=close)
             except TreeParseError as exc:
                 counts["bad"] += 1
-                errors.append(f"{path}:{lineno}: {exc}")
+                errors.append((path, f"{path}:{lineno}: {exc}"))
                 continue
             if skipped:
                 counts[skipped] += 1
@@ -257,6 +260,18 @@ def _run_chunk(chunk: list[tuple[int, tuple[str, int, str]]], steps: tuple[Chain
         if row is not None:
             rows.append(row)
     return "".join(sentences), "".join(trees), rows, counts, errors
+
+
+def _report_bad_lines(errors: list[tuple[str, str]], stderr: IO[str]) -> int:
+    """Print each bad line's ``PATH:LINE: reason``, then one ``error:`` line that
+    names the files they are in; 1 if there was any, else 0."""
+    for _, message in errors:
+        print(message, file=stderr)
+    if not errors:
+        return 0
+    paths = ", ".join(dict.fromkeys(path for path, _ in errors))
+    print(f"error: {paths}: {len(errors)} line(s) failed; outputs written", file=stderr)
+    return 1
 
 
 def _sentence_row(tokens: list[str], leaves: list[tuple[str, int]],
@@ -361,10 +376,10 @@ def run_transform(
     tree_path = {"trees": config.output, "both": config.tree_output}.get(config.emit)
     work = functools.partial(_run_chunk, steps=steps, config=config)
     acc = StatsAccumulator()
-    errors: list[str] = []
+    errors: list[tuple[str, str]] = []
     with recorded(
         "transform", [sentence_path, tree_path, config.report], [*config.inputs, config.rules_file],
-        config=dataclasses.asdict(config), seed=config.global_seed, workers=config.workers,
+        config=asdict(config), seed=config.global_seed, workers=config.workers,
     ) as (counts, (sentence_fh, tree_fh, report_fh)):
         counts.update(total=0, emitted=0, blank=0, placeholder=0, bad=0)  # sidecar key order
         # Closed here: a failed pool result can keep the reader alive after the run.
@@ -387,16 +402,14 @@ def run_transform(
             stats = acc.finalize()
             print(format_stats_table([(config.chain, stats)]), file=stdout)
         if report_fh is not None:
-            report = {"chain": config.chain, **dataclasses.asdict(stats)}
+            report = {"chain": config.chain, **stats._asdict()}
             report_fh.write(json.dumps(report, indent=2) + "\n")
 
     if counts["placeholder"]:
         print(f"skipped {counts['placeholder']} line(s) with no tree", file=stderr)
     if config.skip_bad and counts["bad"]:
         print(f"skipped {counts['bad']} malformed line(s)", file=stderr)
-    for message in errors:
-        print(message, file=stderr)
-    return 1 if errors else 0
+    return _report_bad_lines(errors, stderr)
 
 
 def _line_tokens(line: str) -> list[str]:
@@ -419,9 +432,10 @@ def run_stats(
     stderr: IO[str] = sys.stderr,
 ) -> int:
     """Compare two line-aligned corpora (token lines or treebank lines). A bad line is
-    ``PATH:LINE: reason``, naming the modified file for an alignment failure."""
+    ``PATH:LINE: reason``, naming the modified file for an alignment failure, and one
+    ``error:`` line after them names their files."""
     acc = StatsAccumulator()
-    errors: list[str] = []
+    errors: list[tuple[str, str]] = []
     with recorded(
         "stats", [report], [original_path, modified_path],
         config={"original": original_path, "modified": modified_path},
@@ -430,7 +444,7 @@ def run_stats(
             if line_a is None or line_b is None:
                 path, lineno, _ = line_a or line_b
                 short = original_path if line_a is None else modified_path
-                errors.append(f"{path}:{lineno}: {short} has fewer lines")
+                errors.append((path, f"{path}:{lineno}: {short} has fewer lines"))
                 break
             (path, lineno, text_a), (path_b, _, text_b) = line_a, line_b
             try:
@@ -440,13 +454,11 @@ def run_stats(
                 if tokens_a or tokens_b:
                     acc.add(align_by_surface(tokens_a, tokens_b))
             except ValueError as exc:  # a malformed tree or an alignment failure
-                errors.append(f"{path}:{lineno}: {exc}")
+                errors.append((path, f"{path}:{lineno}: {exc}"))
 
         stats = acc.finalize()
         print(format_stats_table([(modified_path, stats)]), file=stdout)
         if report_fh is not None:
             report_fh.write(json.dumps({"original": original_path, "modified": modified_path,
-                                        **dataclasses.asdict(stats)}, indent=2) + "\n")
-    for message in errors:
-        print(message, file=stderr)
-    return 1 if errors else 0
+                                        **stats._asdict()}, indent=2) + "\n")
+    return _report_bad_lines(errors, stderr)

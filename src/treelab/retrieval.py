@@ -43,8 +43,7 @@ from __future__ import annotations
 
 import struct
 from contextlib import contextmanager
-from dataclasses import dataclass
-from typing import BinaryIO, Iterable, Iterator, Sequence
+from typing import BinaryIO, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -59,8 +58,7 @@ class RetrievalError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class EmbeddingMatrix:
+class EmbeddingMatrix(NamedTuple):
     """A token file's sentences, each a ``(vectors, special)`` pair: its
     ``(tokens, dim)`` float32 vectors and its ``(tokens,)`` special flags."""
 
@@ -69,8 +67,7 @@ class EmbeddingMatrix:
     layer: int = 0
 
 
-@dataclass(frozen=True)
-class RetrievalResult:
+class RetrievalResult(NamedTuple):
     top1_accuracy: float
     per_query_nearest: tuple[int, ...]
     margin: float

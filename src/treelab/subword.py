@@ -37,8 +37,7 @@ elsewhere.
 from __future__ import annotations
 
 import heapq
-from collections import Counter, defaultdict
-from dataclasses import dataclass, field
+from collections import Counter, defaultdict, namedtuple
 from typing import IO, Iterable, Sequence
 
 from .files import read_lines, replace_on_success
@@ -59,22 +58,21 @@ class BpeError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class BpeModel:
-    """Ordered merge list plus the symbol vocabulary for one language."""
+class BpeModel(namedtuple("BpeModel", "merges vocab language")):
+    """Ordered merge list plus the symbol vocabulary for one language.
 
-    merges: tuple[tuple[str, str], ...]
-    vocab: dict[str, int]
-    language: str = "und"
-    # bpe_apply's memo: the merge ranks, and each word's ids (end-of-word
-    # included; at most MEMO_WORDS words). Left out of equality and repr; never saved.
-    _ranks: dict[tuple[str, str], int] = field(init=False, compare=False, repr=False)
-    _segments: dict[str, tuple[int, ...]] = field(
-        default_factory=dict, init=False, compare=False, repr=False
-    )
+    ``bpe_apply``'s memo, ``_ranks``, the merge ranks, and ``_segments``, each
+    word's ids (end-of-word included; at most MEMO_WORDS words), is kept in the
+    instance's dict, so equality and repr leave it out; it is never saved. The
+    fields are read-only.
+    """
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "_ranks", {pair: i for i, pair in enumerate(self.merges)})
+    def __new__(cls, merges: tuple[tuple[str, str], ...], vocab: dict[str, int],
+                language: str = "und") -> "BpeModel":
+        model = tuple.__new__(cls, (merges, vocab, language))
+        model._ranks = {pair: i for i, pair in enumerate(merges)}
+        model._segments = {}
+        return model
 
     @property
     def eow_id(self) -> int:
@@ -321,17 +319,16 @@ def load_model(path: str) -> BpeModel:
     return BpeModel(tuple(merges), _build_vocab(alphabet, merges), language)
 
 
-@dataclass(frozen=True)
-class MaskingConfig:
+class MaskingConfig(namedtuple("MaskingConfig", "mask_rate seed")):
     """The selection rate, and the seed of the stream that :func:`mask_tokens`
     uses when given none; selected tokens split a fixed 80/10/10."""
 
-    mask_rate: float = 0.15
-    seed: int = 0
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.mask_rate <= 1.0:
-            raise ValueError(f"mask_rate must be in [0, 1], got {self.mask_rate}")
+    def __new__(cls, mask_rate: float = 0.15, seed: int = 0) -> "MaskingConfig":
+        if not 0.0 <= mask_rate <= 1.0:
+            raise ValueError(f"mask_rate must be in [0, 1], got {mask_rate}")
+        return tuple.__new__(cls, (mask_rate, seed))
 
 
 def mask_tokens(

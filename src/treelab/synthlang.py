@@ -46,13 +46,15 @@ from __future__ import annotations
 import itertools
 import math
 from bisect import bisect_right
-from dataclasses import dataclass, field
-from typing import IO, Iterable, Iterator, Mapping
+from collections import namedtuple
+from typing import IO, TYPE_CHECKING, Iterable, Iterator, Mapping, NamedTuple
 
 from .files import read_lines, replace_on_success
 from .rng import Rng, run_streams
-from .transform import BUILTIN_RULES, ReorderRule, inverse_rule
 from .treebank import TreeNode, escape_symbol, leaf, rebuild, scan_ptb, serialize
+
+if TYPE_CHECKING:
+    from .transform import ReorderRule
 
 _new = tuple.__new__
 
@@ -79,18 +81,18 @@ class _DepthExceeded(Exception):
     """Internal: derivation hit the depth cap with no closed expansion."""
 
 
-@dataclass(frozen=True)
-class OrderProfile:
-    """One language's setting of the three word-order features."""
+class OrderProfile(namedtuple("OrderProfile", "verb_object adposition adjective_noun")):
+    """One language's setting of the three word-order features: 83A, 85A and 87A."""
 
-    verb_object: str = "VO"  # 83A
-    adposition: str = "Pre"  # 85A
-    adjective_noun: str = "AN"  # 87A
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        for (feature, value), row in zip(self.as_features().items(), ORDER_FEATURES.values()):
+    def __new__(cls, verb_object: str = "VO", adposition: str = "Pre",
+                adjective_noun: str = "AN") -> "OrderProfile":
+        profile = _new(cls, (verb_object, adposition, adjective_noun))
+        for (feature, value), row in zip(profile.as_features().items(), ORDER_FEATURES.values()):
             if value not in row[:2]:
                 raise SynthError(f"feature {feature} must be one of {row[:2]}, got {value!r}")
+        return profile
 
     def as_features(self) -> dict[str, str]:
         return dict(zip(ORDER_FEATURES, (self.verb_object, self.adposition, self.adjective_noun)))
@@ -103,33 +105,30 @@ class OrderProfile:
         return cls(*(features.get(f, canonical) for f, (canonical, *_) in ORDER_FEATURES.items()))
 
 
-@dataclass(frozen=True)
-class Production:
-    lhs: str
-    rhs: tuple[str, ...]
-    weight: float = 1.0
+class Production(namedtuple("Production", "lhs rhs weight")):
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not self.rhs:
-            raise SynthError(f"production for {self.lhs} has an empty right-hand side")
-        if not 0 < self.weight < math.inf:  # NaN fails both comparisons
-            raise SynthError(
-                f"production {self.lhs} -> {' '.join(self.rhs)}: weight must be finite and > 0"
-            )
+    def __new__(cls, lhs: str, rhs: tuple[str, ...], weight: float = 1.0) -> "Production":
+        if not rhs:
+            raise SynthError(f"production for {lhs} has an empty right-hand side")
+        if not 0 < weight < math.inf:  # NaN fails both comparisons
+            raise SynthError(f"production {lhs} -> {' '.join(rhs)}: weight must be finite and > 0")
+        return _new(cls, (lhs, rhs, weight))
 
 
-@dataclass(frozen=True)
-class SynthGrammar:
-    productions: tuple[Production, ...]
-    lexicons: Mapping[str, Mapping[str, tuple[str, ...]]]
-    profiles: Mapping[str, OrderProfile]
-    start: str = "S"
-    # What sampling reads, built once from the fields above. Left out of equality and repr.
-    _plan: "_Plan" = field(init=False, compare=False, repr=False)
+class SynthGrammar(namedtuple("SynthGrammar", "productions lexicons profiles start")):
+    """Weighted productions from ``start``, and each language's lexicon and order
+    profile. ``_plan``, what sampling reads, is built once from the fields and kept
+    in the instance's dict, so equality and repr leave it out; the fields are read-only.
+    """
 
-    def __post_init__(self) -> None:
-        _validate_grammar(self)
-        object.__setattr__(self, "_plan", _Plan(self))
+    def __new__(cls, productions: tuple[Production, ...],
+                lexicons: Mapping[str, Mapping[str, tuple[str, ...]]],
+                profiles: Mapping[str, OrderProfile], start: str = "S") -> "SynthGrammar":
+        grammar = _new(cls, (productions, lexicons, profiles, start))
+        _validate_grammar(grammar)
+        grammar._plan = _Plan(grammar)
+        return grammar
 
     @property
     def languages(self) -> tuple[str, ...]:
@@ -276,8 +275,7 @@ Pair = tuple[TreeNode, TreeNode, tuple[tuple[int, int], ...]]
 LinePair = tuple[str, str, tuple[tuple[int, int], ...]]
 
 
-@dataclass(frozen=True)
-class ParallelCorpus:
+class ParallelCorpus(NamedTuple):
     """Aligned tree pairs for two languages drawn from one grammar."""
 
     pairs: tuple[Pair, ...]
@@ -492,8 +490,10 @@ def delta_rules(grammar: SynthGrammar, source: str, target: str) -> tuple[Reorde
 
     For each differing feature: the built-in rule when the source side is
     canonical, otherwise its inverse (the source already sits on the
-    swapped side, so the patterns must be read back-to-front).
+    swapped side, so the patterns must be read back-to-front). An oracle, so
+    ``treelab.transform`` is imported here, not by ``synth generate``.
     """
+    from .transform import BUILTIN_RULES, inverse_rule
     _pair_languages(grammar, (source, target))
     src = grammar.profiles[source].as_features()
     tgt = grammar.profiles[target].as_features()

@@ -23,7 +23,7 @@ The module opens no file: ``load_rules`` parses lines its caller has read.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from collections import namedtuple
 from typing import Iterable, Mapping, Sequence
 
 from .rng import Rng
@@ -32,8 +32,8 @@ from .treebank import Sentence, TreeNode, iter_nodes, rebuild, with_children, yi
 _new = tuple.__new__
 
 
-@dataclass(frozen=True)
-class ReorderRule:
+class ReorderRule(namedtuple("ReorderRule",
+                             "feature_id parent_label first_child second_child prefix_match")):
     """A (parent label, two-child pattern) swap rule.
 
     A node is rewritten when its label equals ``parent_label`` and it has
@@ -43,18 +43,16 @@ class ReorderRule:
     exactly.
     """
 
-    feature_id: str
-    parent_label: str
-    first_child: str
-    second_child: str
-    prefix_match: frozenset[str] = frozenset()
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.first_child == self.second_child:
+    def __new__(cls, feature_id: str, parent_label: str, first_child: str, second_child: str,
+                prefix_match: frozenset[str] = frozenset()) -> "ReorderRule":
+        if first_child == second_child:
             raise ValueError("child patterns must differ")
-        for name in (self.feature_id, self.parent_label, self.first_child, self.second_child):
+        for name in (feature_id, parent_label, first_child, second_child):
             if not name or any(c.isspace() for c in name):
                 raise ValueError(f"bad rule component: {name!r}")
+        return _new(cls, (feature_id, parent_label, first_child, second_child, prefix_match))
 
     def _matches(self, label: str, pattern: str) -> bool:
         if pattern in self.prefix_match:
@@ -86,7 +84,8 @@ BUILTIN_RULES: dict[str, ReorderRule] = {
 def inverse_rule(rule: ReorderRule) -> ReorderRule:
     """Swap the child patterns; undoes ``apply_reorder`` on trees that
     contained no already-swapped instance of the rule."""
-    return replace(rule, first_child=rule.second_child, second_child=rule.first_child)
+    return ReorderRule(rule.feature_id, rule.parent_label, rule.second_child, rule.first_child,
+                       rule.prefix_match)
 
 
 def load_rules(lines: Iterable[str], origin: str = "<rules>") -> list[ReorderRule]:
@@ -182,13 +181,11 @@ def word_shuffle(sentence: Sentence, rng: Rng) -> Sentence:
         raise ValueError("cannot shuffle an empty sentence")
     tokens = list(sentence.tokens)
     rng.shuffle(tokens)
-    shuffled = object.__new__(Sentence)  # permuted origins of a checked Sentence: no new check
-    object.__setattr__(shuffled, "tokens", tuple(tokens))
-    return shuffled
+    # Permuted origins of a checked Sentence: no new check.
+    return _new(Sentence, (tuple(tokens),))
 
 
-@dataclass(frozen=True)
-class AblationSpec:
+class AblationSpec(namedtuple("AblationSpec", "alpha shuffle_after")):
     """Parameters of one composition-removal pass.
 
     ``alpha`` is the fraction of intermediate nodes to remove;
@@ -196,12 +193,22 @@ class AblationSpec:
     spliced tree, continuing on the same random stream.
     """
 
-    alpha: float
-    shuffle_after: bool = False
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.alpha <= 1.0:
-            raise ValueError(f"alpha must be in [0, 1], got {self.alpha}")
+    def __new__(cls, alpha: float, shuffle_after: bool = False) -> "AblationSpec":
+        if not 0.0 <= alpha <= 1.0:
+            raise ValueError(f"alpha must be in [0, 1], got {alpha}")
+        return _new(cls, (alpha, shuffle_after))
+
+    def __eq__(self, other: object) -> bool:
+        """Equal only to a record of its own type with equal fields, never to a plain
+        tuple: a spec is also a chain step (``pipeline.AblateStep``), and the chain
+        steps, which share this method, meet one another. False, not NotImplemented,
+        for another type: a tuple would then compare its items."""
+        return type(other) is type(self) and tuple.__eq__(self, other)
+
+    __ne__ = object.__ne__  # the negation of __eq__, not tuple's
+    __hash__ = tuple.__hash__
 
 
 def intermediate_node_count(tree: TreeNode) -> int:

@@ -35,7 +35,6 @@ from __future__ import annotations
 
 import re
 from collections import namedtuple
-from dataclasses import dataclass
 from itertools import islice
 from operator import is_
 from typing import Callable, Iterable, Iterator, Sequence, TypeVar
@@ -123,20 +122,21 @@ def is_permutation(values: Sequence[int]) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class Sentence:
+class Sentence(namedtuple("Sentence", "tokens")):
     """Ordered tokens with their positions in the original sentence.
 
     ``tokens`` is a sequence of ``(surface, origin_index)`` pairs; the
     origin indices are always a permutation of ``0..n-1`` but need not be
-    sorted once the sentence has been transformed.
+    sorted once the sentence has been transformed. ``len`` is the number of
+    tokens.
     """
 
-    tokens: tuple[tuple[str, int], ...]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not is_permutation([o for _, o in self.tokens]):
+    def __new__(cls, tokens: tuple[tuple[str, int], ...]) -> "Sentence":
+        if not is_permutation([o for _, o in tokens]):
             raise AlignmentError("origin indices must be a permutation of 0..n-1")
+        return _new(cls, (tokens,))
 
     def __len__(self) -> int:
         return len(self.tokens)

@@ -1,7 +1,6 @@
 from __future__ import annotations
 
 import collections
-import dataclasses
 import hashlib
 import json
 import os
@@ -32,7 +31,7 @@ from treelab.pipeline import (
     parse_chain,
 )
 from treelab.rng import run_streams
-from treelab.subword import load_model
+from treelab.subword import BpeModel, load_model
 from treelab.transform import BUILTIN_RULES, ReorderRule
 from treelab.treebank import parse_ptb, yield_sentence
 
@@ -77,6 +76,19 @@ class TestParseChain:
             AblateStep(0.5, shuffle_after=True),
             WordShuffleStep(),
         )
+
+    def test_a_step_equals_only_a_step_of_its_own_kind(self):
+        steps = parse_chain("reorder:83A, constituent_shuffle, ablate:1, word_shuffle")
+        again = parse_chain("reorder:83A, constituent_shuffle, ablate:1, word_shuffle")
+        assert hash(steps) == hash(again)
+        plain = [(BUILTIN_RULES["83A"],), (True,), (1.0, False), ()]  # each step's fields
+        for step, same, fields in zip(steps, again, plain):
+            assert step == same and not step != same
+            assert step != fields and fields != step and not step == fields and not fields == step
+            assert [other == step for other in steps] == [other is step for other in steps]
+        # Two kinds whose only fields are equal.
+        assert ConstituentShuffleStep(1) != ReorderStep(1)
+        assert ReorderStep(1) != ConstituentShuffleStep(1)
 
     def test_plain_ablate(self):
         assert parse_chain("ablate:0.25") == (AblateStep(0.25, shuffle_after=False),)
@@ -467,7 +479,7 @@ class TestStatsCommand:
         b.write_text("y x\nq p\n")
         code, _, err = run("stats", str(a), str(b))
         assert code == 1
-        assert err == f"{b}:2: {a} has fewer lines\n"
+        assert err == f"{b}:2: {a} has fewer lines\nerror: {b}: 1 line(s) failed; outputs written\n"
 
 
 def mutate(data: bytes, other: bytes, rnd: random.Random) -> bytes:
@@ -492,7 +504,8 @@ class TestMutatedInputs:
     def test_every_mutant_ends_in_an_exit_status_with_a_reason(self, tmp_path, monkeypatch, capsys):
         """Seeded mutants of a small treebank or of a rules file, through ``transform
         --stats`` and through ``stats`` on either side: each run exits 0, 1 or 2, lets
-        no exception out of ``main``, and writes a diagnostic when it does not exit 0."""
+        no exception out of ``main``, and writes an ``error:`` line that names a file
+        when it does not exit 0."""
         rnd = random.Random(23)
         clean = b"".join(FIXTURE.read_bytes().splitlines(keepends=True)[:6])
         monkeypatch.chdir(tmp_path)
@@ -512,7 +525,8 @@ class TestMutatedInputs:
                 except (Exception, SystemExit) as exc:
                     pytest.fail(f"{argv[0]} raised {exc!r} on mutant {k}: {trees!r} {rules!r}")
                 err = capsys.readouterr().err
-                assert code in (0, 1, 2) and (code == 0 or err.strip()), (argv, k, trees, rules)
+                assert code in (0, 1, 2) and (code == 0 or re.search(
+                    r"^error: .*(in\.trees|clean\.trees|extra\.rules)", err, re.M)), (argv, k, err)
                 exits[argv[0], code] += 1
         assert exits["transform", 0] and exits["transform", 1] and exits["stats", 1], exits
 
@@ -524,7 +538,8 @@ class TestMutatedInputs:
         leaves every file as it was and names the mutated file, also for a config
         value that reads but does not fit (a chain step, a switch that needs another). Any other failure is ``stats``' per-line
         form: one ``PATH:LINE: reason`` line per bad line, each naming the mutated
-        file, after the report and its sidecar are written. Returns how often each
+        file, after the report and its sidecar are written, then one ``error:`` line
+        that names the files of those lines. Returns how often each
         ``(command, exit)`` was seen."""
         exits = collections.Counter()
         for k in range(40):
@@ -545,8 +560,11 @@ class TestMutatedInputs:
                     assert {path: path.read_bytes() for path in Path().iterdir()} == before
                 elif code:
                     assert argv[0] == "stats" and code == 1, (argv, k, mutant, err)
+                    *lines, last = err.splitlines()
                     assert all(re.match(r"\S+:\d+: ", line) and name in line
-                               for line in err.splitlines()), (argv, k, err)
+                               for line in lines), (argv, k, err)
+                    files = ", ".join(dict.fromkeys(line.split(":", 1)[0] for line in lines))
+                    assert last == f"error: {files}: {len(lines)} line(s) failed; outputs written"
                     assert Path("r.json").exists() and Path("r.json.provenance.json").exists()
                 exits[argv[0], code] += 1
         return exits
@@ -705,7 +723,7 @@ class TestSubwordCommands:
 
         def unencodable_last_merge(*args):  # a lone surrogate has no UTF-8 form
             model = learn(*args)
-            return dataclasses.replace(model, merges=(*model.merges, ("\ud800", "t")))
+            return BpeModel((*model.merges, ("\ud800", "t")), model.vocab, model.language)
 
         monkeypatch.setattr(treelab.subword, "bpe_learn", unencodable_last_merge)
         code, _, err = run("bpe", "learn", str(text_file), "-o", str(model_path), "--vocab-size", "30")
@@ -1136,7 +1154,8 @@ else:
     import treelab
 print(json.dumps(sorted({m if m.startswith("treelab") else m.partition(".")[0]
                          for m in sys.modules
-                         if m.partition(".")[0] in ("treelab", "numpy", "multiprocessing")})))
+                         if m.partition(".")[0] in ("treelab", "numpy", "multiprocessing",
+                                                    "dataclasses")})))
 """
 CLI_MODULES = {"treelab", "treelab.cli", "treelab.files", "treelab.version"}
 TREE_MODULES = CLI_MODULES | {"treelab.metrics", "treelab.pipeline", "treelab.rng",
@@ -1144,7 +1163,7 @@ TREE_MODULES = CLI_MODULES | {"treelab.metrics", "treelab.pipeline", "treelab.rn
 
 
 def loaded_modules(*argv: object) -> set[str]:
-    """The ``treelab`` modules, numpy and multiprocessing that a fresh interpreter
+    """The ``treelab`` modules, numpy, multiprocessing and dataclasses that a fresh interpreter
     holds after ``treelab ARGV``, after ``import treelab`` when ARGV is empty, or
     after ``import treelab.files`` when ARGV is ``import treelab.files``."""
     src = str(Path(treelab.__file__).resolve().parents[1])
@@ -1157,7 +1176,8 @@ def loaded_modules(*argv: object) -> set[str]:
 def test_each_subcommand_loads_only_the_modules_it_runs(tmp_path):
     # A subcommand pays the import time of the layers it runs and no others: the
     # tree layers only for transform, stats and synth generate, numpy only for
-    # retrieval, multiprocessing only for a pool.
+    # retrieval, multiprocessing only for a pool, and dataclasses, with the inspect
+    # and ast it loads, only for pipeline.PipelineConfig, on transform and stats.
     trees, one_tree, text = tmp_path / "in.trees", tmp_path / "one.trees", tmp_path / "in.txt"
     trees.write_text(NESTED + "\n" + WITH_PP + "\n", encoding="utf-8")
     one_tree.write_text(NESTED + "\n", encoding="utf-8")
@@ -1168,23 +1188,43 @@ def test_each_subcommand_loads_only_the_modules_it_runs(tmp_path):
 
     assert loaded_modules() == {"treelab", "treelab.version"}
     assert loaded_modules("import", "treelab.files") == {"treelab", "treelab.files", "treelab.version"}
-    assert loaded_modules(*transform, trees) == TREE_MODULES
-    assert loaded_modules(*transform, one_tree, "--workers", "2") == TREE_MODULES
+    with_pipeline = TREE_MODULES | {"dataclasses"}
+    assert loaded_modules(*transform, trees) == with_pipeline
+    assert loaded_modules(*transform, one_tree, "--workers", "2") == with_pipeline
     # Two lines of a regular file run in the driver; a pipe's unknown size starts the pool.
-    assert loaded_modules(*transform, trees, "--workers", "2") == TREE_MODULES
+    assert loaded_modules(*transform, trees, "--workers", "2") == with_pipeline
     with fifo_holding(tmp_path / "in.fifo", trees.read_bytes()) as fifo:
-        assert loaded_modules(*transform, fifo, "--workers", "2") == TREE_MODULES | {"multiprocessing"}
-    assert loaded_modules("stats", trees, out) == TREE_MODULES
+        pooled = with_pipeline | {"multiprocessing"}
+        assert loaded_modules(*transform, fifo, "--workers", "2") == pooled
+    assert loaded_modules("stats", trees, out) == with_pipeline
     with_subword = CLI_MODULES | {"treelab.rng", "treelab.subword"}
     assert loaded_modules("bpe", "learn", text, "-o", model, "--vocab-size", "30") == with_subword
     assert loaded_modules("bpe", "apply", text, "-o", ids, "--model", model) == with_subword
     assert loaded_modules("mask", ids, "-o", tmp_path / "m.ids", "--model", model) == with_subword
     assert loaded_modules("synth", "generate", "-o", tmp_path / "s", "-n", "3") == (
-        TREE_MODULES - {"treelab.metrics", "treelab.pipeline"} | {"treelab.synthlang"}
+        CLI_MODULES | {"treelab.rng", "treelab.synthlang", "treelab.treebank"}
     )
     assert loaded_modules("retrieval", "--source", emb, "--target", emb) == (
         CLI_MODULES | {"treelab.retrieval", "numpy"}
     )
+
+
+#: ``tests/fixtures/cli_help.txt``: per invocation, a ``$ treelab ARGS  # exit N, STREAM``
+#: line, then the exact text that STREAM gets; the other stream gets nothing.
+_HELP_PARTS = re.split(r"^(\$ treelab.*)\n", (FIXTURE.parent / "cli_help.txt").read_text(
+    encoding="utf-8"), flags=re.M)[1:]
+HELP_TEXTS = list(zip(_HELP_PARTS[::2], _HELP_PARTS[1::2]))
+
+
+@pytest.mark.parametrize("head, text", HELP_TEXTS, ids=[head for head, _ in HELP_TEXTS])
+def test_help_usage_and_parse_errors_are_pinned(run, monkeypatch, head, text):
+    """Every ``--help``, the top-level one and the ``bpe`` and ``synth`` groups'
+    included, and the usage errors argparse prints, byte for byte."""
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps to the terminal's width
+    argv, code, stream = re.fullmatch(r"\$ treelab ?(.*)  # exit (\d), (\w+)", head).groups()
+    got_code, out, err = run(*argv.split())
+    assert (got_code, out, err) == ((int(code), text, "") if stream == "stdout"
+                                    else (int(code), "", text))
 
 
 class TestTopLevel:

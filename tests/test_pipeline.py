@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import dataclasses
 import hashlib
 import json
 import os
@@ -157,7 +156,9 @@ def test_worker_counts_agree_across_chunk_and_file_boundaries(
         assert err_lines[1:] == ["skipped 6 malformed line(s)"]
     else:
         assert code == 1
-        assert [line.split(": ", 1)[0] for line in err_lines[1:]] == [f"{p}:{n}" for p, n in bad]
+        assert [line.split(": ", 1)[0] for line in err_lines[1:-1]] == [f"{p}:{n}" for p, n in bad]
+        files = ", ".join(dict.fromkeys(p for p, _ in bad))
+        assert err_lines[-1] == f"error: {files}: {len(bad)} line(s) failed; outputs written"
 
 
 @pytest.mark.parametrize("workers", ["1", "2"])
@@ -1031,10 +1032,11 @@ def test_one_bad_line_gives_one_error_on_every_path(tmp_path, monkeypatch, capsy
     Path("bad.trees").write_text("(S (NP a))\n  (S (NP b)\n", encoding="utf-8")
     Path("good.trees").write_text("(S (NP a))\n(S (NP b))\n", encoding="utf-8")
     message = "bad.trees:2: unbalanced brackets: unexpected end of input (byte offset 11)"
+    summary = "error: bad.trees: 1 line(s) failed; outputs written"
     assert main(["transform", "bad.trees", "-o", "out.txt", "--chain", "reorder:83A"]) == 1
-    assert capsys.readouterr().err == message + "\n"
+    assert capsys.readouterr().err == message + "\n" + summary + "\n"
     assert main(["stats", "bad.trees", "good.trees"]) == 1
-    assert capsys.readouterr().err == message + "\n"
+    assert capsys.readouterr().err == message + "\n" + summary + "\n"
     with pytest.raises(treebank.TreeParseError) as caught:
         list(treebank.read_treebank("bad.trees"))
     assert str(caught.value) == message
@@ -1295,10 +1297,13 @@ def test_a_draw_free_chain_emits_what_each_line_gives_alone(tmp_path, monkeypatc
     want_sentences, want_trees, stats, want_counts, errors = reordered_reference(paths, MEMO_CHAIN)
     assert (sentences, trees) == (want_sentences, want_trees)
     assert out == metrics.format_stats_table([(MEMO_CHAIN, stats)]) + "\n"
-    assert report == {"chain": MEMO_CHAIN, **dataclasses.asdict(stats)}  # exact floats
+    # Exact floats, in the report's key order.
+    assert list(report.items()) == [("chain", MEMO_CHAIN), *stats._asdict().items()]
     assert counts == want_counts and counts["bad"] > 2 and counts["placeholder"] > 2
     assert code == 1
-    assert err.splitlines() == [f"skipped {counts['placeholder']} line(s) with no tree", *errors]
+    files = ", ".join(path for path in paths if any(e.startswith(f"{path}:") for e in errors))
+    assert err.splitlines() == [f"skipped {counts['placeholder']} line(s) with no tree", *errors,
+                                f"error: {files}: {len(errors)} line(s) failed; outputs written"]
     assert len(set(errors)) == len(errors) == counts["bad"]
     assert pipeline._line_memo.cache_info().currsize == 0  # emptied when the run ends
 
@@ -1397,7 +1402,7 @@ def test_more_distinct_lines_than_the_bound_keep_the_bytes_and_the_bound(tmp_pat
         tmp_path / "run", monkeypatch, capsys, [str(path)], "1")
     want_sentences, want_trees, stats, want_counts, _ = reordered_reference([str(path)], MEMO_CHAIN)
     assert (sentences, trees, counts) == (want_sentences, want_trees, want_counts)
-    assert report == {"chain": MEMO_CHAIN, **dataclasses.asdict(stats)}
+    assert list(report.items()) == [("chain", MEMO_CHAIN), *stats._asdict().items()]
     assert max(sizes) == pipeline.MEMO_LINES and len(sizes) == len(lines) - 300
 
 

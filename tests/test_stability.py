@@ -148,25 +148,39 @@ UNPASSED_DEFAULTS_ALLOWED = {
 }
 
 
+def _parameters(args: ast.arguments) -> tuple[list[str], list[str]]:
+    """The parameters that can be passed by position, in order, and those that have a default."""
+    positional = [a.arg for a in args.posonlyargs + args.args]
+    defaulted = positional[len(positional) - len(args.defaults):] + [
+        a.arg for a, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None
+    ]
+    return positional, defaulted
+
+
 def _signatures(tree: ast.Module) -> dict[str, tuple[list[str], list[str]]]:
-    """Each public module-level function and dataclass of ``tree``: the
-    parameters or ``__init__`` fields that can be passed by position, in
-    order, and those that have a default."""
+    """Each public module-level function and class of ``tree``: the parameters
+    that can be passed by position, in order, and those that have a default. A
+    class's are its ``__new__`` or ``__init__`` parameters after ``cls`` or
+    ``self``, else the ``__init__`` fields of a dataclass or the fields of a
+    ``NamedTuple``. Errors are left out: a subclass raised by its own name
+    passes its base's parameters, which a count by name cannot follow."""
     found = {}
     for node in tree.body:
         if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
-            args = node.args
-            positional = [a.arg for a in args.posonlyargs + args.args]
-            defaulted = positional[len(positional) - len(args.defaults):] + [
-                a.arg for a, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None
-            ]
-            found[node.name] = positional, defaulted
+            found[node.name] = _parameters(node.args)
         elif (isinstance(node, ast.ClassDef) and not node.name.startswith("_")
-              and any("dataclass" in ast.unparse(d) for d in node.decorator_list)):
-            fields = [item for item in node.body if isinstance(item, ast.AnnAssign)
-                      and not (item.value and "init=False" in ast.unparse(item.value))]
-            found[node.name] = ([f.target.id for f in fields],
-                                [f.target.id for f in fields if f.value is not None])
+              and not node.name.endswith("Error")):
+            constructor = next((item for item in node.body if isinstance(item, ast.FunctionDef)
+                                and item.name in ("__new__", "__init__")), None)
+            if constructor is not None:
+                positional, defaulted = _parameters(constructor.args)
+                found[node.name] = positional[1:], defaulted
+            elif (any("dataclass" in ast.unparse(d) for d in node.decorator_list)
+                  or any(ast.unparse(base) == "NamedTuple" for base in node.bases)):
+                fields = [item for item in node.body if isinstance(item, ast.AnnAssign)
+                          and not (item.value and "init=False" in ast.unparse(item.value))]
+                found[node.name] = ([f.target.id for f in fields],
+                                    [f.target.id for f in fields if f.value is not None])
     return found
 
 
@@ -392,6 +406,8 @@ def test_every_function_runs_under_the_cli_or_is_named_api(tmp_path, monkeypatch
                 instances.add(type(frame.f_locals["self"]))
             elif first == ("cls",) and code.co_name == "__new__":
                 instances.add(frame.f_locals["cls"])
+            elif first == ("_cls",):  # the __new__ that collections.namedtuple makes
+                instances.add(frame.f_locals["_cls"])
 
     statuses = []
     sys.setprofile(watch)
@@ -494,6 +510,7 @@ MALFORMED_STDERR = (
     "bad.trees:2: unbalanced brackets: unexpected end of input (byte offset 40)\n"
     "bad.trees:3: trailing content after tree (byte offset 42)\n"
     "bad.trees:4: leaf cannot have children (byte offset 24)\n"
+    "error: bad.trees: 3 line(s) failed; outputs written\n"
 )
 
 

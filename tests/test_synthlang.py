@@ -1,7 +1,6 @@
 from __future__ import annotations
 
 import collections
-import dataclasses
 import gc
 import itertools
 import re
@@ -12,7 +11,6 @@ from helpers import MASK64, CountingRng, internal, parse_alignment, seed_drawing
 from treelab import synthlang
 from treelab.rng import Rng, run_streams
 from treelab.synthlang import (
-    BUILTIN_RULES,
     DEMO_GRAMMAR_TEXT,
     DEPTH_DECAY,
     MAX_DEPTH,
@@ -33,7 +31,7 @@ from treelab.synthlang import (
     translate_tree,
     write_corpus,
 )
-from treelab.transform import apply_reorder, inverse_rule
+from treelab.transform import BUILTIN_RULES, apply_reorder, inverse_rule
 from treelab.treebank import leaf, read_treebank, serialize, yield_sentence
 
 
@@ -776,12 +774,12 @@ class TestSamplingPlan:
         g, h = demo_grammar(), demo_grammar()
         assert g == h and g._plan is not h._plan
         assert g != parse_grammar(DEMO_GRAMMAR_TEXT.replace("rule VP -> VB : 1", "rule VP -> VB : 2"))
-        fields = ", ".join(f"{f.name}={getattr(g, f.name)!r}" for f in dataclasses.fields(g) if f.repr)
+        fields = ", ".join(f"{name}={getattr(g, name)!r}" for name in g._fields)
         assert repr(g) == f"SynthGrammar({fields})"
         assert "_plan" not in repr(g)
-        assert [f.name for f in dataclasses.fields(g) if f.compare] == [
-            "productions", "lexicons", "profiles", "start"
-        ]
+        # Equality compares the record's items, which are these fields and only these.
+        compared = ("productions", "lexicons", "profiles", "start")
+        assert g._fields == compared and tuple(g) == tuple(getattr(g, name) for name in compared)
 
     def test_empty_word_rejected_when_the_grammar_is_built(self):
         with pytest.raises(SynthError, match="preterminal NN has an empty word"):
