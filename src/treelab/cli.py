@@ -297,13 +297,13 @@ def _cmd_bpe_learn(args: argparse.Namespace, stdout: IO[str], stderr: IO[str]) -
 
 
 def _cmd_bpe_apply(args: argparse.Namespace, stdout: IO[str], stderr: IO[str]) -> int:
-    from .subword import bpe_apply, load_model
+    from .subword import bpe_apply_line, load_model
     with recorded("bpe apply", [args.output], [*args.inputs, args.model],
                   config={"model": args.model, "inputs": list(args.inputs)}) as (counts, (fh,)):
         model = load_model(args.model)
         lines = 0
         for _, _, text in read_lines(args.inputs):
-            fh.write(" ".join(map(str, bpe_apply(model, text))) + "\n")
+            fh.write(bpe_apply_line(model, text) + "\n")
             lines += 1
         counts["lines"] = lines
     print(f"encoded {lines} line(s) with {model.language} model", file=stdout)
@@ -312,7 +312,7 @@ def _cmd_bpe_apply(args: argparse.Namespace, stdout: IO[str], stderr: IO[str]) -
 
 def _cmd_mask(args: argparse.Namespace, stdout: IO[str], stderr: IO[str]) -> int:
     from .rng import run_streams
-    from .subword import MaskingConfig, load_model, mask_tokens
+    from .subword import IdText, MaskingConfig, load_model, mask_tokens
     if args.model is not None and args.vocab_size is not None:
         raise UsageError("give either --model or --vocab-size, not both", ("vocab-size",))
     if args.model is None and args.vocab_size is None:
@@ -327,6 +327,7 @@ def _cmd_mask(args: argparse.Namespace, stdout: IO[str], stderr: IO[str]) -> int
     ) as (counts, (fh_ids, fh_labels)):
         sentences = tokens = 0
         stream = run_streams(args.seed)
+        line = IdText().line  # canonical decimal, whatever form the input gave
         for path, lineno, text in read_lines([args.input]):
             try:
                 seq = list(map(int, text.split()))
@@ -337,8 +338,8 @@ def _cmd_mask(args: argparse.Namespace, stdout: IO[str], stderr: IO[str]) -> int
                 raise PipelineError(f"{path}:{lineno}: id {bad} is outside the vocabulary "
                                     f"(0..{vocab_size - 1})", ("vocab-size",))
             masked, labels = mask_tokens(seq, masking, vocab_size, rng=stream(sentences))
-            fh_ids.write(" ".join(map(str, masked)) + "\n")
-            fh_labels.write(" ".join(map(str, labels)) + "\n")
+            fh_ids.write(line(masked) + "\n")
+            fh_labels.write(line(labels) + "\n")
             sentences += 1
             tokens += len(seq)
         counts.update(sentences=sentences, tokens=tokens)

@@ -28,6 +28,8 @@ back to 64 bits after every step; a 64-bit value times a 64-bit constant
 fits its lane, so no carry crosses lanes. Draws are handed out from the
 block in stream order, and ``_state`` is always the state after the last
 one handed out, so every draw, order and count is the scalar stream's.
+Only this module reads the block: the draw kinds pop from it, and
+``Rng.u64s`` gives an inner loop its raw outputs with no method call per draw.
 For ``n <= 2**32``, rejection computes the exact limit
 ``2**64 - 2**64 % n`` only for an output of at least ``2**64 - 2**32``:
 every smaller output lies below the limit of every such ``n``.
@@ -37,7 +39,7 @@ from __future__ import annotations
 
 import sys
 from functools import cache
-from typing import Callable, MutableSequence
+from typing import Callable, Iterator, MutableSequence
 
 _MASK64 = (1 << 64) - 1
 GOLDEN = 0x9E3779B97F4A7C15
@@ -96,7 +98,8 @@ class Rng:
     index itself (``synthlang`` by running sums of its weights)."""
 
     # _end: the state after the block's last output; _buf: the block's outputs
-    # not yet handed out, last first; _block: the size of the next block.
+    # not yet handed out, last first, one list for the stream's life, so that
+    # u64s can hold it; _block: the size of the next block.
     # Each draw kind pops from _buf itself: a call per draw is what blocks save.
     __slots__ = ("_end", "_buf", "_block")
 
@@ -114,13 +117,22 @@ class Rng:
         """The spent buffer refilled with the next block, last output first."""
         k = self._block
         self._block = _BLOCK
-        self._buf = _draws(self._end, k)[::-1].tolist()
+        self._buf[:] = _draws(self._end, k)[::-1].tolist()
         self._end = (self._end + k * GOLDEN) & _MASK64
         return self._buf
 
     def next_u64(self) -> int:
         buf = self._buf
         return buf.pop() if buf else self._fill().pop()
+
+    def u64s(self) -> Iterator[int]:
+        """The raw outputs, without end: each step is the stream's next draw,
+        so draws of other kinds between steps take theirs in turn."""
+        buf = self._buf
+        while True:
+            while buf:
+                yield buf.pop()
+            buf = self._fill()
 
     def random(self) -> float:
         """Float in [0, 1) with 53 random bits."""

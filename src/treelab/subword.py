@@ -16,9 +16,12 @@ sites (Sennrich, Haddow & Birch 2016): ``(left, a)`` and ``(b, right)`` become
 ``(left, ab)`` and ``(ab, right)``, ``left`` read from the merged word, so
 ``a b a b`` gives ``(ab, ab)``, no ``(ab, a)``. The next pair comes from a heap
 of ``(-count, pair)`` entries, each live while its count is current.
-``bpe_apply`` segments each distinct word once per model: the model keeps the
-merge ranks and each word's ids in a memo that takes no part in equality,
-``repr`` or the saved file, and is emptied when it holds ``MEMO_WORDS`` words.
+``bpe_apply`` segments each distinct word once per model: the model keeps, in
+a memo built on first use that takes no part in equality, ``repr`` or the
+saved file, the merge ranks and each word's ids and their text, so that
+``bpe_apply_line`` writes a line as one join of word texts. The memo is
+emptied when it holds ``MEMO_WORDS`` words. ``IdText`` is the same kind of
+bounded memo from an id to its decimal text, for ``mask``'s lines.
 
 Vocabularies are never shared across languages; a model records the
 language tag it was trained on. Ids are dense and 0-based with the five
@@ -31,13 +34,17 @@ position is selected independently at the configured rate, and selected
 positions are replaced by the mask id, kept, or resampled at the fixed
 80/10/10 split. Labels hold the original id at selected positions and
 ``IGNORE_LABEL`` (0, unambiguous because specials are never selected)
-elsewhere.
+elsewhere. A position is selected when its draw ``u``, read raw through
+``Rng.u64s``, is below ``ceil(rate * 2**53) << 11``: ``random()`` is exactly
+``(u >> 11) * 2**-53``, so this is ``random() < rate`` without the float.
 """
 
 from __future__ import annotations
 
 import heapq
+import math
 from collections import Counter, defaultdict, namedtuple
+from functools import cached_property
 from typing import IO, Iterable, Sequence
 
 from .files import read_lines, replace_on_success
@@ -52,27 +59,25 @@ IGNORE_LABEL = 0
 CUT_MASK = 0.8
 CUT_KEEP = 0.8 + 0.1
 MEMO_WORDS = 1 << 16  # bpe_apply's per-model memo is emptied at this many words
+MEMO_IDS = 1 << 16  # an IdText is emptied at this many ids
 
 
 class BpeError(ValueError):
     pass
 
 
-class BpeModel(namedtuple("BpeModel", "merges vocab language")):
+class BpeModel(namedtuple("BpeModel", "merges vocab language", defaults=("und",))):
     """Ordered merge list plus the symbol vocabulary for one language.
 
-    ``bpe_apply``'s memo, ``_ranks``, the merge ranks, and ``_segments``, each
-    word's ids (end-of-word included; at most MEMO_WORDS words), is kept in the
-    instance's dict, so equality and repr leave it out; it is never saved. The
+    ``bpe_apply``'s memo, ``_segments``, is made on first use and kept in the
+    instance's dict, so equality and repr leave it out, a copy made by
+    ``_replace`` or ``_make`` builds its own, and it is never saved. The
     fields are read-only.
     """
 
-    def __new__(cls, merges: tuple[tuple[str, str], ...], vocab: dict[str, int],
-                language: str = "und") -> "BpeModel":
-        model = tuple.__new__(cls, (merges, vocab, language))
-        model._ranks = {pair: i for i, pair in enumerate(merges)}
-        model._segments = {}
-        return model
+    @cached_property
+    def _segments(self) -> _Segments:
+        return _Segments(self)
 
     @property
     def eow_id(self) -> int:
@@ -211,25 +216,59 @@ def _segment_word(word: str, ranks: dict[tuple[str, str], int]) -> list[str]:
     return syms
 
 
+class _Segments(dict):
+    """A model's memo: ``word -> (ids, text)``, the word's ids (end-of-word
+    included) and their ids-file text, segmented on first lookup; emptied at
+    ``MEMO_WORDS`` words. It holds the merge ranks and vocabulary, not the model."""
+
+    __slots__ = ("ranks", "vocab", "eow_id")
+
+    def __init__(self, model: BpeModel) -> None:
+        super().__init__()
+        self.ranks = {pair: i for i, pair in enumerate(model.merges)}
+        self.vocab, self.eow_id = model.vocab, model.eow_id
+
+    def __missing__(self, word: str) -> tuple[tuple[int, ...], str]:
+        if len(self) >= MEMO_WORDS:
+            self.clear()
+        vocab = self.vocab
+        ids = (*(vocab.get(sym, UNK_ID) for sym in _segment_word(word, self.ranks)), self.eow_id)
+        entry = self[word] = (ids, " ".join(map(str, ids)))
+        return entry
+
+
 def bpe_apply(model: BpeModel, text: str) -> list[int]:
     """Encode whitespace-split text; every word ends with the end-of-word id.
 
     Residual symbols outside the vocabulary map to the unk id. Each distinct
     word is segmented once per model and then read from the model's memo.
     """
-    segments = model._segments
     ids: list[int] = []
-    for word in text.split():
-        word_ids = segments.get(word)
-        if word_ids is None:
-            if len(segments) >= MEMO_WORDS:
-                segments.clear()
-            symbols = _segment_word(word, model._ranks)
-            word_ids = segments[word] = (
-                *(model.vocab.get(sym, UNK_ID) for sym in symbols), model.eow_id
-            )
+    for word_ids, _ in map(model._segments.__getitem__, text.split()):
         ids.extend(word_ids)
     return ids
+
+
+def bpe_apply_line(model: BpeModel, text: str) -> str:
+    """``bpe_apply(model, text)`` as a line of an ids file, without its newline."""
+    return " ".join([word_text for _, word_text in map(model._segments.__getitem__, text.split())])
+
+
+class IdText(dict):
+    """``id -> decimal text``, made on first lookup; emptied at ``MEMO_IDS``
+    ids, so its size depends on neither the vocabulary nor the corpus."""
+
+    __slots__ = ()
+
+    def __missing__(self, token_id: int) -> str:
+        if len(self) >= MEMO_IDS:
+            self.clear()
+        text = self[token_id] = str(token_id)
+        return text
+
+    def line(self, ids: Iterable[int]) -> str:
+        """``ids`` as a line of an ids file, without its newline."""
+        return " ".join(map(self.__getitem__, ids))
 
 
 def bpe_decode(model: BpeModel, ids: Sequence[int]) -> str:
@@ -350,14 +389,14 @@ def mask_tokens(
     if rng is None:
         rng = run_streams(config.seed)(0)
 
+    cut = math.ceil(config.mask_rate * (1 << 53)) << 11  # u < cut: random() < rate
     masked = list(ids)
     labels = [IGNORE_LABEL] * len(masked)
-    for i, token_id in enumerate(masked):
-        if token_id < n_special:
+    candidates = [i for i, token_id in enumerate(masked) if token_id >= n_special]
+    for i, u in zip(candidates, rng.u64s()):  # candidates first: zip then draws no extra
+        if u >= cut:
             continue
-        if rng.random() >= config.mask_rate:
-            continue
-        labels[i] = token_id
+        labels[i] = masked[i]
         u = rng.random()
         if u < CUT_MASK:
             masked[i] = MASK_ID

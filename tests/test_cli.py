@@ -30,7 +30,7 @@ from treelab.pipeline import (
     WordShuffleStep,
     parse_chain,
 )
-from treelab.rng import run_streams
+from treelab.rng import Rng, run_streams
 from treelab.subword import BpeModel, load_model
 from treelab.transform import BUILTIN_RULES, ReorderRule
 from treelab.treebank import parse_ptb, yield_sentence
@@ -638,6 +638,20 @@ class TestMutatedInputs:
             ("mask", 2), ("stats", 0), ("stats", 1))), exits
 
 
+def generated_text(lines: int) -> str:
+    """``lines`` seeded lines of 2 to 15 words from 900 words of 1 to 9 letters;
+    the word of rank r is drawn with odds that fall with r, as in Zipf's law."""
+    rng = Rng(35)
+    letters = "etaoinshrdlucmfwypvbgk"
+    words = ["".join(letters[rng.randbelow(len(letters))] for _ in range(1 + rng.randbelow(9)))
+             for _ in range(900)]
+    return "".join(
+        " ".join(words[rng.randbelow(1 + rng.randbelow(len(words)))]
+                 for _ in range(2 + rng.randbelow(14))) + "\n"
+        for _ in range(lines)
+    )
+
+
 class TestSubwordCommands:
     @pytest.fixture()
     def text_file(self, tmp_path):
@@ -696,6 +710,74 @@ class TestSubwordCommands:
         code, _, _ = run("mask", str(ids), "-o", str(out), "--vocab-size", "20", "--seed", "1")
         assert code == 0
         assert len(out.read_text().splitlines()) == 1
+
+    # SHA-256 of the ids that bpe apply writes and of the masked ids and labels
+    # that mask writes at seeds 0 and 7, recorded before either command wrote
+    # its lines through a memo of id text.
+    SUBWORD_DIGESTS = {
+        "ids": "a8062240947c1df96c81faf76dba55adf35dcd65e7a460ed064038613024782f",
+        "masked 0": "18d93fb64798839efbb3dda60ce824f44f75c60eb16bfb53ecd3a5c4f2c7e490",
+        "labels 0": "4e5c45a9c7c0737b4c4abc567ae42fe1a712d4b7cf7246d543861b2eee26e979",
+        "masked 7": "47d5406c527a632227014a91114f98000859054e1ec98f06f568182ecc1ac78c",
+        "labels 7": "0247f28f7f57b070b6068990cc13d291ba6ea197049f85498d8aa5baf3a59004",
+    }
+
+    def test_subword_output_bytes_are_pinned(self, run, tmp_path):
+        text, extra, model, ids = (tmp_path / name for name in ("gen.txt", "extra.txt", "m.bpe", "gen.ids"))
+        text.write_text(generated_text(3000), encoding="utf-8")
+        extra.write_text("ñandu tea\n\nøre the tea\n", encoding="utf-8")  # unk ids, an empty line
+        assert run("bpe", "learn", str(text), "-o", str(model), "--vocab-size", "600")[0] == 0
+        assert run("bpe", "apply", str(text), str(extra), "-o", str(ids), "--model", str(model))[0] == 0
+        got = {"ids": hashlib.sha256(ids.read_bytes()).hexdigest()}
+        for seed in (0, 7):
+            out = tmp_path / f"masked{seed}"
+            assert run("mask", str(ids), "-o", str(out), "--model", str(model), "--seed", str(seed))[0] == 0
+            got[f"masked {seed}"] = hashlib.sha256(out.read_bytes()).hexdigest()
+            got[f"labels {seed}"] = hashlib.sha256(Path(f"{out}.labels").read_bytes()).hexdigest()
+        assert got == self.SUBWORD_DIGESTS
+
+    def test_mask_writes_canonical_decimal_ids(self, run, tmp_path):
+        ids, out = tmp_path / "odd.ids", tmp_path / "m.ids"
+        ids.write_text("007 +3\t8\n 10  0012 \n", encoding="utf-8")
+        assert run("mask", str(ids), "-o", str(out), "--vocab-size", "20", "--rate", "0")[0] == 0
+        assert out.read_text(encoding="utf-8") == "7 3 8\n10 12\n"
+        assert Path(f"{out}.labels").read_text(encoding="utf-8") == "0 0 0\n0 0\n"
+
+    def test_bpe_apply_bytes_hold_across_memo_clears(self, run, tmp_path, monkeypatch):
+        text, model = tmp_path / "gen.txt", tmp_path / "m.bpe"
+        text.write_text(generated_text(200), encoding="utf-8")
+        assert len(set(text.read_text(encoding="utf-8").split())) > 3
+        assert run("bpe", "learn", str(text), "-o", str(model), "--vocab-size", "120")[0] == 0
+        assert run("bpe", "apply", str(text), "-o", str(tmp_path / "a.ids"), "--model", str(model))[0] == 0
+        monkeypatch.setattr(treelab.subword, "MEMO_WORDS", 3)
+        assert run("bpe", "apply", str(text), "-o", str(tmp_path / "b.ids"), "--model", str(model))[0] == 0
+        assert (tmp_path / "b.ids").read_bytes() == (tmp_path / "a.ids").read_bytes()
+
+    def test_mask_id_text_memo_stays_within_its_cap(self, run, tmp_path, monkeypatch):
+        # At rate 1 a tenth of the ids resample from 2**40 ids, nearly all of
+        # them new: the memo of id text is emptied at its cap, whatever the
+        # vocabulary or the corpus, and the bytes do not change.
+        ids = tmp_path / "in.ids"
+        ids.write_text("".join(" ".join(str(5 + (7 * i + j) % 90) for j in range(40)) + "\n"
+                               for i in range(50)), encoding="utf-8")
+        argv = ("--vocab-size", str(2**40), "--rate", "1", "--seed", "3")
+        assert run("mask", str(ids), "-o", str(tmp_path / "a.ids"), *argv)[0] == 0
+        sizes = []
+
+        class Recorded(treelab.subword.IdText):
+            __slots__ = ()
+
+            def __missing__(self, token_id):
+                text = super().__missing__(token_id)
+                sizes.append(len(self))
+                return text
+
+        monkeypatch.setattr(treelab.subword, "IdText", Recorded)
+        monkeypatch.setattr(treelab.subword, "MEMO_IDS", 16)
+        assert run("mask", str(ids), "-o", str(tmp_path / "b.ids"), *argv)[0] == 0
+        assert max(sizes) == 16 and sizes.count(1) > 1  # filled to the cap, and emptied
+        for suffix in ("", ".labels"):
+            assert (tmp_path / f"a.ids{suffix}").read_bytes() == (tmp_path / f"b.ids{suffix}").read_bytes()
 
     @pytest.mark.parametrize("line, bad", [("5 6 999", 999), ("-3 7", -3)])
     @pytest.mark.parametrize("vocabulary", ["model", "vocab-size"])

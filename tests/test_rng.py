@@ -179,15 +179,20 @@ DRAWS = st.lists(st.one_of(
     st.tuples(st.sampled_from(["next_u64", "random"]), st.none()),
     st.tuples(st.just("randbelow"), st.integers(1, 2**64)),
     st.tuples(st.just("shuffle"), st.integers(0, 80)),
+    st.tuples(st.just("u64s"), st.integers(0, 40)),
 ), max_size=30)
 
 
 @given(st.integers(0, MASK64), DRAWS)
 def test_any_mix_of_draws_is_the_scalar_stream(seed, draws):
-    """Every result, and the state after every call, across block refills."""
+    """Every result, and the state after every call, across block refills;
+    ``u64s`` steps come from one iterator, held across the other draws."""
     ours, theirs = Rng(seed), ScalarRng(seed)
+    raw = ours.u64s()
     for name, arg in draws:
-        if name == "shuffle":
+        if name == "u64s":
+            assert [next(raw) for _ in range(arg)] == [theirs.next_u64() for _ in range(arg)]
+        elif name == "shuffle":
             mine, reference = list(range(arg)), list(range(arg))
             ours.shuffle(mine)
             theirs.shuffle(reference)

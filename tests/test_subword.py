@@ -3,13 +3,14 @@ from __future__ import annotations
 import collections
 import hashlib
 import io
+import math
 import re
 
 import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
-from helpers import weighted_index
+from helpers import seed_drawing, weighted_index
 from treelab import subword
 from treelab.rng import Rng, run_streams
 from treelab.subword import (
@@ -23,6 +24,7 @@ from treelab.subword import (
     BpeModel,
     MaskingConfig,
     bpe_apply,
+    bpe_apply_line,
     bpe_decode,
     bpe_learn,
     dump_model,
@@ -322,6 +324,16 @@ class TestApplyDecode:
             assert bpe_apply(model, " ".join(words)) == [i for word in words for i in cold(word)]
             assert 1 <= len(model._segments) <= cap
 
+    def test_a_copy_builds_its_own_memo(self):
+        model = bpe_learn(["the cat sat on the mat"], vocab_size=40, language="toy")
+        text = "the cat sat on the hat"
+        expected = bpe_apply(model, text)
+        copies = (model._replace(language="x"), BpeModel._make(model), model._replace())
+        for copy in copies:
+            assert bpe_apply(copy, text) == expected
+            assert bpe_apply_line(copy, text) == " ".join(map(str, expected))
+        assert copies[0].language == "x" and copies[0]._segments is not model._segments
+
     def test_memo_is_invisible(self, tmp_path):
         model = bpe_learn(["the cat sat on the mat"], vocab_size=40, language="toy")
         fresh = BpeModel(model.merges, dict(model.vocab), model.language)
@@ -449,7 +461,56 @@ class TestModelFile:
         assert str(caught.value) == f"malformed model file {path}: line {line}: unknown symbol {unknown!r}"
 
 
+def reference_mask(ids: list[int], rate: float, vocab_size: int,
+                   rng: Rng) -> tuple[list[int], list[int]]:
+    """``mask_tokens`` as its docstring orders the draws, with ``random()``
+    for the selection and the split and ``randbelow`` to resample."""
+    masked, labels = list(ids), [IGNORE_LABEL] * len(ids)
+    for i, token_id in enumerate(ids):
+        if token_id < len(SPECIAL_TOKENS) or rng.random() >= rate:
+            continue
+        labels[i] = token_id
+        u = rng.random()
+        if u < subword.CUT_MASK:
+            masked[i] = MASK_ID
+        elif u >= subword.CUT_KEEP:
+            masked[i] = len(SPECIAL_TOKENS) + rng.randbelow(vocab_size - len(SPECIAL_TOKENS))
+    return masked, labels
+
+
+# 0, 1, 0.15, and k * 2**-53 or the float next to it on either side, within [0, 1].
+MASK_RATES = st.one_of(
+    st.sampled_from([0.0, 1.0, 0.15]),
+    st.builds(lambda k, toward: k / 2**53 if toward is None else math.nextafter(k / 2**53, toward),
+              st.integers(0, 2**53), st.sampled_from([None, -math.inf, math.inf]))
+    .filter(lambda rate: 0.0 <= rate <= 1.0),
+)
+
+
 class TestMasking:
+    @given(
+        st.sampled_from([6, 7, 40, 2**32 + 5, 2**40]).flatmap(lambda vocab_size: st.tuples(
+            st.just(vocab_size),
+            st.lists(st.one_of(st.integers(0, len(SPECIAL_TOKENS) - 1),
+                               st.integers(0, vocab_size - 1)), max_size=60),
+        )),
+        MASK_RATES,
+        st.integers(0, 2**64 - 1),
+        st.sampled_from([-(1 << 11) - 1, -(1 << 11), -1, 0, 1, (1 << 11) - 1, 1 << 11]),
+    )
+    def test_selection_by_raw_draw_is_random_below_the_rate(self, case, rate, seed, offset):
+        # For odd seeds, the first selection draw, which is the stream's first
+        # (specials draw nothing), is put at the cut, ceil(rate * 2**53) << 11,
+        # or next to it, where the raw comparison and random() < rate could part.
+        vocab_size, ids = case
+        if seed % 2:
+            u = (math.ceil(rate * 2**53) << 11) + offset
+            seed = seed_drawing(min(max(u, 0), 2**64 - 1), 0)
+        ours, theirs = Rng(seed), Rng(seed)
+        assert mask_tokens(ids, MaskingConfig(mask_rate=rate), vocab_size, rng=ours) == (
+            reference_mask(ids, rate, vocab_size, theirs))
+        assert ours._state == theirs._state
+
     def test_deterministic_per_sentence(self):
         ids = list(range(5, 45))
         config = MaskingConfig()
