@@ -23,13 +23,13 @@ written and its per-sentence stats added one by one, so bytes and float sums
 do not depend on the worker count or on when the pool starts, and memory
 depends on the chunk size, not on the corpus size.
 
-One scanner and one writer: ``treebank.scan_line`` scans each line once, with
-the chain's leading reorder steps, looked up by label, run as each bracket
-closes, and one walk of ``treebank.write_tree`` gives each emitted tree's line
-and ``(surface, origin)`` leaves. One loop checks that the leaves' origins are a
-permutation and gives the sentence and ``pi``; ``--stats`` checks the surfaces
-against the scanned tokens and takes IR/WMD from ``pi``. ``stats`` scans tokens
-without building nodes, through the same function.
+One scanner and one writer: ``treebank.scan_line`` scans each line once, and one
+walk of ``treebank.write_tree`` gives each emitted tree's line and its
+``(surface, origin)`` leaves. A reorder step runs as nodes close, in the scan or
+in the splice loop of the drawing step before it. One loop checks that the leaves'
+origins are a permutation and gives the sentence and ``pi``; ``--stats`` checks
+the surfaces against the scanned tokens and takes IR/WMD from ``pi``. ``stats``
+scans tokens without building nodes, through the same function.
 
 A chain of leading reorder steps alone draws nothing, so a line's output
 depends on its text alone: for such a chain each process keeps, per distinct
@@ -58,26 +58,25 @@ import sys
 from collections import Counter, deque
 from contextlib import closing
 from dataclasses import asdict, dataclass
-from itertools import chain, groupby, islice, zip_longest
+from itertools import chain, islice, zip_longest
 from time import process_time
-from typing import IO, Iterator, Mapping, NamedTuple, Sequence, Union
+from typing import IO, Callable, Iterator, Mapping, NamedTuple, Sequence, Union
 
 from .files import PipelineError, UsageError, read_lines, recorded
 from .files import write_provenance  # for bench/replicas.py
 from .metrics import StatsAccumulator, align_by_surface, format_stats_table, permutation_row
-from .rng import Rng, run_streams
+from .rng import run_streams
 from .transform import (
     BUILTIN_RULES,
     AblationSpec,
     ReorderRule,
-    apply_reorder,
     constituent_shuffle,
     load_rules,
     remove_composition,
     reorder_kids,
     reorder_table,
 )
-from .treebank import AlignmentError, TreeNode, TreeParseError, scan_line, write_tree
+from .treebank import AlignmentError, TreeParseError, scan_line, write_tree
 
 CHUNK_LINES = 256  # lines per unit of work: one worker call, one block write
 CHUNKS_PER_WORKER = 2  # chunks queued or running per pool worker
@@ -158,21 +157,10 @@ def parse_chain(
     return tuple(steps)
 
 
-def _tree_steps(tree: TreeNode, steps: Sequence[ChainStep], rng: Rng | None) -> TreeNode:
-    """The tree after the chain's steps up to a final word_shuffle, which is left to
-    the caller. Each run of reorder steps is one walk."""
-    for kind, run in groupby(steps, type):
-        if kind is ReorderStep:
-            tree = apply_reorder(tree, [step.rule for step in run])
-            continue
-        for step in run:
-            if isinstance(step, ConstituentShuffleStep):
-                tree = constituent_shuffle(tree, rng, include_root=step.include_root)
-            elif isinstance(step, AblationSpec):
-                tree = remove_composition(tree, step, rng)
-            elif not isinstance(step, WordShuffleStep):  # pragma: no cover
-                raise TypeError(f"unknown chain step {step!r}")  # parse_chain makes no other
-    return tree
+def _reorder_close(steps: Sequence[ChainStep]) -> Callable[[str, list], None] | None:
+    """``reorder_kids`` over the rules of ``steps``, all reorder steps, as a close hook; None if none."""
+    table = reorder_table(step.rule for step in steps)
+    return functools.partial(reorder_kids, table) if table else None
 
 
 @dataclass(frozen=True)  # bench/replicas.py calls dataclasses.asdict and .replace on it
@@ -222,14 +210,14 @@ def _run_chunk(chunk: list[tuple[int, tuple[str, int, str]]], steps: tuple[Chain
     """
     sentences, trees, rows, errors = [], [], [], []
     counts = Counter(total=len(chunk))
-    lead = next((k for k, step in enumerate(steps) if not isinstance(step, ReorderStep)), len(steps))
-    table = reorder_table(step.rule for step in steps[:lead])
-    close = functools.partial(reorder_kids, table) if table else None
-    rest, shuffle_words = steps[lead:], isinstance(steps[-1], WordShuffleStep)
-    stream = run_streams(config.global_seed)
-    # Only the steps after the leading reorders can draw; without them a line's
-    # output depends on its text alone.
-    memo = None if rest else _line_memo(steps, config.emit != "sentences", config.stats)
+    # Each run of reorder steps runs in the scan or in the loop of the drawing step
+    # before it. With no drawing step, a line's output depends on its text alone.
+    cuts = [k for k, step in enumerate(steps) if not isinstance(step, ReorderStep)] + [len(steps)]
+    close = _reorder_close(steps[:cuts[0]])
+    tree_steps = [(steps[k], _reorder_close(steps[k + 1:end])) for k, end in zip(cuts, cuts[1:])
+                  if not isinstance(steps[k], WordShuffleStep)]
+    stream, shuffle_words = run_streams(config.global_seed), isinstance(steps[-1], WordShuffleStep)
+    memo = None if len(cuts) > 1 else _line_memo(steps, config.emit != "sentences", config.stats)
     for index, (path, lineno, text) in chunk:
         out = memo.get(text) if memo is not None else None
         if out is None:
@@ -242,8 +230,11 @@ def _run_chunk(chunk: list[tuple[int, tuple[str, int, str]]], steps: tuple[Chain
             if skipped:
                 counts[skipped] += 1
                 continue
-            rng = stream(index) if rest else None
-            line, leaves = write_tree(_tree_steps(tree, rest, rng), config.emit != "sentences")
+            rng = stream(index) if memo is None else None
+            for step, hook in tree_steps:
+                tree = (remove_composition(tree, step, rng, close=hook) if isinstance(step, AblationSpec)
+                        else constituent_shuffle(tree, rng, include_root=step.include_root, close=hook))
+            line, leaves = write_tree(tree, config.emit != "sentences")
             if shuffle_words:  # word_shuffle's draws; the scanned leaves all carry origins
                 rng.shuffle(leaves)
             out = (*_sentence_row(tokens, leaves, config.stats), line)

@@ -47,6 +47,7 @@ import itertools
 import math
 from bisect import bisect_right
 from collections import namedtuple
+from functools import cached_property
 from typing import IO, TYPE_CHECKING, Iterable, Iterator, Mapping, NamedTuple
 
 from .files import read_lines, replace_on_success
@@ -119,7 +120,8 @@ class Production(namedtuple("Production", "lhs rhs weight")):
 class SynthGrammar(namedtuple("SynthGrammar", "productions lexicons profiles start")):
     """Weighted productions from ``start``, and each language's lexicon and order
     profile. ``_plan``, what sampling reads, is built once from the fields and kept
-    in the instance's dict, so equality and repr leave it out; the fields are read-only.
+    in the instance's dict, so equality and repr leave it out, and a copy made by
+    ``_replace`` or ``_make`` builds its own on first use; the fields are read-only.
     """
 
     def __new__(cls, productions: tuple[Production, ...],
@@ -127,8 +129,12 @@ class SynthGrammar(namedtuple("SynthGrammar", "productions lexicons profiles sta
                 profiles: Mapping[str, OrderProfile], start: str = "S") -> "SynthGrammar":
         grammar = _new(cls, (productions, lexicons, profiles, start))
         _validate_grammar(grammar)
-        grammar._plan = _Plan(grammar)
+        grammar._plan  # built now, so that a bad symbol raises here
         return grammar
+
+    @cached_property
+    def _plan(self) -> _Plan:
+        return _Plan(self)
 
     @property
     def languages(self) -> tuple[str, ...]:

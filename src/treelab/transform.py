@@ -12,6 +12,10 @@ Four families of modification, all pure functions over immutable trees:
   "intermediate" nodes (non-root nodes with more than one child),
   weakening the grouping structure by a controllable ratio.
 
+``constituent_shuffle`` is ``remove_composition`` with nothing removed: one
+splice loop. Both take ``treebank.scan_ptb``'s ``close`` hook, so a reorder
+step after them runs in their loop, as ``reorder_kids``, with no walk of its own.
+
 Every operation preserves the multiset of ``(surface, origin)`` leaf
 pairs. Randomized operations take a required ``rng``, the sentence's
 stream (``run_streams(seed)(index)``), so results are reproducible
@@ -24,7 +28,7 @@ from __future__ import annotations
 
 import math
 from collections import namedtuple
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 from .rng import Rng
 from .treebank import Sentence, TreeNode, iter_nodes, rebuild, with_children, yield_sentence
@@ -156,23 +160,17 @@ def apply_reorder(tree: TreeNode, rule: ReorderRule | Iterable[ReorderRule]) -> 
     return rebuild(tree, combine)
 
 
-def constituent_shuffle(tree: TreeNode, rng: Rng, *, include_root: bool = True) -> TreeNode:
+def constituent_shuffle(tree: TreeNode, rng: Rng, *, include_root: bool = True,
+                        close: Callable[[str, list], object] | None = None) -> TreeNode:
     """Permute the children of every internal node with >=2 children.
 
     Permutations are independent uniform draws from the per-sentence
     stream, consumed in post-order with children visited in their original
     order. Parent-child relations (the grouping structure) are untouched.
     ``include_root=False`` leaves the root's children in place, for callers
-    who treat top-level order as fixed.
+    who treat top-level order as fixed. ``close`` as in :func:`remove_composition`.
     """
-    shuffle = rng.shuffle
-
-    def combine(node: TreeNode, kids: list[TreeNode]) -> TreeNode:
-        if len(kids) >= 2 and (include_root or node is not tree):
-            shuffle(kids)
-        return _new(TreeNode, (node.label, tuple(kids), None, None))
-
-    return rebuild(tree, combine)
+    return _splice(tree, AblationSpec(0.0, True), rng, close, include_root)
 
 
 def word_shuffle(sentence: Sentence, rng: Rng) -> Sentence:
@@ -189,8 +187,8 @@ class AblationSpec(namedtuple("AblationSpec", "alpha shuffle_after")):
     """Parameters of one composition-removal pass.
 
     ``alpha`` is the fraction of intermediate nodes to remove;
-    ``shuffle_after`` additionally runs ``constituent_shuffle`` on the
-    spliced tree, continuing on the same random stream.
+    ``shuffle_after`` then shuffles the children of each kept node, as
+    ``constituent_shuffle`` does, on the same random stream.
     """
 
     __slots__ = ()
@@ -216,7 +214,8 @@ def intermediate_node_count(tree: TreeNode) -> int:
     return sum(len(node.children) > 1 for node in iter_nodes(tree)) - (len(tree.children) > 1)
 
 
-def remove_composition(tree: TreeNode, spec: AblationSpec, rng: Rng) -> TreeNode:
+def remove_composition(tree: TreeNode, spec: AblationSpec, rng: Rng, *,
+                       close: Callable[[str, list], object] | None = None) -> TreeNode:
     """Remove ``round(alpha * K)``, rounded half-up, of the K intermediate nodes.
 
     The nodes are drawn uniformly without replacement, by their pre-order
@@ -225,25 +224,25 @@ def remove_composition(tree: TreeNode, spec: AblationSpec, rng: Rng) -> TreeNode
     order; with ``shuffle_after`` each kept node of two or more children is
     then shuffled on the same stream, in the same loop. The draws: one shuffle
     of the K ranks (none if no node goes), then the kept nodes' shuffles in
-    post-order. Leaves keep their origins, or get 0..n-1 in order if none has
-    one (a mix raises ``ValueError``); a node object met twice counts twice.
+    post-order. ``close(label, kids)``, as in ``treebank.scan_ptb``, may then
+    reorder each kept node's children in place. Leaves keep their origins, or
+    get 0..n-1 in order if none has one (a mix raises ``ValueError``); a node
+    object met twice counts twice.
     """
-    walk: list = []  # pre-order: an internal node's rank among intermediate nodes (or -1)
-    k = 0  # as it opens and its label as it closes; a leaf as itself. k: the next rank
-    stack: list = [tree]
-    while stack:
-        node = stack.pop()
-        if type(node) is str or node.token is not None:
-            walk.append(node)
-        else:
-            kids = node.children
-            intermediate = len(kids) > 1 and node is not tree
-            walk.append(k if intermediate else -1)
-            k += intermediate
-            stack.append(node.label)
-            stack += kids[::-1]
+    return _splice(tree, spec, rng, close, True)
+
+
+def _splice(tree: TreeNode, spec: AblationSpec, rng: Rng, close: Callable[[str, list], object] | None,
+            shuffle_root: bool) -> TreeNode:
+    """The loop of both callers; if not ``shuffle_root``, the root's children keep their order."""
+    k, nodes = 0, list(tree.children) if spec.alpha else []  # K, if some node may go
+    for node in nodes:  # intermediate_node_count unrolled: the list grows as it is read
+        kids = node.children
+        if kids:
+            nodes += kids
+            k += len(kids) > 1
     n_remove = math.floor(spec.alpha * k + 0.5)
-    removed = bytearray(k + 1)  # by rank; -1, no candidate, reads the extra last 0
+    removed = bytearray(k)  # by pre-order rank
     if n_remove > 0:
         order = list(range(k))
         rng.shuffle(order)
@@ -252,17 +251,27 @@ def remove_composition(tree: TreeNode, spec: AblationSpec, rng: Rng) -> TreeNode
     values: list[TreeNode] = []  # the finished subtrees not yet taken by a parent
     starts: list[int] = []  # per open node, where its children begin in values; -1 if removed
     missing = 0
-    for item in walk:
-        if type(item) is int:
-            starts.append(-1 if removed[item] else len(values))
-        elif type(item) is str:
+    verdicts = iter(removed)  # removed or not, for each intermediate node in turn
+    shuffle = spec.shuffle_after and rng.shuffle
+    stack: list = [tree]  # in pre-order, a node to open or the label of one to close
+    while stack:
+        item = stack.pop()
+        if type(item) is str:
             start = starts.pop()
             if start >= 0:  # else the removed node's children stay in place: spliced
                 kids = values[start:]
                 del values[start:]
-                if spec.shuffle_after and len(kids) > 1:
-                    rng.shuffle(kids)
+                if shuffle and len(kids) > 1 and (starts or shuffle_root):  # none: the root
+                    shuffle(kids)
+                if close is not None:
+                    close(item, kids)
                 values.append(_new(TreeNode, (item, tuple(kids), None, None)))
+        elif item.token is None:
+            kids = item.children
+            gone = n_remove and len(kids) > 1 and item is not tree and next(verdicts)
+            starts.append(-1 if gone else len(values))
+            stack.append(item.label)
+            stack += kids[::-1]
         elif item.origin is None:
             values.append(_new(TreeNode, (item.label, (), item.token, missing)))
             missing += 1

@@ -11,9 +11,9 @@ any depth. Code that knows a node's fields are valid may skip the checks
 of ``TreeNode(...)`` with ``tuple.__new__(TreeNode, (label, kids, token, origin))``.
 
 One scanner and one writer: :func:`scan_ptb` reads a line's brackets in one
-loop, building the tree or not; a hook may reorder each node's children as its
-bracket closes. :func:`write_tree` writes a tree's line and lists its leaves in
-one walk; :func:`serialize` and :func:`yield_sentence` each take half of it.
+loop, building the tree or not; a hook, as in ``transform``'s splice loop, may
+reorder each node's children as it closes. :func:`write_tree` writes a line and
+its leaves in one walk; :func:`serialize` and :func:`yield_sentence` take halves.
 
 File convention: UTF-8, one bracketed tree per line. Every reader of tree
 lines (``transform``, ``stats`` and :func:`read_treebank`) classifies and

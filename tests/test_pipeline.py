@@ -1086,9 +1086,9 @@ BROKEN_STEPS = {
 
 @pytest.mark.parametrize("broken", sorted(BROKEN_STEPS))
 def test_a_step_that_breaks_the_multiset_raises_alignment_error(monkeypatch, broken):
-    """The reorder step follows another step, so it runs after the scan, where
-    it can be replaced (a leading reorder runs inside the scan)."""
-    monkeypatch.setattr(pipeline, "apply_reorder", lambda tree, rules: BROKEN_STEPS[broken])
+    """``constituent_shuffle``, whose loop also runs the ``reorder:83A`` after it,
+    is replaced by a step that gives a broken tree."""
+    monkeypatch.setattr(pipeline, "constituent_shuffle", lambda tree, rng, **_: BROKEN_STEPS[broken])
     chain = "constituent_shuffle,reorder:83A"
     config = pipeline.PipelineConfig(inputs=("in",), output="unused", chain=chain, stats=True)
     chunk = [(0, ("in", 1, "(S (NP (DT the) (NN cat)) (VP (VBD sat)))"))]
@@ -1130,9 +1130,13 @@ def test_reorder_steps_in_the_scan_keep_the_bytes(tmp_path, monkeypatch, capsys,
     assert tuple(hashlib.sha256(path.read_bytes()).hexdigest() for path in written) == FOLDED_PINNED[chain]
 
 
-def test_one_writer_walk_and_no_rebuild_per_emitted_line_on_the_wsj_chain(tmp_path, monkeypatch, capsys):
-    """``reorder:83A`` runs in the scan and ``ablate:0.5:shuffle`` in its own loop,
-    so no ``rebuild`` fold runs, and one writer walk gives each tree line and sentence."""
+@pytest.mark.parametrize("chain", [CHAIN, "constituent_shuffle,reorder:83A",
+                                   "ablate:0.5,reorder:87A,constituent_shuffle,reorder:85A"])
+def test_one_writer_walk_and_no_rebuild_per_emitted_line_on_the_wsj_chain(tmp_path, monkeypatch, capsys,
+                                                                         chain):
+    """A leading reorder step runs in the scan, each drawing step in its own loop and
+    every other reorder step in the loop before it, so no ``rebuild`` fold runs, and
+    one writer walk gives each tree line and sentence."""
     calls = {"rebuild": 0, "write_tree": 0}
 
     def counting(module, name):
@@ -1149,7 +1153,7 @@ def test_one_writer_walk_and_no_rebuild_per_emitted_line_on_the_wsj_chain(tmp_pa
         counting(module, "write_tree")
     code, _, err = run_in(
         tmp_path / "run", monkeypatch, capsys, "transform", str(FIXTURE), "-o", "out.sents",
-        "--tree-output", "out.trees", "--emit", "both", "--chain", CHAIN, "--workers", "1",
+        "--tree-output", "out.trees", "--emit", "both", "--chain", chain, "--workers", "1",
     )
     assert code == 0, err
     sidecar = json.loads((tmp_path / "run" / "out.sents.provenance.json").read_text())

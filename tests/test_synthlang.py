@@ -309,6 +309,14 @@ class TestLinearize:
         finally:
             gc.enable()
 
+    def test_a_copy_builds_its_own_plan(self):
+        g = demo_grammar()
+        copies = (g._replace(start="S"), SynthGrammar._make(tuple(g)), g._replace())
+        for copy in copies:
+            for i in range(8):
+                assert sample_lines(copy, run_streams(0)(i)) == sample_lines(g, run_streams(0)(i))
+        assert copies[0] == g and copies[0]._plan is not g._plan
+
 
 class TestPairedSampling:
     def test_alignment_is_a_position_bijection(self):

@@ -414,22 +414,47 @@ class TestRemoveComposition:
     def test_equals_the_rebuild_fold_draw_for_draw(self):
         """On trees without origins, with carried origins in order, with permuted
         origins and with a shared subtree: the same tree, origins included, the
-        same number of draws and the same next draw as the reference fold."""
+        same number of draws and the same next draw as the reference fold, for
+        ``constituent_shuffle`` as the fold with nothing removed, and with a
+        ``close`` hook as ``apply_reorder`` on the fold's tree."""
         rng = run_streams(11)(0)
         trees = []
         for _ in range(60):
             raw = random_tree(rng, max_depth=6, max_children=4)
             trees += [raw, parse_ptb(serialize(raw)),
                       constituent_shuffle(raw, rng), internal("S", [raw, raw, leaf("NN", "x")])]
-        for alpha in (0.0, 0.3, 0.5, 1.0):
-            for shuffle_after in (False, True):
-                spec = AblationSpec(alpha, shuffle_after)
-                for index, tree in enumerate(trees):
-                    ours, theirs = CountingRng(stream_seed(3, index)), CountingRng(stream_seed(3, index))
-                    got = remove_composition(tree, spec, ours)
-                    assert repr(got) == repr(reference_remove_composition(tree, spec, theirs))
-                    assert ours.draws == theirs.draws
-                    assert ours.next_u64() == theirs.next_u64()
+        # Rules for the commonest two-child patterns of the trees: one alone, one
+        # with its inverse, two on one label, and one that matches by prefix.
+        patterns = collections.Counter(
+            (node.label, *(kid.label for kid in node.children)) for tree in trees
+            for node in iter_nodes(tree) if len(node.children) == 2
+            and node.children[0].label != node.children[1].label)
+        top, *others = [ReorderRule("t", *pattern) for pattern, _ in patterns.most_common()]
+        twin = next(rule for rule in others if rule.parent_label == top.parent_label)
+        rule_sets = [[top], [top, inverse_rule(top)], [top, twin],
+                     [ReorderRule("p", "NP", "VB", "NN", frozenset({"VB", "NN"}))]]
+        calls = [(spec, functools.partial(remove_composition, spec=spec))
+                 for spec in (AblationSpec(alpha, shuffle_after)
+                              for alpha in (0.0, 0.3, 0.5, 1.0) for shuffle_after in (False, True))]
+        calls.append((AblationSpec(0, True), constituent_shuffle))
+        variants = [(None, None)] + [(rules, functools.partial(reorder_kids, reorder_table(rules)))
+                                     for rules in rule_sets]
+        swapped = [0] * len(variants)
+        for spec, call in calls:
+            for index, tree in enumerate(trees):
+                variant = index % len(variants)  # 5 and 4 kinds of tree: each meets each
+                rules, close = variants[variant]
+                ours, theirs = CountingRng(stream_seed(3, index)), CountingRng(stream_seed(3, index))
+                got = call(tree, rng=ours, close=close)
+                want = reference_remove_composition(tree, spec, theirs)
+                if rules:
+                    reordered = apply_reorder(want, rules)
+                    swapped[variant] += reordered != want
+                    want = reordered
+                assert repr(got) == repr(want)
+                assert ours.draws == theirs.draws
+                assert ours.next_u64() == theirs.next_u64()
+        assert min(swapped[1:]) > 0, swapped
 
     def test_spec_validation(self):
         with pytest.raises(ValueError):
