@@ -415,8 +415,9 @@ class TestRemoveComposition:
         """On trees without origins, with carried origins in order, with permuted
         origins and with a shared subtree: the same tree, origins included, the
         same number of draws and the same next draw as the reference fold, for
-        ``constituent_shuffle`` as the fold with nothing removed, and with a
-        ``close`` hook as ``apply_reorder`` on the fold's tree."""
+        ``constituent_shuffle`` as the fold with nothing removed, and with each
+        ``close`` hook as ``apply_reorder`` on the fold's tree: every call meets
+        every tree with no hook and with each hook."""
         rng = run_streams(11)(0)
         trees = []
         for _ in range(60):
@@ -442,18 +443,17 @@ class TestRemoveComposition:
         swapped = [0] * len(variants)
         for spec, call in calls:
             for index, tree in enumerate(trees):
-                variant = index % len(variants)  # 5 and 4 kinds of tree: each meets each
-                rules, close = variants[variant]
-                ours, theirs = CountingRng(stream_seed(3, index)), CountingRng(stream_seed(3, index))
-                got = call(tree, rng=ours, close=close)
-                want = reference_remove_composition(tree, spec, theirs)
-                if rules:
-                    reordered = apply_reorder(want, rules)
-                    swapped[variant] += reordered != want
-                    want = reordered
-                assert repr(got) == repr(want)
-                assert ours.draws == theirs.draws
-                assert ours.next_u64() == theirs.next_u64()
+                for variant, (rules, close) in enumerate(variants):
+                    ours, theirs = CountingRng(stream_seed(3, index)), CountingRng(stream_seed(3, index))
+                    got = call(tree, rng=ours, close=close)
+                    want = reference_remove_composition(tree, spec, theirs)
+                    if rules:
+                        reordered = apply_reorder(want, rules)
+                        swapped[variant] += reordered != want
+                        want = reordered
+                    assert repr(got) == repr(want)
+                    assert ours.draws == theirs.draws
+                    assert ours.next_u64() == theirs.next_u64()
         assert min(swapped[1:]) > 0, swapped
 
     def test_spec_validation(self):
