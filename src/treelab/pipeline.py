@@ -60,7 +60,7 @@ from contextlib import closing
 from dataclasses import asdict, dataclass
 from itertools import chain, islice, zip_longest
 from time import process_time
-from typing import IO, Callable, Iterator, Mapping, NamedTuple, Sequence, Union
+from typing import IO, Iterator, Mapping, NamedTuple, Sequence, Union
 
 from .files import PipelineError, UsageError, read_lines, recorded
 from .files import write_provenance  # for bench/replicas.py
@@ -73,8 +73,7 @@ from .transform import (
     constituent_shuffle,
     load_rules,
     remove_composition,
-    reorder_kids,
-    reorder_table,
+    reorder_hook,
 )
 from .treebank import AlignmentError, TreeParseError, scan_line, write_tree
 
@@ -157,12 +156,6 @@ def parse_chain(
     return tuple(steps)
 
 
-def _reorder_close(steps: Sequence[ChainStep]) -> Callable[[str, list], None] | None:
-    """``reorder_kids`` over the rules of ``steps``, all reorder steps, as a close hook; None if none."""
-    table = reorder_table(step.rule for step in steps)
-    return functools.partial(reorder_kids, table) if table else None
-
-
 @dataclass(frozen=True)  # bench/replicas.py calls dataclasses.asdict and .replace on it
 class PipelineConfig:
     """Everything one ``transform`` run needs, resolved and validated."""
@@ -213,8 +206,9 @@ def _run_chunk(chunk: list[tuple[int, tuple[str, int, str]]], steps: tuple[Chain
     # Each run of reorder steps runs in the scan or in the loop of the drawing step
     # before it. With no drawing step, a line's output depends on its text alone.
     cuts = [k for k, step in enumerate(steps) if not isinstance(step, ReorderStep)] + [len(steps)]
-    close = _reorder_close(steps[:cuts[0]])
-    tree_steps = [(steps[k], _reorder_close(steps[k + 1:end])) for k, end in zip(cuts, cuts[1:])
+    close = reorder_hook(step.rule for step in steps[:cuts[0]])
+    tree_steps = [(steps[k], reorder_hook(step.rule for step in steps[k + 1:end]))
+                  for k, end in zip(cuts, cuts[1:])
                   if not isinstance(steps[k], WordShuffleStep)]
     stream, shuffle_words = run_streams(config.global_seed), isinstance(steps[-1], WordShuffleStep)
     memo = None if len(cuts) > 1 else _line_memo(steps, config.emit != "sentences", config.stats)

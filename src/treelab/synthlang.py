@@ -52,7 +52,7 @@ from typing import IO, TYPE_CHECKING, Iterable, Iterator, Mapping, NamedTuple
 
 from .files import read_lines, replace_on_success
 from .rng import Rng, run_streams
-from .treebank import TreeNode, escape_symbol, leaf, rebuild, scan_ptb, serialize
+from .treebank import TreeNode, escape_symbol, leaf, scan_ptb, serialize, write_tree
 
 if TYPE_CHECKING:
     from .transform import ReorderRule
@@ -479,16 +479,24 @@ def lexicon_map(grammar: SynthGrammar, source: str, target: str) -> dict[str, st
 
 
 def translate_tree(grammar: SynthGrammar, tree: TreeNode, source: str, target: str) -> TreeNode:
-    """Swap the lexicon, keeping structure, order, and origins."""
+    """Swap the lexicon, keeping structure, order and origins (``None`` included): the
+    tree's line is scanned back, each leaf swapped as its parent's bracket closes."""
     # Tree tokens are stored in escaped form; key the table accordingly.
     mapping = {escape_symbol(w): t for w, t in lexicon_map(grammar, source, target).items()}
+    text, leaves = write_tree(tree, True)
+    try:  # left to right, so the first unknown word is named
+        words = [mapping[token] for token, _ in leaves]
+    except KeyError as exc:
+        raise SynthError(f"word {exc.args[0]!r} not in the {source} lexicon") from None
+    if tree.token is not None:  # a bare leaf closes no bracket
+        return leaf(tree.label, words[0], origin=tree.origin)
 
-    def translate(node: TreeNode) -> TreeNode:
-        if node.token not in mapping:
-            raise SynthError(f"word {node.token!r} not in the {source} lexicon")
-        return leaf(node.label, mapping[node.token], origin=node.origin)
+    def close(label: str, kids: list[TreeNode]) -> None:
+        for k, kid in enumerate(kids):
+            if kid.token is not None:  # kid.origin is its position, from the scan
+                kids[k] = leaf(kid.label, words[kid.origin], origin=leaves[kid.origin][1])
 
-    return rebuild(tree, lambda node, kids: TreeNode(node.label, tuple(kids)), leaf=translate)
+    return scan_ptb(text, close=close)[1]
 
 
 def delta_rules(grammar: SynthGrammar, source: str, target: str) -> tuple[ReorderRule, ...]:

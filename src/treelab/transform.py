@@ -12,9 +12,10 @@ Four families of modification, all pure functions over immutable trees:
   "intermediate" nodes (non-root nodes with more than one child),
   weakening the grouping structure by a controllable ratio.
 
-``constituent_shuffle`` is ``remove_composition`` with nothing removed: one
-splice loop. Both take ``treebank.scan_ptb``'s ``close`` hook, so a reorder
-step after them runs in their loop, as ``reorder_kids``, with no walk of its own.
+One splice loop builds every tree after the scan: ``constituent_shuffle`` is
+``remove_composition`` with nothing removed, and ``apply_reorder`` the loop with
+nothing removed or shuffled. The drawing steps take ``treebank.scan_ptb``'s ``close``
+hook, so a reorder step after them runs in their loop, with no walk of its own.
 
 Every operation preserves the multiset of ``(surface, origin)`` leaf
 pairs. Randomized operations take a required ``rng``, the sentence's
@@ -28,10 +29,11 @@ from __future__ import annotations
 
 import math
 from collections import namedtuple
+from functools import partial
 from typing import Callable, Iterable, Mapping, Sequence
 
 from .rng import Rng
-from .treebank import Sentence, TreeNode, iter_nodes, rebuild, with_children, yield_sentence
+from .treebank import Sentence, TreeNode, iter_nodes, with_children, yield_sentence
 
 _new = tuple.__new__
 
@@ -139,6 +141,12 @@ def reorder_kids(table: Mapping[str, Sequence[ReorderRule]], label: str,
             kids.reverse()
 
 
+def reorder_hook(rules: Iterable[ReorderRule]) -> Callable[[str, list], None] | None:
+    """:func:`reorder_kids` over ``rules`` as a ``close`` hook, or None if there are none."""
+    table = reorder_table(rules)
+    return partial(reorder_kids, table) if table else None
+
+
 def apply_reorder(tree: TreeNode, rule: ReorderRule | Iterable[ReorderRule]) -> TreeNode:
     """Swap matching two-child nodes everywhere in the tree, in one walk.
 
@@ -148,16 +156,12 @@ def apply_reorder(tree: TreeNode, rule: ReorderRule | Iterable[ReorderRule]) -> 
     gives what whole-tree passes, one per rule, would give: a node's match
     depends only on its own label and its children's labels, which swaps
     below it never change, and rules for other labels never match it.
-    Non-matching trees pass through unchanged (and untouched subtrees are
-    shared, not copied).
+    Untouched subtrees are shared, not copied. Leaves keep their origins, so a
+    tree with nothing to swap is returned as it is, or get 0..n-1 in order if
+    none has one (a mix raises ``ValueError``).
     """
-    table = reorder_table((rule,) if isinstance(rule, ReorderRule) else rule)
-
-    def combine(node: TreeNode, kids: list[TreeNode]) -> TreeNode:
-        reorder_kids(table, node.label, kids)
-        return with_children(node, kids)
-
-    return rebuild(tree, combine)
+    hook = reorder_hook((rule,) if isinstance(rule, ReorderRule) else rule)
+    return _splice(tree, AblationSpec(0.0), None, hook, True)
 
 
 def constituent_shuffle(tree: TreeNode, rng: Rng, *, include_root: bool = True,
@@ -227,14 +231,16 @@ def remove_composition(tree: TreeNode, spec: AblationSpec, rng: Rng, *,
     post-order. ``close(label, kids)``, as in ``treebank.scan_ptb``, may then
     reorder each kept node's children in place. Leaves keep their origins, or
     get 0..n-1 in order if none has one (a mix raises ``ValueError``); a node
-    object met twice counts twice.
+    object met twice counts twice. With nothing removed or shuffled, untouched
+    subtrees are shared, as :func:`apply_reorder` shares them.
     """
     return _splice(tree, spec, rng, close, True)
 
 
-def _splice(tree: TreeNode, spec: AblationSpec, rng: Rng, close: Callable[[str, list], object] | None,
-            shuffle_root: bool) -> TreeNode:
-    """The loop of both callers; if not ``shuffle_root``, the root's children keep their order."""
+def _splice(tree: TreeNode, spec: AblationSpec, rng: Rng | None,
+            close: Callable[[str, list], object] | None, shuffle_root: bool) -> TreeNode:
+    """The loop of every caller; if not ``shuffle_root``, the root's children keep their order.
+    With nothing removed or shuffled, a node whose children come back unchanged is kept."""
     k, nodes = 0, list(tree.children) if spec.alpha else []  # K, if some node may go
     for node in nodes:  # intermediate_node_count unrolled, as iter_nodes is 3x slower
         kids = node.children
@@ -253,6 +259,7 @@ def _splice(tree: TreeNode, spec: AblationSpec, rng: Rng, close: Callable[[str, 
     missing = 0
     verdicts = iter(removed)  # removed or not, for each intermediate node in turn
     shuffle = spec.shuffle_after and rng.shuffle
+    opened: list | None = None if n_remove or shuffle else []  # the open nodes, to keep
     stack: list = [tree]  # in pre-order, a node to open or the label of one to close
     while stack:
         item = stack.pop()
@@ -265,13 +272,16 @@ def _splice(tree: TreeNode, spec: AblationSpec, rng: Rng, close: Callable[[str, 
                     shuffle(kids)
                 if close is not None:
                     close(item, kids)
-                values.append(_new(TreeNode, (item, tuple(kids), None, None)))
+                values.append(_new(TreeNode, (item, tuple(kids), None, None)) if opened is None
+                              else with_children(opened.pop(), kids))
         elif item.token is None:
             kids = item.children
             gone = n_remove and len(kids) > 1 and item is not tree and next(verdicts)
             starts.append(-1 if gone else len(values))
             stack.append(item.label)
             stack += kids[::-1]
+            if opened is not None:
+                opened.append(item)
         elif item.origin is None:
             values.append(_new(TreeNode, (item.label, (), item.token, missing)))
             missing += 1

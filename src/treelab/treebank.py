@@ -1,8 +1,9 @@
 """Bracketed constituent trees: parsing, serialization, traversal.
 
 A tree is represented by its root :class:`TreeNode`. Nodes are immutable
-tuples; transformations build new trees and share untouched subtrees, so
-trees are safe to hand to concurrent workers. Leaves carry the surface
+tuples, so trees are safe to hand to concurrent workers; ``transform``'s splice
+loop, where it removes and shuffles nothing (``apply_reorder``), shares untouched
+subtrees (:func:`with_children`). Leaves carry the surface
 token and, once assigned, the token's position in the original sentence
 (``origin``), which rides along through every transformation and makes
 order metrics well-defined even when surface forms repeat. Equality and
@@ -37,14 +38,13 @@ import re
 from collections import namedtuple
 from itertools import islice
 from operator import is_
-from typing import Callable, Iterable, Iterator, Sequence, TypeVar
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .files import read_lines, replace_on_success
 
 _SPACE = re.compile(r"\s")  # exactly the characters for which str.isspace() holds
 _MIXED = "tree mixes leaves with and without origin indices"
 _new = tuple.__new__
-V = TypeVar("V")
 
 
 class TreeParseError(ValueError):
@@ -239,43 +239,6 @@ def _rejected(text: str, k: int, message: str,
     pos = found.start() if found else len(text)
     message = message.format(repr(text[pos])) if found else at_end
     return TreeParseError(message, len(text[:pos].encode("utf-8")))
-
-
-def rebuild(tree: TreeNode, combine: Callable[[TreeNode, list[V]], V],
-            leaf: Callable[[TreeNode], V] | None = None) -> V:
-    """Fold ``tree`` bottom-up: post-order, children in their original order.
-
-    Each internal node becomes ``combine(node, values)``, ``values`` being a
-    fresh list of what its children became, and each leaf ``leaf(node)``. A
-    node object that occurs twice is visited twice. Without ``leaf``, leaves
-    keep their origins, or get 0..n-1 in order if none has one; a tree that
-    mixes the two raises ``ValueError``.
-    """
-    order = []  # root, then each subtree right to left: reversed, it is post-order
-    stack = [tree]
-    while stack:
-        node = stack.pop()
-        order.append(node)
-        stack.extend(node.children)
-    values: list = []
-    carried = leaves = 0
-    for node in reversed(order):
-        kids = node.children
-        if kids:
-            k = len(kids)
-            values[-k:] = (combine(node, values[-k:]),)
-        elif leaf is not None:
-            values.append(leaf(node))
-        else:
-            if node.origin is not None:
-                carried += 1
-            else:
-                node = _new(TreeNode, (node.label, (), node.token, leaves))
-            leaves += 1
-            if carried and carried != leaves:
-                raise ValueError(_MIXED)
-            values.append(node)
-    return values[0]
 
 
 def with_children(node: TreeNode, kids: Sequence[TreeNode]) -> TreeNode:

@@ -4,7 +4,7 @@ in the formats of ``docs/embedding-format.md`` and of the alignment lines that
 raw text, the chain reference that runs the library's steps one at a time on
 one tree (the corpus driver's tests compare against it, sharing none of the
 driver's code), reference versions of tree walks that the program now does in
-fewer passes, an inversion count of its own, a scalar SplitMix64 stream with
+fewer passes, with the post-order fold they are built on, an inversion count of its own, a scalar SplitMix64 stream with
 a draw count taken from the state, and the linear-scan weighted draw that the
 grammar sampler's tables replace."""
 
@@ -17,7 +17,7 @@ import threading
 from bisect import bisect_right
 from contextlib import contextmanager
 from pathlib import Path
-from typing import Iterable, Iterator, MutableSequence, Sequence
+from typing import Callable, Iterable, Iterator, MutableSequence, Sequence
 
 import numpy as np
 
@@ -25,9 +25,9 @@ from treelab.pipeline import ChainStep, ConstituentShuffleStep, ReorderStep
 from treelab.retrieval import POOLED_MAGIC, TOKEN_MAGIC, EmbeddingMatrix, RetrievalError
 from treelab.rng import GOLDEN, Rng, mix64
 from treelab.synthlang import SynthError
-from treelab.transform import (AblationSpec, apply_reorder, constituent_shuffle, remove_composition,
-                               word_shuffle)
-from treelab.treebank import Sentence, TreeNode, escape_symbol, iter_nodes, rebuild, yield_sentence
+from treelab.transform import (AblationSpec, ReorderRule, apply_reorder, constituent_shuffle,
+                               remove_composition, word_shuffle)
+from treelab.treebank import Sentence, TreeNode, escape_symbol, iter_nodes, yield_sentence
 
 
 def write_token_embeddings(path: str, embeddings: EmbeddingMatrix) -> None:
@@ -106,6 +106,55 @@ def apply_chain(tree: TreeNode, steps: Sequence[ChainStep], rng: Rng | None
 def iter_leaves(tree: TreeNode) -> Iterator[TreeNode]:
     """The leaves in pre-order."""
     return (node for node in iter_nodes(tree) if node.token is not None)
+
+
+def rebuild(tree: TreeNode, combine: Callable[[TreeNode, list], object]) -> object:
+    """Fold ``tree`` bottom-up: post-order, children in their original order.
+
+    Each internal node becomes ``combine(node, values)``, ``values`` being a
+    fresh list of what its children became. A node object that occurs twice is
+    visited twice. Leaves keep their origins, or get 0..n-1 in order if none
+    has one; a tree that mixes the two raises ``ValueError``.
+    """
+    order = []  # root, then each subtree right to left: reversed, it is post-order
+    stack = [tree]
+    while stack:
+        node = stack.pop()
+        order.append(node)
+        stack.extend(node.children)
+    values: list = []
+    carried = leaves = 0
+    for node in reversed(order):
+        kids = node.children
+        if kids:
+            values[-len(kids):] = (combine(node, values[-len(kids):]),)
+            continue
+        if node.origin is not None:
+            carried += 1
+        else:
+            node = TreeNode(node.label, (), node.token, leaves)
+        leaves += 1
+        if carried and carried != leaves:
+            raise ValueError("tree mixes leaves with and without origin indices")
+        values.append(node)
+    return values[0]
+
+
+def reference_apply_reorder(tree: TreeNode, rules: Iterable[ReorderRule]) -> TreeNode:
+    """``apply_reorder`` as a ``rebuild`` fold: at each node every rule, in order,
+    swaps the two children if it matches them as they are then; a node whose
+    children come back as the same objects is kept."""
+    rules = list(rules)
+
+    def combine(node: TreeNode, kids: list) -> TreeNode:
+        for rule in rules:
+            if rule.matches(TreeNode(node.label, tuple(kids))):
+                kids.reverse()
+        if len(kids) == len(node.children) and all(a is b for a, b in zip(kids, node.children)):
+            return node
+        return TreeNode(node.label, tuple(kids))
+
+    return rebuild(tree, combine)
 
 
 def reference_remove_composition(tree: TreeNode, spec: AblationSpec, rng: Rng) -> TreeNode:

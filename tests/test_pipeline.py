@@ -1132,12 +1132,12 @@ def test_reorder_steps_in_the_scan_keep_the_bytes(tmp_path, monkeypatch, capsys,
 
 @pytest.mark.parametrize("chain", [CHAIN, "constituent_shuffle,reorder:83A",
                                    "ablate:0.5,reorder:87A,constituent_shuffle,reorder:85A"])
-def test_one_writer_walk_and_no_rebuild_per_emitted_line_on_the_wsj_chain(tmp_path, monkeypatch, capsys,
-                                                                         chain):
-    """A leading reorder step runs in the scan, each drawing step in its own loop and
-    every other reorder step in the loop before it, so no ``rebuild`` fold runs, and
-    one writer walk gives each tree line and sentence."""
-    calls = {"rebuild": 0, "write_tree": 0}
+def test_one_writer_walk_and_no_reorder_walk_per_emitted_line_on_the_wsj_chain(tmp_path, monkeypatch,
+                                                                              capsys, chain):
+    """A leading reorder step runs in the scan, each drawing step in its own splice
+    loop and every other reorder step, as a close hook, in the loop before it: no
+    ``apply_reorder`` walk runs, and one writer walk gives each tree line and sentence."""
+    calls = {"apply_reorder": 0, "write_tree": 0}
 
     def counting(module, name):
         real = getattr(module, name)
@@ -1147,8 +1147,7 @@ def test_one_writer_walk_and_no_rebuild_per_emitted_line_on_the_wsj_chain(tmp_pa
             return real(*args, **kwargs)
         monkeypatch.setattr(module, name, call)
 
-    for module in (treebank, transform):
-        counting(module, "rebuild")
+    counting(transform, "apply_reorder")
     for module in (treebank, pipeline):
         counting(module, "write_tree")
     code, _, err = run_in(
@@ -1157,7 +1156,7 @@ def test_one_writer_walk_and_no_rebuild_per_emitted_line_on_the_wsj_chain(tmp_pa
     )
     assert code == 0, err
     sidecar = json.loads((tmp_path / "run" / "out.sents.provenance.json").read_text())
-    assert sidecar["counts"]["emitted"] == 50 and calls == {"rebuild": 0, "write_tree": 50}
+    assert sidecar["counts"]["emitted"] == 50 and calls == {"apply_reorder": 0, "write_tree": 50}
 
 
 def checked_sentence_row(tokens, leaves, stats):

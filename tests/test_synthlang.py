@@ -32,7 +32,7 @@ from treelab.synthlang import (
     write_corpus,
 )
 from treelab.transform import BUILTIN_RULES, apply_reorder, inverse_rule
-from treelab.treebank import leaf, read_treebank, serialize, yield_sentence
+from treelab.treebank import iter_nodes, leaf, read_treebank, serialize, yield_sentence
 
 
 def surfaces(tree):
@@ -469,6 +469,27 @@ class TestTranslation:
         rogue = internal("S", [leaf("NN", "zebra")])
         with pytest.raises(SynthError, match="'zebra' not in the alpha lexicon"):
             translate_tree(g, rogue, "alpha", "beta")
+
+    def test_the_leftmost_of_two_unknown_words_is_named(self):
+        rogue = internal("S", [internal("NP", [leaf("JJ", "red"), internal("NP", [leaf("NN", "zebra")])]),
+                               leaf("NN", "yak")])
+        with pytest.raises(SynthError) as caught:
+            translate_tree(demo_grammar(), rogue, "alpha", "beta")
+        assert str(caught.value) == "word 'zebra' not in the alpha lexicon"
+
+    def test_a_bare_leaf(self):
+        got = translate_tree(demo_grammar(), leaf("NN", "paper", origin=4), "alpha", "beta")
+        assert repr(got) == repr(leaf("NN", "zhi", origin=4))
+        assert repr(translate_tree(demo_grammar(), leaf("NN", "tree"), "alpha", "beta")) == repr(
+            leaf("NN", "mu"))
+
+    def test_leaves_without_origins_keep_none(self):
+        tree = internal("S", [leaf("PRP", "i"), internal("VP", [leaf("VB", "see"), leaf("NN", "tree")]),
+                              leaf("PRP", "i")])
+        got = translate_tree(demo_grammar(), tree, "alpha", "beta")
+        assert repr(got) == repr(internal(
+            "S", [leaf("PRP", "wo"), internal("VP", [leaf("VB", "kan"), leaf("NN", "mu")]), leaf("PRP", "wo")]))
+        assert [node.origin for node in iter_nodes(got) if node.token] == [None] * 4
 
     def test_unknown_language_rejected(self):
         with pytest.raises(SynthError, match="unknown language"):

@@ -30,15 +30,14 @@ from treelab.treebank import (
     iter_nodes,
     leaf,
     parse_ptb,
-    rebuild,
     scan_ptb,
     serialize,
-    with_children,
     yield_sentence,
 )
 
 from conftest import random_tree, tree_nodes
-from helpers import CountingRng, apply_chain, internal, reference_remove_composition
+from helpers import (CountingRng, apply_chain, internal, reference_apply_reorder,
+                     reference_remove_composition)
 
 NESTED = "(S (NP (PRP I)) (VP (VBD read) (NP (CD two) (NNS papers))))"
 FIXTURE = os.path.join(os.path.dirname(__file__), "fixtures", "english_like.trees")
@@ -162,7 +161,27 @@ class TestReorderInOneWalk:
     @given(tree_nodes(), st.lists(st.sampled_from(sorted(RULE_POOL)), max_size=5))
     def test_equals_one_pass_per_rule(self, tree, names):
         rules = [RULE_POOL[name] for name in names]
-        assert repr(apply_reorder(tree, rules)) == repr(one_pass_per_rule(rebuild(tree, with_children), rules))
+        assert repr(apply_reorder(tree, rules)) == repr(one_pass_per_rule(apply_reorder(tree, []), rules))
+
+    @given(tree_nodes(), st.lists(st.sampled_from(sorted(RULE_POOL)), max_size=5),
+           st.sampled_from(["none", "in order", "permuted", "shared"]))
+    def test_equals_the_reference_fold(self, tree, names, origins):
+        """The same tree, origins included, as the reference fold, and the same nodes
+        of the input kept: on trees without origins, with origins in order or
+        permuted, and with one subtree object at two places."""
+        rules = [RULE_POOL[name] for name in names]
+        if origins == "in order":
+            tree = parse_ptb(serialize(tree))
+        elif origins == "permuted":
+            tree = constituent_shuffle(tree, run_streams(2)(len(names)))
+        elif origins == "shared":
+            tree = internal("S", [tree, leaf("NN", "x"), tree])
+        got, want = apply_reorder(tree, rules), reference_apply_reorder(tree, rules)
+        assert repr(got) == repr(want)
+        inputs = {id(node) for node in iter_nodes(tree)}
+        assert ({id(node) for node in iter_nodes(got)} & inputs
+                == {id(node) for node in iter_nodes(want)} & inputs)
+        assert (got is tree) == (want is tree)
 
     @pytest.mark.parametrize(
         "names",
@@ -416,7 +435,7 @@ class TestRemoveComposition:
         origins and with a shared subtree: the same tree, origins included, the
         same number of draws and the same next draw as the reference fold, for
         ``constituent_shuffle`` as the fold with nothing removed, and with each
-        ``close`` hook as ``apply_reorder`` on the fold's tree: every call meets
+        ``close`` hook as the reference reorder fold on the fold's tree: every call meets
         every tree with no hook and with each hook."""
         rng = run_streams(11)(0)
         trees = []
@@ -448,7 +467,7 @@ class TestRemoveComposition:
                     got = call(tree, rng=ours, close=close)
                     want = reference_remove_composition(tree, spec, theirs)
                     if rules:
-                        reordered = apply_reorder(want, rules)
+                        reordered = reference_apply_reorder(want, rules)
                         swapped[variant] += reordered != want
                         want = reordered
                     assert repr(got) == repr(want)

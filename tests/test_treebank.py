@@ -20,16 +20,14 @@ from treelab.treebank import (
     leaf,
     parse_ptb,
     read_treebank,
-    rebuild,
     scan_ptb,
     serialize,
-    with_children,
     write_tree,
     write_treebank,
     yield_sentence,
 )
 from treelab.rng import run_streams
-from treelab.transform import AblationSpec, constituent_shuffle, remove_composition
+from treelab.transform import AblationSpec, apply_reorder, constituent_shuffle, remove_composition
 
 from conftest import random_tree, tree_nodes
 from helpers import internal, iter_leaves, reference_serialize, reference_yield
@@ -158,19 +156,21 @@ def test_iter_nodes_preorder():
 
 
 class TestOrigins:
-    def test_rebuild_assigns_left_to_right(self):
+    """``apply_reorder`` with no rules only settles the leaves' origins."""
+
+    def test_no_rules_assigns_left_to_right(self):
         tree = internal("S", [leaf("A", "x"), internal("B", [leaf("C", "y")])])
-        tagged = rebuild(tree, with_children)
+        tagged = apply_reorder(tree, [])
         assert [n.origin for n in iter_leaves(tagged)] == [0, 1]
 
-    def test_rebuild_keeps_present_origins(self):
+    def test_no_rules_keeps_present_origins(self):
         tree = parse_ptb(NESTED)
-        assert rebuild(tree, with_children) is tree
+        assert apply_reorder(tree, []) is tree
 
     def test_mixed_rejected(self):
         tree = internal("S", [leaf("A", "x", origin=0), leaf("B", "y")])
-        with pytest.raises(ValueError, match="mixes"):
-            rebuild(tree, with_children)
+        with pytest.raises(ValueError, match="^tree mixes leaves with and without origin indices$"):
+            apply_reorder(tree, [])
         with pytest.raises(ValueError, match="mixes"):
             yield_sentence(tree)
 
