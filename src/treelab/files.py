@@ -32,6 +32,13 @@ from .version import TOOL_NAME, TOOL_VERSION
 SIDECAR_SUFFIX = ".provenance.json"
 
 
+def checked_make(cls: type, fields: Iterable) -> tuple:
+    """``cls(*fields)``: the ``_make`` of each record whose ``__new__`` checks its
+    fields, so that ``_make``, and ``_replace``, which calls it, check them too.
+    Here because every module that defines such a record imports this one."""
+    return cls(*fields)
+
+
 class PipelineError(Exception):
     """Hard runtime failure; maps to exit status 1.
 

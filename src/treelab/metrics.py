@@ -27,6 +27,7 @@ from operator import sub
 from types import SimpleNamespace
 from typing import NamedTuple, Sequence, Sized
 
+from .files import checked_make
 from .treebank import AlignmentError, Sentence, is_permutation
 
 _new = tuple.__new__
@@ -36,6 +37,7 @@ class AlignedPermutation(namedtuple("AlignedPermutation", "pi")):
     """``pi[i]`` is the new position of the token whose origin index is ``i``."""
 
     __slots__ = ()
+    _make = classmethod(checked_make)
 
     def __new__(cls, pi: tuple[int, ...]) -> "AlignedPermutation":
         if not is_permutation(pi):

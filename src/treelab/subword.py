@@ -47,7 +47,7 @@ from collections import Counter, defaultdict, namedtuple
 from functools import cached_property
 from typing import IO, Iterable, Sequence
 
-from .files import read_lines, replace_on_success
+from .files import checked_make, read_lines, replace_on_success
 from .rng import Rng, run_streams
 
 SPECIAL_TOKENS = ("<pad>", "<unk>", "<cls>", "<sep>", "<mask>")
@@ -363,6 +363,7 @@ class MaskingConfig(namedtuple("MaskingConfig", "mask_rate seed")):
     uses when given none; selected tokens split a fixed 80/10/10."""
 
     __slots__ = ()
+    _make = classmethod(checked_make)
 
     def __new__(cls, mask_rate: float = 0.15, seed: int = 0) -> "MaskingConfig":
         if not 0.0 <= mask_rate <= 1.0:

@@ -50,7 +50,7 @@ from collections import namedtuple
 from functools import cached_property
 from typing import IO, TYPE_CHECKING, Iterable, Iterator, Mapping, NamedTuple
 
-from .files import read_lines, replace_on_success
+from .files import checked_make, read_lines, replace_on_success
 from .rng import Rng, run_streams
 from .treebank import TreeNode, escape_symbol, leaf, scan_ptb, serialize, write_tree
 
@@ -86,6 +86,7 @@ class OrderProfile(namedtuple("OrderProfile", "verb_object adposition adjective_
     """One language's setting of the three word-order features: 83A, 85A and 87A."""
 
     __slots__ = ()
+    _make = classmethod(checked_make)
 
     def __new__(cls, verb_object: str = "VO", adposition: str = "Pre",
                 adjective_noun: str = "AN") -> "OrderProfile":
@@ -108,6 +109,7 @@ class OrderProfile(namedtuple("OrderProfile", "verb_object adposition adjective_
 
 class Production(namedtuple("Production", "lhs rhs weight")):
     __slots__ = ()
+    _make = classmethod(checked_make)
 
     def __new__(cls, lhs: str, rhs: tuple[str, ...], weight: float = 1.0) -> "Production":
         if not rhs:
@@ -121,8 +123,10 @@ class SynthGrammar(namedtuple("SynthGrammar", "productions lexicons profiles sta
     """Weighted productions from ``start``, and each language's lexicon and order
     profile. ``_plan``, what sampling reads, is built once from the fields and kept
     in the instance's dict, so equality and repr leave it out, and a copy made by
-    ``_replace`` or ``_make`` builds its own on first use; the fields are read-only.
+    ``_replace`` or ``_make`` is checked and builds its own; the fields are read-only.
     """
+
+    _make = classmethod(checked_make)
 
     def __new__(cls, productions: tuple[Production, ...],
                 lexicons: Mapping[str, Mapping[str, tuple[str, ...]]],

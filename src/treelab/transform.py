@@ -32,6 +32,7 @@ from collections import namedtuple
 from functools import partial
 from typing import Callable, Iterable, Mapping, Sequence
 
+from .files import checked_make
 from .rng import Rng
 from .treebank import Sentence, TreeNode, iter_nodes, with_children, yield_sentence
 
@@ -50,6 +51,7 @@ class ReorderRule(namedtuple("ReorderRule",
     """
 
     __slots__ = ()
+    _make = classmethod(checked_make)
 
     def __new__(cls, feature_id: str, parent_label: str, first_child: str, second_child: str,
                 prefix_match: frozenset[str] = frozenset()) -> "ReorderRule":
@@ -90,8 +92,7 @@ BUILTIN_RULES: dict[str, ReorderRule] = {
 def inverse_rule(rule: ReorderRule) -> ReorderRule:
     """Swap the child patterns; undoes ``apply_reorder`` on trees that
     contained no already-swapped instance of the rule."""
-    return ReorderRule(rule.feature_id, rule.parent_label, rule.second_child, rule.first_child,
-                       rule.prefix_match)
+    return rule._replace(first_child=rule.second_child, second_child=rule.first_child)
 
 
 def load_rules(lines: Iterable[str], origin: str = "<rules>") -> list[ReorderRule]:
@@ -196,6 +197,7 @@ class AblationSpec(namedtuple("AblationSpec", "alpha shuffle_after")):
     """
 
     __slots__ = ()
+    _make = classmethod(checked_make)
 
     def __new__(cls, alpha: float, shuffle_after: bool = False) -> "AblationSpec":
         if not 0.0 <= alpha <= 1.0:

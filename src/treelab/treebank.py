@@ -40,7 +40,7 @@ from itertools import islice
 from operator import is_
 from typing import Callable, Iterable, Iterator, Sequence
 
-from .files import read_lines, replace_on_success
+from .files import checked_make, read_lines, replace_on_success
 
 _SPACE = re.compile(r"\s")  # exactly the characters for which str.isspace() holds
 _MIXED = "tree mixes leaves with and without origin indices"
@@ -72,6 +72,7 @@ class TreeNode(namedtuple("TreeNode", "label children token origin")):
     """
 
     __slots__ = ()
+    _make = classmethod(checked_make)
 
     def __new__(cls, label: str, children: tuple["TreeNode", ...] = (), token: str | None = None,
                 origin: int | None = None) -> "TreeNode":
@@ -132,6 +133,7 @@ class Sentence(namedtuple("Sentence", "tokens")):
     """
 
     __slots__ = ()
+    _make = classmethod(checked_make)
 
     def __new__(cls, tokens: tuple[tuple[str, int], ...]) -> "Sentence":
         if not is_permutation([o for _, o in tokens]):

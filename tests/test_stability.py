@@ -32,6 +32,8 @@
 * Memory depends on the chunk, not the corpus: each streaming command's
   ``tracemalloc`` peak at 8k input lines stays within a fixed ratio of its
   peak at k lines.
+* Every record whose ``__new__`` checks its fields checks a copy made by
+  ``_replace`` or ``_make`` too.
 """
 
 from __future__ import annotations
@@ -41,6 +43,7 @@ import gc
 import hashlib
 import inspect
 import json
+import math
 import os
 import shutil
 import subprocess
@@ -56,8 +59,13 @@ from helpers import CountingRng, fifo_holding, write_pooled_embeddings, write_to
 from test_readme import code_blocks
 from treelab import files, pipeline
 from treelab.cli import SEED_ENV, WORKERS_ENV, main
+from treelab.metrics import AlignedPermutation
 from treelab.retrieval import EmbeddingMatrix
 from treelab.rng import run_streams
+from treelab.subword import MaskingConfig
+from treelab.synthlang import OrderProfile, Production, demo_grammar
+from treelab.transform import BUILTIN_RULES, AblationSpec
+from treelab.treebank import Sentence, leaf
 
 ROOT = Path(__file__).resolve().parent.parent
 FIXTURE = ROOT / "tests" / "fixtures" / "english_like.trees"
@@ -731,3 +739,28 @@ def test_memory_depends_on_the_chunk_not_the_corpus(tmp_path, monkeypatch, capsy
         tracemalloc.stop()
     grown = {name: f"{k:.2f} -> {big:.2f} MB" for name, (k, big) in peaks.items() if big > MEMORY_RATIO * k}
     assert not grown, grown
+
+
+# Each record whose __new__ checks its fields: a valid instance and fields that fail a check.
+CHECKED_RECORDS = [
+    (lambda: leaf("NN", "a"), {"children": (leaf("NN", "b"),)}),  # a token and children
+    (lambda: Sentence((("a", 0),)), {"tokens": (("a", 5),)}),
+    (lambda: BUILTIN_RULES["83A"], {"first_child": "NP"}),  # equal child patterns
+    (lambda: AblationSpec(0.5), {"alpha": 7.0}),
+    (lambda: AlignedPermutation((1, 0)), {"pi": (0, 0)}),
+    (lambda: OrderProfile(), {"verb_object": "XY"}),
+    (lambda: Production("S", ("NP",)), {"weight": math.nan}),
+    (demo_grammar, {"start": "ZZZ"}),
+    (lambda: MaskingConfig(), {"mask_rate": 7.0}),
+]
+
+
+@pytest.mark.parametrize("make, bad", CHECKED_RECORDS,
+                         ids=[make().__class__.__name__ for make, _ in CHECKED_RECORDS])
+def test_a_copy_of_a_checked_record_is_checked(make, bad):
+    record = make()
+    assert record._replace() == record and type(record)._make(record) == record
+    with pytest.raises(ValueError):
+        record._replace(**bad)
+    with pytest.raises(ValueError):
+        type(record)._make({**record._asdict(), **bad}.values())
