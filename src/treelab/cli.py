@@ -312,7 +312,7 @@ def _cmd_bpe_apply(args: argparse.Namespace, stdout: IO[str], stderr: IO[str]) -
 
 def _cmd_mask(args: argparse.Namespace, stdout: IO[str], stderr: IO[str]) -> int:
     from .rng import run_streams
-    from .subword import IdText, MaskingConfig, load_model, mask_tokens
+    from .subword import IdText, MaskingConfig, load_model, mask_tokens, read_ids
     if args.model is not None and args.vocab_size is not None:
         raise UsageError("give either --model or --vocab-size, not both", ("vocab-size",))
     if args.model is None and args.vocab_size is None:
@@ -330,7 +330,7 @@ def _cmd_mask(args: argparse.Namespace, stdout: IO[str], stderr: IO[str]) -> int
         line = IdText().line  # canonical decimal, whatever form the input gave
         for path, lineno, text in read_lines([args.input]):
             try:
-                seq = list(map(int, text.split()))
+                seq = read_ids(text)
             except ValueError as exc:
                 raise PipelineError(f"{path}:{lineno}: {exc}") from exc
             if seq and (min(seq) < 0 or max(seq) >= vocab_size):

@@ -408,11 +408,22 @@ def mask_tokens(
     return masked, labels
 
 
+def read_ids(text: str) -> list[int]:
+    """The ids of one line: whitespace-separated ASCII decimal integers, each with
+    an optional sign. Any other token, ``1_0`` or a non-ASCII digit too, which
+    ``int`` would take, raises ``ValueError`` naming it."""
+    if not text.isascii() or "_" in text:  # two C-level scans: the common line pays no more
+        for token in text.split():
+            if not token.isascii() or "_" in token:
+                raise ValueError(f"id {token!r} is not an ASCII decimal integer")
+    return list(map(int, text.split()))
+
+
 def read_ids_file(path: str) -> list[list[int]]:
-    """Each line's ids. A file that cannot be read, is not UTF-8 or holds a
-    non-integer raises ``cannot read PATH: ...``."""
+    """Each line's ids (:func:`read_ids`). A file that cannot be read, is not
+    UTF-8 or holds a token that is not an id raises ``cannot read PATH: ...``."""
     try:
         with open(path, encoding="utf-8") as fh:
-            return [[int(tok) for tok in line.split()] for line in fh]
+            return [read_ids(line) for line in fh]
     except (OSError, ValueError) as exc:  # ValueError: not UTF-8, or not an integer
         raise BpeError(f"cannot read {path}: {exc}") from exc

@@ -743,6 +743,16 @@ class TestSubwordCommands:
         assert out.read_text(encoding="utf-8") == "7 3 8\n10 12\n"
         assert Path(f"{out}.labels").read_text(encoding="utf-8") == "0 0 0\n0 0\n"
 
+    @pytest.mark.parametrize("line, token", [("1_0 \u0663 7", "1_0"), ("7\t+\u0663", "+\u0663"),
+                                             ("4 5_", "5_")])
+    def test_mask_reads_only_ascii_decimal_ids(self, run, tmp_path, line, token):
+        """``int`` takes digit-group underscores and non-ASCII digits; ``mask`` does not."""
+        ids, out = tmp_path / "odd.ids", tmp_path / "m.ids"
+        ids.write_text("3 4\n" + line + "\n", encoding="utf-8")
+        code, _, err = run("mask", str(ids), "-o", str(out), "--vocab-size", "20", "--rate", "0")
+        assert (code, err) == (1, f"error: {ids}:2: id {token!r} is not an ASCII decimal integer\n")
+        assert not out.exists()
+
     def test_bpe_apply_bytes_hold_across_memo_clears(self, run, tmp_path, monkeypatch):
         text, model = tmp_path / "gen.txt", tmp_path / "m.bpe"
         text.write_text(generated_text(200), encoding="utf-8")

@@ -616,6 +616,16 @@ def test_ids_file_errors_name_the_file(tmp_path):
         read_ids_file(str(tmp_path / "missing"))
 
 
+def test_ids_file_reads_only_ascii_decimal_ids(tmp_path):
+    path = tmp_path / "ids.txt"
+    path.write_text("007 +3\t8\n", encoding="utf-8")
+    assert read_ids_file(str(path)) == [[7, 3, 8]]
+    path.write_text("1 2\n1_0 \u0663 7\n", encoding="utf-8")
+    with pytest.raises(BpeError) as caught:
+        read_ids_file(str(path))
+    assert str(caught.value) == f"cannot read {path}: id '1_0' is not an ASCII decimal integer"
+
+
 def test_ids_file_round_trip(tmp_path):
     path = tmp_path / "ids.txt"
     sequences = [[1, 2, 3], [], [42]]
