@@ -37,7 +37,9 @@ write, a dead worker, malformed trees without ``--skip-bad``, alignment
 failures, a limit that depends on the data), 2 on usage errors (an aliased
 output, or an option value that no input could make valid, which the
 option's ``type`` rejects from a flag, a key or the environment alike), 130
-on SIGINT.
+on SIGINT, and 128 + the signal's number on SIGTERM (143) or SIGHUP (129).
+An interrupt or one of those signals ends the run as an error does: one
+``error:`` line, every earlier output as it was and no temporary file.
 """
 
 from __future__ import annotations
@@ -47,6 +49,7 @@ import hashlib
 import json
 import os
 import re
+import signal
 import sys
 from typing import IO, Collection, Sequence
 
@@ -391,7 +394,31 @@ def _cmd_synth_generate(args: argparse.Namespace, stdout: IO[str], stderr: IO[st
     return 0
 
 
+class _Signalled(BaseException):
+    """SIGTERM or SIGHUP arrived: a ``BaseException``, so that it unwinds the run
+    past every ``except Exception`` and ``files.replace_on_success`` removes its
+    staged files, as for SIGINT."""
+
+
+def _signalled(signum: int, frame: object) -> None:
+    raise _Signalled(signum)
+
+
 def main(argv: Sequence[str] | None = None) -> int:
+    """Run one subcommand; its exit status. While it runs, SIGTERM and SIGHUP,
+    where their handler is the default, end it as an interrupt does."""
+    handlers = {signum: signal.getsignal(signum) for signum in (signal.SIGTERM, signal.SIGHUP)}
+    for signum, handler in handlers.items():
+        if handler is signal.SIG_DFL:
+            signal.signal(signum, _signalled)
+    try:
+        return _main(argv)
+    finally:
+        for signum, handler in handlers.items():
+            signal.signal(signum, handler)
+
+
+def _main(argv: Sequence[str] | None) -> int:
     parser = build_parser()
     args, extras = parser.parse_known_args(argv)
     if extras:  # reported by the subcommand's parser, whose usage lists its options
@@ -406,6 +433,10 @@ def main(argv: Sequence[str] | None = None) -> int:
     except KeyboardInterrupt:
         print("error: interrupted", file=stderr)
         return 130
+    except _Signalled as exc:
+        signum = exc.args[0]
+        print(f"error: interrupted by {signal.Signals(signum).name}", file=stderr)
+        return 128 + signum
     except (PipelineError, OSError, ValueError) as exc:  # every domain error is a ValueError
         # The one door to origins: the first of the error's settings that a file or
         # the environment gave, else, for a setting nothing gave, the config file.

@@ -1,6 +1,6 @@
 """Code that only the tests need: writers and readers of embedding containers
 in the formats of ``docs/embedding-format.md`` and of the alignment lines that
-``synth generate`` writes, a FIFO input, builders of trees and sentences from
+``synth generate`` writes, a FIFO input and one that signals its reader, builders of trees and sentences from
 raw text, the chain reference that runs the library's steps one at a time on
 one tree (the corpus driver's tests compare against it, sharing none of the
 driver's code), reference versions of tree walks that the program now does in
@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 import os
+import signal
 import struct
 import threading
 from bisect import bisect_right
@@ -59,6 +60,30 @@ def fifo_holding(path: Path, data: bytes) -> Iterator[str]:
     writer = threading.Thread(target=path.write_bytes, args=(data,), daemon=True)
     writer.start()
     yield str(path)
+    writer.join(timeout=10)
+    assert not writer.is_alive()
+
+
+@contextmanager
+def signalling_fifo(path: Path, data: bytes, signum: int) -> Iterator[str]:
+    """``path`` made a FIFO. Once a reader opens it, a thread writes ``data`` into it,
+    sends ``signum`` to the main thread, and holds the FIFO open until the block ends,
+    so that the reader meets the signal, not the end of its input."""
+    os.mkfifo(path)
+    done = threading.Event()
+    main_thread = threading.main_thread().ident
+
+    def feed() -> None:
+        with open(path, "wb") as fh:
+            fh.write(data)
+            fh.flush()
+            signal.pthread_kill(main_thread, signum)
+            done.wait(10)
+
+    writer = threading.Thread(target=feed, daemon=True)
+    writer.start()
+    yield str(path)
+    done.set()
     writer.join(timeout=10)
     assert not writer.is_alive()
 

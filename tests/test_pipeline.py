@@ -6,6 +6,7 @@ import hashlib
 import json
 import os
 import re
+import signal
 import stat
 import subprocess
 import sys
@@ -733,6 +734,57 @@ def test_a_dead_worker_or_an_interrupt_ends_in_one_error_line(
     err = capsys.readouterr().err
     assert code == (130 if "interrupted" in message else 1)
     assert err.startswith(message) and err.count("\n") == 1, err
+    assert snapshot(tmp_path) == before
+
+
+# A run held on a FIFO: its argv, with IN for the input, and one line of its input,
+# about 1 KiB, so that HELD_LINES of them overfill the FIFO's 64 KiB buffer.
+HELD_RUNS = {
+    "transform --workers 1": ("transform IN -o out.txt --chain reorder:83A --workers 1",
+                              "(S " + "(NN w) " * 140 + ")\n"),
+    "transform --workers 2": ("transform IN -o out.txt --chain reorder:83A --workers 2",
+                              "(S " + "(NN w) " * 140 + ")\n"),
+    "mask": ("mask IN -o out.ids --vocab-size 40", "7 " * 511 + "8\n"),
+}
+HELD_LINES = CHUNK_LINES + 128
+
+
+@pytest.mark.parametrize("command, signum", [
+    ("transform --workers 1", signal.SIGTERM),
+    ("transform --workers 2", signal.SIGTERM),
+    ("mask", signal.SIGTERM),
+    ("mask", signal.SIGHUP),
+])
+def test_sigterm_or_sighup_ends_in_one_error_line_and_no_staged_file(tmp_path, command, signum):
+    """A run in a child reads a FIFO whose write end the test keeps open. Once the
+    test's ``open`` returns, the run has staged its outputs; the test's write returns
+    once the run has read all but 64 KiB, past its first chunk, so ``--workers 2``
+    has started its pool. The signal then ends the run: one ``error:`` line, no
+    traceback, exit 128 + the signal's number, the earlier outputs byte-identical
+    and no temporary file."""
+    argv, line = HELD_RUNS[command]
+    (tmp_path / "in.txt").write_text(line, encoding="utf-8")
+    assert run_limited(tmp_path, argv.replace("IN", "in.txt").split(), None).returncode == 0
+    (tmp_path / "pipe").mkdir()
+    fifo = tmp_path / "pipe" / "in.fifo"
+    os.mkfifo(fifo)
+    before = snapshot(tmp_path)
+    src = str(Path(pipeline.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1",
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    child = subprocess.Popen(
+        [sys.executable, "-c", "import sys\nfrom treelab.cli import main\nsys.exit(main(sys.argv[1:]))\n",
+         *argv.replace("IN", str(fifo)).split()],
+        cwd=tmp_path, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+    try:
+        with open(fifo, "w", encoding="utf-8") as fh:
+            fh.write(line * HELD_LINES)
+            fh.flush()
+            child.send_signal(signum)
+            _, err = child.communicate(timeout=60)
+    finally:
+        child.kill()
+    assert (child.returncode, err) == (128 + signum, f"error: interrupted by {signum.name}\n")
     assert snapshot(tmp_path) == before
 
 

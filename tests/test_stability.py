@@ -46,6 +46,7 @@ import json
 import math
 import os
 import shutil
+import signal
 import subprocess
 import sys
 import tracemalloc
@@ -55,7 +56,8 @@ from typing import Callable
 import numpy as np
 import pytest
 
-from helpers import CountingRng, fifo_holding, write_pooled_embeddings, write_token_embeddings
+from helpers import (CountingRng, fifo_holding, signalling_fifo, write_pooled_embeddings,
+                     write_token_embeddings)
 from test_readme import code_blocks
 from treelab import files, pipeline
 from treelab.cli import SEED_ENV, WORKERS_ENV, main
@@ -306,7 +308,8 @@ def _reach_inputs(tmp: Path) -> None:
 
 
 #: ``cli.main`` runs in the order given, each with its exit status: each
-#: subcommand's happy path and one bad input of each.
+#: subcommand's happy path and one bad input of each, and a run that SIGTERM
+#: stops as it reads ``stop.fifo``.
 REACH_RUNS = [
     (["synth", "generate", "-o", "demo", "-n", "60", "--seed", "3"], 0),
     (["synth", "generate", "-o", "g", "--grammar", "g.grammar", "-n", "20", "--languages", "b", "a"], 0),
@@ -329,6 +332,7 @@ REACH_RUNS = [
     (["bpe", "apply", "text.txt", "-o", "x.ids", "--model", "text.txt"], 1),
     (["mask", "ids.txt", "-o", "masked.txt", "--model", "m.bpe", "--seed", "1"], 0),
     (["mask", "ids.txt", "-o", "x.masked", "--vocab-size", "6"], 1),
+    (["mask", "stop.fifo", "-o", "stopped.ids", "--vocab-size", "6"], 128 + signal.SIGTERM),
     (["retrieval", "--source", "tokens.emb", "--target", "pooled.emb", "--report", "r.json"], 0),
     (["retrieval", "--source", "tokens.emb", "--target", "narrow.emb"], 1),
 ]
@@ -420,10 +424,11 @@ def test_every_function_runs_under_the_cli_or_is_named_api(tmp_path, monkeypatch
     statuses = []
     sys.setprofile(watch)
     try:
-        for argv, _ in REACH_RUNS:
-            if argv[0] == "transform" and "--workers" not in argv:
-                argv = [*argv, "--workers", "1"]
-            statuses.append(main(argv))
+        with signalling_fifo(tmp_path / "stop.fifo", b"3 4\n", signal.SIGTERM):
+            for argv, _ in REACH_RUNS:
+                if argv[0] == "transform" and "--workers" not in argv:
+                    argv = [*argv, "--workers", "1"]
+                statuses.append(main(argv))
         _reach_library()
     finally:
         sys.setprofile(None)
