@@ -484,7 +484,8 @@ def lexicon_map(grammar: SynthGrammar, source: str, target: str) -> dict[str, st
 
 def translate_tree(grammar: SynthGrammar, tree: TreeNode, source: str, target: str) -> TreeNode:
     """Swap the lexicon, keeping structure, order and origins (``None`` included): the
-    tree's line is scanned back, each leaf swapped as its parent's bracket closes."""
+    tree's line is scanned back, each leaf swapped as its parent's bracket closes, so
+    its labels must read back as written, as those of a parsed or generated tree do."""
     # Tree tokens are stored in escaped form; key the table accordingly.
     mapping = {escape_symbol(w): t for w, t in lexicon_map(grammar, source, target).items()}
     text, leaves = write_tree(tree, True)
