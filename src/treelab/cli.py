@@ -51,6 +51,7 @@ import os
 import re
 import signal
 import sys
+import threading
 from typing import IO, Collection, Sequence
 
 from .files import PipelineError, UsageError, read_lines, recorded
@@ -405,9 +406,10 @@ def _signalled(signum: int, frame: object) -> None:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    """Run one subcommand; its exit status. While it runs, SIGTERM and SIGHUP,
-    where their handler is the default, end it as an interrupt does."""
-    handlers = {signum: signal.getsignal(signum) for signum in (signal.SIGTERM, signal.SIGHUP)}
+    """Run one subcommand; its exit status. While it runs on the main thread (no other
+    may set a handler), SIGTERM and SIGHUP, if left at the default, end it as SIGINT does."""
+    handlers = {signum: signal.getsignal(signum) for signum in (signal.SIGTERM, signal.SIGHUP)
+                if threading.current_thread() is threading.main_thread()}
     for signum, handler in handlers.items():
         if handler is signal.SIG_DFL:
             signal.signal(signum, _signalled)

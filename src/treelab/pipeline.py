@@ -59,6 +59,7 @@ from collections import Counter, deque
 from contextlib import closing
 from dataclasses import asdict, dataclass
 from itertools import chain, islice, zip_longest
+from signal import SIG_BLOCK, SIG_SETMASK, SIGHUP, SIGINT, SIGTERM, pthread_sigmask
 from time import process_time
 from typing import IO, Iterator, Mapping, NamedTuple, Sequence, Union
 
@@ -333,8 +334,13 @@ def _map_chunks(work, lines: Iterator, workers: int, paths: Sequence[str]) -> It
     from concurrent.futures.process import BrokenProcessPool
     try:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            pending: deque = deque()
-            for chunk in chain([chunk], chunks):
+            # Workers forked at the first submit inherit this mask: group signals reach the driver only.
+            mask = pthread_sigmask(SIG_BLOCK, (SIGINT, SIGTERM, SIGHUP))
+            try:
+                pending: deque = deque([pool.submit(work, chunk)])
+            finally:
+                pthread_sigmask(SIG_SETMASK, mask)
+            for chunk in chunks:
                 if len(pending) == workers * CHUNKS_PER_WORKER:
                     yield pending.popleft().result()
                 pending.append(pool.submit(work, chunk))

@@ -6,10 +6,10 @@ loop, where it removes and shuffles nothing (``apply_reorder``), shares untouche
 subtrees (:func:`with_children`). Leaves carry the surface
 token and, once assigned, the token's position in the original sentence
 (``origin``), which rides along through every transformation and makes
-order metrics well-defined even when surface forms repeat. Equality and
-hashing ignore ``origin``. Nothing here recurses, so trees may be nested to
-any depth. Code that knows a node's fields are valid may skip the checks
-of ``TreeNode(...)`` with ``tuple.__new__(TreeNode, (label, kids, token, origin))``.
+order metrics well-defined even when surface forms repeat. Nothing here
+recurses, so trees may be nested to any depth. Code that knows a node's fields
+are valid may skip the checks of ``TreeNode(...)`` with
+``tuple.__new__(TreeNode, (label, kids, token, origin))``.
 
 One scanner and one writer: :func:`scan_ptb` reads a line's brackets in one
 loop, building the tree or not; a hook, as in ``transform``'s splice loop, may
@@ -25,11 +25,11 @@ read, without its newline, so one malformed line gives one message and one
 byte offset on every path. :func:`read_treebank` is a generator: it raises
 when iteration reaches a malformed line.
 
-Tokens and labels may not contain raw parentheses or whitespace;
-``escape_symbol`` maps ``(`` / ``)`` to the PTB forms ``-LRB-`` / ``-RRB-``
-and any whitespace character to ``-SPC-``. Escaping happens when a node is
-built from raw text; already-escaped input (e.g. a literal ``-LRB-`` in a
-treebank file) is preserved verbatim.
+A node's label and a leaf's token are non-empty and already escaped, holding no
+whitespace and no parenthesis (``TreeNode(...)`` raises ``ValueError`` otherwise),
+so two trees are equal, and hash alike, when they write the same line, origins
+aside. :func:`leaf` escapes raw text with ``escape_symbol`` (``(`` / ``)`` become
+``-LRB-`` / ``-RRB-``, whitespace ``-SPC-``; escaped input such as ``-LRB-`` is kept).
 """
 
 from __future__ import annotations
@@ -43,6 +43,7 @@ from typing import Callable, Iterable, Iterator, Sequence
 from .files import checked_make, read_lines, replace_on_success
 
 _SPACE = re.compile(r"\s")  # exactly the characters for which str.isspace() holds
+_SYMBOL = re.compile(r"[^\s()]+")  # a label or token that reads back as written
 _MIXED = "tree mixes leaves with and without origin indices"
 _new = tuple.__new__
 
@@ -68,7 +69,7 @@ class TreeNode(namedtuple("TreeNode", "label children token origin")):
     """One node: a leaf iff ``token`` is set, in which case it has no children.
 
     ``origin`` (leaves only) is excluded from equality and hashing: two trees
-    are structurally equal when labels, tokens, and child order agree.
+    are equal when :func:`serialize` writes them as the same line.
     """
 
     __slots__ = ()
@@ -76,23 +77,17 @@ class TreeNode(namedtuple("TreeNode", "label children token origin")):
 
     def __new__(cls, label: str, children: tuple["TreeNode", ...] = (), token: str | None = None,
                 origin: int | None = None) -> "TreeNode":
-        if not label:
-            raise ValueError("empty node label")
+        if not _SYMBOL.fullmatch(label):
+            raise ValueError(f"node label {label!r} is empty or holds whitespace or a parenthesis")
+        if token is not None and not _SYMBOL.fullmatch(token):
+            raise ValueError(f"leaf token {token!r} is empty or holds whitespace or a parenthesis")
         if (token is None) == (not children):
             raise ValueError("node must have either a token or children, not both")
         return _new(cls, (label, children, token, origin))
 
     def __eq__(self, other: object) -> bool:
-        if not isinstance(other, TreeNode):
-            return False  # not NotImplemented: tuple's reflected == would compare fields
-        pairs = [(self, other)]
-        while pairs:
-            a, b = pairs.pop()
-            if a is not b:
-                if a.label != b.label or a.token != b.token or len(a.children) != len(b.children):
-                    return False
-                pairs.extend(zip(a.children, b.children))
-        return True
+        # False, not NotImplemented: tuple's reflected == would compare fields
+        return isinstance(other, TreeNode) and (self is other or serialize(self) == serialize(other))
 
     __ne__ = object.__ne__  # negates __eq__; tuple's own would compare origins
 
@@ -106,10 +101,7 @@ class TreeNode(namedtuple("TreeNode", "label children token origin")):
 
 def leaf(label: str, token: str, origin: int | None = None) -> TreeNode:
     """Build a leaf from raw text, escaping reserved characters."""
-    lab, tok = escape_symbol(label), escape_symbol(token)
-    if not lab or not tok:
-        raise ValueError("leaf label and token must be non-empty")
-    return TreeNode(lab, (), tok, origin)
+    return TreeNode(escape_symbol(label), (), escape_symbol(token), origin)
 
 
 def is_permutation(values: Sequence[int]) -> bool:
@@ -167,7 +159,7 @@ class Sentence(namedtuple("Sentence", "tokens")):
         return cls(tuple((token, i) for i, (token, _) in enumerate(tokens)))
 
 
-_LEXEME = re.compile(r"[()]|[^\s()]+")  # scan_ptb's lexemes, found with their positions
+_LEXEME = re.compile(r"[()]|" + _SYMBOL.pattern)  # scan_ptb's lexemes, found with their positions
 
 
 def scan_ptb(text: str, *, build: bool = True, close: Callable[[str, list], object] | None = None

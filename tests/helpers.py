@@ -4,7 +4,8 @@ in the formats of ``docs/embedding-format.md`` and of the alignment lines that
 raw text, the chain reference that runs the library's steps one at a time on
 one tree (the corpus driver's tests compare against it, sharing none of the
 driver's code), reference versions of tree walks that the program now does in
-fewer passes, with the post-order fold they are built on, an inversion count of its own, a scalar SplitMix64 stream with
+fewer passes, with the post-order fold they are built on, a structural equality
+that the program now reads off the written line, an inversion count of its own, a scalar SplitMix64 stream with
 a draw count taken from the state, and the linear-scan weighted draw that the
 grammar sampler's tables replace."""
 
@@ -126,6 +127,19 @@ def apply_chain(tree: TreeNode, steps: Sequence[ChainStep], rng: Rng | None
         else:  # word_shuffle, which parse_chain allows only last
             return None, word_shuffle(yield_sentence(tree), rng)
     return tree, yield_sentence(tree)
+
+
+def reference_equal(a: TreeNode, b: TreeNode) -> bool:
+    """Whether labels, tokens and child order agree, origins aside, by a walk of
+    its own that skips a subtree both trees share."""
+    pairs = [(a, b)]
+    while pairs:
+        x, y = pairs.pop()
+        if x is not y:
+            if x.label != y.label or x.token != y.token or len(x.children) != len(y.children):
+                return False
+            pairs.extend(zip(x.children, y.children))
+    return True
 
 
 def iter_leaves(tree: TreeNode) -> Iterator[TreeNode]:

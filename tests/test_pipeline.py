@@ -738,15 +738,52 @@ def test_a_dead_worker_or_an_interrupt_ends_in_one_error_line(
 
 
 # A run held on a FIFO: its argv, with IN for the input, and one line of its input,
-# about 1 KiB, so that HELD_LINES of them overfill the FIFO's 64 KiB buffer.
+# about 1 KiB, so that HELD_LINES of them overfill the FIFO's 64 KiB buffer. The
+# run's other inputs are side_files and in.txt, which holds HELD_LINES of the line.
+TREE_LINE = "(S " + "(NN w) " * 140 + ")\n"
 HELD_RUNS = {
-    "transform --workers 1": ("transform IN -o out.txt --chain reorder:83A --workers 1",
-                              "(S " + "(NN w) " * 140 + ")\n"),
-    "transform --workers 2": ("transform IN -o out.txt --chain reorder:83A --workers 2",
-                              "(S " + "(NN w) " * 140 + ")\n"),
+    "transform --workers 1": ("transform IN -o out.txt --chain reorder:83A --workers 1", TREE_LINE),
+    "transform --workers 2": ("transform IN -o out.txt --chain reorder:83A --workers 2", TREE_LINE),
     "mask": ("mask IN -o out.ids --vocab-size 40", "7 " * 511 + "8\n"),
+    "stats --report": ("stats IN in.txt --report report.json", TREE_LINE),
+    "bpe apply": ("bpe apply IN -o out.ids --model m.bpe", "the cat sat on the mat " * 44 + "\n"),
 }
 HELD_LINES = CHUNK_LINES + 128
+
+
+def signal_held_run(directory: Path, command: str, signal_it) -> tuple[int, str]:
+    """``HELD_RUNS[command]`` in a child in a session of its own, which reads a FIFO
+    whose write end this keeps open. Once this ``open`` returns, the run has staged
+    its outputs; this write returns once the run has read all but 64 KiB, past its
+    first chunk, so ``--workers 2`` has started its pool. Then ``signal_it(child)``:
+    the run's exit status and stderr, once it has left every earlier output (written
+    by the same run on in.txt) byte-identical and no temporary file."""
+    argv, line = HELD_RUNS[command]
+    side_files(directory)
+    (directory / "in.txt").write_text(line * HELD_LINES, encoding="utf-8")
+    assert run_limited(directory, argv.replace("IN", "in.txt").split(), None).returncode == 0
+    (directory / "pipe").mkdir()
+    fifo = directory / "pipe" / "in.fifo"
+    os.mkfifo(fifo)
+    before = snapshot(directory)
+    src = str(Path(pipeline.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1",
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    child = subprocess.Popen(
+        [sys.executable, "-c", "import sys\nfrom treelab.cli import main\nsys.exit(main(sys.argv[1:]))\n",
+         *argv.replace("IN", str(fifo)).split()],
+        cwd=directory, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+        start_new_session=True)
+    try:
+        with open(fifo, "w", encoding="utf-8") as fh:
+            fh.write(line * HELD_LINES)
+            fh.flush()
+            signal_it(child)
+            _, err = child.communicate(timeout=60)
+    finally:
+        child.kill()
+    assert snapshot(directory) == before
+    return child.returncode, err
 
 
 @pytest.mark.parametrize("command, signum", [
@@ -754,38 +791,59 @@ HELD_LINES = CHUNK_LINES + 128
     ("transform --workers 2", signal.SIGTERM),
     ("mask", signal.SIGTERM),
     ("mask", signal.SIGHUP),
+    ("stats --report", signal.SIGTERM),
+    ("stats --report", signal.SIGHUP),
+    ("bpe apply", signal.SIGTERM),
+    ("bpe apply", signal.SIGHUP),
 ])
 def test_sigterm_or_sighup_ends_in_one_error_line_and_no_staged_file(tmp_path, command, signum):
-    """A run in a child reads a FIFO whose write end the test keeps open. Once the
-    test's ``open`` returns, the run has staged its outputs; the test's write returns
-    once the run has read all but 64 KiB, past its first chunk, so ``--workers 2``
-    has started its pool. The signal then ends the run: one ``error:`` line, no
-    traceback, exit 128 + the signal's number, the earlier outputs byte-identical
-    and no temporary file."""
-    argv, line = HELD_RUNS[command]
-    (tmp_path / "in.txt").write_text(line, encoding="utf-8")
-    assert run_limited(tmp_path, argv.replace("IN", "in.txt").split(), None).returncode == 0
-    (tmp_path / "pipe").mkdir()
-    fifo = tmp_path / "pipe" / "in.fifo"
-    os.mkfifo(fifo)
-    before = snapshot(tmp_path)
-    src = str(Path(pipeline.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1",
-               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    child = subprocess.Popen(
-        [sys.executable, "-c", "import sys\nfrom treelab.cli import main\nsys.exit(main(sys.argv[1:]))\n",
-         *argv.replace("IN", str(fifo)).split()],
-        cwd=tmp_path, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
-    try:
-        with open(fifo, "w", encoding="utf-8") as fh:
-            fh.write(line * HELD_LINES)
-            fh.flush()
-            child.send_signal(signum)
-            _, err = child.communicate(timeout=60)
-    finally:
-        child.kill()
-    assert (child.returncode, err) == (128 + signum, f"error: interrupted by {signum.name}\n")
-    assert snapshot(tmp_path) == before
+    """The signal, sent to a held run (:func:`signal_held_run`), ends it: one ``error:``
+    line, no traceback, exit 128 + the signal's number, the earlier outputs
+    byte-identical and no temporary file."""
+    assert signal_held_run(tmp_path, command, lambda child: child.send_signal(signum)) == (
+        128 + signum, f"error: interrupted by {signum.name}\n")
+
+
+@pytest.mark.parametrize("signum, message", [
+    (signal.SIGINT, "error: interrupted\n"),
+    (signal.SIGTERM, "error: interrupted by SIGTERM\n"),
+    (signal.SIGHUP, "error: interrupted by SIGHUP\n"),
+])
+def test_a_signal_to_the_process_group_ends_a_pooled_run_in_one_error_line(
+    tmp_path, signum, message
+):
+    """Sent to the whole process group, as by Ctrl-C in a terminal, the signal reaches
+    the pool's workers too. They block it, so the driver alone ends the run: one
+    ``error:`` line and no worker's traceback, exit 128 + the signal's number."""
+    assert signal_held_run(tmp_path, "transform --workers 2",
+                           lambda child: os.killpg(child.pid, signum)) == (128 + signum, message)
+
+
+def test_main_runs_off_the_main_thread_and_leaves_the_handlers_as_they_were(tmp_path):
+    """Only the main thread may set a signal handler, so off it ``main`` sets none
+    and runs as on the main thread: the same exit status and the same bytes."""
+    handlers = [signal.getsignal(signum) for signum in (signal.SIGTERM, signal.SIGHUP)]
+    codes = {}
+
+    def generate(name: str) -> None:
+        argv = ["synth", "generate", "-o", str(tmp_path / name / "out"), "-n", "5", "--seed", "3"]
+        (tmp_path / name).mkdir()
+        codes[name] = main(argv)
+
+    thread = threading.Thread(target=generate, args=("thread",))
+    thread.start()
+    thread.join(timeout=60)
+    generate("main")
+    assert codes == {"thread": 0, "main": 0}
+    assert [signal.getsignal(signum) for signum in (signal.SIGTERM, signal.SIGHUP)] == handlers
+    written = sorted(os.listdir(tmp_path / "main"))
+    assert written == sorted(os.listdir(tmp_path / "thread")) and len(written) > 3
+    for name in written:
+        main_bytes = (tmp_path / "main" / name).read_bytes()
+        thread_bytes = (tmp_path / "thread" / name).read_bytes()
+        if name.endswith(SIDECAR_SUFFIX):  # a sidecar names its output's path
+            main_bytes = main_bytes.replace(b"/main/", b"/thread/")
+        assert main_bytes == thread_bytes, name
 
 
 # Each subcommand, and the files it reads.

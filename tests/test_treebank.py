@@ -30,7 +30,7 @@ from treelab.rng import run_streams
 from treelab.transform import AblationSpec, apply_reorder, constituent_shuffle, remove_composition
 
 from conftest import random_tree, tree_nodes
-from helpers import internal, iter_leaves, reference_serialize, reference_yield
+from helpers import internal, iter_leaves, reference_equal, reference_serialize, reference_yield
 
 NESTED = "(S (NP (PRP I)) (VP (VBD read) (NP (CD two) (NNS papers))))"
 FIXTURE = Path(__file__).resolve().parent / "fixtures" / "english_like.trees"
@@ -81,6 +81,29 @@ class TestTreeNode:
     def test_factories_escape(self):
         assert leaf("NN", "(").token == "-LRB-"
         assert internal("N P", [leaf("NN", "x")]).label == "N-SPC-P"
+        made = leaf("A B", "x(y")
+        assert (made.label, made.token) == ("A-SPC-B", "x-LRB-y")
+        assert serialize(made) == "(A-SPC-B x-LRB-y)"
+
+    @pytest.mark.parametrize("label, children, token", [
+        ("NP (DT x)", (leaf("NN", "dog"),), None),
+        ("A B", (leaf("NN", "paper"),), None),
+        ("NN", (), "a b"),
+        ("NN", (), ""),
+        ("NN", (), "x)"),
+        ("N\u00a0N", (), "x"),  # whitespace to str.split, so to the scanner
+        ("(", (), "x"),
+    ])
+    def test_rejects_a_label_or_token_that_would_not_read_back(self, label, children, token):
+        with pytest.raises(ValueError, match=" is empty or holds whitespace or a parenthesis$"):
+            TreeNode(label, children, token)
+
+    def test_leaf_and_replace_check_what_they_make(self):
+        for label, token in [("", "x"), ("NN", "")]:
+            with pytest.raises(ValueError, match="is empty"):
+                leaf(label, token)
+        with pytest.raises(ValueError, match="holds whitespace"):
+            leaf("NN", "x")._replace(token="a b")
 
     def test_origin_ignored_by_equality(self):
         assert leaf("NN", "x", origin=0) == leaf("NN", "x", origin=5)
@@ -204,6 +227,47 @@ def test_the_writer_gives_the_reference_text_and_tokens():
         assert Sentence.of_leaves(tokens) == sentence == yield_sentence(tree)
         assert [token for token, _ in tokens] == [node.token for node in iter_leaves(tree)]
         assert [origin for _, origin in tokens] == [node.origin for node in iter_leaves(tree)]
+
+
+def edited(tree: TreeNode, symbol: str, k: int) -> TreeNode:
+    """``tree`` with an ``x`` added to the ``k``-th (modulo their count) label or
+    token of its line, as ``symbol`` says, read back."""
+    pattern = r"\(([^\s()]+)" if symbol == "label" else r" ([^\s()]+)\)"
+    text = serialize(tree)
+    ends = [match.end(1) for match in re.finditer(pattern, text)]
+    at = ends[k % len(ends)]
+    return parse_ptb(text[:at] + "x" + text[at:])
+
+
+def test_equality_and_hash_agree_with_the_structural_reference():
+    """``==``, ``!=`` and ``hash`` against a walk of their own, on every writer case
+    paired with itself, with its neighbour, with its line read back (new origins),
+    with one label or one token changed, with one child more or fewer at the root,
+    and, below a new root, a shared subtree against its copy. (The deep case is
+    compared in ``test_deep_trees``.)"""
+    *trees, _ = writer_cases()
+    pairs = []
+    for i, tree in enumerate(trees):
+        neighbour, copy = trees[i - 1], parse_ptb(serialize(tree))
+        pairs += [(tree, tree), (tree, neighbour), (tree, copy),
+                  (tree, edited(tree, "label", i)), (tree, edited(tree, "token", i)),
+                  (internal("S", [tree, tree]), internal("S", [tree, copy]))]
+        if tree.token is None:
+            pairs.append((tree, TreeNode(tree.label, tree.children + (leaf("NN", "more"),))))
+            if len(tree.children) > 1:
+                pairs.append((tree, TreeNode(tree.label, tree.children[1:])))
+    outcomes = []
+    for a, b in pairs:
+        same = reference_equal(a, b)
+        assert (a == b) is same and (b == a) is same and (a != b) is (not same)
+        assert not same or hash(a) == hash(b)
+        outcomes.append(same)
+    assert outcomes.count(True) > 600 and outcomes.count(False) > 600
+
+
+def test_a_tree_is_never_equal_to_a_plain_tuple():
+    tree = parse_ptb(NESTED)
+    assert tree != tuple(tree) and tuple(tree) != tree and not tree == tuple(tree)
 
 
 class TestSentence:
