@@ -12,10 +12,11 @@ draw random numbers (``transform``, ``mask``, ``synth generate``) have
 which has no settings) holds ``key = value`` lines; ``#`` starts a comment
 anywhere on a line, so a value cannot contain ``#``. ``TREELAB_SEED`` and
 ``TREELAB_WORKERS`` override it, each read only where its setting exists.
-Those values become the settings' defaults, so the precedence is explicit
-flag, then environment, then config file, then built-in default; one that
-cannot be read or is out of range, or an unknown key, is a usage error even
-when a flag wins. An error records the settings
+Such a value fills its setting when no flag gave it, so the precedence is
+explicit flag, then environment, then config file, then built-in default; one
+that cannot be read or is out of range, or an unknown key, is a usage error
+even when a flag wins. Every number is read as ``files.read_int`` or
+``files.read_float`` reads it: ASCII decimal. An error records the settings
 it is about, and :func:`main` alone says where they came from: the first of
 them that a config file or the environment gave prefixes the message with
 ``PATH:LINE: config key 'KEY': `` or ``environment variable VAR: ``, and an
@@ -36,8 +37,8 @@ Exit status: 0 on success, 1 on hard errors (unreadable input, a failed
 write, a dead worker, malformed trees without ``--skip-bad``, alignment
 failures, a limit that depends on the data), 2 on usage errors (an aliased
 output, or an option value that no input could make valid, which the
-option's ``type`` rejects from a flag, a key or the environment alike), 130
-on SIGINT, and 128 + the signal's number on SIGTERM (143) or SIGHUP (129).
+option's ``type`` rejects from a flag, a key or the environment alike), and
+128 + the signal's number on SIGINT (130), SIGTERM (143) or SIGHUP (129).
 An interrupt or one of those signals ends the run as an error does: one
 ``error:`` line, every earlier output as it was and no temporary file.
 """
@@ -54,7 +55,7 @@ import sys
 import threading
 from typing import IO, Collection, Sequence
 
-from .files import PipelineError, UsageError, read_lines, recorded
+from .files import PipelineError, UsageError, read_float, read_int, read_lines, recorded
 from .version import TOOL_VERSION
 
 SEED_ENV = "TREELAB_SEED"
@@ -119,11 +120,11 @@ def load_config_file(path: str, allowed: Collection[str]) -> dict[str, tuple[str
     return entries
 
 
-def _set_defaults(args: argparse.Namespace) -> dict[str, str]:
-    """Make each config-file value, then each environment value, its setting's
-    default; return, by key, the origin of each that no flag overrides. A flag
-    is seen by ``args``, the parse with built-in defaults, moving its setting
-    off the default: exact for defaults that no flag can give, such as None."""
+def _set_defaults(parser: argparse.ArgumentParser, args: argparse.Namespace,
+                  argv: Sequence[str] | None) -> tuple[argparse.Namespace, dict[str, str]]:
+    """``args`` with each setting that no flag gave taken from the environment, else
+    the config file, and, by key, the origin of each value so taken. Parsing ``argv``
+    again, with those settings' defaults suppressed, leaves out exactly the unflagged."""
     settings = {action.dest.replace("_", "-"): action for action in args.settings}
     path = getattr(args, "config", None)  # ``bpe apply`` has no settings and no --config
     config = load_config_file(path, settings) if path is not None else {}
@@ -134,13 +135,16 @@ def _set_defaults(args: argparse.Namespace) -> dict[str, str]:
         for key, env in (("seed", SEED_ENV), ("workers", WORKERS_ENV))
         if key in settings and os.environ.get(env)
     ]
+    given = {key: (_convert(raw, settings[key], origin), origin) for key, raw, origin in values}
+    for key in given:
+        settings[key].default = argparse.SUPPRESS
+    args = parser.parse_args(argv) if given else args
     origins = {}
-    for key, raw, origin in values:
-        action = settings[key]
-        if getattr(args, action.dest) == action.default:
+    for key, (value, origin) in given.items():
+        if not hasattr(args, settings[key].dest):
+            setattr(args, settings[key].dest, value)
             origins[key] = origin
-        action.default = _convert(raw, action, origin)
-    return origins
+    return args, origins
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -161,7 +165,7 @@ def build_parser() -> argparse.ArgumentParser:
     seeded = argparse.ArgumentParser(add_help=False, parents=[config_only])
     # The action ``parents=[seeded]`` gives each subcommand that draws random numbers.
     seed = seeded.add_argument(
-        "--seed", type=int, default=0,
+        "--seed", type=read_int, default=0,
         help=f"global random seed (env {SEED_ENV}; default %(default)s)",
     )
     # bench/replicas.py is the only reader of ``seed`` and ``workers`` on a
@@ -176,7 +180,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(parser=p, run=_cmd_transform, settings=(
         seed,
         p.add_argument(
-            "--workers", type=_ranged(int, 1), default=1,
+            "--workers", type=_ranged(read_int, 1), default=1,
             help=f"worker processes (env {WORKERS_ENV}; default %(default)s)",
         ),
         p.add_argument(
@@ -214,7 +218,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-o", "--output", required=True, help="model file to write")
     p.set_defaults(parser=p, **unset, run=_cmd_bpe_learn, settings=(
         # At least the 5 special tokens, end-of-word and one character.
-        p.add_argument("--vocab-size", type=_ranged(int, 7), default=32000,
+        p.add_argument("--vocab-size", type=_ranged(read_int, 7), default=32000,
                        help="vocabulary budget (default %(default)s)"),
         p.add_argument("--language", default="und",
                        help="language tag recorded in the model (default %(default)s)"),
@@ -234,8 +238,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(parser=p, workers=None, run=_cmd_mask, settings=(
         seed,
         # More than the 5 special tokens, which are never masked.
-        p.add_argument("--vocab-size", type=_ranged(int, 6), help="vocabulary size if no model"),
-        p.add_argument("--rate", type=_ranged(float, 0, 1), default=0.15,
+        p.add_argument("--vocab-size", type=_ranged(read_int, 6), help="vocabulary size if no model"),
+        p.add_argument("--rate", type=_ranged(read_float, 0, 1), default=0.15,
                        help="selection rate (default %(default)s)"),
     ))
 
@@ -258,7 +262,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.set_defaults(parser=p, workers=None, run=_cmd_synth_generate, settings=(
         seed,
-        p.add_argument("-n", "--count", type=_ranged(int, 1), default=100,
+        p.add_argument("-n", "--count", type=_ranged(read_int, 1), default=100,
                        help="sentence pairs (default %(default)s)"),
         p.add_argument("--grammar", help="grammar file (default: built-in demo)"),
     ))
@@ -395,14 +399,9 @@ def _cmd_synth_generate(args: argparse.Namespace, stdout: IO[str], stderr: IO[st
     return 0
 
 
-class _Signalled(BaseException):
-    """SIGTERM or SIGHUP arrived: a ``BaseException``, so that it unwinds the run
-    past every ``except Exception`` and ``files.replace_on_success`` removes its
-    staged files, as for SIGINT."""
-
-
 def _signalled(signum: int, frame: object) -> None:
-    raise _Signalled(signum)
+    """Unwind the run on SIGTERM or SIGHUP as on SIGINT, with the signal's number."""
+    raise KeyboardInterrupt(signum)
 
 
 def main(argv: Sequence[str] | None = None) -> int:
@@ -428,16 +427,12 @@ def _main(argv: Sequence[str] | None) -> int:
     stdout, stderr = sys.stdout, sys.stderr
     origins: dict[str, str] = {}
     try:
-        origins = _set_defaults(args)
-        if origins:
-            args = parser.parse_args(argv)
+        args, origins = _set_defaults(parser, args, argv)
         return args.run(args, stdout, stderr)
-    except KeyboardInterrupt:
-        print("error: interrupted", file=stderr)
-        return 130
-    except _Signalled as exc:
-        signum = exc.args[0]
-        print(f"error: interrupted by {signal.Signals(signum).name}", file=stderr)
+    except KeyboardInterrupt as exc:  # its argument: the signal that _signalled turned into it
+        signum = exc.args[0] if exc.args else signal.SIGINT
+        print("error: interrupted" + (f" by {signal.Signals(signum).name}" if exc.args else ""),
+              file=stderr)
         return 128 + signum
     except (PipelineError, OSError, ValueError) as exc:  # every domain error is a ValueError
         # The one door to origins: the first of the error's settings that a file or

@@ -12,6 +12,12 @@ interrupt before then leaves every earlier file as it was. Sidecars contain no
 timestamps, so a rerun with the same inputs and seed reproduces them byte for
 byte (except for the recorded worker count, which is part of the configuration).
 
+:func:`read_int` and :func:`read_float` are the one reader of a number in text.
+Each takes ASCII decimal, ``int`` or ``float`` of ASCII text with no ``_``: an
+optional sign and ASCII digits, and for a float the point, exponent, ``inf`` and
+``nan`` forms too. ``1_0`` and other scripts' digits (``١٠``), which ``int`` takes,
+are refused.
+
 This module uses only the standard library and :mod:`treelab.version`, so a
 subcommand that writes through it loads no other layer.
 """
@@ -37,6 +43,26 @@ def checked_make(cls: type, fields: Iterable) -> tuple:
     fields, so that ``_make``, and ``_replace``, which calls it, check them too.
     Here because every module that defines such a record imports this one."""
     return cls(*fields)
+
+
+def _decimal(kind: type, text: str, what: str):
+    """``kind(text)`` of ASCII decimal ``text``, else ``ValueError`` naming ``text``."""
+    if text.isascii() and "_" not in text:
+        with suppress(ValueError):
+            return kind(text)
+    raise ValueError(f"{text!r} is not an ASCII decimal {what}")
+
+
+def read_int(text: str) -> int:
+    return _decimal(int, text, "integer")
+
+
+def read_float(text: str) -> float:
+    return _decimal(float, text, "number")
+
+
+# The names argparse and ``cli`` give the type: "invalid int value", "cannot read 'X' as int".
+read_int.__name__, read_float.__name__ = "int", "float"
 
 
 class PipelineError(Exception):

@@ -175,10 +175,8 @@ class StatsAccumulator(SimpleNamespace):
     addition, so ``run_transform`` adds every sentence in input order. Equal to
     an accumulator with the same sums; mutable, so not hashable."""
 
-    def __init__(self, sum_ir: float = 0.0, sum_wmd: float = 0.0, sentences: int = 0,
-                 tokens: int = 0, short: int = 0) -> None:
-        super().__init__(sum_ir=sum_ir, sum_wmd=sum_wmd, sentences=sentences, tokens=tokens,
-                         short=short)
+    def __init__(self) -> None:
+        super().__init__(sum_ir=0.0, sum_wmd=0.0, sentences=0, tokens=0, short=0)
 
     def add(self, perm: AlignedPermutation) -> None:
         self.add_row(inversion_ratio(perm), word_move_distance(perm), perm.n)

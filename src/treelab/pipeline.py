@@ -63,7 +63,7 @@ from signal import SIG_BLOCK, SIG_SETMASK, SIGHUP, SIGINT, SIGTERM, pthread_sigm
 from time import process_time
 from typing import IO, Iterator, Mapping, NamedTuple, Sequence, Union
 
-from .files import PipelineError, UsageError, read_lines, recorded
+from .files import PipelineError, UsageError, read_float, read_lines, recorded
 from .files import write_provenance  # for bench/replicas.py
 from .metrics import StatsAccumulator, align_by_surface, format_stats_table, permutation_row
 from .rng import run_streams
@@ -141,7 +141,7 @@ def parse_chain(
             if suffix not in ("", "shuffle"):
                 raise ChainError(f"bad ablate step {token!r}; use ablate:ALPHA[:shuffle]")
             try:
-                alpha = float(alpha_text)
+                alpha = read_float(alpha_text)
             except ValueError:
                 raise ChainError(f"bad ablate step {token!r}: {alpha_text!r} is not a number") from None
             if not 0.0 <= alpha <= 1.0:
@@ -389,18 +389,23 @@ def run_transform(
                         errors.extend(chunk_errors)
         finally:
             _line_memo.cache_clear()  # the memo lives for one run; pool workers exit with the pool
-        if config.stats:
-            stats = acc.finalize()
-            print(format_stats_table([(config.chain, stats)]), file=stdout)
-        if report_fh is not None:
-            report = {"chain": config.chain, **stats._asdict()}
-            report_fh.write(json.dumps(report, indent=2) + "\n")
+        if config.stats:  # which --report needs
+            _write_stats(acc, config.chain, report_fh, stdout, chain=config.chain)
 
     if counts["placeholder"]:
         print(f"skipped {counts['placeholder']} line(s) with no tree", file=stderr)
     if config.skip_bad and counts["bad"]:
         print(f"skipped {counts['bad']} malformed line(s)", file=stderr)
     return _report_bad_lines(errors, stderr)
+
+
+def _write_stats(acc: StatsAccumulator, label: str, report_fh: IO[str] | None, stdout: IO[str],
+                 **head: str) -> None:
+    """Print the stats table's one row, ``label``; write the report, ``head``'s keys first."""
+    stats = acc.finalize()
+    print(format_stats_table([(label, stats)]), file=stdout)
+    if report_fh is not None:
+        report_fh.write(json.dumps({**head, **stats._asdict()}, indent=2) + "\n")
 
 
 def _line_tokens(line: str) -> list[str]:
@@ -447,9 +452,6 @@ def run_stats(
             except ValueError as exc:  # a malformed tree or an alignment failure
                 errors.append((path, f"{path}:{lineno}: {exc}"))
 
-        stats = acc.finalize()
-        print(format_stats_table([(modified_path, stats)]), file=stdout)
-        if report_fh is not None:
-            report_fh.write(json.dumps({"original": original_path, "modified": modified_path,
-                                        **stats._asdict()}, indent=2) + "\n")
+        _write_stats(acc, modified_path, report_fh, stdout,
+                     original=original_path, modified=modified_path)
     return _report_bad_lines(errors, stderr)

@@ -47,7 +47,7 @@ from collections import Counter, defaultdict, namedtuple
 from functools import cached_property
 from typing import IO, Iterable, Sequence
 
-from .files import checked_make, read_lines, replace_on_success
+from .files import checked_make, read_int, read_lines, replace_on_success
 from .rng import Rng, run_streams
 
 SPECIAL_TOKENS = ("<pad>", "<unk>", "<cls>", "<sep>", "<mask>")
@@ -314,12 +314,15 @@ def save_model(model: BpeModel, path: str) -> None:
         dump_model(model, fh)
 
 
-def _header_field(lines: Sequence[str], index: int, keyword: str) -> str:
-    """What follows ``keyword`` on line ``index``; another keyword or no line is malformed."""
+def _header_field(lines: Sequence[str], index: int, keyword: str, read=str):
+    """``read`` of what follows ``keyword`` on line ``index``; else ``line N: ...``."""
     head, _, value = lines[index].partition(" ") if index < len(lines) else ("", "", "")
     if head != keyword:
         raise ValueError(f"line {index + 1}: expected {keyword!r}")
-    return value
+    try:
+        return read(value)
+    except ValueError as exc:  # a count that is not ASCII decimal
+        raise ValueError(f"line {index + 1}: {exc}") from None
 
 
 def load_model(path: str) -> BpeModel:
@@ -334,10 +337,10 @@ def load_model(path: str) -> BpeModel:
             if _header_field(lines, index, keyword) != value:
                 raise ValueError(f"line {index + 1}: expected '{keyword} {value}', "
                                  f"got {lines[index]!r}")
-        n_alpha = int(_header_field(lines, 4, "alphabet"))
+        n_alpha = _header_field(lines, 4, "alphabet", read_int)
         alphabet = lines[5 : 5 + n_alpha]
         pos = 5 + n_alpha
-        n_merges = int(_header_field(lines, pos, "merges"))
+        n_merges = _header_field(lines, pos, "merges", read_int)
         if len(lines) != pos + 1 + n_merges:
             raise ValueError(f"{len(lines)} lines, but the header counts {n_alpha} alphabet "
                              f"and {n_merges} merge lines")
@@ -409,14 +412,14 @@ def mask_tokens(
 
 
 def read_ids(text: str) -> list[int]:
-    """The ids of one line: whitespace-separated ASCII decimal integers, each with
-    an optional sign. Any other token, ``1_0`` or a non-ASCII digit too, which
-    ``int`` would take, raises ``ValueError`` naming it."""
-    if not text.isascii() or "_" in text:  # two C-level scans: the common line pays no more
-        for token in text.split():
-            if not token.isascii() or "_" in token:
-                raise ValueError(f"id {token!r} is not an ASCII decimal integer")
-    return list(map(int, text.split()))
+    """The ids of one line: whitespace-separated ASCII decimal integers
+    (:func:`files.read_int`). Any other token raises ``ValueError`` naming it."""
+    if text.isascii() and "_" not in text:  # two C-level scans: the common line pays no more
+        return list(map(int, text.split()))
+    try:
+        return list(map(read_int, text.split()))
+    except ValueError as exc:
+        raise ValueError(f"id {exc}") from None
 
 
 def read_ids_file(path: str) -> list[list[int]]:

@@ -50,7 +50,7 @@ from collections import namedtuple
 from functools import cached_property
 from typing import IO, TYPE_CHECKING, Iterable, Iterator, Mapping, NamedTuple
 
-from .files import checked_make, read_lines, replace_on_success
+from .files import checked_make, read_float, read_lines, replace_on_success
 from .rng import Rng, run_streams
 from .treebank import TreeNode, escape_symbol, leaf, scan_ptb, serialize, write_tree
 
@@ -566,7 +566,7 @@ def parse_grammar(text: str, origin: str = "<string>") -> SynthGrammar:
                     if len(weight_fields) != 1:
                         raise SynthError("expected a single weight after ':'")
                     try:
-                        weight = float(weight_fields[0])
+                        weight = read_float(weight_fields[0])
                     except ValueError:
                         raise SynthError(f"bad weight {weight_fields[0]!r}") from None
                 if len(lhs) != 1 or not rest:

@@ -10,8 +10,10 @@ import subprocess
 import sys
 from pathlib import Path
 
+import hypothesis.strategies as st
 import numpy as np
 import pytest
+from hypothesis import given
 
 import treelab
 import treelab.pipeline as pipeline
@@ -19,7 +21,7 @@ import treelab.subword
 import treelab.synthlang
 from helpers import apply_chain, fifo_holding, write_pooled_embeddings, write_token_embeddings
 from treelab.cli import SEED_ENV, WORKERS_ENV, main
-from treelab.files import UsageError
+from treelab.files import UsageError, read_float, read_int
 from treelab.retrieval import EmbeddingMatrix
 from treelab.pipeline import (
     ChainError,
@@ -360,6 +362,12 @@ class TestSeedPrecedence:
         config = tmp_path / "run.conf"
         config.write_text("# comment\nseed = 5\n")
         assert self.shuffle(run, tmp_path, "got.txt", "--config", str(config)) == reference
+
+    def test_a_flag_equal_to_the_built_in_default_beats_config(self, run, tmp_path):
+        reference = self.shuffle(run, tmp_path, "ref.txt", "--seed", "0")
+        config = tmp_path / "run.conf"
+        config.write_text("seed = 9\n")
+        assert self.shuffle(run, tmp_path, "got.txt", "--config", str(config), "--seed", "0") == reference
 
     def test_seeds_actually_differ(self, run, tmp_path):
         assert self.shuffle(run, tmp_path, "a.txt", "--seed", "5") != self.shuffle(
@@ -1097,7 +1105,7 @@ def test_missing_side_inputs_name_the_file(run, tmp_path, reader):
 
 @pytest.mark.parametrize("source", ["environment", "config"])
 def test_an_unreadable_default_is_an_error_even_under_a_flag(run, tmp_path, monkeypatch, source):
-    """A config or environment value is the flag's default, so it is read even when a flag wins."""
+    """A config or environment value is read even when a flag wins."""
     src = tmp_path / "in.trees"
     src.write_text(NESTED + "\n")
     config = tmp_path / "run.conf"
@@ -1233,6 +1241,115 @@ def test_a_config_file_that_did_not_set_the_value_is_not_named(run, tmp_path, mo
     Path("m.conf").write_text("seed = 3\n")
     assert run("mask", "in.ids", "-o", "mo", "--model", "m.bpe", "--config", "m.conf") == (
         1, "", "error: in.ids:1: id 999 is outside the vocabulary (0..12)\n")
+
+
+def test_a_flag_equal_to_the_built_in_default_is_not_credited_to_the_config_file(
+        run, tmp_path, monkeypatch):
+    """``--emit sentences`` is both the flag and the built-in default: the error is the flag's."""
+    monkeypatch.chdir(tmp_path)
+    Path("in.trees").write_text(NESTED + "\n")
+    Path("run.conf").write_text("emit = both\n")
+    assert run("transform", "in.trees", "-o", "out.txt", "--config", "run.conf", "--emit",
+               "sentences", "--tree-output", "t.trees", "--chain", "reorder:83A") == (
+        2, "", "error: --tree-output needs --emit both\n")
+    assert sorted(os.listdir()) == ["in.trees", "run.conf"]
+
+
+# Python's grammar of what ``int`` and ``float`` read, less ``_``, over ASCII:
+# ``\s`` is the ASCII whitespace they strip.
+NUMBER_GRAMMARS = {
+    read_int: (int, r"\s*[+-]?[0-9]+\s*"),
+    read_float: (float, r"\s*[+-]?(([0-9]+\.?[0-9]*|\.[0-9]+)(e[+-]?[0-9]+)?|inf(inity)?|nan)\s*"),
+}
+# What ``int`` and ``float`` also take: the digit-group underscore, and other scripts'
+# digits and blanks.
+NOT_ASCII_DECIMAL = "_\u0663\u0660\uff17\u2007\u3000"
+# What a number is made of, and may be mistaken for.
+NUMBER_CHARS = "0123456789+-.eE \t\ninfatyINF\u00b2x" + NOT_ASCII_DECIMAL
+
+
+@pytest.mark.parametrize("read", NUMBER_GRAMMARS, ids=["int", "float"])
+@given(data=st.data())
+def test_a_number_is_exactly_ascii_decimal(read, data):
+    """Each reader takes exactly its grammar, and reads it as ``int`` or ``float`` does;
+    any other text raises a ``ValueError`` that names it."""
+    kind, grammar = NUMBER_GRAMMARS[read]
+    pattern = re.compile(grammar, re.ASCII | re.IGNORECASE)
+    valid = st.from_regex(pattern, fullmatch=True)
+    spoiled = st.tuples(valid, st.sampled_from(NOT_ASCII_DECIMAL), st.integers(0, 9)).map(
+        lambda drawn: drawn[0][:drawn[2]] + drawn[1] + drawn[0][drawn[2]:])
+    text = data.draw(st.one_of(valid, spoiled, st.text(NUMBER_CHARS, max_size=8)))
+    assert read.__name__ == kind.__name__  # argparse's "invalid int value", _convert's "as int"
+    if pattern.fullmatch(text):
+        assert repr(read(text)) == repr(kind(text))
+    else:
+        with pytest.raises(ValueError, match=re.escape(f"{text!r} is not an ASCII decimal")):
+            read(text)
+
+
+GRAMMAR_WEIGHT = ("language a\nlanguage b\nrule S -> NN\nrule S -> JJ : 1_0\n"
+                  "lex a NN n\nlex a JJ j\nlex b NN m\nlex b JJ k\n")
+# Per place a number is read: what it is given, and the error line, with its exit
+# status, that names where it came from; USAGE stands for ``treelab SUBCOMMAND``.
+NUMBER_SITES = {
+    "seed flag": ("synth generate -o x --seed 1_0", {},
+                  2, "USAGE: error: argument --seed: invalid int value: '1_0'"),
+    "seed flag, other digits": ("synth generate -o x --seed \u0661\u0660", {},
+                                2, "USAGE: error: argument --seed: invalid int value: '\u0661\u0660'"),
+    "seed variable": ("synth generate -o x", {SEED_ENV: "1_0"},
+                      2, f"error: environment variable {SEED_ENV}: cannot read '1_0' as int"),
+    "seed key": ("synth generate -o x --config n.conf", {"n.conf": "seed = 1_0\n"},
+                 2, "error: n.conf:1: config key 'seed': cannot read '1_0' as int"),
+    "vocab-size flag": ("bpe learn a.txt -o x --vocab-size 4_0", {},
+                        2, "USAGE: error: argument --vocab-size: invalid int value: '4_0'"),
+    "ablate step": ("transform in.trees -o x --chain ablate:0_5", {},
+                    2, "error: bad ablate step 'ablate:0_5': '0_5' is not a number"),
+    "ablate step, other digits": (
+        "transform in.trees -o x --chain ablate:\u0660.\u0665", {},
+        2, "error: bad ablate step 'ablate:\u0660.\u0665': '\u0660.\u0665' is not a number"),
+    "grammar weight": ("synth generate -o x --grammar g.grammar", {"g.grammar": GRAMMAR_WEIGHT},
+                       1, "error: g.grammar:4: bad weight '1_0'"),
+    "model header": ("bpe apply a.txt -o x --model m.bpe", {"m.bpe": "alphabet 0_1"},
+                     1, "error: malformed model file m.bpe: line 5: '0_1' is not an ASCII "
+                        "decimal integer"),
+}
+
+
+@pytest.mark.parametrize("case", NUMBER_SITES)
+def test_a_number_that_is_not_ascii_decimal_is_refused_where_it_is_read(run, tmp_path,
+                                                                         monkeypatch, case):
+    """``1_0`` and other scripts' digits, which ``int`` and ``float`` take, end the run
+    with one ``error:`` line naming the flag, variable, key, chain step or file, and write
+    nothing."""
+    argv, given, code, message = NUMBER_SITES[case]
+    monkeypatch.chdir(tmp_path)
+    Path("a.txt").write_text("ab\n")
+    Path("in.trees").write_text(NESTED + "\n")
+    assert run("bpe", "learn", "a.txt", "-o", "m.bpe", "--vocab-size", "20")[0] == 0
+    for name, text in given.items():
+        if name == SEED_ENV:
+            monkeypatch.setenv(name, text)
+        elif name == "m.bpe":  # one header line spoiled
+            Path(name).write_text(Path(name).read_text().replace("alphabet 2", text))
+        else:
+            Path(name).write_text(text, encoding="utf-8")
+    before = sorted(os.listdir())
+    got_code, out, err = run(*argv.split())
+    usage = "treelab " + " ".join(argv.split()[:2 if argv.startswith(("synth", "bpe")) else 1])
+    assert (got_code, out) == (code, "")
+    assert err.endswith(message.replace("USAGE", usage) + "\n") and err.count("error:") == 1
+    assert sorted(os.listdir()) == before
+
+
+def test_a_number_with_a_sign_and_leading_zeros_reads_as_its_value(run, tmp_path, monkeypatch):
+    """``--seed +007`` writes every byte, sidecars included, that ``--seed 7`` writes."""
+    written = []
+    for seed in ("+007", "7"):
+        (tmp_path / seed).mkdir()
+        monkeypatch.chdir(tmp_path / seed)
+        assert run("synth", "generate", "-o", "d", "-n", "20", "--seed", seed)[0] == 0
+        written.append({path.name: path.read_bytes() for path in Path().iterdir()})
+    assert written[0] == written[1] and len(written[0]) == 6
 
 
 LOADED_PROBE = """

@@ -152,8 +152,6 @@ def test_only_main_says_where_a_setting_came_from():
 #: passes, each kept for the reason given.
 UNPASSED_DEFAULTS_ALLOWED = {
     "main.argv": "the console entry point, which reads sys.argv",
-    **{f"StatsAccumulator.{name}": "a running sum: state, not a setting"
-       for name in ("sum_ir", "sum_wmd", "sentences", "tokens", "short")},
     "ConstituentShuffleStep.include_root": "bench/replicas.py reads it",
 }
 
